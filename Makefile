@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations stay identical.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale
+.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale benchmark benchmark-compare
 
 all: build vet fmt test
 
@@ -55,6 +55,15 @@ pack:
 # in-memory training/join throughput, cold/warm latency, peak RSS).
 scale:
 	DUET_SCALE_ROWS=2000000 $(GO) run ./cmd/duetbench -exp scale -scale tiny
+
+# The performance reference (benchmark/README.md): every workload, both
+# passes, five runs each; then one row per workload x end-to-end metric
+# against the committed baseline.
+benchmark:
+	$(GO) run ./benchmark --workload all --seed 1 --repeat 5 --out benchmark/out/mine.json
+
+benchmark-compare:
+	$(GO) run ./benchmark --compare benchmark/baseline.json benchmark/out/mine.json
 
 serve:
 	$(GO) run ./cmd/duetserve -syn census -rows 20000

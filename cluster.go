@@ -14,7 +14,7 @@ import (
 
 type (
 	// AdmissionConfig bounds the load one estimator accepts: a sustained
-	// QPS token bucket plus a queue-depth cap. The zero value admits
+	// QPS token bucket plus a cap on the calls parked behind a busy model. The zero value admits
 	// everything. Set it on ServeConfig.Admission (registry-wide or per
 	// model via AddOpts.Serve).
 	AdmissionConfig = serve.AdmissionConfig

@@ -92,7 +92,7 @@ func main() {
 	// Engine flags.
 	addr := flag.String("addr", ":8080", "listen address")
 	maxBatch := flag.Int("batch", 64, "micro-batch size")
-	flush := flag.Duration("flush", 100*time.Microsecond, "coalescing flush window")
+	flag.Duration("flush", 0, "accepted and ignored: estimates coalesce behind a busy model, never on a timer")
 	cache := flag.Int("cache", 4096, "LRU result-cache entries (negative disables)")
 	// Cluster flags.
 	proxyMode := flag.Bool("proxy", false, "run as a cluster proxy over -members (or the manifest's cluster block) instead of serving models")
@@ -132,7 +132,7 @@ func main() {
 		return
 	}
 
-	baseServe := duet.ServeConfig{MaxBatch: *maxBatch, FlushWindow: *flush, CacheSize: *cache}
+	baseServe := duet.ServeConfig{MaxBatch: *maxBatch, CacheSize: *cache}
 	reg := duet.NewRegistry(duet.RegistryConfig{
 		Dir:           *modelDir,
 		Serve:         baseServe,
@@ -188,7 +188,7 @@ func main() {
 
 	// Budgets arm after the registry holds its plans: the roofline default
 	// for plan_exec derives from the largest resident packed plan.
-	applySLOBudgets(suite, reg, *flush, man, sloOverrides, sloOff)
+	applySLOBudgets(suite, reg, man, sloOverrides, sloOff)
 
 	srv := duet.NewAPIServer(reg, lc, *modelDir, suite)
 	httpSrv := &http.Server{

@@ -135,20 +135,22 @@ func (ls *LifecycleSpec) policy() duet.LifecyclePolicy {
 type ServeSpec struct {
 	// Batch caps the micro-batch size.
 	Batch int `json:"batch,omitempty"`
-	// FlushUS is the coalescing flush window in microseconds; negative
-	// disables waiting.
+	// FlushUS is accepted and ignored: the engine coalesces behind a busy
+	// backend, not on a flush timer, so no window delays an estimate.
 	FlushUS int64 `json:"flush_us,omitempty"`
 	// Cache is the LRU result-cache capacity in entries; negative disables.
 	Cache int `json:"cache,omitempty"`
-	// Queue is the pending-request channel capacity.
+	// Queue is accepted and ignored: it sized the dispatcher's channel, and
+	// there is no dispatcher. Use max_queue to bound the backlog.
 	Queue int `json:"queue,omitempty"`
 	// QPS caps this model's sustained query rate; excess requests shed with
 	// HTTP 429 and a Retry-After hint. 0 disables rate limiting.
 	QPS float64 `json:"qps,omitempty"`
 	// Burst is the token-bucket depth over QPS (default max(1, qps)).
 	Burst int `json:"burst,omitempty"`
-	// MaxQueue bounds the pending-request backlog; when full, requests shed
-	// immediately instead of queueing. 0 keeps the blocking behavior.
+	// MaxQueue bounds the calls parked behind a running forward pass; when
+	// full, requests shed immediately instead of parking. 0 leaves the
+	// backlog unbounded.
 	MaxQueue int `json:"max_queue,omitempty"`
 }
 
@@ -174,14 +176,8 @@ func (s *ServeSpec) config(base duet.ServeConfig) *duet.ServeConfig {
 	if s.Batch != 0 {
 		cfg.MaxBatch = s.Batch
 	}
-	if s.FlushUS != 0 {
-		cfg.FlushWindow = time.Duration(s.FlushUS) * time.Microsecond
-	}
 	if s.Cache != 0 {
 		cfg.CacheSize = s.Cache
-	}
-	if s.Queue != 0 {
-		cfg.QueueDepth = s.Queue
 	}
 	if s.QPS != 0 {
 		cfg.Admission.QPS = s.QPS

@@ -89,7 +89,7 @@ func manifestBudgets(man *Manifest) map[string]time.Duration {
 // tracer: roofline-derived defaults for the largest resident plan, overlaid
 // by the manifest's "budgets" block, overlaid by -slo. Stages overridden to
 // zero are disabled.
-func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, flush time.Duration, man *Manifest, overrides map[string]time.Duration, off bool) {
+func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest, overrides map[string]time.Duration, off bool) {
 	if suite == nil || suite.Tracer == nil {
 		return
 	}
@@ -103,7 +103,7 @@ func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, flush time.Durati
 			planBytes = mi.PlanBytes
 		}
 	}
-	budgets := duet.DeriveSLOBudgets(planBytes, flush)
+	budgets := duet.DeriveSLOBudgets(planBytes, 0)
 	for stage, d := range manifestBudgets(man) {
 		budgets[stage] = d
 	}

@@ -90,7 +90,7 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 
 	man := &Manifest{Budgets: map[string]string{"forward": "123ms", "plan_exec": "77ms"}}
 	overrides := map[string]time.Duration{"plan_exec": 9 * time.Millisecond, "route": 0}
-	applySLOBudgets(suite, reg, time.Millisecond, man, overrides, false)
+	applySLOBudgets(suite, reg, man, overrides, false)
 
 	b := suite.Tracer.Budgets()
 	if b["forward"] != 123*time.Millisecond {
@@ -109,7 +109,7 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 	}
 
 	// -slo off wipes the table entirely.
-	applySLOBudgets(suite, reg, time.Millisecond, man, nil, true)
+	applySLOBudgets(suite, reg, man, nil, true)
 	if b := suite.Tracer.Budgets(); len(b) != 0 {
 		t.Fatalf("off must clear every budget, got %v", b)
 	}

@@ -23,12 +23,15 @@
 // pass (no progressive sampling), concurrent requests can be coalesced into
 // micro-batches and answered by one batched inference without changing any
 // individual estimate. NewEstimator wraps a model in that engine — a
-// coalescing dispatcher, a canonical-key LRU result cache, and a packed
-// batch inference plan that skips the network's structural zeros:
+// canonical-key LRU result cache, a packed batch inference plan that skips
+// the network's structural zeros, and coalescing driven by the backend's
+// occupancy rather than a timer: an estimate that finds the model idle runs
+// its forward pass inline, and those that arrive meanwhile ride the next
+// pass together:
 //
 //	est := duet.NewEstimator(model, duet.ServeConfig{})
 //	defer est.Close()
-//	card, err := est.Estimate(ctx, q)            // coalesced with other callers
+//	card, err := est.Estimate(ctx, q)            // inline, or batched behind a busy model
 //	cards, err := est.EstimateBatch(ctx, queries) // explicit batch
 //
 // Multi-model serving: NewRegistry owns many named estimators — base tables
@@ -282,13 +285,15 @@ func QError(est, act float64) float64 { return workload.QError(est, act) }
 
 // Serving types, re-exported from internal/serve.
 type (
-	// Estimator is the concurrent batched serving engine: it coalesces
-	// concurrent Estimate calls into micro-batches, answers them with one
-	// batched forward pass each, and fronts the model with a canonical-key
-	// LRU result cache. Safe for concurrent use; Close releases it.
+	// Estimator is the concurrent batched serving engine: it fronts the
+	// model with a canonical-key LRU result cache, runs a lone Estimate's
+	// forward pass inline, and coalesces the calls that arrive while a pass
+	// is running into the next one. Safe for concurrent use; Close releases
+	// it.
 	Estimator = serve.Estimator
 	// ServeConfig tunes the engine; the zero value selects sensible
-	// defaults (batch 64, 100µs flush window, 4096-entry cache).
+	// defaults (batch 64, 4096-entry cache). FlushWindow is accepted and
+	// ignored: nothing in the engine waits on a clock.
 	ServeConfig = serve.Config
 	// ServeStats is a snapshot of the engine's counters.
 	ServeStats = serve.Stats

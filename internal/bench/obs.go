@@ -33,7 +33,7 @@ type ObsReport struct {
 }
 
 // ObsOverhead is experiment id "obs". The engine runs unbatched and uncached
-// (MaxBatch 1, no flush wait, cache off), so every request pays one forward
+// (MaxBatch 1, cache off, one caller), so every request pays one inline forward
 // pass plus exactly the per-request bookkeeping under measurement — the
 // configuration where instrumentation overhead is largest relative to work
 // done. Five alternating rounds per configuration, best-of, so one scheduler
@@ -65,9 +65,9 @@ func ObsOverhead(w io.Writer, s Scale) (*ObsReport, error) {
 
 	// The armed production configuration: per-stage SLO budgets derived from
 	// this plan's roofline, checked at every span close of a traced request.
-	budgets := serve.DeriveBudgets(m.WarmPlan(), -1, serve.CalibrateBudgets())
+	budgets := serve.DeriveBudgets(m.WarmPlan(), 0, serve.CalibrateBudgets())
 
-	serveCfg := serve.Config{MaxBatch: 1, FlushWindow: -1, CacheSize: -1}
+	serveCfg := serve.Config{MaxBatch: 1, CacheSize: -1}
 	run := func(reg *obs.Registry, traced bool) (float64, error) {
 		cfg := serveCfg
 		cfg.Obs = reg

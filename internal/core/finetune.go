@@ -50,6 +50,7 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 	if cfg.QueryBatch <= 0 {
 		cfg.QueryBatch = 32
 	}
+	defer m.releaseTrainingBuffers()
 	opt := nn.NewAdam(cfg.LR)
 	rng := newDetRand(cfg.Seed)
 	losses := make([]float64, 0, cfg.Steps)

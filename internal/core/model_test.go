@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"duet/internal/exec"
@@ -172,6 +173,63 @@ func TestHybridTrainingRunsAndHelps(t *testing.T) {
 	}
 	if mean := sum / float64(len(labeled)); mean > 4 {
 		t.Fatalf("hybrid-trained in-workload mean Q-Error %.3f", mean)
+	}
+}
+
+// TestTrainReleasesLayerBuffers: Train and FineTune hand back a model whose
+// layers hold no training batch, and its estimates are what they would have
+// been with the buffers kept.
+func TestTrainReleasesLayerBuffers(t *testing.T) {
+	tbl := tinyTable(400)
+	qs := workload.Generate(tbl, workload.GenConfig{Seed: 7, NumQueries: 64, MinPreds: 1, MaxPreds: 3, BoundedCol: -1})
+	m := NewModel(tbl, tinyConfig())
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 1
+	cfg.BatchSize = 128
+	cfg.Lambda = 0
+
+	// A layer stack with buffers reuses them for a one-row Forward; one
+	// without allocates them. So the first reference-path estimate after
+	// training must allocate more than the second.
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, train := range map[string]func(){
+		"Train":    func() { Train(m, cfg) },
+		"FineTune": func() { FineTune(m, exec.Label(tbl, qs), FineTuneConfig{Steps: 2, LR: 1e-4, Lambda: 1}) },
+	} {
+		train()
+		first := mallocs(func() { m.EstimateCard(qs[0]) })
+		second := mallocs(func() { m.EstimateCard(qs[0]) })
+		if layers := uint64(len(m.net.Net.Layers)); first < second+layers {
+			t.Fatalf("first estimate after training made %d allocations, the second %d: the %d layers kept their buffers", first, second, layers)
+		}
+	}
+
+	single := make([]float64, len(qs))
+	for i, q := range qs {
+		single[i] = m.EstimateCard(q)
+	}
+	batch := m.EstimateCardBatch(qs)
+	// Put a training-width batch back in the buffers, as if never released.
+	specs := make([]Spec, 512)
+	for i := range specs {
+		specs[i] = m.SpecFromQuery(qs[i%len(qs)])
+	}
+	m.Forward(specs)
+	for i, q := range qs {
+		if got := m.EstimateCard(q); got != single[i] {
+			t.Fatalf("query %d: EstimateCard %v with buffers released, %v with them kept", i, single[i], got)
+		}
+	}
+	for i, got := range m.EstimateCardBatch(qs) {
+		if got != batch[i] {
+			t.Fatalf("query %d: EstimateCardBatch %v with buffers released, %v with them kept", i, batch[i], got)
+		}
 	}
 }
 

@@ -7,10 +7,7 @@ import (
 )
 
 // ReLU is the rectified linear activation.
-type ReLU struct {
-	out *tensor.Matrix
-	dIn *tensor.Matrix
-}
+type ReLU struct{ buffers }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
@@ -45,10 +42,7 @@ func (l *ReLU) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 func (l *ReLU) Params() []*Param { return nil }
 
 // Sigmoid is the logistic activation.
-type Sigmoid struct {
-	out *tensor.Matrix
-	dIn *tensor.Matrix
-}
+type Sigmoid struct{ buffers }
 
 // NewSigmoid returns a Sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
@@ -76,10 +70,7 @@ func (l *Sigmoid) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 func (l *Sigmoid) Params() []*Param { return nil }
 
 // Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	out *tensor.Matrix
-	dIn *tensor.Matrix
-}
+type Tanh struct{ buffers }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }

@@ -160,6 +160,48 @@ func TestSequentialAndResidualGradcheck(t *testing.T) {
 	}, 3e-2)
 }
 
+// TestReleaseBuffers: releasing drops every retained matrix, down through
+// residual and sequential nesting, and the next Forward — at any batch size —
+// computes what it would have computed anyway.
+func TestReleaseBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	mask := tensor.New(6, 6)
+	for i := range mask.Data {
+		mask.Data[i] = float32(i % 2)
+	}
+	masked := NewMaskedLinear(6, 6, mask, rng)
+	lin, relu, sig, tanh := NewLinear(4, 6, rng), NewReLU(), NewSigmoid(), NewTanh()
+	res := NewResidual(NewSequential(masked, relu))
+	net := NewSequential(lin, res, sig, NewLinear(6, 6, rng), tanh)
+	x := tensor.New(64, 4)
+	tensor.RandUniform(x, 1, rng)
+	want := net.Forward(x).Clone()
+	net.Backward(gradOf(want))
+
+	net.ReleaseBuffers()
+	for name, b := range map[string]*buffers{
+		"linear": &lin.buffers, "masked": &masked.buffers, "relu": &relu.buffers,
+		"residual": &res.buffers, "sigmoid": &sig.buffers, "tanh": &tanh.buffers,
+	} {
+		if b.out != nil || b.dIn != nil {
+			t.Errorf("%s still holds buffers after ReleaseBuffers", name)
+		}
+	}
+	if lin.x != nil || masked.x != nil {
+		t.Error("a linear layer still holds its input after ReleaseBuffers")
+	}
+
+	row := tensor.New(1, 4)
+	copy(row.Row(0), x.Row(7))
+	got := net.Forward(row)
+	for c, v := range got.Row(0) {
+		if v != want.Row(7)[c] {
+			t.Fatalf("column %d after release: %v, want %v", c, v, want.Row(7)[c])
+		}
+	}
+	net.Backward(gradOf(got)) // Forward then Backward works as before
+}
+
 func TestLSTMGradcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewLSTM(3, 4, rng)

@@ -12,9 +12,8 @@ type Linear struct {
 	Weight  *Param // In×Out
 	Bias    *Param // 1×Out, nil when created with NewLinearNoBias
 
-	x   *tensor.Matrix // input saved by Forward
-	out *tensor.Matrix
-	dIn *tensor.Matrix
+	x *tensor.Matrix // input saved by Forward
+	buffers
 }
 
 // NewLinear creates a Linear layer with Xavier-initialized weights.
@@ -61,6 +60,12 @@ func (l *Linear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	dIn := outBuf(&l.dIn, dOut.Rows, l.In)
 	tensor.MulBT(dIn, dOut, l.Weight.W)
 	return dIn
+}
+
+// ReleaseBuffers also forgets the saved input, which the caller owns.
+func (l *Linear) ReleaseBuffers() {
+	l.x = nil
+	l.buffers.ReleaseBuffers()
 }
 
 // Params returns the weight and bias parameters.

@@ -31,11 +31,28 @@ func (p *Param) ZeroGrad() { p.G.Zero() }
 // Backward consumes the upstream gradient dOut (which the layer may reuse as
 // scratch) and returns the gradient with respect to the layer input.
 // Parameter gradients are accumulated into Params()[i].G.
+//
+// A layer keeps the activations and input gradients of its last batch so the
+// next one reuses the storage. ReleaseBuffers drops them — after training
+// they are a whole training batch wide, and a model that goes on to serve
+// through a compiled plan never touches them again. The next Forward
+// allocates afresh; Backward needs a Forward first, as always.
 type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(dOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
+	ReleaseBuffers()
 }
+
+// buffers is what a layer retains between calls: Forward's result and
+// Backward's.
+type buffers struct {
+	out *tensor.Matrix
+	dIn *tensor.Matrix
+}
+
+// ReleaseBuffers implements Layer for layers that retain nothing else.
+func (b *buffers) ReleaseBuffers() { b.out, b.dIn = nil, nil }
 
 // Sequential chains layers back to back.
 type Sequential struct {
@@ -59,6 +76,13 @@ func (s *Sequential) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 		dOut = s.Layers[i].Backward(dOut)
 	}
 	return dOut
+}
+
+// ReleaseBuffers releases every layer's buffers.
+func (s *Sequential) ReleaseBuffers() {
+	for _, l := range s.Layers {
+		l.ReleaseBuffers()
+	}
 }
 
 // Params returns the concatenated parameters of all layers.

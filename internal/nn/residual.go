@@ -9,8 +9,7 @@ import "duet/internal/tensor"
 type Residual struct {
 	Inner Layer
 
-	out *tensor.Matrix
-	dIn *tensor.Matrix
+	buffers
 }
 
 // NewResidual wraps inner in a residual connection.
@@ -34,6 +33,12 @@ func (l *Residual) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 		dIn.Data[i] = v + dInner.Data[i]
 	}
 	return dIn
+}
+
+// ReleaseBuffers releases the inner stack's buffers too.
+func (l *Residual) ReleaseBuffers() {
+	l.Inner.ReleaseBuffers()
+	l.buffers.ReleaseBuffers()
 }
 
 // Params returns the inner layer's parameters.

@@ -201,8 +201,8 @@ type AddOpts struct {
 	// subtree cardinalities. Mutually exclusive with Join.
 	Graph *JoinGraphSpec
 	// Serve overrides the registry-wide engine configuration for this model
-	// (micro-batch size, flush window, cache size, queue depth). Reloads
-	// keep the override.
+	// (micro-batch size, cache size, admission bounds). Reloads keep the
+	// override.
 	Serve *serve.Config
 	// Quant selects the packed-plan weight representation: "" (float32) or
 	// "int8" (per-span symmetric quantization, ~4x smaller resident plan,

@@ -13,7 +13,7 @@ import (
 // replica shed overload per model instead of letting one hot model's queue
 // absorb the whole process: a token bucket caps the sustained query rate and
 // a queue bound caps how much latency backlog may accumulate behind the
-// dispatcher before further requests are rejected outright.
+// backend before further requests are rejected outright.
 type AdmissionConfig struct {
 	// QPS is the sustained queries-per-second budget across Estimate and
 	// EstimateBatch items. <= 0 disables rate limiting.
@@ -21,14 +21,12 @@ type AdmissionConfig struct {
 	// Burst is the token-bucket depth: how many queries above the sustained
 	// rate may be admitted back-to-back. Default max(1, QPS) when QPS is set.
 	Burst int
-	// MaxQueue bounds the pending single-query requests waiting for the
-	// dispatcher. When the backlog is full, Estimate sheds immediately
-	// instead of blocking. <= 0 keeps the blocking behavior.
+	// MaxQueue bounds the calls (Estimate or EstimateBatch, one each) parked
+	// behind a running forward pass. A call that finds the backend busy and
+	// the backlog full is shed immediately, before it spends any rate
+	// budget. <= 0 lets callers park without bound.
 	MaxQueue int
 }
-
-// enabled reports whether any admission bound is configured.
-func (a AdmissionConfig) enabled() bool { return a.QPS > 0 || a.MaxQueue > 0 }
 
 func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	if a.QPS > 0 && a.Burst <= 0 {
@@ -95,35 +93,52 @@ func (b *bucket) take(n int) (bool, time.Duration) {
 	return false, time.Duration(deficit / b.rate * float64(time.Second))
 }
 
-// admit applies the estimator's rate budget to n incoming queries, returning
-// the shed error for the caller to propagate (nil admits). The queue bound is
-// enforced separately at the enqueue site, where channel capacity makes it
-// exact.
-func (e *Estimator) admit(n int) error {
+// admit decides, in one critical section, what becomes of a call with
+// misses: shed (backlog full, then rate budget spent — in that order, so a
+// call shed for room never spends tokens), lead (the backend was idle and is
+// now the caller's, with c alone in e.batch), or parked behind the pass in
+// flight. timed stamps the admission instant for the stage clocks.
+func (e *Estimator) admit(c *call, timed bool) (lead bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		return false, ErrClosed
+	}
+	a := e.cfg.Admission
+	if e.busy && a.MaxQueue > 0 && len(e.pending) >= a.MaxQueue {
+		e.met.shedQueue.Add(uint64(len(c.qs)))
+		return false, &OverloadError{Reason: "queue", RetryAfter: e.queueRetry()}
+	}
 	if e.bucket != nil {
-		if ok, wait := e.bucket.take(n); !ok {
-			e.met.shedRate.Add(uint64(n))
-			return &OverloadError{Reason: "rate", RetryAfter: wait}
+		if ok, wait := e.bucket.take(len(c.qs)); !ok {
+			e.met.shedRate.Add(uint64(len(c.qs)))
+			return false, &OverloadError{Reason: "rate", RetryAfter: wait}
 		}
 	}
-	return nil
-}
-
-// shedQueue records one queue-bound rejection and builds its error.
-func (e *Estimator) shedQueue() error {
-	e.met.shedQueue.Inc()
-	return &OverloadError{Reason: "queue", RetryAfter: e.queueRetry()}
+	if timed {
+		c.enq = time.Now()
+	}
+	if e.busy {
+		e.pending = append(e.pending, c)
+		return false, nil
+	}
+	e.busy = true
+	e.idle.Add(1)
+	e.batch = append(e.batch[:0], c)
+	return true, nil
 }
 
 // queueRetry estimates how long until a full backlog has drained enough to
-// retry: the backlog size over the rate budget when one is set, otherwise a
-// flat flush-window multiple.
+// retry: the backlog size over the rate budget when one is set, otherwise
+// the passes the backlog needs, plus the one in flight, at the duration of
+// the latest pass. Callers hold e.mu.
 func (e *Estimator) queueRetry() time.Duration {
 	if a := e.cfg.Admission; a.QPS > 0 {
 		return time.Duration(float64(a.MaxQueue) / a.QPS * float64(time.Second))
 	}
-	if e.cfg.FlushWindow > 0 {
-		return 4 * e.cfg.FlushWindow
+	passes := 1 + (len(e.pending)+e.cfg.MaxBatch-1)/e.cfg.MaxBatch
+	if d := time.Duration(passes) * time.Duration(e.lastExec.Load()); d > 0 {
+		return d
 	}
-	return 10 * time.Millisecond
+	return 10 * time.Millisecond // no pass has finished yet
 }

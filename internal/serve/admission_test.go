@@ -9,7 +9,7 @@ import (
 	"duet/internal/workload"
 )
 
-// slowBackend answers batches after an optional delay, for backlog tests.
+// slowBackend answers batches after an optional delay.
 type slowBackend struct {
 	delay time.Duration
 }
@@ -107,46 +107,101 @@ func TestCacheHitsBypassAdmission(t *testing.T) {
 	}
 }
 
+// TestQueueBoundSheds: with the backend busy and MaxQueue calls parked, the
+// next caller is shed at once, and exactly: the bound is the parked list's
+// length, so precisely the callers past it are refused. A caller shed for
+// room has used no backend, so it must not have spent rate budget either.
 func TestQueueBoundSheds(t *testing.T) {
-	// A slow backend and a tiny queue: flooding single-query requests must
-	// shed with the queue reason instead of blocking forever.
-	e := New(&slowBackend{delay: 20 * time.Millisecond}, Config{
-		MaxBatch:    1,
-		FlushWindow: -1,
-		CacheSize:   -1,
-		Admission:   AdmissionConfig{MaxQueue: 2},
+	b := newGateBackend()
+	e := New(b, Config{
+		MaxBatch:  1,
+		CacheSize: -1,
+		// A refill too slow to show, so the token count below is exact.
+		Admission: AdmissionConfig{MaxQueue: 2, QPS: 1e-6, Burst: 100},
 	})
 	defer e.Close()
 	ctx := context.Background()
 
-	results := make(chan error, 32)
-	for i := range 32 {
-		go func(i int) {
-			_, err := e.Estimate(ctx, q(0, int32(i)))
-			results <- err
-		}(i)
+	admitted := []<-chan answer{goEstimate(ctx, e, 0)}
+	within(t, b.entered, "the first pass")
+	for i := 1; i <= 2; i++ {
+		admitted = append(admitted, goEstimate(ctx, e, int32(i)))
+		waitParked(t, e, i)
 	}
-	var shed, served int
-	for range 32 {
-		err := <-results
-		switch {
-		case err == nil:
-			served++
-		case errors.Is(err, ErrOverloaded):
-			var ov *OverloadError
-			if !errors.As(err, &ov) || ov.Reason != "queue" {
-				t.Fatalf("queue shed detail: %v", err)
-			}
-			shed++
-		default:
-			t.Fatalf("unexpected error: %v", err)
+	for i := range 5 {
+		_, err := e.Estimate(ctx, q(0, int32(10+i)))
+		var ov *OverloadError
+		if !errors.As(err, &ov) || ov.Reason != "queue" || ov.RetryAfter <= 0 {
+			t.Fatalf("caller past the bound got %v, want a queue shed with a retry hint", err)
 		}
 	}
-	if shed == 0 || served == 0 {
-		t.Fatalf("want a mix of served and shed, got served=%d shed=%d", served, shed)
+	if s := e.Stats(); s.Shed != 5 {
+		t.Fatalf("shed counter %d, want 5", s.Shed)
 	}
-	if s := e.Stats(); s.Shed != uint64(shed) {
-		t.Fatalf("shed counter %d, want %d", s.Shed, shed)
+	e.bucket.mu.Lock()
+	tokens := e.bucket.tokens
+	e.bucket.mu.Unlock()
+	if tokens < 97 || tokens > 97.01 {
+		t.Fatalf("%.3f tokens left of 100 after 3 admitted and 5 shed for room, want 97", tokens)
+	}
+	for i, ch := range admitted {
+		b.release <- struct{}{}
+		if a := within(t, ch, "an admitted caller"); a.err != nil || a.card != float64(i) {
+			t.Fatalf("admitted caller %d got %+v", i, a)
+		}
+	}
+	// Room again: the next caller is admitted.
+	b.release <- struct{}{}
+	if _, err := e.Estimate(ctx, q(0, 50)); err != nil {
+		t.Fatalf("estimate after the backlog drained: %v", err)
+	}
+}
+
+// TestQueueRetryFromBacklog: without a rate budget the retry hint is the
+// passes the backlog needs, plus the one in flight, at the last pass's
+// duration — nothing about it comes from a flush window.
+func TestQueueRetryFromBacklog(t *testing.T) {
+	b := newGateBackend()
+	e := New(b, Config{
+		MaxBatch:    2,
+		FlushWindow: time.Hour,
+		CacheSize:   -1,
+		Admission:   AdmissionConfig{MaxQueue: 3},
+	})
+	defer e.Close()
+	ctx := context.Background()
+
+	b.release <- struct{}{}
+	if _, err := e.Estimate(ctx, q(0, 0)); err != nil { // gives the engine a pass to have timed
+		t.Fatal(err)
+	}
+	<-b.entered
+	last := time.Duration(e.lastExec.Load())
+	if last <= 0 {
+		t.Fatal("no pass duration recorded")
+	}
+	admitted := []<-chan answer{goEstimate(ctx, e, 1)}
+	within(t, b.entered, "the pass in flight")
+	for i := 1; i <= 3; i++ {
+		admitted = append(admitted, goEstimate(ctx, e, int32(1+i)))
+		waitParked(t, e, i)
+	}
+	_, err := e.Estimate(ctx, q(0, 9))
+	var ov *OverloadError
+	if !errors.As(err, &ov) || ov.Reason != "queue" {
+		t.Fatalf("want a queue shed, got %v", err)
+	}
+	// Three parked calls at two a pass are two passes, and one is in flight.
+	if want := 3 * last; ov.RetryAfter != want {
+		t.Fatalf("retry hint %v, want 3 passes of %v = %v", ov.RetryAfter, last, want)
+	}
+	for range 3 { // the pass in flight, then {2, 3}, then {4}
+		b.release <- struct{}{}
+	}
+	for _, ch := range admitted {
+		if a := within(t, ch, "an admitted caller"); a.err != nil {
+			t.Fatal(a.err)
+		}
 	}
 }
 

@@ -61,8 +61,52 @@ func BenchmarkEstimateBatched(b *testing.B) {
 	reportQPS(b, b.N*benchBatch)
 }
 
-// BenchmarkEstimateServed drives the full engine — coalescing queue, dedup,
-// cache — from 32 concurrent callers over a query set large enough that most
+// BenchmarkEstimateLoneMiss is one caller whose every request misses: each
+// op is one inline forward pass plus the engine's bookkeeping, so it should
+// sit just above BenchmarkEstimateSequential and far below any timer tick.
+func BenchmarkEstimateLoneMiss(b *testing.B) {
+	m, qs := benchModel(b)
+	e := New(m, Config{MaxBatch: benchBatch, CacheSize: -1})
+	defer e.Close()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportQPS(b, b.N)
+}
+
+// BenchmarkEstimateContended is two callers whose every request misses: the
+// backend is always busy, so each op waits out the pass in flight and is
+// handed the backend for its own.
+func BenchmarkEstimateContended(b *testing.B) {
+	m, qs := benchModel(b)
+	e := New(m, Config{MaxBatch: benchBatch, CacheSize: -1})
+	defer e.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < b.N; i += 2 {
+				if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	reportQPS(b, b.N)
+	b.ReportMetric(float64(e.Stats().BatchedQueries)/float64(e.Stats().Batches), "queries/pass")
+}
+
+// BenchmarkEstimateServed drives the full engine — coalescing, dedup, cache —
+// from 32 concurrent callers over a query set large enough that most
 // requests miss the cache.
 func BenchmarkEstimateServed(b *testing.B) {
 	m, qs := benchModel(b)

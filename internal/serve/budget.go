@@ -64,20 +64,21 @@ func CalibrateBudgets() BudgetCalib {
 const budgetHeadroom = 8
 
 // DeriveBudgets returns the default per-stage SLO budget table for an engine
-// whose packed plan keeps planBytes of weights resident and flushes batches
-// after at most flushWindow. Stages:
+// whose packed plan keeps planBytes of weights resident. The flush-window
+// parameter is unused: the engine no longer waits on a clock, and the
+// parameter stays only so existing callers keep compiling. Stages:
 //
 //   - plan_exec: headroom × (planBytes / calibrated bandwidth), floored at
 //     250µs so tiny demo plans don't produce budgets below scheduler jitter.
-//   - batch_wait: one full flush window plus one plan_exec — the worst
-//     legitimate wait is enqueueing just after a flush started.
+//   - batch_wait: one plan_exec — the worst legitimate wait is arriving
+//     just after a pass started and riding the next one.
 //   - cache_lookup: flat 1ms; it is a mutex-guarded map probe.
 //   - admission_wait: flat 50ms; the token bucket legitimately delays
 //     requests under configured rate limits, so only a stall is a violation.
 //   - route: flat 1ms; registry resolution is a read-locked map lookup.
 //   - forward: plan_exec + batch_wait + a 25ms intra-fleet network
 //     allowance, covering the proxy's whole downstream hop.
-func DeriveBudgets(planBytes int, flushWindow time.Duration, c BudgetCalib) map[string]time.Duration {
+func DeriveBudgets(planBytes int, _ time.Duration, c BudgetCalib) map[string]time.Duration {
 	if c.BytesPerSec <= 0 {
 		c = CalibrateBudgets()
 	}
@@ -85,16 +86,12 @@ func DeriveBudgets(planBytes int, flushWindow time.Duration, c BudgetCalib) map[
 	if planExec < 250*time.Microsecond {
 		planExec = 250 * time.Microsecond
 	}
-	if flushWindow < 0 {
-		flushWindow = 0
-	}
-	batchWait := flushWindow + planExec
 	return map[string]time.Duration{
 		"plan_exec":      planExec,
-		"batch_wait":     batchWait,
+		"batch_wait":     planExec,
 		"cache_lookup":   time.Millisecond,
 		"admission_wait": 50 * time.Millisecond,
 		"route":          time.Millisecond,
-		"forward":        planExec + batchWait + 25*time.Millisecond,
+		"forward":        2*planExec + 25*time.Millisecond,
 	}
 }

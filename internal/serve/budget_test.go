@@ -12,10 +12,11 @@ func TestDeriveBudgetsRoofline(t *testing.T) {
 	if b["plan_exec"] != 8*time.Millisecond {
 		t.Fatalf("plan_exec = %v, want 8ms", b["plan_exec"])
 	}
-	if b["batch_wait"] != 10*time.Millisecond {
-		t.Fatalf("batch_wait = flush + plan_exec = %v, want 10ms", b["batch_wait"])
+	// The flush window no longer exists: the worst wait is one pass in flight.
+	if b["batch_wait"] != 8*time.Millisecond {
+		t.Fatalf("batch_wait = %v, want plan_exec (8ms)", b["batch_wait"])
 	}
-	if b["forward"] != 8*time.Millisecond+10*time.Millisecond+25*time.Millisecond {
+	if b["forward"] != 8*time.Millisecond+8*time.Millisecond+25*time.Millisecond {
 		t.Fatalf("forward = %v", b["forward"])
 	}
 	for _, stage := range []string{"cache_lookup", "admission_wait", "route"} {
@@ -32,7 +33,6 @@ func TestDeriveBudgetsFloors(t *testing.T) {
 	if b["plan_exec"] != 250*time.Microsecond {
 		t.Fatalf("plan_exec = %v, want the 250us floor", b["plan_exec"])
 	}
-	// Negative flush window (flush-on-first-request) contributes nothing.
 	if b["batch_wait"] != b["plan_exec"] {
 		t.Fatalf("batch_wait = %v, want plan_exec %v", b["batch_wait"], b["plan_exec"])
 	}

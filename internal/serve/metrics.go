@@ -11,14 +11,13 @@ import (
 // detached (they count but are not exported) and the stage clocks stay off,
 // keeping the uninstrumented hot path at its pre-obs cost.
 type engineMetrics struct {
-	// timed turns on the per-stage latency clocks and histograms. It is set
-	// when a registry is wired; individual traced requests also get clocks
-	// regardless (see Estimate).
+	// timed turns on the per-stage histograms, fed by the calls whose stage
+	// clocks run (see estimate). It is set when a registry is wired.
 	timed bool
 
 	requests  *obs.Counter
 	hits      *obs.Counter
-	dedup     *obs.Counter // queries answered by sharing another query's slot in a flush
+	dedup     *obs.Counter // queries answered by sharing another query's slot in a pass
 	batches   *obs.Counter
 	batched   *obs.Counter
 	shedRate  *obs.Counter
@@ -36,7 +35,7 @@ func newEngineMetrics(r *obs.Registry, model string) engineMetrics {
 	shed := r.CounterVec("duet_serve_shed_total",
 		"Queries rejected by admission control, by tripped bound.", "model", "reason")
 	stage := r.HistogramVec("duet_serve_stage_seconds",
-		"Per-stage serving latency: admission_wait, batch_wait, cache_lookup, plan_exec. Dispatcher stages sample 1-in-8 batches.",
+		"Per-stage serving latency: admission_wait, batch_wait, cache_lookup, plan_exec. Samples every traced call and 1 in 8 of the rest.",
 		obs.LatencyBuckets, "model", "stage")
 	return engineMetrics{
 		timed: r != nil,
@@ -45,7 +44,7 @@ func newEngineMetrics(r *obs.Registry, model string) engineMetrics {
 		hits: r.CounterVec("duet_serve_cache_hits_total",
 			"Queries answered from the canonical-key LRU cache.", "model").With(model),
 		dedup: r.CounterVec("duet_serve_dedup_total",
-			"Queries answered by riding another identical query's slot in the same flush.", "model").With(model),
+			"Queries answered by riding another identical query's slot in the same pass.", "model").With(model),
 		batches: r.CounterVec("duet_serve_batches_total",
 			"Backend forward passes issued.", "model").With(model),
 		batched: r.CounterVec("duet_serve_batched_queries_total",
@@ -55,7 +54,7 @@ func newEngineMetrics(r *obs.Registry, model string) engineMetrics {
 		maxBatch: r.GaugeVec("duet_serve_max_batch",
 			"Largest backend batch observed.", "model").With(model),
 		batchSize: r.HistogramVec("duet_serve_batch_size",
-			"Distinct queries per backend forward pass (1-in-8 sampled on the dispatcher).", obs.SizeBuckets, "model").With(model),
+			"Distinct queries per backend forward pass, for the passes that answered a sampled call.", obs.SizeBuckets, "model").With(model),
 		admissionWait: stage.With(model, "admission_wait"),
 		batchWait:     stage.With(model, "batch_wait"),
 		cacheLookup:   stage.With(model, "cache_lookup"),

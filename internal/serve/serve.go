@@ -6,14 +6,19 @@
 // changing any individual estimate.
 //
 // The engine sits between callers and a batch-native Backend (core.Model's
-// EstimateCardBatch). Concurrent Estimate calls are queued to one dispatcher
-// goroutine that collects up to MaxBatch requests, waiting at most
-// FlushWindow for co-travellers after the first arrival, deduplicates them
-// by canonical predicate-set key, and answers the whole micro-batch with one
-// forward pass. A canonical-key LRU cache in front short-circuits repeated
-// queries entirely. Because the backend retains its forward buffers and the
-// request path reuses pooled scratch, steady-state serving performs no
-// per-request matrix allocations.
+// EstimateCardBatch), which it treats as a single-occupancy resource.
+// Coalescing is driven by that occupancy, never by a clock: a miss that finds
+// the backend idle becomes the leader and runs the forward pass inline on its
+// own goroutine; misses that arrive while a pass is running park, and the
+// finishing leader hands the parked calls — FIFO, up to MaxBatch queries,
+// deduplicated by canonical predicate-set key — to the first of them, which
+// leads the next pass. Batches therefore form exactly when the backend is
+// the bottleneck, and a lone estimate costs one forward pass and nothing
+// else. Estimate is the one-query case of EstimateBatch: both share one
+// cache, dedup, admission and stage-clock path. A canonical-key LRU cache in
+// front short-circuits repeated queries entirely. Because the backend
+// retains its forward buffers and the request path reuses pooled scratch,
+// steady-state serving performs no per-request matrix allocations.
 //
 // Estimates are deterministic under coalescing: the batch plan's kernels
 // compute output rows independently with fixed accumulation order, so a
@@ -29,8 +34,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"duet/internal/obs"
@@ -49,23 +57,21 @@ var ErrClosed = errors.New("serve: estimator closed")
 
 // Config tunes the serving engine. The zero value selects sensible defaults.
 type Config struct {
-	// MaxBatch caps the micro-batch size; the dispatcher flushes as soon as
-	// this many requests are pending. Default 64.
+	// MaxBatch caps one forward pass: a finishing leader hands on parked
+	// calls, oldest first, until their queries would exceed it, and an
+	// EstimateBatch with more distinct misses runs in chunks of it.
+	// Default 64.
 	MaxBatch int
-	// FlushWindow is how long the dispatcher waits for additional requests
-	// after the first one before flushing a partial batch. It trades single-
-	// request latency for batching opportunity. Default 100µs; negative
-	// disables waiting (every flush takes whatever is already queued).
+	// FlushWindow is accepted and ignored. It used to be how long a
+	// dispatcher waited for co-travellers before flushing a partial batch;
+	// the engine no longer waits on a clock (see the package comment), so no
+	// value of it delays or hastens anything.
 	FlushWindow time.Duration
 	// CacheSize is the LRU result-cache capacity in entries. Default 4096;
 	// negative disables caching.
 	CacheSize int
-	// QueueDepth is the pending-request channel capacity. Default 4×MaxBatch.
-	// Admission.MaxQueue, when set, overrides it: the channel capacity is the
-	// queue bound, so the shed decision is exact.
-	QueueDepth int
 	// Admission bounds the load the engine accepts (per-model QPS token
-	// bucket and queue-depth shedding). The zero value admits everything.
+	// bucket and backlog shedding). The zero value admits everything.
 	Admission AdmissionConfig
 	// Obs, when set, exports the engine's counters through the shared
 	// metrics registry and turns on the per-stage latency clocks. ObsModel
@@ -79,19 +85,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 100 * time.Microsecond
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
 	c.Admission = c.Admission.withDefaults()
-	if c.Admission.MaxQueue > 0 {
-		c.QueueDepth = c.Admission.MaxQueue
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
-	}
 	return c
 }
 
@@ -108,16 +105,23 @@ type Stats struct {
 	RateLimit      float64 `json:"rate_limit,omitempty"` // configured QPS budget (0 = unlimited)
 }
 
-// request is one in-flight single-query estimate. enq and tr ride along so
-// the dispatcher can attribute queue wait and execution time back to the
-// caller's trace.
-type request struct {
-	key string
-	q   workload.Query
-	out chan float64
-	enq time.Time  // enqueue instant; zero when neither metrics nor trace need it
-	tr  *obs.Trace // caller's trace; nil for untraced requests
+// call is the uncached remainder of one Estimate or EstimateBatch: its
+// distinct misses, and where their answers go. The caller fills it, the
+// leader of the pass it rides in answers it.
+type call struct {
+	qs    []workload.Query // distinct misses, first-seen order
+	keys  []string         // their canonical keys
+	cards []float64        // their answers, written by the leader
+	wants []want           // which input positions await which of them
+	tr    *obs.Trace       // caller's trace; nil for untraced calls
+	enq   time.Time        // admission instant; zero unless the call's stages are clocked
+	lead  bool             // handed the backend while parked: set under Estimator.mu
+	err   error            // why the call went unanswered
+	wake  chan struct{}    // one signal to a parked caller: answered, failed, or lead
 }
+
+// want says that the caller's input position pos is answered by qs[miss].
+type want struct{ pos, miss int }
 
 // Estimator coalesces concurrent cardinality estimates into batched forward
 // passes. Create with New, release with Close. Safe for concurrent use.
@@ -125,22 +129,23 @@ type Estimator struct {
 	cfg     Config
 	backend Backend
 	cache   *lruCache
+	bucket  *bucket // nil when no rate budget is configured
+	met     engineMetrics
+	tick    atomic.Uint64 // untraced calls seen, for 1-in-8 clock sampling
+	calls   sync.Pool     // recycles calls and their slices
 
-	backendMu sync.Mutex // serializes backend calls (dispatcher + EstimateBatch)
+	mu       sync.Mutex
+	busy     bool           // some caller holds the backend
+	pending  []*call        // calls parked behind it, oldest first
+	closed   atomic.Bool    // written under mu
+	idle     sync.WaitGroup // 1 while the backend is held; Close waits on it
+	lastExec atomic.Int64   // duration of the latest pass, ns
 
-	reqs    chan request
-	done    chan struct{} // closed by Close: stop accepting work
-	drained chan struct{} // closed when the dispatcher has exited
-	closeMu sync.Once
-
-	bucket *bucket // nil when no rate budget is configured
-
-	met        engineMetrics
-	reqPool    sync.Pool // recycles result channels across requests
-	dispBatch  []request // dispatcher-only scratch
-	dispQs     []workload.Query
-	dispIdx    map[string]int
-	sampleTick uint64 // dispatcher-only: 1-in-8 stage-clock sampling
+	// Owned by whoever holds the backend.
+	batch []*call          // the calls the holder answers
+	qs    []workload.Query // their distinct queries, when there are several calls
+	idx   map[string]int   // canonical key -> position in qs
+	cards []float64        // the answers, parallel to qs
 }
 
 // New starts a serving engine over backend. The caller owns backend and must
@@ -152,227 +157,308 @@ func New(backend Backend, cfg Config) *Estimator {
 		cfg:     cfg,
 		backend: backend,
 		cache:   newLRUCache(cfg.CacheSize),
-		reqs:    make(chan request, cfg.QueueDepth),
-		done:    make(chan struct{}),
-		drained: make(chan struct{}),
-		dispIdx: make(map[string]int, cfg.MaxBatch),
+		idx:     make(map[string]int, cfg.MaxBatch),
 		met:     newEngineMetrics(cfg.Obs, cfg.ObsModel),
 	}
 	if cfg.Admission.QPS > 0 {
 		e.bucket = newBucket(cfg.Admission.QPS, cfg.Admission.Burst)
 	}
 	registerEngineGauges(cfg.Obs, cfg.ObsModel, e)
-	e.reqPool.New = func() any { return make(chan float64, 1) }
-	go e.run()
+	e.calls.New = func() any { return &call{wake: make(chan struct{}, 1)} }
 	return e
 }
 
-// Estimate returns the estimated cardinality of q, answering from the cache
-// when possible and otherwise riding a coalesced micro-batch. It blocks
-// until the estimate is ready, ctx is done, or the estimator is closed.
+// Estimate returns the estimated cardinality of q: from the cache when
+// possible, by an inline forward pass when the backend is idle, and otherwise
+// by riding the pass that follows the one in flight. It blocks until the
+// estimate is ready, ctx is done, or the estimator is closed.
 func (e *Estimator) Estimate(ctx context.Context, q workload.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
+	qs := [1]workload.Query{q}
+	var out [1]float64
+	if err := e.estimate(ctx, qs[:], out[:]); err != nil {
 		return 0, err
 	}
-	select {
-	case <-e.done:
-		return 0, ErrClosed
-	default:
-	}
-	e.met.requests.Inc()
-	tr := obs.FromContext(ctx)
-	// The stage clocks run when metrics are wired or this request is traced;
-	// otherwise the hot path takes no extra time.Now calls.
-	timed := e.met.timed || tr != nil
-	key := q.CanonicalKey()
-	var t0 time.Time
-	// A disabled stage (no cache, no rate bucket) is a constant-time no-op;
-	// clocking it would only add time.Now pairs to the hot path for a
-	// zero-width histogram, so each stage clock also requires its stage.
-	timeCache := timed && e.cache != nil
-	if timeCache {
-		t0 = time.Now()
-	}
-	card, hit := e.cache.get(key)
-	if timeCache {
-		d := time.Since(t0)
-		if e.met.timed {
-			e.met.cacheLookup.ObserveEx(d.Seconds(), tr.ID())
-		}
-		tr.AddSpan("cache_lookup", t0, d, "hit", strconv.FormatBool(hit))
-	}
-	if hit {
-		e.met.hits.Inc()
-		return card, nil
-	}
-	// Admission guards the backend, so cache hits above are always free; only
-	// a miss spends rate budget or queue room.
-	timeAdmit := timed && e.bucket != nil
-	if timeAdmit {
-		t0 = time.Now()
-	}
-	err := e.admit(1)
-	if timeAdmit {
-		d := time.Since(t0)
-		if e.met.timed {
-			e.met.admissionWait.ObserveEx(d.Seconds(), tr.ID())
-		}
-		tr.AddSpan("admission_wait", t0, d)
-	}
-	if err != nil {
-		return 0, err
-	}
-	out := e.reqPool.Get().(chan float64)
-	r := request{key: key, q: q, out: out, tr: tr}
-	if timed {
-		r.enq = time.Now()
-	}
-	if e.cfg.Admission.MaxQueue > 0 {
-		// Queue-bounded: the channel capacity is the bound, so a full channel
-		// sheds instead of blocking the caller behind the backlog.
-		select {
-		case e.reqs <- r:
-		case <-e.done:
-			e.reqPool.Put(out)
-			return 0, ErrClosed
-		default:
-			e.reqPool.Put(out)
-			return 0, e.shedQueue()
-		}
-	} else {
-		select {
-		case e.reqs <- r:
-		case <-ctx.Done():
-			e.reqPool.Put(out)
-			return 0, ctx.Err()
-		case <-e.done:
-			e.reqPool.Put(out)
-			return 0, ErrClosed
-		}
-	}
-	select {
-	case card := <-out:
-		e.reqPool.Put(out)
-		return card, nil
-	case <-ctx.Done():
-		// The dispatcher will still deliver into the buffered channel; the
-		// channel is abandoned to the GC rather than returned to the pool.
-		return 0, ctx.Err()
-	case <-e.drained:
-		// Closed after our enqueue raced the dispatcher's final drain; the
-		// request was never answered.
-		select {
-		case card := <-out:
-			e.reqPool.Put(out)
-			return card, nil
-		default:
-			return 0, ErrClosed
-		}
-	}
+	return out[0], nil
 }
 
 // EstimateBatch answers an explicit batch, serving cache hits directly and
-// pushing the distinct misses through the backend in MaxBatch-sized chunks.
-// It bypasses the coalescing queue — the caller has already batched — but
-// shares the backend serialization and the result cache with it.
+// pushing the distinct misses through the backend in MaxBatch-sized passes.
+// Admission is all-or-nothing: a partially answered batch is useless to the
+// caller.
 func (e *Estimator) EstimateBatch(ctx context.Context, qs []workload.Query) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
+	out := make([]float64, len(qs))
+	if err := e.estimate(ctx, qs, out); err != nil {
 		return nil, err
 	}
-	select {
-	case <-e.done:
-		return nil, ErrClosed
-	default:
+	return out, nil
+}
+
+// estimate fills out[i] with the estimate of qs[i].
+func (e *Estimator) estimate(ctx context.Context, qs []workload.Query, out []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if e.closed.Load() {
+		return ErrClosed
 	}
 	e.met.requests.Add(uint64(len(qs)))
 	tr := obs.FromContext(ctx)
-	timed := e.met.timed || tr != nil
-	out := make([]float64, len(qs))
-	keys := make([]string, len(qs))
-	missIdx := make(map[string][]int, len(qs)) // key -> positions awaiting it
-	var misses []workload.Query
-	var missKeys []string
+	// The stage clocks run for every traced call — its spans need real times
+	// — and, when metrics are wired, for one untraced call in eight: the
+	// histograms stay uniform samples of what callers see, the counters stay
+	// exact, and instrumenting an engine costs about an atomic add per call.
+	timed := tr != nil || (e.met.timed && e.tick.Add(1)%8 == 0)
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	hits := 0
+	var c *call             // taken from the pool at the first miss
+	var seen map[string]int // key -> position in c.qs; a single query has no duplicates
+	hits, misses := 0, 0
 	for i, q := range qs {
-		keys[i] = q.CanonicalKey()
-		if card, ok := e.cache.get(keys[i]); ok {
-			hits++
+		key := q.CanonicalKey()
+		if card, ok := e.cache.get(key); ok {
 			out[i] = card
+			hits++
 			continue
 		}
-		if _, dup := missIdx[keys[i]]; !dup {
-			misses = append(misses, q)
-			missKeys = append(missKeys, keys[i])
+		if c == nil {
+			c = e.calls.Get().(*call)
+			if len(qs) > 1 {
+				seen = make(map[string]int, len(qs)-i)
+			}
 		}
-		missIdx[keys[i]] = append(missIdx[keys[i]], i)
+		j, dup := seen[key]
+		if !dup {
+			j = len(c.qs)
+			c.qs = append(c.qs, q)
+			c.keys = append(c.keys, key)
+			if seen != nil {
+				seen[key] = j
+			}
+			misses++
+		}
+		c.wants = append(c.wants, want{i, j})
 	}
 	e.met.hits.Add(uint64(hits))
-	if dups := len(qs) - hits - len(misses); dups > 0 {
+	if dups := len(qs) - hits - misses; dups > 0 {
 		e.met.dedup.Add(uint64(dups))
 	}
 	if timed {
-		d := time.Since(t0)
-		if e.met.timed {
-			e.met.cacheLookup.ObserveEx(d.Seconds(), tr.ID())
+		var attrs []string
+		if tr != nil {
+			attrs = []string{"hits", strconv.Itoa(hits), "misses", strconv.Itoa(misses)}
 		}
-		tr.AddSpan("cache_lookup", t0, d,
-			"hits", strconv.Itoa(hits), "misses", strconv.Itoa(len(misses)))
+		e.stage(e.met.cacheLookup, tr, "cache_lookup", t0, attrs...)
 	}
-	// Rate-admit the distinct misses as one unit: a partially answered batch
-	// is useless to the caller, so admission is all-or-nothing.
-	if len(misses) > 0 {
-		if timed {
-			t0 = time.Now()
+	if c == nil {
+		return nil
+	}
+	// Admission guards the backend, so cache hits above are always free; only
+	// a miss spends rate budget or backlog room.
+	c.tr = tr
+	if timed {
+		t0 = time.Now()
+	}
+	lead, err := e.admit(c, timed)
+	if timed {
+		e.stage(e.met.admissionWait, tr, "admission_wait", t0)
+	}
+	if err != nil {
+		e.recycle(c)
+		return err
+	}
+	if !lead {
+		// A call that gives up while parked may still be written by the leader
+		// of the batch it rides in, so it goes to the GC, not back to the pool.
+		if lead, err = e.await(ctx, c); err != nil {
+			return err
 		}
-		err := e.admit(len(misses))
-		if timed {
-			d := time.Since(t0)
+	}
+	if lead {
+		e.run(ctx)
+	}
+	if err = c.err; err == nil {
+		for _, w := range c.wants {
+			out[w.pos] = c.cards[w.miss]
+		}
+	}
+	e.recycle(c)
+	return err
+}
+
+// recycle returns a call nobody else references to the pool.
+func (e *Estimator) recycle(c *call) {
+	clear(c.qs) // drop the callers' predicate slices
+	*c = call{qs: c.qs[:0], keys: c.keys[:0], cards: c.cards[:0], wants: c.wants[:0], wake: c.wake}
+	e.calls.Put(c)
+}
+
+// stage records one caller-side stage that started at t0 and ends now: into
+// its histogram when metrics are wired (the trace id becomes the bucket's
+// exemplar) and as a span on the caller's trace.
+func (e *Estimator) stage(h *obs.Histogram, tr *obs.Trace, name string, t0 time.Time, attrs ...string) {
+	d := time.Since(t0)
+	if e.met.timed {
+		h.ObserveEx(d.Seconds(), tr.ID())
+	}
+	tr.AddSpan(name, t0, d, attrs...)
+}
+
+// shortPass bounds the passes a waiting caller polls for instead of sleeping
+// through. Parking a goroutine and having another thread wake it costs about
+// 15µs and two futex calls on the reference host — most of a small model's
+// forward pass — so behind such a pass the hand-off is cheaper polled.
+const shortPass = 50 * time.Microsecond
+
+// await parks the caller of c until the call is answered or failed (lead
+// false) or handed the backend with c at the head of e.batch (lead true). A
+// caller whose ctx ends first withdraws c — unless it was just handed the
+// backend: the calls batched behind it depend on this caller, so it leads.
+func (e *Estimator) await(ctx context.Context, c *call) (lead bool, err error) {
+	if last := time.Duration(e.lastExec.Load()); last < shortPass {
+		// The pass in flight should end within about one pass time; yield
+		// the processor between looks, and give up after two.
+		for t0 := time.Now(); time.Since(t0) < 2*last; runtime.Gosched() {
+			select {
+			case <-c.wake:
+				return c.lead, c.err
+			default:
+			}
+		}
+	}
+	select {
+	case <-c.wake:
+	case <-ctx.Done():
+		e.mu.Lock()
+		if i := slices.Index(e.pending, c); i >= 0 {
+			e.pending = slices.Delete(e.pending, i, i+1)
+		}
+		lead = c.lead
+		e.mu.Unlock()
+		if !lead {
+			return false, ctx.Err()
+		}
+		<-c.wake
+	}
+	return c.lead, c.err
+}
+
+// run answers e.batch, then passes the backend on. The caller holds the
+// backend and owns e.batch[0]; ctx is its own.
+func (e *Estimator) run(ctx context.Context) {
+	batch := e.batch
+	qs := batch[0].qs
+	if len(batch) > 1 {
+		qs = e.qs[:0]
+		clear(e.idx)
+		riders := 0
+		for _, c := range batch {
+			riders += len(c.qs)
+			for i, key := range c.keys {
+				if _, ok := e.idx[key]; !ok {
+					e.idx[key] = len(qs)
+					qs = append(qs, c.qs[i])
+				}
+			}
+		}
+		e.qs = qs
+		if dups := riders - len(qs); dups > 0 {
+			e.met.dedup.Add(uint64(dups))
+		}
+	}
+	cards := e.cards[:0]
+	var err error
+	for lo := 0; lo < len(qs); lo += e.cfg.MaxBatch {
+		if lo > 0 {
+			// Only a lone call can exceed MaxBatch, so stopping between its
+			// chunks strands nobody else.
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			if e.closed.Load() {
+				err = ErrClosed
+				break
+			}
+		}
+		chunk := qs[lo:min(lo+e.cfg.MaxBatch, len(qs))]
+		start := time.Now()
+		cards = append(cards, e.backend.EstimateCardBatch(chunk)...)
+		e.observePass(batch, lo == 0, len(chunk), start, time.Since(start))
+	}
+	e.cards = cards
+	batch[0].err = err
+	if err == nil {
+		for _, c := range batch {
+			for i, key := range c.keys {
+				j := i
+				if len(batch) > 1 {
+					j = e.idx[key]
+				}
+				c.cards = append(c.cards, cards[j])
+				e.cache.put(key, cards[j])
+			}
+		}
+	}
+	for _, c := range batch[1:] {
+		c.wake <- struct{}{}
+	}
+	e.handOff()
+}
+
+// observePass counts one backend pass over n queries and attributes it, and
+// on a batch's first pass the wait before it, to every clocked call in batch;
+// a pass that answered a clocked call enters the pass histograms.
+func (e *Estimator) observePass(batch []*call, first bool, n int, start time.Time, d time.Duration) {
+	e.lastExec.Store(int64(d))
+	e.met.batches.Inc()
+	e.met.batched.Add(uint64(n))
+	e.met.maxBatch.SetMax(float64(n))
+	clocked, exemplar := false, ""
+	for _, c := range batch {
+		if c.enq.IsZero() {
+			continue
+		}
+		clocked = true
+		if first {
+			wait := start.Sub(c.enq)
 			if e.met.timed {
-				e.met.admissionWait.ObserveEx(d.Seconds(), tr.ID())
+				e.met.batchWait.ObserveEx(wait.Seconds(), c.tr.ID())
 			}
-			tr.AddSpan("admission_wait", t0, d)
+			c.tr.AddSpan("batch_wait", c.enq, wait)
 		}
-		if err != nil {
-			return nil, err
+		if c.tr != nil {
+			exemplar = c.tr.ID()
+			c.tr.AddSpan("plan_exec", start, d, "batch_size", strconv.Itoa(n))
 		}
 	}
-	for lo := 0; lo < len(misses); lo += e.cfg.MaxBatch {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-e.done:
-			return nil, ErrClosed
-		default:
-		}
-		hi := lo + e.cfg.MaxBatch
-		if hi > len(misses) {
-			hi = len(misses)
-		}
-		chunk := misses[lo:hi]
-		if timed {
-			t0 = time.Now()
-		}
-		cards := e.forward(chunk, e.met.timed)
-		if timed {
-			d := time.Since(t0)
-			if e.met.timed {
-				e.met.planExec.ObserveEx(d.Seconds(), tr.ID())
-			}
-			tr.AddSpan("plan_exec", t0, d, "batch_size", strconv.Itoa(len(chunk)))
-		}
-		for j := range chunk {
-			key := missKeys[lo+j]
-			e.cache.put(key, cards[j])
-			for _, pos := range missIdx[key] {
-				out[pos] = cards[j]
-			}
-		}
+	if clocked && e.met.timed {
+		e.met.batchSize.Observe(float64(n))
+		e.met.planExec.ObserveEx(d.Seconds(), exemplar)
 	}
-	return out, nil
+}
+
+// handOff gives the backend to the oldest parked call, together with the
+// calls queued behind it that fit one pass, or marks it idle when none wait.
+func (e *Estimator) handOff() {
+	e.mu.Lock()
+	n, rows := 0, 0
+	for n < len(e.pending) && (n == 0 || rows+len(e.pending[n].qs) <= e.cfg.MaxBatch) {
+		rows += len(e.pending[n].qs)
+		n++
+	}
+	if n == 0 {
+		e.busy = false
+		e.mu.Unlock()
+		e.idle.Done()
+		return
+	}
+	e.batch = append(e.batch[:0], e.pending[:n]...)
+	e.pending = slices.Delete(e.pending, 0, n)
+	next := e.batch[0]
+	next.lead = true
+	e.mu.Unlock()
+	next.wake <- struct{}{}
 }
 
 // Stats returns a snapshot of the engine counters. The fields read the same
@@ -391,152 +477,20 @@ func (e *Estimator) Stats() Stats {
 	}
 }
 
-// Close stops the dispatcher after it answers everything already queued.
+// Close fails every parked call with ErrClosed and returns once the pass in
+// flight, if any, has answered the calls it took and released the backend.
 // Subsequent calls to Estimate and EstimateBatch return ErrClosed. Close is
-// idempotent and returns once the dispatcher has exited.
+// idempotent.
 func (e *Estimator) Close() error {
-	e.closeMu.Do(func() { close(e.done) })
-	<-e.drained
+	e.mu.Lock()
+	e.closed.Store(true)
+	parked := e.pending
+	e.pending = nil
+	e.mu.Unlock()
+	for _, c := range parked {
+		c.err = ErrClosed
+		c.wake <- struct{}{}
+	}
+	e.idle.Wait()
 	return nil
-}
-
-// run is the dispatcher: collect a micro-batch, flush, repeat.
-func (e *Estimator) run() {
-	defer close(e.drained)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		var first request
-		select {
-		case first = <-e.reqs:
-		case <-e.done:
-			// Final drain: answer whatever managed to enqueue before done.
-			for {
-				select {
-				case r := <-e.reqs:
-					e.flush([]request{r})
-				default:
-					return
-				}
-			}
-		}
-		batch := append(e.dispBatch[:0], first)
-		if e.cfg.FlushWindow > 0 && e.cfg.MaxBatch > 1 {
-			timer.Reset(e.cfg.FlushWindow)
-			expired := false
-		collect:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r := <-e.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					expired = true
-					break collect
-				case <-e.done:
-					break collect
-				}
-			}
-			if !expired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-			// Opportunistic, non-waiting coalescing.
-		opportunistic:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r := <-e.reqs:
-					batch = append(batch, r)
-				default:
-					break opportunistic
-				}
-			}
-		}
-		e.flush(batch)
-		e.dispBatch = batch[:0]
-	}
-}
-
-// flush answers one micro-batch: dedupe by canonical key, run one backend
-// forward over the distinct queries, populate the cache, deliver results.
-// Queue wait and execution time are attributed back to each rider's trace.
-func (e *Estimator) flush(batch []request) {
-	if len(batch) == 0 {
-		return
-	}
-	qs := e.dispQs[:0]
-	idx := e.dispIdx
-	clear(idx)
-	traced := false
-	for _, r := range batch {
-		if r.tr != nil {
-			traced = true
-		}
-		if _, ok := idx[r.key]; !ok {
-			idx[r.key] = len(qs)
-			qs = append(qs, r.q)
-		}
-	}
-	if dups := len(batch) - len(qs); dups > 0 {
-		e.met.dedup.Add(uint64(dups))
-	}
-	// Untraced batches sample the stage clocks 1-in-8: the histograms remain
-	// uniform samples of the same distribution while the dispatcher's
-	// steady-state cost stays flat (the counters above are always exact).
-	// Any traced rider forces the clocks on — its spans need real times.
-	sampled := e.met.timed && e.sampleTick&7 == 0
-	e.sampleTick++
-	timed := sampled || traced
-	var execStart time.Time
-	if timed {
-		execStart = time.Now()
-	}
-	cards := e.forward(qs, sampled)
-	var execDur time.Duration
-	if timed {
-		execDur = time.Since(execStart)
-	}
-	if sampled || (traced && e.met.timed) {
-		// A traced batch observes the histograms even off-sample: the clocks
-		// already ran for the rider's spans, and the rider's trace id becomes
-		// the bucket exemplar so a scrape links straight into the trace ring.
-		exID := ""
-		for _, r := range batch {
-			if r.tr != nil {
-				exID = r.tr.ID()
-				break
-			}
-		}
-		e.met.planExec.ObserveEx(execDur.Seconds(), exID)
-		for _, r := range batch {
-			e.met.batchWait.ObserveEx(execStart.Sub(r.enq).Seconds(), r.tr.ID())
-		}
-	}
-	size := strconv.Itoa(len(qs))
-	for _, r := range batch {
-		if r.tr != nil {
-			r.tr.AddSpan("batch_wait", r.enq, execStart.Sub(r.enq))
-			r.tr.AddSpan("plan_exec", execStart, execDur, "batch_size", size)
-		}
-		card := cards[idx[r.key]]
-		e.cache.put(r.key, card)
-		r.out <- card
-	}
-	e.dispQs = qs[:0]
-}
-
-// forward runs one serialized backend pass and updates the batch counters.
-// sampled mirrors the flush-path clock sampling for the size histogram.
-func (e *Estimator) forward(qs []workload.Query, sampled bool) []float64 {
-	e.backendMu.Lock()
-	cards := e.backend.EstimateCardBatch(qs)
-	e.backendMu.Unlock()
-	e.met.batches.Inc()
-	e.met.batched.Add(uint64(len(qs)))
-	e.met.maxBatch.SetMax(float64(len(qs)))
-	if sampled {
-		e.met.batchSize.Observe(float64(len(qs)))
-	}
-	return cards
 }

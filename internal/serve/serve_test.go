@@ -132,14 +132,18 @@ func TestBatchVariableSizes(t *testing.T) {
 // TestConcurrentDeterministic hammers Estimate from 32 goroutines and checks
 // every answer bitwise against a single-query reference through the same
 // batch path: coalescing, caching and buffer reuse must be data-race-free
-// (run under -race) and deterministic regardless of batch composition.
+// (run under -race) and deterministic regardless of batch composition. The
+// cache is smaller than the query set, so most requests reach the backend.
+// How many of them share a pass depends on how many processors let callers
+// arrive while one runs, so this test only bounds the batch size;
+// TestCoalesceBehindBusyBackend pins the coalescing itself.
 func TestConcurrentDeterministic(t *testing.T) {
 	m, qs := newFixture(t, relation.SynDMV(2000, 6), 128)
 	want := make(map[string]float64, len(qs))
 	for _, q := range qs {
 		want[q.CanonicalKey()] = m.EstimateCardBatch([]workload.Query{q})[0]
 	}
-	e := New(m, Config{MaxBatch: 16, FlushWindow: 50 * time.Microsecond})
+	e := New(m, Config{MaxBatch: 16, CacheSize: 32})
 	defer e.Close()
 
 	const workers = 32
@@ -181,8 +185,8 @@ func TestConcurrentDeterministic(t *testing.T) {
 	if st.Batches == 0 || st.BatchedQueries < st.Batches {
 		t.Fatalf("implausible batch counters: %+v", st)
 	}
-	if st.MaxBatch < 2 {
-		t.Errorf("no coalescing observed under 32 concurrent callers: %+v", st)
+	if st.MaxBatch > 16 {
+		t.Errorf("a pass exceeded MaxBatch: %+v", st)
 	}
 }
 
@@ -274,7 +278,7 @@ func TestContextCancel(t *testing.T) {
 // with callers racing the shutdown.
 func TestClose(t *testing.T) {
 	m, qs := newFixture(t, relation.SynCensus(500, 11), 16)
-	e := New(m, Config{MaxBatch: 4, FlushWindow: 20 * time.Microsecond})
+	e := New(m, Config{MaxBatch: 4})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -53,9 +53,12 @@ func NewObsLogger(w io.Writer, level slog.Level) *slog.Logger { return obs.NewLo
 // active kernel tier's sustained bandwidth, and the expected plan_exec
 // latency for a plan keeping planBytes of weights resident follows from
 // weight traffic divided by that bandwidth (the forward pass is memory-
-// bound). The other stages derive from plan_exec and flushWindow; see
-// internal/serve.DeriveBudgets for the exact table. Install the result with
-// ObsSuite.Tracer.SetBudgets, overlaying any operator-configured budgets.
+// bound). The other stages derive from plan_exec; see
+// internal/serve.DeriveBudgets for the exact table. flushWindow is unused —
+// the engine has no flush timer, and the worst batch_wait is one pass in
+// flight — and stays in the signature for existing callers. Install the
+// result with ObsSuite.Tracer.SetBudgets, overlaying any operator-configured
+// budgets.
 func DeriveSLOBudgets(planBytes int, flushWindow time.Duration) map[string]time.Duration {
 	return serve.DeriveBudgets(planBytes, flushWindow, serve.CalibrateBudgets())
 }
