@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations stay identical.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale benchmark benchmark-compare
+.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale benchmark benchmark-compare loc
 
 all: build vet fmt test
 
@@ -64,6 +64,11 @@ benchmark:
 
 benchmark-compare:
 	$(GO) run ./benchmark --compare benchmark/baseline.json benchmark/out/mine.json
+
+# Non-test Go lines outside benchmark/: the size figure ROADMAP quotes, so
+# simplicity PRs state before/after from one command.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 serve:
 	$(GO) run ./cmd/duetserve -syn census -rows 20000

@@ -24,8 +24,7 @@ type (
 
 	// QueryRequest is the one options-struct entry point into a registry's
 	// estimation surface (expression, expression batch, or pre-parsed
-	// queries); Registry.Query answers it. Estimate, EstimateExpr,
-	// EstimateBatch, and EstimateResolutions are thin wrappers over it.
+	// queries); Registry.Query answers it.
 	QueryRequest = registry.QueryRequest
 	// QueryResult answers a QueryRequest positionally.
 	QueryResult = registry.QueryResult
@@ -34,8 +33,7 @@ type (
 	RegistryModelStats = registry.ModelStats
 
 	// APIServer serves a registry (and optional lifecycle supervisor) over
-	// the versioned /v1 HTTP API, with the legacy unversioned routes kept
-	// as deprecated aliases.
+	// the versioned /v1 HTTP API.
 	APIServer = api.Server
 
 	// ClusterConfig assembles a proxy over a replica fleet: member URLs,

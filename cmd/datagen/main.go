@@ -21,16 +21,9 @@ func main() {
 	out := flag.String("out", "", "output CSV path (default <syn>.csv)")
 	flag.Parse()
 
-	var t *relation.Table
-	switch *syn {
-	case "dmv":
-		t = relation.SynDMV(*rows, *seed)
-	case "kdd":
-		t = relation.SynKDD(*rows, *seed)
-	case "census":
-		t = relation.SynCensus(*rows, *seed)
-	default:
-		fatal(fmt.Errorf("unknown synthetic dataset %q", *syn))
+	t, err := relation.Synthetic(*syn, *rows, *seed)
+	if err != nil {
+		fatal(err)
 	}
 	path := *out
 	if path == "" {

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	duetquery -csv table.csv -model model.duet "price<=100 AND state='NY'"
+//	duetquery -csv census.duetcol -model census.duet "age<=40"
 //
 // Each argument is one expression: predicates are column(=|<|>|<=|>=)value
 // joined by AND; string literals are single-quoted. With -exact the tool
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	csvPath := flag.String("csv", "", "CSV file the model was trained on")
+	csvPath := flag.String("csv", "", "CSV or .duetcol file the model was trained on")
 	syn := flag.String("syn", "", "synthetic dataset: dmv | kdd | census")
 	rows := flag.Int("rows", 20000, "rows for synthetic datasets")
 	seed := flag.Int64("seed", 1, "generation seed")
@@ -28,7 +29,7 @@ func main() {
 	exact := flag.Bool("exact", false, "also compute the exact cardinality")
 	flag.Parse()
 
-	tbl, err := loadTable(*csvPath, *syn, *rows, *seed)
+	tbl, err := duet.OpenTable(*csvPath, *syn, *rows, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -57,29 +58,6 @@ func main() {
 			fmt.Printf(" exact=%d q-error=%.3f", act, duet.QError(est, float64(act)))
 		}
 		fmt.Println()
-	}
-}
-
-func loadTable(csvPath, syn string, rows int, seed int64) (*duet.Table, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return duet.LoadCSV(f, csvPath, true)
-	}
-	switch syn {
-	case "dmv":
-		return duet.SynDMV(rows, seed), nil
-	case "kdd":
-		return duet.SynKDD(rows, seed), nil
-	case "census":
-		return duet.SynCensus(rows, seed), nil
-	case "":
-		return nil, fmt.Errorf("one of -csv or -syn is required")
-	default:
-		return nil, fmt.Errorf("unknown synthetic dataset %q", syn)
 	}
 }
 

@@ -34,44 +34,44 @@ func TestLifecycleEndpoints(t *testing.T) {
 	mux := duet.NewAPIServer(reg, lc, "", nil).Handler()
 
 	// Ingest: numbers and strings both parse; the drift signal reports back.
-	rec, out := doJSON(t, mux, "POST", "/ingest", map[string]any{
+	rec, out := doJSON(t, mux, "POST", "/v1/ingest", map[string]any{
 		"model": "orders",
 		"rows":  []any{[]any{1, 5}, []any{"2", "7"}},
 	})
 	if rec.Code != http.StatusOK || out["appended"] != float64(2) || out["pending_rows"] != float64(2) {
-		t.Fatalf("/ingest: %d %v", rec.Code, out)
+		t.Fatalf("/v1/ingest: %d %v", rec.Code, out)
 	}
 
 	// Feedback: single pair and batch form.
-	rec, out = doJSON(t, mux, "POST", "/feedback", map[string]any{
+	rec, out = doJSON(t, mux, "POST", "/v1/feedback", map[string]any{
 		"model": "orders", "query": "amount<=10", "card": 123,
 	})
 	if rec.Code != http.StatusOK || out["qerror"] == nil {
-		t.Fatalf("/feedback: %d %v", rec.Code, out)
+		t.Fatalf("/v1/feedback: %d %v", rec.Code, out)
 	}
-	rec, out = doJSON(t, mux, "POST", "/feedback", map[string]any{
+	rec, out = doJSON(t, mux, "POST", "/v1/feedback", map[string]any{
 		"model": "orders",
 		"items": []map[string]any{{"query": "amount<=5", "card": 40}, {"query": "amount>9", "card": 7}},
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/feedback batch: %d %v", rec.Code, out)
+		t.Fatalf("/v1/feedback batch: %d %v", rec.Code, out)
 	}
 	if results, ok := out["results"].([]any); !ok || len(results) != 2 {
-		t.Fatalf("/feedback batch results: %v", out)
+		t.Fatalf("/v1/feedback batch results: %v", out)
 	}
 
 	// Lifecycle state reflects the recorded signals.
-	rec, out = doJSON(t, mux, "GET", "/lifecycle", nil)
+	rec, out = doJSON(t, mux, "GET", "/v1/lifecycle", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/lifecycle: %d %v", rec.Code, out)
+		t.Fatalf("/v1/lifecycle: %d %v", rec.Code, out)
 	}
 	models, ok := out["models"].([]any)
 	if !ok || len(models) != 1 {
-		t.Fatalf("/lifecycle payload: %v", out)
+		t.Fatalf("/v1/lifecycle payload: %v", out)
 	}
 	ms := models[0].(map[string]any)
 	if ms["model"] != "orders" || ms["pending_rows"] != float64(2) || ms["feedback_n"] != float64(3) {
-		t.Fatalf("/lifecycle state: %v", ms)
+		t.Fatalf("/v1/lifecycle state: %v", ms)
 	}
 
 	// Errors: unknown/unmanaged models, malformed rows, missing fields.
@@ -80,13 +80,13 @@ func TestLifecycleEndpoints(t *testing.T) {
 		body map[string]any
 		code int
 	}{
-		{"/ingest", map[string]any{"model": "customers", "rows": []any{[]any{1, 2}}}, http.StatusNotFound},
-		{"/ingest", map[string]any{"model": "orders"}, http.StatusBadRequest},
-		{"/ingest", map[string]any{"model": "orders", "rows": []any{[]any{1}}}, http.StatusBadRequest},
-		{"/ingest", map[string]any{"model": "orders", "rows": []any{[]any{true, 2}}}, http.StatusBadRequest},
-		{"/feedback", map[string]any{"model": "orders", "query": "amount<=10"}, http.StatusBadRequest},
-		{"/feedback", map[string]any{"model": "orders"}, http.StatusBadRequest},
-		{"/feedback", map[string]any{"model": "customers", "query": "region<=2", "card": 5}, http.StatusNotFound},
+		{"/v1/ingest", map[string]any{"model": "customers", "rows": []any{[]any{1, 2}}}, http.StatusNotFound},
+		{"/v1/ingest", map[string]any{"model": "orders"}, http.StatusBadRequest},
+		{"/v1/ingest", map[string]any{"model": "orders", "rows": []any{[]any{1}}}, http.StatusBadRequest},
+		{"/v1/ingest", map[string]any{"model": "orders", "rows": []any{[]any{true, 2}}}, http.StatusBadRequest},
+		{"/v1/feedback", map[string]any{"model": "orders", "query": "amount<=10"}, http.StatusBadRequest},
+		{"/v1/feedback", map[string]any{"model": "orders"}, http.StatusBadRequest},
+		{"/v1/feedback", map[string]any{"model": "customers", "query": "region<=2", "card": 5}, http.StatusNotFound},
 	} {
 		rec, out := doJSON(t, mux, "POST", tc.path, tc.body)
 		if rec.Code != tc.code {
@@ -99,7 +99,7 @@ func TestLifecycleEndpointsDisabled(t *testing.T) {
 	reg, _ := testServer(t)
 	mux := testHandler(reg)
 	for _, req := range []struct{ method, path string }{
-		{"POST", "/ingest"}, {"POST", "/feedback"}, {"GET", "/lifecycle"},
+		{"POST", "/v1/ingest"}, {"POST", "/v1/feedback"}, {"GET", "/v1/lifecycle"},
 	} {
 		rec, _ := doJSON(t, mux, req.method, req.path, map[string]any{"model": "orders"})
 		if rec.Code != http.StatusNotFound {

@@ -15,8 +15,7 @@
 //	duetserve -manifest deploy.json -modeldir models -watch 2s
 //	duetserve -manifest deploy.json -modeldir models -build-join   # train+save join models, exit
 //
-// Endpoints (versioned under /v1; the bare legacy paths still answer, as
-// deprecated aliases):
+// Endpoints (all under /v1; a bare path answers 404):
 //
 //	POST /v1/estimate              {"model": "orders", "query": "amount<=100"}  -> {"card": ...}
 //	POST /v1/estimate              {"query": "o.k = c.k AND o.amount<=100"}     -> routed to the join view
@@ -50,9 +49,9 @@
 // they grew — saves a versioned model file ("<name>.v<N>.duet" + current
 // pointer), and hot-swaps drain-safely:
 //
-//	POST /ingest                {"model": "orders", "rows": [[3, "x"], ...]}   -> rows appended + drift
-//	POST /feedback              {"model": "orders", "query": "amount<=100", "card": 1234}
-//	GET  /lifecycle                                                            -> per-model drift + retrain state
+//	POST /v1/ingest             {"model": "orders", "rows": [[3, "x"], ...]}   -> rows appended + drift
+//	POST /v1/feedback           {"model": "orders", "query": "amount<=100", "card": 1234}
+//	GET  /v1/lifecycle                                                         -> per-model drift + retrain state
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener stops, open
 // requests finish, and every estimator drains before the process exits.
@@ -245,36 +244,16 @@ func parseLevel(s string) slog.Level {
 }
 
 // registerSingle is the backward-compatible one-table mode: the sole model
-// answers /estimate requests that name no model.
+// answers /v1/estimate requests that name no model.
 func registerSingle(reg *duet.Registry, csvPath, syn string, rows int, seed int64, modelPath string, train int, quant string) error {
-	var tbl *duet.Table
-	var name string
-	if strings.HasSuffix(csvPath, ".duetcol") {
-		s, err := duet.OpenColumnar(csvPath)
-		if err != nil {
-			return err
-		}
-		// The mapping lives for the process; the table reads through it.
+	tbl, err := duet.OpenTable(csvPath, syn, rows, seed)
+	if err != nil {
+		return err
+	}
+	name := syn
+	if csvPath != "" {
 		name = strings.TrimSuffix(filepath.Base(csvPath), filepath.Ext(csvPath))
-		s.Table.Name = name
-		tbl = s.Table
-	} else if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return err
-		}
-		name = strings.TrimSuffix(filepath.Base(csvPath), filepath.Ext(csvPath))
-		tbl, err = duet.LoadCSV(f, name, true)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if tbl, err = synTable(syn, rows, seed); err != nil {
-			return err
-		}
-		name = syn
+		tbl.Name = name
 	}
 	slog.Info("table loaded", "model", name, "stats", tbl.Stats())
 	if modelPath != "" {

@@ -398,46 +398,27 @@ func (ms ModelSpec) colPath(baseDir string) string {
 // buildTable materializes the table of one model spec. Relative CSV paths
 // resolve against the manifest's directory.
 func (ms ModelSpec) buildTable(baseDir string) (*duet.Table, error) {
-	if col := ms.colPath(baseDir); col != "" {
-		s, err := duet.OpenColumnar(col)
-		if err != nil {
-			return nil, err
-		}
-		// The mapping stays open for the process lifetime; the table reads
-		// through it.
-		s.Table.Name = ms.Name
-		return s.Table, nil
-	}
-	switch {
-	case ms.CSV != "":
-		path := ms.CSV
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return duet.LoadCSV(f, ms.Name, true)
-	case ms.Syn != "":
-		rows := ms.Rows
-		if rows <= 0 {
-			rows = 20000
-		}
-		seed := ms.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		t, err := synTable(ms.Syn, rows, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Name = ms.Name
-		return t, nil
-	default:
+	if ms.CSV == "" && ms.Syn == "" {
 		return nil, fmt.Errorf("model %q: one of csv or syn is required", ms.Name)
 	}
+	path := ms.CSV
+	if path != "" && !filepath.IsAbs(path) {
+		path = filepath.Join(baseDir, path)
+	}
+	rows := ms.Rows
+	if rows <= 0 {
+		rows = 20000
+	}
+	seed := ms.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	t, err := duet.OpenTable(path, ms.Syn, rows, seed)
+	if err != nil {
+		return nil, err
+	}
+	t.Name = ms.Name
+	return t, nil
 }
 
 func epochsOrDefault(p *int) int {
@@ -658,17 +639,4 @@ func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, 
 		return nil, duet.AddOpts{}, nil, err
 	}
 	return joined, duet.AddOpts{Graph: spec}, nil, nil
-}
-
-func synTable(syn string, rows int, seed int64) (*duet.Table, error) {
-	switch syn {
-	case "dmv":
-		return duet.SynDMV(rows, seed), nil
-	case "kdd":
-		return duet.SynKDD(rows, seed), nil
-	case "census":
-		return duet.SynCensus(rows, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown synthetic dataset %q", syn)
-	}
 }

@@ -17,6 +17,16 @@ import (
 // routes through the untouched legacy path: the join view answers the join
 // expression with no fanout calibration, bitwise equal to estimating the
 // routed query directly.
+// estimateExpr routes and answers one expression, returning the model that
+// answered alongside the estimate.
+func estimateExpr(ctx context.Context, reg *duet.Registry, target, expr string) (string, float64, error) {
+	res, err := reg.Query(ctx, duet.QueryRequest{Model: target, Expr: expr})
+	if err != nil {
+		return "", 0, err
+	}
+	return res.Models[0], res.Cards[0], nil
+}
+
 func TestLegacyManifestGolden(t *testing.T) {
 	man, err := loadManifest(filepath.Join("testdata", "legacy_manifest.json"))
 	if err != nil {
@@ -33,28 +43,26 @@ func TestLegacyManifestGolden(t *testing.T) {
 
 	expr := "orders.cust_id = customers.id AND orders.amount<=10"
 	// The legacy route is expressible without calibration...
-	name, q, err := reg.Route("", expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "orders_customers" {
-		t.Fatalf("routed to %q", name)
-	}
 	res, err := reg.Resolve("", expr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	name := res.Model
+	if name != "orders_customers" {
+		t.Fatalf("routed to %q", name)
 	}
 	if res.Calib != nil {
 		t.Fatalf("legacy view picked up a fanout calibration: %+v", res)
 	}
 	// ...and the routed estimate is bitwise the direct estimate.
-	direct, err := reg.Estimate(context.Background(), name, q)
+	replay, err := reg.Query(context.Background(), duet.QueryRequest{Model: name, Queries: []duet.Query{res.Query}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotName, got, err := reg.EstimateExpr(context.Background(), "", expr)
+	direct := replay.Cards[0]
+	gotName, got, err := estimateExpr(context.Background(), reg, "", expr)
 	if err != nil || gotName != name {
-		t.Fatalf("EstimateExpr: %q %v", gotName, err)
+		t.Fatalf("routed estimate: %q %v", gotName, err)
 	}
 	if math.Float64bits(got) != math.Float64bits(direct) {
 		t.Fatalf("routed %v != direct %v", got, direct)
@@ -64,7 +72,7 @@ func TestLegacyManifestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := tbl.Cols[q.Preds[0].Col].Name; c != "l_amount" {
+	if c := tbl.Cols[res.Query.Preds[0].Col].Name; c != "l_amount" {
 		t.Fatalf("predicate on %q, want l_amount", c)
 	}
 }
@@ -89,7 +97,7 @@ func TestGraphManifest(t *testing.T) {
 	// A 3-table chain query routes to the graph view.
 	ctx := context.Background()
 	expr := "orders.cust_id = customers.id AND customers.region_id = regions.id AND orders.amount<=10"
-	name, _, err := reg.EstimateExpr(ctx, "", expr)
+	name, _, err := estimateExpr(ctx, reg, "", expr)
 	if err != nil || name != "ocr" {
 		t.Fatalf("chain query: %q %v", name, err)
 	}
@@ -109,7 +117,7 @@ func TestGraphManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, card, err := reg.EstimateExpr(ctx, "", "orders.cust_id = customers.id AND customers.region_id = regions.id")
+	_, card, err := estimateExpr(ctx, reg, "", "orders.cust_id = customers.id AND customers.region_id = regions.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestGraphManifest(t *testing.T) {
 
 	// The view's serve override disables its cache; repeats never hit.
 	for i := 0; i < 3; i++ {
-		if _, _, err := reg.EstimateExpr(ctx, "", expr); err != nil {
+		if _, _, err := estimateExpr(ctx, reg, "", expr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +138,7 @@ func TestGraphManifest(t *testing.T) {
 	// A model without an override keeps the registry-wide cache.
 	q := "orders.amount<=10"
 	for i := 0; i < 3; i++ {
-		if _, _, err := reg.EstimateExpr(ctx, "orders", q); err != nil {
+		if _, _, err := estimateExpr(ctx, reg, "orders", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +214,7 @@ func TestSampledGraphManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, card, err := reg.EstimateExpr(context.Background(), "", "orders.cust_id = customers.id AND customers.region_id = regions.id")
+	_, card, err := estimateExpr(context.Background(), reg, "", "orders.cust_id = customers.id AND customers.region_id = regions.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +288,9 @@ func TestColumnarManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	card, err := reg.Estimate(context.Background(), "census", q)
-	if err != nil || math.IsNaN(card) || card < 0 {
-		t.Fatalf("estimate over mapped table: %v, %v", card, err)
+	ans, err := reg.Query(context.Background(), duet.QueryRequest{Model: "census", Queries: []duet.Query{q}})
+	if err != nil || math.IsNaN(ans.Cards[0]) || ans.Cards[0] < 0 {
+		t.Fatalf("estimate over mapped table: %+v, %v", ans, err)
 	}
 	lc, err := startLifecycle(reg, m, dir, dir, nil)
 	if err != nil {

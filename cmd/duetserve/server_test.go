@@ -98,18 +98,18 @@ func TestEstimateEndpointRouting(t *testing.T) {
 	mux := testHandler(reg)
 
 	// Named model.
-	rec, out := doJSON(t, mux, "POST", "/estimate", map[string]any{"model": "orders", "query": "amount<=10"})
+	rec, out := doJSON(t, mux, "POST", "/v1/estimate", map[string]any{"model": "orders", "query": "amount<=10"})
 	if rec.Code != http.StatusOK || out["model"] != "orders" || out["card"] == nil {
 		t.Fatalf("named model: %d %v", rec.Code, out)
 	}
 	// Join expression, no model named: routes to the join view.
-	rec, out = doJSON(t, mux, "POST", "/estimate", map[string]any{
+	rec, out = doJSON(t, mux, "POST", "/v1/estimate", map[string]any{
 		"query": "orders.cust_id = customers.id AND orders.amount<=10"})
 	if rec.Code != http.StatusOK || out["model"] != "orders_customers" {
 		t.Fatalf("join routing: %d %v", rec.Code, out)
 	}
 	// Batch across models.
-	rec, out = doJSON(t, mux, "POST", "/estimate", map[string]any{
+	rec, out = doJSON(t, mux, "POST", "/v1/estimate", map[string]any{
 		"model":   "orders",
 		"queries": []string{"amount<=10", "amount>12"}})
 	if rec.Code != http.StatusOK {
@@ -129,7 +129,7 @@ func TestEstimateEndpointRouting(t *testing.T) {
 		{map[string]any{"model": "orders", "query": "bogus<=10"}, http.StatusBadRequest},
 		{map[string]any{"query": "orders.cust_id = customers.region"}, http.StatusBadRequest}, // no such view
 	} {
-		rec, out := doJSON(t, mux, "POST", "/estimate", tc.body)
+		rec, out := doJSON(t, mux, "POST", "/v1/estimate", tc.body)
 		if rec.Code != tc.code {
 			t.Fatalf("%v: got %d (%v), want %d", tc.body, rec.Code, out, tc.code)
 		}
@@ -139,37 +139,37 @@ func TestEstimateEndpointRouting(t *testing.T) {
 func TestModelsAndStatsEndpoints(t *testing.T) {
 	reg, _ := testServer(t)
 	mux := testHandler(reg)
-	rec, out := doJSON(t, mux, "GET", "/models", nil)
+	rec, out := doJSON(t, mux, "GET", "/v1/models", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/models: %d", rec.Code)
+		t.Fatalf("/v1/models: %d", rec.Code)
 	}
 	models, ok := out["models"].([]any)
 	if !ok || len(models) != 3 {
-		t.Fatalf("/models payload: %v", out)
+		t.Fatalf("/v1/models payload: %v", out)
 	}
-	rec, out = doJSON(t, mux, "GET", "/healthz", nil)
+	rec, out = doJSON(t, mux, "GET", "/v1/healthz", nil)
 	if rec.Code != http.StatusOK || out["status"] != "ok" {
-		t.Fatalf("/healthz: %d %v", rec.Code, out)
+		t.Fatalf("/v1/healthz: %d %v", rec.Code, out)
 	}
-	rec, out = doJSON(t, mux, "GET", "/stats", nil)
+	rec, out = doJSON(t, mux, "GET", "/v1/stats", nil)
 	if rec.Code != http.StatusOK || out["per_model"] == nil {
-		t.Fatalf("/stats: %d %v", rec.Code, out)
+		t.Fatalf("/v1/stats: %d %v", rec.Code, out)
 	}
 }
 
 func TestReloadEndpoint(t *testing.T) {
 	reg, _ := testServer(t)
 	mux := testHandler(reg)
-	rec, out := doJSON(t, mux, "POST", "/models/orders/reload", nil)
+	rec, out := doJSON(t, mux, "POST", "/v1/models/orders/reload", nil)
 	if rec.Code != http.StatusOK || out["status"] != "reloaded" {
 		t.Fatalf("reload: %d %v", rec.Code, out)
 	}
-	rec, _ = doJSON(t, mux, "POST", "/models/nope/reload", nil)
+	rec, _ = doJSON(t, mux, "POST", "/v1/models/nope/reload", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("reload unknown: %d", rec.Code)
 	}
 	// In-memory models cannot reload.
-	rec, _ = doJSON(t, mux, "POST", "/models/customers/reload", nil)
+	rec, _ = doJSON(t, mux, "POST", "/v1/models/customers/reload", nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("reload in-memory: %d", rec.Code)
 	}

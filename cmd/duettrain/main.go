@@ -92,7 +92,7 @@ func main() {
 		if *join || graphMode {
 			fatal(fmt.Errorf("-pack applies to single base tables; materialize the join first and pack its CSV"))
 		}
-		tbl, err := loadTable(*csvPath, *syn, *rows, *seed)
+		tbl, err := duet.OpenTable(*csvPath, *syn, *rows, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,7 +118,7 @@ func main() {
 	case *join:
 		tbl, err = buildJoinTable(*leftCSV, *leftSyn, *leftCol, *rightCSV, *rightSyn, *rightCol, *joinName, *rows, *seed)
 	default:
-		tbl, err = loadTable(*csvPath, *syn, *rows, *seed)
+		tbl, err = duet.OpenTable(*csvPath, *syn, *rows, *seed)
 	}
 	if err != nil {
 		fatal(err)
@@ -204,9 +204,9 @@ func buildJoinGraphTable(tablesArg, edgesArg, name string, rows int, seed int64,
 		var tbl *duet.Table
 		var err error
 		if syn, ok := strings.CutPrefix(nameSrc[1], "syn:"); ok {
-			tbl, err = loadTable("", syn, rows, seed+int64(i))
+			tbl, err = duet.OpenTable("", syn, rows, seed+int64(i))
 		} else {
-			tbl, err = loadTable(nameSrc[1], "", rows, seed)
+			tbl, err = duet.OpenTable(nameSrc[1], "", rows, seed)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("table %q: %w", nameSrc[0], err)
@@ -252,11 +252,11 @@ func buildJoinTable(leftCSV, leftSyn, leftCol, rightCSV, rightSyn, rightCol, nam
 	if leftCol == "" || rightCol == "" {
 		return nil, fmt.Errorf("join mode needs -left-col and -right-col")
 	}
-	left, err := loadTable(leftCSV, leftSyn, rows, seed)
+	left, err := duet.OpenTable(leftCSV, leftSyn, rows, seed)
 	if err != nil {
 		return nil, fmt.Errorf("left table: %w", err)
 	}
-	right, err := loadTable(rightCSV, rightSyn, rows, seed+1)
+	right, err := duet.OpenTable(rightCSV, rightSyn, rows, seed+1)
 	if err != nil {
 		return nil, fmt.Errorf("right table: %w", err)
 	}
@@ -266,38 +266,6 @@ func buildJoinTable(leftCSV, leftSyn, leftCol, rightCSV, rightSyn, rightCol, nam
 	}
 	fmt.Printf("%s ⋈ %s on %s=%s: %d rows\n", left.Name, right.Name, leftCol, rightCol, joined.NumRows())
 	return joined, nil
-}
-
-func loadTable(csvPath, syn string, rows int, seed int64) (*duet.Table, error) {
-	if strings.HasSuffix(csvPath, ".duetcol") {
-		// Columnar input: serve straight off the mapping. The store stays open
-		// for the process lifetime — the table reads through it.
-		s, err := duet.OpenColumnar(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		return s.Table, nil
-	}
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return duet.LoadCSV(f, csvPath, true)
-	}
-	switch syn {
-	case "dmv":
-		return duet.SynDMV(rows, seed), nil
-	case "kdd":
-		return duet.SynKDD(rows, seed), nil
-	case "census":
-		return duet.SynCensus(rows, seed), nil
-	case "":
-		return nil, fmt.Errorf("one of -csv or -syn is required")
-	default:
-		return nil, fmt.Errorf("unknown synthetic dataset %q", syn)
-	}
 }
 
 func fatal(err error) {

@@ -44,8 +44,9 @@
 //	reg.Add("orders", ordersTbl, ordersModel, duet.AddOpts{})
 //	reg.Add("oc", joinedTbl, joinModel, duet.AddOpts{
 //	    Join: &duet.JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"}})
-//	card, err := reg.Estimate(ctx, "orders", q)
-//	name, card, err := reg.EstimateExpr(ctx, "", "orders.cust_id = customers.id AND orders.amount<=10")
+//	res, err := reg.Query(ctx, duet.QueryRequest{Model: "orders", Queries: []duet.Query{q}})
+//	res, err = reg.Query(ctx, duet.QueryRequest{Expr: "orders.cust_id = customers.id AND orders.amount<=10"})
+//	// res.Models[0] answered, res.Cards[0] is its estimate
 //
 // Multi-way joins: BuildJoinGraphView materializes the full outer join of an
 // N-table join tree (chain or star) with per-base-table fanout columns, and a
@@ -66,8 +67,8 @@
 //	    Edges: []duet.JoinEdgeSpec{
 //	        {Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
 //	        {Left: "customers", LeftCol: "region_id", Right: "regions", RightCol: "id"}}}})
-//	_, card, err := reg.EstimateExpr(ctx, "",
-//	    "orders.cust_id = customers.id AND customers.region_id = regions.id AND orders.amount<=10")
+//	res, err := reg.Query(ctx, duet.QueryRequest{Expr:
+//	    "orders.cust_id = customers.id AND customers.region_id = regions.id AND orders.amount<=10"})
 //
 // Sampled materialization: when the full outer join is too large to build,
 // BuildSampledJoinGraphView draws an unbiased budget-row sample of it in the
@@ -83,18 +84,21 @@
 //	tc.Source, tc.SourceRows = sampler, 100_000
 //	duet.Train(model, tc)
 //
-// cmd/duetserve exposes the registry over HTTP (POST /estimate with an
-// optional model name, GET /models, POST /models/{name}/reload, GET /healthz,
-// GET /stats); examples/serving and examples/multimodel are runnable
-// walkthroughs.
+// cmd/duetserve exposes the registry over HTTP (POST /v1/estimate with an
+// optional model name, GET /v1/models, POST /v1/models/{name}/reload,
+// GET /v1/healthz, GET /v1/stats); examples/serving and examples/multimodel
+// are runnable walkthroughs.
 //
 // See examples/ for runnable programs and internal/bench for the harness
 // that regenerates every table and figure of the paper.
 package duet
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 
 	"duet/internal/colstore"
 	"duet/internal/core"
@@ -206,6 +210,33 @@ func PackTable(path string, t *Table) error { return colstore.Write(path, t) }
 // fallback, which yields byte-identical tables); elsewhere the fallback is
 // automatic.
 func OpenColumnar(path string) (*ColStore, error) { return colstore.Open(path) }
+
+// OpenTable opens the table the CLIs' -csv / -syn flags (and a manifest's
+// csv / syn fields) name: a .duetcol file, memory-mapped and read through for
+// the life of the process; any other path as CSV with a header row, the table
+// named after the path; or, with no path, the synthetic dataset syn (dmv, kdd
+// or census) at the given size and seed.
+func OpenTable(path, syn string, rows int, seed int64) (*Table, error) {
+	switch {
+	case strings.HasSuffix(path, ".duetcol"):
+		s, err := OpenColumnar(path)
+		if err != nil {
+			return nil, err
+		}
+		return s.Table, nil
+	case path != "":
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return LoadCSV(f, path, true)
+	case syn != "":
+		return relation.Synthetic(syn, rows, seed)
+	default:
+		return nil, errors.New("one of -csv or -syn is required")
+	}
+}
 
 // SynDMV, SynKDD and SynCensus generate the synthetic stand-ins for the
 // paper's three evaluation datasets.
@@ -371,8 +402,8 @@ func RegisterKernelMetrics(reg *ObsRegistry) {
 
 // NewRegistry creates an empty multi-model registry. Register models with
 // Registry.Add (a nil model loads weights from the model directory), then
-// answer queries with Registry.Estimate / Registry.EstimateExpr; the latter
-// routes join expressions ("a.x = b.y AND ...") to the registered join view.
+// answer queries with Registry.Query, which routes join expressions
+// ("a.x = b.y AND ...") to the registered join view.
 func NewRegistry(cfg RegistryConfig) *Registry { return registry.New(cfg) }
 
 // BuildJoinView materializes the inner equi-join of two registered base

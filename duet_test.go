@@ -162,11 +162,11 @@ func TestSampledJoinGraphFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, card, err := reg.EstimateExpr(context.Background(), "", "l."+lk+" = r."+rk)
+	res, err := reg.Query(context.Background(), duet.QueryRequest{Expr: "l." + lk + " = r." + rk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if card != float64(exact) {
+	if card := res.Cards[0]; card != float64(exact) {
 		t.Fatalf("sampled join-size answer %v, want exact %d", card, exact)
 	}
 }

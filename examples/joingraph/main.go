@@ -82,9 +82,9 @@ func main() {
 		chain + " AND customers.tier=0 AND regions.pop_bin>=4",
 		"orders.cust_id = customers.id AND customers.tier<=1", // subset join, fanout-corrected
 	} {
-		name, card, err := reg.EstimateExpr(ctx, "", expr)
+		res, err := reg.Query(ctx, duet.QueryRequest{Expr: expr})
 		check(err)
-		fmt.Printf("%-72s -> %s: %.1f\n", expr, name, card)
+		fmt.Printf("%-72s -> %s: %.1f\n", expr, res.Models[0], res.Cards[0])
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"sort"
 	"strconv"
@@ -52,7 +53,7 @@ func main() {
 	}, duet.LifecycleOptions{
 		Dir:       dir,
 		OnRetrain: func(st duet.RetrainStats) { retrained <- st },
-		Logf:      log.Printf,
+		Log:       slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
 	defer lc.Close()
 	if err := lc.Manage("census", duet.LifecycleManageOpts{Config: cfg, Train: tc}); err != nil {
@@ -124,17 +125,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := reg.Query(context.Background(), duet.QueryRequest{Model: "census", Exprs: exprs})
+	if err != nil {
+		log.Fatal(err)
+	}
 	errs := make([]float64, 0, len(exprs))
-	for _, expr := range exprs {
+	for i, expr := range exprs {
 		q, err := duet.ParseQuery(swapped, expr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := reg.Estimate(context.Background(), "census", q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		errs = append(errs, duet.QError(est, float64(duet.Card(swapped, q))))
+		errs = append(errs, duet.QError(res.Cards[i], float64(duet.Card(swapped, q))))
 	}
 	sort.Float64s(errs)
 	fmt.Printf("post-swap median q-error on the drifted workload: %.2f\n", errs[len(errs)/2])

@@ -12,9 +12,9 @@
 // The same registry is exposed over HTTP by cmd/duetserve:
 //
 //	go run ./cmd/duetserve -manifest deploy.json -modeldir models -watch 2s &
-//	curl -s localhost:8080/estimate -d '{"query": "orders.cust_id = customers.id AND orders.amount_bin<=10"}'
-//	curl -s localhost:8080/models
-//	curl -s -X POST localhost:8080/models/orders/reload
+//	curl -s localhost:8080/v1/estimate -H 'Content-Type: application/json' -d '{"query": "orders.cust_id = customers.id AND orders.amount_bin<=10"}'
+//	curl -s localhost:8080/v1/models
+//	curl -s -X POST localhost:8080/v1/models/orders/reload
 package main
 
 import (
@@ -89,9 +89,9 @@ func main() {
 		"orders.cust_id = customers.id AND orders.amount_bin<=10",
 		"orders.cust_id = customers.id AND customers.region<=3 AND orders.channel=2",
 	} {
-		name, card, err := reg.EstimateExpr(ctx, "", expr)
+		res, err := reg.Query(ctx, duet.QueryRequest{Expr: expr})
 		check(err)
-		fmt.Printf("%-72s -> %-16s %10.1f\n", expr, name, card)
+		fmt.Printf("%-72s -> %-16s %10.1f\n", expr, res.Models[0], res.Cards[0])
 	}
 
 	// Ground truth for the last join estimate, via the exact executor on the

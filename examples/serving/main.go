@@ -13,8 +13,8 @@
 // The same engine is exposed over HTTP by cmd/duetserve:
 //
 //	go run ./cmd/duetserve -syn census -rows 20000 &
-//	curl -s localhost:8080/estimate -d '{"query": "age<=40 AND hours>30"}'
-//	curl -s localhost:8080/stats
+//	curl -s localhost:8080/v1/estimate -H 'Content-Type: application/json' -d '{"query": "age<=40 AND hours>30"}'
+//	curl -s localhost:8080/v1/stats
 package main
 
 import (

@@ -2,8 +2,8 @@
 // /v1/* routes, one uniform JSON envelope for errors, request-ID tagging,
 // and the model-version artifact endpoints the cluster rollout pulls from.
 // cmd/duetserve mounts this handler both for standalone serving and for each
-// replica behind the cluster proxy; the legacy unversioned routes remain as
-// thin deprecated aliases of their /v1 counterparts.
+// replica behind the cluster proxy. Nothing answers outside /v1 (bar
+// /debug/pprof): a bare path gets the mux's 404.
 package api
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"duet/internal/lifecycle"
@@ -23,9 +22,6 @@ type Server struct {
 	dir   string                // versioned-artifact directory ("" disables version endpoints)
 	suite *obs.Suite            // nil disables metrics/tracing/pprof routes
 	start time.Time
-
-	legacyMu   sync.Mutex
-	legacySeen map[string]bool
 }
 
 // New builds a server over reg. lc may be nil (lifecycle endpoints then
@@ -35,11 +31,10 @@ type Server struct {
 // and the tracing and HTTP-metrics middleware; nil serves the API without
 // them.
 func New(reg *registry.Registry, lc *lifecycle.Supervisor, dir string, suite *obs.Suite) *Server {
-	return &Server{reg: reg, lc: lc, dir: dir, suite: suite, start: time.Now(), legacySeen: make(map[string]bool)}
+	return &Server{reg: reg, lc: lc, dir: dir, suite: suite, start: time.Now()}
 }
 
-// Handler routes the full API: /v1/* plus the deprecated unversioned
-// aliases, all behind the request-ID middleware.
+// Handler routes the full API, /v1/* only, behind the request-ID middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -54,18 +49,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/lifecycle", s.lifecycle)
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
 	mux.HandleFunc("GET /v1/stats", s.stats)
-
-	// Deprecated pre-/v1 aliases. Same handlers — responses are identical on
-	// the happy path — but each route logs its deprecation once so operators
-	// notice before the aliases are retired.
-	mux.HandleFunc("POST /estimate", s.legacy("/estimate", requireJSON(s.estimate)))
-	mux.HandleFunc("GET /models", s.legacy("/models", s.models))
-	mux.HandleFunc("POST /models/{name}/reload", s.legacy("/models/{name}/reload", s.reload))
-	mux.HandleFunc("POST /ingest", s.legacy("/ingest", requireJSON(s.ingest)))
-	mux.HandleFunc("POST /feedback", s.legacy("/feedback", requireJSON(s.feedback)))
-	mux.HandleFunc("GET /lifecycle", s.legacy("/lifecycle", s.lifecycle))
-	mux.HandleFunc("GET /healthz", s.legacy("/healthz", s.healthz))
-	mux.HandleFunc("GET /stats", s.legacy("/stats", s.stats))
 
 	var handler http.Handler = mux
 	if s.suite != nil {
@@ -86,24 +69,6 @@ func (s *Server) Handler() http.Handler {
 		handler = WithTracing(s.suite.Tracer, "replica", WithHTTPMetrics(s.suite.Metrics, handler))
 	}
 	return WithRequestID(handler)
-}
-
-// legacy wraps an unversioned alias: it marks the response deprecated and
-// logs the first use of each route.
-func (s *Server) legacy(route string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.legacyMu.Lock()
-		if !s.legacySeen[route] {
-			s.legacySeen[route] = true
-			s.suite.Logger().Warn("deprecated route used",
-				"route", route, "successor", "/v1"+route,
-				"request_id", r.Header.Get(RequestIDHeader))
-		}
-		s.legacyMu.Unlock()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", route))
-		next(w, r)
-	}
 }
 
 // estimateRequest carries either one query or a batch, as WHERE-style

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -135,50 +134,6 @@ func TestContentTypeValidation(t *testing.T) {
 		}
 		if rec := do(t, h, "POST", "/v1/estimate", body, hdr); rec.Code != http.StatusOK {
 			t.Fatalf("content type %q rejected: %d %s", ct, rec.Code, rec.Body.String())
-		}
-	}
-}
-
-// TestLegacyAliasEquivalence: every legacy route must answer exactly like
-// its /v1 twin on the happy path (the result cache makes repeated estimates
-// deterministic), plus carry the deprecation headers.
-func TestLegacyAliasEquivalence(t *testing.T) {
-	h, _ := newTestServer(t, nil, "")
-	for _, tc := range []struct {
-		method, legacy, v1, body string
-	}{
-		{"POST", "/estimate", "/v1/estimate", `{"model":"alpha","query":"a<=1"}`},
-		{"POST", "/estimate", "/v1/estimate", `{"queries":["a<=1","k>2"]}`},
-		{"GET", "/models", "/v1/models", ""},
-		{"GET", "/healthz", "/v1/healthz", ""},
-	} {
-		v1 := do(t, h, tc.method, tc.v1, tc.body, nil)
-		legacy := do(t, h, tc.method, tc.legacy, tc.body, nil)
-		if v1.Code != http.StatusOK || legacy.Code != v1.Code {
-			t.Fatalf("%s %s: legacy %d vs v1 %d", tc.method, tc.legacy, legacy.Code, v1.Code)
-		}
-		// Compare everything but elapsed/uptime timers.
-		var a, b map[string]any
-		if err := json.Unmarshal(v1.Body.Bytes(), &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(legacy.Body.Bytes(), &b); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []map[string]any{a, b} {
-			delete(m, "elapsed_ns")
-			delete(m, "uptime_s")
-		}
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		if !bytes.Equal(aj, bj) {
-			t.Fatalf("%s %s diverged from %s:\n%s\n%s", tc.method, tc.legacy, tc.v1, bj, aj)
-		}
-		if legacy.Header().Get("Deprecation") != "true" || legacy.Header().Get("Link") == "" {
-			t.Fatalf("%s: missing deprecation headers", tc.legacy)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Fatalf("%s: /v1 route marked deprecated", tc.v1)
 		}
 	}
 }

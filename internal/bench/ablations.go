@@ -57,6 +57,7 @@ func AblationMergedMPSN(w io.Writer, s Scale) error {
 	tc.BatchSize = s.BatchSize
 	tc.Lambda = 0
 	core.Train(m, tc)
+	m.WarmPlan() // compile outside the timed estimates
 
 	qs := kColQueries(d, 50, 20)
 	measure := func() float64 {

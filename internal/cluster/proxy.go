@@ -127,23 +127,16 @@ func (p *Proxy) Owners(model string) []string { return p.ring.Owners(model, p.cf
 
 // Handler routes the proxy's endpoints: the forwarding data plane
 // (/v1/estimate, /v1/ingest, /v1/feedback), the rollout control plane, and
-// the fleet views (/v1/healthz, /v1/stats, /v1/models, /v1/cluster). Legacy
-// unversioned aliases forward like their /v1 twins.
+// the fleet views (/v1/healthz, /v1/stats, /v1/models, /v1/cluster).
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/estimate", p.estimate)
-	mux.HandleFunc("POST /estimate", p.estimate)
-	mux.HandleFunc("POST /v1/ingest", p.primaryOnly("/v1/ingest"))
-	mux.HandleFunc("POST /ingest", p.primaryOnly("/v1/ingest"))
-	mux.HandleFunc("POST /v1/feedback", p.primaryOnly("/v1/feedback"))
-	mux.HandleFunc("POST /feedback", p.primaryOnly("/v1/feedback"))
+	mux.HandleFunc("POST /v1/ingest", p.primaryOnly)
+	mux.HandleFunc("POST /v1/feedback", p.primaryOnly)
 	mux.HandleFunc("POST /v1/models/{name}/rollout", p.rollout)
 	mux.HandleFunc("GET /v1/models", p.models)
-	mux.HandleFunc("GET /models", p.models)
 	mux.HandleFunc("GET /v1/healthz", p.healthz)
-	mux.HandleFunc("GET /healthz", p.healthz)
 	mux.HandleFunc("GET /v1/stats", p.stats)
-	mux.HandleFunc("GET /stats", p.stats)
 	mux.HandleFunc("GET /v1/cluster", p.cluster)
 	if p.cfg.Obs != nil {
 		mux.Handle("GET /v1/metrics", p.cfg.Obs.Handler())
@@ -217,7 +210,7 @@ func (p *Proxy) estimate(w http.ResponseWriter, r *http.Request) {
 		}
 		tried++
 		last = addr
-		if p.forward(w, r, addr, "/v1/estimate", body) {
+		if p.forward(w, r, addr, body) {
 			return
 		}
 	}
@@ -235,37 +228,35 @@ func (p *Proxy) estimate(w http.ResponseWriter, r *http.Request) {
 // primaryOnly forwards a mutating request to the model's first healthy
 // owner, without failover: ingest and feedback append state, so blind
 // retries could double-apply them.
-func (p *Proxy) primaryOnly(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err), nil)
-			return
-		}
-		var rb routeBody
-		if err := json.Unmarshal(body, &rb); err != nil {
-			api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err), nil)
-			return
-		}
-		if rb.Model == "" {
-			api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf(`"model" is required`), nil)
-			return
-		}
-		owners := p.Owners(rb.Model)
-		rotation := p.inRotation(owners)
-		if len(rotation) == 0 {
-			p.met.rejected.Inc()
-			api.WriteError(w, r, http.StatusServiceUnavailable,
-				fmt.Errorf("no replica for model %q is reachable", rb.Model),
-				map[string]any{"owners": owners})
-			return
-		}
-		if !p.forward(w, r, rotation[0], path, body) {
-			p.met.rejected.Inc()
-			w.Header().Set(ReplicaHeader, rotation[0])
-			api.WriteError(w, r, http.StatusBadGateway,
-				fmt.Errorf("primary owner %s did not answer", rotation[0]), nil)
-		}
+func (p *Proxy) primaryOnly(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err), nil)
+		return
+	}
+	var rb routeBody
+	if err := json.Unmarshal(body, &rb); err != nil {
+		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err), nil)
+		return
+	}
+	if rb.Model == "" {
+		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf(`"model" is required`), nil)
+		return
+	}
+	owners := p.Owners(rb.Model)
+	rotation := p.inRotation(owners)
+	if len(rotation) == 0 {
+		p.met.rejected.Inc()
+		api.WriteError(w, r, http.StatusServiceUnavailable,
+			fmt.Errorf("no replica for model %q is reachable", rb.Model),
+			map[string]any{"owners": owners})
+		return
+	}
+	if !p.forward(w, r, rotation[0], body) {
+		p.met.rejected.Inc()
+		w.Header().Set(ReplicaHeader, rotation[0])
+		api.WriteError(w, r, http.StatusBadGateway,
+			fmt.Errorf("primary owner %s did not answer", rotation[0]), nil)
 	}
 }
 
@@ -291,13 +282,14 @@ func (p *Proxy) inRotation(owners []string) []string {
 // response (including sheds) is attributable to a concrete member.
 const ReplicaHeader = "X-Duet-Replica"
 
-// forward relays one request to a replica. It reports true when a response
-// was written (success or a relayable error) and false when the replica is
-// unreachable or draining (502/503), i.e. the caller may fail over. The
-// trace id rides the X-Duet-Trace header so the replica's spans join the
-// same trace, and each attempt is a "forward" span in the proxy's ring.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, addr, path string, body []byte) bool {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, bytes.NewReader(body))
+// forward relays one request to the same path on a replica. It reports true
+// when a response was written (success or a relayable error) and false when
+// the replica is unreachable or draining (502/503), i.e. the caller may fail
+// over. The trace id rides the X-Duet-Trace header so the replica's spans
+// join the same trace, and each attempt is a "forward" span in the proxy's
+// ring.
+func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, addr string, body []byte) bool {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
@@ -336,7 +328,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, addr, path strin
 	}
 	p.met.forwarded.Inc()
 	p.met.fanout.With(addr).Inc()
-	for _, h := range []string{"Content-Type", "Retry-After", "Deprecation", "Link"} {
+	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

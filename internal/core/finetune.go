@@ -8,8 +8,7 @@ import (
 // EstimateBatch estimates many queries with one batched forward pass per
 // chunk, amortizing the network call across queries (useful for plan
 // enumeration, where the optimizer asks for many candidate cardinalities at
-// once). It runs on the packed batch inference plan, so results match
-// calling EstimateCard per query up to floating-point summation order.
+// once). Results are bitwise those of calling EstimateCard per query.
 func (m *Model) EstimateBatch(qs []workload.Query) []float64 {
 	const chunk = 256
 	out := make([]float64, len(qs))

@@ -1,37 +1,80 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"duet/internal/exec"
+	"duet/internal/made"
 	"duet/internal/workload"
 )
 
-func TestEstimateBatchMatchesSingle(t *testing.T) {
+// referenceCard estimates q through the training-time layer stack (Forward),
+// the reference the packed plan is compared against.
+func referenceCard(m *Model, q workload.Query) float64 {
+	logits := m.Forward([]Spec{m.SpecFromQuery(q)})
+	probs := make([]float32, len(logits.Row(0)))
+	return m.maskedProduct(probs, logits.Row(0), q) * float64(m.table.NumRows())
+}
+
+// TestEstimateCardIsBatchOfOne: on every model/plan kind, EstimateCard and
+// EstimateDetail return bitwise what EstimateCardBatch returns for the query
+// alone and inside a larger batch, and that number tracks the reference
+// layer stack within the kind's documented bound.
+func TestEstimateCardIsBatchOfOne(t *testing.T) {
 	tbl := tinyTable(200)
-	m := NewModel(tbl, tinyConfig())
-	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 40, MinPreds: 1, MaxPreds: 3, BoundedCol: -1})
-	batch := m.EstimateBatch(qs)
-	for i, q := range qs {
-		// The packed plan re-orders floating-point additions, so batch and
-		// single-query results agree to summation-order precision, not
-		// bitwise (same contract as the merged MPSN path).
-		single := m.EstimateCard(q)
-		diff, scale := single-batch[i], single
-		if diff < 0 {
-			diff = -diff
-		}
-		if scale < batch[i] {
-			scale = batch[i]
-		}
-		if diff > 1e-9+1e-5*scale {
-			t.Fatalf("query %d: batch %v vs single %v", i, batch[i], single)
-		}
-		// Batch composition must not matter: a singleton batch is bitwise
-		// identical to the full batch.
-		if got := m.EstimateBatch(qs[i : i+1])[0]; got != batch[i] {
-			t.Fatalf("query %d: singleton batch %v vs batch %v", i, got, batch[i])
-		}
+	tc := DefaultTrainConfig()
+	tc.Epochs = 1
+	tc.BatchSize = 64
+	tc.Lambda = 0
+	mlp := tinyConfig()
+	mlp.MPSN = MPSNMLP
+	mlp.MPSNHidden = 16
+	mlp.MPSNOut = 8
+	kinds := []struct {
+		name  string
+		cfg   Config
+		setup func(*Model)
+		tol   float64 // relative bound against the reference forward
+	}{
+		{"direct", tinyConfig(), func(*Model) {}, 1e-5},
+		{"mlp-mpsn", mlp, func(*Model) {}, 1e-5},
+		{"merged", mlp, func(m *Model) {
+			if err := m.Merge(); err != nil {
+				t.Fatal(err)
+			}
+		}, 1e-3},
+		{"int8", tinyConfig(), func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }, 0.3},
+	}
+	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 40, MinPreds: 1, MaxPreds: 3,
+		BoundedCol: -1, MultiPredCols: 1})
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			m := NewModel(tbl, k.cfg)
+			Train(m, tc)
+			k.setup(m)
+			batch := m.EstimateBatch(qs)
+			for i, q := range qs {
+				single := m.EstimateCard(q)
+				if one := m.EstimateCardBatch([]workload.Query{q})[0]; single != one {
+					t.Fatalf("query %d: EstimateCard %v vs batch of one %v", i, single, one)
+				}
+				// Batch composition must not matter.
+				if single != batch[i] {
+					t.Fatalf("query %d: EstimateCard %v vs full batch %v", i, single, batch[i])
+				}
+				if detail, _, _ := m.EstimateDetail(q); detail != single {
+					t.Fatalf("query %d: EstimateDetail %v vs EstimateCard %v", i, detail, single)
+				}
+				// The packed plan re-orders floating-point additions (and
+				// int8 rounds weights), so the reference agrees within a
+				// bound, not bitwise.
+				ref := referenceCard(m, q)
+				if math.Abs(single-ref) > 1e-9+k.tol*math.Max(single, ref) {
+					t.Fatalf("query %d: planned %v vs reference forward %v", i, single, ref)
+				}
+			}
+		})
 	}
 }
 

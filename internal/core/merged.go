@@ -30,7 +30,7 @@ type mergedMPSN struct {
 }
 
 // Merge fuses the model's per-column MLP MPSNs into a block-diagonal network
-// used by EstimateDetail. Call it after training (weights are copied); it
+// used by every estimate. Call it after training (weights are copied); it
 // returns an error for models not using the MLP MPSN.
 func (m *Model) Merge() error {
 	if m.cfg.MPSN != MPSNMLP {
@@ -74,8 +74,8 @@ func (m *Model) Merge() error {
 	return nil
 }
 
-// Unmerge removes the fused inference path; EstimateDetail falls back to the
-// per-column MPSNs.
+// Unmerge removes the fused encoder; estimates fall back to the per-column
+// MPSNs.
 func (m *Model) Unmerge() { m.merged = nil }
 
 // placeTransposed writes srcᵀ (src is in×out) into dst at (rowOff, colOff).
@@ -91,8 +91,10 @@ func placeTransposed(dst, src *tensor.Matrix, rowOff, colOff int) {
 // one fused forward pass per predicate round, with output blocks masked to
 // the columns that actually have a predicate in that round (columns without
 // one would otherwise contribute their bias response).
-func (g *mergedMPSN) encode(m *Model, spec Spec, xRow *tensor.Matrix) *tensor.Matrix {
-	xRow.Zero()
+func (g *mergedMPSN) encode(m *Model, spec Spec, xRow []float32) {
+	for i := range xRow {
+		xRow[i] = 0
+	}
 	rounds := 0
 	for _, ps := range spec {
 		if len(ps) > rounds {
@@ -124,13 +126,12 @@ func (g *mergedMPSN) encode(m *Model, spec Spec, xRow *tensor.Matrix) *tensor.Ma
 			if !active[i] {
 				continue
 			}
-			dst := m.net.In.Slice(xRow.Row(0), i)
+			dst := m.net.In.Slice(xRow, i)
 			for k := 0; k < O; k++ {
 				dst[k] += g.out[i*O+k]
 			}
 		}
 	}
-	return xRow
 }
 
 func addBiasRelu(v, b []float32) {

@@ -86,16 +86,14 @@ type Model struct {
 	plan    *made.Plan      // packed batch inference plan, built lazily, nil when stale
 	planCfg made.PlanConfig // how the plan is compiled (e.g. int8 quantization)
 
-	// Inference scratch (Estimate is not safe for concurrent use; clone the
+	// Inference scratch (estimation is not safe for concurrent use; clone the
 	// model or guard with a mutex for concurrent estimation — the serve
-	// package funnels concurrent callers through a single dispatcher).
-	xRow       *tensor.Matrix
+	// package lets one caller at a time hold the backend).
 	xBatch     *tensor.Matrix // reusable batch encode buffer
-	specBatch  []Spec         // reusable spec slice for EstimateCardBatch
+	specBatch  []Spec         // reusable spec slice
 	neededRows [][]int32      // reusable per-row constrained-block lists
 	neededMask []bool
-	probs      []float32
-	probsPool  sync.Pool // per-worker softmax scratch for batched masking
+	probsPool  sync.Pool // per-worker softmax scratch for masking
 
 	lastSpecs []Spec // specs of the last forward batch, for backward routing
 }
@@ -137,8 +135,6 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 	}
 	m.params = append(m.params, m.net.Params()...)
 	maxOut := maxInt(outBlocks)
-	m.probs = make([]float32, maxOut)
-	m.xRow = tensor.New(1, m.net.In.Tot)
 	m.xBatch = &tensor.Matrix{}
 	m.probsPool.New = func() any {
 		s := make([]float32, maxOut)
@@ -176,15 +172,10 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 
 // encodeBatch builds the network input for a batch of specs. In MPSN mode
 // the per-column MPSNs run first and their outputs fill the column blocks.
-func (m *Model) encodeBatch(specs []Spec) *tensor.Matrix {
-	return m.encodeBatchInto(specs, nil)
-}
-
-// encodeBatchInto is encodeBatch with an optional reusable destination: a
-// non-nil buf is resized (keeping capacity) and fully overwritten, so the
+// A non-nil buf is resized (keeping capacity) and fully overwritten, so the
 // serving hot path encodes micro-batches without allocating. buf == nil
 // allocates fresh storage, which training relies on.
-func (m *Model) encodeBatchInto(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
+func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
 	var x *tensor.Matrix
 	if buf != nil {
@@ -226,10 +217,11 @@ func (m *Model) encodeBatchInto(specs []Spec, buf *tensor.Matrix) *tensor.Matrix
 	return x
 }
 
-// Forward encodes specs and runs the autoregressive network, returning
-// per-column logits.
+// Forward encodes specs and runs the autoregressive network's layer stack,
+// returning per-column logits: the training forward, and the reference tests
+// compare the packed plan against. No estimate runs through it.
 func (m *Model) Forward(specs []Spec) *tensor.Matrix {
-	return m.net.Forward(m.encodeBatch(specs))
+	return m.net.Forward(m.encodeBatch(specs, nil))
 }
 
 // Backward backpropagates the logit gradient through the network, the MPSNs
@@ -307,54 +299,46 @@ func (m *Model) SpecFromQuery(q workload.Query) Spec {
 // EstimateCard estimates the query's cardinality with a single forward pass
 // (Algorithm 3): encode predicates, one network inference, zero-out each
 // column's probabilities outside its predicate interval, multiply the
-// surviving masses. No sampling, deterministic.
+// surviving masses. No sampling, deterministic. It is the one-row case of
+// EstimateCardBatch and bitwise equal to it.
 func (m *Model) EstimateCard(q workload.Query) float64 {
-	card, _, _ := m.EstimateDetail(q)
-	return card
+	return m.EstimateCardBatch([]workload.Query{q})[0]
 }
 
 // EstimateDetail additionally reports the time spent encoding versus in
 // network inference + masking, the breakdown of Figure 6.
 func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferNS int64) {
+	var out [1]float64
+	var encoded time.Time
 	t0 := time.Now()
-	spec := m.SpecFromQuery(q)
-	var logits *tensor.Matrix
-	if m.merged != nil && m.cfg.MPSN != MPSNNone {
-		x := m.merged.encode(m, spec, m.xRow)
-		encodeNS = time.Since(t0).Nanoseconds()
-		t1 := time.Now()
-		logits = m.net.Forward(x)
-		sel := m.maskedProduct(logits.Row(0), q)
-		inferNS = time.Since(t1).Nanoseconds()
-		return sel * float64(m.table.NumRows()), encodeNS, inferNS
-	}
-	x := m.encodeBatchInto([]Spec{spec}, m.xRow)
-	encodeNS = time.Since(t0).Nanoseconds()
-	t1 := time.Now()
-	logits = m.net.Forward(x)
-	sel := m.maskedProduct(logits.Row(0), q)
-	inferNS = time.Since(t1).Nanoseconds()
-	return sel * float64(m.table.NumRows()), encodeNS, inferNS
+	m.estimate(out[:], []workload.Query{q}, &encoded)
+	return out[0], encoded.Sub(t0).Nanoseconds(), time.Since(encoded).Nanoseconds()
 }
 
 // EstimateCardBatch estimates every query through a packed inference plan
 // (made.Plan): all specs are encoded into a single input matrix, a
 // sparsity-packed forward computes only the logit blocks each query's
 // masked product will read, and the per-row masked products run in
-// parallel. Like the fused path built by Merge, planned results match
-// EstimateCard up to floating-point summation order; they are bitwise
-// deterministic and independent of batch composition (every kernel
-// processes rows independently in a fixed order), so callers may batch
-// opportunistically without changing estimates. Like EstimateCard it is
-// not safe for concurrent use; the serve package serializes access for
-// concurrent callers. The plan and encode buffers are retained on the
-// model, so steady-state batch estimation does not allocate matrices;
-// training invalidates the plan automatically.
+// parallel. Planned results match the training-time layer stack (Forward) up
+// to floating-point summation order; they are bitwise deterministic and
+// independent of batch composition (every kernel processes rows
+// independently in a fixed order), so callers may batch opportunistically
+// without changing estimates. It is not safe for concurrent use; the serve
+// package serializes access for concurrent callers. The plan and encode
+// buffers are retained on the model, so steady-state estimation does not
+// allocate matrices; training invalidates the plan automatically.
 func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 	out := make([]float64, len(qs))
-	if len(qs) == 0 {
-		return out
+	if len(qs) > 0 {
+		m.estimate(out, qs, nil)
 	}
+	return out
+}
+
+// estimate is the inference path every estimate takes: encode, planned
+// forward, masked product, one cardinality per query into out. encoded, when
+// non-nil, receives the time encoding finished.
+func (m *Model) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
 	if m.plan == nil {
 		m.plan = made.NewPlan(m.net, m.planCfg)
 	}
@@ -365,30 +349,28 @@ func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 	m.specBatch = specs[:0]
 	var x *tensor.Matrix
 	if m.merged != nil && m.cfg.MPSN != MPSNNone {
-		// The fused MPSN encoder is single-row; run it per query into the
-		// shared row scratch and gather rows into the batch matrix, keeping
-		// the exact encode path EstimateCard uses.
+		// The fused MPSN encoder is single-row; run it per query.
 		x = m.xBatch.Resize(len(qs), m.net.In.Tot)
 		for r, spec := range specs {
-			m.merged.encode(m, spec, m.xRow)
-			copy(x.Row(r), m.xRow.Row(0))
+			m.merged.encode(m, spec, x.Row(r))
 		}
 	} else {
-		x = m.encodeBatchInto(specs, m.xBatch)
+		x = m.encodeBatch(specs, m.xBatch)
+	}
+	if encoded != nil {
+		*encoded = time.Now()
 	}
 	// The masked product reads only constrained columns' logit blocks, so
 	// the plan computes exactly those per row.
-	needed := m.neededBlocks(qs)
-	logits := m.plan.Forward(x, needed)
+	logits := m.plan.Forward(x, m.neededBlocks(qs))
 	rows := float64(m.table.NumRows())
 	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
 		probs := m.probsPool.Get().(*[]float32)
 		for r := lo; r < hi; r++ {
-			out[r] = m.maskedProductInto(*probs, logits.Row(r), qs[r]) * rows
+			out[r] = m.maskedProduct(*probs, logits.Row(r), qs[r]) * rows
 		}
 		m.probsPool.Put(probs)
 	})
-	return out
 }
 
 // neededBlocks returns, per query, the ascending list of constrained column
@@ -458,15 +440,10 @@ func (m *Model) WarmPlan() int {
 }
 
 // maskedProduct computes Π_i Σ_{v∈I_i} P(C_i = v | ·) over the constrained
-// columns, the core of Algorithm 3.
-func (m *Model) maskedProduct(logitRow []float32, q workload.Query) float64 {
-	return m.maskedProductInto(m.probs, logitRow, q)
-}
-
-// maskedProductInto is maskedProduct with caller-supplied softmax scratch
-// (len ≥ the largest column NDV), so batched masking can run on multiple
+// columns, the core of Algorithm 3. scratch is caller-supplied softmax
+// storage (len ≥ the largest column NDV), so masking can run on multiple
 // rows concurrently with per-worker buffers.
-func (m *Model) maskedProductInto(scratch []float32, logitRow []float32, q workload.Query) float64 {
+func (m *Model) maskedProduct(scratch []float32, logitRow []float32, q workload.Query) float64 {
 	ivs := q.ColumnIntervals(m.table)
 	mask := q.ConstrainedMask(m.table.NumCols())
 	sel := 1.0

@@ -177,8 +177,9 @@ func TestHybridTrainingRunsAndHelps(t *testing.T) {
 }
 
 // TestTrainReleasesLayerBuffers: Train and FineTune hand back a model whose
-// layers hold no training batch, and its estimates are what they would have
-// been with the buffers kept.
+// layers hold no training batch, no estimate puts one back (estimates run on
+// the packed plan, never the layer stack), and estimates do not depend on
+// what the layers hold.
 func TestTrainReleasesLayerBuffers(t *testing.T) {
 	tbl := tinyTable(400)
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 7, NumQueries: 64, MinPreds: 1, MaxPreds: 3, BoundedCol: -1})
@@ -189,8 +190,9 @@ func TestTrainReleasesLayerBuffers(t *testing.T) {
 	cfg.Lambda = 0
 
 	// A layer stack with buffers reuses them for a one-row Forward; one
-	// without allocates them. So the first reference-path estimate after
-	// training must allocate more than the second.
+	// without allocates them. So if the layers are still empty after
+	// training and a round of estimates, the first reference Forward must
+	// allocate more than the second.
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -198,37 +200,36 @@ func TestTrainReleasesLayerBuffers(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	for _, train := range map[string]func(){
+	one := []Spec{m.SpecFromQuery(qs[0])}
+	for name, train := range map[string]func(){
 		"Train":    func() { Train(m, cfg) },
 		"FineTune": func() { FineTune(m, exec.Label(tbl, qs), FineTuneConfig{Steps: 2, LR: 1e-4, Lambda: 1}) },
 	} {
 		train()
-		first := mallocs(func() { m.EstimateCard(qs[0]) })
-		second := mallocs(func() { m.EstimateCard(qs[0]) })
+		m.EstimateCard(qs[0])
+		m.EstimateDetail(qs[0])
+		m.EstimateCardBatch(qs)
+		first := mallocs(func() { m.Forward(one) })
+		second := mallocs(func() { m.Forward(one) })
 		if layers := uint64(len(m.net.Net.Layers)); first < second+layers {
-			t.Fatalf("first estimate after training made %d allocations, the second %d: the %d layers kept their buffers", first, second, layers)
+			t.Fatalf("after %s and estimates, the first Forward made %d allocations, the second %d: the %d layers held buffers", name, first, second, layers)
 		}
+		m.net.Net.ReleaseBuffers()
 	}
 
 	single := make([]float64, len(qs))
 	for i, q := range qs {
 		single[i] = m.EstimateCard(q)
 	}
-	batch := m.EstimateCardBatch(qs)
-	// Put a training-width batch back in the buffers, as if never released.
+	// Put a training-width batch in the buffers, as if never released.
 	specs := make([]Spec, 512)
 	for i := range specs {
 		specs[i] = m.SpecFromQuery(qs[i%len(qs)])
 	}
 	m.Forward(specs)
-	for i, q := range qs {
-		if got := m.EstimateCard(q); got != single[i] {
-			t.Fatalf("query %d: EstimateCard %v with buffers released, %v with them kept", i, single[i], got)
-		}
-	}
 	for i, got := range m.EstimateCardBatch(qs) {
-		if got != batch[i] {
-			t.Fatalf("query %d: EstimateCardBatch %v with buffers released, %v with them kept", i, batch[i], got)
+		if got != single[i] {
+			t.Fatalf("query %d: estimate %v with buffers released, %v with them kept", i, single[i], got)
 		}
 	}
 }
@@ -455,7 +456,7 @@ func TestEstimateDetailBreakdown(t *testing.T) {
 	if card < 0 {
 		t.Fatal("negative card")
 	}
-	if encNS < 0 || infNS <= 0 {
+	if encNS <= 0 || infNS <= 0 {
 		t.Fatalf("breakdown enc=%d inf=%d", encNS, infNS)
 	}
 }

@@ -209,9 +209,8 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 // releaseTrainingBuffers drops what the MADE stack retains from its last
 // training batch: every layer's activations and input gradients, BatchSize·Mu
 // rows wide, and the batch's specs. On the benchmark's census model that is
-// 16 MB of a 54 MB heap, and serving never reads it: estimates run through
-// the packed plan, and the batch-1 reference path (EstimateDetail) allocates
-// one-row buffers on its first Forward.
+// 16 MB of a 54 MB heap, and serving never reads it: every estimate runs
+// through the packed plan.
 func (m *Model) releaseTrainingBuffers() {
 	m.net.Net.ReleaseBuffers()
 	m.lastSpecs = nil

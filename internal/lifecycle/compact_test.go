@@ -83,7 +83,7 @@ func TestIngestRetrainCompactsMappedBase(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				q := queries[(i*4+w)%len(queries)]
-				card, err := reg.Estimate(context.Background(), "alpha", q)
+				card, err := estimate(context.Background(), reg, "alpha", q)
 				if err != nil {
 					streamErr.Store(err)
 					return

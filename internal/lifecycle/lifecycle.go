@@ -112,12 +112,8 @@ type Options struct {
 	// goroutine.
 	OnRetrain func(stats RetrainStats)
 	// Log, when non-nil, receives structured progress records (retrain
-	// outcomes with model/version/kind keys). It takes precedence over Logf.
+	// outcomes with model/version/kind keys).
 	Log *slog.Logger
-	// Logf, when non-nil, receives plain progress lines
-	// (log.Printf-compatible). Kept for callers that want unstructured
-	// output, like the examples.
-	Logf func(format string, args ...any)
 	// Obs, when set, exports the supervisor's counters and drift-signal
 	// gauges through the shared metrics registry.
 	Obs *obs.Registry
@@ -404,10 +400,4 @@ func (s *Supervisor) Close() {
 	close(s.stop)
 	<-s.done
 	s.wg.Wait()
-}
-
-func (s *Supervisor) logf(format string, args ...any) {
-	if s.opt.Logf != nil {
-		s.opt.Logf(format, args...)
-	}
 }

@@ -31,6 +31,15 @@ func lcTable(name string, seed int64) *relation.Table {
 	})
 }
 
+// estimate answers one pre-parsed query with the named model.
+func estimate(ctx context.Context, reg *registry.Registry, name string, q workload.Query) (float64, error) {
+	res, err := reg.Query(ctx, registry.QueryRequest{Model: name, Queries: []workload.Query{q}})
+	if err != nil {
+		return 0, err
+	}
+	return res.Cards[0], nil
+}
+
 func lcConfig(seed int64) core.Config {
 	c := core.DefaultConfig()
 	c.Hidden = []int{16, 16}
@@ -132,7 +141,7 @@ func TestEndToEndDriftRetrainAndSwap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				card, err := reg.Estimate(context.Background(), "alpha", streamQ)
+				card, err := estimate(context.Background(), reg, "alpha", streamQ)
 				if err != nil {
 					streamErr.Store(err)
 					return
@@ -215,7 +224,7 @@ func TestEndToEndDriftRetrainAndSwap(t *testing.T) {
 	// a model freshly trained on the same data.
 	ctx := context.Background()
 	servedMed := medianQErr(t, swapped, exprs, func(q workload.Query) float64 {
-		card, err := reg.Estimate(ctx, "alpha", q)
+		card, err := estimate(ctx, reg, "alpha", q)
 		if err != nil {
 			t.Fatal(err)
 		}

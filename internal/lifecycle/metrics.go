@@ -1,10 +1,6 @@
 package lifecycle
 
-import (
-	"time"
-
-	"duet/internal/obs"
-)
+import "duet/internal/obs"
 
 // lcMetrics holds the supervisor's counters as obs instruments, detached
 // when no registry is configured. The drift-signal levels (q-error
@@ -93,30 +89,22 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// logRetrain reports one finished retrain attempt: structured when a logger
-// is configured, through the legacy printf hook otherwise (examples keep
-// plain output that way).
+// logRetrain reports one finished retrain attempt to the configured logger.
 func (s *Supervisor) logRetrain(st RetrainStats) {
-	if lg := s.opt.Log; lg != nil {
-		if st.Err != nil {
-			lg.Error("retrain failed",
-				"model", st.Model, "version", st.Version, "kind", string(st.Kind),
-				"error", st.Err)
-		} else {
-			lg.Info("model installed",
-				"model", st.Model, "version", st.Version, "kind", string(st.Kind),
-				"rows", st.Rows, "feedback", st.Feedback,
-				"train_ms", st.TrainDuration.Milliseconds(),
-				"swap_us", st.SwapLatency.Microseconds(),
-				"path", st.Path)
-		}
+	lg := s.opt.Log
+	if lg == nil {
 		return
 	}
 	if st.Err != nil {
-		s.logf("lifecycle: %s retrain v%d failed: %v", st.Model, st.Version, st.Err)
-	} else {
-		s.logf("lifecycle: %s v%d installed (%s, %d rows, %d feedback, train %s, swap %s)",
-			st.Model, st.Version, st.Kind, st.Rows, st.Feedback,
-			st.TrainDuration.Round(time.Millisecond), st.SwapLatency.Round(time.Microsecond))
+		lg.Error("retrain failed",
+			"model", st.Model, "version", st.Version, "kind", string(st.Kind),
+			"error", st.Err)
+		return
 	}
+	lg.Info("model installed",
+		"model", st.Model, "version", st.Version, "kind", string(st.Kind),
+		"rows", st.Rows, "feedback", st.Feedback,
+		"train_ms", st.TrainDuration.Milliseconds(),
+		"swap_us", st.SwapLatency.Microseconds(),
+		"path", st.Path)
 }

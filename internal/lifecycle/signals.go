@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"duet/internal/registry"
 	"duet/internal/relation"
 	"duet/internal/workload"
 )
@@ -150,10 +151,11 @@ func (s *Supervisor) Feedback(name, expr string, card int64) (FeedbackResult, er
 	}
 	// Estimate outside the supervisor lock: the registry call can coalesce
 	// with live traffic and must not serialize ingest against it.
-	_, est, err := s.reg.EstimateExpr(context.Background(), name, expr)
+	ans, err := s.reg.Query(context.Background(), registry.QueryRequest{Model: name, Expr: expr})
 	if err != nil {
 		return FeedbackResult{}, fmt.Errorf("lifecycle: feedback query: %w", err)
 	}
+	est := ans.Cards[0]
 	qerr := workload.QError(est, float64(card))
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -125,7 +125,7 @@ func TestSampledGraphViewExactAnchors(t *testing.T) {
 		t.Fatalf("full-set anchor %v, want base-table DP %d (sample has %d rows)", res.Exact, dp, view.NumRows())
 	}
 	// A join-size query is answered exactly, whatever the model says.
-	_, got, err := reg.EstimateExpr(context.Background(), "", full)
+	_, got, err := estimateExpr(context.Background(), reg, "", full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSampledGraphViewExactAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, subGot, err := reg.EstimateExpr(context.Background(), "", "b.bk = c.bk")
+	_, subGot, err := estimateExpr(context.Background(), reg, "", "b.bk = c.bk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSampledGraphQErrorWithinBoundOfMaterialized(t *testing.T) {
 			t.Fatalf("%s: %v", expr, err)
 		}
 		truth := float64(exec.Cardinality(matView, res.Query))
-		_, matEst, err := regMat.EstimateExpr(ctx, "", expr)
+		_, matEst, err := estimateExpr(ctx, regMat, "", expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestSampledGraphQErrorWithinBoundOfMaterialized(t *testing.T) {
 		if resS.Calib == nil || resS.Model != "abcd" {
 			t.Fatalf("sampled resolution lost the calibration: %+v", resS)
 		}
-		_, smpEst, err := regSmp.EstimateExpr(ctx, "", expr)
+		_, smpEst, err := estimateExpr(ctx, regSmp, "", expr)
 		if err != nil {
 			t.Fatal(err)
 		}

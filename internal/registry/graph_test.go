@@ -137,11 +137,6 @@ func TestRouteGraphChain(t *testing.T) {
 		t.Fatalf("flipped query differs: %v vs %v", res2.Query, res.Query)
 	}
 
-	// Route cannot express the calibration and says so.
-	if _, _, err := reg.Route("", expr); err == nil || !strings.Contains(err.Error(), "fanout calibration") {
-		t.Fatalf("Route on graph join: %v", err)
-	}
-
 	// Wrong explicit target is rejected.
 	if _, err := reg.Resolve("orders", expr); err == nil || !strings.Contains(err.Error(), "does not serve the join") {
 		t.Fatalf("wrong target: %v", err)
@@ -231,7 +226,7 @@ func TestGraphEstimateFanoutCorrected(t *testing.T) {
 		{"orders.amount>=4 AND regions.pop<=6", "l_l_amount>=4 AND r_pop<=6"},
 	} {
 		expr := "orders.cust_id = customers.id AND customers.region_id = regions.id AND " + preds.graph
-		name, est, err := reg.EstimateExpr(ctx, "", expr)
+		name, est, err := estimateExpr(ctx, reg, "", expr)
 		if err != nil || name != "ocr" {
 			t.Fatalf("%s: %q %v", expr, name, err)
 		}
@@ -300,7 +295,7 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 	}
 	// No value predicates: the estimate is the exact pairwise cardinality,
 	// for any model.
-	name, got, err := reg.EstimateExpr(context.Background(), "", "orders.cust_id = customers.id")
+	name, got, err := estimateExpr(context.Background(), reg, "", "orders.cust_id = customers.id")
 	if err != nil || name != "ocr" {
 		t.Fatalf("EstimateExpr: %q %v", name, err)
 	}
@@ -308,19 +303,13 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 		t.Fatalf("join-size estimate %v, want exact %d", got, pair)
 	}
 
-	// Route refuses to drop the calibration silently.
-	if _, _, err := reg.Route("", "orders.cust_id = customers.id"); err == nil ||
-		!strings.Contains(err.Error(), "fanout calibration") {
-		t.Fatalf("Route on subset join: %v", err)
-	}
-
 	// With value predicates the estimate is anchored: never above the exact
 	// join size, and EstimateExpr equals combining the two model estimates.
-	preds, err := reg.EstimateBatch(context.Background(), res.Model, []workload.Query{res.Query, *res.Calib})
+	preds, err := estimateBatch(context.Background(), reg, res.Model, []workload.Query{res.Query, *res.Calib})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, viaExpr, err := reg.EstimateExpr(context.Background(), "", "orders.cust_id = customers.id AND orders.amount<=7")
+	_, viaExpr, err := estimateExpr(context.Background(), reg, "", "orders.cust_id = customers.id AND orders.amount<=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +326,7 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, crGot, err := reg.EstimateExpr(context.Background(), "", "customers.region_id = regions.id")
+	_, crGot, err := estimateExpr(context.Background(), reg, "", "customers.region_id = regions.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +547,7 @@ func TestLegacyJoinStillRoutesFirst(t *testing.T) {
 	if res.Model != "oc_legacy" || res.Calib != nil {
 		t.Fatalf("legacy precedence lost: %+v", res)
 	}
-	got, err := reg.Estimate(context.Background(), res.Model, res.Query)
+	got, err := estimate(context.Background(), reg, res.Model, res.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +610,7 @@ func TestSoleViewRoutesQualifiedPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, q, err := reg.Route("", "orders.amount<=7")
+	name, q, err := route(reg, "", "orders.amount<=7")
 	if err != nil || name != "oc" {
 		t.Fatalf("sole-view routing: %q %v", name, err)
 	}
@@ -666,7 +655,7 @@ func TestBaseSnapshotMatchesTableName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := reg.EstimateExpr(context.Background(), "ocr", "orders.cust_id = customers.id")
+	_, got, err := estimateExpr(context.Background(), reg, "ocr", "orders.cust_id = customers.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,10 +708,10 @@ func TestPerModelServeConfig(t *testing.T) {
 	ctx := context.Background()
 	q := workload.Query{Preds: []workload.Predicate{{Col: 0, Op: workload.OpLe, Code: 10}}}
 	for i := 0; i < 3; i++ {
-		if _, err := reg.Estimate(ctx, "alpha", q); err != nil {
+		if _, err := estimate(ctx, reg, "alpha", q); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reg.Estimate(ctx, "beta", q); err != nil {
+		if _, err := estimate(ctx, reg, "beta", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -743,7 +732,7 @@ func TestPerModelServeConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := reg.Estimate(ctx, "beta", q); err != nil {
+		if _, err := estimate(ctx, reg, "beta", q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func TestAddQuantizedModel(t *testing.T) {
 	}
 	qs := testQueries(ta, 8)
 	for i, q := range qs {
-		if _, err := reg.Estimate(context.Background(), "alpha", q); err != nil {
+		if _, err := estimate(context.Background(), reg, "alpha", q); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

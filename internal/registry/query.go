@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"duet/internal/obs"
 	"duet/internal/workload"
@@ -20,9 +21,8 @@ import (
 //     the router entirely — the hot path for callers that resolved once and
 //     replay many queries.
 //
-// Registry.Query is what cmd/duetserve, the cluster proxy's replicas, and
-// duetbench all call; Estimate, EstimateExpr, EstimateBatch and
-// EstimateResolutions remain as thin documented wrappers over it.
+// Registry.Query is the only exported way to get an estimate out of a
+// registry; Resolve exposes the routing step alone, for inspection.
 type QueryRequest struct {
 	// Model names the target estimator. Optional for Expr/Exprs (the router
 	// infers it), required for Queries.
@@ -43,56 +43,25 @@ type QueryResult struct {
 	Cards  []float64
 }
 
-// Query answers a QueryRequest. It is the single estimation entry point the
-// HTTP server, the cluster proxy's replicas, and the bench harness share;
-// every other estimate method wraps it.
+// Query answers a QueryRequest: the estimation entry point the HTTP server,
+// the cluster proxy's replicas, the lifecycle supervisor and the bench
+// harness share. The answering model's handle is pinned for the duration, so
+// a concurrent reload or Close drains the request before the estimator it is
+// using goes away.
 func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, error) {
-	tr := obs.FromContext(ctx)
+	exprs := req.Exprs
 	switch {
 	case req.Expr != "" && req.Exprs == nil && req.Queries == nil:
-		sp := tr.StartSpan("route")
-		res, err := r.Resolve(req.Model, req.Expr)
-		if err != nil {
-			sp.End()
-			return QueryResult{}, err
-		}
-		sp.SetAttr("model", res.Model)
-		sp.End()
-		cards, err := r.estimateResolutions(ctx, []Resolution{res})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		return QueryResult{Models: []string{res.Model}, Cards: cards}, nil
+		exprs = []string{req.Expr}
 
 	case req.Exprs != nil && req.Expr == "" && req.Queries == nil:
-		models := make([]string, len(req.Exprs))
-		resolutions := make([]Resolution, len(req.Exprs))
-		sp := tr.StartSpan("route")
-		for i, expr := range req.Exprs {
-			res, err := r.Resolve(req.Model, expr)
-			if err != nil {
-				sp.End()
-				return QueryResult{}, fmt.Errorf("queries[%d]: %w", i, err)
-			}
-			models[i], resolutions[i] = res.Model, res
-		}
-		sp.End()
-		cards, err := r.estimateResolutions(ctx, resolutions)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		return QueryResult{Models: models, Cards: cards}, nil
+		// exprs is the batch already
 
 	case req.Queries != nil && req.Expr == "" && req.Exprs == nil:
 		if req.Model == "" {
 			return QueryResult{}, errors.New("registry: pre-parsed queries require a model name")
 		}
-		_, h, err := r.acquire(req.Model)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		defer h.wg.Done()
-		cards, err := h.est.EstimateBatch(ctx, req.Queries)
+		cards, err := r.estimate(ctx, req.Model, req.Queries)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -105,6 +74,45 @@ func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, er
 	default:
 		return QueryResult{}, errors.New(`registry: a query request needs exactly one of Expr, Exprs, or Queries`)
 	}
+
+	models := make([]string, len(exprs))
+	resolutions := make([]Resolution, len(exprs))
+	sp := obs.FromContext(ctx).StartSpan("route")
+	for i, expr := range exprs {
+		res, err := r.Resolve(req.Model, expr)
+		if err != nil {
+			sp.End()
+			if req.Exprs != nil {
+				err = fmt.Errorf("queries[%d]: %w", i, err)
+			}
+			return QueryResult{}, err
+		}
+		models[i], resolutions[i] = res.Model, res
+	}
+	if len(models) == 1 {
+		sp.SetAttr("model", models[0])
+	}
+	sp.End()
+	cards, err := r.estimateResolutions(ctx, resolutions)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	return QueryResult{Models: models, Cards: cards}, nil
+}
+
+// estimate pins the named model's current handle and answers qs with its
+// engine, observing the per-model latency histogram: the one place an
+// estimate leaves the registry, for every QueryRequest mode.
+func (r *Registry) estimate(ctx context.Context, name string, qs []workload.Query) ([]float64, error) {
+	e, h, err := r.acquire(name)
+	if err != nil {
+		return nil, err
+	}
+	defer h.wg.Done()
+	if r.met.timed {
+		defer e.estSec.ObserveSince(time.Now())
+	}
+	return h.est.EstimateBatch(ctx, qs)
 }
 
 // estimateResolutions answers a batch of resolutions, grouping them by model
@@ -136,7 +144,7 @@ func (r *Registry) estimateResolutions(ctx context.Context, rs []Resolution) ([]
 	}
 	out := make([]float64, len(rs))
 	for name, g := range groups {
-		got, err := r.EstimateBatch(ctx, name, g.qs)
+		got, err := r.estimate(ctx, name, g.qs)
 		if err != nil {
 			return nil, err
 		}

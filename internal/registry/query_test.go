@@ -6,12 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"duet/internal/core"
+	"duet/internal/obs"
 	"duet/internal/workload"
 )
 
-// TestQueryWrapsExprPath: Query's Expr path must answer bitwise equal to the
-// EstimateExpr wrapper, join routing and calibration included.
-func TestQueryWrapsExprPath(t *testing.T) {
+// TestQueryModesAgree: an expression answers bitwise the same alone (Expr),
+// as a batch of one, at its position in a larger batch (Exprs), and as its
+// resolution replayed pre-parsed (Queries) — join routing included.
+func TestQueryModesAgree(t *testing.T) {
 	reg, _ := joinFixture(t)
 	ctx := context.Background()
 	exprs := []string{
@@ -19,60 +22,60 @@ func TestQueryWrapsExprPath(t *testing.T) {
 		"orders.cust_id = customers.id AND orders.amount<=10",
 		"customers.region>2",
 	}
-	for _, expr := range exprs {
-		name, want, err := reg.EstimateExpr(ctx, "", expr)
-		if err != nil {
-			t.Fatalf("EstimateExpr %q: %v", expr, err)
-		}
-		res, err := reg.Query(ctx, QueryRequest{Expr: expr})
-		if err != nil {
-			t.Fatalf("Query %q: %v", expr, err)
-		}
-		if len(res.Models) != 1 || len(res.Cards) != 1 {
-			t.Fatalf("Query %q: %+v", expr, res)
-		}
-		if res.Models[0] != name || math.Float64bits(res.Cards[0]) != math.Float64bits(want) {
-			t.Fatalf("Query %q: got (%q, %v), want (%q, %v)", expr, res.Models[0], res.Cards[0], name, want)
-		}
-	}
-
-	// The batch path answers positionally and matches the singles.
-	res, err := reg.Query(ctx, QueryRequest{Exprs: exprs})
+	batch, err := reg.Query(ctx, QueryRequest{Exprs: exprs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cards) != len(exprs) {
-		t.Fatalf("batch answered %d of %d", len(res.Cards), len(exprs))
+	if len(batch.Cards) != len(exprs) || len(batch.Models) != len(exprs) {
+		t.Fatalf("batch answered %d of %d", len(batch.Cards), len(exprs))
 	}
 	for i, expr := range exprs {
-		_, want, err := reg.EstimateExpr(ctx, "", expr)
+		single, err := reg.Query(ctx, QueryRequest{Expr: expr})
+		if err != nil {
+			t.Fatalf("Query %q: %v", expr, err)
+		}
+		if len(single.Models) != 1 || len(single.Cards) != 1 {
+			t.Fatalf("Query %q: %+v", expr, single)
+		}
+		one, err := reg.Query(ctx, QueryRequest{Exprs: []string{expr}})
+		if err != nil {
+			t.Fatalf("Query batch of one %q: %v", expr, err)
+		}
+		res, err := reg.Resolve("", expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(res.Cards[i]) != math.Float64bits(want) {
-			t.Fatalf("batch[%d] %q: %v != %v", i, expr, res.Cards[i], want)
+		replay, err := reg.Query(ctx, QueryRequest{Model: res.Model, Queries: []workload.Query{res.Query}})
+		if err != nil {
+			t.Fatalf("Query replay %q: %v", expr, err)
+		}
+		for mode, got := range map[string]QueryResult{"batch of one": one, "replay": replay,
+			"batch position": {Models: batch.Models[i : i+1], Cards: batch.Cards[i : i+1]}} {
+			if got.Models[0] != single.Models[0] || math.Float64bits(got.Cards[0]) != math.Float64bits(single.Cards[0]) {
+				t.Fatalf("%q %s: got (%q, %v), alone (%q, %v)", expr, mode, got.Models[0], got.Cards[0], single.Models[0], single.Cards[0])
+			}
 		}
 	}
 }
 
-// TestQueryPreParsedPath: the Queries path matches EstimateBatch against the
-// named model and requires a model name.
+// TestQueryPreParsedPath: the Queries path answers positionally against the
+// named model, independent of batch composition, and requires a model name.
 func TestQueryPreParsedPath(t *testing.T) {
 	reg, joined := joinFixture(t)
 	ctx := context.Background()
 	qs := testQueries(joined, 8)
 
-	want, err := reg.EstimateBatch(ctx, "orders_customers", qs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := reg.Query(ctx, QueryRequest{Model: "orders_customers", Queries: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range qs {
-		if math.Float64bits(res.Cards[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("query %d: %v != %v", i, res.Cards[i], want[i])
+	for i, q := range qs {
+		want, err := estimate(ctx, reg, "orders_customers", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Cards[i]) != math.Float64bits(want) {
+			t.Fatalf("query %d: %v in the batch, %v alone", i, res.Cards[i], want)
 		}
 		if res.Models[i] != "orders_customers" {
 			t.Fatalf("query %d answered by %q", i, res.Models[i])
@@ -81,6 +84,32 @@ func TestQueryPreParsedPath(t *testing.T) {
 
 	if _, err := reg.Query(ctx, QueryRequest{Queries: qs}); err == nil {
 		t.Fatal("pre-parsed queries without a model must error")
+	}
+}
+
+// TestQueryObservesEstimateLatency: every QueryRequest mode lands one
+// observation per answering model in duet_registry_estimate_seconds.
+func TestQueryObservesEstimateLatency(t *testing.T) {
+	ta := testTable("alpha", 3)
+	reg := New(Config{Dir: t.TempDir(), Obs: obs.NewRegistry()})
+	defer reg.Close()
+	if err := reg.Add("alpha", ta, core.NewModel(ta, smallConfig(5)), AddOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hist := reg.met.estSec.With("alpha")
+	for i, req := range []QueryRequest{
+		{Expr: "a<=3"},
+		{Exprs: []string{"a<=3", "b>1"}},
+		{Model: "alpha", Queries: testQueries(ta, 3)},
+	} {
+		before := hist.Count()
+		if _, err := reg.Query(ctx, req); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if got := hist.Count() - before; got != 1 {
+			t.Fatalf("request %d (%+v) observed the latency histogram %d times, want 1", i, req, got)
+		}
 	}
 }
 

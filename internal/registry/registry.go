@@ -15,7 +15,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -438,34 +437,6 @@ func (r *Registry) acquire(name string) (*entry, *handle, error) {
 	h := e.h
 	h.wg.Add(1)
 	return e, h, nil
-}
-
-// Estimate answers one query with the named model's estimator. The handle is
-// pinned for the duration, so a concurrent reload or Close drains this
-// request before the estimator it is using goes away.
-func (r *Registry) Estimate(ctx context.Context, name string, q workload.Query) (float64, error) {
-	e, h, err := r.acquire(name)
-	if err != nil {
-		return 0, err
-	}
-	defer h.wg.Done()
-	if r.met.timed {
-		defer e.estSec.ObserveSince(time.Now())
-	}
-	return h.est.Estimate(ctx, q)
-}
-
-// EstimateBatch answers an explicit batch with the named model's estimator.
-func (r *Registry) EstimateBatch(ctx context.Context, name string, qs []workload.Query) ([]float64, error) {
-	e, h, err := r.acquire(name)
-	if err != nil {
-		return nil, err
-	}
-	defer h.wg.Done()
-	if r.met.timed {
-		defer e.estSec.ObserveSince(time.Now())
-	}
-	return h.est.EstimateBatch(ctx, qs)
 }
 
 // Table returns the table a named model serves.

@@ -13,6 +13,40 @@ import (
 	"duet/internal/workload"
 )
 
+// The helpers below give tests the one-query, one-expression and
+// route-only shapes over the registry's two entry points, Query and Resolve.
+
+// estimate answers one pre-parsed query with the named model.
+func estimate(ctx context.Context, r *Registry, name string, q workload.Query) (float64, error) {
+	cards, err := estimateBatch(ctx, r, name, []workload.Query{q})
+	if err != nil {
+		return 0, err
+	}
+	return cards[0], nil
+}
+
+// estimateBatch answers pre-parsed queries with the named model.
+func estimateBatch(ctx context.Context, r *Registry, name string, qs []workload.Query) ([]float64, error) {
+	res, err := r.Query(ctx, QueryRequest{Model: name, Queries: qs})
+	return res.Cards, err
+}
+
+// estimateExpr routes and answers one expression, returning the model that
+// answered alongside the estimate.
+func estimateExpr(ctx context.Context, r *Registry, target, expr string) (string, float64, error) {
+	res, err := r.Query(ctx, QueryRequest{Model: target, Expr: expr})
+	if err != nil {
+		return "", 0, err
+	}
+	return res.Models[0], res.Cards[0], nil
+}
+
+// route resolves an expression to (model name, rewritten query).
+func route(r *Registry, target, expr string) (string, workload.Query, error) {
+	res, err := r.Resolve(target, expr)
+	return res.Model, res.Query, err
+}
+
 // testTable builds a small deterministic table named name.
 func testTable(name string, seed int64) *relation.Table {
 	return relation.Generate(relation.SynConfig{
@@ -100,7 +134,7 @@ func TestRoutedEstimatesBitwiseEqualDirect(t *testing.T) {
 	ctx := context.Background()
 	for name, r := range refs {
 		for i, q := range r.qs {
-			got, err := reg.Estimate(ctx, name, q)
+			got, err := estimate(ctx, reg, name, q)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", name, i, err)
 			}
@@ -126,7 +160,7 @@ func TestRegistryErrors(t *testing.T) {
 	if err := reg.Add("alpha", ta, core.NewModel(ta, smallConfig(1)), AddOpts{}); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := reg.Estimate(context.Background(), "nope", workload.Query{}); err == nil {
+	if _, err := estimate(context.Background(), reg, "nope", workload.Query{}); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 	if err := reg.Reload("alpha"); err == nil {
@@ -144,7 +178,7 @@ func TestRegistryErrors(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal("second Close must be a no-op")
 	}
-	if _, err := reg.Estimate(context.Background(), "alpha", workload.Query{}); err != ErrClosed {
+	if _, err := estimate(context.Background(), reg, "alpha", workload.Query{}); err != ErrClosed {
 		t.Fatalf("Estimate after Close: %v, want ErrClosed", err)
 	}
 	if err := reg.Add("later", ta, core.NewModel(ta, smallConfig(1)), AddOpts{}); err != ErrClosed {
@@ -176,7 +210,7 @@ func TestSaveLoadReload(t *testing.T) {
 	if err := reg.Add("alpha", ta, nil, AddOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := reg.Estimate(context.Background(), "alpha", q); got != want1 {
+	if got, _ := estimate(context.Background(), reg, "alpha", q); got != want1 {
 		t.Fatalf("initial estimate %v, want %v", got, want1)
 	}
 
@@ -184,7 +218,7 @@ func TestSaveLoadReload(t *testing.T) {
 	if err := reg.Reload("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := reg.Estimate(context.Background(), "alpha", q); got != want2 {
+	if got, _ := estimate(context.Background(), reg, "alpha", q); got != want2 {
 		t.Fatalf("post-reload estimate %v, want %v", got, want2)
 	}
 	if info := reg.Info(); len(info) != 1 || info[0].Reloads != 1 {
@@ -240,7 +274,7 @@ func TestWatcherHotReload(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("watcher never reloaded")
 	}
-	if got, _ := reg.Estimate(context.Background(), "alpha", q); got != want2 {
+	if got, _ := estimate(context.Background(), reg, "alpha", q); got != want2 {
 		t.Fatalf("post-watch estimate %v, want %v", got, want2)
 	}
 }

@@ -48,7 +48,7 @@ func TestHotReloadUnderLoadLosesNoRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				q := queries[(i*nWorkers+w)%len(queries)]
-				card, err := reg.Estimate(ctx, "alpha", q)
+				card, err := estimate(ctx, reg, "alpha", q)
 				if err != nil {
 					errCh <- err
 					return
@@ -118,7 +118,7 @@ func TestConcurrentReloadAndClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := reg.Estimate(context.Background(), "alpha", q); err == ErrClosed {
+				if _, err := estimate(context.Background(), reg, "alpha", q); err == ErrClosed {
 					return
 				} else if err != nil {
 					t.Error(err)

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -89,43 +88,6 @@ func (r *Registry) Resolve(target, expr string) (Resolution, error) {
 		}
 	}
 	return r.routeGraph(target, rq)
-}
-
-// Route resolves an expression to (model name, resolved query). It covers
-// every resolution whose estimate is the plain model answer; a join-graph
-// route carries a fanout calibration the pair alone cannot express and is
-// reported as an error — use Resolve, EstimateExpr, or EstimateResolutions
-// for those.
-func (r *Registry) Route(target, expr string) (string, workload.Query, error) {
-	res, err := r.Resolve(target, expr)
-	if err != nil {
-		return "", workload.Query{}, err
-	}
-	if res.Calib != nil {
-		return "", workload.Query{}, fmt.Errorf("registry: expression resolves to join-graph view %q, whose estimates carry a fanout calibration; use Resolve or EstimateExpr", res.Model)
-	}
-	return res.Model, res.Query, nil
-}
-
-// EstimateExpr routes an expression and answers it with the resolved model,
-// applying any fanout calibration, and returns the model name alongside the
-// estimate. It is a wrapper over Query, kept for callers that want the
-// one-expression signature.
-func (r *Registry) EstimateExpr(ctx context.Context, target, expr string) (string, float64, error) {
-	res, err := r.Query(ctx, QueryRequest{Model: target, Expr: expr})
-	if err != nil {
-		return "", 0, err
-	}
-	return res.Models[0], res.Cards[0], nil
-}
-
-// EstimateResolutions answers a batch of pre-routed resolutions, grouping
-// them by model so each backend sees one batched call carrying both the
-// predicate and the calibration queries. The result order matches the input.
-// It is the advanced companion to Query for callers that resolve once and
-// replay (Query's Exprs path re-resolves every call).
-func (r *Registry) EstimateResolutions(ctx context.Context, rs []Resolution) ([]float64, error) {
-	return r.estimateResolutions(ctx, rs)
 }
 
 // routeSingle resolves a join-free expression against a named (or the sole)

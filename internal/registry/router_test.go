@@ -56,7 +56,7 @@ func joinFixture(t *testing.T) (*Registry, *relation.Table) {
 
 func TestRouteJoinQuery(t *testing.T) {
 	reg, joined := joinFixture(t)
-	name, q, err := reg.Route("", "orders.cust_id = customers.id AND orders.amount<=10 AND customers.region>2")
+	name, q, err := route(reg, "", "orders.cust_id = customers.id AND orders.amount<=10 AND customers.region>2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestRouteJoinQuery(t *testing.T) {
 	}
 
 	// Orientation-insensitive: flipped clause routes to the same view.
-	name2, _, err := reg.Route("", "customers.id = orders.cust_id AND orders.amount<=10")
+	name2, _, err := route(reg, "", "customers.id = orders.cust_id AND orders.amount<=10")
 	if err != nil || name2 != name {
 		t.Fatalf("flipped clause: %q, %v", name2, err)
 	}
 
 	// A predicate on the right join key rewrites onto the surviving left key.
-	_, q3, err := reg.Route("", "orders.cust_id = customers.id AND customers.id<=100")
+	_, q3, err := route(reg, "", "orders.cust_id = customers.id AND customers.id<=100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +93,15 @@ func TestRouteJoinQuery(t *testing.T) {
 func TestRouteJoinEstimateMatchesDirect(t *testing.T) {
 	reg, _ := joinFixture(t)
 	expr := "orders.cust_id = customers.id AND orders.amount<=10"
-	name, q, err := reg.Route("", expr)
+	name, q, err := route(reg, "", expr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := reg.Estimate(context.Background(), name, q)
+	direct, err := estimate(context.Background(), reg, name, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routedName, routed, err := reg.EstimateExpr(context.Background(), "", expr)
+	routedName, routed, err := estimateExpr(context.Background(), reg, "", expr)
 	if err != nil || routedName != name {
 		t.Fatalf("EstimateExpr: %q, %v", routedName, err)
 	}
@@ -118,24 +118,24 @@ func TestRouteSingleTable(t *testing.T) {
 	reg, _ := joinFixture(t)
 	// Explicit target, unqualified and table-qualified predicates.
 	for _, expr := range []string{"amount<=10", "orders.amount<=10"} {
-		if name, q, err := reg.Route("orders", expr); err != nil || name != "orders" || len(q.Preds) != 1 {
+		if name, q, err := route(reg, "orders", expr); err != nil || name != "orders" || len(q.Preds) != 1 {
 			t.Fatalf("%q: %q %v %v", expr, name, q, err)
 		}
 	}
 	// Join-view target accepts base-table-qualified predicates without a
 	// join clause (the view is named explicitly).
-	if _, q, err := reg.Route("orders_customers", "customers.region>2"); err != nil || len(q.Preds) != 1 {
+	if _, q, err := route(reg, "orders_customers", "customers.region>2"); err != nil || len(q.Preds) != 1 {
 		t.Fatalf("view-target routing: %v %v", q, err)
 	}
 	// Empty target with several models is ambiguous...
-	if _, _, err := reg.Route("", "amount<=10"); err == nil {
+	if _, _, err := route(reg, "", "amount<=10"); err == nil {
 		t.Fatal("ambiguous target accepted")
 	}
 	// ...unless the predicate qualifiers pin down one registered model.
-	if name, _, err := reg.Route("", "orders.amount<=10"); err != nil || name != "orders" {
+	if name, _, err := route(reg, "", "orders.amount<=10"); err != nil || name != "orders" {
 		t.Fatalf("qualifier inference: %q %v", name, err)
 	}
-	if _, _, err := reg.Route("", "orders.amount<=10 AND customers.region>2"); err == nil {
+	if _, _, err := route(reg, "", "orders.amount<=10 AND customers.region>2"); err == nil {
 		t.Fatal("mixed qualifiers without a join clause accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestRouteErrors(t *testing.T) {
 		{"orders", "amount<='x'", "string literal"},
 		{"orders", "bogus<=10", "unknown column"},
 	} {
-		_, _, err := reg.Route(tc.target, tc.expr)
+		_, _, err := route(reg, tc.target, tc.expr)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Fatalf("Route(%q, %q) = %v, want substring %q", tc.target, tc.expr, err, tc.wantSub)
 		}

@@ -47,7 +47,7 @@ func TestBaseTableSwapRecomputesGraphAnchors(t *testing.T) {
 		}
 		return float64(n)
 	}
-	_, got, err := reg.EstimateExpr(context.Background(), "", sub)
+	_, got, err := estimateExpr(context.Background(), reg, "", sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestBaseTableSwapRecomputesGraphAnchors(t *testing.T) {
 
 	// The cached anchor described the replaced table; the next query must
 	// recompute it from the swapped-in one.
-	_, got, err = reg.EstimateExpr(context.Background(), "", sub)
+	_, got, err = estimateExpr(context.Background(), reg, "", sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBaseTableSwapRecomputesGraphAnchors(t *testing.T) {
 	if err := reg.SwapModel("abcd", core.NewModel(view, smallConfig(71)), SwapOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err = reg.EstimateExpr(context.Background(), "", sub); err != nil || got != subDP(grown) {
+	if _, got, err = estimateExpr(context.Background(), reg, "", sub); err != nil || got != subDP(grown) {
 		t.Fatalf("anchor after view swap: %v, %v", got, err)
 	}
 }

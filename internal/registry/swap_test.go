@@ -42,7 +42,7 @@ func TestSwapModelInstallsInMemory(t *testing.T) {
 	if err := reg.SwapModel("alpha", m2, SwapOpts{Path: path}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := reg.Estimate(context.Background(), "alpha", q); got != want {
+	if got, _ := estimate(context.Background(), reg, "alpha", q); got != want {
 		t.Fatalf("post-swap estimate %v, want %v", got, want)
 	}
 	if tbl, _ := reg.Table("alpha"); tbl != grown {

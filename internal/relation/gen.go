@@ -86,6 +86,21 @@ func makeSampler(cs ColSpec, rng *rand.Rand) func() int32 {
 	return func() int32 { return int32(rng.Intn(ndv)) }
 }
 
+// Synthetic generates one of the three evaluation stand-ins by the name the
+// CLIs and manifests use: dmv, kdd or census.
+func Synthetic(name string, rows int, seed int64) (*Table, error) {
+	switch name {
+	case "dmv":
+		return SynDMV(rows, seed), nil
+	case "kdd":
+		return SynKDD(rows, seed), nil
+	case "census":
+		return SynCensus(rows, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown synthetic dataset %q", name)
+	}
+}
+
 // SynDMV mirrors the shape of the DMV dataset used by Naru and Duet: 11
 // columns mixing tiny flag domains, mid-size categorical domains, a
 // date-like column, and a large 2774-value domain, with Zipf skew and a

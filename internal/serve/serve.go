@@ -23,12 +23,12 @@
 // Estimates are deterministic under coalescing: the batch plan's kernels
 // compute output rows independently with fixed accumulation order, so a
 // query's estimate is bitwise independent of which micro-batch it happened
-// to ride in (batched results match the single-query EstimateCard path up
-// to floating-point summation order, like the model's fused MPSN). The cache
-// and deduplication key identifies the predicate *set* (order-insensitive),
-// which matches the direct encoding and the paper's recommended MLP MPSN
-// (a sum over predicates); the order-sensitive RNN/recursive MPSN variants
-// are research ablations and not intended behind the cache.
+// to ride in, and bitwise what the model's EstimateCard returns for it
+// alone. The cache and deduplication key identifies the predicate *set*
+// (order-insensitive), which matches the direct encoding and the paper's
+// recommended MLP MPSN (a sum over predicates); the order-sensitive
+// RNN/recursive MPSN variants are research ablations and not intended behind
+// the cache.
 package serve
 
 import (
