@@ -1,7 +1,9 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations stay identical.
+# Performance is measured by one harness, `make benchmark` (benchmark/README.md);
+# nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale benchmark benchmark-compare loc
+.PHONY: all build vet fmt test race bench serve test-generic cross pack scale benchmark benchmark-compare loc
 
 all: build vet fmt test
 
@@ -37,24 +39,14 @@ cross:
 	GOARCH=amd64 $(GO) build ./... && GOARCH=amd64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
-# Fresh perf snapshot gated against the committed baseline (BENCH_PR10.json);
-# `make perf-baseline` refreshes the baseline itself after an intentional
-# change — at the multi-million-row scale size, so the committed snapshot
-# carries the beyond-RAM columnar-store numbers.
-perf:
-	$(GO) run ./cmd/duetbench -json BENCH_NEW.json -baseline BENCH_PR10.json -max-regress 0.30 -scale tiny
-
-perf-baseline:
-	DUET_SCALE_ROWS=2000000 $(GO) run ./cmd/duetbench -json BENCH_PR10.json -scale tiny
-
 # Pack a 2M-row demo table into the .duetcol columnar format.
 pack:
 	$(GO) run ./cmd/duettrain -syn census -rows 2000000 -pack census.duetcol
 
-# The columnar-store experiment at multi-million-row size (mapped vs
-# in-memory training/join throughput, cold/warm latency, peak RSS).
+# The columnar-store invariants at multi-million-row size (scale_test.go:
+# mapped vs in-memory training/join throughput and peak RSS; ~4 min).
 scale:
-	DUET_SCALE_ROWS=2000000 $(GO) run ./cmd/duetbench -exp scale -scale tiny
+	DUET_SCALE_ROWS=2000000 $(GO) test -run TestScaleStore -timeout 30m -v .
 
 # The performance reference (benchmark/README.md): every workload, both
 # passes, five runs each; then one row per workload x end-to-end metric

@@ -4,30 +4,14 @@
 //
 //	duetbench -exp table2 -scale quick
 //	duetbench -exp all -scale tiny -out results.txt
-//	duetbench -json BENCH_PR2.json -scale tiny
 //	duetbench -list
 //
 // Scales: tiny (seconds, CI-sized), quick (minutes, report-grade shapes),
 // full (closest to the paper's sizes).
 //
-// -json runs the perf experiment and writes a machine-readable snapshot
-// (queries/second sequential vs batched vs cached, training throughput, the
-// Q-Error summary on both paper workloads, the sampled join-build figures
-// join_build_tuples_per_s / join_peak_alloc_bytes from the "joins"
-// experiment, and the lifecycle figures retrain_tuples_per_s /
-// swap_latency_ms from the "retrain" experiment); CI uploads it as an
-// artifact so the performance trajectory is tracked per commit.
-//
-// -baseline activates the trend gate: the fresh snapshot is compared against
-// the committed baseline report and the run exits non-zero when any
-// throughput metric regressed by more than -max-regress (default 30%), or
-// the swap latency grew past that allowance above a 25ms noise floor. The
-// "kernels" experiment adds the SIMD-tier figures (saxpy_gb_s, gemm_gflop_s,
-// per-tier batched q/s) and the int8 plan figures, which the gate bounds
-// absolutely: quant_qerr_ratio must stay <= 1.05 and the f32/int8 plan byte
-// ratio >= 3, regardless of the baseline run:
-//
-//	duetbench -json BENCH_NEW.json -baseline BENCH_PR8.json -scale tiny
+// duetbench prints the paper's evaluation only. Serving, training and
+// storage performance is measured by the harness in benchmark/ (go run
+// ./benchmark, see benchmark/README.md).
 package main
 
 import (
@@ -44,9 +28,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	scaleName := flag.String("scale", "quick", "tiny | quick | full")
 	out := flag.String("out", "", "write output to this file as well as stdout")
-	jsonOut := flag.String("json", "", "run the perf experiment and write its machine-readable report to this file")
-	baseline := flag.String("baseline", "", "with -json: committed baseline report to gate against")
-	maxRegress := flag.Float64("max-regress", 0.30, "with -baseline: fail when a throughput metric drops by more than this fraction")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -68,30 +49,6 @@ func main() {
 		}
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
-	}
-	if *jsonOut != "" {
-		rep, err := bench.Perf(w, scale)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(*jsonOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote %s\n", *jsonOut)
-		if *baseline != "" {
-			base, err := bench.LoadReport(*baseline)
-			if err != nil {
-				fatal(err)
-			}
-			if regs := rep.CompareBaseline(base, *maxRegress); len(regs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintln(os.Stderr, "duetbench: perf gate:", r)
-				}
-				os.Exit(1)
-			}
-			fmt.Fprintf(w, "perf gate: within %.0f%% of %s\n", *maxRegress*100, *baseline)
-		}
-		return
 	}
 	fmt.Fprintf(w, "duetbench: experiment=%s scale=%s\n", *exp, scale.Name)
 	start := time.Now()

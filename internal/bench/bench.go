@@ -2,7 +2,12 @@
 // (Section V). Each experiment is a function that builds the datasets,
 // workloads and estimators it needs and prints the same rows/series the
 // paper reports. The cmd/duetbench binary exposes them behind -exp flags and
-// bench_test.go wires each one to a testing.B benchmark.
+// the root bench_test.go wires each one to a testing.B benchmark.
+//
+// This package measures what the paper measures: accuracy and the cost of
+// the methods it compares. How fast the system serves, trains and stores is
+// measured by benchmark/ (see benchmark/README.md), and the invariants that
+// are not trends are go test assertions next to the code they guard.
 package bench
 
 import (
@@ -40,10 +45,6 @@ type Scale struct {
 	UAETrainSamples int
 	QueryBatch      int
 
-	// ScaleRows sizes the "scale" experiment's fact table (the columnar-store
-	// measurement); DUET_SCALE_ROWS overrides it for multi-million-row runs.
-	ScaleRows int
-
 	// SmallNets replaces the paper's per-dataset architectures with a small
 	// ResMADE so the tiny scale exercises every code path in seconds.
 	SmallNets bool
@@ -56,13 +57,13 @@ type Scale struct {
 var (
 	Tiny = Scale{Name: "tiny", DMVRows: 2000, KDDRows: 800, CensusRows: 1500,
 		TrainQueries: 200, TestQueries: 40, Epochs: 2, BatchSize: 128,
-		NaruSamples: 48, UAETrainSamples: 16, QueryBatch: 2, ScaleRows: 12000, SmallNets: true}
+		NaruSamples: 48, UAETrainSamples: 16, QueryBatch: 2, SmallNets: true}
 	Quick = Scale{Name: "quick", DMVRows: 15000, KDDRows: 4000, CensusRows: 8000,
 		TrainQueries: 1500, TestQueries: 150, Epochs: 6, BatchSize: 256,
-		NaruSamples: 200, UAETrainSamples: 64, QueryBatch: 4, ScaleRows: 300000}
+		NaruSamples: 200, UAETrainSamples: 64, QueryBatch: 4}
 	Full = Scale{Name: "full", DMVRows: 200000, KDDRows: 40000, CensusRows: 48842,
 		TrainQueries: 10000, TestQueries: 2000, Epochs: 25, BatchSize: 512,
-		NaruSamples: 1000, UAETrainSamples: 200, QueryBatch: 8, ScaleRows: 2000000, DMVBigNet: true}
+		NaruSamples: 1000, UAETrainSamples: 200, QueryBatch: 8, DMVBigNet: true}
 )
 
 // ScaleByName resolves tiny/quick/full.

@@ -29,34 +29,6 @@ func Experiments() []Experiment {
 		{"ablation-merge", "Ablation: merged block-diagonal MPSN", AblationMergedMPSN},
 		{"ablation-enc", "Ablation: value encoding strategies", AblationEncoding},
 		{"ablation-stability", "Ablation: estimate stability across RNG states (Problem 4)", AblationStability},
-		{"joins", "Join build: materialized vs sampled FOJ construction", func(w io.Writer, s Scale) error {
-			_, err := JoinBuild(w, s)
-			return err
-		}},
-		{"retrain", "Retrain: lifecycle fine-tune throughput + hot-swap latency", func(w io.Writer, s Scale) error {
-			_, err := Retrain(w, s)
-			return err
-		}},
-		{"cluster", "Cluster: proxy routing overhead + fleet throughput", func(w io.Writer, s Scale) error {
-			_, err := Cluster(w, s)
-			return err
-		}},
-		{"obs", "Obs: metrics instrumentation overhead on the serving hot path", func(w io.Writer, s Scale) error {
-			_, err := ObsOverhead(w, s)
-			return err
-		}},
-		{"kernels", "Kernels: SIMD tier throughput + int8 quantized plan", func(w io.Writer, s Scale) error {
-			_, err := Kernels(w, s)
-			return err
-		}},
-		{"scale", "Scale: mapped vs in-memory columnar store (train/join/RSS)", func(w io.Writer, s Scale) error {
-			_, err := ScaleStore(w, s)
-			return err
-		}},
-		{"perf", "Perf: serving throughput + q-error snapshot (see duetbench -json)", func(w io.Writer, s Scale) error {
-			_, err := Perf(w, s)
-			return err
-		}},
 	}
 }
 

@@ -3,14 +3,17 @@ package core
 import (
 	"testing"
 
+	"duet/internal/exec"
 	"duet/internal/made"
+	"duet/internal/relation"
 	"duet/internal/workload"
 )
 
 // TestQuantizedPlanAccuracyAndSize: the int8 plan must shrink resident
-// weight bytes by at least 3x and stay close to the f32 plan's estimates
-// (the bench trend gate bounds the census q-error delta; this is the
-// fast in-tree guard on the same property).
+// weight bytes by at least 3x and stay close to the f32 plan's estimates,
+// per query on a toy table and in median q-error against exact
+// cardinalities on census. Both are counts of a deterministic computation,
+// not timings, so the bounds hold on every run and every kernel tier.
 func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 	tbl := tinyTable(300)
 	m := NewModel(tbl, tinyConfig())
@@ -61,6 +64,43 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 			t.Fatalf("query %d: plan did not restore f32 behavior: %v vs %v", i, back[i], f32[i])
 		}
 	}
+
+	// The paper-protocol case: duetbench's tiny census model and its labelled
+	// Rand-Q workload. Reference: 72,064 -> 22,929 bytes (3.14x), ratio 1.0002.
+	t.Run("census", func(t *testing.T) {
+		tbl, err := relation.Synthetic("census", 1500, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc := DefaultConfig()
+		mc.Hidden = []int{48, 48}
+		mc.EmbedDim = 16
+		m := NewModel(tbl, mc)
+		Train(m, cfg)
+
+		labeled := exec.Label(tbl, workload.Generate(tbl, workload.RandQConfig(tbl.NumCols(), 40)))
+		qs := make([]workload.Query, len(labeled))
+		for i, lq := range labeled {
+			qs[i] = lq.Query
+		}
+		medianQErr := func() float64 {
+			errs := make([]float64, len(qs))
+			for i, est := range m.EstimateCardBatch(qs) {
+				errs[i] = workload.QError(est, float64(labeled[i].Card))
+			}
+			return workload.Summarize(errs).Median
+		}
+		f32Bytes, f32Med := m.WarmPlan(), medianQErr()
+		m.SetPlanConfig(made.PlanConfig{Quantize: true})
+		qBytes, qMed := m.WarmPlan(), medianQErr()
+		if ratio := float64(f32Bytes) / float64(qBytes); ratio < 3 {
+			t.Fatalf("int8 plan only %.2fx smaller (f32=%dB int8=%dB), want >= 3x", ratio, f32Bytes, qBytes)
+		}
+		if ratio := qMed / f32Med; ratio > 1.05 {
+			t.Fatalf("int8 median q-error %.4f is %.4fx the f32 plan's %.4f, want <= 1.05x", qMed, ratio, f32Med)
+		}
+		t.Logf("plan bytes %d -> %d, median q-error %.4f -> %.4f", f32Bytes, qBytes, f32Med, qMed)
+	})
 }
 
 // TestQuantizedPlanSurvivesClone: serving config (the plan mode) travels

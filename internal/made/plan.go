@@ -28,8 +28,9 @@
 // Forward runs the fused dequantize-accumulate kernel (tensor.SaxpyI8) with
 // the activation×scale product folded into alpha. Weight memory shrinks
 // close to 4x and the kernel streams a quarter of the bytes; results are an
-// approximation of the f32 plan (the trend gate bounds the q-error delta),
-// but remain deterministic and batch-composition independent.
+// approximation of the f32 plan (core.TestQuantizedPlanAccuracyAndSize
+// bounds the q-error delta), but remain deterministic and
+// batch-composition independent.
 package made
 
 import (

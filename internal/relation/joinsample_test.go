@@ -376,3 +376,23 @@ func TestJoinIndexesShared(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkJoinSampler is one sampled join-view construction on the big
+// fanoutChain: the CSR edge indexes plus a budget-row FOJ sample, which is
+// what building a sampled graph view costs however large the join is.
+func BenchmarkJoinSampler(b *testing.B) {
+	g := fanoutChain(10)
+	const budget = 2000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewJoinSampler(g, JoinSamplerConfig{Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.SampleTable("s", budget); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*budget/b.Elapsed().Seconds(), "rows/s")
+}

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"testing"
 
 	"duet/internal/core"
+	"duet/internal/obs"
 	"duet/internal/relation"
 	"duet/internal/workload"
 )
@@ -62,20 +64,39 @@ func BenchmarkEstimateBatched(b *testing.B) {
 }
 
 // BenchmarkEstimateLoneMiss is one caller whose every request misses: each
-// op is one inline forward pass plus the engine's bookkeeping, so it should
+// op is one inline forward pass plus the engine's bookkeeping, so bare should
 // sit just above BenchmarkEstimateSequential and far below any timer tick.
+// instrumented wires the metrics registry (what every served request pays);
+// traced also opens a trace per request against an armed tracer with SLO
+// budgets (what a request carrying X-Duet-Trace pays).
 func BenchmarkEstimateLoneMiss(b *testing.B) {
 	m, qs := benchModel(b)
-	e := New(m, Config{MaxBatch: benchBatch, CacheSize: -1})
-	defer e.Close()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []string{"bare", "instrumented", "traced"} {
+		b.Run(mode, func(b *testing.B) {
+			cfg := Config{MaxBatch: benchBatch, CacheSize: -1}
+			var tracer *obs.Tracer // nil: Start and Finish pass through
+			if mode != "bare" {
+				cfg.Obs, cfg.ObsModel = obs.NewRegistry(), "bench"
+			}
+			if mode == "traced" {
+				tracer = obs.NewTracer(obs.TracerConfig{Metrics: cfg.Obs,
+					Budgets: DeriveBudgets(m.WarmPlan(), 0, CalibrateBudgets()),
+					Log:     slog.New(slog.DiscardHandler)}) // a preempted pass blows its budget; keep that off stderr
+			}
+			e := New(m, cfg)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx, tr := tracer.Start(context.Background(), "")
+				if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+				tracer.Finish(tr)
+			}
+			reportQPS(b, b.N)
+		})
 	}
-	reportQPS(b, b.N)
 }
 
 // BenchmarkEstimateContended is two callers whose every request misses: the

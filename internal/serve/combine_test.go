@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +17,8 @@ import (
 
 // gateBackend holds every pass at a gate until the test lets it through, and
 // records what each pass was asked. A query's answer is its predicate's code,
-// so a caller can tell whose answer it was given.
+// so a caller can tell whose answer it was given. A pass that contains
+// poisonCode panics before it reaches the gate.
 type gateBackend struct {
 	entered chan struct{} // one token per pass that reached the gate
 	release chan struct{} // one token lets one pass through
@@ -23,6 +26,8 @@ type gateBackend struct {
 	mu     sync.Mutex
 	passes [][]int32
 }
+
+const poisonCode = -1
 
 func newGateBackend() *gateBackend {
 	// Buffered past any test's pass count, so neither side blocks the other.
@@ -35,6 +40,9 @@ func (b *gateBackend) EstimateCardBatch(qs []workload.Query) []float64 {
 	for i, q := range qs {
 		codes[i] = q.Preds[0].Code
 		out[i] = float64(codes[i])
+	}
+	if slices.Contains(codes, poisonCode) {
+		panic("poisoned query")
 	}
 	b.mu.Lock()
 	b.passes = append(b.passes, codes)
@@ -86,10 +94,16 @@ type answer struct {
 	err  error
 }
 
-// goEstimate issues one Estimate on its own goroutine.
+// goEstimate issues one Estimate on its own goroutine. Like net/http around
+// a handler, it survives a panic that unwinds out of the call.
 func goEstimate(ctx context.Context, e *Estimator, code int32) <-chan answer {
 	ch := make(chan answer, 1)
 	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ch <- answer{err: fmt.Errorf("caller panicked: %v", r)}
+			}
+		}()
 		card, err := e.Estimate(ctx, q(0, code))
 		ch <- answer{card, err}
 	}()
@@ -261,6 +275,48 @@ func TestCancelStorm(t *testing.T) {
 	within(t, done, "the storm to end")
 	if a := within(t, goEstimate(context.Background(), e, 7), "an estimate after the storm"); a.err != nil {
 		t.Fatal(a.err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	within(t, closed, "Close")
+}
+
+// TestBackendPanicContained: a pass that panics fails every call of its batch
+// with ErrBackendPanic and releases the backend. Uncontained, the leader's
+// goroutine unwinds with the backend still held: its riders are never woken,
+// every later miss parks behind them, and Close waits forever.
+func TestBackendPanicContained(t *testing.T) {
+	b := newGateBackend()
+	e := New(b, Config{MaxBatch: 4, CacheSize: -1})
+	ctx := context.Background()
+
+	first := goEstimate(ctx, e, 1)
+	within(t, b.entered, "the first pass")
+	poisoned := goEstimate(ctx, e, poisonCode)
+	waitParked(t, e, 1) // the poisoned call leads the next pass
+	riders := []<-chan answer{goEstimate(ctx, e, 2), goEstimate(ctx, e, 3)}
+	waitParked(t, e, 3)
+	b.release <- struct{}{}
+	if a := within(t, first, "the first caller"); a.err != nil || a.card != 1 {
+		t.Fatalf("first caller got %+v", a)
+	}
+	for _, ch := range append(riders, poisoned) { // riders first: they are who hangs
+		a := within(t, ch, "a caller of the poisoned pass")
+		if !errors.Is(a.err, ErrBackendPanic) || !strings.Contains(a.err.Error(), "poisoned query") {
+			t.Fatalf("caller of the poisoned pass got %+v, want ErrBackendPanic carrying the panic's text", a)
+		}
+	}
+
+	next := goEstimate(ctx, e, 4)
+	within(t, b.entered, "the pass after the panic")
+	b.release <- struct{}{}
+	if a := within(t, next, "the caller after the panic"); a.err != nil || a.card != 4 {
+		t.Fatalf("caller after the panic got %+v", a)
+	}
+	st := e.Stats()
+	if st.Requests != 5 || st.Batches != 2 || st.BatchedQueries != 2 || e.met.panics.Value() != 1 {
+		t.Fatalf("stats %+v with %d panics, want 5 requests, 2 completed passes of 2 queries, 1 panic",
+			st, e.met.panics.Value())
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- e.Close() }()

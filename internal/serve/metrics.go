@@ -20,6 +20,7 @@ type engineMetrics struct {
 	dedup     *obs.Counter // queries answered by sharing another query's slot in a pass
 	batches   *obs.Counter
 	batched   *obs.Counter
+	panics    *obs.Counter // backend passes that panicked and were contained
 	shedRate  *obs.Counter
 	shedQueue *obs.Counter
 	maxBatch  *obs.Gauge
@@ -49,6 +50,8 @@ func newEngineMetrics(r *obs.Registry, model string) engineMetrics {
 			"Backend forward passes issued.", "model").With(model),
 		batched: r.CounterVec("duet_serve_batched_queries_total",
 			"Queries answered by backend passes, after in-flight dedup.", "model").With(model),
+		panics: r.CounterVec("duet_serve_panics_total",
+			"Backend forward passes that panicked; every call of such a pass fails with an error.", "model").With(model),
 		shedRate:  shed.With(model, "rate"),
 		shedQueue: shed.With(model, "queue"),
 		maxBatch: r.GaugeVec("duet_serve_max_batch",

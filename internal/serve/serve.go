@@ -34,6 +34,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strconv"
@@ -47,13 +48,19 @@ import (
 
 // Backend answers a batch of queries with one forward pass. core.Model
 // implements it. Backends are assumed NOT safe for concurrent use; the
-// engine serializes every call.
+// engine serializes every call, and turns a panic in one into
+// ErrBackendPanic for the calls of that pass.
 type Backend interface {
 	EstimateCardBatch(qs []workload.Query) []float64
 }
 
 // ErrClosed is returned by Estimate and EstimateBatch after Close.
 var ErrClosed = errors.New("serve: estimator closed")
+
+// ErrBackendPanic is returned, wrapped around the panic's text, to every call
+// of a batch whose forward pass panicked. The backend is released as after any
+// other pass, so one poisoned query fails its own batch and nothing else.
+var ErrBackendPanic = errors.New("serve: backend panicked")
 
 // Config tunes the serving engine. The zero value selects sensible defaults.
 type Config struct {
@@ -383,11 +390,19 @@ func (e *Estimator) run(ctx context.Context) {
 		}
 		chunk := qs[lo:min(lo+e.cfg.MaxBatch, len(qs))]
 		start := time.Now()
-		cards = append(cards, e.backend.EstimateCardBatch(chunk)...)
+		var out []float64
+		if out, err = e.forward(chunk); err != nil {
+			break
+		}
+		cards = append(cards, out...)
 		e.observePass(batch, lo == 0, len(chunk), start, time.Since(start))
 	}
 	e.cards = cards
-	batch[0].err = err
+	// A batch of several calls is one pass, so the only error it can see is a
+	// panic, which fails them all; a ctx or Close error is a lone call's own.
+	for _, c := range batch {
+		c.err = err
+	}
 	if err == nil {
 		for _, c := range batch {
 			for i, key := range c.keys {
@@ -404,6 +419,19 @@ func (e *Estimator) run(ctx context.Context) {
 		c.wake <- struct{}{}
 	}
 	e.handOff()
+}
+
+// forward is one backend pass. The pass runs inline on a caller's goroutine
+// with riders parked behind it, so a panic that unwound from here would leave
+// the backend held and the riders asleep for good; it comes back as an error.
+func (e *Estimator) forward(qs []workload.Query) (cards []float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.met.panics.Inc()
+			err = fmt.Errorf("%w: %v", ErrBackendPanic, r)
+		}
+	}()
+	return e.backend.EstimateCardBatch(qs), nil
 }
 
 // observePass counts one backend pass over n queries and attributes it, and

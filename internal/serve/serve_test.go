@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"duet/internal/core"
+	"duet/internal/obs"
 	"duet/internal/relation"
 	"duet/internal/workload"
 )
@@ -260,6 +262,40 @@ func TestNoCache(t *testing.T) {
 }
 
 // TestContextCancel verifies an already-canceled context aborts the call.
+// TestInstrumentationAllocatesNothing: wiring Config.Obs must not put an
+// allocation on an untraced miss — the counters are atomics and the sampled
+// stage clocks write into preallocated histograms — while the exact counters
+// keep moving by one per call. A run is eight estimates, one period of the
+// 1-in-8 clock sampling, so every run pays for one sampled call; the figure
+// is the cheapest of many runs because under the race detector sync.Pool
+// drops a random quarter of what is put back, and only a run it left alone
+// counts the engine's own allocations.
+func TestInstrumentationAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	measure := func(reg *obs.Registry) float64 {
+		e := New(&slowBackend{}, Config{CacheSize: -1, Obs: reg, ObsModel: "m"})
+		defer e.Close()
+		calls, least := uint64(0), math.Inf(1)
+		for range 100 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				for range 8 {
+					calls++
+					if _, err := e.Estimate(ctx, q(0, int32(calls))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}))
+		}
+		if st := e.Stats(); st.Requests != calls || st.Batches != calls {
+			t.Fatalf("after %d lone misses: %+v", calls, st)
+		}
+		return least
+	}
+	if bare, wired := measure(nil), measure(obs.NewRegistry()); wired > bare {
+		t.Fatalf("instrumented engine allocates %.0f per 8 estimates, bare %.0f", wired, bare)
+	}
+}
+
 func TestContextCancel(t *testing.T) {
 	m, qs := newFixture(t, relation.SynCensus(500, 10), 4)
 	e := New(m, Config{})

@@ -7,11 +7,11 @@ package tensor
 // pairs so results are bitwise identical to the generic reference; see the
 // contract notes in kernels.go.
 
-// saxpyAsm is the SSE Saxpy (saxpy_amd64.s); it handles any length,
-// including the scalar tail, in assembly.
+// saxpySSEAsm is the SSE Saxpy (kernels_sse_amd64.s); it handles any
+// length, including the scalar tail, in assembly.
 //
 //go:noescape
-func saxpyAsm(alpha float32, x, y []float32)
+func saxpySSEAsm(alpha float32, x, y []float32)
 
 // saxpyAVX2Asm is the AVX2 Saxpy (kernels_avx2_amd64.s); it handles any
 // length, including the scalar tail, in assembly.
@@ -59,7 +59,7 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 func archKernels() []kernel {
 	sse := kernel{
 		name:     "sse",
-		saxpy:    saxpyAsm,
+		saxpy:    saxpySSEAsm,
 		saxpyI8:  saxpyI8SSE,
 		gemmTile: gemmTile8x4SSEAsm,
 		tileM:    8,

@@ -2,10 +2,58 @@
 
 #include "textflag.h"
 
-// SSE additions to the mid tier (the Saxpy itself lives in saxpy_amd64.s).
-// SSE2-only: no PMOVSXBD (SSE4.1), so the int8 widening uses the classic
-// unpack-with-self + arithmetic-shift sign extension. X15 is never touched
-// (it is the ABIInternal zero register).
+// The "sse" tier's kernels. SSE2-only: no PMOVSXBD (SSE4.1), so the int8
+// widening uses the classic unpack-with-self + arithmetic-shift sign
+// extension. X15 is never touched (it is the ABIInternal zero register).
+
+// func saxpySSEAsm(alpha float32, x, y []float32)
+// y[i] += alpha * x[i] for i in [0, len(x)); the Go wrapper guarantees
+// len(y) >= len(x). SSE only (baseline amd64), 8 floats per iteration,
+// scalar tail.
+TEXT ·saxpySSEAsm(SB), NOSPLIT, $0-56
+	MOVSS  alpha+0(FP), X0
+	SHUFPS $0x00, X0, X0        // broadcast alpha to all four lanes
+	MOVQ   x_base+8(FP), SI
+	MOVQ   x_len+16(FP), BX
+	MOVQ   y_base+32(FP), DI
+	XORQ   AX, AX               // element index
+
+	MOVQ   BX, DX
+	ANDQ   $7, DX               // tail length
+	SHRQ   $3, BX               // number of 8-wide blocks
+	JZ     tail
+
+loop8:
+	MOVUPS (SI)(AX*4), X1
+	MOVUPS 16(SI)(AX*4), X2
+	MULPS  X0, X1
+	MULPS  X0, X2
+	MOVUPS (DI)(AX*4), X3
+	MOVUPS 16(DI)(AX*4), X4
+	ADDPS  X3, X1
+	ADDPS  X4, X2
+	MOVUPS X1, (DI)(AX*4)
+	MOVUPS X2, 16(DI)(AX*4)
+	ADDQ   $8, AX
+	DECQ   BX
+	JNZ    loop8
+
+tail:
+	TESTQ  DX, DX
+	JZ     done
+
+tailloop:
+	MOVSS  (SI)(AX*4), X1
+	MULSS  X0, X1
+	MOVSS  (DI)(AX*4), X2
+	ADDSS  X2, X1
+	MOVSS  X1, (DI)(AX*4)
+	INCQ   AX
+	DECQ   DX
+	JNZ    tailloop
+
+done:
+	RET
 
 // func saxpyI8SSEAsm(alpha float32, q []int8, y []float32)
 // y[i] += alpha * float32(q[i]) for i in [0, len(q)); len(q) must be a

@@ -261,8 +261,8 @@ func TestQuantizeI8S(t *testing.T) {
 	}
 }
 
-// Per-tier throughput benches; `duetbench -exp kernels` reports the same
-// kernels at serving shapes with GB/s and GFLOP/s attached.
+// Per-tier throughput benches; benchmark/ reports the active tier's kernels
+// as tensor.saxpy_gb_s, tensor.saxpy_i8_gb_s and tensor.gemm_gflop_s.
 func BenchmarkSaxpyTier(b *testing.B) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
