@@ -57,10 +57,12 @@ benchmark:
 benchmark-compare:
 	$(GO) run ./benchmark --compare benchmark/baseline.json benchmark/out/mine.json
 
-# Non-test Go lines outside benchmark/: the size figure ROADMAP quotes, so
-# simplicity PRs state before/after from one command.
+# Go lines outside benchmark/, two figures so simplicity PRs state before and
+# after from one command: non-test lines first (the size ROADMAP quotes and
+# CI prints), then every *.go line, tests included.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+	@printf 'non-test '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+	@printf 'all      '; find . -name '*.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 serve:
 	$(GO) run ./cmd/duetserve -syn census -rows 20000

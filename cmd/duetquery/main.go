@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"duet"
+	"duet/internal/artifact"
 	"duet/internal/workload"
 )
 
@@ -33,12 +34,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	m, err := duet.LoadModel(f, tbl)
+	m, _, err := artifact.Load(*modelPath, tbl)
 	if err != nil {
 		fatal(err)
 	}

@@ -46,8 +46,10 @@
 // rows against the trained snapshot, rolling q-error of observed
 // cardinalities), and when a threshold trips it retrains in the background —
 // fine-tuning when dictionaries are unchanged, training from scratch when
-// they grew — saves a versioned model file ("<name>.v<N>.duet" + current
-// pointer), and hot-swaps drain-safely:
+// they grew — saves the new generation as a versioned model file, and
+// hot-swaps drain-safely. A restart loads the newest retained generation that
+// still fits the table the manifest builds (falling back, with a warning per
+// skipped file, to older ones and finally the seed weights):
 //
 //	POST /v1/ingest             {"model": "orders", "rows": [[3, "x"], ...]}   -> rows appended + drift
 //	POST /v1/feedback           {"model": "orders", "query": "amount<=100", "card": 1234}
@@ -91,7 +93,6 @@ func main() {
 	// Engine flags.
 	addr := flag.String("addr", ":8080", "listen address")
 	maxBatch := flag.Int("batch", 64, "micro-batch size")
-	flag.Duration("flush", 0, "accepted and ignored: estimates coalesce behind a busy model, never on a timer")
 	cache := flag.Int("cache", 4096, "LRU result-cache entries (negative disables)")
 	// Cluster flags.
 	proxyMode := flag.Bool("proxy", false, "run as a cluster proxy over -members (or the manifest's cluster block) instead of serving models")
@@ -189,27 +190,42 @@ func main() {
 	// for plan_exec derives from the largest resident packed plan.
 	applySLOBudgets(suite, reg, man, sloOverrides, sloOff)
 
-	srv := duet.NewAPIServer(reg, lc, *modelDir, suite)
+	// Graceful shutdown: once the listener has stopped and open requests
+	// have finished, drain and close every estimator, so the drained
+	// hot-reload semantics also hold at exit.
+	slog.Info("serving", "models", reg.Len(), "addr", *addr, "kernel", duet.KernelTier(), "names", strings.Join(reg.Names(), ", "))
+	err = serveUntilSignal(*addr, duet.NewAPIServer(reg, lc, *modelDir, suite).Handler(), func() {
+		if lc != nil {
+			lc.Close() // waits out in-flight retrains before the registry drains
+		}
+		if err := reg.Close(); err != nil {
+			slog.Error("registry close failed", "error", err)
+		}
+	})
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// serveUntilSignal serves handler on addr until SIGINT/SIGTERM, then stops
+// the listener, lets open requests finish (up to 15s), and calls drain. A
+// listener that fails on its own is the returned error.
+func serveUntilSignal(addr string, handler http.Handler, drain func()) error {
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Addr:              addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	// Graceful shutdown: SIGINT/SIGTERM stops the listener, lets open
-	// requests finish, then drains and closes every estimator (the deferred
-	// reg.Close), so the drained hot-reload semantics also hold at exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	slog.Info("serving", "models", reg.Len(), "addr", *addr, "kernel", duet.KernelTier(), "names", strings.Join(reg.Names(), ", "))
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			return err
 		}
 	case <-ctx.Done():
 		stop()
@@ -219,14 +235,10 @@ func main() {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			slog.Error("shutdown failed", "error", err)
 		}
-		if lc != nil {
-			lc.Close() // waits out in-flight retrains before the registry drains
-		}
-		if err := reg.Close(); err != nil {
-			slog.Error("registry close failed", "error", err)
-		}
+		drain()
 		slog.Info("bye")
 	}
+	return nil
 }
 
 // parseLevel maps the -log-level flag to a slog level (unknown → info).
@@ -244,7 +256,9 @@ func parseLevel(s string) slog.Level {
 }
 
 // registerSingle is the backward-compatible one-table mode: the sole model
-// answers /v1/estimate requests that name no model.
+// answers /v1/estimate requests that name no model. -model names the weights
+// to serve and arms hot reload on them, so a missing file is an error, not a
+// cue to train; without it the model trains in memory and nothing is written.
 func registerSingle(reg *duet.Registry, csvPath, syn string, rows int, seed int64, modelPath string, train int, quant string) error {
 	tbl, err := duet.OpenTable(csvPath, syn, rows, seed)
 	if err != nil {
@@ -257,29 +271,15 @@ func registerSingle(reg *duet.Registry, csvPath, syn string, rows int, seed int6
 	}
 	slog.Info("table loaded", "model", name, "stats", tbl.Stats())
 	if modelPath != "" {
-		// Explicit weights file: load it and arm hot reload on it.
-		f, err := os.Open(modelPath)
-		if err != nil {
+		if _, err := os.Stat(modelPath); err != nil {
 			return err
 		}
-		m, err := duet.LoadModel(f, tbl)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		slog.Info("model loaded", "model", name, "path", modelPath, "mb", float64(m.SizeBytes())/1e6)
-		return reg.Add(name, tbl, m, duet.AddOpts{Path: modelPath, Quant: quant})
 	}
-	m := duet.New(tbl, duet.DefaultConfig())
-	if train > 0 {
-		slog.Info("no -model given; training data-only", "model", name, "epochs", train)
-		tc := duet.DefaultTrainConfig()
-		tc.Epochs = train
-		duet.Train(m, tc)
-	} else {
-		slog.Warn("no -model given; serving an untrained model", "model", name)
+	m, path, err := ensureModel(tbl, nil, modelPath, train, false, false, nil)
+	if err != nil {
+		return err
 	}
-	return reg.Add(name, tbl, m, duet.AddOpts{Quant: quant})
+	return reg.Add(name, tbl, m, duet.AddOpts{Path: path, Quant: quant})
 }
 
 func fatal(err error) {

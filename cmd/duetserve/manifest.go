@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"duet"
+	"duet/internal/artifact"
 )
 
 // Manifest describes a multi-model deployment: base-table models plus join
@@ -25,8 +28,8 @@ type Manifest struct {
 	// subsystem over every manifest model: POST /ingest appends rows, POST
 	// /feedback records observed cardinalities, and when a threshold trips
 	// the model retrains in the background and hot-swaps with zero dropped
-	// requests. Versioned model files ("<name>.v<N>.duet" + current pointer)
-	// land in the model directory.
+	// requests. Each retrained generation lands in the model directory as a
+	// versioned model file, and a restart loads the newest one that fits.
 	Lifecycle *LifecycleSpec `json:"lifecycle,omitempty"`
 	// Cluster, when present, describes the replica fleet this manifest is
 	// deployed across. Replicas ignore it; a proxy (-proxy) reads it for the
@@ -38,7 +41,7 @@ type Manifest struct {
 	// strings ("2ms", "500us"). Stages listed here override the roofline-
 	// derived defaults; "0s" disables a stage's check. The -slo flag
 	// overrides this block.
-	Budgets map[string]string `json:"budgets,omitempty"`
+	Budgets stageBudgets `json:"budgets,omitempty"`
 }
 
 // ClusterSpec is the manifest's fleet block, read by -proxy.
@@ -135,14 +138,8 @@ func (ls *LifecycleSpec) policy() duet.LifecyclePolicy {
 type ServeSpec struct {
 	// Batch caps the micro-batch size.
 	Batch int `json:"batch,omitempty"`
-	// FlushUS is accepted and ignored: the engine coalesces behind a busy
-	// backend, not on a flush timer, so no window delays an estimate.
-	FlushUS int64 `json:"flush_us,omitempty"`
 	// Cache is the LRU result-cache capacity in entries; negative disables.
 	Cache int `json:"cache,omitempty"`
-	// Queue is accepted and ignored: it sized the dispatcher's channel, and
-	// there is no dispatcher. Use max_queue to bound the backlog.
-	Queue int `json:"queue,omitempty"`
 	// QPS caps this model's sustained query rate; excess requests shed with
 	// HTTP 429 and a Retry-After hint. 0 disables rate limiting.
 	QPS float64 `json:"qps,omitempty"`
@@ -304,18 +301,6 @@ func loadManifest(path string) (*Manifest, error) {
 			return nil, fmt.Errorf("manifest %s: cluster replication and vnodes must be >= 0", path)
 		}
 	}
-	for stage, val := range m.Budgets {
-		if !sloStages[stage] {
-			return nil, fmt.Errorf("manifest %s: budgets: unknown stage %q (stages: %s)", path, stage, sloStageList())
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return nil, fmt.Errorf("manifest %s: budgets.%s: %w", path, stage, err)
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("manifest %s: budgets.%s must be >= 0 (0 disables the stage), got %s", path, stage, val)
-		}
-	}
 	if ls := m.Lifecycle; ls != nil {
 		if ls.MaxMedianQErr < 0 || ls.MaxColumnDrift < 0 || ls.MinIntervalS < 0 {
 			return nil, fmt.Errorf("manifest %s: lifecycle thresholds must be >= 0", path)
@@ -435,21 +420,27 @@ func modelConfig(large bool) duet.Config {
 	return duet.DefaultConfig()
 }
 
-// ensureModel returns weights for a table: loaded from path when the file
-// exists, otherwise trained data-only for epochs and saved to path (when
-// persist is set) so later runs and hot reload have a file to watch. A
-// non-nil src streams the training tuples (the sampled join path) instead
-// of reading table rows. It reports whether the returned model is
-// file-backed.
-func ensureModel(tbl *duet.Table, path string, epochs int, large, persist bool, src duet.TupleSource) (*duet.Model, bool, error) {
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		m, err := duet.LoadModel(f, tbl)
-		if err != nil {
-			return nil, false, fmt.Errorf("load %s: %w", path, err)
+// ensureModel returns weights for a table and the file backing them ("" when
+// they exist only in memory): the first of generations — a retrained
+// deployment's versioned artifacts, newest first — that loads against tbl (a
+// CSV-backed table lost its ingested rows at restart, so a generation whose
+// dictionaries grew no longer fits it; a compacted .duetcol-backed one fits
+// only its newest), else the seed file at path, else a model trained
+// data-only for epochs and, when persist is set, saved to path so later runs
+// and hot reload have a file to watch. A non-nil src streams the training
+// tuples (the sampled join path) instead of reading table rows.
+func ensureModel(tbl *duet.Table, generations []string, path string, epochs int, large, persist bool, src *duet.JoinSampler) (*duet.Model, string, error) {
+	for _, p := range append(generations, path) {
+		m, _, err := artifact.Load(p, tbl)
+		if err == nil {
+			slog.Info("model loaded", "model", tbl.Name, "path", p, "mb", float64(m.SizeBytes())/1e6)
+			return m, p, nil
 		}
-		slog.Info("model loaded", "model", tbl.Name, "path", path, "mb", float64(m.SizeBytes())/1e6)
-		return m, true, nil
+		if p != path {
+			slog.Warn("generation does not load against the rebuilt table; trying the next older", "model", tbl.Name, "path", p, "error", err)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return nil, "", err
+		}
 	}
 	m := duet.New(tbl, modelConfig(large))
 	if epochs > 0 {
@@ -466,28 +457,13 @@ func ensureModel(tbl *duet.Table, path string, epochs int, large, persist bool, 
 		slog.Warn("serving an untrained model", "model", tbl.Name)
 	}
 	if !persist {
-		return m, false, nil
+		return m, "", nil
 	}
-	if err := saveModelFile(m, path); err != nil {
-		return nil, false, err
+	if err := artifact.Save(path, m); err != nil {
+		return nil, "", err
 	}
 	slog.Info("model saved", "model", tbl.Name, "path", path)
-	return m, true, nil
-}
-
-func saveModelFile(m *duet.Model, path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return m, path, nil
 }
 
 // assembleRegistry builds every table and model a manifest names and
@@ -496,6 +472,39 @@ func saveModelFile(m *duet.Model, path string) error {
 // baseServe is the registry-wide engine configuration per-entry overrides
 // inherit unset fields from.
 func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir string, buildJoins bool, baseServe duet.ServeConfig) error {
+	dir := artifact.Dir(modelDir)
+	// add resolves one entry's weights and registers it; file is its "model"
+	// field, the seed weights.
+	add := func(name, file string, tbl *duet.Table, epochs int, large, rebuild bool, src *duet.JoinSampler, opts duet.AddOpts) error {
+		path := dir.Path(name)
+		if filepath.IsAbs(file) {
+			path = file
+		} else if file != "" {
+			path = filepath.Join(modelDir, file)
+		}
+		var generations []string
+		if rebuild {
+			// Offline build: always retrain from the freshly materialized
+			// join and persist, replacing stale weights.
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		} else {
+			versions, err := dir.Versions(name)
+			if err != nil {
+				return err
+			}
+			for i := len(versions) - 1; i >= 0; i-- {
+				generations = append(generations, dir.VersionPath(name, versions[i]))
+			}
+		}
+		m, path, err := ensureModel(tbl, generations, path, epochs, large, true, src)
+		if err != nil {
+			return fmt.Errorf("model %q: %w", name, err)
+		}
+		opts.Path = path
+		return reg.Add(name, tbl, m, opts)
+	}
 	tables := make(map[string]*duet.Table, len(man.Models))
 	for _, ms := range man.Models {
 		tbl, err := ms.buildTable(manifestDir)
@@ -504,22 +513,8 @@ func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir s
 		}
 		slog.Info("table built", "model", ms.Name, "stats", tbl.Stats())
 		tables[ms.Name] = tbl
-		path := ms.Model
-		if path == "" {
-			path = ms.Name + ".duet"
-		}
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(modelDir, path)
-		}
-		m, fileBacked, err := ensureModel(tbl, path, epochsOrDefault(ms.TrainEpochs), ms.Large, true, nil)
-		if err != nil {
-			return fmt.Errorf("model %q: %w", ms.Name, err)
-		}
 		opts := duet.AddOpts{Serve: ms.Serve.config(baseServe), Quant: ms.Quant}
-		if fileBacked {
-			opts.Path = path
-		}
-		if err := reg.Add(ms.Name, tbl, m, opts); err != nil {
+		if err := add(ms.Name, ms.Model, tbl, epochsOrDefault(ms.TrainEpochs), ms.Large, false, nil, opts); err != nil {
 			return err
 		}
 	}
@@ -529,30 +524,9 @@ func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir s
 			return fmt.Errorf("join %q: %w", js.Name, err)
 		}
 		slog.Info("join view built", "model", js.Name, "stats", joined.Stats())
-		path := js.Model
-		if path == "" {
-			path = js.Name + ".duet"
-		}
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(modelDir, path)
-		}
-		if buildJoins {
-			// Offline build: always retrain from the freshly materialized
-			// join and persist, replacing stale weights.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		m, fileBacked, err := ensureModel(joined, path, epochsOrDefault(js.TrainEpochs), js.Large, true, src)
-		if err != nil {
-			return fmt.Errorf("join %q: %w", js.Name, err)
-		}
 		opts.Serve = js.Serve.config(baseServe)
 		opts.Quant = js.Quant
-		if fileBacked {
-			opts.Path = path
-		}
-		if err := reg.Add(js.Name, joined, m, opts); err != nil {
+		if err := add(js.Name, js.Model, joined, epochsOrDefault(js.TrainEpochs), js.Large, buildJoins, src, opts); err != nil {
 			return err
 		}
 	}
@@ -603,7 +577,7 @@ func startLifecycle(reg *duet.Registry, man *Manifest, manifestDir, modelDir str
 // legacy inner equi-join for the two-table form, a full-outer join-graph
 // view for the tables/edges form, or — with a sample budget — a budget-row
 // FOJ sample plus the sampler that streams its training tuples.
-func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, duet.AddOpts, duet.TupleSource, error) {
+func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, duet.AddOpts, *duet.JoinSampler, error) {
 	if !js.graph() {
 		joined, err := duet.BuildJoinView(js.Name, tables[js.Left], js.LeftCol, tables[js.Right], js.RightCol)
 		if err != nil {
@@ -613,30 +587,18 @@ func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, 
 			Left: js.Left, LeftCol: js.LeftCol, Right: js.Right, RightCol: js.RightCol,
 		}}, nil, nil
 	}
-	base := make([]*duet.Table, len(js.Tables))
-	for i, t := range js.Tables {
-		tbl, ok := tables[t]
-		if !ok {
-			return nil, duet.AddOpts{}, nil, fmt.Errorf("unknown base table %q", t)
-		}
-		base[i] = tbl
-	}
-	edges := make([]duet.JoinEdge, len(js.Edges))
-	for i, e := range js.Edges {
-		edges[i] = duet.JoinEdge{LeftTable: e.Left, LeftCol: e.LeftCol, RightTable: e.Right, RightCol: e.RightCol}
-	}
 	spec := &duet.JoinGraphSpec{Tables: append([]string(nil), js.Tables...), Edges: append([]duet.JoinEdgeSpec(nil), js.Edges...), Sample: js.Sample}
-	if js.Sample > 0 {
-		joined, sampler, err := duet.BuildSampledJoinGraphView(js.Name, base, edges, js.Sample, 1)
-		if err != nil {
-			return nil, duet.AddOpts{}, nil, err
+	joined, sampler, err := spec.Build(js.Name, func(t string) (*duet.Table, error) {
+		if tbl, ok := tables[t]; ok {
+			return tbl, nil
 		}
-		slog.Info("sampled FOJ rows (constant-memory materialization)", "model", js.Name, "sampled", js.Sample, "total", sampler.Total())
-		return joined, duet.AddOpts{Graph: spec}, sampler, nil
-	}
-	joined, err := duet.BuildJoinGraphView(js.Name, base, edges)
+		return nil, errors.New("not declared in the manifest")
+	}, 1)
 	if err != nil {
 		return nil, duet.AddOpts{}, nil, err
 	}
-	return joined, duet.AddOpts{Graph: spec}, nil, nil
+	if sampler != nil {
+		slog.Info("sampled FOJ rows (constant-memory materialization)", "model", js.Name, "sampled", js.Sample, "total", sampler.Total())
+	}
+	return joined, duet.AddOpts{Graph: spec}, sampler, nil
 }

@@ -1,15 +1,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"duet"
@@ -58,7 +52,7 @@ func runProxy(addr, membersFlag, manifestPath string, replication int, suite *du
 	}
 	// A proxy has no plan to roofline; only explicit budgets (manifest block
 	// or -slo, typically forward/route) arm here.
-	applyProxySLOBudgets(suite, man, sloOverrides, sloOff)
+	applySLOBudgets(suite, nil, man, sloOverrides, sloOff)
 
 	proxy, err := duet.NewClusterProxy(cfg)
 	if err != nil {
@@ -66,32 +60,6 @@ func runProxy(addr, membersFlag, manifestPath string, replication int, suite *du
 	}
 	defer proxy.Close()
 
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           proxy.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
 	slog.Info("proxying", "replicas", len(cfg.Members), "addr", addr, "members", strings.Join(cfg.Members, ", "))
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-	case <-ctx.Done():
-		stop()
-		slog.Info("shutdown signal received; draining")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			slog.Error("shutdown failed", "error", err)
-		}
-		slog.Info("bye")
-	}
-	return nil
+	return serveUntilSignal(addr, proxy.Handler(), func() {})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -68,27 +69,38 @@ func parseSLOFlag(s string) (overrides map[string]time.Duration, off bool, err e
 	return overrides, false, nil
 }
 
-// manifestBudgets converts the manifest's validated budgets block to
-// durations.
-func manifestBudgets(man *Manifest) map[string]time.Duration {
-	if man == nil || len(man.Budgets) == 0 {
-		return nil
+// stageBudgets is the manifest's "budgets" block: stage name to Go duration
+// string, validated and parsed once, as the manifest decodes.
+type stageBudgets map[string]time.Duration
+
+func (b *stageBudgets) UnmarshalJSON(data []byte) error {
+	var raw map[string]string
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
 	}
-	out := make(map[string]time.Duration, len(man.Budgets))
-	for stage, val := range man.Budgets {
+	*b = make(stageBudgets, len(raw))
+	for stage, val := range raw {
+		if !sloStages[stage] {
+			return fmt.Errorf("budgets: unknown stage %q (stages: %s)", stage, sloStageList())
+		}
 		d, err := time.ParseDuration(val)
 		if err != nil {
-			continue // loadManifest already rejected unparseable entries
+			return fmt.Errorf("budgets.%s: %w", stage, err)
 		}
-		out[stage] = d
+		if d < 0 {
+			return fmt.Errorf("budgets.%s must be >= 0 (0 disables the stage), got %s", stage, val)
+		}
+		(*b)[stage] = d
 	}
-	return out
+	return nil
 }
 
-// applySLOBudgets installs a replica's per-stage budget table on the suite's
-// tracer: roofline-derived defaults for the largest resident plan, overlaid
-// by the manifest's "budgets" block, overlaid by -slo. Stages overridden to
-// zero are disabled.
+// applySLOBudgets installs the per-stage budget table on the suite's tracer:
+// roofline-derived defaults for the largest resident plan, overlaid by the
+// manifest's "budgets" block, overlaid by -slo. Stages overridden to zero
+// are disabled. A proxy passes a nil registry: it owns no plan, so there is
+// no roofline to derive from and only the explicit budgets (typically
+// "forward" and "route") apply.
 func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest, overrides map[string]time.Duration, off bool) {
 	if suite == nil || suite.Tracer == nil {
 		return
@@ -97,44 +109,29 @@ func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest, ov
 		suite.Tracer.SetBudgets(nil)
 		return
 	}
+	budgets := map[string]time.Duration{}
 	planBytes := 0
-	for _, mi := range reg.Info() {
-		if mi.PlanBytes > planBytes {
-			planBytes = mi.PlanBytes
+	if reg != nil {
+		for _, mi := range reg.Info() {
+			if mi.PlanBytes > planBytes {
+				planBytes = mi.PlanBytes
+			}
 		}
+		budgets = duet.DeriveSLOBudgets(planBytes, 0)
 	}
-	budgets := duet.DeriveSLOBudgets(planBytes, 0)
-	for stage, d := range manifestBudgets(man) {
-		budgets[stage] = d
+	if man != nil {
+		for stage, d := range man.Budgets {
+			budgets[stage] = d
+		}
 	}
 	for stage, d := range overrides {
 		budgets[stage] = d
 	}
 	suite.Tracer.SetBudgets(budgets)
 	slog.Info("slo budgets armed",
+		"stages", len(budgets),
 		"plan_bytes", planBytes,
 		"plan_exec", budgets["plan_exec"],
 		"batch_wait", budgets["batch_wait"],
 		"forward", budgets["forward"])
-}
-
-// applyProxySLOBudgets installs the proxy's budget table. A proxy owns no
-// plan, so there is no roofline to derive from: only the manifest block and
-// -slo apply (typically "forward" and "route").
-func applyProxySLOBudgets(suite *duet.ObsSuite, man *Manifest, overrides map[string]time.Duration, off bool) {
-	if suite == nil || suite.Tracer == nil || off {
-		return
-	}
-	budgets := map[string]time.Duration{}
-	for stage, d := range manifestBudgets(man) {
-		budgets[stage] = d
-	}
-	for stage, d := range overrides {
-		budgets[stage] = d
-	}
-	if len(budgets) == 0 {
-		return
-	}
-	suite.Tracer.SetBudgets(budgets)
-	slog.Info("slo budgets armed", "role", "proxy", "stages", len(budgets))
 }

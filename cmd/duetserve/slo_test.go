@@ -66,9 +66,8 @@ func TestManifestBudgetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := manifestBudgets(man)
-	if got["plan_exec"] != 2*time.Millisecond || got["route"] != 0 {
-		t.Fatalf("manifestBudgets = %v", got)
+	if got := man.Budgets; len(got) != 2 || got["plan_exec"] != 2*time.Millisecond || got["route"] != 0 {
+		t.Fatalf("budgets = %v", got)
 	}
 }
 
@@ -88,7 +87,7 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man := &Manifest{Budgets: map[string]string{"forward": "123ms", "plan_exec": "77ms"}}
+	man := &Manifest{Budgets: stageBudgets{"forward": 123 * time.Millisecond, "plan_exec": 77 * time.Millisecond}}
 	overrides := map[string]time.Duration{"plan_exec": 9 * time.Millisecond, "route": 0}
 	applySLOBudgets(suite, reg, man, overrides, false)
 
@@ -116,11 +115,11 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 
 	// Proxy arming: explicit budgets only, no roofline.
 	psuite := duet.NewObsSuite(duet.ObsConfig{TraceRing: 8})
-	applyProxySLOBudgets(psuite, nil, nil, false)
+	applySLOBudgets(psuite, nil, nil, nil, false)
 	if b := psuite.Tracer.Budgets(); len(b) != 0 {
 		t.Fatalf("proxy with no explicit budgets must stay unarmed, got %v", b)
 	}
-	applyProxySLOBudgets(psuite, man, map[string]time.Duration{"forward": time.Second}, false)
+	applySLOBudgets(psuite, nil, man, map[string]time.Duration{"forward": time.Second}, false)
 	b = psuite.Tracer.Budgets()
 	if b["forward"] != time.Second || b["plan_exec"] != 77*time.Millisecond {
 		t.Fatalf("proxy budgets = %v", b)

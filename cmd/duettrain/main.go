@@ -52,6 +52,7 @@ import (
 	"strings"
 
 	"duet"
+	"duet/internal/artifact"
 	"duet/internal/exec"
 	"duet/internal/workload"
 )
@@ -152,12 +153,7 @@ func main() {
 	}
 	duet.Train(m, tc)
 
-	f, err := os.Create(*modelPath)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
+	if err := artifact.Save(*modelPath, m); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("saved %s (%.2f MB)\n", *modelPath, float64(m.SizeBytes())/1e6)
@@ -195,7 +191,8 @@ func buildJoinGraphTable(tablesArg, edgesArg, name string, rows int, seed int64,
 	if tablesArg == "" || edgesArg == "" {
 		return nil, nil, fmt.Errorf("join-graph mode needs both -join-tables and -join-edges")
 	}
-	var tables []*duet.Table
+	spec := duet.JoinGraphSpec{Sample: sample}
+	tables := map[string]*duet.Table{}
 	for i, part := range strings.Split(tablesArg, ",") {
 		nameSrc := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(nameSrc) != 2 || nameSrc[0] == "" || nameSrc[1] == "" {
@@ -212,7 +209,8 @@ func buildJoinGraphTable(tablesArg, edgesArg, name string, rows int, seed int64,
 			return nil, nil, fmt.Errorf("table %q: %w", nameSrc[0], err)
 		}
 		tbl.Name = nameSrc[0]
-		tables = append(tables, tbl)
+		tables[tbl.Name] = tbl
+		spec.Tables = append(spec.Tables, tbl.Name)
 	}
 	// Reuse the query parser for the clause list: commas become ANDs.
 	rq, err := workload.ParseRaw(strings.ReplaceAll(edgesArg, ",", " AND "))
@@ -222,26 +220,21 @@ func buildJoinGraphTable(tablesArg, edgesArg, name string, rows int, seed int64,
 	if len(rq.Preds) > 0 {
 		return nil, nil, fmt.Errorf("-join-edges %q contains a non-join predicate", edgesArg)
 	}
-	edges := make([]duet.JoinEdge, len(rq.Joins))
-	for i, c := range rq.Joins {
-		edges[i] = duet.JoinEdge{LeftTable: c.LeftTable, LeftCol: c.LeftCol, RightTable: c.RightTable, RightCol: c.RightCol}
+	for _, c := range rq.Joins {
+		spec.Edges = append(spec.Edges, duet.JoinEdgeSpec{Left: c.LeftTable, LeftCol: c.LeftCol, Right: c.RightTable, RightCol: c.RightCol})
 	}
-	if sample > 0 {
-		joined, sampler, err := duet.BuildSampledJoinGraphView(name, tables, edges, sample, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("join graph over %d tables, %d edges: sampling %d of %d FOJ rows (constant memory)\n",
-			len(tables), len(edges), sample, sampler.Total())
-		return joined, sampler, nil
-	}
-	joined, err := duet.BuildJoinGraphView(name, tables, edges)
+	joined, sampler, err := spec.Build(name, func(t string) (*duet.Table, error) { return tables[t], nil }, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Printf("join graph over %d tables, %d edges: %d rows (full outer, fanout columns)\n",
-		len(tables), len(edges), joined.NumRows())
-	return joined, nil, nil
+	if sampler != nil {
+		fmt.Printf("join graph over %d tables, %d edges: sampling %d of %d FOJ rows (constant memory)\n",
+			len(spec.Tables), len(spec.Edges), sample, sampler.Total())
+	} else {
+		fmt.Printf("join graph over %d tables, %d edges: %d rows (full outer, fanout columns)\n",
+			len(spec.Tables), len(spec.Edges), joined.NumRows())
+	}
+	return joined, sampler, nil
 }
 
 // buildJoinTable loads both sides and materializes their inner equi-join,

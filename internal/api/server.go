@@ -7,6 +7,7 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"duet/internal/artifact"
 	"duet/internal/lifecycle"
 	"duet/internal/obs"
 	"duet/internal/registry"
@@ -19,7 +20,7 @@ import (
 type Server struct {
 	reg   *registry.Registry
 	lc    *lifecycle.Supervisor // nil when lifecycle is disabled
-	dir   string                // versioned-artifact directory ("" disables version endpoints)
+	dir   artifact.Dir          // versioned-artifact directory ("" disables version endpoints)
 	suite *obs.Suite            // nil disables metrics/tracing/pprof routes
 	start time.Time
 }
@@ -31,7 +32,7 @@ type Server struct {
 // and the tracing and HTTP-metrics middleware; nil serves the API without
 // them.
 func New(reg *registry.Registry, lc *lifecycle.Supervisor, dir string, suite *obs.Suite) *Server {
-	return &Server{reg: reg, lc: lc, dir: dir, suite: suite, start: time.Now()}
+	return &Server{reg: reg, lc: lc, dir: artifact.Dir(dir), suite: suite, start: time.Now()}
 }
 
 // Handler routes the full API, /v1/* only, behind the request-ID middleware.

@@ -7,12 +7,10 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"time"
 
-	"duet/internal/core"
+	"duet/internal/artifact"
 	"duet/internal/registry"
 )
 
@@ -21,36 +19,6 @@ type versionInfo struct {
 	Version int       `json:"version"`
 	Bytes   int64     `json:"bytes"`
 	ModTime time.Time `json:"mod_time"`
-}
-
-// artifactPath names a versioned model file, matching the lifecycle
-// subsystem's layout: <dir>/<name>.v<N>.duet.
-func (s *Server) artifactPath(name string, version int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s.v%d.duet", name, version))
-}
-
-// listVersions scans the artifact directory for a model's retained versions.
-func (s *Server) listVersions(name string) ([]versionInfo, error) {
-	matches, err := filepath.Glob(filepath.Join(s.dir, name+".v*.duet"))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]versionInfo, 0, len(matches))
-	prefix, suffix := name+".v", ".duet"
-	for _, m := range matches {
-		base := filepath.Base(m)
-		v, err := strconv.Atoi(base[len(prefix) : len(base)-len(suffix)])
-		if err != nil {
-			continue
-		}
-		fi, err := os.Stat(m)
-		if err != nil {
-			continue
-		}
-		out = append(out, versionInfo{Version: v, Bytes: fi.Size(), ModTime: fi.ModTime()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out, nil
 }
 
 // versions lists a model's retained artifacts plus the version it currently
@@ -65,10 +33,16 @@ func (s *Server) versions(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, statusFor(err), err, nil)
 		return
 	}
-	vs, err := s.listVersions(name)
+	retained, err := s.dir.Versions(name)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, err, nil)
 		return
+	}
+	vs := make([]versionInfo, 0, len(retained))
+	for _, v := range retained {
+		if fi, err := os.Stat(s.dir.VersionPath(name, v)); err == nil {
+			vs = append(vs, versionInfo{Version: v, Bytes: fi.Size(), ModTime: fi.ModTime()})
+		}
 	}
 	current := 0
 	if st, ok := s.reg.Stats().PerModel[name]; ok {
@@ -90,7 +64,7 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, http.StatusNotFound, fmt.Errorf("no artifact directory configured"), nil)
 		return
 	}
-	path := s.artifactPath(name, version)
+	path := s.dir.VersionPath(name, version)
 	if _, err := os.Stat(path); err != nil {
 		WriteError(w, r, http.StatusNotFound, fmt.Errorf("model %q has no artifact v%d", name, version), nil)
 		return
@@ -112,8 +86,9 @@ type pullRequest struct {
 var pullClient = &http.Client{Timeout: 60 * time.Second}
 
 // pull implements the rolling install's per-node step: download the
-// artifact, persist it locally under the same versioned name, load it
-// against the served table, and drain-swap it in. The swap reuses the
+// artifact straight into this node's copy of that generation (atomically, so
+// a crashed transfer leaves nothing for the version listing to serve), load
+// it against the served table, and drain-swap it in. The swap reuses the
 // lifecycle install path, so in-flight estimates complete on the old
 // generation. The peer's table must be encoding-compatible with ours (same
 // dictionaries); a node whose backing table diverged re-trains locally
@@ -143,18 +118,23 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad source url: %w", err), nil)
 		return
 	}
-	path, err := s.fetchArtifact(src, name, req.Version)
+	path, err := s.dir.Put(name, req.Version, func(w io.Writer) error {
+		resp, err := pullClient.Get(src)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("source answered %s", resp.Status)
+		}
+		_, err = io.Copy(w, resp.Body)
+		return err
+	})
 	if err != nil {
-		WriteError(w, r, http.StatusBadGateway, err, nil)
+		WriteError(w, r, http.StatusBadGateway, fmt.Errorf("fetch artifact: %w", err), nil)
 		return
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		WriteError(w, r, http.StatusBadGateway, err, nil)
-		return
-	}
-	m, err := core.Load(f, table)
-	f.Close()
+	m, _, err := artifact.Load(path, table)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("artifact v%d is not loadable against this node's %q table (diverged encoding? retrain locally): %w",
@@ -166,40 +146,4 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, map[string]any{"status": "installed", "model": name, "version": req.Version, "path": path})
-}
-
-// fetchArtifact downloads one artifact to its canonical local path via a
-// temp file and rename, so a crashed transfer never leaves a half-written
-// .duet behind for the version listing to serve.
-func (s *Server) fetchArtifact(srcURL, name string, version int) (string, error) {
-	resp, err := pullClient.Get(srcURL)
-	if err != nil {
-		return "", fmt.Errorf("fetch artifact: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fetch artifact: source answered %s", resp.Status)
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return "", err
-	}
-	tmp, err := os.CreateTemp(s.dir, name+".pull-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err := io.Copy(tmp, resp.Body); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("fetch artifact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	path := s.artifactPath(name, version)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	return path, nil
 }

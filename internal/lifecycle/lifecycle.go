@@ -15,9 +15,10 @@
 // run automatically); when dictionaries grew — or there is no feedback to
 // tune on — a fresh model trains from scratch on the new data, streamed
 // through relation.JoinSampler draws for sampled join-graph views. Every
-// installed generation is saved as a versioned model file
-// ("<name>.v<N>.duet" plus a "<name>.current.json" pointer), so restarts and
-// the registry's file watcher keep working across generations.
+// installed generation is saved through internal/artifact as the model's next
+// versioned file, which becomes the registry's reload and watch target; a
+// restarted supervisor continues numbering after the newest generation on
+// disk, and a restarted server loads that generation (cmd/duetserve).
 package lifecycle
 
 import (
@@ -28,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/obs"
 	"duet/internal/registry"
@@ -65,7 +67,7 @@ type Policy struct {
 	// core.DefaultFineTuneConfig().
 	FineTune core.FineTuneConfig
 	// KeepVersions bounds how many versioned model files are retained per
-	// model: after each save, "<name>.v<N>.duet" files older than the newest
+	// model: after each save, generations older than the newest
 	// KeepVersions are pruned, so a long-running server under sustained
 	// drift does not grow the model directory without bound. Default 5;
 	// negative keeps everything.
@@ -104,8 +106,8 @@ func (p Policy) withDefaults() Policy {
 
 // Options refines NewSupervisor.
 type Options struct {
-	// Dir is where versioned model files and current-pointers are written;
-	// "" disables persistence (swaps stay in-memory only).
+	// Dir is where versioned model files are written; "" disables
+	// persistence (swaps stay in-memory only).
 	Dir string
 	// OnRetrain, when non-nil, observes every retrain attempt — including
 	// failed ones — after its swap completed. Called from the retraining
@@ -314,6 +316,11 @@ func (s *Supervisor) Manage(name string, opts ManageOpts) error {
 		table:   tbl,
 		backing: tbl,
 		fb:      newFBWindow(s.pol.FeedbackWindow),
+	}
+	if s.opt.Dir != "" {
+		// Continue numbering after the newest generation on disk, so a
+		// restarted supervisor never overwrites a retained artifact.
+		mg.version, _ = artifact.Dir(s.opt.Dir).Latest(name)
 	}
 	if info.Graph != nil {
 		spec := *info.Graph

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -13,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/exec"
 	"duet/internal/registry"
@@ -237,16 +236,14 @@ func TestEndToEndDriftRetrainAndSwap(t *testing.T) {
 		t.Fatalf("post-swap median q-error %.3f exceeds 1.25x fresh-train %.3f", servedMed, freshMed)
 	}
 
-	// Versioned persistence: the model file and the current-pointer exist,
-	// and the registry watches the versioned file.
-	if st.Path == "" {
-		t.Fatal("no versioned model path reported")
+	// Versioned persistence: the retrain's artifact is the newest generation
+	// on disk, it loads against the table now serving, and the registry
+	// watches it.
+	if v, path := artifact.Dir(dir).Latest("alpha"); v != st.Version || path != st.Path {
+		t.Fatalf("newest generation on disk is v%d at %q, retrain reported v%d at %q", v, path, st.Version, st.Path)
 	}
-	if _, err := os.Stat(st.Path); err != nil {
-		t.Fatalf("versioned model file missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "alpha.current.json")); err != nil {
-		t.Fatalf("current pointer missing: %v", err)
+	if _, _, err := artifact.Load(st.Path, swapped); err != nil {
+		t.Fatalf("versioned model file does not load: %v", err)
 	}
 	info := reg.Info()
 	if len(info) != 1 || info[0].Swaps != 1 || info[0].Path != st.Path {
@@ -435,26 +432,5 @@ func TestDataDriftForcesFullTrain(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("data-drift retrain never ran")
-	}
-}
-
-// TestPruneVersions: saves retain only the newest keep generations.
-func TestPruneVersions(t *testing.T) {
-	dir := t.TempDir()
-	tbl := lcTable("alpha", 17)
-	m := core.NewModel(tbl, lcConfig(1))
-	for v := 1; v <= 5; v++ {
-		if _, err := saveVersioned(dir, "alpha", v, m, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for v := 1; v <= 5; v++ {
-		_, err := os.Stat(filepath.Join(dir, fmt.Sprintf("alpha.v%d.duet", v)))
-		if kept := v >= 4; kept != (err == nil) {
-			t.Fatalf("version %d: kept=%v, stat err=%v", v, kept, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "alpha.current.json")); err != nil {
-		t.Fatal(err)
 	}
 }

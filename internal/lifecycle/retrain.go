@@ -1,12 +1,10 @@
 package lifecycle
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/registry"
 	"duet/internal/relation"
@@ -91,8 +89,10 @@ func (s *Supervisor) retrain(mg *managed) {
 	m, kind, err := s.buildModel(mg, backing, feedback, version, dataTripped)
 	st.TrainDuration = time.Since(t0)
 	st.Kind = kind
-	if err == nil && s.opt.Dir != "" {
-		st.Path, err = saveVersioned(s.opt.Dir, mg.name, version, m, s.pol.KeepVersions)
+	if dir := artifact.Dir(s.opt.Dir); err == nil && dir != "" {
+		if st.Path, err = dir.Put(mg.name, version, m.Save); err == nil {
+			dir.Prune(mg.name, s.pol.KeepVersions)
+		}
 	}
 	if err == nil && mg.pack != "" {
 		// Compact the mapped base + append tail into a fresh .duetcol and
@@ -238,43 +238,21 @@ func (s *Supervisor) buildModel(mg *managed, backing *relation.Table, feedback [
 
 // rebuildGraphView re-materializes a join-graph view from its registered base
 // tables and trains a fresh model over it. Sampled views draw a fresh budget
-// sample and stream their training tuples (TrainConfig.Source), so rebuild
-// memory stays O(base rows + budget) however large the join is.
+// sample (seeded with the version) and stream their training tuples
+// (TrainConfig.Source), so rebuild memory stays O(base rows + budget) however
+// large the join is.
 func (s *Supervisor) rebuildGraphView(mg *managed, version int) (*core.Model, error) {
-	spec := mg.graph
-	tables := make([]*relation.Table, len(spec.Tables))
-	for i, bn := range spec.Tables {
-		t, err := s.reg.Table(bn)
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: rebuild %q: base table %q: %w", mg.name, bn, err)
-		}
-		tables[i] = t
+	view, sampler, err := mg.graph.Build(mg.name, s.reg.Table, int64(version))
+	if err != nil {
+		return nil, fmt.Errorf("lifecycle: rebuild %q: %w", mg.name, err)
 	}
-	edges := make([]relation.JoinEdge, len(spec.Edges))
-	for i, e := range spec.Edges {
-		edges[i] = e.Edge()
-	}
-	g := &relation.JoinGraph{Tables: tables, Edges: edges}
 	tc := mg.train
 	if s.pol.TrainEpochs > 0 {
 		tc.Epochs = s.pol.TrainEpochs
 	}
-	var view *relation.Table
-	if spec.Sample > 0 {
-		sampler, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: int64(version)})
-		if err != nil {
-			return nil, err
-		}
-		if view, err = sampler.SampleTable(mg.name, spec.Sample); err != nil {
-			return nil, err
-		}
+	if sampler != nil {
 		tc.Source = sampler
-		tc.SourceRows = spec.Sample
-	} else {
-		var err error
-		if view, err = relation.MultiJoin(mg.name, g); err != nil {
-			return nil, err
-		}
+		tc.SourceRows = mg.graph.Sample
 	}
 	m := core.NewModel(view, mg.cfg)
 	core.Train(m, tc)
@@ -295,74 +273,4 @@ func labelFeedback(t *relation.Table, feedback []fbRec) []workload.LabeledQuery 
 		out = append(out, workload.LabeledQuery{Query: q, Card: r.card})
 	}
 	return out
-}
-
-// currentPointer is the on-disk "<name>.current.json" payload naming the live
-// versioned model file.
-type currentPointer struct {
-	Model   string    `json:"model"`
-	Version int       `json:"version"`
-	Path    string    `json:"path"` // versioned file name, relative to the pointer
-	SavedAt time.Time `json:"saved_at"`
-}
-
-// saveVersioned persists a retrained generation as "<name>.v<N>.duet" and
-// atomically refreshes the "<name>.current.json" pointer, both via
-// temp-file + rename so a crash mid-save never leaves a half-written current
-// generation (and the registry watcher's settle debounce guards the rest).
-// Versions older than the newest keep are pruned afterwards.
-func saveVersioned(dir, name string, version int, m *core.Model, keep int) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	file := fmt.Sprintf("%s.v%d.duet", name, version)
-	path := filepath.Join(dir, file)
-	tmp, err := os.CreateTemp(dir, file+".tmp*")
-	if err != nil {
-		return "", err
-	}
-	if err := m.Save(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	ptr, err := json.MarshalIndent(currentPointer{Model: name, Version: version, Path: file, SavedAt: time.Now().UTC()}, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	ptrPath := filepath.Join(dir, name+".current.json")
-	ptrTmp := ptrPath + ".tmp"
-	if err := os.WriteFile(ptrTmp, append(ptr, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(ptrTmp, ptrPath); err != nil {
-		return "", err
-	}
-	pruneVersions(dir, name, version, keep)
-	return path, nil
-}
-
-// pruneVersions removes versioned model files older than the newest keep.
-// Pruning runs after every save, so older generations are already gone —
-// the walk stops at the first missing file.
-func pruneVersions(dir, name string, current, keep int) {
-	if keep <= 0 {
-		return
-	}
-	for v := current - keep; v > 0; v-- {
-		path := filepath.Join(dir, fmt.Sprintf("%s.v%d.duet", name, v))
-		if err := os.Remove(path); err != nil {
-			if os.IsNotExist(err) {
-				return
-			}
-		}
-	}
 }

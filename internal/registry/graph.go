@@ -63,6 +63,36 @@ func (s JoinGraphSpec) Key() string {
 
 func (s JoinGraphSpec) String() string { return s.Key() }
 
+// Build materializes the view table the spec describes, named name, over the
+// base tables that table returns for each of s.Tables: the full outer join
+// (relation.MultiJoin) when Sample is 0, otherwise Sample rows drawn by a
+// fresh relation.JoinSampler seeded with seed — returned too, because
+// training a sampled view streams further draws from it
+// (core.TrainConfig.Source) rather than re-reading the sample.
+func (s JoinGraphSpec) Build(name string, table func(string) (*relation.Table, error), seed int64) (*relation.Table, *relation.JoinSampler, error) {
+	g := &relation.JoinGraph{Tables: make([]*relation.Table, len(s.Tables)), Edges: make([]relation.JoinEdge, len(s.Edges))}
+	for i, bn := range s.Tables {
+		t, err := table(bn)
+		if err != nil {
+			return nil, nil, fmt.Errorf("base table %q: %w", bn, err)
+		}
+		g.Tables[i] = t
+	}
+	for i, e := range s.Edges {
+		g.Edges[i] = e.Edge()
+	}
+	if s.Sample == 0 {
+		view, err := relation.MultiJoin(name, g)
+		return view, nil, err
+	}
+	sampler, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	view, err := sampler.SampleTable(name, s.Sample)
+	return view, sampler, err
+}
+
 // graphView is the runtime state of one registered join-graph view: the
 // validated spec, the per-table column map over the materialized view, the
 // presence predicate of every base table (its fanout column >= 1), the NULL

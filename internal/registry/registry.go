@@ -1,7 +1,7 @@
 // Package registry is the multi-tenant serving layer: a concurrency-safe
 // collection of named Duet estimators — base tables and join views — each
 // wrapped in the internal/serve batching engine, with model persistence
-// (core.Save/Load against a model directory), atomic hot reload, and a
+// (internal/artifact against a model directory), atomic hot reload, and a
 // join-aware router that resolves textual queries to the right estimator.
 //
 // Hot reload is drain-safe. Every request pins the estimator handle it was
@@ -17,13 +17,12 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/made"
 	"duet/internal/obs"
@@ -98,12 +97,10 @@ type entry struct {
 
 	// Mutable state, guarded by Registry.mu: the current estimator
 	// generation, the model file ("" for purely in-memory models; SaveModel
-	// arms it), and the file size+mtime at last load (watcher bookkeeping —
-	// the pair forms the debounce signature).
+	// arms it), and the file's signature at last load (watcher bookkeeping).
 	h         *handle
 	path      string
-	modTime   time.Time
-	modSize   int64
+	sig       artifact.Sig
 	quant     string // plan weight representation ("" f32, "int8"); sticky across reloads/swaps
 	planBytes int    // resident packed-plan weight bytes at last install
 
@@ -176,11 +173,6 @@ func New(cfg Config) *Registry {
 	return r
 }
 
-// ModelPath returns the file a named model is (or would be) persisted at.
-func (r *Registry) ModelPath(name string) string {
-	return filepath.Join(r.cfg.Dir, name+".duet")
-}
-
 // AddOpts refines Add.
 type AddOpts struct {
 	// Path overrides the model file location (default <Dir>/<name>.duet).
@@ -250,21 +242,18 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 	}
 	path := opts.Path
 	if m == nil && path == "" {
-		path = r.ModelPath(name)
+		path = artifact.Dir(r.cfg.Dir).Path(name)
 	}
-	var modTime time.Time
-	var modSize int64
+	var sig artifact.Sig
 	if m == nil {
 		var err error
-		if m, modTime, modSize, err = loadModelFile(path, t); err != nil {
-			return err
+		if m, sig, err = artifact.Load(path, t); err != nil {
+			return fmt.Errorf("registry: %w", err)
 		}
 	} else if path != "" {
 		// Caller-provided weights with a backing file: record the file's
 		// current signature so the watcher only fires on a later change.
-		if fi, err := os.Stat(path); err == nil {
-			modTime, modSize = fi.ModTime(), fi.Size()
-		}
+		sig, _ = artifact.Stat(path)
 	}
 	if err := checkServable(m); err != nil {
 		return err
@@ -288,8 +277,7 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 		join:      opts.Join,
 		graph:     graph,
 		serveCfg:  serveCfg,
-		modTime:   modTime,
-		modSize:   modSize,
+		sig:       sig,
 		quant:     opts.Quant,
 		planBytes: planBytes,
 		h:         &handle{model: m, est: serve.New(m, serveCfg)},
@@ -351,6 +339,10 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 		r.graphs[graph.key] = name
 	}
 	r.entries[name] = e
+	// A model registered from a versioned artifact serves that generation.
+	if v := artifact.VersionOf(path); v > 0 {
+		e.version.Set(float64(v))
+	}
 	return nil
 }
 
@@ -364,61 +356,46 @@ func checkServable(m *core.Model) error {
 	return nil
 }
 
-func loadModelFile(path string, t *relation.Table) (*core.Model, time.Time, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, time.Time{}, 0, fmt.Errorf("registry: open model: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, time.Time{}, 0, err
-	}
-	m, err := core.Load(f, t)
-	if err != nil {
-		return nil, time.Time{}, 0, fmt.Errorf("registry: load %s: %w", path, err)
-	}
-	return m, fi.ModTime(), fi.Size(), nil
-}
-
 // SaveModel persists a model's current weights to its file (the Path it was
-// registered with, or <Dir>/<name>.duet), creating parent directories as
-// needed, and returns the path written. Saving an in-memory model makes it
-// file-backed: the written file becomes its reload and watch target.
+// registered with, or <Dir>/<name>.duet) atomically, creating parent
+// directories as needed, and returns the path written. Saving an in-memory
+// model makes it file-backed: the written file becomes its reload and watch
+// target.
 func (r *Registry) SaveModel(name string) (string, error) {
 	e, h, err := r.acquire(name)
 	if err != nil {
 		return "", err
 	}
 	defer h.wg.Done()
+	r.mu.RLock()
 	path := e.path
+	r.mu.RUnlock()
 	if path == "" {
-		path = r.ModelPath(name)
+		path = artifact.Dir(r.cfg.Dir).Path(name)
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := artifact.Save(path, h.model); err != nil {
 		return "", err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := h.model.Save(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	fi, err := os.Stat(path)
+	sig, err := artifact.Stat(path)
 	if err != nil {
 		return "", err
 	}
 	r.mu.Lock()
-	e.path = path
-	e.modTime = fi.ModTime()
-	e.modSize = fi.Size()
+	e.path, e.sig = path, sig
 	r.mu.Unlock()
 	return path, nil
+}
+
+// lookupLocked finds a registered model's entry. Callers hold r.mu.
+func (r *Registry) lookupLocked(name string) (*entry, error) {
+	if r.closed {
+		return nil, ErrClosed
+	}
+	e, ok := r.entries[name]
+	if !ok {
+		return nil, fmt.Errorf("registry: unknown model %q", name)
+	}
+	return e, nil
 }
 
 // acquire pins the current handle of a named model. The pin is taken under
@@ -427,28 +404,21 @@ func (r *Registry) SaveModel(name string) (string, error) {
 func (r *Registry) acquire(name string) (*entry, *handle, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, nil, ErrClosed
+	e, err := r.lookupLocked(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	e, ok := r.entries[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("registry: unknown model %q", name)
-	}
-	h := e.h
-	h.wg.Add(1)
-	return e, h, nil
+	e.h.wg.Add(1)
+	return e, e.h, nil
 }
 
 // Table returns the table a named model serves.
 func (r *Registry) Table(name string) (*relation.Table, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	e, ok := r.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown model %q", name)
+	e, err := r.lookupLocked(name)
+	if err != nil {
+		return nil, err
 	}
 	return e.table, nil
 }
@@ -563,33 +533,36 @@ func (r *Registry) Reload(name string) error {
 
 func (r *Registry) reload(name string) error {
 	r.mu.RLock()
-	e, ok := r.entries[name]
-	var path string
-	if ok {
-		path = e.path
-	}
-	closed := r.closed
+	e, err := r.lookupLocked(name)
 	r.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("registry: unknown model %q", name)
-	}
-	if path == "" {
-		return fmt.Errorf("registry: model %q is in-memory and cannot be reloaded", name)
-	}
-	e.reloadMu.Lock()
-	defer e.reloadMu.Unlock()
-	m, modTime, modSize, err := loadModelFile(path, e.table)
 	if err != nil {
 		return err
 	}
+	e.reloadMu.Lock()
+	defer e.reloadMu.Unlock()
+	r.mu.RLock()
+	path := e.path
+	r.mu.RUnlock()
+	if path == "" {
+		return fmt.Errorf("registry: model %q is in-memory and cannot be reloaded", name)
+	}
+	m, sig, err := artifact.Load(path, e.table)
+	if err != nil {
+		return fmt.Errorf("registry: %w", err)
+	}
+	return r.install(e, m, e.reloads, func() { e.sig = sig })
+}
+
+// install publishes m as e's next generation: the one sequence Reload,
+// SwapModel and so the lifecycle's retrains and the cluster's pulls go
+// through. The entry's quant mode is serving config, not artifact state, so
+// every incoming generation gets it re-applied and its plan warmed before the
+// handle is published; publish updates, under the same write lock, the entry
+// state that changes with the generation. Callers hold e.reloadMu.
+func (r *Registry) install(e *entry, m *core.Model, count *obs.Counter, publish func()) error {
 	if err := checkServable(m); err != nil {
 		return err
 	}
-	// Serving config is sticky: the quant mode chosen at Add survives every
-	// reload, and the plan is warmed before the handle is published.
 	planBytes, err := applyPlanQuant(m, e.quant)
 	if err != nil {
 		return err
@@ -602,12 +575,10 @@ func (r *Registry) reload(name string) error {
 		return ErrClosed
 	}
 	old := e.h
-	e.h = nh
-	e.modTime = modTime
-	e.modSize = modSize
-	e.planBytes = planBytes
+	e.h, e.planBytes = nh, planBytes
+	publish()
 	r.mu.Unlock()
-	e.reloads.Add(1)
+	count.Add(1)
 	// Drain: every request that pinned the old generation did so before the
 	// swap above; wait them out, then release the old engine.
 	old.wg.Wait()
@@ -696,18 +667,11 @@ func (r *Registry) swapModel(name string, m *core.Model, opts SwapOpts) error {
 	if m == nil {
 		return errors.New("registry: SwapModel needs a model")
 	}
-	if err := checkServable(m); err != nil {
-		return err
-	}
 	r.mu.RLock()
-	e, ok := r.entries[name]
-	closed := r.closed
+	e, err := r.lookupLocked(name)
 	r.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("registry: unknown model %q", name)
+	if err != nil {
+		return err
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
@@ -717,59 +681,35 @@ func (r *Registry) swapModel(name string, m *core.Model, opts SwapOpts) error {
 	}
 	var graph *graphView
 	if e.graph != nil {
-		var err error
 		if graph, err = newGraphView(e.graph.spec, nt); err != nil {
 			return fmt.Errorf("registry: swap %q: %w", name, err)
 		}
 	}
-	var modTime time.Time
-	var modSize int64
+	var sig artifact.Sig
 	if opts.Path != "" {
-		if fi, err := os.Stat(opts.Path); err == nil {
-			modTime, modSize = fi.ModTime(), fi.Size()
+		sig, _ = artifact.Stat(opts.Path)
+	}
+	return r.install(e, m, e.swaps, func() {
+		e.table = nt
+		if graph != nil {
+			r.bindBaseTablesLocked(graph)
+			e.graph = graph
 		}
-	}
-	// The entry's quant mode is serving config, not artifact state: a retrain
-	// built off-line gets it re-applied here so the installed generation keeps
-	// serving the representation operators chose, with a pre-warmed plan.
-	planBytes, err := applyPlanQuant(m, e.quant)
-	if err != nil {
-		return err
-	}
-	nh := &handle{model: m, est: serve.New(m, e.serveCfg)}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		nh.est.Close()
-		return ErrClosed
-	}
-	old := e.h
-	e.h = nh
-	e.table = nt
-	e.planBytes = planBytes
-	if graph != nil {
-		r.bindBaseTablesLocked(graph)
-		e.graph = graph
-	}
-	if e.join == nil && e.graph == nil {
-		// A base table changed underneath the graph views that anchor on it:
-		// their cached exact-cardinality corrections, per-edge join indexes,
-		// and base-table bindings all describe the replaced table. Rebuild
-		// each affected view's routing state so the next Resolve recomputes
-		// anchors against the table now serving.
-		r.rebindGraphViewsLocked(nt.Name)
-	}
-	if opts.Path != "" {
-		e.path, e.modTime, e.modSize = opts.Path, modTime, modSize
-	}
-	r.mu.Unlock()
-	e.swaps.Add(1)
-	if opts.Version > 0 {
-		e.version.Set(float64(opts.Version))
-	}
-	old.wg.Wait()
-	old.est.Close()
-	return nil
+		if e.join == nil && e.graph == nil {
+			// A base table changed underneath the graph views that anchor on it:
+			// their cached exact-cardinality corrections, per-edge join indexes,
+			// and base-table bindings all describe the replaced table. Rebuild
+			// each affected view's routing state so the next Resolve recomputes
+			// anchors against the table now serving.
+			r.rebindGraphViewsLocked(nt.Name)
+		}
+		if opts.Path != "" {
+			e.path, e.sig = opts.Path, sig
+		}
+		if opts.Version > 0 {
+			e.version.Set(float64(opts.Version))
+		}
+	})
 }
 
 // CloneModelFor pins the named model's current generation and clones it onto

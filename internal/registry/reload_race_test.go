@@ -147,3 +147,39 @@ func TestConcurrentReloadAndClose(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestReloadNeverSeesShortFile: SaveModel replaces the model file by rename,
+// so a Reload racing a loop of saves loads the previous bytes or the new
+// ones — never a file still being written.
+func TestReloadNeverSeesShortFile(t *testing.T) {
+	ta := testTable("alpha", 1)
+	reg := New(Config{Dir: t.TempDir(), Serve: serveNoCache()})
+	defer reg.Close()
+	if err := reg.Add("alpha", ta, core.NewModel(ta, smallConfig(11)), AddOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.SaveModel("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	saved := make(chan error, 1)
+	go func() {
+		for !stop.Load() {
+			if _, err := reg.SaveModel("alpha"); err != nil {
+				saved <- err
+				return
+			}
+		}
+		saved <- nil
+	}()
+	for i := 0; i < 200; i++ {
+		if err := reg.Reload("alpha"); err != nil {
+			t.Errorf("reload %d: %v", i, err)
+			break
+		}
+	}
+	stop.Store(true)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/relation"
 	"duet/internal/workload"
@@ -97,7 +98,7 @@ func TestWatchTickDebounce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pending := make(map[string]fileSig)
+	pending := make(map[string]artifact.Sig)
 	if got := reg.watchTick(pending); len(got) != 0 {
 		t.Fatalf("unchanged file reported stale: %v", got)
 	}
@@ -139,5 +140,16 @@ func TestWatchTickDebounce(t *testing.T) {
 	// A file that reverts to the loaded signature drops its candidacy.
 	if got := reg.watchTick(pending); len(got) != 0 || len(pending) != 0 {
 		t.Fatalf("post-reload state not clean: ready %v pending %v", got, pending)
+	}
+
+	// SaveModel records the signature of the file it wrote: the watcher must
+	// not answer the registry's own save with a reload.
+	if _, err := reg.SaveModel("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 2; tick++ {
+		if got := reg.watchTick(pending); len(got) != 0 || len(pending) != 0 {
+			t.Fatalf("tick %d after SaveModel: ready %v pending %v", tick, got, pending)
+		}
 	}
 }

@@ -1,34 +1,25 @@
 package registry
 
 import (
-	"os"
 	"time"
+
+	"duet/internal/artifact"
 )
-
-// fileSig is one observed on-disk state of a model file. The watcher requires
-// an identical signature on two consecutive polls before reloading, so a file
-// mid-write — still growing, or being rewritten by a background saver — is
-// never loaded half-baked.
-type fileSig struct {
-	size    int64
-	modTime time.Time
-}
-
-func (a fileSig) equal(b fileSig) bool { return a.size == b.size && a.modTime.Equal(b.modTime) }
 
 // watch is the hot-reload poller: every interval it stats each file-backed
 // model and reloads the ones whose file changed AND settled. Polling (rather
 // than inotify) keeps the registry on the standard library and works on every
 // platform and filesystem; the interval bounds staleness, and the reload
 // itself is the same drain-safe swap the admin endpoint uses. The settle
-// requirement (same size+mtime across two polls) debounces mid-write
-// mtime churn: with background retrains saving versioned files next to the
-// watched ones, a partially written model must never be loaded.
+// requirement (an identical artifact.Sig on two consecutive polls) debounces
+// mid-write mtime churn: this repo's own writers rename finished files into
+// place, but an operator's cp or rsync over a watched file does not, and a
+// partially written model must never be loaded.
 func (r *Registry) watch(interval time.Duration) {
 	defer close(r.watchDone)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	pending := make(map[string]fileSig)
+	pending := make(map[string]artifact.Sig)
 	for {
 		select {
 		case <-r.watchStop:
@@ -50,33 +41,29 @@ func (r *Registry) watch(interval time.Duration) {
 // file that keeps changing keeps deferring, and one that reverts to the
 // loaded signature is dropped. A vanished file is not stale — the last good
 // model keeps serving until the file reappears.
-func (r *Registry) watchTick(pending map[string]fileSig) []string {
+func (r *Registry) watchTick(pending map[string]artifact.Sig) []string {
 	type probe struct {
 		name   string
 		path   string
-		loaded fileSig
+		loaded artifact.Sig
 	}
 	r.mu.RLock()
 	probes := make([]probe, 0, len(r.entries))
 	for _, e := range r.entries {
 		if e.path != "" {
-			probes = append(probes, probe{e.name, e.path, fileSig{e.modSize, e.modTime}})
+			probes = append(probes, probe{e.name, e.path, e.sig})
 		}
 	}
 	r.mu.RUnlock()
 	var ready []string
 	stale := make(map[string]bool, len(probes))
 	for _, p := range probes {
-		fi, err := os.Stat(p.path)
-		if err != nil {
-			continue
-		}
-		sig := fileSig{fi.Size(), fi.ModTime()}
-		if sig.equal(p.loaded) {
+		sig, err := artifact.Stat(p.path)
+		if err != nil || sig.Equal(p.loaded) {
 			continue
 		}
 		stale[p.name] = true
-		if prev, ok := pending[p.name]; ok && prev.equal(sig) {
+		if prev, ok := pending[p.name]; ok && prev.Equal(sig) {
 			delete(pending, p.name)
 			ready = append(ready, p.name)
 			continue
