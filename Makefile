@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench serve test-generic cross pack scale benchmark benchmark-compare loc
+.PHONY: all build vet fmt test race bench bench-train serve test-generic cross pack scale benchmark benchmark-compare loc
 
 all: build vet fmt test
 
@@ -27,6 +27,15 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The training-side kernel figures: the three GEMMs of a layer at the
+# cache-resident ResMADE shape and at the DMV output layer (GFLOP/s), and a
+# whole step on the paper's two configurations (tuples/s). benchmark/ reports
+# the same two quantities end to end as tensor.gemm_gflop_s and
+# core.train_tuples_per_s.
+bench-train:
+	$(GO) test -run='^$$' -bench='TrainGEMM(Mul|MulBT|MulATAdd)(DMV)?$$' -benchmem ./internal/tensor
+	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)$$' -benchmem ./internal/core
 
 # Full suite forced onto the pure-Go kernel tier: proves the SIMD dispatch
 # fallback path stays correct, not just compiled.

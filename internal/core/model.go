@@ -95,7 +95,10 @@ type Model struct {
 	neededMask []bool
 	probsPool  sync.Pool // per-worker softmax scratch for masking
 
-	lastSpecs []Spec // specs of the last forward batch, for backward routing
+	// Training-step scratch, dropped by releaseTrainingBuffers.
+	lastSpecs []Spec        // specs of the last forward batch, for backward routing
+	dLogits   tensor.Matrix // logit gradient of the data pass, then of the query pass
+	lossTerms []float64     // nn.SoftmaxCE's per-(row, block) loss terms
 }
 
 // NewModel builds an untrained Duet model for t.

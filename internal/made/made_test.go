@@ -111,12 +111,12 @@ func TestGradcheckThroughCE(t *testing.T) {
 	tensor.RandUniform(x, 1, rng)
 	labels := [][]int32{{0, 2}, {1, 1}}
 	loss := func() float64 {
-		return nn.SoftmaxCE(m.Forward(x), m.Out, labels, nil)
+		return nn.SoftmaxCE(m.Forward(x), m.Out, labels, nil, nil)
 	}
 	nn.ZeroGrads(m.Params())
 	logits := m.Forward(x)
 	d := tensor.New(2, m.Out.Tot)
-	nn.SoftmaxCE(logits, m.Out, labels, d)
+	nn.SoftmaxCE(logits, m.Out, labels, d, nil)
 	m.Backward(d)
 	// Masked-out weight entries are held at zero by init + gradient masking,
 	// so forward passes do not apply the mask; finite differences on those
@@ -179,7 +179,7 @@ func TestTrainingLearnsDependentColumns(t *testing.T) {
 		nn.ZeroGrads(m.Params())
 		logits := m.Forward(x)
 		d.Zero()
-		nn.SoftmaxCE(logits, m.Out, labels, d)
+		nn.SoftmaxCE(logits, m.Out, labels, d, nil)
 		m.Backward(d)
 		opt.Step(m.Params())
 	}

@@ -203,7 +203,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 		nn.ZeroGrads(m.Params())
 		logits := m.net.Forward(m.buildInput(codes))
 		d := tensor.New(logits.Rows, logits.Cols)
-		loss := nn.SoftmaxCE(logits, m.net.Out, labels, d)
+		loss := nn.SoftmaxCE(logits, m.net.Out, labels, d, nil)
 		m.net.Backward(d)
 		if cfg.ClipNorm > 0 {
 			nn.ClipGradNorm(m.Params(), cfg.ClipNorm)

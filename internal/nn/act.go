@@ -15,26 +15,32 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward computes max(x, 0).
 func (l *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	out := outBuf(&l.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+	tensor.ParallelFor(len(x.Data), tensor.ElemGrain, func(lo, hi int) {
+		dst := out.Data[lo:hi]
+		for i, v := range x.Data[lo:hi] {
+			if v > 0 {
+				dst[i] = v
+			} else {
+				dst[i] = 0
+			}
 		}
-	}
+	})
 	return out
 }
 
 // Backward passes gradients where the forward output was positive.
 func (l *ReLU) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	dIn := outBuf(&l.dIn, dOut.Rows, dOut.Cols)
-	for i, v := range dOut.Data {
-		if l.out.Data[i] > 0 {
-			dIn.Data[i] = v
-		} else {
-			dIn.Data[i] = 0
+	tensor.ParallelFor(len(dOut.Data), tensor.ElemGrain, func(lo, hi int) {
+		dst, out := dIn.Data[lo:hi], l.out.Data[lo:hi]
+		for i, v := range dOut.Data[lo:hi] {
+			if out[i] > 0 {
+				dst[i] = v
+			} else {
+				dst[i] = 0
+			}
 		}
-	}
+	})
 	return dIn
 }
 

@@ -272,9 +272,9 @@ func TestSoftmaxCEGradcheck(t *testing.T) {
 	logits := tensor.New(4, blocks.Tot)
 	tensor.RandUniform(logits, 1, rng)
 	labels := [][]int32{{0, 1, 1}, {2, 3, 0}, {1, -1, 1}, {0, 0, -1}}
-	loss := func() float64 { return SoftmaxCE(logits, blocks, labels, nil) }
+	loss := func() float64 { return SoftmaxCE(logits, blocks, labels, nil, nil) }
 	d := tensor.New(4, blocks.Tot)
-	SoftmaxCE(logits, blocks, labels, d)
+	SoftmaxCE(logits, blocks, labels, d, nil)
 	const eps = 1e-3
 	for i := range logits.Data {
 		orig := logits.Data[i]

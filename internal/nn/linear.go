@@ -49,13 +49,16 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 func (l *Linear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	tensor.MulATAdd(l.Weight.G, l.x, dOut)
 	if l.Bias != nil {
-		bg := l.Bias.G.Data
-		for r := 0; r < dOut.Rows; r++ {
-			row := dOut.Row(r)
-			for c, v := range row {
-				bg[c] += v
+		// Column ranges, rows still ascending: each bias cell sums its column
+		// in the order the serial loop did.
+		tensor.ParallelFor(l.Out, tensor.RowGrain(dOut.Rows), func(lo, hi int) {
+			bg := l.Bias.G.Data[lo:hi]
+			for r := 0; r < dOut.Rows; r++ {
+				for c, v := range dOut.Row(r)[lo:hi] {
+					bg[c] += v
+				}
 			}
-		}
+		})
 	}
 	dIn := outBuf(&l.dIn, dOut.Rows, l.In)
 	tensor.MulBT(dIn, dOut, l.Weight.W)

@@ -77,37 +77,58 @@ func LogSumExp(logits []float32) float64 {
 // d(loss)/d(logits) into dLogits. A label < 0 marks a block excluded from the
 // loss (wildcard column). The returned loss is in nats per tuple, matching
 // the negative log-likelihood objective of Naru and of Duet's L_data.
-func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix) float64 {
+//
+// Rows are independent, so they are split across workers; each (row, block)
+// loss term is written to a batch×blocks buffer and the terms are summed
+// afterwards in row-then-block order, the order a serial pass adds them in,
+// so the loss has the same bits for every worker count. terms, when non-nil,
+// is that buffer, grown as needed and kept by the caller so a training loop
+// does not allocate it every step.
+func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix, terms *[]float64) float64 {
 	if logits.Cols != blocks.Tot {
 		panic("nn: SoftmaxCE logits width does not match blocks")
 	}
-	batch := logits.Rows
+	batch, nb := logits.Rows, blocks.N()
+	if terms == nil {
+		terms = new([]float64)
+	}
+	if cap(*terms) < batch*nb {
+		*terms = make([]float64, batch*nb)
+	}
+	term := (*terms)[:batch*nb]
 	invB := 1.0 / float64(batch)
-	var total float64
-	for r := 0; r < batch; r++ {
-		row := logits.Row(r)
-		var dRow []float32
-		if dLogits != nil {
-			dRow = dLogits.Row(r)
+	tensor.ParallelFor(batch, tensor.RowGrain(logits.Cols), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := logits.Row(r)
+			var dRow []float32
+			if dLogits != nil {
+				dRow = dLogits.Row(r)
+			}
+			for bi, y := range labels[r][:nb] {
+				if y < 0 {
+					continue
+				}
+				seg := blocks.Slice(row, bi)
+				lse := LogSumExp(seg)
+				term[r*nb+bi] = lse - float64(seg[y])
+				if dRow == nil {
+					continue
+				}
+				dSeg := blocks.Slice(dRow, bi)
+				for j, v := range seg {
+					p := math.Exp(float64(v) - lse)
+					dSeg[j] += float32(p * invB)
+				}
+				dSeg[y] -= float32(invB)
+			}
 		}
-		lab := labels[r]
-		for bi := 0; bi < blocks.N(); bi++ {
-			y := lab[bi]
-			if y < 0 {
-				continue
+	})
+	var total float64
+	for r, lab := range labels[:batch] {
+		for bi, y := range lab[:nb] {
+			if y >= 0 {
+				total += term[r*nb+bi]
 			}
-			seg := blocks.Slice(row, bi)
-			lse := LogSumExp(seg)
-			total += lse - float64(seg[y])
-			if dRow == nil {
-				continue
-			}
-			dSeg := blocks.Slice(dRow, bi)
-			for j, v := range seg {
-				p := math.Exp(float64(v) - lse)
-				dSeg[j] += float32(p * invB)
-			}
-			dSeg[y] -= float32(invB)
 		}
 	}
 	return total * invB

@@ -66,7 +66,7 @@ func TestLogSumExp(t *testing.T) {
 func TestSoftmaxCEKnownValue(t *testing.T) {
 	blocks := NewBlocks([]int{2})
 	logits := tensor.FromSlice(1, 2, []float32{0, 0})
-	loss := SoftmaxCE(logits, blocks, [][]int32{{0}}, nil)
+	loss := SoftmaxCE(logits, blocks, [][]int32{{0}}, nil, nil)
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("uniform 2-way CE should be ln2, got %v", loss)
 	}
@@ -75,16 +75,78 @@ func TestSoftmaxCEKnownValue(t *testing.T) {
 func TestSoftmaxCESkipsWildcardLabels(t *testing.T) {
 	blocks := NewBlocks([]int{2, 3})
 	logits := tensor.New(1, 5)
-	full := SoftmaxCE(logits, blocks, [][]int32{{0, 0}}, nil)
-	skip := SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, nil)
+	full := SoftmaxCE(logits, blocks, [][]int32{{0, 0}}, nil, nil)
+	skip := SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, nil, nil)
 	if skip >= full {
 		t.Fatalf("wildcard block should reduce loss: full=%v skip=%v", full, skip)
 	}
 	d := tensor.New(1, 5)
-	SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, d)
+	SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, d, nil)
 	for i := 2; i < 5; i++ {
 		if d.Data[i] != 0 {
 			t.Fatalf("gradient leaked into wildcard block: %v", d.Data)
+		}
+	}
+}
+
+// softmaxCESerial is the one-goroutine reference SoftmaxCE must match bit for
+// bit: one pass over rows and blocks, the loss summed as it goes.
+func softmaxCESerial(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix) float64 {
+	invB := 1.0 / float64(logits.Rows)
+	var total float64
+	for r := 0; r < logits.Rows; r++ {
+		for bi := 0; bi < blocks.N(); bi++ {
+			y := labels[r][bi]
+			if y < 0 {
+				continue
+			}
+			seg := blocks.Slice(logits.Row(r), bi)
+			lse := LogSumExp(seg)
+			total += lse - float64(seg[y])
+			dSeg := blocks.Slice(dLogits.Row(r), bi)
+			for j, v := range seg {
+				dSeg[j] += float32(math.Exp(float64(v)-lse) * invB)
+			}
+			dSeg[y] -= float32(invB)
+		}
+	}
+	return total * invB
+}
+
+// TestSoftmaxCEParallelMatchesSerial: splitting the batch across workers
+// changes neither the loss (a float64 sum, so its order matters) nor any
+// gradient bit, with wildcard labels, ragged block widths, a gradient buffer
+// that already holds something, and a batch tall enough to fork.
+func TestSoftmaxCEParallelMatchesSerial(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	rng := rand.New(rand.NewSource(11))
+	blocks := NewBlocks([]int{3, 70, 1, 130, 9})
+	const batch = 400
+	logits := tensor.New(batch, blocks.Tot)
+	tensor.RandUniform(logits, 6, rng)
+	labels := make([][]int32, batch)
+	for r := range labels {
+		labels[r] = make([]int32, blocks.N())
+		for bi, n := range blocks.Len {
+			labels[r][bi] = int32(rng.Intn(n+1)) - 1 // -1: wildcard
+		}
+	}
+	prior := tensor.New(batch, blocks.Tot)
+	tensor.RandUniform(prior, 1, rng)
+	wantD := prior.Clone()
+	want := softmaxCESerial(logits, blocks, labels, wantD)
+	var terms []float64
+	for _, workers := range []int{1, 3} {
+		tensor.SetMaxWorkers(workers)
+		gotD := prior.Clone()
+		got := SoftmaxCE(logits, blocks, labels, gotD, &terms) // terms reused: stale entries must not leak in
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d workers: loss %v (%#x), serial %v (%#x)", workers, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		for i, v := range wantD.Data {
+			if math.Float32bits(gotD.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%d workers: dLogits[%d] = %v, serial %v", workers, i, gotD.Data[i], v)
+			}
 		}
 	}
 }

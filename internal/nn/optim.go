@@ -77,11 +77,14 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = tensor.New(p.W.Rows, p.W.Cols)
 		}
 		v := o.v[p]
-		for i, g := range p.G.Data {
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
-			p.W.Data[i] -= float32(lr * float64(m.Data[i]) / (math.Sqrt(float64(v.Data[i])) + o.Eps))
-		}
+		tensor.ParallelFor(len(p.G.Data), tensor.ElemGrain, func(lo, hi int) {
+			ms, vs, ws := m.Data[lo:hi], v.Data[lo:hi], p.W.Data[lo:hi]
+			for i, g := range p.G.Data[lo:hi] {
+				ms[i] = b1*ms[i] + (1-b1)*g
+				vs[i] = b2*vs[i] + (1-b2)*g*g
+				ws[i] -= float32(lr * float64(ms[i]) / (math.Sqrt(float64(vs[i])) + o.Eps))
+			}
+		})
 	}
 }
 

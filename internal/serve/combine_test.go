@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"duet/internal/relation"
+	"duet/internal/tensor"
 	"duet/internal/workload"
 )
 
@@ -321,6 +322,46 @@ func TestBackendPanicContained(t *testing.T) {
 	closed := make(chan error, 1)
 	go func() { closed <- e.Close() }()
 	within(t, closed, "Close")
+}
+
+// forkingBackend answers like gateBackend, from inside a tensor.ParallelFor the
+// way a model's batch pass forks per layer; a poisoned pass panics on one of
+// the worker goroutines.
+type forkingBackend struct{}
+
+func (forkingBackend) EstimateCardBatch(qs []workload.Query) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = float64(q.Preds[0].Code)
+	}
+	tensor.ParallelFor(64, 1, func(lo, hi int) {
+		if slices.Contains(out, poisonCode) {
+			panic("poisoned query")
+		}
+	})
+	return out
+}
+
+// TestWorkerPanicContained: a panic on a ParallelFor worker goroutine, where
+// the engine's recover around the pass has no frame, still comes back as
+// ErrBackendPanic for that batch and leaves the engine serving. Unrecovered on
+// the worker, it ends the process — this test binary included.
+func TestWorkerPanicContained(t *testing.T) {
+	tensor.SetMaxWorkers(4) // fork even on a one-processor host
+	defer tensor.SetMaxWorkers(0)
+	e := New(forkingBackend{}, Config{CacheSize: -1})
+	defer e.Close()
+	ctx := context.Background()
+	if _, err := e.EstimateBatch(ctx, []workload.Query{q(0, 1), q(0, poisonCode)}); !errors.Is(err, ErrBackendPanic) ||
+		!strings.Contains(err.Error(), "poisoned query") {
+		t.Fatalf("poisoned batch returned %v, want ErrBackendPanic carrying the worker's panic text", err)
+	}
+	if n := e.met.panics.Value(); n != 1 {
+		t.Fatalf("duet_serve_panics_total = %d, want 1", n)
+	}
+	if card, err := e.Estimate(ctx, q(0, 7)); err != nil || card != 7 {
+		t.Fatalf("estimate after the panic = %v, %v; want 7", card, err)
+	}
 }
 
 // TestCloseInFlight: Close fails what is parked, lets the pass in flight

@@ -137,11 +137,13 @@ func TestSaxpyI8TiersBitwiseMatchGeneric(t *testing.T) {
 
 // TestGEMMTiersBitwiseMatchGeneric checks Mul/MulBT/MulATAdd per tier
 // against the generic tier across ragged shapes that exercise full tiles,
-// column edges and row edges.
+// column edges and row edges, and k extents (m for MulATAdd, whose reduction
+// runs over a's rows) on both sides of the driver's gemmKC block boundary.
 func TestGEMMTiersBitwiseMatchGeneric(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {2, 3, 2}, {7, 5, 3}, {8, 8, 8}, {8, 16, 4}, {9, 7, 9},
 		{16, 32, 12}, {17, 33, 9}, {24, 16, 31}, {33, 13, 17},
+		{17, gemmKC + 1, 9}, {23, 2*gemmKC + 3, 13}, {2*gemmKC + 3, 13, 23}, {33, 700, 31},
 	}
 	type golden struct{ mul, mulbt, mulat *Matrix }
 	goldens := make([]golden, len(shapes))
@@ -308,16 +310,12 @@ func BenchmarkSaxpyI8Tier(b *testing.B) {
 func BenchmarkTrainGEMMMulTier(b *testing.B) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
-	x, w, _, dst, _ := benchShapes()
 	for _, tier := range KernelTiers() {
 		b.Run(tier, func(b *testing.B) {
 			if err := SetKernelTier(tier); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Mul(dst, x, w)
-			}
+			benchGEMM(b, resmadeShape, forward, Mul)
 		})
 	}
 }

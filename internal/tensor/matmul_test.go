@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,101 +92,138 @@ func bitsEqual(t *testing.T, name string, got, want *Matrix) {
 	}
 }
 
-// TestGEMMsBitwiseMatchScalar: the blocked kernels must reproduce the
-// scalar reference bit for bit across ragged shapes (tile edges included)
-// under whichever tier is active (DUET_KERNEL selects it; kernels_test.go
-// additionally sweeps every tier explicitly).
+// gemmShapes are m×k×n products (k the reduction) that between them enter
+// every branch of the driver: full tiles and ragged row and column edges, m
+// and n below one tile, k on either side of each gemmKC block boundary, b
+// small enough to be read in place and large enough to be packed, and one
+// training-sized case whose rows split unevenly across 3 and 7 workers.
+var gemmShapes = []struct{ m, k, n int }{
+	{1, 1, 1}, {3, 5, 7}, {8, 16, 4}, {17, 33, 9}, {64, 128, 31}, {128, 64, 128},
+	{9, gemmKC - 1, 17}, {16, gemmKC, 8}, {17, gemmKC + 1, 9}, {5, 300, 3},
+	{23, 2*gemmKC + 3, 13}, {33, 700, 31}, {19, 300, 150},
+	{136, 1030, 2079},
+}
+
+// gemmCase is one entry point on one shape: run computes into dst, which
+// starts as a copy of init (nonzero only for the accumulating MulATAdd), and
+// want is the scalar reference's result.
+type gemmCase struct {
+	name       string
+	run        func(dst *Matrix)
+	init, want *Matrix
+	flop       int
+}
+
+// gemmCases builds the three entry points' cases for an m×k×n product: Mul
+// (m×k · k×n), MulBT (m×k · (n×k)ᵀ) and MulATAdd ((k×m)ᵀ · k×n), so that in
+// each of them k is the extent the driver cuts into blocks.
+func gemmCases(m, k, n int) []gemmCase {
+	seed := int64(m*1000003 + k*1009 + n)
+	a, b := randMats(m, k, n, false, seed)
+	abt, bbt := randMats(m, k, n, true, seed+1)
+	at, _ := randMats(k, m, n, false, seed+2)
+	acc := New(m, n)
+	RandUniform(acc, 1, rand.New(rand.NewSource(seed+3)))
+	cases := []gemmCase{
+		{name: fmt.Sprintf("Mul %dx%dx%d", m, k, n), run: func(dst *Matrix) { Mul(dst, a, b) }, init: New(m, n), want: New(m, n)},
+		{name: fmt.Sprintf("MulBT %dx%dx%d", m, k, n), run: func(dst *Matrix) { MulBT(dst, abt, bbt) }, init: New(m, n), want: New(m, n)},
+		{name: fmt.Sprintf("MulATAdd %dx%dx%d", m, k, n), run: func(dst *Matrix) { MulATAdd(dst, at, b) }, init: acc, want: acc.Clone()},
+	}
+	mulScalar(cases[0].want, a, b)
+	mulBTScalar(cases[1].want, abt, bbt)
+	mulATAddScalar(cases[2].want, at, b)
+	for i := range cases {
+		cases[i].flop = 2 * m * k * n
+	}
+	return cases
+}
+
+// TestGEMMsBitwiseMatchScalar: the blocked driver must reproduce the scalar
+// reference bit for bit on every shape above, on every tier the host has and
+// for worker counts that split the rows evenly, unevenly and into more chunks
+// than there are processors — rows are computed independently and each
+// element's k order is fixed, so neither the split nor the tier nor the
+// blocking may show in any output bit.
 func TestGEMMsBitwiseMatchScalar(t *testing.T) {
-	// Parallel chunking is irrelevant to the comparison: rows are computed
-	// independently, so the worker split cannot change any output bit.
-	for _, sh := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {8, 16, 4}, {17, 33, 9}, {64, 128, 31}, {128, 64, 128},
-	} {
-		a, b := randMats(sh.m, sh.k, sh.n, false, int64(sh.m*1000+sh.n))
-		got, want := New(sh.m, sh.n), New(sh.m, sh.n)
-		Mul(got, a, b)
-		mulScalar(want, a, b)
-		bitsEqual(t, "Mul", got, want)
-
-		abt, bbt := randMats(sh.m, sh.k, sh.n, true, int64(sh.m*2000+sh.n))
-		got, want = New(sh.m, sh.n), New(sh.m, sh.n)
-		MulBT(got, abt, bbt)
-		mulBTScalar(want, abt, bbt)
-		bitsEqual(t, "MulBT", got, want)
-
-		ga, _ := randMats(sh.m, sh.k, sh.n, false, int64(sh.m*3000+sh.n))
-		_, gb := randMats(sh.n, sh.m, sh.n, false, int64(sh.m*4000+sh.n)) // m×n gradient
-		got, want = New(sh.k, sh.n), New(sh.k, sh.n)
-		RandUniform(got, 1, rand.New(rand.NewSource(9)))
-		copy(want.Data, got.Data) // accumulate onto identical contents
-		MulATAdd(got, ga, gb)
-		mulATAddScalar(want, ga, gb)
-		bitsEqual(t, "MulATAdd", got, want)
+	defer SetMaxWorkers(0)
+	var cases []gemmCase
+	for _, sh := range gemmShapes {
+		cases = append(cases, gemmCases(sh.m, sh.k, sh.n)...)
 	}
+	withTier(t, func(t *testing.T, tier string) {
+		for _, workers := range []int{1, 2, 3, 7} {
+			SetMaxWorkers(workers)
+			for _, c := range cases {
+				if tier == "generic" && c.flop > 1e8 && workers != 3 {
+					continue // the pure-Go tile takes seconds here under -race; one split is enough
+				}
+				got := c.init.Clone()
+				c.run(got)
+				bitsEqual(t, fmt.Sprintf("%s, %d workers", c.name, workers), got, c.want)
+			}
+		}
+	})
 }
 
-// Training-GEMM speedup benchmarks: the paper-default ResMADE-128 forward/
-// backward shapes (batch 256). Compare the *Scalar pairs to see the Saxpy
-// adoption win; CI runs them with -benchtime=1x as a smoke test.
+// Training-GEMM benchmarks at two shapes: the paper-default ResMADE-128
+// layer (batch 256, cache-resident operands) and the DMV model's output layer
+// at batch 256 × µ 4 (1,024 × 1,024 × 2,079: an 8.5 MB weight matrix whose
+// rows are 8.3 KB apart, the shape the driver's blocking and packing are
+// for). Each reports GFLOP/s; the *Scalar twins are the reference loops the
+// tiers must match bit for bit. `make bench-train` runs them; CI runs them
+// with -benchtime=1x as a smoke test.
 
-func benchShapes() (x, w, dy, dst, dw *Matrix) {
+// gemmShape is one layer's training GEMMs: x is batch×in, w is in×out and dy
+// is batch×out.
+type gemmShape struct{ batch, in, out int }
+
+var (
+	resmadeShape = gemmShape{256, 128, 128}
+	dmvOutShape  = gemmShape{1024, 1024, 2079}
+)
+
+// layerMats are a layer's operands and the three products' destinations.
+type layerMats struct{ x, w, dy, y, dx, dw *Matrix }
+
+// The three GEMMs of a layer, as (dst, a, b) for Mul, MulBT and MulATAdd.
+func forward(l layerMats) (dst, a, b *Matrix)  { return l.y, l.x, l.w }   // y = x·w
+func backward(l layerMats) (dst, a, b *Matrix) { return l.dx, l.dy, l.w } // dx = dy·wᵀ
+func grad(l layerMats) (dst, a, b *Matrix)     { return l.dw, l.x, l.dy } // dw += xᵀ·dy
+
+// benchGEMM times one of a layer's GEMMs at shape sh and reports its rate.
+func benchGEMM(bn *testing.B, sh gemmShape, pick func(layerMats) (dst, a, b *Matrix), gemm func(dst, a, b *Matrix)) {
 	rng := rand.New(rand.NewSource(1))
-	x = New(256, 128)  // batch × in (forward activations)
-	w = New(128, 128)  // in × out (layer weights)
-	dy = New(256, 128) // batch × out (backward gradient)
-	RandUniform(x, 1, rng)
-	RandUniform(w, 1, rng)
-	RandUniform(dy, 1, rng)
-	return x, w, dy, New(256, 128), New(128, 128)
-}
-
-func BenchmarkTrainGEMMMul(bn *testing.B) {
-	x, w, _, dst, _ := benchShapes()
-	bn.ReportAllocs()
-	for i := 0; i < bn.N; i++ {
-		Mul(dst, x, w)
+	l := layerMats{
+		x: New(sh.batch, sh.in), w: New(sh.in, sh.out), dy: New(sh.batch, sh.out),
+		y: New(sh.batch, sh.out), dx: New(sh.batch, sh.in), dw: New(sh.in, sh.out),
 	}
-}
-
-func BenchmarkTrainGEMMMulScalar(bn *testing.B) {
-	x, w, _, dst, _ := benchShapes()
+	RandUniform(l.x, 1, rng)
+	RandUniform(l.w, 1, rng)
+	RandUniform(l.dy, 1, rng)
+	dst, a, b := pick(l)
+	gemm(dst, a, b) // the first call sizes the pooled pack scratch
 	bn.ReportAllocs()
+	bn.ResetTimer()
 	for i := 0; i < bn.N; i++ {
-		mulScalar(dst, x, w)
+		gemm(dst, a, b)
 	}
+	flop := 2 * float64(sh.batch) * float64(sh.in) * float64(sh.out)
+	bn.ReportMetric(flop*float64(bn.N)/bn.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func BenchmarkTrainGEMMMulBT(bn *testing.B) {
-	_, w, dy, dst, _ := benchShapes()
-	bn.ReportAllocs()
-	for i := 0; i < bn.N; i++ {
-		MulBT(dst, dy, w)
-	}
-}
-
+func BenchmarkTrainGEMMMul(bn *testing.B)       { benchGEMM(bn, resmadeShape, forward, Mul) }
+func BenchmarkTrainGEMMMulScalar(bn *testing.B) { benchGEMM(bn, resmadeShape, forward, mulScalar) }
+func BenchmarkTrainGEMMMulBT(bn *testing.B)     { benchGEMM(bn, resmadeShape, backward, MulBT) }
 func BenchmarkTrainGEMMMulBTScalar(bn *testing.B) {
-	_, w, dy, dst, _ := benchShapes()
-	bn.ReportAllocs()
-	for i := 0; i < bn.N; i++ {
-		mulBTScalar(dst, dy, w)
-	}
+	benchGEMM(bn, resmadeShape, backward, mulBTScalar)
 }
-
-func BenchmarkTrainGEMMMulATAdd(bn *testing.B) {
-	x, _, dy, _, dw := benchShapes()
-	bn.ReportAllocs()
-	for i := 0; i < bn.N; i++ {
-		MulATAdd(dw, x, dy)
-	}
-}
-
+func BenchmarkTrainGEMMMulATAdd(bn *testing.B) { benchGEMM(bn, resmadeShape, grad, MulATAdd) }
 func BenchmarkTrainGEMMMulATAddScalar(bn *testing.B) {
-	x, _, dy, _, dw := benchShapes()
-	bn.ReportAllocs()
-	for i := 0; i < bn.N; i++ {
-		mulATAddScalar(dw, x, dy)
-	}
+	benchGEMM(bn, resmadeShape, grad, mulATAddScalar)
 }
+func BenchmarkTrainGEMMMulDMV(bn *testing.B)      { benchGEMM(bn, dmvOutShape, forward, Mul) }
+func BenchmarkTrainGEMMMulBTDMV(bn *testing.B)    { benchGEMM(bn, dmvOutShape, backward, MulBT) }
+func BenchmarkTrainGEMMMulATAddDMV(bn *testing.B) { benchGEMM(bn, dmvOutShape, grad, MulATAdd) }
 
 // TestMulBatch1SkipZeroBitwise pins the batch-1 zero-activation skip: a
 // 1×k row that is mostly exact zeros (the MPSN predicate-embedding shape)
@@ -216,7 +254,7 @@ func TestMulBatch1SkipZeroBitwise(t *testing.T) {
 			Mul(got, a, b)
 			mulScalar(want, a, b)
 			bitsEqual(t, "Mul(1×k)", got, want)
-			gemmAccum(1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, dense.Data, sh.n)
+			gemmAccum(1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, 1, dense.Data, sh.n)
 			bitsEqual(t, "Mul(1×k) vs dense driver", got, dense)
 		}
 	})

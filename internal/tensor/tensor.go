@@ -99,9 +99,12 @@ func (m *Matrix) Scale(alpha float32) {
 // Hadamard multiplies m elementwise by src.
 func (m *Matrix) Hadamard(src *Matrix) {
 	m.mustSameShape(src, "Hadamard")
-	for i, v := range src.Data {
-		m.Data[i] *= v
-	}
+	ParallelFor(len(m.Data), ElemGrain, func(lo, hi int) {
+		dst := m.Data[lo:hi]
+		for i, v := range src.Data[lo:hi] {
+			dst[i] *= v
+		}
+	})
 }
 
 // AddRowVector adds the 1×Cols vector v to every row of m.
@@ -109,12 +112,14 @@ func (m *Matrix) AddRowVector(v []float32) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector got %d elements for %d columns", len(v), m.Cols))
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, b := range v {
-			row[c] += b
+	ParallelFor(m.Rows, RowGrain(m.Cols), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := m.Row(r)
+			for c, b := range v {
+				row[c] += b
+			}
 		}
-	}
+	})
 }
 
 // Sum returns the sum of all elements, accumulated in float64.

@@ -1,10 +1,13 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -196,6 +199,48 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelForRepanicsOnCaller: a panic on a worker goroutine is raised
+// again on the goroutine that called ParallelFor, with the worker's value, and
+// only once every other worker has returned — the caller's deferred cleanup
+// must not run beside a worker still writing into its buffers.
+func TestParallelForRepanicsOnCaller(t *testing.T) {
+	defer SetMaxWorkers(0)
+	SetMaxWorkers(4)
+	boom := errors.New("boom")
+	panicking := make(chan struct{})
+	var finished atomic.Int32
+	var atRecover int32
+	func() {
+		defer func() {
+			atRecover = finished.Load()
+			if r := recover(); r != boom {
+				t.Errorf("recovered %v, want the worker's panic value", r)
+			}
+		}()
+		ParallelFor(4, 1, func(lo, hi int) {
+			if lo == 0 {
+				close(panicking)
+				panic(boom)
+			}
+			<-panicking
+			time.Sleep(10 * time.Millisecond) // widen the window a premature re-panic would land in
+			finished.Add(1)
+		})
+		t.Error("ParallelFor returned normally after a worker panicked")
+	}()
+	if atRecover != 3 {
+		t.Fatalf("%d of the 3 other workers had returned when the panic reached the caller", atRecover)
+	}
+	// The inline path is a plain call: the panic unwinds through it as before.
+	SetMaxWorkers(1)
+	defer func() {
+		if r := recover(); r != boom {
+			t.Errorf("inline path recovered %v", r)
+		}
+	}()
+	ParallelFor(4, 1, func(lo, hi int) { panic(boom) })
 }
 
 func TestSetMaxWorkers(t *testing.T) {

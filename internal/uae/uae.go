@@ -157,7 +157,7 @@ func (m *Model) dataStep(rows []int, rng *rand.Rand, wildcardProb float64) float
 	net := m.Net()
 	logits := net.Forward(m.BuildInput(codes))
 	d := tensor.New(logits.Rows, logits.Cols)
-	loss := nn.SoftmaxCE(logits, net.Out, labels, d)
+	loss := nn.SoftmaxCE(logits, net.Out, labels, d, nil)
 	net.Backward(d)
 	return loss
 }
