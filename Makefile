@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-train serve test-generic cross pack scale benchmark benchmark-compare loc
+.PHONY: all build vet fmt test race bench bench-train serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
 
 all: build vet fmt test
 
@@ -65,6 +65,13 @@ benchmark:
 
 benchmark-compare:
 	$(GO) run ./benchmark --compare benchmark/baseline.json benchmark/out/mine.json
+
+# The paper's Table II at tiny scale with the cost column and the run time
+# masked, so what is left is every estimator's accuracy on every dataset:
+# run it on two commits and `diff` the outputs to show a change kept (or
+# moved) the paper's numbers.
+paper-accuracy:
+	@$(GO) run ./cmd/duetbench -exp table2 -scale tiny | awk '/\|/ {$$3="-"} !/^completed in/'
 
 # Go lines outside benchmark/, two figures so simplicity PRs state before and
 # after from one command: non-test lines first (the size ROADMAP quotes and

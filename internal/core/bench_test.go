@@ -23,8 +23,8 @@ func BenchmarkEstimateCard(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateBatch64 measures the amortized batched path.
-func BenchmarkEstimateBatch64(b *testing.B) {
+// BenchmarkEstimateCardBatch64 measures the amortized batched path.
+func BenchmarkEstimateCardBatch64(b *testing.B) {
 	tbl := tinyTable(1000)
 	m := NewModel(tbl, tinyConfig())
 	qs := workload.Generate(tbl, workload.GenConfig{
@@ -32,7 +32,7 @@ func BenchmarkEstimateBatch64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EstimateBatch(qs)
+		m.EstimateCardBatch(qs)
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkVirtualTupleSampling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleVirtualTuples(tbl, rows, cfg, i)
+		sampleVirtualTuples(tbl, rows, cfg, i)
 	}
 }
 

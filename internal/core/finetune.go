@@ -5,23 +5,6 @@ import (
 	"duet/internal/workload"
 )
 
-// EstimateBatch estimates many queries with one batched forward pass per
-// chunk, amortizing the network call across queries (useful for plan
-// enumeration, where the optimizer asks for many candidate cardinalities at
-// once). Results are bitwise those of calling EstimateCard per query.
-func (m *Model) EstimateBatch(qs []workload.Query) []float64 {
-	const chunk = 256
-	out := make([]float64, len(qs))
-	for off := 0; off < len(qs); off += chunk {
-		end := off + chunk
-		if end > len(qs) {
-			end = len(qs)
-		}
-		copy(out[off:end], m.EstimateCardBatch(qs[off:end]))
-	}
-	return out
-}
-
 // FineTuneConfig controls post-deployment fine-tuning on collected queries.
 type FineTuneConfig struct {
 	Steps      int     // gradient steps
@@ -58,13 +41,7 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 		for i := range batch {
 			batch[i] = bad[rng.Intn(len(bad))]
 		}
-		nn.ZeroGrads(m.params)
-		loss, _ := m.queryLossBackward(batch, cfg.Lambda)
-		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m.params, cfg.ClipNorm)
-		}
-		opt.Step(m.params)
-		m.InvalidatePlan()
+		_, loss, _ := m.step(opt, nil, nil, batch, cfg.Lambda, cfg.ClipNorm)
 		losses = append(losses, loss)
 	}
 	return losses
@@ -80,10 +57,10 @@ func CollectBadQueries(m *Model, ws []workload.LabeledQuery, threshold float64) 
 	for i, lq := range ws {
 		qs[i] = lq.Query
 	}
-	ests := m.EstimateBatch(qs)
+	ests := m.EstimateCardBatch(qs)
 	var bad []workload.LabeledQuery
 	for i, lq := range ws {
-		if nn.QError(ests[i], float64(lq.Card)) > threshold {
+		if workload.QError(ests[i], float64(lq.Card)) > threshold {
 			bad = append(bad, lq)
 		}
 	}

@@ -19,8 +19,8 @@ func referenceCard(m *Model, q workload.Query) float64 {
 
 // TestEstimateCardIsBatchOfOne: on every model/plan kind, EstimateCard and
 // EstimateDetail return bitwise what EstimateCardBatch returns for the query
-// alone and inside a larger batch, and that number tracks the reference
-// layer stack within the kind's documented bound.
+// alone and inside a 600-query batch (three 256-row chunks), and that number
+// tracks the reference layer stack within the kind's documented bound.
 func TestEstimateCardIsBatchOfOne(t *testing.T) {
 	tbl := tinyTable(200)
 	tc := DefaultTrainConfig()
@@ -46,14 +46,14 @@ func TestEstimateCardIsBatchOfOne(t *testing.T) {
 		}, 1e-3},
 		{"int8", tinyConfig(), func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }, 0.3},
 	}
-	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 40, MinPreds: 1, MaxPreds: 3,
+	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 600, MinPreds: 1, MaxPreds: 3,
 		BoundedCol: -1, MultiPredCols: 1})
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
 			m := NewModel(tbl, k.cfg)
 			Train(m, tc)
 			k.setup(m)
-			batch := m.EstimateBatch(qs)
+			batch := m.EstimateCardBatch(qs)
 			for i, q := range qs {
 				single := m.EstimateCard(q)
 				if one := m.EstimateCardBatch([]workload.Query{q})[0]; single != one {
@@ -81,7 +81,7 @@ func TestEstimateCardIsBatchOfOne(t *testing.T) {
 func TestEstimateBatchEmpty(t *testing.T) {
 	tbl := tinyTable(50)
 	m := NewModel(tbl, tinyConfig())
-	if out := m.EstimateBatch(nil); len(out) != 0 {
+	if out := m.EstimateCardBatch(nil); len(out) != 0 {
 		t.Fatal("empty batch")
 	}
 }

@@ -17,7 +17,7 @@ func TestImportanceSamplingKeepsInvariant(t *testing.T) {
 		rows[i] = i * 2
 	}
 	cfg := SamplerConfig{Mu: 2, Seed: 5, Importance: st, ImportanceProb: 0.7}
-	specs, labels := SampleVirtualTuples(tbl, rows, cfg, 0)
+	specs, labels := sampleVirtualTuples(tbl, rows, cfg, 0)
 	// The core invariant I(x, x') = 1 must hold regardless of the sampling
 	// distribution: every predicate is satisfied by its source tuple.
 	for k, spec := range specs {
@@ -56,8 +56,8 @@ func TestImportanceSamplingBiasesTowardHistory(t *testing.T) {
 		}
 		return
 	}
-	uniform, _ := SampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, Seed: 3}, 0)
-	biased, _ := SampleVirtualTuples(tbl, rows, SamplerConfig{
+	uniform, _ := sampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, Seed: 3}, 0)
+	biased, _ := sampleVirtualTuples(tbl, rows, SamplerConfig{
 		Mu: 1, Seed: 3, Importance: st, ImportanceProb: 0.9}, 0)
 	eqU, totU := countEq(uniform)
 	eqB, totB := countEq(biased)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,23 +138,13 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 		m.params = append(m.params, mp.Params()...)
 	}
 	m.params = append(m.params, m.net.Params()...)
-	maxOut := maxInt(outBlocks)
+	maxOut := slices.Max(outBlocks)
 	m.xBatch = &tensor.Matrix{}
 	m.probsPool.New = func() any {
 		s := make([]float32, maxOut)
 		return &s
 	}
 	return m
-}
-
-func maxInt(xs []int) int {
-	mx := 0
-	for _, v := range xs {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }
 
 // Name identifies the estimator; hybrid-trained models report "duet" and
@@ -186,7 +177,6 @@ func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	} else {
 		x = tensor.New(b, m.net.In.Tot)
 	}
-	m.lastSpecs = specs
 	if m.cfg.MPSN == MPSNNone {
 		for r, spec := range specs {
 			row := x.Row(r)
@@ -224,6 +214,7 @@ func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 // returning per-column logits: the training forward, and the reference tests
 // compare the packed plan against. No estimate runs through it.
 func (m *Model) Forward(specs []Spec) *tensor.Matrix {
+	m.lastSpecs = specs
 	return m.net.Forward(m.encodeBatch(specs, nil))
 }
 
@@ -329,11 +320,14 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 // without changing estimates. It is not safe for concurrent use; the serve
 // package serializes access for concurrent callers. The plan and encode
 // buffers are retained on the model, so steady-state estimation does not
-// allocate matrices; training invalidates the plan automatically.
+// allocate matrices; training invalidates the plan automatically. Chunks of
+// 256 queries bound those buffers however many queries one call carries.
 func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
+	const chunk = 256
 	out := make([]float64, len(qs))
-	if len(qs) > 0 {
-		m.estimate(out, qs, nil)
+	for off := 0; off < len(qs); off += chunk {
+		end := min(off+chunk, len(qs))
+		m.estimate(out[off:end], qs[off:end], nil)
 	}
 	return out
 }
@@ -459,12 +453,7 @@ func (m *Model) maskedProduct(scratch []float32, logitRow []float32, q workload.
 			return 0
 		}
 		seg := m.net.Out.Slice(logitRow, i)
-		probs := scratch[:len(seg)]
-		nn.Softmax(probs, seg)
-		var f float64
-		for v := iv.Lo; v <= iv.Hi; v++ {
-			f += float64(probs[v])
-		}
+		f := nn.IntervalMass(scratch[:len(seg)], seg, iv.Lo, iv.Hi)
 		if f < 1e-12 {
 			f = 1e-12
 		}

@@ -234,6 +234,25 @@ func TestTrainReleasesLayerBuffers(t *testing.T) {
 	}
 }
 
+// TestEstimateKeepsNoTrainingSpecs: the spec batch Backward routes through is
+// training state, released with the rest when Train returns; an estimate
+// must not pin its own spec batch there again.
+func TestEstimateKeepsNoTrainingSpecs(t *testing.T) {
+	tbl := tinyTable(200)
+	m := NewModel(tbl, tinyConfig())
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 1
+	cfg.Lambda = 0
+	Train(m, cfg)
+	if m.lastSpecs != nil {
+		t.Fatal("Train returned with its last spec batch still held")
+	}
+	m.EstimateCardBatch(workload.Generate(tbl, workload.GenConfig{Seed: 2, NumQueries: 8, MinPreds: 1, MaxPreds: 2, BoundedCol: -1}))
+	if m.lastSpecs != nil {
+		t.Fatalf("an estimate left %d specs on the model", len(m.lastSpecs))
+	}
+}
+
 func TestTrainDeterministicInSeed(t *testing.T) {
 	tbl := tinyTable(150)
 	cfg := DefaultTrainConfig()

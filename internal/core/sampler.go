@@ -70,46 +70,18 @@ func (st *ImportanceStats) draw(rng *rand.Rand, col int, x int32) (ColPred, bool
 	return ColPred{}, false
 }
 
-// SampleVirtualTuples implements the paper's parallel vectorized sampling:
-// for every tuple in rows (each replicated Mu times) and every column it
-// draws a predicate operator uniformly via the slice trick and a predicate
-// value uniformly from the operator's satisfying range, so the source tuple
-// satisfies every sampled predicate — i.e. the virtual tuple x' is drawn
-// from the virtual table T' with the original tuple x as its label.
+// SampleSpecsForLabels implements the paper's parallel vectorized sampling
+// (Algorithm 1) over pre-filled label tuples: for every tuple and every
+// column it draws a predicate operator uniformly via the slice trick and a
+// predicate value uniformly from the operator's satisfying range, so the
+// label tuple satisfies every sampled predicate — i.e. the virtual tuple x'
+// is drawn from the virtual table T' with the original tuple x as its label.
 //
 // Columns are sampled in parallel (one goroutine per column chunk), each
 // with an independent deterministic RNG, mirroring the paper's
-// thread-per-column C++ extension. The returned specs hold the predicate
-// lists; labels hold the replicated source-tuple codes.
-func SampleVirtualTuples(t *relation.Table, rows []int, cfg SamplerConfig, epoch int) (specs []Spec, labels [][]int32) {
-	mu := cfg.Mu
-	if mu < 1 {
-		mu = 1
-	}
-	b := len(rows) * mu
-	n := t.NumCols()
-	specs = make([]Spec, b)
-	labels = make([][]int32, b)
-	for i := range specs {
-		specs[i] = make(Spec, n)
-		labels[i] = make([]int32, n)
-	}
-	// Replicated labels: virtual tuple k corresponds to source row
-	// rows[k/mu] (Line 21 of Algorithm 1 replicates the data batch).
-	for k := 0; k < b; k++ {
-		t.RowCodes(rows[k/mu], labels[k])
-	}
-	SampleSpecsForLabels(t, specs, labels, cfg, epoch)
-	return specs, labels
-}
-
-// SampleSpecsForLabels runs Algorithm 1's predicate sampling over pre-filled
-// label tuples: for every tuple and column it draws predicates the tuple
-// satisfies, exactly as SampleVirtualTuples does after reading the labels
-// from table rows. The tuple-stream training path (TrainConfig.Source) fills
-// labels from a sampler draw instead of table rows and reuses specs across
-// steps; each specs[k] must already hold one (possibly truncated) predicate
-// list per column — the lists are overwritten, not appended to.
+// thread-per-column C++ extension. Training reuses specs across steps, so
+// each specs[k] must already hold one (possibly truncated) predicate list
+// per column — the lists are overwritten, not appended to.
 func SampleSpecsForLabels(t *relation.Table, specs []Spec, labels [][]int32, cfg SamplerConfig, epoch int) {
 	maxP := cfg.MaxPredsPerCol
 	if maxP < 1 {

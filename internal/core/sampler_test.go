@@ -18,6 +18,20 @@ func samplerTable(rows int) *relation.Table {
 	})
 }
 
+// sampleVirtualTuples runs Algorithm 1 over the given table rows, each
+// replicated cfg.Mu times: labels[k] holds row rows[k/Mu]'s codes and
+// specs[k] the predicates sampled for it.
+func sampleVirtualTuples(tbl *relation.Table, rows []int, cfg SamplerConfig, epoch int) ([]Spec, [][]int32) {
+	specs := make([]Spec, len(rows)*cfg.Mu)
+	labels := make([][]int32, len(specs))
+	for k := range specs {
+		specs[k] = make(Spec, tbl.NumCols())
+		labels[k] = tbl.RowCodes(rows[k/cfg.Mu], nil)
+	}
+	SampleSpecsForLabels(tbl, specs, labels, cfg, epoch)
+	return specs, labels
+}
+
 // TestVirtualTupleInvariant checks the paper's I(x, x') = 1 definition:
 // every sampled virtual tuple's predicates are satisfied by its source tuple.
 func TestVirtualTupleInvariant(t *testing.T) {
@@ -27,7 +41,7 @@ func TestVirtualTupleInvariant(t *testing.T) {
 		rows[i] = i * 3
 	}
 	cfg := SamplerConfig{Mu: 4, WildcardProb: 0.3, MaxPredsPerCol: 2, Seed: 11}
-	specs, labels := SampleVirtualTuples(tbl, rows, cfg, 0)
+	specs, labels := sampleVirtualTuples(tbl, rows, cfg, 0)
 	if len(specs) != len(rows)*4 {
 		t.Fatalf("expected %d virtual tuples, got %d", len(rows)*4, len(specs))
 	}
@@ -51,7 +65,7 @@ func TestVirtualTupleInvariant(t *testing.T) {
 func TestSamplerLabelsMatchSourceRows(t *testing.T) {
 	tbl := samplerTable(50)
 	rows := []int{7, 13}
-	specs, labels := SampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 3, Seed: 1}, 0)
+	specs, labels := sampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 3, Seed: 1}, 0)
 	_ = specs
 	for k := range labels {
 		src := rows[k/3]
@@ -68,8 +82,8 @@ func TestSamplerDeterministic(t *testing.T) {
 	tbl := samplerTable(100)
 	rows := []int{0, 10, 20, 30}
 	cfg := SamplerConfig{Mu: 2, WildcardProb: 0.2, Seed: 9}
-	s1, _ := SampleVirtualTuples(tbl, rows, cfg, 3)
-	s2, _ := SampleVirtualTuples(tbl, rows, cfg, 3)
+	s1, _ := sampleVirtualTuples(tbl, rows, cfg, 3)
+	s2, _ := sampleVirtualTuples(tbl, rows, cfg, 3)
 	for k := range s1 {
 		for c := range s1[k] {
 			if len(s1[k][c]) != len(s2[k][c]) {
@@ -83,7 +97,7 @@ func TestSamplerDeterministic(t *testing.T) {
 		}
 	}
 	// Different epochs draw different predicates.
-	s3, _ := SampleVirtualTuples(tbl, rows, cfg, 4)
+	s3, _ := sampleVirtualTuples(tbl, rows, cfg, 4)
 	same := true
 	for k := range s1 {
 		for c := range s1[k] {
@@ -115,7 +129,7 @@ func TestSamplerWildcardRate(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	specs, _ := SampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, WildcardProb: 0.5, Seed: 2}, 0)
+	specs, _ := sampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, WildcardProb: 0.5, Seed: 2}, 0)
 	wild, total := 0, 0
 	for _, spec := range specs {
 		for _, preds := range spec {
@@ -137,7 +151,7 @@ func TestSamplerOpCoverage(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	specs, _ := SampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, Seed: 3}, 0)
+	specs, _ := sampleVirtualTuples(tbl, rows, SamplerConfig{Mu: 1, Seed: 3}, 0)
 	opCount := map[workload.Op]int{}
 	for _, spec := range specs {
 		for _, preds := range spec {
@@ -155,7 +169,9 @@ func TestSamplerOpCoverage(t *testing.T) {
 
 func TestSampleVirtualTuplesMuDefault(t *testing.T) {
 	tbl := samplerTable(10)
-	specs, _ := SampleVirtualTuples(tbl, []int{0, 1}, SamplerConfig{Seed: 1}, 0)
+	m := NewModel(tbl, tinyConfig())
+	src := &tableRows{t: tbl, perm: []int{0, 1}}
+	specs, _ := (&streamBatch{ncols: tbl.NumCols()}).next(m, src, 2, 0, SamplerConfig{Seed: 1}, 0)
 	if len(specs) != 2 {
 		t.Fatalf("Mu<1 should default to 1, got %d tuples", len(specs))
 	}

@@ -1,23 +1,39 @@
 package core
 
-// TupleSource streams training tuples as dictionary codes laid out like the
-// model table's columns. It is how training runs without a materialized
-// table behind it: relation.JoinSampler implements it by drawing
-// full-outer-join rows on demand, so a join view's training memory is
-// bounded by the batch buffers and the sample budget instead of the join
-// cardinality. Sources are called from the training goroutine only.
+import "duet/internal/relation"
+
+// TupleSource supplies training tuples as dictionary codes laid out like the
+// model table's columns: by default the table's rows, while
+// relation.JoinSampler draws full-outer-join rows on demand, so a join
+// view's training memory is bounded by the batch buffers and the sample
+// budget instead of the join cardinality. Sources are called from the
+// training goroutine only.
 type TupleSource interface {
 	// DrawTuples fills each dst[i] (len = the table's column count) with one
 	// tuple's codes.
 	DrawTuples(dst [][]int32)
 }
 
-// streamBatch owns the tuple-stream training path's reusable buffers: one
-// flat label slab (re-sliced per step), the per-tuple views into it, the
-// draw destinations handed to the source, and the spec lists. After the
-// first step at full batch size, streaming steps stop allocating label or
-// spec storage — the pooled-buffer analogue of what the serving engine does
-// for inference scratch.
+// tableRows is the default TupleSource: the table's rows in the order of the
+// epoch's permutation, which Train sets before the epoch's first draw.
+type tableRows struct {
+	t    *relation.Table
+	perm []int // rows not yet drawn this epoch
+}
+
+func (s *tableRows) DrawTuples(dst [][]int32) {
+	for _, d := range dst {
+		s.t.RowCodes(s.perm[0], d)
+		s.perm = s.perm[1:]
+	}
+}
+
+// streamBatch owns the reusable buffers every training step builds its
+// virtual tuples in: one flat label slab (re-sliced per step), the per-tuple
+// views into it, the draw destinations handed to the source, and the spec
+// lists. After the first step at full batch size, steps stop allocating
+// label or spec storage — the pooled-buffer analogue of what the serving
+// engine does for inference scratch.
 type streamBatch struct {
 	ncols  int
 	slab   []int32
@@ -26,11 +42,9 @@ type streamBatch struct {
 	specs  []Spec
 }
 
-func newStreamBatch(ncols int) *streamBatch { return &streamBatch{ncols: ncols} }
-
-// next draws `batch` fresh tuples from src, replicates each mu times (the
-// same expansion Algorithm 1 applies to table rows), and samples the
-// per-column predicate lists, returning views valid until the next call.
+// next implements Algorithm 1 for one step: it draws `batch` tuples from src,
+// replicates each mu times (Line 21 replicates the data batch), and samples
+// the per-column predicate lists, returning views valid until the next call.
 func (sb *streamBatch) next(m *Model, src TupleSource, batch, mu int, cfg SamplerConfig, epoch int) ([]Spec, [][]int32) {
 	if mu < 1 {
 		mu = 1

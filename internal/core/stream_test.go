@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"duet/internal/relation"
@@ -55,12 +56,42 @@ func TestTrainFromTupleStream(t *testing.T) {
 	}
 }
 
+// TestDefaultSourceIsSeededPermutation: Train without a Source reads the
+// table's rows in the permutation its seed draws first, so it trains to the
+// same bits as an explicit source replaying that permutation.
+func TestDefaultSourceIsSeededPermutation(t *testing.T) {
+	tbl := relation.SynCensus(700, 5)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 1
+	cfg.BatchSize = 128 // a ragged last batch
+	cfg.Lambda = 0
+	train := func(src TupleSource) (*Model, []EpochStats) {
+		m := NewModel(tbl, tinyConfig())
+		c := cfg
+		c.Source = src
+		return m, Train(m, c)
+	}
+	a, ha := train(nil)
+	perm := rand.New(rand.NewSource(cfg.Seed)).Perm(tbl.NumRows())
+	b, hb := train(&tableRows{t: tbl, perm: perm})
+	if math.Float64bits(ha[0].DataLoss) != math.Float64bits(hb[0].DataLoss) {
+		t.Fatalf("data loss %v with the default source, %v replaying its permutation", ha[0].DataLoss, hb[0].DataLoss)
+	}
+	for i, p := range a.Params() {
+		for j, w := range p.W.Data {
+			if math.Float32bits(w) != math.Float32bits(b.Params()[i].W.Data[j]) {
+				t.Fatalf("param %s[%d] differs between the default and the replayed source", p.Name, j)
+			}
+		}
+	}
+}
+
 // TestStreamBatchReusesBuffers: after the first full-size step, streaming
 // draws reuse the label slab and spec lists instead of reallocating.
 func TestStreamBatchReusesBuffers(t *testing.T) {
 	tbl := relation.SynCensus(200, 4)
 	m := NewModel(tbl, tinyConfig())
-	sb := newStreamBatch(tbl.NumCols())
+	sb := &streamBatch{ncols: tbl.NumCols()}
 	src := &cyclingSource{t: tbl}
 	cfg := SamplerConfig{Mu: 2, WildcardProb: 0.25, Seed: 9}
 	specs1, labels1 := sb.next(m, src, 64, 2, cfg, 0)

@@ -31,14 +31,14 @@ type TrainConfig struct {
 	Workload   []workload.LabeledQuery
 	QueryBatch int // queries per step; defaults to min(BatchSize, 64)
 
-	// Source, when non-nil, streams the training tuples instead of reading
-	// them from the model's table rows — the sampled join materialization
-	// path: every step draws a fresh batch from the source (e.g. a
-	// relation.JoinSampler over the join graph) into pooled buffers, so
-	// training memory is bounded by the batch size, not the table or join
-	// size. The model's table then only supplies the column dictionaries
+	// Source supplies the training tuples; every step draws its batch from
+	// it into pooled buffers. nil means the model table's rows, reshuffled
+	// every epoch. A non-nil source (e.g. a relation.JoinSampler over a join
+	// graph) bounds training memory by the batch size, not the table or join
+	// size; the model's table then only supplies the column dictionaries
 	// (e.g. a JoinSampler.SampleTable snapshot). SourceRows is the number of
-	// tuples one epoch consumes (default: the table's row count).
+	// tuples one epoch draws from a non-nil Source (default: the table's row
+	// count).
 	Source     TupleSource
 	SourceRows int
 
@@ -85,13 +85,13 @@ type StepStats struct {
 	RawQErr   float64
 }
 
-// Train runs Algorithm 2: per step it (1) samples a batch of virtual tuples
-// with Algorithm 1 and computes the unsupervised cross-entropy L_data, (2)
-// draws a batch of training queries, estimates them directly (no sampling)
-// and computes the supervised L_query = log2(QErr+1), then (3) descends on
-// L = L_data + λ·L_query. It returns per-epoch statistics. When it returns,
-// the network's batch-wide training buffers have been released (see
-// releaseTrainingBuffers).
+// Train runs Algorithm 2: per step it (1) draws a batch of tuples from
+// cfg.Source, expands them into virtual tuples with Algorithm 1 and computes
+// the unsupervised cross-entropy L_data, (2) draws a batch of training
+// queries, estimates them directly (no sampling) and computes the supervised
+// L_query = log2(QErr+1), then (3) descends on L = L_data + λ·L_query. It
+// returns per-epoch statistics. When it returns, the network's batch-wide
+// training buffers have been released (see releaseTrainingBuffers).
 func Train(m *Model, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		panic("core: Train needs positive Epochs and BatchSize")
@@ -120,20 +120,21 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 		sampler.ImportanceProb = cfg.ImportanceProb
 	}
 	nRows := m.table.NumRows()
-	var stream *streamBatch
-	if cfg.Source != nil {
-		stream = newStreamBatch(m.table.NumCols())
-		if cfg.SourceRows > 0 {
-			nRows = cfg.SourceRows
-		}
+	src := cfg.Source
+	var rows *tableRows
+	if src == nil {
+		rows = &tableRows{t: m.table}
+		src = rows
+	} else if cfg.SourceRows > 0 {
+		nRows = cfg.SourceRows
 	}
+	batch := &streamBatch{ncols: m.table.NumCols()}
 	var history []EpochStats
 	step := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
-		var perm []int
-		if stream == nil {
-			perm = rng.Perm(nRows)
+		if rows != nil {
+			rows.perm = rng.Perm(nRows)
 		}
 		var dataLossSum, qLossSum, rawQSum float64
 		var steps int
@@ -142,39 +143,15 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 			if end > nRows {
 				end = nRows
 			}
-			nn.ZeroGrads(m.params)
-
-			// (1) Unsupervised pass over virtual tuples: labels come from the
-			// shuffled table rows, or — streaming — fresh source draws.
-			var specs []Spec
-			var labels [][]int32
-			if stream != nil {
-				specs, labels = stream.next(m, cfg.Source, end-off, cfg.Mu, sampler, epoch)
-			} else {
-				specs, labels = SampleVirtualTuples(m.table, perm[off:end], sampler, epoch)
-			}
-			logits := m.Forward(specs)
-			dLogits := m.zeroedGrad(logits)
-			dataLoss := nn.SoftmaxCE(logits, m.net.Out, labels, dLogits, &m.lossTerms)
-			m.Backward(dLogits)
-
-			// (2) Supervised pass over training queries.
-			var qLoss, rawQ float64
+			specs, labels := batch.next(m, src, end-off, cfg.Mu, sampler, epoch)
+			var queries []workload.LabeledQuery
 			if hybrid {
-				batchQ := make([]workload.LabeledQuery, qb)
-				for i := range batchQ {
-					batchQ[i] = cfg.Workload[rng.Intn(len(cfg.Workload))]
+				queries = make([]workload.LabeledQuery, qb)
+				for i := range queries {
+					queries[i] = cfg.Workload[rng.Intn(len(cfg.Workload))]
 				}
-				qLoss, rawQ = m.queryLossBackward(batchQ, cfg.Lambda)
 			}
-
-			// (3) One descent step on the combined gradient.
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(m.params, cfg.ClipNorm)
-			}
-			opt.Step(m.params)
-			m.InvalidatePlan()
-
+			dataLoss, qLoss, rawQ := m.step(opt, specs, labels, queries, cfg.Lambda, cfg.ClipNorm)
 			dataLossSum += dataLoss
 			qLossSum += qLoss
 			rawQSum += rawQ
@@ -204,6 +181,28 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 		}
 	}
 	return history
+}
+
+// step is Algorithm 2's descent step, shared by Train and FineTune: zero the
+// gradients, accumulate L_data over the virtual tuples and λ·L_query over the
+// queries (either may be empty), clip, update, and drop the stale plan.
+func (m *Model) step(opt *nn.Adam, specs []Spec, labels [][]int32, queries []workload.LabeledQuery, lambda, clipNorm float64) (dataLoss, qLoss, rawQ float64) {
+	nn.ZeroGrads(m.params)
+	if len(specs) > 0 {
+		logits := m.Forward(specs)
+		dLogits := m.zeroedGrad(logits)
+		dataLoss = nn.SoftmaxCE(logits, m.net.Out, labels, dLogits, &m.lossTerms)
+		m.Backward(dLogits)
+	}
+	if len(queries) > 0 {
+		qLoss, rawQ = m.queryLossBackward(queries, lambda)
+	}
+	if clipNorm > 0 {
+		nn.ClipGradNorm(m.params, clipNorm)
+	}
+	opt.Step(m.params)
+	m.InvalidatePlan()
+	return dataLoss, qLoss, rawQ
 }
 
 // zeroedGrad returns the model's logit-gradient buffer shaped like logits and
@@ -259,19 +258,14 @@ func (m *Model) queryLossBackward(batch []workload.LabeledQuery, lambda float64)
 		probsPer := make([][]float32, len(cols))
 		empty := false
 		for k, c := range cols {
-			seg := m.net.Out.Slice(row, c)
-			probs := make([]float32, len(seg))
-			nn.Softmax(probs, seg)
-			probsPer[k] = probs
 			iv := ivs[c]
 			if iv.Empty() {
 				empty = true
 				break
 			}
-			var f float64
-			for v := iv.Lo; v <= iv.Hi; v++ {
-				f += float64(probs[v])
-			}
+			seg := m.net.Out.Slice(row, c)
+			probsPer[k] = make([]float32, len(seg))
+			f := nn.IntervalMass(probsPer[k], seg, iv.Lo, iv.Hi)
 			if f < 1e-12 {
 				f = 1e-12
 			}
@@ -288,7 +282,7 @@ func (m *Model) queryLossBackward(batch []workload.LabeledQuery, lambda float64)
 		est := total * prod
 		loss, dEst := nn.QErrorLossGrad(est, float64(lq.Card), 1)
 		qLoss += loss
-		rawQ += nn.QError(est, float64(lq.Card))
+		rawQ += workload.QError(est, float64(lq.Card))
 		dEst *= scale
 		prefix := make([]float64, len(fs)+1)
 		prefix[0] = 1

@@ -224,16 +224,7 @@ func (s *Supervisor) buildModel(mg *managed, backing *relation.Table, feedback [
 			return clone, KindFineTune, nil
 		}
 	}
-	m := core.NewModel(backing, mg.cfg)
-	tc := mg.train
-	if s.pol.TrainEpochs > 0 {
-		tc.Epochs = s.pol.TrainEpochs
-	}
-	if tc.Lambda > 0 && len(lqs) > 0 {
-		tc.Workload = lqs
-	}
-	core.Train(m, tc)
-	return m, KindFullTrain, nil
+	return s.trainFresh(mg, backing, nil, lqs), KindFullTrain, nil
 }
 
 // rebuildGraphView re-materializes a join-graph view from its registered base
@@ -246,17 +237,27 @@ func (s *Supervisor) rebuildGraphView(mg *managed, version int) (*core.Model, er
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: rebuild %q: %w", mg.name, err)
 	}
+	return s.trainFresh(mg, view, sampler, nil), nil
+}
+
+// trainFresh is every full retrain: a new model over t, trained with the
+// model's train config and the policy's epoch override. A non-nil sampler
+// streams a sampled view's tuples (mg.graph.Sample per epoch); feedback
+// becomes the hybrid workload when the config weights query loss.
+func (s *Supervisor) trainFresh(mg *managed, t *relation.Table, sampler *relation.JoinSampler, feedback []workload.LabeledQuery) *core.Model {
 	tc := mg.train
 	if s.pol.TrainEpochs > 0 {
 		tc.Epochs = s.pol.TrainEpochs
 	}
 	if sampler != nil {
-		tc.Source = sampler
-		tc.SourceRows = mg.graph.Sample
+		tc.Source, tc.SourceRows = sampler, mg.graph.Sample
 	}
-	m := core.NewModel(view, mg.cfg)
+	if tc.Lambda > 0 && len(feedback) > 0 {
+		tc.Workload = feedback
+	}
+	m := core.NewModel(t, mg.cfg)
 	core.Train(m, tc)
-	return m, nil
+	return m
 }
 
 // labelFeedback resolves feedback expressions against the grown table,

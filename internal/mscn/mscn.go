@@ -10,7 +10,6 @@ package mscn
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"duet/internal/nn"
 	"duet/internal/relation"
@@ -216,11 +215,4 @@ func Train(m *Model, queries []workload.LabeledQuery, cfg TrainConfig) []float64
 		epochLosses = append(epochLosses, lossSum/float64(steps))
 	}
 	return epochLosses
-}
-
-// TrainTimed wraps Train and reports the wall-clock duration.
-func TrainTimed(m *Model, queries []workload.LabeledQuery, cfg TrainConfig) ([]float64, time.Duration) {
-	start := time.Now()
-	losses := Train(m, queries, cfg)
-	return losses, time.Since(start)
 }

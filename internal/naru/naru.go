@@ -10,6 +10,7 @@ package naru
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"duet/internal/made"
@@ -105,13 +106,7 @@ func New(t *relation.Table, cfg Config) *Model {
 		InBlocks: inBlocks, OutBlocks: outBlocks,
 		Hidden: cfg.Hidden, Residual: cfg.Residual, Seed: cfg.Seed + 1,
 	})
-	maxNDV := 0
-	for _, c := range t.Cols {
-		if d := c.NumDistinct(); d > maxNDV {
-			maxNDV = d
-		}
-	}
-	m.probs = make([]float32, maxNDV)
+	m.probs = make([]float32, slices.Max(outBlocks))
 	return m
 }
 
@@ -185,42 +180,26 @@ func DefaultTrainConfig() TrainConfig {
 // applying wildcard-skipping dropout so inference-time wildcards are
 // in-distribution.
 func Train(m *Model, cfg TrainConfig) []EpochStats {
-	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return trainLoop(m, cfg, func(rows []int, epoch int) float64 {
-		codes := make([][]int32, len(rows))
-		labels := make([][]int32, len(rows))
-		for i, r := range rows {
-			labels[i] = m.table.RowCodes(r, nil)
-			in := append([]int32(nil), labels[i]...)
-			for c := range in {
-				if rng.Float64() < cfg.WildcardProb {
-					in[c] = -1
-				}
-			}
-			codes[i] = in
-		}
-		nn.ZeroGrads(m.Params())
-		logits := m.net.Forward(m.buildInput(codes))
-		d := tensor.New(logits.Rows, logits.Cols)
-		loss := nn.SoftmaxCE(logits, m.net.Out, labels, d, nil)
-		m.net.Backward(d)
-		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
-		}
-		opt.Step(m.Params())
-		return loss
+	hist, _ := m.TrainEpochs(cfg, rand.New(rand.NewSource(cfg.Seed+7)), func(rows []int) (float64, error) {
+		return m.DataStep(rows, cfg.WildcardProb, rng), nil
 	})
+	return hist
 }
 
-// trainLoop shares the epoch/batch iteration between Naru and UAE.
-func trainLoop(m *Model, cfg TrainConfig, step func(rows []int, epoch int) float64) []EpochStats {
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+// TrainEpochs is Naru's and UAE's training loop: each epoch walks the rows in
+// a fresh permutation drawn from perm, cfg.BatchSize rows a step, zeroing the
+// gradients, letting step accumulate them, then taking one clipped Adam step.
+// It stops after cfg.Epochs, after the epoch OnEpoch rejects, or at the first
+// step error, returned with the epochs completed before it. Seed and
+// WildcardProb are the caller's to use.
+func (m *Model) TrainEpochs(cfg TrainConfig, perm *rand.Rand, step func(rows []int) (float64, error)) ([]EpochStats, error) {
+	opt := nn.NewAdam(cfg.LR)
 	nRows := m.table.NumRows()
 	var hist []EpochStats
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
-		perm := rng.Perm(nRows)
+		order := perm.Perm(nRows)
 		var lossSum float64
 		var steps int
 		for off := 0; off < nRows; off += cfg.BatchSize {
@@ -228,7 +207,16 @@ func trainLoop(m *Model, cfg TrainConfig, step func(rows []int, epoch int) float
 			if end > nRows {
 				end = nRows
 			}
-			lossSum += step(perm[off:end], epoch)
+			nn.ZeroGrads(m.Params())
+			loss, err := step(order[off:end])
+			if err != nil {
+				return hist, err
+			}
+			if cfg.ClipNorm > 0 {
+				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
+			}
+			opt.Step(m.Params())
+			lossSum += loss
 			steps++
 		}
 		dur := time.Since(start)
@@ -241,7 +229,30 @@ func trainLoop(m *Model, cfg TrainConfig, step func(rows []int, epoch int) float
 			break
 		}
 	}
-	return hist
+	return hist, nil
+}
+
+// DataStep accumulates the data-loss gradient of a batch of rows and returns
+// its mean cross-entropy; each input code is wildcarded with probability
+// wildcardProb, drawn from rng.
+func (m *Model) DataStep(rows []int, wildcardProb float64, rng *rand.Rand) float64 {
+	codes := make([][]int32, len(rows))
+	labels := make([][]int32, len(rows))
+	for i, r := range rows {
+		labels[i] = m.table.RowCodes(r, nil)
+		in := append([]int32(nil), labels[i]...)
+		for c := range in {
+			if rng.Float64() < wildcardProb {
+				in[c] = -1
+			}
+		}
+		codes[i] = in
+	}
+	logits := m.net.Forward(m.buildInput(codes))
+	d := tensor.New(logits.Rows, logits.Cols)
+	loss := nn.SoftmaxCE(logits, m.net.Out, labels, d, nil)
+	m.net.Backward(d)
+	return loss
 }
 
 // buildInput is BuildInput without the defensive ragged check (hot path).

@@ -1,6 +1,7 @@
 package naru
 
 import (
+	"math/rand"
 	"testing"
 
 	"duet/internal/exec"
@@ -157,5 +158,35 @@ func TestWildcardSkipping(t *testing.T) {
 	card := m.EstimateCard(q1)
 	if card <= 0 {
 		t.Fatalf("one-predicate estimate %v", card)
+	}
+}
+
+// TestTrainEpochsStopsWhereOnEpochSays: the epoch whose OnEpoch returns false
+// is the last one run, and every epoch walks each row exactly once.
+func TestTrainEpochsStopsWhereOnEpochSays(t *testing.T) {
+	m := New(testTable(90), smallConfig())
+	cfg := TrainConfig{Epochs: 5, BatchSize: 40, OnEpoch: func(epoch int, _ EpochStats) bool { return epoch < 1 }}
+	seen := make([]int, 90)
+	steps := 0
+	hist, err := m.TrainEpochs(cfg, rand.New(rand.NewSource(3)), func(rows []int) (float64, error) {
+		for _, r := range rows {
+			seen[r]++
+		}
+		steps++
+		return float64(len(rows)), nil
+	})
+	if err != nil || len(hist) != 2 {
+		t.Fatalf("got %d epochs, err %v; want 2 (OnEpoch false after epoch 1)", len(hist), err)
+	}
+	if steps != 6 { // ceil(90/40) = 3 batches per epoch
+		t.Fatalf("%d steps, want 6", steps)
+	}
+	for r, n := range seen {
+		if n != 2 {
+			t.Fatalf("row %d visited %d times in 2 epochs", r, n)
+		}
+	}
+	if hist[1].Epoch != 1 || hist[1].DataLoss != 30 || hist[1].Tuples != 90 {
+		t.Fatalf("epoch stats %+v: want epoch 1, mean loss 30 over 90 tuples", hist[1])
 	}
 }

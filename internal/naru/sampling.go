@@ -73,11 +73,7 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 			}
 			seg := m.net.Out.Slice(logits.Row(b), c)
 			probs := m.probs[:len(seg)]
-			nn.Softmax(probs, seg)
-			var mass float64
-			for v := iv.Lo; v <= iv.Hi; v++ {
-				mass += float64(probs[v])
-			}
+			mass := nn.IntervalMass(probs, seg, iv.Lo, iv.Hi)
 			weights[b] *= mass
 			if weights[b] == 0 {
 				continue

@@ -74,31 +74,3 @@ func (l *Sigmoid) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil; Sigmoid has no parameters.
 func (l *Sigmoid) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct{ buffers }
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward computes tanh(x).
-func (l *Tanh) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := outBuf(&l.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	return out
-}
-
-// Backward computes dIn = dOut · (1 - y²).
-func (l *Tanh) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	dIn := outBuf(&l.dIn, dOut.Rows, dOut.Cols)
-	for i, v := range dOut.Data {
-		y := l.out.Data[i]
-		dIn.Data[i] = v * (1 - y*y)
-	}
-	return dIn
-}
-
-// Params returns nil; Tanh has no parameters.
-func (l *Tanh) Params() []*Param { return nil }

@@ -119,7 +119,6 @@ func TestActivationsGradcheck(t *testing.T) {
 	}{
 		{"relu", NewReLU()},
 		{"sigmoid", NewSigmoid()},
-		{"tanh", NewTanh()},
 	} {
 		x := tensor.New(3, 5)
 		tensor.RandUniform(x, 2, rng)
@@ -170,9 +169,9 @@ func TestReleaseBuffers(t *testing.T) {
 		mask.Data[i] = float32(i % 2)
 	}
 	masked := NewMaskedLinear(6, 6, mask, rng)
-	lin, relu, sig, tanh := NewLinear(4, 6, rng), NewReLU(), NewSigmoid(), NewTanh()
+	lin, relu, sig := NewLinear(4, 6, rng), NewReLU(), NewSigmoid()
 	res := NewResidual(NewSequential(masked, relu))
-	net := NewSequential(lin, res, sig, NewLinear(6, 6, rng), tanh)
+	net := NewSequential(lin, res, sig, NewLinear(6, 6, rng))
 	x := tensor.New(64, 4)
 	tensor.RandUniform(x, 1, rng)
 	want := net.Forward(x).Clone()
@@ -181,7 +180,7 @@ func TestReleaseBuffers(t *testing.T) {
 	net.ReleaseBuffers()
 	for name, b := range map[string]*buffers{
 		"linear": &lin.buffers, "masked": &masked.buffers, "relu": &relu.buffers,
-		"residual": &res.buffers, "sigmoid": &sig.buffers, "tanh": &tanh.buffers,
+		"residual": &res.buffers, "sigmoid": &sig.buffers,
 	} {
 		if b.out != nil || b.dIn != nil {
 			t.Errorf("%s still holds buffers after ReleaseBuffers", name)

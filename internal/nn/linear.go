@@ -10,7 +10,7 @@ import (
 type Linear struct {
 	In, Out int
 	Weight  *Param // In×Out
-	Bias    *Param // 1×Out, nil when created with NewLinearNoBias
+	Bias    *Param // 1×Out
 
 	x *tensor.Matrix // input saved by Forward
 	buffers
@@ -26,40 +26,29 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// NewLinearNoBias creates a Linear layer without a bias term.
-func NewLinearNoBias(in, out int, rng *rand.Rand) *Linear {
-	l := &Linear{In: in, Out: out, Weight: NewParam("linear.w", in, out)}
-	tensor.XavierInit(l.Weight.W, in, out, rng)
-	return l
-}
-
 // Forward computes X·W + b.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	mustCols(x, l.In, "Linear")
 	l.x = x
 	out := outBuf(&l.out, x.Rows, l.Out)
 	tensor.Mul(out, x, l.Weight.W)
-	if l.Bias != nil {
-		out.AddRowVector(l.Bias.W.Data)
-	}
+	out.AddRowVector(l.Bias.W.Data)
 	return out
 }
 
 // Backward accumulates dW = Xᵀ·dOut, db = Σ dOut and returns dX = dOut·Wᵀ.
 func (l *Linear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	tensor.MulATAdd(l.Weight.G, l.x, dOut)
-	if l.Bias != nil {
-		// Column ranges, rows still ascending: each bias cell sums its column
-		// in the order the serial loop did.
-		tensor.ParallelFor(l.Out, tensor.RowGrain(dOut.Rows), func(lo, hi int) {
-			bg := l.Bias.G.Data[lo:hi]
-			for r := 0; r < dOut.Rows; r++ {
-				for c, v := range dOut.Row(r)[lo:hi] {
-					bg[c] += v
-				}
+	// Column ranges, rows still ascending: each bias cell sums its column in
+	// the order the serial loop did.
+	tensor.ParallelFor(l.Out, tensor.RowGrain(dOut.Rows), func(lo, hi int) {
+		bg := l.Bias.G.Data[lo:hi]
+		for r := 0; r < dOut.Rows; r++ {
+			for c, v := range dOut.Row(r)[lo:hi] {
+				bg[c] += v
 			}
-		})
-	}
+		}
+	})
 	dIn := outBuf(&l.dIn, dOut.Rows, l.In)
 	tensor.MulBT(dIn, dOut, l.Weight.W)
 	return dIn
@@ -72,18 +61,12 @@ func (l *Linear) ReleaseBuffers() {
 }
 
 // Params returns the weight and bias parameters.
-func (l *Linear) Params() []*Param {
-	if l.Bias == nil {
-		return []*Param{l.Weight}
-	}
-	return []*Param{l.Weight, l.Bias}
-}
+func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // MaskedLinear is a Linear layer whose weight matrix is elementwise gated by
 // a fixed binary mask (MADE-style). Masked entries are zero at initialization
 // and their gradients are zeroed in Backward, so they remain exactly zero
-// under any of the optimizers in this package (both SGD and Adam make zero
-// updates for identically-zero gradients).
+// under Adam (which makes zero updates for identically-zero gradients).
 type MaskedLinear struct {
 	Linear
 	Mask *tensor.Matrix // In×Out, entries 0 or 1

@@ -54,6 +54,18 @@ func Softmax(dst, logits []float32) {
 	}
 }
 
+// IntervalMass writes softmax(logits) into probs and returns the mass of
+// codes lo..hi, summed in float64 in ascending order (0 when lo > hi): the
+// per-column factor of Algorithm 3. Callers apply their own floor or clamp.
+func IntervalMass(probs, logits []float32, lo, hi int32) float64 {
+	Softmax(probs, logits)
+	var f float64
+	for v := lo; v <= hi; v++ {
+		f += float64(probs[v])
+	}
+	return f
+}
+
 // LogSumExp returns log Σ exp(logits[i]) computed stably.
 func LogSumExp(logits []float32) float64 {
 	mx := math.Inf(-1)
@@ -179,19 +191,4 @@ func QErrorLossGrad(est, act, minCard float64) (loss, dEst float64) {
 	loss = math.Log2(q + 1)
 	dEst = dq / ((q + 1) * math.Ln2)
 	return loss, dEst
-}
-
-// QError returns max(est,act)/min(est,act) with both sides clamped to at
-// least 1, the standard cardinality-estimation metric.
-func QError(est, act float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if act < 1 {
-		act = 1
-	}
-	if est > act {
-		return est / act
-	}
-	return act / est
 }

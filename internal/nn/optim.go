@@ -6,45 +6,6 @@ import (
 	"duet/internal/tensor"
 )
 
-// Optimizer applies one update step from accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step applies w -= lr·(momentum·v + g).
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			p.W.AddScaled(p.G, float32(-o.LR))
-			continue
-		}
-		v := o.vel[p]
-		if v == nil {
-			v = tensor.New(p.W.Rows, p.W.Cols)
-			o.vel[p] = v
-		}
-		mu := float32(o.Momentum)
-		lr := float32(o.LR)
-		for i, g := range p.G.Data {
-			v.Data[i] = mu*v.Data[i] + g
-			p.W.Data[i] -= lr * v.Data[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer with bias correction (Kingma & Ba, 2015). The
 // original Naru/Duet training loops both use Adam with lr=2e-4..1e-3.
 type Adam struct {

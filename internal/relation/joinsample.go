@@ -432,7 +432,7 @@ func (s *JoinSampler) descend(ti, r int, dst []int32) {
 }
 
 // DrawTuples fills each dst[i] with one drawn tuple — the core.TupleSource
-// contract the tuple-stream training path consumes.
+// contract training draws its batches through.
 func (s *JoinSampler) DrawTuples(dst [][]int32) {
 	for i := range dst {
 		dst[i] = s.Draw(dst[i])

@@ -26,9 +26,3 @@ func XavierInit(m *Matrix, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	RandUniform(m, limit, rng)
 }
-
-// KaimingInit fills a weight matrix with N(0, 2/fanIn), appropriate in front
-// of ReLU activations.
-func KaimingInit(m *Matrix, fanIn int, rng *rand.Rand) {
-	RandNormal(m, math.Sqrt(2.0/float64(fanIn)), rng)
-}

@@ -67,25 +67,11 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// CopyFrom copies src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	m.mustSameShape(src, "CopyFrom")
-	copy(m.Data, src.Data)
-}
-
 // Add accumulates src into m elementwise.
 func (m *Matrix) Add(src *Matrix) {
 	m.mustSameShape(src, "Add")
 	for i, v := range src.Data {
 		m.Data[i] += v
-	}
-}
-
-// AddScaled accumulates alpha*src into m elementwise.
-func (m *Matrix) AddScaled(src *Matrix, alpha float32) {
-	m.mustSameShape(src, "AddScaled")
-	for i, v := range src.Data {
-		m.Data[i] += alpha * v
 	}
 }
 

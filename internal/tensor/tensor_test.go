@@ -55,12 +55,8 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(1, 1) != 44 {
 		t.Fatalf("Add: got %v", a.Data)
 	}
-	a.AddScaled(b, 0.5)
-	if a.At(0, 0) != 16 {
-		t.Fatalf("AddScaled: got %v", a.Data)
-	}
 	a.Scale(2)
-	if a.At(0, 0) != 32 {
+	if a.At(0, 0) != 22 {
 		t.Fatalf("Scale: got %v", a.Data)
 	}
 	h := FromSlice(2, 2, []float32{1, 0, 1, 0})

@@ -14,7 +14,7 @@ package uae
 import (
 	"errors"
 	"math/rand"
-	"time"
+	"slices"
 
 	"duet/internal/naru"
 	"duet/internal/nn"
@@ -95,71 +95,21 @@ func DefaultTrainConfig() TrainConfig {
 // 2 × n_constrained forward passes of batch TrainSamples (forward, then
 // re-forward per step during backprop) and retains all step inputs.
 func Train(m *Model, cfg TrainConfig) ([]naru.EpochStats, error) {
-	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hybrid := m.cfg.Lambda > 0 && len(cfg.Workload) > 0
-	nRows := m.Table().NumRows()
-	var hist []naru.EpochStats
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		perm := rng.Perm(nRows)
-		var lossSum float64
-		var steps int
-		for off := 0; off < nRows; off += cfg.BatchSize {
-			end := off + cfg.BatchSize
-			if end > nRows {
-				end = nRows
-			}
-			rows := perm[off:end]
-			nn.ZeroGrads(m.Params())
-			lossSum += m.dataStep(rows, rng, cfg.WildcardProb)
-			if hybrid {
-				for i := 0; i < cfg.QueryBatch; i++ {
-					lq := cfg.Workload[rng.Intn(len(cfg.Workload))]
-					if err := m.queryStep(lq, cfg.MemLimitBytes, cfg.QueryBatch); err != nil {
-						return hist, err
-					}
+	epochs := naru.TrainConfig{Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR, ClipNorm: cfg.ClipNorm, OnEpoch: cfg.OnEpoch}
+	return m.TrainEpochs(epochs, rng, func(rows []int) (float64, error) {
+		loss := m.DataStep(rows, cfg.WildcardProb, rng)
+		if hybrid {
+			for i := 0; i < cfg.QueryBatch; i++ {
+				lq := cfg.Workload[rng.Intn(len(cfg.Workload))]
+				if err := m.queryStep(lq, cfg.MemLimitBytes, cfg.QueryBatch); err != nil {
+					return 0, err
 				}
 			}
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
-			}
-			opt.Step(m.Params())
-			steps++
 		}
-		dur := time.Since(start)
-		s := naru.EpochStats{Epoch: epoch, DataLoss: lossSum / float64(steps), Tuples: nRows}
-		if sec := dur.Seconds(); sec > 0 {
-			s.TuplesPerSec = float64(nRows) / sec
-		}
-		hist = append(hist, s)
-		if cfg.OnEpoch != nil && !cfg.OnEpoch(epoch, s) {
-			break
-		}
-	}
-	return hist, nil
-}
-
-// dataStep is one unsupervised batch (same objective as Naru's Train).
-func (m *Model) dataStep(rows []int, rng *rand.Rand, wildcardProb float64) float64 {
-	codes := make([][]int32, len(rows))
-	labels := make([][]int32, len(rows))
-	for i, r := range rows {
-		labels[i] = m.Table().RowCodes(r, nil)
-		in := append([]int32(nil), labels[i]...)
-		for c := range in {
-			if rng.Float64() < wildcardProb {
-				in[c] = -1
-			}
-		}
-		codes[i] = in
-	}
-	net := m.Net()
-	logits := net.Forward(m.BuildInput(codes))
-	d := tensor.New(logits.Rows, logits.Cols)
-	loss := nn.SoftmaxCE(logits, net.Out, labels, d, nil)
-	net.Backward(d)
-	return loss
+		return loss, nil
+	})
 }
 
 // queryStep backpropagates λ·log2(QErr+1) for one training query through
@@ -209,7 +159,7 @@ func (m *Model) queryStep(lq workload.LabeledQuery, memLimit int64, queryBatch i
 			m.EncodeWildcardBlock(row, i)
 		}
 	}
-	probsBuf := make([]float32, maxNDV(tbl))
+	probsBuf := make([]float32, slices.Max(tbl.NDVs()))
 	weights := make([]float64, s)
 	for i := range weights {
 		weights[i] = 1
@@ -222,11 +172,7 @@ func (m *Model) queryStep(lq workload.LabeledQuery, memLimit int64, queryBatch i
 		for b := 0; b < s; b++ {
 			seg := net.Out.Slice(logits.Row(b), c)
 			probs := probsBuf[:len(seg)]
-			nn.Softmax(probs, seg)
-			var mass float64
-			for v := iv.Lo; v <= iv.Hi; v++ {
-				mass += float64(probs[v])
-			}
+			mass := nn.IntervalMass(probs, seg, iv.Lo, iv.Hi)
 			if mass < 1e-12 {
 				mass = 1e-12
 			}
@@ -286,14 +232,4 @@ func (m *Model) queryStep(lq workload.LabeledQuery, memLimit int64, queryBatch i
 		net.Backward(dLogits)
 	}
 	return nil
-}
-
-func maxNDV(t *relation.Table) int {
-	mx := 0
-	for _, c := range t.Cols {
-		if d := c.NumDistinct(); d > mx {
-			mx = d
-		}
-	}
-	return mx
 }

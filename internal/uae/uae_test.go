@@ -112,3 +112,47 @@ func TestDataOnlyFallback(t *testing.T) {
 	}
 	_ = naru.DefaultConfig()
 }
+
+// TestOOMReturnsCompletedEpochs: a query step that exceeds the budget in the
+// second epoch ends training with ErrOOM and exactly the first epoch's stats.
+func TestOOMReturnsCompletedEpochs(t *testing.T) {
+	tbl := testTable(200)
+	qs := exec.Label(tbl, workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 40, MinPreds: 1, MaxPreds: 3, BoundedCol: -1}))
+	var narrow, wide []workload.LabeledQuery
+	for _, lq := range qs {
+		if len(lq.Query.Columns()) == 1 {
+			narrow = append(narrow, lq)
+		} else {
+			wide = append(wide, lq)
+		}
+	}
+	if len(narrow) == 0 || len(wide) == 0 {
+		t.Fatal("workload needs one- and multi-column queries")
+	}
+	cfg := smallConfig()
+	m := New(tbl, cfg)
+	// Budget: one-column queries fit, wider ones do not (see queryStep).
+	net := m.Net()
+	tc := DefaultTrainConfig()
+	tc.Epochs = 3
+	tc.BatchSize = 64
+	tc.QueryBatch = 2
+	tc.MemLimitBytes = int64(cfg.TrainSamples)*int64(net.In.Tot+1)*4*int64(tc.QueryBatch) +
+		int64(net.In.Tot+net.Out.Tot)*int64(cfg.TrainSamples)*4
+	tc.Workload = narrow
+	var first []naru.EpochStats
+	tc.OnEpoch = func(_ int, s naru.EpochStats) bool {
+		first = append(first, s)
+		for i := range narrow { // from the second epoch on, every query is wide
+			narrow[i] = wide[i%len(wide)]
+		}
+		return true
+	}
+	hist, err := Train(m, tc)
+	if !errors.Is(err, ErrOOM) {
+		t.Fatalf("expected ErrOOM in the second epoch, got %v", err)
+	}
+	if len(first) != 1 || len(hist) != 1 || hist[0] != first[0] {
+		t.Fatalf("returned %+v, want exactly the first epoch's %+v", hist, first)
+	}
+}

@@ -242,6 +242,24 @@ func hasTwoSided(q Query, col int) bool {
 	return lower && upper
 }
 
+func TestQErrorProperties(t *testing.T) {
+	f := func(a, b uint32) bool {
+		e := float64(a%1e8) + 0.5
+		c := float64(b%1e8) + 0.5
+		q := QError(e, c)
+		return q >= 1 && q == QError(c, e)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if QError(0, 0) != 1 {
+		t.Fatal("QError clamps both sides to 1")
+	}
+	if QError(10, 100) != 10 {
+		t.Fatal("QError(10,100) should be 10")
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 100})
 	if s.Max != 100 || s.Median != 3 || s.N != 5 {
