@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-train serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
+.PHONY: all build vet fmt test race bench bench-train bench-plan serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
 
 all: build vet fmt test
 
@@ -36,6 +36,14 @@ bench:
 bench-train:
 	$(GO) test -run='^$$' -bench='TrainGEMM(Mul|MulBT|MulATAdd)(DMV)?$$' -benchmem ./internal/tensor
 	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)$$' -benchmem ./internal/core
+
+# The serving-side kernel figure: Plan.Forward in µs per row on untrained
+# DMV- and census-shaped nets, one row per call (b1) and 64 rows per call
+# (b64), at 1 and 2 workers. b64/w1 over b1/w1 is the weight reuse a batch
+# buys on one core; benchmark/ reports the same pass as made.plan_us_b1 and
+# made.plan_us_b64.
+bench-plan:
+	$(GO) test -run='^$$' -bench='PlanForward' -benchmem ./internal/made
 
 # Full suite forced onto the pure-Go kernel tier: proves the SIMD dispatch
 # fallback path stays correct, not just compiled.

@@ -14,13 +14,27 @@
 //     degree-sorted hidden units, and Forward computes only the blocks each
 //     row needs.
 //
-// Like the fused MPSN built by Merge, planned results match the generic
-// layer stack up to floating-point summation order (the degree sort changes
-// the order in which a logit's contributions are added); they are bitwise
-// deterministic and independent of batch composition, because every kernel
-// processes rows independently in a fixed order. A Plan is a snapshot:
-// weights updated by training are not reflected; rebuild after training.
-// Forward is safe for concurrent use only via external serialization.
+// Forward runs a batch in two phases, and each weight it loads serves every
+// row of a group that needs it. The trunk phase takes blocks of rowBlock
+// rows through every trunk layer: per input unit, the unit's span is loaded
+// once and accumulated into each row of the block whose activation is
+// nonzero; bias, ReLU and the residual add follow per block. The projection
+// phase gathers, per output block, the rows that need it into groups of
+// rowBlock, and streams each slab row once per group. Each phase is one
+// tensor.ParallelFor whose workers take work items, largest first, from an
+// atomic counter; a batch smaller than one row block runs inline, with no
+// fork and no allocation.
+//
+// Every output element starts at +0, adds its terms in ascending input order
+// (skipping zero activations), then adds its bias: exactly the additions, in
+// exactly the order, of computing its row alone. Results are therefore
+// bitwise independent of batch composition, row-block boundaries, worker
+// count and kernel tier. Like the fused MPSN built by Merge, they match the
+// generic layer stack up to floating-point summation order (the degree sort
+// changes the order in which a logit's contributions are added). A Plan is a
+// snapshot: weights updated by training are not reflected; rebuild after
+// training. Forward is safe for concurrent use only via external
+// serialization.
 //
 // PlanConfig{Quantize: true} builds the plan with int8 weights instead of
 // float32: every packed span (and every hidden row of an output slab) stores
@@ -35,11 +49,17 @@ package made
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"duet/internal/nn"
 	"duet/internal/tensor"
 )
+
+// rowBlock is how many rows share one load of a weight span: the trunk
+// phase's row block and the projection phase's row group.
+const rowBlock = 8
 
 // PlanConfig selects how NewPlan compiles the weights.
 type PlanConfig struct {
@@ -54,14 +74,27 @@ type PlanConfig struct {
 type Plan struct {
 	out       nn.Blocks
 	trunk     []planLayer
-	proj      *packedOutput
-	logits    *tensor.Matrix // reusable output buffer
+	proj      []outBlock
 	quantized bool
+
+	// Per-pass state, owned and reused: Forward is externally serialized.
+	x, h   *tensor.Matrix // the pass's input and the trunk's output
+	logits *tensor.Matrix // reusable output buffer
+	seq    []int32        // 0, 1, 2, ...: the trunk's row blocks slice it
+	rowsOf [][]int32      // per output block: the rows that need it, ascending
+	items  []projItem     // the projection phase's work, see gather
+	next   atomic.Int64   // the next work item of a forked phase
 }
 
 // planLayer is one compiled trunk stage.
 type planLayer interface {
-	forward(x *tensor.Matrix) *tensor.Matrix
+	// bind sizes the stage's buffers for a pass over x's rows and returns
+	// the matrix its forward writes. It runs once per pass, before any
+	// forward.
+	bind(x *tensor.Matrix) *tensor.Matrix
+	// forward computes the listed rows of the stage's output from the same
+	// rows of x. Calls on disjoint rows may run concurrently.
+	forward(x *tensor.Matrix, rows []int32) *tensor.Matrix
 	weightBytes() int
 }
 
@@ -79,6 +112,7 @@ func NewPlan(m *MADE, cfg PlanConfig) *Plan {
 	trunk, trunkOrder := compileStack(layers[:len(layers)-1], nil, nil, cfg.Quantize)
 	p.trunk = trunk
 	p.proj = packOutput(&last.Linear, m.Out, trunkOrder, cfg.Quantize)
+	p.rowsOf = make([][]int32, len(p.proj))
 	return p
 }
 
@@ -94,9 +128,8 @@ func (p *Plan) WeightBytes() int {
 	for _, l := range p.trunk {
 		total += l.weightBytes()
 	}
-	for i := range p.proj.blocks {
-		blk := &p.proj.blocks[i]
-		total += 4*len(blk.w) + len(blk.wq) + 4*len(blk.scale) + 4*len(blk.bias)
+	for i := range p.proj {
+		total += p.proj[i].weightBytes()
 	}
 	return total
 }
@@ -181,26 +214,106 @@ func identityOrder(n int) []int32 {
 	return ord
 }
 
+// ----- packed spans -----
+
+// spans is a packed weight matrix: input unit k's weights are one
+// contiguous span, off[k]..off[k+1], that lands on outputs start[k],
+// start[k]+1, ... Exactly one of w (float32) and wq (int8 codes with one
+// scale per span) holds the spans, chosen at pack time.
+type spans struct {
+	start []int32   // per input unit: first output its span reaches
+	off   []int32   // per input unit: offset into w/wq; len(start)+1
+	w     []float32 // float32 spans
+	wq    []int8    // quantized spans; same offsets as w
+	scale []float32 // per input unit: dequant scale of its span
+	bias  []float32 // per output; nil when the layer has none
+}
+
+// quantize replaces the float32 spans with int8 codes and one scale each.
+func (s *spans) quantize() {
+	s.wq = make([]int8, len(s.w))
+	s.scale = make([]float32, len(s.start))
+	for k := range s.start {
+		lo, hi := s.off[k], s.off[k+1]
+		s.scale[k] = tensor.QuantizeI8S(s.wq[lo:hi], s.w[lo:hi])
+	}
+	s.w = nil // drop the f32 copy; wq+scale are the resident weights
+}
+
+func (s *spans) weightBytes() int {
+	return 4*len(s.w) + len(s.wq) + 4*len(s.scale) + 4*len(s.bias)
+}
+
+// accumulate computes dst[r][col:col+width] for each of at most rowBlock
+// listed rows r: from +0, add x[r][k] × span k for ascending k, skipping
+// zero activations, then add the bias. Span k is loaded once for all the
+// rows, which is the whole reuse: every element still sees exactly its own
+// row's terms, in its own row's order.
+func (s *spans) accumulate(x *tensor.Matrix, rows []int32, dst *tensor.Matrix, col, width int) {
+	var xs, ds [rowBlock][]float32
+	n := len(rows)
+	for i, r := range rows {
+		xs[i] = x.Row(int(r))[:len(s.start)]
+		ds[i] = dst.Row(int(r))[col : col+width]
+		clear(ds[i])
+	}
+	switch {
+	case n == 1:
+		// A lone row (a batch of one, or a block or group of one row): the
+		// same terms in the same order, without the row loop, whose cost
+		// per input unit would show in every single-estimate latency.
+		xr, d := xs[0], ds[0]
+		if s.wq != nil {
+			for k, av := range xr {
+				if av != 0 {
+					tensor.SaxpyI8(av*s.scale[k], s.wq[s.off[k]:s.off[k+1]], d[s.start[k]:])
+				}
+			}
+		} else {
+			for k, av := range xr {
+				if av != 0 {
+					tensor.Saxpy(av, s.w[s.off[k]:s.off[k+1]], d[s.start[k]:])
+				}
+			}
+		}
+	case s.wq != nil:
+		for k, st := range s.start {
+			for i := 0; i < n; i++ {
+				if av := xs[i][k]; av != 0 {
+					// One rounding for activation×scale, then the fused
+					// dequantize-accumulate kernel.
+					tensor.SaxpyI8(av*s.scale[k], s.wq[s.off[k]:s.off[k+1]], ds[i][st:])
+				}
+			}
+		}
+	default:
+		for k, st := range s.start {
+			for i := 0; i < n; i++ {
+				if av := xs[i][k]; av != 0 {
+					tensor.Saxpy(av, s.w[s.off[k]:s.off[k+1]], ds[i][st:])
+				}
+			}
+		}
+	}
+	if s.bias != nil {
+		for _, seg := range ds[:n] {
+			for j, bv := range s.bias {
+				seg[j] += bv
+			}
+		}
+	}
+}
+
 // ----- packed trunk linear -----
 
 // packedLinear is a span-packed snapshot of a Linear/MaskedLinear with its
 // output units re-ordered so each input unit's allowed outputs form one
-// contiguous span. Exactly one of w (float32 spans) and wq (int8 codes with
-// one scale per input row's span) is populated, chosen at pack time.
+// contiguous span.
 type packedLinear struct {
-	inW, outW int
-	cols      []int32 // output layout: position p holds original unit cols[p]
-	start     []int32 // per input row: first output position of its span
-	wOff      []int32 // per input row: offset into w/wq; len inW+1
-	w         []float32
-	wq        []int8    // quantized spans; same offsets as w
-	scale     []float32 // per input row: dequant scale of its span
-	bias      []float32 // re-ordered; nil when the layer has none
-	out       *tensor.Matrix
-}
-
-func (p *packedLinear) weightBytes() int {
-	return 4*len(p.w) + len(p.wq) + 4*len(p.scale) + 4*len(p.bias)
+	spans
+	outW int
+	cols []int32 // output layout: position p holds original unit cols[p]
+	out  *tensor.Matrix
 }
 
 // packLinear snapshots l. rowOrder is the layout of the incoming activation
@@ -214,9 +327,9 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLin
 	if colOrder == nil {
 		colOrder = sortBySupport(W, rowOrder)
 	}
-	p := &packedLinear{inW: l.In, outW: l.Out, cols: colOrder, out: &tensor.Matrix{}}
+	p := &packedLinear{outW: l.Out, cols: colOrder, out: &tensor.Matrix{}}
 	p.start = make([]int32, l.In)
-	p.wOff = make([]int32, l.In+1)
+	p.off = make([]int32, l.In+1)
 	row := make([]float32, l.Out) // layer row in output layout
 	for a, k := range rowOrder {
 		orig := W.Row(int(k))
@@ -232,7 +345,7 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLin
 		}
 		p.start[a] = int32(lo)
 		p.w = append(p.w, row[lo:hi]...)
-		p.wOff[a+1] = int32(len(p.w))
+		p.off[a+1] = int32(len(p.w))
 	}
 	if l.Bias != nil {
 		p.bias = make([]float32, l.Out)
@@ -241,13 +354,7 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLin
 		}
 	}
 	if quant {
-		p.wq = make([]int8, len(p.w))
-		p.scale = make([]float32, l.In)
-		for a := 0; a < l.In; a++ {
-			lo, hi := p.wOff[a], p.wOff[a+1]
-			p.scale[a] = tensor.QuantizeI8S(p.wq[lo:hi], p.w[lo:hi])
-		}
-		p.w = nil // drop the f32 copy; wq+scale are the resident weights
+		p.quantize()
 	}
 	return p
 }
@@ -270,58 +377,27 @@ func sortBySupport(W *tensor.Matrix, rowOrder []int32) []int32 {
 	return ord
 }
 
-func (p *packedLinear) forward(x *tensor.Matrix) *tensor.Matrix {
-	out := p.out.Resize(x.Rows, p.outW)
-	quant := p.wq != nil
-	tensor.ParallelFor(x.Rows, 8, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			xRow := x.Row(r)
-			dst := out.Row(r)
-			for j := range dst {
-				dst[j] = 0
-			}
-			if quant {
-				for k, av := range xRow {
-					if av == 0 {
-						continue
-					}
-					wq := p.wq[p.wOff[k]:p.wOff[k+1]]
-					if len(wq) == 0 {
-						continue
-					}
-					// One rounding for activation×scale, then the fused
-					// dequantize-accumulate kernel.
-					tensor.SaxpyI8(av*p.scale[k], wq, dst[p.start[k]:])
-				}
-			} else {
-				for k, av := range xRow {
-					if av == 0 {
-						continue
-					}
-					w := p.w[p.wOff[k]:p.wOff[k+1]]
-					if len(w) == 0 {
-						continue
-					}
-					tensor.Saxpy(av, w, dst[p.start[k]:])
-				}
-			}
-			if p.bias != nil {
-				for j, bv := range p.bias {
-					dst[j] += bv
-				}
-			}
-		}
-	})
-	return out
+func (p *packedLinear) bind(x *tensor.Matrix) *tensor.Matrix {
+	return p.out.Resize(x.Rows, p.outW)
+}
+
+func (p *packedLinear) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
+	p.accumulate(x, rows, p.out, 0, p.outW)
+	return p.out
 }
 
 // ----- in-place ReLU -----
 
 type reluInPlace struct{}
 
-func (reluInPlace) forward(x *tensor.Matrix) *tensor.Matrix {
-	for i, v := range x.Data {
-		x.Data[i] = max(v, 0)
+func (reluInPlace) bind(x *tensor.Matrix) *tensor.Matrix { return x }
+
+func (reluInPlace) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
+	for _, r := range rows {
+		row := x.Row(int(r))
+		for i, v := range row {
+			row[i] = max(v, 0)
+		}
 	}
 	return x
 }
@@ -335,16 +411,26 @@ type residualPlan struct {
 	out   *tensor.Matrix
 }
 
-func (p *residualPlan) forward(x *tensor.Matrix) *tensor.Matrix {
+func (p *residualPlan) bind(x *tensor.Matrix) *tensor.Matrix {
 	fx := x
 	for _, l := range p.inner {
-		fx = l.forward(fx)
+		fx = l.bind(fx)
 	}
-	out := p.out.Resize(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = v + fx.Data[i]
+	return p.out.Resize(x.Rows, x.Cols)
+}
+
+func (p *residualPlan) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
+	fx := x
+	for _, l := range p.inner {
+		fx = l.forward(fx, rows)
 	}
-	return out
+	for _, r := range rows {
+		dst, in, branch := p.out.Row(int(r)), x.Row(int(r)), fx.Row(int(r))
+		for i, v := range in {
+			dst[i] = v + branch[i]
+		}
+	}
+	return p.out
 }
 
 func (p *residualPlan) weightBytes() int {
@@ -359,35 +445,27 @@ func (p *residualPlan) weightBytes() int {
 
 // outBlock is one output block's packed weights. In the degree-sorted hidden
 // layout its contributing units are a prefix [0, cut), so the weights are a
-// dense cut×width slab streamed linearly. Exactly one of w and wq holds the
-// slab; wq carries one scale per hidden row.
+// dense cut×width slab streamed linearly: hidden unit t's span is slab row
+// t, landing on the whole block.
 type outBlock struct {
-	off, width int
-	cut        int
-	w          []float32 // cut*width
-	wq         []int8    // quantized slab; same layout
-	scale      []float32 // per hidden row t < cut: dequant scale
-	bias       []float32 // the block's bias slice
-}
-
-type packedOutput struct {
-	blocks []outBlock
+	spans
+	col, width int // the block's logits are columns [col, col+width)
 }
 
 // packOutput snapshots the output projection block by block, rows in the
 // trunk's output layout. quant selects int8 slabs.
-func packOutput(l *nn.Linear, out nn.Blocks, rowOrder []int32, quant bool) *packedOutput {
+func packOutput(l *nn.Linear, out nn.Blocks, rowOrder []int32, quant bool) []outBlock {
 	W := l.Weight.W
 	if rowOrder == nil {
 		rowOrder = identityOrder(l.In)
 	}
-	p := &packedOutput{blocks: make([]outBlock, out.N())}
-	for b := 0; b < out.N(); b++ {
-		blk := &p.blocks[b]
-		blk.off, blk.width = out.Off[b], out.Len[b]
+	blocks := make([]outBlock, out.N())
+	for b := range blocks {
+		blk := &blocks[b]
+		blk.col, blk.width = out.Off[b], out.Len[b]
 		cut := 0
 		for a, k := range rowOrder {
-			row := W.Row(int(k))[blk.off : blk.off+blk.width]
+			row := W.Row(int(k))[blk.col : blk.col+blk.width]
 			for _, v := range row {
 				if v != 0 {
 					cut = a + 1
@@ -395,78 +473,130 @@ func packOutput(l *nn.Linear, out nn.Blocks, rowOrder []int32, quant bool) *pack
 				}
 			}
 		}
-		blk.cut = cut
+		blk.start = make([]int32, cut)
+		blk.off = make([]int32, cut+1)
 		blk.w = make([]float32, 0, cut*blk.width)
-		for _, k := range rowOrder[:cut] {
-			blk.w = append(blk.w, W.Row(int(k))[blk.off:blk.off+blk.width]...)
+		for t, k := range rowOrder[:cut] {
+			blk.w = append(blk.w, W.Row(int(k))[blk.col:blk.col+blk.width]...)
+			blk.off[t+1] = int32(len(blk.w))
 		}
 		if l.Bias != nil {
-			blk.bias = append([]float32(nil), l.Bias.W.Data[blk.off:blk.off+blk.width]...)
+			blk.bias = append([]float32(nil), l.Bias.W.Data[blk.col:blk.col+blk.width]...)
 		}
 		if quant {
-			blk.wq = make([]int8, len(blk.w))
-			blk.scale = make([]float32, cut)
-			for t := 0; t < cut; t++ {
-				blk.scale[t] = tensor.QuantizeI8S(blk.wq[t*blk.width:(t+1)*blk.width], blk.w[t*blk.width:(t+1)*blk.width])
-			}
-			blk.w = nil
+			blk.quantize()
 		}
 	}
-	return p
+	return blocks
 }
 
-// forward computes the requested blocks row-major; logits segments of blocks
-// not requested are left untouched.
-func (p *packedOutput) forward(h *tensor.Matrix, needed [][]int32, logits *tensor.Matrix) {
-	tensor.ParallelFor(h.Rows, 4, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			hRow := h.Row(r)
-			dst := logits.Row(r)
-			for _, b := range needed[r] {
-				blk := &p.blocks[b]
-				seg := dst[blk.off : blk.off+blk.width]
-				for j := range seg {
-					seg[j] = 0
-				}
-				width := blk.width
-				if blk.wq != nil {
-					for t := 0; t < blk.cut; t++ {
-						av := hRow[t]
-						if av == 0 {
-							continue
-						}
-						tensor.SaxpyI8(av*blk.scale[t], blk.wq[t*width:(t+1)*width], seg)
-					}
-				} else {
-					for t := 0; t < blk.cut; t++ {
-						av := hRow[t]
-						if av == 0 {
-							continue
-						}
-						tensor.Saxpy(av, blk.w[t*width:(t+1)*width], seg)
-					}
-				}
-				if blk.bias != nil {
-					for j, bv := range blk.bias {
-						seg[j] += bv
-					}
-				}
-			}
-		}
-	})
+// ----- forward pass -----
+
+// projItem is one work item of the projection phase: one output block for
+// a group of at most rowBlock rows that need it.
+type projItem struct {
+	blk  *outBlock
+	rows []int32
+	macs int // the item's size, for largest-first scheduling
 }
 
 // Forward runs the plan on a batch. needed[r] lists the output blocks to
 // compute for row r, ascending; segments of blocks not requested hold
 // unspecified values. The returned matrix is owned by the plan and valid
-// until the next Forward. Rows are processed independently in a fixed
-// order, so results are bitwise independent of batch composition.
+// until the next Forward.
+//
+// The pass is two phases over row blocks (see the package comment): the
+// trunk in blocks of rowBlock rows, then the needed output blocks in groups
+// of rowBlock rows each, so every packed span and every slab row is loaded
+// once per block or group instead of once per row. Each phase is at most
+// one fork; a batch smaller than one row block runs inline without
+// allocating. Every logit keeps the arithmetic of its row computed alone,
+// so results are bitwise independent of batch composition.
 func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 	h := x
 	for _, l := range p.trunk {
-		h = l.forward(h)
+		h = l.bind(h)
 	}
-	logits := p.logits.Resize(x.Rows, p.out.Tot)
-	p.proj.forward(h, needed, logits)
-	return logits
+	p.x, p.h = x, h
+	p.logits.Resize(x.Rows, p.out.Tot)
+	for len(p.seq) < x.Rows {
+		p.seq = append(p.seq, int32(len(p.seq)))
+	}
+	fork := x.Rows >= rowBlock
+	p.gather(needed[:x.Rows], fork)
+	p.run(trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
+	p.run(projPhase, len(p.items), fork)
+	p.x, p.h = nil, nil
+	return p.logits
+}
+
+// gather lists the projection phase's work: per output block, the rows that
+// need it in ascending order, cut into groups of rowBlock. When the phase
+// will fork, the items are sorted largest first; inline, order is moot.
+func (p *Plan) gather(needed [][]int32, fork bool) {
+	for b := range p.rowsOf {
+		p.rowsOf[b] = p.rowsOf[b][:0]
+	}
+	for r, blocks := range needed {
+		for _, b := range blocks {
+			// A block listed twice for a row is computed once.
+			if rows := p.rowsOf[b]; len(rows) == 0 || rows[len(rows)-1] != int32(r) {
+				p.rowsOf[b] = append(rows, int32(r))
+			}
+		}
+	}
+	p.items = p.items[:0]
+	for b, rows := range p.rowsOf {
+		blk := &p.proj[b]
+		for len(rows) > 0 {
+			n := min(len(rows), rowBlock)
+			p.items = append(p.items, projItem{blk: blk, rows: rows[:n], macs: n * (len(blk.start) + 1) * blk.width})
+			rows = rows[n:]
+		}
+	}
+	if fork {
+		slices.SortFunc(p.items, func(a, b projItem) int { return b.macs - a.macs })
+	}
+}
+
+type phase int
+
+const (
+	trunkPhase phase = iota // item i: rows [i*rowBlock, (i+1)*rowBlock) through the trunk
+	projPhase               // item i: p.items[i]
+)
+
+// run executes a phase's n work items. Without fork (a batch smaller than
+// one row block), or for a phase of one item, they run inline; otherwise one
+// tensor.ParallelFor sizes the worker set, and each worker takes the next
+// item from p.next until none are left (the ranges ParallelFor hands out
+// are not used), so a worker that drew a cheap item moves on while another
+// finishes a costly one.
+func (p *Plan) run(ph phase, n int, fork bool) {
+	if !fork || n < 2 {
+		for i := 0; i < n; i++ {
+			p.item(ph, i)
+		}
+		return
+	}
+	p.next.Store(0)
+	tensor.ParallelFor(n, 1, func(int, int) {
+		for i := int(p.next.Add(1) - 1); i < n; i = int(p.next.Add(1) - 1) {
+			p.item(ph, i)
+		}
+	})
+}
+
+func (p *Plan) item(ph phase, i int) {
+	if ph == projPhase {
+		it := &p.items[i]
+		it.blk.accumulate(p.h, it.rows, p.logits, it.blk.col, it.blk.width)
+		return
+	}
+	lo := i * rowBlock
+	rows := p.seq[lo:min(lo+rowBlock, p.x.Rows)]
+	h := p.x
+	for _, l := range p.trunk {
+		h = l.forward(h, rows)
+	}
 }

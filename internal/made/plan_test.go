@@ -1,8 +1,10 @@
 package made
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"duet/internal/tensor"
@@ -128,6 +130,193 @@ func TestPlanRowsIndependentOfBatch(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// rowBlockNets are wider than planNets, so spans and output blocks run the
+// kernels' vector loops as well as their tails, with nonzero biases.
+func rowBlockNets() map[string]*MADE {
+	nets := map[string]*MADE{
+		"made":    New(Config{InBlocks: []int{3, 2, 4, 6}, OutBlocks: []int{5, 3, 37, 19}, Hidden: []int{40, 24, 40}, Seed: 3}),
+		"resmade": New(Config{InBlocks: []int{3, 2, 4, 6}, OutBlocks: []int{5, 3, 37, 19}, Hidden: []int{32, 32}, Residual: true, Seed: 4}),
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range nets {
+		for _, p := range m.Params() {
+			if p.W.Rows == 1 { // a bias
+				for i := range p.W.Data {
+					p.W.Data[i] = float32(rng.NormFloat64())
+				}
+			}
+		}
+	}
+	return nets
+}
+
+// rowBlockBatch draws rows of four kinds: rows that need only block 0 (cut
+// 0, bias alone), rows that need every block, rows whose input is mostly
+// zero, and rows like planBatch's.
+func rowBlockBatch(m *MADE, rows int, seed int64) (*tensor.Matrix, [][]int32) {
+	rng := rand.New(rand.NewSource(seed))
+	x := tensor.New(rows, m.In.Tot)
+	needed := make([][]int32, rows)
+	for r := range needed {
+		kind := rng.Intn(4)
+		zero := 0.5
+		if kind == 2 {
+			zero = 0.9
+		}
+		for i := range x.Row(r) {
+			if rng.Float64() >= zero {
+				x.Row(r)[i] = float32(rng.NormFloat64())
+			}
+		}
+		for b := 0; b < m.Out.N(); b++ {
+			switch {
+			case kind == 0 && b > 0:
+			case kind == 1 || b == 0 || rng.Intn(2) == 0:
+				needed[r] = append(needed[r], int32(b))
+			}
+		}
+	}
+	return x, needed
+}
+
+// refForward is the plan's contract computed one row at a time, serially,
+// with scalar float32 arithmetic on the plan's own packed weights: every
+// element starts at +0, adds its terms in ascending input order, skipping
+// zero activations, then adds its bias.
+func refForward(p *Plan, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+	out := tensor.New(x.Rows, p.out.Tot)
+	for r := 0; r < x.Rows; r++ {
+		h := refStack(p.trunk, x.Row(r))
+		for _, b := range needed[r] {
+			blk := &p.proj[b]
+			refSpans(&blk.spans, h, out.Row(r)[blk.col:blk.col+blk.width])
+		}
+	}
+	return out
+}
+
+func refStack(layers []planLayer, in []float32) []float32 {
+	v := append([]float32(nil), in...)
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *packedLinear:
+			next := make([]float32, l.outW)
+			refSpans(&l.spans, v, next)
+			v = next
+		case reluInPlace:
+			for i := range v {
+				v[i] = max(v[i], 0)
+			}
+		case *residualPlan:
+			fx := refStack(l.inner, v)
+			sum := make([]float32, len(v))
+			for i := range v {
+				sum[i] = v[i] + fx[i]
+			}
+			v = sum
+		default:
+			panic(fmt.Sprintf("refStack: %T", l))
+		}
+	}
+	return v
+}
+
+func refSpans(s *spans, x, dst []float32) {
+	clear(dst)
+	for k, st := range s.start {
+		av := x[k]
+		if av == 0 {
+			continue
+		}
+		seg := dst[st:]
+		for i := s.off[k]; i < s.off[k+1]; i++ {
+			j := i - s.off[k]
+			if s.wq != nil {
+				alpha := float32(av * s.scale[k])
+				seg[j] += float32(alpha * float32(s.wq[i]))
+			} else {
+				seg[j] += float32(av * s.w[i])
+			}
+		}
+	}
+	for j, bv := range s.bias {
+		dst[j] += bv
+	}
+}
+
+// TestPlanRowBlocksBitwise: the row-block pass computes every needed logit
+// bit for bit as the serial per-row reference does, whatever the batch size
+// (inline below one row block, one or several blocks, a ragged last block),
+// the worker count or the kernel tier. One plan serves every case, so its
+// reused buffers also start each pass holding the previous pass's values.
+func TestPlanRowBlocksBitwise(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	tier := tensor.KernelTier()
+	defer tensor.SetKernelTier(tier)
+	for name, m := range rowBlockNets() {
+		for _, quant := range []bool{false, true} {
+			p := NewPlan(m, PlanConfig{Quantize: quant})
+			for _, rows := range []int{1, 2, 7, 8, 9, 33, 64, 67} {
+				x, needed := rowBlockBatch(m, rows, int64(rows))
+				want := refForward(p, x, needed)
+				for _, tr := range tensor.KernelTiers() {
+					if err := tensor.SetKernelTier(tr); err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						tensor.SetMaxWorkers(workers)
+						got := p.Forward(x, needed)
+						for r, blocks := range needed {
+							for _, b := range blocks {
+								g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want.Row(r), int(b))
+								for k := range w {
+									if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
+										t.Fatalf("%s quant=%v rows=%d tier=%s workers=%d: row %d block %d logit %d is %v, the per-row reference %v",
+											name, quant, rows, tr, workers, r, b, k, g[k], w[k])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanForwardAllocs: on a warmed plan, a batch smaller than one row
+// block allocates nothing, which also proves it never forks (a go statement
+// and ParallelFor's join object both allocate), and a 64-row batch
+// allocates no more than two bare ParallelFor forks do: one per phase,
+// whatever the layer count.
+func TestPlanForwardAllocs(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	tensor.SetMaxWorkers(2)
+	var sink atomic.Int64
+	fork := testing.AllocsPerRun(50, func() {
+		tensor.ParallelFor(64, 1, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+	})
+	if fork == 0 {
+		t.Fatal("a ParallelFor fork allocated nothing; the bound below would prove nothing")
+	}
+	for name, m := range rowBlockNets() {
+		for _, quant := range []bool{false, true} {
+			p := NewPlan(m, PlanConfig{Quantize: quant})
+			x, needed := rowBlockBatch(m, 64, 7)
+			p.Forward(x, needed)
+			for _, rows := range []int{1, rowBlock - 1} {
+				small := &tensor.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+				if a := testing.AllocsPerRun(50, func() { p.Forward(small, needed[:rows]) }); a != 0 {
+					t.Errorf("%s quant=%v: a %d-row Forward allocates %v times, want 0", name, quant, rows, a)
+				}
+			}
+			if a := testing.AllocsPerRun(50, func() { p.Forward(x, needed) }); a > 2*fork {
+				t.Errorf("%s quant=%v: a 64-row Forward allocates %v times, more than two forks (%v each)", name, quant, a, fork)
 			}
 		}
 	}

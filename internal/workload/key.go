@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // CanonicalKey returns a deterministic identity for the query's predicate
@@ -14,29 +15,34 @@ import (
 //
 // The key is a compact binary string (varint col, op byte, varint code per
 // predicate), not meant to be human-readable; use Query.String for display.
+// It is computed for every query served, so it sorts a copy on the stack
+// (up to 16 predicates) and allocates only the string.
 func (q Query) CanonicalKey() string {
 	if len(q.Preds) == 0 {
 		return ""
 	}
-	ps := make([]Predicate, len(q.Preds))
-	copy(ps, q.Preds)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Col != ps[j].Col {
-			return ps[i].Col < ps[j].Col
-		}
-		if ps[i].Op != ps[j].Op {
-			return ps[i].Op < ps[j].Op
-		}
-		return ps[i].Code < ps[j].Code
-	})
-	buf := make([]byte, 0, 8*len(ps))
+	var stack [16]Predicate
+	ps := append(stack[:0], q.Preds...)
+	slices.SortFunc(ps, comparePredicates)
+	var buf [128]byte
+	key := buf[:0]
 	for i, p := range ps {
 		if i > 0 && p == ps[i-1] {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(p.Col))
-		buf = append(buf, byte(p.Op))
-		buf = binary.AppendUvarint(buf, uint64(uint32(p.Code)))
+		key = binary.AppendUvarint(key, uint64(p.Col))
+		key = append(key, byte(p.Op))
+		key = binary.AppendUvarint(key, uint64(uint32(p.Code)))
 	}
-	return string(buf)
+	return string(key)
+}
+
+func comparePredicates(a, b Predicate) int {
+	if c := cmp.Compare(a.Col, b.Col); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Op, b.Op); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Code, b.Code)
 }
