@@ -1,0 +1,239 @@
+package core
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"duet/internal/exec"
+	"duet/internal/made"
+	"duet/internal/relation"
+	"duet/internal/tensor"
+	"duet/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this run")
+
+const goldenPath = "testdata/golden.txt"
+
+// bitHash is sha256 over values' exact bits, little-endian: float32 bits for
+// parameters, float64 bits for losses and estimates.
+type bitHash struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newBitHash() *bitHash { return &bitHash{h: sha256.New()} }
+
+func (b *bitHash) params(m *Model) *bitHash {
+	for _, p := range m.Params() {
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint32(b.buf[:4], math.Float32bits(v))
+			b.h.Write(b.buf[:4])
+		}
+	}
+	return b
+}
+
+func (b *bitHash) floats(vs ...float64) *bitHash {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b.buf[:], math.Float64bits(v))
+		b.h.Write(b.buf[:])
+	}
+	return b
+}
+
+// sum is the first 16 hex digits of the digest.
+func (b *bitHash) sum() string { return hex.EncodeToString(b.h.Sum(nil))[:16] }
+
+// goldenRowSource is benchmark/stack.go's rowSource: uniform draws of a
+// table's rows from one seeded generator, so a model trains on a fixed
+// tuple budget whatever the table's size.
+type goldenRowSource struct {
+	t   *relation.Table
+	rng *rand.Rand
+}
+
+func (s *goldenRowSource) DrawTuples(dst [][]int32) {
+	for _, d := range dst {
+		s.t.RowCodes(s.rng.Intn(s.t.NumRows()), d)
+	}
+}
+
+// TestGolden pins, bit for bit, what training and estimation compute: the
+// two benchmark models, a hybrid Train and a FineTune after it (direct and
+// MLP-MPSN), and 600 estimates under every plan kind. Each line of
+// testdata/golden.txt is a name and the first 16 hex digits of a sha256 over
+// parameter float32 bits then per-epoch or per-step losses, or over estimate
+// float64 bits. A change that means to move numbers reruns with -update, and
+// the file's diff is the record; any other change must leave it as it is.
+// Estimates are also checked to be bitwise independent of how the 600
+// queries are cut into calls (one call, 64, 7, 1) and of the worker count.
+func TestGolden(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	var got []string
+	line := func(name, sum string) { got = append(got, name+" "+sum) }
+
+	// The benchmark's two set-ups (benchmark/stack.go trainModel): data-only,
+	// one epoch over a tuple budget drawn from a seed-1 row source.
+	for _, bm := range []struct {
+		name   string
+		table  *relation.Table
+		cfg    Config
+		budget int
+	}{
+		{"bench-dmv", relation.SynDMV(20000, 1), DMVConfig(), 512},
+		{"bench-census", relation.SynCensus(20000, 1), DefaultConfig(), 8192},
+	} {
+		m := NewModel(bm.table, bm.cfg)
+		tc := DefaultTrainConfig()
+		tc.Epochs = 1
+		tc.Lambda = 0
+		tc.Source = &goldenRowSource{t: bm.table, rng: rand.New(rand.NewSource(1))}
+		tc.SourceRows = bm.budget
+		h := newBitHash()
+		hist := Train(m, tc)
+		h.params(m)
+		for _, e := range hist {
+			h.floats(e.DataLoss)
+		}
+		line(bm.name, h.sum())
+	}
+
+	// Hybrid training on the table path, then fine-tuning on its worst
+	// queries, for the direct encoding and the MLP MPSN.
+	tbl := relation.Generate(relation.SynConfig{
+		Name: "g", Rows: 600, Seed: 21,
+		Cols: []relation.ColSpec{
+			{Name: "a", NDV: 12, Skew: 1.4, Parent: -1},
+			{Name: "b", NDV: 5, Skew: 0, Parent: 0, Noise: 0.1},
+			{Name: "c", NDV: 40, Skew: 1.2, Parent: -1},
+			{Name: "d", NDV: 600, Skew: 1.1, Parent: 2, Noise: 0.2},
+		},
+	})
+	labeled := exec.Label(tbl, workload.Generate(tbl, workload.GenConfig{
+		Seed: 3, NumQueries: 200, MinPreds: 1, MaxPreds: 3, BoundedCol: -1, MultiPredCols: 1}))
+	qs := workload.Generate(tbl, workload.GenConfig{
+		Seed: 4, NumQueries: 600, MinPreds: 1, MaxPreds: 4, BoundedCol: -1, MultiPredCols: 1})
+	mlp := DefaultConfig()
+	mlp.Hidden = []int{48, 48}
+	mlp.MPSN = MPSNMLP
+	mlp.MPSNHidden = 16
+	mlp.MPSNOut = 8
+	direct := DefaultConfig()
+	direct.Hidden = []int{48, 48}
+	models := map[string]*Model{}
+	for _, k := range []struct {
+		name string
+		cfg  Config
+	}{{"direct", direct}, {"mlp", mlp}} {
+		m := NewModel(tbl, k.cfg)
+		tc := DefaultTrainConfig()
+		tc.Epochs = 2
+		tc.BatchSize = 128
+		tc.Workload = labeled
+		tc.ImportanceProb = 0.3
+		if k.cfg.MPSN != MPSNNone {
+			tc.MaxPredsPerCol = 2
+		}
+		h := newBitHash()
+		hist := Train(m, tc)
+		h.params(m)
+		for _, e := range hist {
+			h.floats(e.DataLoss, e.QueryLoss)
+		}
+		line("train-"+k.name, h.sum())
+
+		ft := DefaultFineTuneConfig()
+		ft.Steps = 12
+		h = newBitHash()
+		losses := FineTune(m, labeled[:64], ft)
+		h.params(m)
+		h.floats(losses...)
+		line("finetune-"+k.name, h.sum())
+		models[k.name] = m
+	}
+
+	// 600 estimates per plan kind, cut into calls four ways, at one and two
+	// workers: one line per kind, and every cut must hash the same. (The
+	// fused MPSN's block-diagonal products add only exact zeros to the
+	// per-column sums, so on this model its line equals the un-merged one.)
+	for _, k := range []struct {
+		name  string
+		model *Model
+		setup func(*Model)
+	}{
+		{"estimate-f32", models["direct"], func(*Model) {}},
+		{"estimate-int8", models["direct"], func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }},
+		{"estimate-mlp-unmerged", models["mlp"], func(*Model) {}},
+		{"estimate-mlp-merged", models["mlp"], func(m *Model) {
+			if err := m.Merge(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		k.setup(k.model)
+		first := ""
+		for _, workers := range []int{1, 2} {
+			tensor.SetMaxWorkers(workers)
+			for _, per := range []int{len(qs), 64, 7, 1} {
+				h := newBitHash()
+				for lo := 0; lo < len(qs); lo += per {
+					h.floats(k.model.EstimateCardBatch(qs[lo:min(lo+per, len(qs))])...)
+				}
+				s := h.sum()
+				if first == "" {
+					first = s
+					line(k.name, s)
+				} else if s != first {
+					t.Errorf("%s: calls of %d at %d workers hash %s, one call at one worker %s", k.name, per, workers, s, first)
+				}
+			}
+		}
+	}
+
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := readGolden()
+	if err != nil {
+		t.Fatalf("%v (run go test -run Golden -update ./internal/core to create it)", err)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("results moved off %s; if that is intended, rerun with -update and commit the diff\ngot:\n%s\nwant:\n%s",
+			goldenPath, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func readGolden() ([]string, error) {
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("read %s: %w", goldenPath, err)
+	}
+	return lines, nil
+}
