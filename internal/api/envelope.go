@@ -56,6 +56,7 @@ const (
 	CodeOverloaded  = "overloaded"
 	CodeUnsupported = "unsupported_media_type"
 	CodeUpstream    = "upstream_error"
+	CodeInternal    = "internal"
 )
 
 // codeFor maps an HTTP status to its envelope code.
@@ -71,19 +72,25 @@ func codeFor(status int) string {
 		return CodeUnsupported
 	case http.StatusBadGateway:
 		return CodeUpstream
+	case http.StatusInternalServerError:
+		return CodeInternal
 	default:
 		return CodeBadRequest
 	}
 }
 
 // statusFor maps service errors to HTTP statuses: closed engines are
-// unavailable (the process is draining), admission sheds are 429, unknown
+// unavailable (the process is draining), admission sheds are 429, a
+// forward pass that panicked is the server's fault (500, which the cluster
+// proxy relays without replaying the query on another replica), unknown
 // names are 404, and anything else — parse or routing failures — is the
 // client's request.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, registry.ErrClosed) || errors.Is(err, serve.ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, serve.ErrBackendPanic):
+		return http.StatusInternalServerError
 	case errors.Is(err, serve.ErrOverloaded):
 		return http.StatusTooManyRequests
 	case strings.Contains(err.Error(), "unknown model"),

@@ -86,9 +86,7 @@ func newValueCodec(ndv int, mode ValueEncoding, embedDim, embedThreshold int, rn
 func (vc *valueCodec) encode(dst []float32, code int32) {
 	switch vc.mode {
 	case EncOneHot:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		dst[code] = 1
 	case EncBinary:
 		for i := range dst {
@@ -128,22 +126,11 @@ func newColumnEncoder(codec *valueCodec) *columnEncoder {
 	return &columnEncoder{codec: codec, width: codec.width + int(workload.NumOps) + 1}
 }
 
-// encodePred writes the (op, code) predicate encoding into dst.
-func (ce *columnEncoder) encodePred(dst []float32, op workload.Op, code int32) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	ce.codec.encode(dst[:ce.codec.width], code)
-	dst[ce.codec.width+int(op)] = 1
-}
-
 // encodeWildcard writes the wildcard-skipping encoding: zero value and op
 // vectors plus a set wildcard indicator, the scheme Naru introduced and the
 // paper reuses for unconstrained columns.
 func (ce *columnEncoder) encodeWildcard(dst []float32) {
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	dst[ce.width-1] = 1
 }
 
@@ -160,11 +147,11 @@ func (ce *columnEncoder) backward(op uint8, code int32, d []float32) {
 // is an empty predicate set).
 func predEncWidth(codec *valueCodec) int { return codec.width + int(workload.NumOps) }
 
-// encodeMPSNPred writes one (op, code) predicate for MPSN consumption.
-func encodeMPSNPred(dst []float32, codec *valueCodec, op workload.Op, code int32) {
-	for i := range dst {
-		dst[i] = 0
-	}
+// encodePred writes one (op, code) predicate into dst: the value's encoding,
+// then the op one-hot, and zeros to the end of dst (for a direct column
+// block, its wildcard bit; for an MPSN input, nothing).
+func encodePred(dst []float32, codec *valueCodec, op workload.Op, code int32) {
+	clear(dst)
 	codec.encode(dst[:codec.width], code)
 	dst[codec.width+int(op)] = 1
 }

@@ -106,7 +106,7 @@ func TestColumnEncoderLayout(t *testing.T) {
 		t.Fatalf("width=%d", ce.width)
 	}
 	buf := make([]float32, ce.width)
-	ce.encodePred(buf, workload.OpGe, 2)
+	encodePred(buf, ce.codec, workload.OpGe, 2)
 	if buf[2] != 1 || buf[4+int(workload.OpGe)] != 1 {
 		t.Fatalf("pred encoding %v", buf)
 	}
@@ -131,7 +131,7 @@ func TestMPSNPredEncoding(t *testing.T) {
 		t.Fatalf("predEncWidth=%d", predEncWidth(vc))
 	}
 	buf := make([]float32, predEncWidth(vc))
-	encodeMPSNPred(buf, vc, workload.OpLt, 5)
+	encodePred(buf, vc, workload.OpLt, 5)
 	if buf[5] != 1 || buf[8+int(workload.OpLt)] != 1 {
 		t.Fatalf("mpsn pred encoding %v", buf)
 	}

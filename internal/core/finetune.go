@@ -24,7 +24,8 @@ func DefaultFineTuneConfig() FineTuneConfig {
 // large observed errors are collected at run time and the model is tuned on
 // their smoothed Q-Error alone. Because Duet's estimation path is
 // differentiable this needs no sampling and no access to the original
-// training pipeline. It returns the mean smoothed query loss per step.
+// training pipeline. It returns the mean smoothed query loss per step, and
+// publishes a plan compiled from the tuned weights before it does.
 func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float64 {
 	if len(bad) == 0 || cfg.Steps <= 0 {
 		return nil
@@ -32,8 +33,8 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 	if cfg.QueryBatch <= 0 {
 		cfg.QueryBatch = 32
 	}
-	defer m.releaseTrainingBuffers()
-	opt := nn.NewAdam(cfg.LR)
+	defer m.net.Net.ReleaseBuffers()
+	ts := &trainState{opt: nn.NewAdam(cfg.LR)}
 	rng := newDetRand(cfg.Seed)
 	losses := make([]float64, 0, cfg.Steps)
 	for step := 0; step < cfg.Steps; step++ {
@@ -41,9 +42,10 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 		for i := range batch {
 			batch[i] = bad[rng.Intn(len(bad))]
 		}
-		_, loss, _ := m.step(opt, nil, nil, batch, cfg.Lambda, cfg.ClipNorm)
+		_, loss, _ := m.step(ts, nil, nil, batch, cfg.Lambda, cfg.ClipNorm)
 		losses = append(losses, loss)
 	}
+	m.publish(m.PlanConfig())
 	return losses
 }
 

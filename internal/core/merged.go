@@ -25,13 +25,15 @@ type mergedMPSN struct {
 	// single-row inference path is one MulVec per layer.
 	w1, w2, w3 *tensor.Matrix
 	b1, b2, b3 []float32
-
-	in, h1, h2, out []float32
 }
 
+// mergedScratch is one pass's working memory for the fused encoder.
+type mergedScratch struct{ in, h1, h2, out tensor.Matrix }
+
 // Merge fuses the model's per-column MLP MPSNs into a block-diagonal network
-// used by every estimate. Call it after training (weights are copied); it
-// returns an error for models not using the MLP MPSN.
+// and publishes it with the current plan, so every later estimate uses it.
+// Call it after training (weights are copied); it returns an error for
+// models not using the MLP MPSN.
 func (m *Model) Merge() error {
 	if m.cfg.MPSN != MPSNMLP {
 		return fmt.Errorf("core: Merge requires the MLP MPSN, model uses %v", m.cfg.MPSN)
@@ -66,17 +68,18 @@ func (m *Model) Merge() error {
 		copy(g.b2[i*H:(i+1)*H], l2.Bias.W.Data)
 		copy(g.b3[i*O:(i+1)*O], l3.Bias.W.Data)
 	}
-	g.in = make([]float32, g.inTot)
-	g.h1 = make([]float32, n*H)
-	g.h2 = make([]float32, n*H)
-	g.out = make([]float32, n*O)
-	m.merged = g
+	s := m.current()
+	m.snap.Store(&snapshot{plan: s.plan, cfg: s.cfg, merged: g})
 	return nil
 }
 
-// Unmerge removes the fused encoder; estimates fall back to the per-column
-// MPSNs.
-func (m *Model) Unmerge() { m.merged = nil }
+// Unmerge publishes the current plan without the fused encoder; estimates
+// fall back to the per-column MPSNs.
+func (m *Model) Unmerge() {
+	if s := m.snap.Load(); s != nil && s.merged != nil {
+		m.snap.Store(&snapshot{plan: s.plan, cfg: s.cfg})
+	}
+}
 
 // placeTransposed writes srcᵀ (src is in×out) into dst at (rowOff, colOff).
 func placeTransposed(dst, src *tensor.Matrix, rowOff, colOff int) {
@@ -87,14 +90,12 @@ func placeTransposed(dst, src *tensor.Matrix, rowOff, colOff int) {
 	}
 }
 
-// encode builds the MADE input row for one spec through the fused network:
-// one fused forward pass per predicate round, with output blocks masked to
-// the columns that actually have a predicate in that round (columns without
-// one would otherwise contribute their bias response).
-func (g *mergedMPSN) encode(m *Model, spec Spec, xRow []float32) {
-	for i := range xRow {
-		xRow[i] = 0
-	}
+// encode builds the MADE input row for one spec through the fused network,
+// working in s: one fused forward pass per predicate round, with output
+// blocks masked to the columns that actually have a predicate in that round
+// (columns without one would otherwise contribute their bias response).
+func (g *mergedMPSN) encode(m *Model, s *mergedScratch, spec Spec, xRow []float32) {
+	clear(xRow)
 	rounds := 0
 	for _, ps := range spec {
 		if len(ps) > rounds {
@@ -102,33 +103,31 @@ func (g *mergedMPSN) encode(m *Model, spec Spec, xRow []float32) {
 		}
 	}
 	O, n := g.outDim, g.ncols
-	active := make([]bool, n)
+	in, out := s.in.Resize(1, g.inTot).Data, s.out.Resize(1, n*O).Data
+	h1, h2 := s.h1.Resize(1, n*g.hidden).Data, s.h2.Resize(1, n*g.hidden).Data
 	for j := 0; j < rounds; j++ {
-		for i := range g.in {
-			g.in[i] = 0
-		}
+		clear(in)
 		for i, ps := range spec {
-			active[i] = len(ps) > j
-			if active[i] {
+			if len(ps) > j {
 				encW := predEncWidth(m.codecs[i])
-				encodeMPSNPred(g.in[g.inOff[i]:g.inOff[i]+encW], m.codecs[i], ps[j].Op, ps[j].Code)
+				encodePred(in[g.inOff[i]:g.inOff[i]+encW], m.codecs[i], ps[j].Op, ps[j].Code)
 			}
 		}
-		tensor.MulVec(g.h1, g.w1, g.in)
-		addBiasRelu(g.h1, g.b1)
-		tensor.MulVec(g.h2, g.w2, g.h1)
-		addBiasRelu(g.h2, g.b2)
-		tensor.MulVec(g.out, g.w3, g.h2)
-		for i := range g.out {
-			g.out[i] += g.b3[i]
+		tensor.MulVec(h1, g.w1, in)
+		addBiasRelu(h1, g.b1)
+		tensor.MulVec(h2, g.w2, h1)
+		addBiasRelu(h2, g.b2)
+		tensor.MulVec(out, g.w3, h2)
+		for i := range out {
+			out[i] += g.b3[i]
 		}
 		for i := 0; i < n; i++ {
-			if !active[i] {
+			if len(spec[i]) <= j {
 				continue
 			}
 			dst := m.net.In.Slice(xRow, i)
 			for k := 0; k < O; k++ {
-				dst[k] += g.out[i*O+k]
+				dst[k] += out[i*O+k]
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"duet/internal/made"
@@ -74,6 +75,15 @@ type ColPred struct {
 type Spec [][]ColPred
 
 // Model is a trained or trainable Duet estimator.
+//
+// Estimation is safe for concurrent use. Besides the weights, an estimate
+// reads one immutable snapshot (plan, plan config, merged MPSN) through an
+// atomic pointer, with scratch from a pool; only the un-merged MPSN encode
+// takes a mutex, as the MPSNs' layers cache activations. SetPlanConfig,
+// Merge, Unmerge, Train (each epoch) and FineTune (on return) publish a new
+// snapshot, and a pass in flight finishes on the one it loaded. Training
+// updates weights in place, so estimating a model while Train or FineTune
+// runs on it is not supported: train a CloneFor copy, as the lifecycle does.
 type Model struct {
 	table  *relation.Table
 	cfg    Config
@@ -83,23 +93,26 @@ type Model struct {
 	net    *made.MADE
 	params []*nn.Param
 
-	merged  *mergedMPSN     // optional fused inference path, built by Merge
-	plan    *made.Plan      // packed batch inference plan, built lazily, nil when stale
-	planCfg made.PlanConfig // how the plan is compiled (e.g. int8 quantization)
+	snap      atomic.Pointer[snapshot] // what estimates read; never reset to nil
+	passes    sync.Pool                // *pass, one per estimate chunk in flight
+	probsPool sync.Pool                // per-worker softmax scratch for masking
+	mpsnMu    sync.Mutex               // one per-column MPSN encode at a time
+}
 
-	// Inference scratch (estimation is not safe for concurrent use; clone the
-	// model or guard with a mutex for concurrent estimation — the serve
-	// package lets one caller at a time hold the backend).
-	xBatch     *tensor.Matrix // reusable batch encode buffer
-	specBatch  []Spec         // reusable spec slice
-	neededRows [][]int32      // reusable per-row constrained-block lists
-	neededMask []bool
-	probsPool  sync.Pool // per-worker softmax scratch for masking
+// snapshot is the compiled, immutable side of estimation.
+type snapshot struct {
+	plan   *made.Plan
+	cfg    made.PlanConfig // how plan was compiled
+	merged *mergedMPSN     // the fused MPSN encoder, built by Merge; nil without
+}
 
-	// Training-step scratch, dropped by releaseTrainingBuffers.
-	lastSpecs []Spec        // specs of the last forward batch, for backward routing
-	dLogits   tensor.Matrix // logit gradient of the data pass, then of the query pass
-	lossTerms []float64     // nn.SoftmaxCE's per-(row, block) loss terms
+// pass is one estimate chunk's scratch.
+type pass struct {
+	specs  []Spec
+	x      tensor.Matrix
+	needed [][]int32 // per query: the constrained blocks
+	plan   made.Scratch
+	merged mergedScratch
 }
 
 // NewModel builds an untrained Duet model for t.
@@ -139,7 +152,7 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 	}
 	m.params = append(m.params, m.net.Params()...)
 	maxOut := slices.Max(outBlocks)
-	m.xBatch = &tensor.Matrix{}
+	m.passes.New = func() any { return new(pass) }
 	m.probsPool.New = func() any {
 		s := make([]float32, maxOut)
 		return &s
@@ -166,17 +179,12 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 
 // encodeBatch builds the network input for a batch of specs. In MPSN mode
 // the per-column MPSNs run first and their outputs fill the column blocks.
-// A non-nil buf is resized (keeping capacity) and fully overwritten, so the
-// serving hot path encodes micro-batches without allocating. buf == nil
-// allocates fresh storage, which training relies on.
+// buf is resized (keeping capacity) and fully overwritten, so the serving
+// hot path encodes micro-batches without allocating; training passes a new
+// matrix each step, because the first layer keeps its input for backward.
 func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
-	var x *tensor.Matrix
-	if buf != nil {
-		x = buf.Resize(b, m.net.In.Tot)
-	} else {
-		x = tensor.New(b, m.net.In.Tot)
-	}
+	x := buf.Resize(b, m.net.In.Tot)
 	if m.cfg.MPSN == MPSNNone {
 		for r, spec := range specs {
 			row := x.Row(r)
@@ -186,19 +194,22 @@ func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 					enc.encodeWildcard(dst)
 				} else {
 					p := spec[i][0]
-					enc.encodePred(dst, p.Op, p.Code)
+					encodePred(dst, enc.codec, p.Op, p.Code)
 				}
 			}
 		}
 		return x
 	}
+	// The MPSNs' layers cache the activations of their last forward.
+	m.mpsnMu.Lock()
+	defer m.mpsnMu.Unlock()
 	for i, mp := range m.mpsns {
 		sets := make([]PredSet, b)
 		encW := predEncWidth(m.codecs[i])
 		for r, spec := range specs {
 			for _, p := range spec[i] {
 				e := make([]float32, encW)
-				encodeMPSNPred(e, m.codecs[i], p.Op, p.Code)
+				encodePred(e, m.codecs[i], p.Op, p.Code)
 				sets[r] = append(sets[r], e)
 			}
 		}
@@ -212,17 +223,17 @@ func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 
 // Forward encodes specs and runs the autoregressive network's layer stack,
 // returning per-column logits: the training forward, and the reference tests
-// compare the packed plan against. No estimate runs through it.
+// compare the packed plan against. No estimate runs through it, and it
+// records nothing on the model beyond the layers' activations.
 func (m *Model) Forward(specs []Spec) *tensor.Matrix {
-	m.lastSpecs = specs
-	return m.net.Forward(m.encodeBatch(specs, nil))
+	return m.net.Forward(m.encodeBatch(specs, new(tensor.Matrix)))
 }
 
-// Backward backpropagates the logit gradient through the network, the MPSNs
-// and into any learned value embeddings.
-func (m *Model) Backward(dLogits *tensor.Matrix) {
+// backward backpropagates the logit gradient of the last Forward, which ran
+// on specs, through the network, the MPSNs and into any learned value
+// embeddings.
+func (m *Model) backward(specs []Spec, dLogits *tensor.Matrix) {
 	dX := m.net.Backward(dLogits)
-	specs := m.lastSpecs
 	if m.cfg.MPSN == MPSNNone {
 		for r, spec := range specs {
 			row := dX.Row(r)
@@ -272,7 +283,6 @@ func (m *Model) SpecFromQuery(q workload.Query) Spec {
 				continue
 			}
 			iv := ivs[i]
-			ndv := int32(m.table.Cols[i].NumDistinct())
 			switch {
 			case iv.Empty():
 				spec[i] = spec[i][:1]
@@ -280,8 +290,6 @@ func (m *Model) SpecFromQuery(q workload.Query) Spec {
 				spec[i] = []ColPred{{Op: workload.OpEq, Code: iv.Lo}}
 			case iv.Lo == 0:
 				spec[i] = []ColPred{{Op: workload.OpLe, Code: iv.Hi}}
-			case iv.Hi == ndv-1:
-				spec[i] = []ColPred{{Op: workload.OpGe, Code: iv.Lo}}
 			default:
 				spec[i] = []ColPred{{Op: workload.OpGe, Code: iv.Lo}}
 			}
@@ -316,12 +324,12 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 // parallel. Planned results match the training-time layer stack (Forward) up
 // to floating-point summation order; they are bitwise deterministic and
 // independent of batch composition (every kernel processes rows
-// independently in a fixed order), so callers may batch opportunistically
-// without changing estimates. It is not safe for concurrent use; the serve
-// package serializes access for concurrent callers. The plan and encode
-// buffers are retained on the model, so steady-state estimation does not
-// allocate matrices; training invalidates the plan automatically. Chunks of
-// 256 queries bound those buffers however many queries one call carries.
+// independently in a fixed order) and of which pooled scratch ran them, so
+// callers may batch opportunistically without changing estimates.
+//
+// It is safe for concurrent use, but not alongside Train or FineTune on the
+// same model (see Model). Scratch comes from a pool, so steady-state
+// estimation does not allocate matrices; chunks of 256 queries bound it.
 func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 	const chunk = 256
 	out := make([]float64, len(qs))
@@ -336,30 +344,30 @@ func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 // forward, masked product, one cardinality per query into out. encoded, when
 // non-nil, receives the time encoding finished.
 func (m *Model) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
-	if m.plan == nil {
-		m.plan = made.NewPlan(m.net, m.planCfg)
-	}
-	specs := m.specBatch[:0]
+	snap := m.current()
+	ps := m.passes.Get().(*pass)
+	defer m.passes.Put(ps)
+	specs := ps.specs[:0]
 	for _, q := range qs {
 		specs = append(specs, m.SpecFromQuery(q))
 	}
-	m.specBatch = specs[:0]
+	ps.specs = specs[:0]
 	var x *tensor.Matrix
-	if m.merged != nil && m.cfg.MPSN != MPSNNone {
+	if snap.merged != nil {
 		// The fused MPSN encoder is single-row; run it per query.
-		x = m.xBatch.Resize(len(qs), m.net.In.Tot)
+		x = ps.x.Resize(len(qs), m.net.In.Tot)
 		for r, spec := range specs {
-			m.merged.encode(m, spec, x.Row(r))
+			snap.merged.encode(m, &ps.merged, spec, x.Row(r))
 		}
 	} else {
-		x = m.encodeBatch(specs, m.xBatch)
+		x = m.encodeBatch(specs, &ps.x)
 	}
 	if encoded != nil {
 		*encoded = time.Now()
 	}
 	// The masked product reads only constrained columns' logit blocks, so
 	// the plan computes exactly those per row.
-	logits := m.plan.Forward(x, m.neededBlocks(qs))
+	logits := snap.plan.Run(&ps.plan, x, ps.neededBlocks(qs))
 	rows := float64(m.table.NumRows())
 	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
 		probs := m.probsPool.Get().(*[]float32)
@@ -371,70 +379,68 @@ func (m *Model) estimate(out []float64, qs []workload.Query, encoded *time.Time)
 }
 
 // neededBlocks returns, per query, the ascending list of constrained column
-// indices — the only logit blocks the masked product will read. The backing
-// storage is reused across calls.
-func (m *Model) neededBlocks(qs []workload.Query) [][]int32 {
-	n := m.table.NumCols()
-	if cap(m.neededRows) < len(qs) {
-		next := make([][]int32, len(qs))
-		copy(next, m.neededRows)
-		m.neededRows = next
+// indices — the only logit blocks the masked product will read — in the
+// pass's reused storage.
+func (ps *pass) neededBlocks(qs []workload.Query) [][]int32 {
+	for len(ps.needed) < len(qs) {
+		ps.needed = append(ps.needed, nil)
 	}
-	m.neededRows = m.neededRows[:len(qs)]
-	if cap(m.neededMask) < n {
-		m.neededMask = make([]bool, n)
-	}
-	mask := m.neededMask[:n]
 	for r, q := range qs {
-		row := m.neededRows[r][:0]
-		for i := range mask {
-			mask[i] = false
-		}
+		row := ps.needed[r][:0]
 		for _, p := range q.Preds {
-			mask[p.Col] = true
+			row = append(row, int32(p.Col))
 		}
-		for i, constrained := range mask {
-			if constrained {
-				row = append(row, int32(i))
-			}
-		}
-		m.neededRows[r] = row
+		slices.Sort(row)
+		ps.needed[r] = slices.Compact(row)
 	}
-	return m.neededRows
+	return ps.needed[:len(qs)]
 }
 
-// InvalidatePlan discards the packed inference plan; the next batched
-// estimate recompiles it from the current weights. Training does this
-// automatically — call it manually only after mutating parameters directly.
-func (m *Model) InvalidatePlan() { m.plan = nil }
+// current returns the published snapshot. When none is published yet it
+// compiles one from the current weights under the default plan config and
+// installs it, unless another caller installed one first.
+func (m *Model) current() *snapshot {
+	if s := m.snap.Load(); s != nil {
+		return s
+	}
+	m.snap.CompareAndSwap(nil, &snapshot{plan: made.NewPlan(m.net, made.PlanConfig{})})
+	return m.snap.Load()
+}
+
+// publish compiles the current weights under cfg and installs the result,
+// keeping the published merged encoder.
+func (m *Model) publish(cfg made.PlanConfig) {
+	next := &snapshot{plan: made.NewPlan(m.net, cfg), cfg: cfg}
+	if old := m.snap.Load(); old != nil {
+		next.merged = old.merged
+	}
+	m.snap.Store(next)
+}
 
 // SetPlanConfig selects how the packed inference plan is compiled (e.g.
-// int8 weight quantization). A change invalidates any existing plan. The
-// setting is serving configuration, not model state: Save does not persist
-// it, and the registry re-applies it from the manifest after every load.
-// Like the other plan operations it must not race with inference.
+// int8 weight quantization); a change compiles and publishes a new plan.
+// The setting is serving configuration, not model state: Save does not
+// persist it, and the registry re-applies it from the manifest after every
+// load.
 func (m *Model) SetPlanConfig(cfg made.PlanConfig) {
-	if cfg != m.planCfg {
-		m.planCfg = cfg
-		m.plan = nil
+	if cfg != m.PlanConfig() {
+		m.publish(cfg)
 	}
 }
 
 // PlanConfig returns the current plan compilation setting.
-func (m *Model) PlanConfig() made.PlanConfig { return m.planCfg }
-
-// WarmPlan compiles the packed inference plan now (if stale) instead of on
-// the first batched estimate, and reports its resident weight bytes. The
-// registry warms plans at install time so the first estimate after an add,
-// reload or swap does not pay compilation latency — and so concurrent
-// readers never observe a half-built plan (Model is externally serialized
-// only on the serving path).
-func (m *Model) WarmPlan() int {
-	if m.plan == nil {
-		m.plan = made.NewPlan(m.net, m.planCfg)
+func (m *Model) PlanConfig() made.PlanConfig {
+	if s := m.snap.Load(); s != nil {
+		return s.cfg
 	}
-	return m.plan.WeightBytes()
+	return made.PlanConfig{}
 }
+
+// WarmPlan compiles the packed inference plan now, if none is published,
+// instead of on the first estimate, and reports its resident weight bytes.
+// The registry warms plans at install time so the first estimate after an
+// add, reload or swap does not pay compilation latency.
+func (m *Model) WarmPlan() int { return m.current().plan.WeightBytes() }
 
 // maskedProduct computes Π_i Σ_{v∈I_i} P(C_i = v | ·) over the constrained
 // columns, the core of Algorithm 3. scratch is caller-supplied softmax
@@ -453,14 +459,7 @@ func (m *Model) maskedProduct(scratch []float32, logitRow []float32, q workload.
 			return 0
 		}
 		seg := m.net.Out.Slice(logitRow, i)
-		f := nn.IntervalMass(scratch[:len(seg)], seg, iv.Lo, iv.Hi)
-		if f < 1e-12 {
-			f = 1e-12
-		}
-		if f > 1 {
-			f = 1
-		}
-		sel *= f
+		sel *= min(max(nn.IntervalMass(scratch[:len(seg)], seg, iv.Lo, iv.Hi), 1e-12), 1)
 	}
 	return sel
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"duet/internal/nn"
 	"duet/internal/tensor"
@@ -192,20 +194,6 @@ func groupByLen(preds []PredSet) map[int][]int {
 	return groups
 }
 
-// sortedKeys returns the group lengths in increasing order for determinism.
-func sortedKeys(groups map[int][]int) []int {
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
 func (m *rnnMPSN) buildSeq(rows []int, length int) []*tensor.Matrix {
 	seq := make([]*tensor.Matrix, length)
 	for t := 0; t < length; t++ {
@@ -228,7 +216,7 @@ func (m *rnnMPSN) Forward(preds []PredSet) *tensor.Matrix {
 		p.AddRowVector(m.fcB.W.Data)
 		return p
 	}
-	for _, length := range sortedKeys(groups) {
+	for _, length := range slices.Sorted(maps.Keys(groups)) {
 		rows := groups[length]
 		hs := m.lstm.Forward(m.buildSeq(rows, length))
 		for _, h := range hs {
@@ -247,7 +235,7 @@ func (m *rnnMPSN) Forward(preds []PredSet) *tensor.Matrix {
 func (m *rnnMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 	dEnc := make([]PredSet, len(m.preds))
 	groups := groupByLen(m.preds)
-	for _, length := range sortedKeys(groups) {
+	for _, length := range slices.Sorted(maps.Keys(groups)) {
 		rows := groups[length]
 		seq := m.buildSeq(rows, length)
 		hs := m.lstm.Forward(seq) // rebuild caches for this group
@@ -325,7 +313,7 @@ func (m *recMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	m.caches = map[int]*recCache{}
 	out := tensor.New(len(preds), m.outDim)
 	groups := groupByLen(preds)
-	for _, length := range sortedKeys(groups) {
+	for _, length := range slices.Sorted(maps.Keys(groups)) {
 		rows := groups[length]
 		cache := &recCache{rows: rows}
 		prev := tensor.New(len(rows), m.outDim) // out_0 = 0
@@ -366,7 +354,7 @@ func (m *recMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 			dEnc[r] = make(PredSet, n)
 		}
 	}
-	for _, length := range sortedKeys(groupByLen(m.preds)) {
+	for _, length := range slices.Sorted(maps.Keys(groupByLen(m.preds))) {
 		cache := m.caches[length]
 		rows := cache.rows
 		dO := tensor.New(len(rows), m.outDim)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"duet/internal/made"
 	"duet/internal/relation"
 )
 
@@ -39,15 +40,14 @@ func EncodingCompatible(m *Model, t *relation.Table) error {
 // grown table (EncodingCompatible must hold), FineTune the clone on observed
 // feedback, and hot-swap it in while the original keeps serving untouched.
 //
-// CloneFor only reads the source model's parameter values, which inference
-// never writes, so it is safe to call while the source is serving (behind the
-// engine); it must not race with training on the source.
+// CloneFor only reads the source model's parameter values and published
+// plan config, which inference never writes, so it is safe to call while the
+// source is serving; it must not race with training on the source.
 func (m *Model) CloneFor(t *relation.Table) (*Model, error) {
 	if err := EncodingCompatible(m, t); err != nil {
 		return nil, err
 	}
 	c := NewModel(t, m.cfg)
-	c.planCfg = m.planCfg // serving config travels with the clone
 	if len(c.params) != len(m.params) {
 		return nil, fmt.Errorf("core: clone built %d params, source has %d", len(c.params), len(m.params))
 	}
@@ -58,6 +58,9 @@ func (m *Model) CloneFor(t *relation.Table) (*Model, error) {
 				i, dst.W.Rows, dst.W.Cols, p.W.Rows, p.W.Cols)
 		}
 		copy(dst.W.Data, p.W.Data)
+	}
+	if cfg := m.PlanConfig(); cfg != (made.PlanConfig{}) {
+		c.publish(cfg) // serving config travels with the clone
 	}
 	return c, nil
 }

@@ -90,22 +90,19 @@ type StepStats struct {
 // the unsupervised cross-entropy L_data, (2) draws a batch of training
 // queries, estimates them directly (no sampling) and computes the supervised
 // L_query = log2(QErr+1), then (3) descends on L = L_data + λ·L_query. It
-// returns per-epoch statistics. When it returns, the network's batch-wide
-// training buffers have been released (see releaseTrainingBuffers).
+// returns per-epoch statistics. Each epoch ends by publishing a plan of its
+// weights, before OnEpoch, so OnEpoch's estimates see them.
 func Train(m *Model, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		panic("core: Train needs positive Epochs and BatchSize")
 	}
 	qb := cfg.QueryBatch
 	if qb <= 0 {
-		qb = cfg.BatchSize
-		if qb > 64 {
-			qb = 64
-		}
+		qb = min(cfg.BatchSize, 64)
 	}
-	defer m.releaseTrainingBuffers()
+	defer m.net.Net.ReleaseBuffers()
 	hybrid := cfg.Lambda > 0 && len(cfg.Workload) > 0
-	opt := nn.NewAdam(cfg.LR)
+	ts := &trainState{opt: nn.NewAdam(cfg.LR)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sampler := SamplerConfig{
 		Mu: cfg.Mu, WildcardProb: cfg.WildcardProb,
@@ -139,10 +136,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 		var dataLossSum, qLossSum, rawQSum float64
 		var steps int
 		for off := 0; off < nRows; off += cfg.BatchSize {
-			end := off + cfg.BatchSize
-			if end > nRows {
-				end = nRows
-			}
+			end := min(off+cfg.BatchSize, nRows)
 			specs, labels := batch.next(m, src, end-off, cfg.Mu, sampler, epoch)
 			var queries []workload.LabeledQuery
 			if hybrid {
@@ -151,7 +145,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 					queries[i] = cfg.Workload[rng.Intn(len(cfg.Workload))]
 				}
 			}
-			dataLoss, qLoss, rawQ := m.step(opt, specs, labels, queries, cfg.Lambda, cfg.ClipNorm)
+			dataLoss, qLoss, rawQ := m.step(ts, specs, labels, queries, cfg.Lambda, cfg.ClipNorm)
 			dataLossSum += dataLoss
 			qLossSum += qLoss
 			rawQSum += rawQ
@@ -176,6 +170,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 			s.TuplesPerSec = float64(nRows) / sec
 		}
 		history = append(history, s)
+		m.publish(m.PlanConfig())
 		if cfg.OnEpoch != nil && !cfg.OnEpoch(epoch, s) {
 			break
 		}
@@ -183,49 +178,45 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 	return history
 }
 
+// trainState is what one Train or FineTune call carries from step to step:
+// the optimizer and the step's reused buffers. Nothing of it outlives the
+// call.
+type trainState struct {
+	opt       *nn.Adam
+	dLogits   tensor.Matrix // logit gradient of the data pass, then of the query pass
+	lossTerms []float64     // nn.SoftmaxCE's per-(row, block) loss terms
+}
+
 // step is Algorithm 2's descent step, shared by Train and FineTune: zero the
 // gradients, accumulate L_data over the virtual tuples and λ·L_query over the
-// queries (either may be empty), clip, update, and drop the stale plan.
-func (m *Model) step(opt *nn.Adam, specs []Spec, labels [][]int32, queries []workload.LabeledQuery, lambda, clipNorm float64) (dataLoss, qLoss, rawQ float64) {
+// queries (either may be empty), clip and update.
+func (m *Model) step(ts *trainState, specs []Spec, labels [][]int32, queries []workload.LabeledQuery, lambda, clipNorm float64) (dataLoss, qLoss, rawQ float64) {
 	nn.ZeroGrads(m.params)
 	if len(specs) > 0 {
 		logits := m.Forward(specs)
-		dLogits := m.zeroedGrad(logits)
-		dataLoss = nn.SoftmaxCE(logits, m.net.Out, labels, dLogits, &m.lossTerms)
-		m.Backward(dLogits)
+		dLogits := ts.zeroedGrad(logits)
+		dataLoss = nn.SoftmaxCE(logits, m.net.Out, labels, dLogits, &ts.lossTerms)
+		m.backward(specs, dLogits)
 	}
 	if len(queries) > 0 {
-		qLoss, rawQ = m.queryLossBackward(queries, lambda)
+		qLoss, rawQ = m.queryLossBackward(ts, queries, lambda)
 	}
 	if clipNorm > 0 {
 		nn.ClipGradNorm(m.params, clipNorm)
 	}
-	opt.Step(m.params)
-	m.InvalidatePlan()
+	ts.opt.Step(m.params)
 	return dataLoss, qLoss, rawQ
 }
 
-// zeroedGrad returns the model's logit-gradient buffer shaped like logits and
+// zeroedGrad returns the logit-gradient buffer shaped like logits and
 // cleared: both loss passes accumulate into it with +=. One buffer serves the
-// data pass and then the query pass of a step (Backward is done with it when
+// data pass and then the query pass of a step (backward is done with it when
 // it returns), so the step's largest matrix — 8.5 MB on the DMV model — is
-// allocated once per training run, not twice per step.
-func (m *Model) zeroedGrad(logits *tensor.Matrix) *tensor.Matrix {
-	d := m.dLogits.Resize(logits.Rows, logits.Cols)
+// allocated once per training call, not twice per step.
+func (ts *trainState) zeroedGrad(logits *tensor.Matrix) *tensor.Matrix {
+	d := ts.dLogits.Resize(logits.Rows, logits.Cols)
 	d.Zero()
 	return d
-}
-
-// releaseTrainingBuffers drops what a training run retains from its last
-// batch: every layer's activations and input gradients, BatchSize·Mu rows
-// wide, the logit gradient and loss terms of the same height, and the batch's
-// specs. On the benchmark's census model that is 16 MB of a 54 MB heap, and
-// serving never reads it: every estimate runs through the packed plan.
-func (m *Model) releaseTrainingBuffers() {
-	m.net.Net.ReleaseBuffers()
-	m.lastSpecs = nil
-	m.dLogits = tensor.Matrix{}
-	m.lossTerms = nil
 }
 
 // queryLossBackward runs the differentiable estimation path on a query
@@ -238,13 +229,13 @@ func (m *Model) releaseTrainingBuffers() {
 // where f_i is column i's masked probability mass — the exact derivative of
 // Algorithm 3's masked sum-product, with est/f_i computed as a leave-one-out
 // product so near-zero masses stay numerically safe.
-func (m *Model) queryLossBackward(batch []workload.LabeledQuery, lambda float64) (qLoss, rawQ float64) {
+func (m *Model) queryLossBackward(ts *trainState, batch []workload.LabeledQuery, lambda float64) (qLoss, rawQ float64) {
 	specs := make([]Spec, len(batch))
 	for i, lq := range batch {
 		specs[i] = m.SpecFromQuery(lq.Query)
 	}
 	logits := m.Forward(specs)
-	dLogits := m.zeroedGrad(logits)
+	dLogits := ts.zeroedGrad(logits)
 	total := float64(m.table.NumRows())
 	scale := lambda / float64(len(batch))
 	for b, lq := range batch {
@@ -265,11 +256,7 @@ func (m *Model) queryLossBackward(batch []workload.LabeledQuery, lambda float64)
 			}
 			seg := m.net.Out.Slice(row, c)
 			probsPer[k] = make([]float32, len(seg))
-			f := nn.IntervalMass(probsPer[k], seg, iv.Lo, iv.Hi)
-			if f < 1e-12 {
-				f = 1e-12
-			}
-			fs[k] = f
+			fs[k] = max(nn.IntervalMass(probsPer[k], seg, iv.Lo, iv.Hi), 1e-12)
 		}
 		if empty {
 			continue // contradictory query: estimate is exactly 0, no signal
@@ -309,7 +296,7 @@ func (m *Model) queryLossBackward(batch []workload.LabeledQuery, lambda float64)
 			}
 		}
 	}
-	m.Backward(dLogits)
+	m.backward(specs, dLogits)
 	n := float64(len(batch))
 	return qLoss / n, rawQ / n
 }

@@ -31,10 +31,11 @@
 // bitwise independent of batch composition, row-block boundaries, worker
 // count and kernel tier. Like the fused MPSN built by Merge, they match the
 // generic layer stack up to floating-point summation order (the degree sort
-// changes the order in which a logit's contributions are added). A Plan is a
-// snapshot: weights updated by training are not reflected; rebuild after
-// training. Forward is safe for concurrent use only via external
-// serialization.
+// changes the order in which a logit's contributions are added). A Plan is
+// immutable after NewPlan and does not see later training; compile a new
+// one. A pass writes only its Scratch, so Run on distinct scratches may run
+// concurrently; Forward runs on a scratch the plan keeps, so its callers
+// serialize.
 //
 // PlanConfig{Quantize: true} builds the plan with int8 weights instead of
 // float32: every packed span (and every hidden row of an output slab) stores
@@ -76,25 +77,33 @@ type Plan struct {
 	trunk     []planLayer
 	proj      []outBlock
 	quantized bool
+	nout      int // trunk stages with an output buffer of their own
 
-	// Per-pass state, owned and reused: Forward is externally serialized.
-	x, h   *tensor.Matrix // the pass's input and the trunk's output
-	logits *tensor.Matrix // reusable output buffer
-	seq    []int32        // 0, 1, 2, ...: the trunk's row blocks slice it
-	rowsOf [][]int32      // per output block: the rows that need it, ascending
-	items  []projItem     // the projection phase's work, see gather
-	next   atomic.Int64   // the next work item of a forked phase
+	held Scratch // Forward's scratch
+}
+
+// Scratch is the memory one pass writes: trunk outputs, logits and the
+// projection's work lists. The zero value is ready to use; buffers grow to
+// the largest batch run on it.
+type Scratch struct {
+	x, h   *tensor.Matrix  // the pass's input and the trunk's output
+	outs   []tensor.Matrix // per trunk stage with an output buffer, in compile order
+	logits tensor.Matrix
+	seq    []int32      // 0, 1, 2, ...: the trunk's row blocks slice it
+	rowsOf [][]int32    // per output block: the rows that need it, ascending
+	items  []projItem   // the projection phase's work, see gather
+	next   atomic.Int64 // the next work item of a forked phase
 }
 
 // planLayer is one compiled trunk stage.
 type planLayer interface {
-	// bind sizes the stage's buffers for a pass over x's rows and returns
-	// the matrix its forward writes. It runs once per pass, before any
-	// forward.
-	bind(x *tensor.Matrix) *tensor.Matrix
+	// bind sizes the stage's buffers in s for a pass over x's rows and
+	// returns the matrix its forward writes. It runs once per pass, before
+	// any forward.
+	bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix
 	// forward computes the listed rows of the stage's output from the same
 	// rows of x. Calls on disjoint rows may run concurrently.
-	forward(x *tensor.Matrix, rows []int32) *tensor.Matrix
+	forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix
 	weightBytes() int
 }
 
@@ -108,11 +117,10 @@ func NewPlan(m *MADE, cfg PlanConfig) *Plan {
 	if !ok {
 		panic(fmt.Sprintf("made: final layer is %T, expected *nn.MaskedLinear", layers[len(layers)-1]))
 	}
-	p := &Plan{out: m.Out, logits: &tensor.Matrix{}, quantized: cfg.Quantize}
-	trunk, trunkOrder := compileStack(layers[:len(layers)-1], nil, nil, cfg.Quantize)
+	p := &Plan{out: m.Out, quantized: cfg.Quantize}
+	trunk, trunkOrder := compileStack(layers[:len(layers)-1], nil, nil, cfg.Quantize, &p.nout)
 	p.trunk = trunk
 	p.proj = packOutput(&last.Linear, m.Out, trunkOrder, cfg.Quantize)
-	p.rowsOf = make([][]int32, len(p.proj))
 	return p
 }
 
@@ -139,7 +147,7 @@ func (p *Plan) WeightBytes() int {
 // column order of the stack's final re-ordering layer (residual branches
 // must end in the layout they started in, so the skip add lines up). It
 // returns the compiled stack and the layout its output is in.
-func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([]planLayer, []int32) {
+func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool, nout *int) ([]planLayer, []int32) {
 	out := make([]planLayer, 0, len(layers))
 	// Find the last layer that re-orders columns, so forceCols lands on it.
 	pinIdx := -1
@@ -160,11 +168,11 @@ func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([
 		}
 		switch l := l.(type) {
 		case *nn.MaskedLinear:
-			pl := packLinear(&l.Linear, colOrder, pin, quant)
+			pl := packLinear(&l.Linear, colOrder, pin, quant, nout)
 			colOrder = pl.cols
 			out = append(out, pl)
 		case *nn.Linear:
-			pl := packLinear(l, colOrder, pin, quant)
+			pl := packLinear(l, colOrder, pin, quant, nout)
 			colOrder = pl.cols
 			out = append(out, pl)
 		case *nn.ReLU:
@@ -184,8 +192,9 @@ func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([
 			if want == nil {
 				want = identityOrder(innerOutWidth(inner))
 			}
-			compiled, _ := compileStack(inner.Layers, colOrder, want, quant)
-			out = append(out, &residualPlan{inner: compiled, out: &tensor.Matrix{}})
+			compiled, _ := compileStack(inner.Layers, colOrder, want, quant, nout)
+			out = append(out, &residualPlan{inner: compiled, buf: *nout})
+			*nout++
 			colOrder = want
 		default:
 			panic(fmt.Sprintf("made: cannot compile layer %T", l))
@@ -313,13 +322,14 @@ type packedLinear struct {
 	spans
 	outW int
 	cols []int32 // output layout: position p holds original unit cols[p]
-	out  *tensor.Matrix
+	buf  int     // index of the stage's output in Scratch.outs
 }
 
 // packLinear snapshots l. rowOrder is the layout of the incoming activation
 // buffer (nil = natural); colOrder pins the output layout (nil = sort units
-// by connectivity extent so spans are tight). quant selects int8 spans.
-func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLinear {
+// by connectivity extent so spans are tight). quant selects int8 spans; the
+// output buffer takes index *nout.
+func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool, nout *int) *packedLinear {
 	W := l.Weight.W
 	if rowOrder == nil {
 		rowOrder = identityOrder(l.In)
@@ -327,7 +337,8 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLin
 	if colOrder == nil {
 		colOrder = sortBySupport(W, rowOrder)
 	}
-	p := &packedLinear{outW: l.Out, cols: colOrder, out: &tensor.Matrix{}}
+	p := &packedLinear{outW: l.Out, cols: colOrder, buf: *nout}
+	*nout++
 	p.start = make([]int32, l.In)
 	p.off = make([]int32, l.In+1)
 	row := make([]float32, l.Out) // layer row in output layout
@@ -377,22 +388,23 @@ func sortBySupport(W *tensor.Matrix, rowOrder []int32) []int32 {
 	return ord
 }
 
-func (p *packedLinear) bind(x *tensor.Matrix) *tensor.Matrix {
-	return p.out.Resize(x.Rows, p.outW)
+func (p *packedLinear) bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix {
+	return s.outs[p.buf].Resize(x.Rows, p.outW)
 }
 
-func (p *packedLinear) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
-	p.accumulate(x, rows, p.out, 0, p.outW)
-	return p.out
+func (p *packedLinear) forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
+	out := &s.outs[p.buf]
+	p.accumulate(x, rows, out, 0, p.outW)
+	return out
 }
 
 // ----- in-place ReLU -----
 
 type reluInPlace struct{}
 
-func (reluInPlace) bind(x *tensor.Matrix) *tensor.Matrix { return x }
+func (reluInPlace) bind(_ *Scratch, x *tensor.Matrix) *tensor.Matrix { return x }
 
-func (reluInPlace) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
+func (reluInPlace) forward(_ *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	for _, r := range rows {
 		row := x.Row(int(r))
 		for i, v := range row {
@@ -408,29 +420,30 @@ func (reluInPlace) weightBytes() int { return 0 }
 
 type residualPlan struct {
 	inner []planLayer
-	out   *tensor.Matrix
+	buf   int // index of the skip sum in Scratch.outs
 }
 
-func (p *residualPlan) bind(x *tensor.Matrix) *tensor.Matrix {
+func (p *residualPlan) bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix {
 	fx := x
 	for _, l := range p.inner {
-		fx = l.bind(fx)
+		fx = l.bind(s, fx)
 	}
-	return p.out.Resize(x.Rows, x.Cols)
+	return s.outs[p.buf].Resize(x.Rows, x.Cols)
 }
 
-func (p *residualPlan) forward(x *tensor.Matrix, rows []int32) *tensor.Matrix {
+func (p *residualPlan) forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	fx := x
 	for _, l := range p.inner {
-		fx = l.forward(fx, rows)
+		fx = l.forward(s, fx, rows)
 	}
+	out := &s.outs[p.buf]
 	for _, r := range rows {
-		dst, in, branch := p.out.Row(int(r)), x.Row(int(r)), fx.Row(int(r))
+		dst, in, branch := out.Row(int(r)), x.Row(int(r)), fx.Row(int(r))
 		for i, v := range in {
 			dst[i] = v + branch[i]
 		}
 	}
-	return p.out
+	return out
 }
 
 func (p *residualPlan) weightBytes() int {
@@ -500,62 +513,76 @@ type projItem struct {
 	macs int // the item's size, for largest-first scheduling
 }
 
-// Forward runs the plan on a batch. needed[r] lists the output blocks to
-// compute for row r, ascending; segments of blocks not requested hold
-// unspecified values. The returned matrix is owned by the plan and valid
-// until the next Forward.
+// Forward is Run on the scratch the plan keeps: the result is valid until
+// the next Forward, and Forward's callers serialize.
+func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+	return p.Run(&p.held, x, needed)
+}
+
+// Run runs the plan on a batch, writing every buffer of the pass in s.
+// needed[r] lists the output blocks to compute for row r, ascending;
+// segments of blocks not requested hold unspecified values. The returned
+// matrix is owned by s and valid until s runs another pass.
 //
 // The pass is two phases over row blocks (see the package comment): the
 // trunk in blocks of rowBlock rows, then the needed output blocks in groups
 // of rowBlock rows each, so every packed span and every slab row is loaded
 // once per block or group instead of once per row. Each phase is at most
-// one fork; a batch smaller than one row block runs inline without
-// allocating. Every logit keeps the arithmetic of its row computed alone,
-// so results are bitwise independent of batch composition.
-func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+// one fork; a batch smaller than one row block runs inline and, once s has
+// grown to the batch, without allocating. Every logit keeps the arithmetic
+// of its row computed alone, so results are bitwise independent of batch
+// composition.
+func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+	for len(s.outs) < p.nout {
+		s.outs = append(s.outs, tensor.Matrix{})
+	}
 	h := x
 	for _, l := range p.trunk {
-		h = l.bind(h)
+		h = l.bind(s, h)
 	}
-	p.x, p.h = x, h
-	p.logits.Resize(x.Rows, p.out.Tot)
-	for len(p.seq) < x.Rows {
-		p.seq = append(p.seq, int32(len(p.seq)))
+	s.x, s.h = x, h
+	s.logits.Resize(x.Rows, p.out.Tot)
+	for len(s.seq) < x.Rows {
+		s.seq = append(s.seq, int32(len(s.seq)))
 	}
 	fork := x.Rows >= rowBlock
-	p.gather(needed[:x.Rows], fork)
-	p.run(trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
-	p.run(projPhase, len(p.items), fork)
-	p.x, p.h = nil, nil
-	return p.logits
+	p.gather(s, needed[:x.Rows], fork)
+	p.runPhase(s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
+	p.runPhase(s, projPhase, len(s.items), fork)
+	s.x, s.h = nil, nil
+	return &s.logits
 }
 
-// gather lists the projection phase's work: per output block, the rows that
-// need it in ascending order, cut into groups of rowBlock. When the phase
-// will fork, the items are sorted largest first; inline, order is moot.
-func (p *Plan) gather(needed [][]int32, fork bool) {
-	for b := range p.rowsOf {
-		p.rowsOf[b] = p.rowsOf[b][:0]
+// gather lists the projection phase's work in s: per output block, the rows
+// that need it in ascending order, cut into groups of rowBlock. When the
+// phase will fork, the items are sorted largest first; inline, order is moot.
+func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
+	for len(s.rowsOf) < len(p.proj) {
+		s.rowsOf = append(s.rowsOf, nil)
+	}
+	rowsOf := s.rowsOf[:len(p.proj)]
+	for b := range rowsOf {
+		rowsOf[b] = rowsOf[b][:0]
 	}
 	for r, blocks := range needed {
 		for _, b := range blocks {
 			// A block listed twice for a row is computed once.
-			if rows := p.rowsOf[b]; len(rows) == 0 || rows[len(rows)-1] != int32(r) {
-				p.rowsOf[b] = append(rows, int32(r))
+			if rows := rowsOf[b]; len(rows) == 0 || rows[len(rows)-1] != int32(r) {
+				rowsOf[b] = append(rows, int32(r))
 			}
 		}
 	}
-	p.items = p.items[:0]
-	for b, rows := range p.rowsOf {
+	s.items = s.items[:0]
+	for b, rows := range rowsOf {
 		blk := &p.proj[b]
 		for len(rows) > 0 {
 			n := min(len(rows), rowBlock)
-			p.items = append(p.items, projItem{blk: blk, rows: rows[:n], macs: n * (len(blk.start) + 1) * blk.width})
+			s.items = append(s.items, projItem{blk: blk, rows: rows[:n], macs: n * (len(blk.start) + 1) * blk.width})
 			rows = rows[n:]
 		}
 	}
 	if fork {
-		slices.SortFunc(p.items, func(a, b projItem) int { return b.macs - a.macs })
+		slices.SortFunc(s.items, func(a, b projItem) int { return b.macs - a.macs })
 	}
 }
 
@@ -563,40 +590,40 @@ type phase int
 
 const (
 	trunkPhase phase = iota // item i: rows [i*rowBlock, (i+1)*rowBlock) through the trunk
-	projPhase               // item i: p.items[i]
+	projPhase               // item i: s.items[i]
 )
 
-// run executes a phase's n work items. Without fork (a batch smaller than
-// one row block), or for a phase of one item, they run inline; otherwise one
-// tensor.ParallelFor sizes the worker set, and each worker takes the next
-// item from p.next until none are left (the ranges ParallelFor hands out
-// are not used), so a worker that drew a cheap item moves on while another
-// finishes a costly one.
-func (p *Plan) run(ph phase, n int, fork bool) {
+// runPhase executes a phase's n work items. Without fork (a batch smaller
+// than one row block), or for a phase of one item, they run inline;
+// otherwise one tensor.ParallelFor sizes the worker set, and each worker
+// takes the next item from s.next until none are left (the ranges
+// ParallelFor hands out are not used), so a worker that drew a cheap item
+// moves on while another finishes a costly one.
+func (p *Plan) runPhase(s *Scratch, ph phase, n int, fork bool) {
 	if !fork || n < 2 {
 		for i := 0; i < n; i++ {
-			p.item(ph, i)
+			p.item(s, ph, i)
 		}
 		return
 	}
-	p.next.Store(0)
+	s.next.Store(0)
 	tensor.ParallelFor(n, 1, func(int, int) {
-		for i := int(p.next.Add(1) - 1); i < n; i = int(p.next.Add(1) - 1) {
-			p.item(ph, i)
+		for i := int(s.next.Add(1) - 1); i < n; i = int(s.next.Add(1) - 1) {
+			p.item(s, ph, i)
 		}
 	})
 }
 
-func (p *Plan) item(ph phase, i int) {
+func (p *Plan) item(s *Scratch, ph phase, i int) {
 	if ph == projPhase {
-		it := &p.items[i]
-		it.blk.accumulate(p.h, it.rows, p.logits, it.blk.col, it.blk.width)
+		it := &s.items[i]
+		it.blk.accumulate(s.h, it.rows, &s.logits, it.blk.col, it.blk.width)
 		return
 	}
 	lo := i * rowBlock
-	rows := p.seq[lo:min(lo+rowBlock, p.x.Rows)]
-	h := p.x
+	rows := s.seq[lo:min(lo+rowBlock, s.x.Rows)]
+	h := s.x
 	for _, l := range p.trunk {
-		h = l.forward(h, rows)
+		h = l.forward(s, h, rows)
 	}
 }

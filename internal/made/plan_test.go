@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -318,6 +319,54 @@ func TestPlanForwardAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(50, func() { p.Forward(x, needed) }); a > 2*fork {
 				t.Errorf("%s quant=%v: a 64-row Forward allocates %v times, more than two forks (%v each)", name, quant, a, fork)
 			}
+		}
+	}
+}
+
+// TestPlanConcurrentScratches: passes on distinct scratches run at once on
+// one plan, each goroutine cycling through batch sizes on either side of a
+// row block, and every needed logit is bitwise what Forward computes for the
+// same batch. Under -race this is also the check that a pass writes nothing
+// outside its scratch.
+func TestPlanConcurrentScratches(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	tensor.SetMaxWorkers(2)
+	sizes := []int{1, 7, 8, 33, 64}
+	for name, m := range rowBlockNets() {
+		for _, quant := range []bool{false, true} {
+			p := NewPlan(m, PlanConfig{Quantize: quant})
+			xs := make([]*tensor.Matrix, len(sizes))
+			needed := make([][][]int32, len(sizes))
+			want := make([]*tensor.Matrix, len(sizes))
+			for i, rows := range sizes {
+				xs[i], needed[i] = rowBlockBatch(m, rows, int64(100+rows))
+				want[i] = p.Forward(xs[i], needed[i]).Clone()
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var s Scratch
+					for iter := 0; iter < 20; iter++ {
+						i := (g + iter) % len(sizes)
+						got := p.Run(&s, xs[i], needed[i])
+						for r, blocks := range needed[i] {
+							for _, b := range blocks {
+								gs, ws := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want[i].Row(r), int(b))
+								for k := range ws {
+									if math.Float32bits(gs[k]) != math.Float32bits(ws[k]) {
+										t.Errorf("%s quant=%v goroutine %d: %d rows, row %d block %d logit %d is %v, Forward's %v",
+											name, quant, g, sizes[i], r, b, k, gs[k], ws[k])
+										return
+									}
+								}
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	}
 }

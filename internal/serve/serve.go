@@ -7,17 +7,18 @@
 //
 // The engine sits between callers and a batch-native Backend (core.Model's
 // EstimateCardBatch), which it treats as a single-occupancy resource.
-// Coalescing is driven by that occupancy, never by a clock: a miss that finds
-// the backend idle becomes the leader and runs the forward pass inline on its
-// own goroutine; misses that arrive while a pass is running park, and the
-// finishing leader hands the parked calls — FIFO, up to MaxBatch queries,
-// deduplicated by canonical predicate-set key — to the first of them, which
-// leads the next pass. Batches therefore form exactly when the backend is
-// the bottleneck, and a lone estimate costs one forward pass and nothing
-// else. Estimate is the one-query case of EstimateBatch: both share one
-// cache, dedup, admission and stage-clock path. A canonical-key LRU cache in
-// front short-circuits repeated queries entirely. Because the backend
-// retains its forward buffers and the request path reuses pooled scratch,
+// core.Model is safe for concurrent use, but the engine still runs one pass
+// per model at a time. Coalescing is driven by that occupancy, never by a
+// clock: a miss that finds the backend idle becomes the leader and runs the
+// forward pass inline on its own goroutine; misses that arrive while a pass
+// is running park, and the finishing leader hands the parked calls — FIFO,
+// up to MaxBatch queries, deduplicated by canonical predicate-set key — to
+// the first of them, which leads the next pass. Batches therefore form
+// exactly when the backend is the bottleneck, and a lone estimate costs one
+// forward pass and nothing else. Estimate is the one-query case of
+// EstimateBatch: both share one cache, dedup, admission and stage-clock
+// path. A canonical-key LRU cache in front short-circuits repeated queries
+// entirely. Because the backend and the request path pool their scratch,
 // steady-state serving performs no per-request matrix allocations.
 //
 // Estimates are deterministic under coalescing: the batch plan's kernels
@@ -47,9 +48,9 @@ import (
 )
 
 // Backend answers a batch of queries with one forward pass. core.Model
-// implements it. Backends are assumed NOT safe for concurrent use; the
-// engine serializes every call, and turns a panic in one into
-// ErrBackendPanic for the calls of that pass.
+// implements it and is safe for concurrent use; other backends need not be.
+// The engine serializes every call either way, and turns a panic in one
+// into ErrBackendPanic for the calls of that pass.
 type Backend interface {
 	EstimateCardBatch(qs []workload.Query) []float64
 }
