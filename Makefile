@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-train bench-plan serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
+.PHONY: all build vet fmt test race bench bench-train bench-plan golden serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
 
 all: build vet fmt test
 
@@ -44,6 +44,13 @@ bench-train:
 # made.plan_us_b64.
 bench-plan:
 	$(GO) test -run='^$$' -bench='PlanForward' -benchmem ./internal/made
+
+# The bitwise contract: trained weights, losses and estimates hashed against
+# internal/core/testdata/golden.txt. A change that means to move numbers
+# reruns it with -update (go test -run Golden ./internal/core -update) and
+# commits the file's diff as the record.
+golden:
+	$(GO) test -run Golden ./internal/core
 
 # Full suite forced onto the pure-Go kernel tier: proves the SIMD dispatch
 # fallback path stays correct, not just compiled.

@@ -180,8 +180,8 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 // encodeBatch builds the network input for a batch of specs. In MPSN mode
 // the per-column MPSNs run first and their outputs fill the column blocks.
 // buf is resized (keeping capacity) and fully overwritten, so the serving
-// hot path encodes micro-batches without allocating; training passes a new
-// matrix each step, because the first layer keeps its input for backward.
+// hot path encodes micro-batches without allocating; Forward passes a new
+// matrix every call, because the first layer keeps its input for backward.
 func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
 	x := buf.Resize(b, m.net.In.Tot)

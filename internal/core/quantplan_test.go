@@ -56,7 +56,7 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 			t.Fatalf("query %d: singleton quantized batch %v vs batch %v", i, got, quant[i])
 		}
 	}
-	// Switching back invalidates and recompiles the f32 plan.
+	// Switching back publishes a recompiled f32 plan.
 	m.SetPlanConfig(made.PlanConfig{})
 	back := m.EstimateCardBatch(qs)
 	for i := range f32 {

@@ -71,7 +71,7 @@ type PlanConfig struct {
 }
 
 // Plan is a compiled inference path for one MADE network. Build with NewPlan,
-// run with Forward.
+// run with Run or Forward.
 type Plan struct {
 	out       nn.Blocks
 	trunk     []planLayer
