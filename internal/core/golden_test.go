@@ -53,6 +53,21 @@ func (b *bitHash) floats(vs ...float64) *bitHash {
 	return b
 }
 
+// table hashes every column's name, kind, dictionary and codes, in order.
+func (b *bitHash) table(t *relation.Table) *bitHash {
+	for _, c := range t.Cols {
+		fmt.Fprintf(b.h, "%s/%v/%d\x00", c.Name, c.Kind, c.NumDistinct())
+		for v := 0; v < c.NumDistinct(); v++ {
+			fmt.Fprintf(b.h, "%s\x00", c.ValueString(int32(v)))
+		}
+		for _, code := range relation.DecodeCodes(c.Codes) {
+			binary.LittleEndian.PutUint32(b.buf[:4], uint32(code))
+			b.h.Write(b.buf[:4])
+		}
+	}
+	return b
+}
+
 // sum is the first 16 hex digits of the digest.
 func (b *bitHash) sum() string { return hex.EncodeToString(b.h.Sum(nil))[:16] }
 
@@ -72,10 +87,11 @@ func (s *goldenRowSource) DrawTuples(dst [][]int32) {
 
 // TestGolden pins, bit for bit, what training and estimation compute: the
 // two benchmark models, a hybrid Train and a FineTune after it (direct and
-// MLP-MPSN), and 600 estimates under every plan kind. Each line of
+// MLP-MPSN), 600 estimates under every plan kind, and a materialized and a
+// sampled join view with a model trained on each. Each line of
 // testdata/golden.txt is a name and the first 16 hex digits of a sha256 over
-// parameter float32 bits then per-epoch or per-step losses, or over estimate
-// float64 bits. A change that means to move numbers reruns with -update, and
+// parameter float32 bits then per-epoch or per-step losses, over estimate
+// float64 bits, or over a view's column names, dictionaries and codes. A change that means to move numbers reruns with -update, and
 // the file's diff is the record; any other change must leave it as it is.
 // Estimates are also checked to be bitwise independent of how the 600
 // queries are cut into calls (one call, 64, 7, 1) and of the worker count.
@@ -202,6 +218,48 @@ func TestGolden(t *testing.T) {
 		}
 	}
 
+	// Join views over a three-table chain with dangling rows on every side:
+	// the materialized full outer join, every column, then a model trained on
+	// its rows (so row order is pinned through training); a sampled view's
+	// codes, then a model trained on further draws from the same sampler.
+	g := goldenChain()
+	view, err := relation.MultiJoin("ocr", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line("join-view", newBitHash().table(view).sum())
+	joinCfg := DefaultConfig()
+	joinCfg.Hidden = []int{32, 32}
+	m := NewModel(view, joinCfg)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 1
+	tc.BatchSize = 64
+	tc.Lambda = 0
+	hist := Train(m, tc)
+	h := newBitHash().params(m)
+	for _, e := range hist {
+		h.floats(e.DataLoss)
+	}
+	line("join-train", h.sum())
+	sampler, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := sampler.SampleTable("ocr", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line("join-sample", newBitHash().table(sampled).sum())
+	m = NewModel(sampled, joinCfg)
+	tc.Source = sampler
+	tc.SourceRows = 800
+	hist = Train(m, tc)
+	h = newBitHash().params(m)
+	for _, e := range hist {
+		h.floats(e.DataLoss)
+	}
+	line("join-sample-train", h.sum())
+
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -218,6 +276,40 @@ func TestGolden(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("results moved off %s; if that is intended, rerun with -update and commit the diff\ngot:\n%s\nwant:\n%s",
 			goldenPath, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// goldenChain is orders -> customers -> regions with rows dangling on every
+// side: orders whose customer is missing (cust 0..19), customers with no
+// orders (ids 130..139) or an unknown region (20..24), and regions no
+// customer names (0, 1).
+func goldenChain() *relation.JoinGraph {
+	seq := func(n int, f func(i int) int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	orders := relation.NewTable("orders", []*relation.Column{
+		relation.NewIntColumn("cust", seq(400, func(i int) int64 { return int64(i * 7 % 130) })),
+		relation.NewIntColumn("amount", seq(400, func(i int) int64 { return int64(i * 13 % 29) })),
+	})
+	customers := relation.NewTable("customers", []*relation.Column{
+		relation.NewIntColumn("id", seq(120, func(i int) int64 { return int64(i + 20) })),
+		relation.NewIntColumn("region", seq(120, func(i int) int64 { return int64(i%23 + 2) })),
+		relation.NewIntColumn("seg", seq(120, func(i int) int64 { return int64(i % 4) })),
+	})
+	regions := relation.NewTable("regions", []*relation.Column{
+		relation.NewIntColumn("id", seq(20, func(i int) int64 { return int64(i) })),
+		relation.NewIntColumn("pop", seq(20, func(i int) int64 { return int64(i * 37 % 50) })),
+	})
+	return &relation.JoinGraph{
+		Tables: []*relation.Table{orders, customers, regions},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "orders", LeftCol: "cust", RightTable: "customers", RightCol: "id"},
+			{LeftTable: "customers", LeftCol: "region", RightTable: "regions", RightCol: "id"},
+		},
 	}
 }
 
