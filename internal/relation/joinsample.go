@@ -299,7 +299,9 @@ func (s *JoinSampler) buildLayout() error {
 			vals[0] = true
 		}
 		if ti == 0 {
-			vals[1] = true
+			if t.NumRows() > 0 {
+				vals[1] = true // the root's presence indicator
+			}
 		} else {
 			if len(s.dangling[ti]) > 0 {
 				vals[1] = true

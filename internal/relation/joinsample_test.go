@@ -91,6 +91,30 @@ func TestJoinSamplerLayoutMatchesMultiJoin(t *testing.T) {
 	}
 }
 
+// TestJoinSamplerLayoutEmptyRoot: a root with no rows is absent from every
+// FOJ row, so its fanout column holds 0 alone — never the anchor value 1.
+func TestJoinSamplerLayoutEmptyRoot(t *testing.T) {
+	_, customers, regions := chainTables()
+	orders := NewTable("orders", []*Column{NewIntColumn("cust_id", nil), NewIntColumn("amount", nil)})
+	g := chainGraph(orders, customers, regions)
+	view, err := MultiJoin("ocr", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewJoinSampler(g, JoinSamplerConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := s.SampleTable("ocr_sample", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLayout(t, tbl, view)
+	if s.Total() != int64(view.NumRows()) {
+		t.Fatalf("empty-root Total = %d, FOJ rows = %d", s.Total(), view.NumRows())
+	}
+}
+
 // drawAndCheck draws n tuples, verifies every one is exactly a row of the
 // materialized FOJ (codes, fanouts and NULL sentinels included), and returns
 // the per-distinct-row observation counts.
