@@ -445,8 +445,7 @@ type TupleSource = core.TupleSource
 // NewJoinSampler builds a deterministic sampler over the join tree — the
 // constant-memory alternative to BuildJoinGraphView for JOB-scale joins.
 func NewJoinSampler(tables []*Table, edges []JoinEdge, seed int64) (*JoinSampler, error) {
-	return relation.NewJoinSampler(&relation.JoinGraph{Tables: tables, Edges: edges},
-		relation.JoinSamplerConfig{Seed: seed})
+	return relation.NewJoinSampler(&relation.JoinGraph{Tables: tables, Edges: edges}, seed)
 }
 
 // BuildSampledJoinGraphView draws budget tuples from the join tree's full
@@ -469,14 +468,9 @@ func BuildSampledJoinGraphView(name string, tables []*Table, edges []JoinEdge, b
 	return view, s, nil
 }
 
-// JoinCardinality computes the exact inner equi-join size without
-// materializing it — the ground-truth oracle for join estimates.
-func JoinCardinality(left *Table, leftCol string, right *Table, rightCol string) (int64, error) {
-	return relation.JoinCardinality(left, leftCol, right, rightCol)
-}
-
 // JoinGraphCardinality computes the exact N-way inner-join size of a join
-// tree without materializing it, generalizing JoinCardinality.
+// tree without materializing it — the ground-truth oracle for join
+// estimates.
 func JoinGraphCardinality(tables []*Table, edges []JoinEdge) (int64, error) {
 	return relation.MultiJoinCardinality(&relation.JoinGraph{Tables: tables, Edges: edges})
 }

@@ -35,7 +35,10 @@ func main() {
 		},
 	})
 
-	card, err := relation.JoinCardinality(orders, "cust_id", customers, "id")
+	card, err := relation.MultiJoinCardinality(&relation.JoinGraph{
+		Tables: []*relation.Table{orders, customers},
+		Edges:  []relation.JoinEdge{{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}},
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -113,12 +113,13 @@ func TestJoinPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := relation.JoinCardinality(fact, "dim_id", dim, "id")
+	wantRows, err := relation.MultiJoinCardinality(&relation.JoinGraph{Tables: []*relation.Table{fact, dim},
+		Edges: []relation.JoinEdge{{LeftTable: "fact", LeftCol: "dim_id", RightTable: "dim", RightCol: "id"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(joined.NumRows()) != wantRows {
-		t.Fatalf("join rows %d, dot product %d", joined.NumRows(), wantRows)
+		t.Fatalf("join rows %d, exact inner-join size %d", joined.NumRows(), wantRows)
 	}
 	m := core.NewModel(joined, duetTiny())
 	tc := core.DefaultTrainConfig()

@@ -91,8 +91,9 @@ func (s *goldenRowSource) DrawTuples(dst [][]int32) {
 // sampled join view with a model trained on each. Each line of
 // testdata/golden.txt is a name and the first 16 hex digits of a sha256 over
 // parameter float32 bits then per-epoch or per-step losses, over estimate
-// float64 bits, or over a view's column names, dictionaries and codes. A change that means to move numbers reruns with -update, and
-// the file's diff is the record; any other change must leave it as it is.
+// float64 bits, or over a view's column names, dictionaries and codes. A
+// change that means to move numbers reruns with -update, and the file's diff
+// is the record; any other change must leave it as it is.
 // Estimates are also checked to be bitwise independent of how the 600
 // queries are cut into calls (one call, 64, 7, 1) and of the worker count.
 func TestGolden(t *testing.T) {
@@ -241,7 +242,7 @@ func TestGolden(t *testing.T) {
 		h.floats(e.DataLoss)
 	}
 	line("join-train", h.sum())
-	sampler, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 5})
+	sampler, err := relation.NewJoinSampler(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func (s JoinGraphSpec) Build(name string, table func(string) (*relation.Table, e
 		view, err := relation.MultiJoin(name, g)
 		return view, nil, err
 	}
-	sampler, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: seed})
+	sampler, err := relation.NewJoinSampler(g, seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -90,7 +90,7 @@ func addChainBases(t *testing.T, reg *Registry, tabs ...*relation.Table) {
 func TestSampledGraphViewExactAnchors(t *testing.T) {
 	a, b, c, d := chain4Base()
 	g := chain4Graph(a, b, c, d)
-	s, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 31})
+	s, err := relation.NewJoinSampler(g, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSampledGraphViewExactAnchors(t *testing.T) {
 func TestSampledViewRequiresBaseTables(t *testing.T) {
 	a, b, c, d := chain4Base()
 	g := chain4Graph(a, b, c, d)
-	s, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 31})
+	s, err := relation.NewJoinSampler(g, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSampledGraphQErrorWithinBoundOfMaterialized(t *testing.T) {
 
 	const epochs = 6
 	const budget = 1500
-	s, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 33})
+	s, err := relation.NewJoinSampler(g, 33)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,10 +277,7 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 	if res.Model != "ocr" || res.Calib == nil {
 		t.Fatalf("resolved to %+v", res)
 	}
-	pair, err := relation.JoinCardinality(orders, "cust_id", customers, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := pairJoin(t, orders, "cust_id", customers, "id")
 	if res.Exact != float64(pair) {
 		t.Fatalf("Exact = %v, want pairwise join %d", res.Exact, pair)
 	}
@@ -322,10 +319,7 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 	}
 
 	// The customers-regions subtree corrects through the same machinery.
-	crPair, err := relation.JoinCardinality(customers, "region_id", reg.mustTable(t, "regions"), "id")
-	if err != nil {
-		t.Fatal(err)
-	}
+	crPair := pairJoin(t, customers, "region_id", reg.mustTable(t, "regions"), "id")
 	_, crGot, err := estimateExpr(context.Background(), reg, "", "customers.region_id = regions.id")
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +330,17 @@ func TestSubsetJoinFanoutCorrection(t *testing.T) {
 }
 
 // mustTable fetches a registered model's table.
+// pairJoin is the exact inner-join size of l.lc = r.rc.
+func pairJoin(t *testing.T, l *relation.Table, lc string, r *relation.Table, rc string) int64 {
+	t.Helper()
+	n, err := relation.MultiJoinCardinality(&relation.JoinGraph{Tables: []*relation.Table{l, r},
+		Edges: []relation.JoinEdge{{LeftTable: l.Name, LeftCol: lc, RightTable: r.Name, RightCol: rc}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func (r *Registry) mustTable(t *testing.T, name string) *relation.Table {
 	t.Helper()
 	tb, err := r.Table(name)
@@ -651,10 +656,7 @@ func TestBaseSnapshotMatchesTableName(t *testing.T) {
 	if err := reg.Add("ocr", view, core.NewModel(view, smallConfig(7)), AddOpts{Graph: chainSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	pair, err := relation.JoinCardinality(orders, "cust_id", customers, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := pairJoin(t, orders, "cust_id", customers, "id")
 	_, got, err := estimateExpr(context.Background(), reg, "ocr", "orders.cust_id = customers.id")
 	if err != nil {
 		t.Fatal(err)

@@ -148,6 +148,42 @@ func TestConcurrentReloadAndClose(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentResolveDuringSwap: routing reads the table and graph a swap
+// replaces, so under -race this fails unless the router copies them under
+// the registry lock.
+func TestConcurrentResolveDuringSwap(t *testing.T) {
+	ta := testTable("alpha", 1)
+	reg := New(Config{Dir: t.TempDir(), Serve: serveNoCache()})
+	defer reg.Close()
+	if err := reg.Add("alpha", ta, core.NewModel(ta, smallConfig(11)), AddOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	resolved := make(chan error, 1)
+	go func() {
+		for !stop.Load() {
+			if _, err := reg.Resolve("", "alpha.a<=5"); err != nil {
+				resolved <- err
+				return
+			}
+		}
+		resolved <- nil
+	}()
+	for i := 0; i < 40; i++ {
+		m, err := reg.CloneModelFor("alpha", testTable("alpha", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.SwapModel("alpha", m, SwapOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	if err := <-resolved; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReloadNeverSeesShortFile: SaveModel replaces the model file by rename,
 // so a Reload racing a loop of saves loads the previous bytes or the new
 // ones — never a file still being written.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"duet/internal/relation"
 	"duet/internal/workload"
 )
 
@@ -110,9 +111,16 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, wor
 			return "", workload.Query{}, err
 		}
 	}
+	// A swap replaces the entry's table and graph under the write lock: copy
+	// both while holding the read lock.
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	closed := r.closed
+	var table *relation.Table
+	var graph *graphView
+	if ok {
+		table, graph = e.table, e.graph
+	}
 	r.mu.RUnlock()
 	if closed {
 		return "", workload.Query{}, ErrClosed
@@ -125,7 +133,7 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, wor
 	for _, rp := range rq.Preds {
 		col := rp.Column
 		switch {
-		case rp.Table == "" || rp.Table == e.table.Name || rp.Table == name:
+		case rp.Table == "" || rp.Table == table.Name || rp.Table == name:
 			// Unqualified, or qualified with the served table/model name.
 		case e.join != nil:
 			mapped, err := e.join.mapColumn(rp.Table, rp.Column)
@@ -133,28 +141,28 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, wor
 				return "", workload.Query{}, err
 			}
 			col = mapped
-		case e.graph != nil:
-			mapped, err := e.graph.mapColumn(rp.Table, rp.Column)
+		case graph != nil:
+			mapped, err := graph.mapColumn(rp.Table, rp.Column)
 			if err != nil {
 				return "", workload.Query{}, err
 			}
 			col = mapped
 			graphTables[rp.Table] = true
 		default:
-			return "", workload.Query{}, fmt.Errorf("registry: predicate on %s.%s does not match model %q (table %q)", rp.Table, rp.Column, name, e.table.Name)
+			return "", workload.Query{}, fmt.Errorf("registry: predicate on %s.%s does not match model %q (table %q)", rp.Table, rp.Column, name, table.Name)
 		}
-		p, err := workload.ResolvePredicate(e.table, col, rp.Op, rp.Lit)
+		p, err := workload.ResolvePredicate(table, col, rp.Op, rp.Lit)
 		if err != nil {
 			return "", workload.Query{}, err
 		}
-		if e.graph != nil {
-			q.Preds = e.graph.clampNull(q.Preds, p)
+		if graph != nil {
+			q.Preds = graph.clampNull(q.Preds, p)
 		} else {
 			q.Preds = append(q.Preds, p)
 		}
 	}
 	if len(graphTables) > 0 {
-		q.Preds = append(q.Preds, e.graph.presencePreds(setKeys(graphTables))...)
+		q.Preds = append(q.Preds, graph.presencePreds(setKeys(graphTables))...)
 	}
 	r.met.routed.Inc()
 	return name, q, nil
@@ -189,6 +197,7 @@ func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (string,
 	}
 	r.mu.RLock()
 	e := r.entries[name]
+	table := e.table // a swap replaces it under the write lock
 	r.mu.RUnlock()
 	var q workload.Query
 	for _, rp := range rq.Preds {
@@ -199,7 +208,7 @@ func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (string,
 		if err != nil {
 			return "", workload.Query{}, false, err
 		}
-		p, err := workload.ResolvePredicate(e.table, col, rp.Op, rp.Lit)
+		p, err := workload.ResolvePredicate(table, col, rp.Op, rp.Lit)
 		if err != nil {
 			return "", workload.Query{}, false, err
 		}

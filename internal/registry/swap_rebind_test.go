@@ -18,7 +18,7 @@ import (
 func TestBaseTableSwapRecomputesGraphAnchors(t *testing.T) {
 	a, b, c, d := chain4Base()
 	g := chain4Graph(a, b, c, d)
-	s, err := relation.NewJoinSampler(g, relation.JoinSamplerConfig{Seed: 31})
+	s, err := relation.NewJoinSampler(g, 31)
 	if err != nil {
 		t.Fatal(err)
 	}

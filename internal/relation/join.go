@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EquiJoin materializes the inner equi-join of left and right on
 // left.leftCol = right.rightCol (matching on raw values, not codes). Column
@@ -97,39 +94,4 @@ func gatherColumn(name string, src *Column, rows []int32) *Column {
 		codes[i] = remap[src.Codes.At(int(r))]
 	}
 	return out
-}
-
-// JoinCardinality returns the exact inner equi-join size without
-// materializing it (a frequency dot-product over the shared value domain),
-// useful for validating join estimates cheaply.
-func JoinCardinality(left *Table, leftCol string, right *Table, rightCol string) (int64, error) {
-	li := left.ColumnIndex(leftCol)
-	ri := right.ColumnIndex(rightCol)
-	if li < 0 || ri < 0 {
-		return 0, fmt.Errorf("relation: join columns %q/%q not found", leftCol, rightCol)
-	}
-	lc, rc := left.Cols[li], right.Cols[ri]
-	lf := map[string]int64{}
-	for r := 0; r < lc.NumRows(); r++ {
-		lf[lc.ValueString(lc.Codes.At(r))]++
-	}
-	var total int64
-	rf := map[string]int64{}
-	for r := 0; r < rc.NumRows(); r++ {
-		rf[rc.ValueString(rc.Codes.At(r))]++
-	}
-	// Iterate the smaller map for the dot product.
-	small, big := lf, rf
-	if len(rf) < len(lf) {
-		small, big = rf, lf
-	}
-	keys := make([]string, 0, len(small))
-	for k := range small {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic accumulation order
-	for _, k := range keys {
-		total += small[k] * big[k]
-	}
-	return total, nil
 }

@@ -77,7 +77,7 @@ func TestJoinCardinalityMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		card, err := JoinCardinality(left, "k", right, "k")
+		card, err := MultiJoinCardinality(&JoinGraph{Tables: []*Table{left, right}, Edges: []JoinEdge{{"l", "k", "r", "k"}}})
 		if err != nil {
 			return false
 		}

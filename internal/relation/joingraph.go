@@ -3,8 +3,6 @@ package relation
 import (
 	"fmt"
 	"math"
-	"strings"
-	"sync"
 )
 
 // JoinEdge is one equi-join condition between two named tables:
@@ -122,64 +120,6 @@ func (g *JoinGraph) validate() ([]treeEdge, error) {
 	return tree, nil
 }
 
-// joinSlabs recycles the flat assembly slabs MultiJoin's generations run on,
-// tensor.Pool-style: steady-state materialization reuses storage from the
-// previous edge (and previous MultiJoin calls) instead of paying the garbage
-// collector per generation.
-var joinSlabs sync.Pool
-
-func getSlab(capHint int) []int32 {
-	if p, ok := joinSlabs.Get().(*[]int32); ok {
-		return (*p)[:0]
-	}
-	return make([]int32, 0, capHint)
-}
-
-func putSlab(s []int32) {
-	s = s[:0]
-	joinSlabs.Put(&s)
-}
-
-// joinRows is one generation of MultiJoin's assembly state: per result row
-// the row assignment of every table (-1 = absent) and its per-table fanouts,
-// stored as two flat nt-strided slabs. The flat layout replaces the previous
-// two-allocations-per-emitted-row assembly ([][]int32 rows) with amortized
-// append growth on pooled storage.
-type joinRows struct {
-	nt       int
-	asg, fan []int32
-}
-
-func newJoinRows(nt, capRows int) *joinRows {
-	return &joinRows{nt: nt, asg: getSlab(capRows * nt), fan: getSlab(capRows * nt)}
-}
-
-func (jr *joinRows) rows() int            { return len(jr.asg) / jr.nt }
-func (jr *joinRows) asgRow(i int) []int32 { return jr.asg[i*jr.nt : (i+1)*jr.nt] }
-func (jr *joinRows) fanRow(i int) []int32 { return jr.fan[i*jr.nt : (i+1)*jr.nt] }
-
-// appendBlank appends an all-absent row and returns its index.
-func (jr *joinRows) appendBlank() int {
-	for k := 0; k < jr.nt; k++ {
-		jr.asg = append(jr.asg, -1)
-		jr.fan = append(jr.fan, 0)
-	}
-	return jr.rows() - 1
-}
-
-// appendCopy appends a copy of src's row i and returns the new row's index.
-func (jr *joinRows) appendCopy(src *joinRows, i int) int {
-	jr.asg = append(jr.asg, src.asgRow(i)...)
-	jr.fan = append(jr.fan, src.fanRow(i)...)
-	return jr.rows() - 1
-}
-
-func (jr *joinRows) release() {
-	putSlab(jr.asg)
-	putSlab(jr.fan)
-	jr.asg, jr.fan = nil, nil
-}
-
 // MultiJoin materializes the full outer join of the graph's tables along its
 // edge tree, NeuroCard-style. Every base row of every table appears in the
 // result at least once: matched rows combine, unmatched rows survive padded
@@ -195,129 +135,111 @@ func (jr *joinRows) release() {
 // dictionary (greater than every real value), so every real-value range
 // predicate can exclude them with one extra "< sentinel" bound.
 //
-// MultiJoin is the one-shot form of MultiJoinIndexed; pass a JoinIndexes to
-// share the per-edge indexes with MultiJoinCardinality and JoinSampler calls
-// over the same base tables.
+// The view's columns and dictionaries are the joinLayout JoinSampler draws
+// into; MultiJoin fills them with every FOJ row, in walk order.
 func MultiJoin(name string, g *JoinGraph) (*Table, error) {
-	return MultiJoinIndexed(name, g, nil)
-}
-
-// MultiJoinIndexed is MultiJoin drawing its per-edge hash indexes from ix
-// (nil builds fresh ones).
-func MultiJoinIndexed(name string, g *JoinGraph, ix *JoinIndexes) (*Table, error) {
-	tree, err := g.validate()
+	l, err := newJoinLayout(g)
 	if err != nil {
 		return nil, err
 	}
-	nt := len(g.Tables)
-	// State: one row assignment per result row (-1 = table absent), plus the
-	// per-table fanout of each row. Seeded with every root row.
-	root := g.Tables[0]
-	cur := newJoinRows(nt, root.NumRows())
-	for r := 0; r < root.NumRows(); r++ {
-		i := cur.appendBlank()
-		cur.asgRow(i)[0] = int32(r)
-	}
-	for _, te := range tree {
-		o := ix.orientedFor(g, te)
-		parent, child := g.Tables[te.parent], g.Tables[te.child]
-		pc, cc := parent.Cols[te.parentCol], child.Cols[te.childCol]
-		next := newJoinRows(nt, cur.rows())
-		for i := 0; i < cur.rows(); i++ {
-			p := cur.asgRow(i)[te.parent]
-			if p < 0 {
-				next.appendCopy(cur, i)
-				continue
-			}
-			ccode := o.childCode(pc.Codes.At(int(p)))
-			if ccode < 0 {
-				next.appendCopy(cur, i)
-				continue
-			}
-			ms := o.matches(ccode)
-			for _, m := range ms {
-				j := next.appendCopy(cur, i)
-				next.asgRow(j)[te.child] = m
-				next.fanRow(j)[te.child] = int32(len(ms))
+	// Count with one walk, checking every row against the layout — an absent
+	// table must have a NULL sentinel and a present one a fanout code, or the
+	// view would carry real-value codes where the join has none — then fill
+	// presized columns with a second.
+	n := 0
+	l.walk(func(row, asg []int32) {
+		for ti, a := range asg {
+			switch {
+			case a < 0 && !l.canBeAbsent[ti]:
+				err = fmt.Errorf("relation: join layout says table %q is never absent, but a full-outer-join row misses it", g.Tables[ti].Name)
+			case a >= 0 && row[l.fanIdx[ti]] < 0:
+				err = fmt.Errorf("relation: join layout's fanout dictionary for table %q lacks a value the full outer join realizes", g.Tables[ti].Name)
 			}
 		}
-		// Dangling child rows: no parent anywhere, preserved alone. A child
-		// row is dangling exactly when its key code translates to no parent
-		// code (dictionaries carry only values that occur in rows).
-		for r := 0; r < child.NumRows(); r++ {
-			if !o.dangling(cc.Codes.At(r)) {
-				continue
-			}
-			j := next.appendBlank()
-			next.asgRow(j)[te.child] = int32(r)
-			next.fanRow(j)[te.child] = 1
-		}
-		cur.release()
-		cur = next
+		n++
+	})
+	if err != nil {
+		return nil, err
 	}
-	// The root's fanout is its presence indicator.
-	for i := 0; i < cur.rows(); i++ {
-		if cur.asgRow(i)[0] >= 0 {
-			cur.fanRow(i)[0] = 1
+	view, codes := l.newView(name, n)
+	i := 0
+	l.walk(func(row, _ []int32) {
+		for c, v := range row {
+			codes[c][i] = v
 		}
-	}
-	defer cur.release()
+		i++
+	})
+	return view, nil
+}
 
-	// Materialize: per table, its value columns (with a NULL sentinel when any
-	// row misses the table) followed by its fanout column.
-	cols := make([]*Column, 0, nt)
-	names := make(map[string]bool)
-	tableNames := make([]string, nt)
-	for i, t := range g.Tables {
-		tableNames[i] = t.Name
+// walk calls emit on every full-outer-join row with the row's view codes and
+// its per-table base row (-1 when the table is absent). Rows come anchor by
+// anchor — root rows ascending, then each tree edge's dangling child rows,
+// edges in BFS order — and, under one anchor, lexicographically over the BFS
+// edge list, each edge's matches in ascending row order: an odometer whose
+// earlier edges turn slower. (JoinSampler's descent is a DFS, which orders
+// rows differently once a table has two children; a draw needs no order.)
+func (l *joinLayout) walk(emit func(row, asg []int32)) {
+	row := append([]int32(nil), l.template...)
+	asg := make([]int32, l.nt)
+	for i := range asg {
+		asg[i] = -1
 	}
-	for ti, t := range g.Tables {
-		absent := false
-		for i := 0; i < cur.rows(); i++ {
-			if cur.asgRow(i)[ti] < 0 {
-				absent = true
-				break
-			}
+	// place puts row r of table ti, with the given fanout code, into the row;
+	// vacate restores ti's columns to the all-absent template.
+	place := func(ti int, r int32, fan int32) {
+		base := l.colBase[ti]
+		for si, src := range l.g.Tables[ti].Cols {
+			row[base+si] = src.Codes.At(int(r))
 		}
-		for _, src := range t.Cols {
-			cn := JoinViewColumn(t.Name, src.Name)
-			if names[cn] {
-				return nil, fmt.Errorf("relation: join view column %q collides; rename table or column", cn)
-			}
-			// The "<table>_<col>" name must identify its owning table
-			// unambiguously, or predicate rewriting could resolve a
-			// qualified column against the wrong table.
-			for _, other := range tableNames {
-				if other != t.Name && strings.HasPrefix(cn, JoinViewColumn(other, "")) {
-					return nil, fmt.Errorf("relation: join view column %q is ambiguous between tables %q and %q; rename table or column", cn, t.Name, other)
-				}
-			}
-			names[cn] = true
-			out, err := projectWithNull(cn, src, cur, ti, absent)
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, out)
-		}
-		fn := FanoutColumn(t.Name)
-		if names[fn] {
-			return nil, fmt.Errorf("relation: join view column %q collides; rename table or column", fn)
-		}
-		names[fn] = true
-		fv := make([]int64, cur.rows())
-		for i := range fv {
-			fv[i] = int64(cur.fanRow(i)[ti])
-		}
-		cols = append(cols, NewIntColumn(fn, fv))
+		row[l.fanIdx[ti]] = fan
+		asg[ti] = r
 	}
-	return NewTable(name, cols), nil
+	vacate := func(ti int) {
+		copy(row[l.colBase[ti]:l.fanIdx[ti]+1], l.template[l.colBase[ti]:])
+		asg[ti] = -1
+	}
+	var expand func(k int)
+	expand = func(k int) {
+		if k == len(l.tree) {
+			emit(row, asg)
+			return
+		}
+		te := l.tree[k]
+		o := l.ors[te.child]
+		cc := int32(-1) // stays -1 when the parent is absent, and so its subtree
+		if p := asg[te.parent]; p >= 0 {
+			cc = o.childCode(l.g.Tables[te.parent].Cols[te.parentCol].Codes.At(int(p)))
+		}
+		if cc < 0 {
+			expand(k + 1) // the NULL branch
+			return
+		}
+		for _, m := range o.matches(cc) {
+			place(te.child, m, l.fanByCC[te.child][cc])
+			expand(k + 1)
+		}
+		vacate(te.child)
+	}
+	anchor := func(ti int, r int32) {
+		place(ti, r, l.fanOne[ti])
+		expand(0)
+		vacate(ti)
+	}
+	for r := 0; r < l.g.Tables[0].NumRows(); r++ {
+		anchor(0, int32(r))
+	}
+	for _, te := range l.tree {
+		for _, r := range l.dangling[te.child] {
+			anchor(te.child, r)
+		}
+	}
 }
 
 // dictWithNull copies src's dictionary, appending — when withNull is set — a
 // NULL sentinel past the greatest real value, and returns the copy in an
-// otherwise empty column (no codes). Both the materialized and the sampled
-// join views build their column dictionaries through it, so the two layouts
-// are identical by construction.
+// otherwise empty column (no codes): the value-column prototype of the one
+// join layout materialized and sampled views share.
 func dictWithNull(name string, src *Column, withNull bool) (*Column, error) {
 	ndv := src.NumDistinct()
 	out := &Column{Name: name, Kind: src.Kind}
@@ -365,33 +287,11 @@ func dictWithNull(name string, src *Column, withNull bool) (*Column, error) {
 	return out, nil
 }
 
-// projectWithNull projects src onto the result rows' assignments for table
-// ti. Every base row survives a full outer join, so the dictionary is the
-// source dictionary unchanged — plus, when some result row misses the table,
-// a NULL sentinel appended past the greatest real value.
-func projectWithNull(name string, src *Column, st *joinRows, ti int, withNull bool) (*Column, error) {
-	out, err := dictWithNull(name, src, withNull)
-	if err != nil {
-		return nil, err
-	}
-	null := int32(src.NumDistinct())
-	codes := make([]int32, st.rows())
-	for i := range codes {
-		if a := st.asgRow(i)[ti]; a < 0 {
-			codes[i] = null
-		} else {
-			codes[i] = src.Codes.At(int(a))
-		}
-	}
-	out.Codes = I32Codes(codes)
-	return out, nil
-}
-
 // MultiJoinCardinality returns the exact inner-join size of the graph
 // without materializing it, by dynamic programming up the edge tree: each
 // node aggregates, per join-key code, the number of inner-join combinations
-// its subtree produces. It generalizes JoinCardinality to N-way joins and is
-// the ground-truth oracle behind the registry's fanout correction.
+// its subtree produces. It is the ground-truth oracle behind the registry's
+// fanout correction.
 func MultiJoinCardinality(g *JoinGraph) (int64, error) {
 	return MultiJoinCardinalityIndexed(g, nil)
 }

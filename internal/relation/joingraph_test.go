@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,9 +143,9 @@ func TestMultiJoinChain(t *testing.T) {
 	}
 }
 
-func TestMultiJoinStarMatchesDP(t *testing.T) {
-	// Star: fact in the middle, two dimensions, generated with skew so
-	// fanouts vary.
+// starGraph is a star: fact in the middle, two dimensions, generated with
+// skew so fanouts vary.
+func starGraph() *JoinGraph {
 	dimA := Generate(SynConfig{Name: "da", Rows: 60, Seed: 3, Cols: []ColSpec{
 		{Name: "k", NDV: 40, Skew: 0.5, Parent: -1},
 		{Name: "x", NDV: 8, Skew: 1.0, Parent: 0, Noise: 0.2},
@@ -155,13 +158,17 @@ func TestMultiJoinStarMatchesDP(t *testing.T) {
 		{Name: "a_k", NDV: 45, Skew: 1.1, Parent: -1},
 		{Name: "b_k", NDV: 35, Skew: 1.3, Parent: -1},
 	}})
-	g := &JoinGraph{
+	return &JoinGraph{
 		Tables: []*Table{fact, dimA, dimB},
 		Edges: []JoinEdge{
 			{"fact", "a_k", "da", "k"},
 			{"fact", "b_k", "db", "k"},
 		},
 	}
+}
+
+func TestMultiJoinStarMatchesDP(t *testing.T) {
+	g := starGraph()
 	joined, err := MultiJoin("star", g)
 	if err != nil {
 		t.Fatal(err)
@@ -190,19 +197,6 @@ func TestMultiJoinStarMatchesDP(t *testing.T) {
 	}
 	if inner != dp {
 		t.Fatalf("star inner rows %d != DP cardinality %d", inner, dp)
-	}
-	// Pairwise consistency: the 2-table DP must agree with JoinCardinality.
-	pair := &JoinGraph{Tables: []*Table{fact, dimA}, Edges: []JoinEdge{{"fact", "a_k", "da", "k"}}}
-	dp2, err := MultiJoinCardinality(pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := JoinCardinality(fact, "a_k", dimA, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp2 != legacy {
-		t.Fatalf("2-way DP %d != JoinCardinality %d", dp2, legacy)
 	}
 }
 
@@ -263,5 +257,240 @@ func TestMultiJoinMatchesEquiJoinInner(t *testing.T) {
 	}
 	if n != inner.NumRows() {
 		t.Fatalf("FOJ inner rows %d != EquiJoin rows %d", n, inner.NumRows())
+	}
+}
+
+// referenceMultiJoin is the generation-by-generation full outer join MultiJoin
+// once ran, kept as the oracle MultiJoin's walk must reproduce bit for bit:
+// seeded with every root row, each BFS edge in turn expands every row by its
+// matches (or keeps it when the parent is absent or unmatched) and appends
+// the edge's dangling child rows; the view is then projected from the final
+// row assignments, with dictionaries and NULL sentinels read off them.
+func referenceMultiJoin(name string, g *JoinGraph) (*Table, error) {
+	tree, err := g.validate()
+	if err != nil {
+		return nil, err
+	}
+	nt := len(g.Tables)
+	type fojRow struct{ asg, fan []int32 } // per table: base row (-1 absent), fanout
+	blank := func() fojRow {
+		r := fojRow{make([]int32, nt), make([]int32, nt)}
+		for i := range r.asg {
+			r.asg[i] = -1
+		}
+		return r
+	}
+	clone := func(r fojRow) fojRow {
+		return fojRow{append([]int32(nil), r.asg...), append([]int32(nil), r.fan...)}
+	}
+	var cur []fojRow
+	for r := 0; r < g.Tables[0].NumRows(); r++ {
+		row := blank()
+		row.asg[0] = int32(r)
+		cur = append(cur, row)
+	}
+	for _, te := range tree {
+		o := (*JoinIndexes)(nil).orientedFor(g, te)
+		pc, cc := g.Tables[te.parent].Cols[te.parentCol], g.Tables[te.child].Cols[te.childCol]
+		var next []fojRow
+		for _, row := range cur {
+			p := row.asg[te.parent]
+			if p < 0 || o.childCode(pc.Codes.At(int(p))) < 0 {
+				next = append(next, row)
+				continue
+			}
+			ms := o.matches(o.childCode(pc.Codes.At(int(p))))
+			for _, m := range ms {
+				j := clone(row)
+				j.asg[te.child], j.fan[te.child] = m, int32(len(ms))
+				next = append(next, j)
+			}
+		}
+		for r := 0; r < g.Tables[te.child].NumRows(); r++ {
+			if o.dangling(cc.Codes.At(r)) {
+				row := blank()
+				row.asg[te.child], row.fan[te.child] = int32(r), 1
+				next = append(next, row)
+			}
+		}
+		cur = next
+	}
+	for _, row := range cur {
+		if row.asg[0] >= 0 {
+			row.fan[0] = 1
+		}
+	}
+	var cols []*Column
+	for ti, t := range g.Tables {
+		absent := false
+		for _, row := range cur {
+			absent = absent || row.asg[ti] < 0
+		}
+		for _, src := range t.Cols {
+			out, err := dictWithNull(JoinViewColumn(t.Name, src.Name), src, absent)
+			if err != nil {
+				return nil, err
+			}
+			codes := make([]int32, len(cur))
+			for i, row := range cur {
+				if a := row.asg[ti]; a < 0 {
+					codes[i] = int32(src.NumDistinct())
+				} else {
+					codes[i] = src.Codes.At(int(a))
+				}
+			}
+			out.Codes = I32Codes(codes)
+			cols = append(cols, out)
+		}
+		fv := make([]int64, len(cur))
+		for i, row := range cur {
+			fv[i] = int64(row.fan[ti])
+		}
+		cols = append(cols, NewIntColumn(FanoutColumn(t.Name), fv))
+	}
+	return NewTable(name, cols), nil
+}
+
+// randomJoinTree builds a random join tree of 2-5 tables: a random shape and
+// root, random edge orientation and order, int or string keys over small
+// overlapping domains (so fanouts vary and rows dangle on every side), and
+// some empty tables.
+func randomJoinTree(rng *rand.Rand) *JoinGraph {
+	nt := 2 + rng.Intn(4)
+	rows := make([]int, nt)
+	for i := range rows {
+		if rng.Intn(6) > 0 {
+			rows[i] = 1 + rng.Intn(7)
+		}
+	}
+	type edge struct{ a, b int }
+	edges := make([]edge, nt-1)
+	for i := 1; i < nt; i++ {
+		edges[i-1] = edge{rng.Intn(i), i}
+	}
+	keys := make([][]*Column, nt)
+	for ei, e := range edges {
+		str := rng.Intn(2) == 0
+		for _, ti := range []int{e.a, e.b} {
+			dom := 1 + rng.Intn(5)
+			off := rng.Intn(3)
+			name := fmt.Sprintf("k%d", ei)
+			vals := make([]int64, rows[ti])
+			for r := range vals {
+				vals[r] = int64(off + rng.Intn(dom))
+			}
+			if str {
+				ss := make([]string, len(vals))
+				for r, v := range vals {
+					ss[r] = fmt.Sprint(v)
+				}
+				keys[ti] = append(keys[ti], NewStringColumn(name, ss))
+			} else {
+				keys[ti] = append(keys[ti], NewIntColumn(name, vals))
+			}
+		}
+	}
+	perm := rng.Perm(nt) // table i is placed at position perm[i]: a random root
+	g := &JoinGraph{Tables: make([]*Table, nt)}
+	for ti := range rows {
+		vals := make([]float64, rows[ti])
+		for r := range vals {
+			vals[r] = float64(rng.Intn(3)) / 2
+		}
+		cols := append(keys[ti], NewFloatColumn("v", vals))
+		g.Tables[perm[ti]] = NewTable(fmt.Sprintf("t%d", ti), cols)
+	}
+	for _, ei := range rng.Perm(len(edges)) {
+		e := edges[ei]
+		je := JoinEdge{fmt.Sprintf("t%d", e.a), fmt.Sprintf("k%d", ei), fmt.Sprintf("t%d", e.b), fmt.Sprintf("k%d", ei)}
+		if rng.Intn(2) == 0 {
+			je.LeftTable, je.RightTable = je.RightTable, je.LeftTable
+		}
+		g.Edges = append(g.Edges, je)
+	}
+	return g
+}
+
+// assertSameView fails unless got equals want in row count, column names and
+// kinds, dictionaries and every code.
+func assertSameView(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
+		t.Fatalf("%s: view is %dx%d, reference %dx%d", label, got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
+	}
+	for c, gc := range got.Cols {
+		wc := want.Cols[c]
+		if gc.Name != wc.Name || gc.Kind != wc.Kind {
+			t.Fatalf("%s: column %d is %s/%v, reference %s/%v", label, c, gc.Name, gc.Kind, wc.Name, wc.Kind)
+		}
+		if !slices.Equal(gc.Ints, wc.Ints) || !slices.Equal(gc.Floats, wc.Floats) || !slices.Equal(gc.Strs, wc.Strs) {
+			t.Fatalf("%s: column %q dictionary differs from the reference", label, gc.Name)
+		}
+		if gi, wi := DecodeCodes(gc.Codes), DecodeCodes(wc.Codes); !slices.Equal(gi, wi) {
+			t.Fatalf("%s: column %q codes differ from the reference:\n got %v\nwant %v", label, gc.Name, gi, wi)
+		}
+	}
+}
+
+// TestMultiJoinMatchesReference: MultiJoin reproduces the reference assembly
+// bit for bit — row order, dictionaries, NULL sentinels and fanout codes —
+// on the fixtures and on random join trees, and a sampled view built over the
+// same graph has exactly the reference layout.
+func TestMultiJoinMatchesReference(t *testing.T) {
+	orders, customers, regions := chainTables()
+	emptyRoot := NewTable("orders", []*Column{NewIntColumn("cust_id", nil), NewIntColumn("amount", nil)})
+	a := NewTable("a", []*Column{NewIntColumn("k", []int64{1, 2, 3}), NewIntColumn("x", []int64{5, 6, 7})})
+	b := NewTable("b", []*Column{NewIntColumn("k", []int64{1, 2, 3}), NewIntColumn("y", []int64{8, 9, 8})})
+	// The outrigger hangs a table off one arm of the star, so the BFS edge
+	// order (fact-da, fact-db, da-dx) differs from a DFS (fact-da, da-dx,
+	// fact-db) and so does the row order each produces.
+	outrigger := starGraph()
+	outrigger.Tables = append(outrigger.Tables, NewTable("dx", []*Column{
+		NewIntColumn("x", []int64{0, 1, 1, 2, 3, 5, 8, 9, 9}), NewIntColumn("z", []int64{1, 2, 3, 1, 2, 3, 1, 2, 3})}))
+	outrigger.Edges = append(outrigger.Edges, JoinEdge{"da", "x", "dx", "x"})
+	labels := []string{"chain", "chain-empty-root", "fully-matched", "star", "star-outrigger", "fanout1", "fanout10"}
+	graphs := []*JoinGraph{
+		chainGraph(orders, customers, regions),
+		chainGraph(emptyRoot, customers, regions),
+		{Tables: []*Table{a, b}, Edges: []JoinEdge{{"a", "k", "b", "k"}}},
+		starGraph(),
+		outrigger,
+		fanoutChain(1),
+		fanoutChain(10),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		labels = append(labels, fmt.Sprintf("random%d", i))
+		graphs = append(graphs, randomJoinTree(rng))
+	}
+	for i, g := range graphs {
+		label := labels[i]
+		want, err := referenceMultiJoin("v", g)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", label, err)
+		}
+		got, err := MultiJoin("v", g)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameView(t, label, got, want)
+		s, err := NewJoinSampler(g, 1)
+		if want.NumRows() == 0 {
+			if err == nil {
+				t.Fatalf("%s: sampler over an empty FOJ built without error", label)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: sampler: %v", label, err)
+		}
+		if s.Total() != int64(want.NumRows()) {
+			t.Fatalf("%s: sampler Total = %d, FOJ rows = %d", label, s.Total(), want.NumRows())
+		}
+		sampled, err := s.SampleTable("v", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameLayout(t, sampled, want)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // two code spaces (built by one merge pass, no hashing), and the rows of each
 // side grouped by their own code (a CSR layout) are the edge's hash index:
 // the matches of a row on one side are the other side's group at the
-// translated code. MultiJoin, MultiJoinCardinality and JoinSampler all
-// consume the same index, so a graph's edges are indexed once and reused
-// across materialization, exact-cardinality anchors and sampling.
+// translated code. The one join layout that MultiJoin and JoinSampler share
+// walks or samples the edges through it, and MultiJoinCardinality counts
+// over it.
 type EdgeIndex struct {
 	side [2]edgeSide
 }
@@ -151,9 +151,9 @@ func groupByCode(c *Column) (start, rows []int32) {
 	return start, rows
 }
 
-// JoinIndexes caches EdgeIndex values per equi-join edge so repeated
-// operations over the same base tables (materialization, the registry's
-// exact subtree anchors, sampling) index each edge once. The cache is keyed
+// JoinIndexes caches EdgeIndex values per equi-join edge so repeated exact
+// counts over the same base tables (the registry's subtree anchors,
+// MultiJoinCardinalityIndexed) index each edge once. The cache is keyed
 // orientation-insensitively by table and column names. Safe for concurrent
 // use; the zero value is not valid, use NewJoinIndexes.
 type JoinIndexes struct {

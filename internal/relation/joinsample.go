@@ -8,60 +8,21 @@ import (
 	"strings"
 )
 
-// JoinSamplerConfig tunes NewJoinSampler.
-type JoinSamplerConfig struct {
-	// Seed drives the sampler's deterministic RNG: equal seeds over equal
-	// graphs draw equal tuple streams.
-	Seed int64
-	// Indexes, when non-nil, shares per-edge hash indexes with other
-	// operations over the same base tables (MultiJoinIndexed,
-	// MultiJoinCardinalityIndexed).
-	Indexes *JoinIndexes
-}
-
-// JoinSampler draws unbiased uniform samples from the full outer join of a
-// join graph without ever materializing it — the NeuroCard insight that
-// makes training memory independent of join cardinality. Construction
-// precomputes, per edge, the code-level hash index (shared with MultiJoin)
-// and, per base-table row, its downward fanout weight: the number of
-// full-outer-join rows the row's subtree expands into (a tree DP like
-// MultiJoinCardinality's, with outer-join semantics — a missing child
-// contributes one NULL branch instead of annihilating the row). A draw then
-// picks an anchor — a root row, or a dangling row that the outer join
-// preserves below its missing parent — proportionally to its weight (a
-// Walker alias table over the anchor weights makes this O(1) regardless of
-// base-table size) and descends each edge choosing one match proportionally
-// to the match's own subtree weight, which makes every full-outer-join row
-// exactly equally likely.
-//
-// Sampled tuples use the exact column layout MultiJoin materializes —
-// "<table>_<col>" value columns over the unchanged source dictionaries (plus
-// the NULL sentinel when the table can be absent), a FanoutColumn per table —
-// so a model trained on sampler draws is drop-in compatible with the
-// registry's join-graph router and Resolution path. The layout, including
-// every dictionary, depends only on the graph (never on the draws), so two
-// samplers over the same base tables produce interchangeable tables and
-// saved models reload against any of them.
-//
-// All precomputed state is O(base-table rows); a draw allocates nothing.
-// The sampler is deterministic and not safe for concurrent use (like
-// Model.Estimate, callers serialize or clone).
-type JoinSampler struct {
+// joinLayout is the view layout of a join graph's full outer join, derived
+// from the base tables alone: the validated edge tree with its oriented edge
+// indexes, the dangling rows, which tables some FOJ row misses, and the view
+// columns — "<table>_<col>" value columns over the unchanged source
+// dictionaries (plus a NULL sentinel when the table can be absent) and a
+// FanoutColumn per table. MultiJoin fills it with every FOJ row and
+// JoinSampler with drawn ones, so the materialized and the sampled views
+// share one layout by construction.
+type joinLayout struct {
 	g        *JoinGraph
 	nt       int
 	tree     []treeEdge
 	children [][]treeEdge
 	ors      []oriented // incoming-edge view per non-root table
 	par      []int      // parent table index, -1 for the root
-
-	f   [][]float64 // f[t][r]: FOJ rows subtree(t) expands into from row r
-	s   [][]float64 // s[c][code]: sum of f[c] over the code's match group
-	cum [][]float64 // cum[c]: per-group running sums of f[c], CSR-aligned
-
-	anchorTable []int32
-	anchorRow   []int32
-	anchorPick  aliasTable
-	total       float64
 
 	canBeAbsent []bool
 	dangling    [][]int32
@@ -72,53 +33,103 @@ type JoinSampler struct {
 	fanOne   []int32   // fanout-dict code of value 1 (anchor rows)
 	fanByCC  [][]int32 // per table: key code -> fanout-dict code of its group size
 	template []int32   // all-absent row codes
-
-	rng    *rand.Rand
-	rowBuf []int32
 }
 
-// NewJoinSampler validates the graph and precomputes the sampler's indexes,
-// weights and view layout.
-func NewJoinSampler(g *JoinGraph, cfg JoinSamplerConfig) (*JoinSampler, error) {
+// newJoinLayout validates the graph, indexes its edges and fixes the view
+// layout.
+func newJoinLayout(g *JoinGraph) (joinLayout, error) {
 	tree, err := g.validate()
 	if err != nil {
-		return nil, err
+		return joinLayout{}, err
 	}
 	nt := len(g.Tables)
-	s := &JoinSampler{
+	l := joinLayout{
 		g: g, nt: nt, tree: tree,
 		children: make([][]treeEdge, nt),
 		ors:      make([]oriented, nt),
 		par:      make([]int, nt),
-		f:        make([][]float64, nt),
-		s:        make([][]float64, nt),
-		cum:      make([][]float64, nt),
 		dangling: make([][]int32, nt),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	for i := range s.par {
-		s.par[i] = -1
+	for i := range l.par {
+		l.par[i] = -1
 	}
+	var ix *JoinIndexes // one-shot: fresh, uncached edge indexes
 	for _, te := range tree {
-		s.children[te.parent] = append(s.children[te.parent], te)
-		s.ors[te.child] = cfg.Indexes.orientedFor(g, te)
-		s.par[te.child] = te.parent
+		l.children[te.parent] = append(l.children[te.parent], te)
+		l.ors[te.child] = ix.orientedFor(g, te)
+		l.par[te.child] = te.parent
 	}
 	// Dangling rows: child rows whose key value no parent row carries.
 	for _, te := range tree {
 		c := te.child
 		cc := g.Tables[c].Cols[te.childCol]
 		for r := 0; r < g.Tables[c].NumRows(); r++ {
-			if s.ors[c].dangling(cc.Codes.At(r)) {
-				s.dangling[c] = append(s.dangling[c], int32(r))
+			if l.ors[c].dangling(cc.Codes.At(r)) {
+				l.dangling[c] = append(l.dangling[c], int32(r))
 			}
 		}
 	}
-	s.computeWeights()
-	s.computeAbsent()
-	if err := s.buildLayout(); err != nil {
+	l.computeAbsent()
+	err = l.buildLayout()
+	return l, err
+}
+
+// JoinSampler draws unbiased uniform samples from the full outer join of a
+// join graph without ever materializing it — the NeuroCard insight that
+// makes training memory independent of join cardinality. Construction
+// precomputes, per edge, the code-level hash index and, per base-table row,
+// its downward fanout weight: the number of full-outer-join rows the row's
+// subtree expands into (a tree DP like MultiJoinCardinality's, with
+// outer-join semantics — a missing child contributes one NULL branch instead
+// of annihilating the row). A draw then picks an anchor — a root row, or a
+// dangling row that the outer join preserves below its missing parent —
+// proportionally to its weight (a Walker alias table over the anchor weights
+// makes this O(1) regardless of base-table size) and descends each edge
+// choosing one match proportionally to the match's own subtree weight, which
+// makes every full-outer-join row exactly equally likely.
+//
+// Sampled tuples use the joinLayout MultiJoin materializes, so a model
+// trained on sampler draws is drop-in compatible with the registry's
+// join-graph router and Resolution path. The layout, including every
+// dictionary, depends only on the graph (never on the draws), so two
+// samplers over the same base tables produce interchangeable tables and
+// saved models reload against any of them.
+//
+// All precomputed state is O(base-table rows); a draw allocates nothing.
+// The sampler is deterministic and not safe for concurrent use (like
+// Model.Estimate, callers serialize or clone).
+type JoinSampler struct {
+	joinLayout
+
+	f   [][]float64 // f[t][r]: FOJ rows subtree(t) expands into from row r
+	s   [][]float64 // s[c][code]: sum of f[c] over the code's match group
+	cum [][]float64 // cum[c]: per-group running sums of f[c], CSR-aligned
+
+	anchorTable []int32
+	anchorRow   []int32
+	anchorPick  aliasTable
+	total       float64
+
+	rng    *rand.Rand
+	rowBuf []int32
+}
+
+// NewJoinSampler builds the graph's layout and precomputes the sampler's
+// weights. seed drives its deterministic RNG: equal seeds over equal graphs
+// draw equal tuple streams.
+func NewJoinSampler(g *JoinGraph, seed int64) (*JoinSampler, error) {
+	l, err := newJoinLayout(g)
+	if err != nil {
 		return nil, err
 	}
+	s := &JoinSampler{
+		joinLayout: l,
+		f:          make([][]float64, l.nt),
+		s:          make([][]float64, l.nt),
+		cum:        make([][]float64, l.nt),
+		rng:        rand.New(rand.NewSource(seed)),
+	}
+	s.computeWeights()
 	s.buildAnchors()
 	if !(s.total > 0) {
 		return nil, fmt.Errorf("relation: join graph %q has an empty full outer join; nothing to sample", g.Tables[0].Name)
@@ -175,52 +186,51 @@ func (s *JoinSampler) computeWeights() {
 }
 
 // computeAbsent determines, exactly and per table, whether any FOJ row
-// misses it — which decides NULL sentinels, so the sampled layout matches
-// what MultiJoin would materialize without materializing anything.
+// misses it — which decides NULL sentinels — without enumerating the FOJ.
 //
 // A table u is absent from some FOJ row iff (a) a dangling anchor exists at
 // a table that is neither u nor one of u's ancestors (those rows never reach
 // u's branch), or (b) walking down from some anchor above u, some anchored
 // row's expansion breaks before u: a row of a node on the root→u path whose
 // key has no match in the next node toward u.
-func (s *JoinSampler) computeAbsent() {
-	abs := make([]bool, s.nt)
-	for _, d := range s.dangling {
+func (l *joinLayout) computeAbsent() {
+	abs := make([]bool, l.nt)
+	for _, d := range l.dangling {
 		if len(d) > 0 {
 			abs[0] = true // every dangling anchor's rows miss the root
 			break
 		}
 	}
-	for u := 1; u < s.nt; u++ {
+	for u := 1; u < l.nt; u++ {
 		path := []int{u} // u up to the root
-		for v := s.par[u]; v >= 0; v = s.par[v] {
+		for v := l.par[u]; v >= 0; v = l.par[v] {
 			path = append(path, v)
 		}
-		anc := make([]bool, s.nt)
+		anc := make([]bool, l.nt)
 		for _, v := range path[1:] {
 			anc[v] = true
 		}
-		for d := 0; d < s.nt && !abs[u]; d++ {
-			if d != u && !anc[d] && len(s.dangling[d]) > 0 {
+		for d := 0; d < l.nt && !abs[u]; d++ {
+			if d != u && !anc[d] && len(l.dangling[d]) > 0 {
 				abs[u] = true
 			}
 		}
 		// Bottom-up along the path: groupMiss[code] records whether some row
 		// of the node below, in that key group, can expand to a row missing u.
-		groupMiss := make([]bool, len(s.ors[u].child.start)-1)
+		groupMiss := make([]bool, len(l.ors[u].child.start)-1)
 		below := u
 		for k := 1; k < len(path) && !abs[u]; k++ {
 			v := path[k]
-			t := s.g.Tables[v]
+			t := l.g.Tables[v]
 			var pcol *Column
-			for _, te := range s.children[v] {
+			for _, te := range l.children[v] {
 				if te.child == below {
 					pcol = t.Cols[te.parentCol]
 					break
 				}
 			}
 			rowMiss := func(r int) bool {
-				cc := s.ors[below].childCode(pcol.Codes.At(r))
+				cc := l.ors[below].childCode(pcol.Codes.At(r))
 				return cc < 0 || groupMiss[cc]
 			}
 			if v == 0 {
@@ -231,7 +241,7 @@ func (s *JoinSampler) computeAbsent() {
 				}
 				break
 			}
-			for _, r := range s.dangling[v] {
+			for _, r := range l.dangling[v] {
 				if rowMiss(int(r)) {
 					abs[u] = true
 					break
@@ -240,7 +250,7 @@ func (s *JoinSampler) computeAbsent() {
 			if abs[u] {
 				break
 			}
-			vside := s.ors[v].child
+			vside := l.ors[v].child
 			next := make([]bool, len(vside.start)-1)
 			for r := 0; r < t.NumRows(); r++ {
 				if rowMiss(r) {
@@ -251,27 +261,27 @@ func (s *JoinSampler) computeAbsent() {
 			below = v
 		}
 	}
-	s.canBeAbsent = abs
+	l.canBeAbsent = abs
 }
 
-// buildLayout fixes the sampled view's column prototypes: per table its
+// buildLayout fixes the view's column prototypes: per table its
 // value columns (source dictionary, NULL sentinel iff the table can be
 // absent) then its fanout column, whose dictionary enumerates exactly the
 // fanout values the full FOJ realizes (0 when absence is possible, 1 for
 // anchors, and every match-group size reachable through the parent).
-func (s *JoinSampler) buildLayout() error {
-	g := s.g
+func (l *joinLayout) buildLayout() error {
+	g := l.g
 	names := make(map[string]bool)
-	tableNames := make([]string, s.nt)
+	tableNames := make([]string, l.nt)
 	for i, t := range g.Tables {
 		tableNames[i] = t.Name
 	}
-	s.colBase = make([]int, s.nt)
-	s.fanIdx = make([]int, s.nt)
-	s.fanOne = make([]int32, s.nt)
-	s.fanByCC = make([][]int32, s.nt)
+	l.colBase = make([]int, l.nt)
+	l.fanIdx = make([]int, l.nt)
+	l.fanOne = make([]int32, l.nt)
+	l.fanByCC = make([][]int32, l.nt)
 	for ti, t := range g.Tables {
-		s.colBase[ti] = len(s.cols)
+		l.colBase[ti] = len(l.cols)
 		for _, src := range t.Cols {
 			cn := JoinViewColumn(t.Name, src.Name)
 			if names[cn] {
@@ -283,11 +293,11 @@ func (s *JoinSampler) buildLayout() error {
 				}
 			}
 			names[cn] = true
-			col, err := dictWithNull(cn, src, s.canBeAbsent[ti])
+			col, err := dictWithNull(cn, src, l.canBeAbsent[ti])
 			if err != nil {
 				return err
 			}
-			s.cols = append(s.cols, col)
+			l.cols = append(l.cols, col)
 		}
 		fn := FanoutColumn(t.Name)
 		if names[fn] {
@@ -295,7 +305,7 @@ func (s *JoinSampler) buildLayout() error {
 		}
 		names[fn] = true
 		vals := map[int64]bool{}
-		if s.canBeAbsent[ti] {
+		if l.canBeAbsent[ti] {
 			vals[0] = true
 		}
 		if ti == 0 {
@@ -303,10 +313,10 @@ func (s *JoinSampler) buildLayout() error {
 				vals[1] = true // the root's presence indicator
 			}
 		} else {
-			if len(s.dangling[ti]) > 0 {
+			if len(l.dangling[ti]) > 0 {
 				vals[1] = true
 			}
-			o := s.ors[ti]
+			o := l.ors[ti]
 			for _, cc := range o.parent.toOther {
 				if cc >= 0 {
 					vals[int64(o.groupSize(cc))] = true
@@ -319,29 +329,29 @@ func (s *JoinSampler) buildLayout() error {
 		}
 		sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
 		fanCol := &Column{Name: fn, Kind: KindInt, Ints: dict}
-		s.fanIdx[ti] = len(s.cols)
-		s.cols = append(s.cols, fanCol)
-		s.fanOne[ti] = fanDictCode(dict, 1)
+		l.fanIdx[ti] = len(l.cols)
+		l.cols = append(l.cols, fanCol)
+		l.fanOne[ti] = fanDictCode(dict, 1)
 		if ti > 0 {
-			o := s.ors[ti]
+			o := l.ors[ti]
 			byCC := make([]int32, len(o.child.start)-1)
 			for cc := range byCC {
 				byCC[cc] = fanDictCode(dict, int64(o.groupSize(int32(cc))))
 			}
-			s.fanByCC[ti] = byCC
+			l.fanByCC[ti] = byCC
 		}
 	}
 	// The all-absent template: NULL sentinel codes on value columns, fanout 0.
-	s.template = make([]int32, len(s.cols))
+	l.template = make([]int32, len(l.cols))
 	for ti, t := range g.Tables {
 		for si, src := range t.Cols {
-			if s.canBeAbsent[ti] {
-				s.template[s.colBase[ti]+si] = int32(src.NumDistinct())
+			if l.canBeAbsent[ti] {
+				l.template[l.colBase[ti]+si] = int32(src.NumDistinct())
 			}
 		}
-		s.template[s.fanIdx[ti]] = fanDictCode(s.cols[s.fanIdx[ti]].Ints, 0)
-		if s.template[s.fanIdx[ti]] < 0 {
-			s.template[s.fanIdx[ti]] = 0 // table can never be absent: overwritten on every draw
+		l.template[l.fanIdx[ti]] = fanDictCode(l.cols[l.fanIdx[ti]].Ints, 0)
+		if l.template[l.fanIdx[ti]] < 0 {
+			l.template[l.fanIdx[ti]] = 0 // table can never be absent: overwritten on every draw
 		}
 	}
 	return nil
@@ -450,20 +460,25 @@ func (s *JoinSampler) SampleTable(name string, n int) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("relation: sample budget must be positive, got %d", n)
 	}
-	codes := make([][]int32, len(s.cols))
-	for c := range codes {
-		codes[c] = make([]int32, n)
-	}
+	view, codes := s.newView(name, n)
 	for i := 0; i < n; i++ {
 		s.Draw(s.rowBuf)
 		for c := range codes {
 			codes[c][i] = s.rowBuf[c]
 		}
 	}
-	cols := make([]*Column, len(s.cols))
-	for c, proto := range s.cols {
+	return view, nil
+}
+
+// newView returns an n-row table over the layout's column prototypes and its
+// per-column code slices, zeroed for the caller to fill.
+func (l *joinLayout) newView(name string, n int) (*Table, [][]int32) {
+	codes := make([][]int32, len(l.cols))
+	cols := make([]*Column, len(l.cols))
+	for c, proto := range l.cols {
+		codes[c] = make([]int32, n)
 		cols[c] = &Column{Name: proto.Name, Kind: proto.Kind,
 			Ints: proto.Ints, Floats: proto.Floats, Strs: proto.Strs, Codes: I32Codes(codes[c])}
 	}
-	return NewTable(name, cols), nil
+	return NewTable(name, cols), codes
 }
