@@ -98,6 +98,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"duet/internal/colstore"
@@ -248,41 +249,18 @@ func SynKDD(rows int, seed int64) *Table { return relation.SynKDD(rows, seed) }
 // SynCensus generates the small-table dataset shape.
 func SynCensus(rows int, seed int64) *Table { return relation.SynCensus(rows, seed) }
 
-// Pred builds a predicate on a named column from a raw int64 value. For
-// ordering operators the value is mapped to the dictionary with lower-bound
+// Pred builds a predicate on a named column from a raw int64 value, exactly
+// as the textual predicate "column op value" resolves. For ordering
+// operators the value is mapped to the dictionary with lower-bound
 // semantics; for equality it must be present exactly (otherwise the
-// predicate selects nothing, which Card reports as 0).
+// predicate selects nothing, which Card reports as 0). It panics on an
+// unknown or string column.
 func Pred(t *Table, column string, op Op, value int64) Predicate {
-	ci := t.ColumnIndex(column)
-	if ci < 0 {
-		panic(fmt.Sprintf("duet: unknown column %q", column))
+	p, err := workload.ResolvePredicate(t, column, op, strconv.FormatInt(value, 10))
+	if err != nil {
+		panic(fmt.Sprintf("duet: %v", err))
 	}
-	code, exact := t.Cols[ci].CodeOfInt(value)
-	if int(code) >= t.Cols[ci].NumDistinct() {
-		return workload.DegeneratePredicate(ci, op, t.Cols[ci].NumDistinct())
-	}
-	if op == OpEq && !exact {
-		// Encode an always-false equality: code outside any value maps to an
-		// empty interval via Lo > Hi when clamped by ColumnIntervals.
-		return Predicate{Col: ci, Op: OpGt, Code: int32(t.Cols[ci].NumDistinct()) - 1}
-	}
-	switch op {
-	case OpLt, OpGe:
-		// v maps to the first code >= v: (col < v) == (code < lb), and
-		// (col >= v) == (code >= lb).
-		return Predicate{Col: ci, Op: op, Code: code}
-	case OpLe, OpGt:
-		if !exact {
-			// (col <= v) == (code < lb) and (col > v) == (code >= lb).
-			if op == OpLe {
-				return Predicate{Col: ci, Op: OpLt, Code: code}
-			}
-			return Predicate{Col: ci, Op: OpGe, Code: code}
-		}
-		return Predicate{Col: ci, Op: op, Code: code}
-	default:
-		return Predicate{Col: ci, Op: op, Code: code}
-	}
+	return p
 }
 
 // Q builds a conjunctive query from predicates.
@@ -340,12 +318,11 @@ var ErrEstimatorClosed = serve.ErrClosed
 // The engine's result cache and in-flight deduplication identify queries by
 // predicate set, which is only sound for order-invariant estimators: the
 // direct encoding and the paper's recommended MLP MPSN (a sum over
-// predicates). The order-sensitive RNN/recursive MPSN research ablations
-// cannot sit behind it; NewEstimator panics for those configurations.
+// predicates). NewEstimator panics with Model.Servable's error for the
+// order-sensitive RNN/recursive MPSN research ablations.
 func NewEstimator(m *Model, cfg ServeConfig) *Estimator {
-	switch m.Config().MPSN {
-	case core.MPSNRNN, core.MPSNRec:
-		panic(fmt.Sprintf("duet: NewEstimator requires an order-invariant model; the %v MPSN embeds predicate lists order-sensitively and cannot sit behind the predicate-set-keyed cache", m.Config().MPSN))
+	if err := m.Servable(); err != nil {
+		panic(err)
 	}
 	return serve.New(m, cfg)
 }

@@ -39,6 +39,17 @@ func (k MPSNKind) String() string {
 	}
 }
 
+// Servable reports why the model cannot sit behind a serving engine that
+// keys its cache and deduplication by predicate set (nil when it can): only
+// the order-invariant direct encoding and MLP MPSN are sound there.
+func (m *Model) Servable() error {
+	switch k := m.cfg.MPSN; k {
+	case MPSNRNN, MPSNRec:
+		return fmt.Errorf("core: the %v MPSN embeds predicate lists order-sensitively and cannot sit behind the predicate-set-keyed cache", k)
+	}
+	return nil
+}
+
 // PredSet holds the encoded predicates of one column for one row; empty
 // means the column is unconstrained (its embedding is the zero vector).
 type PredSet [][]float32

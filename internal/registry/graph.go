@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -93,7 +94,7 @@ func (s JoinGraphSpec) Build(name string, table func(string) (*relation.Table, e
 	return view, sampler, err
 }
 
-// graphView is the runtime state of one registered join-graph view: the
+// graphView is the routing state of one generation of a join-graph view: the
 // validated spec, the per-table column map over the materialized view, the
 // presence predicate of every base table (its fanout column >= 1), the NULL
 // sentinel code of every nullable view column, and the lazily computed exact
@@ -109,20 +110,23 @@ type graphView struct {
 
 	// ix caches the per-edge hash indexes every exact subtree anchor runs
 	// on, so repeated Resolve calls (and different subtrees sharing edges)
-	// never rebuild an edge's match index.
+	// never rebuild an edge's match index while its base tables stay.
 	ix *relation.JoinIndexes
 
 	colIdx   map[string]int                // view column name -> index
 	presence map[string]workload.Predicate // base table -> fanout>=1 predicate
 	nullCode map[int]int32                 // view column index -> NULL sentinel code
 
-	// base holds the base tables that were registered when the view was
-	// added; subset-join fanout correction needs them for the exact
-	// inner-join count of the queried subtree.
-	base map[string]*relation.Table
-
 	mu   sync.Mutex
-	corr map[string]float64 // canonical subtree key -> exact inner-join count
+	corr map[string]anchor // canonical subtree key -> exact inner-join count
+}
+
+// anchor is one cached exact inner-join count and the base tables it was
+// counted over (nil when counted on the view itself). A route that looks up
+// other base tables — one was swapped since — recounts and replaces it.
+type anchor struct {
+	base  map[string]*relation.Table
+	exact float64
 }
 
 // newGraphView validates a spec against its materialized view table. The view
@@ -147,8 +151,7 @@ func newGraphView(spec JoinGraphSpec, view *relation.Table) (*graphView, error) 
 		colIdx:   make(map[string]int, view.NumCols()),
 		presence: make(map[string]workload.Predicate, len(spec.Tables)),
 		nullCode: make(map[int]int32),
-		base:     make(map[string]*relation.Table),
-		corr:     make(map[string]float64),
+		corr:     make(map[string]anchor),
 	}
 	for _, t := range spec.Tables {
 		if t == "" {
@@ -302,26 +305,29 @@ func (v *graphView) clampNull(preds []workload.Predicate, p workload.Predicate) 
 // count of view rows where every table participates (the full outer join
 // restricted to its inner rows); for a proper subset — and for every query
 // against a sampled view, whose rows are a FOJ sample, not the FOJ — it is
-// computed from the base tables with the relation.MultiJoinCardinality tree
-// DP over the view's cached per-edge indexes. Either count is computed once
-// per subtree and cached.
-func (v *graphView) exactJoin(clauses []workload.JoinClause, tables []string) (float64, error) {
+// computed with the relation.MultiJoinCardinality tree DP over the view's
+// cached per-edge indexes, from the base tables the route looked up. Each
+// count is cached per subtree until base changes.
+func (v *graphView) exactJoin(clauses []workload.JoinClause, tables []string, base map[string]*relation.Table) (float64, error) {
 	key := workload.JoinSetKey(clauses)
-	v.mu.Lock()
-	if s, ok := v.corr[key]; ok {
-		v.mu.Unlock()
-		return s, nil
+	if key == v.key && !v.sampled {
+		base = nil // counted on the view; no base table enters
 	}
+	v.mu.Lock()
+	a, ok := v.corr[key]
 	v.mu.Unlock()
+	if ok && maps.Equal(a.base, base) {
+		return a.exact, nil
+	}
 
 	var exact int64
-	if key == v.key && !v.sampled {
+	if base == nil {
 		exact = exec.Cardinality(v.view, workload.Query{Preds: v.presencePreds(tables)})
 	} else {
 		baseTables := make([]*relation.Table, 0, len(tables))
 		var missing []string
 		for _, t := range tables {
-			bt, ok := v.base[t]
+			bt, ok := base[t]
 			if !ok {
 				missing = append(missing, t)
 				continue
@@ -346,7 +352,7 @@ func (v *graphView) exactJoin(clauses []workload.JoinClause, tables []string) (f
 		}
 	}
 	v.mu.Lock()
-	v.corr[key] = float64(exact)
+	v.corr[key] = anchor{base: base, exact: float64(exact)}
 	v.mu.Unlock()
 	return float64(exact), nil
 }

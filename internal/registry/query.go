@@ -15,8 +15,9 @@ import (
 //
 //   - Expr routes a single WHERE-style expression (join clauses included)
 //     through the join-aware router; Model optionally pins the target.
-//   - Exprs routes a batch of expressions; resolutions are grouped by model
-//     so each backend sees one coalesced call, fanout calibration included.
+//   - Exprs routes a batch of expressions; resolutions are grouped by the
+//     generation they were routed on so each backend sees one coalesced
+//     call, fanout calibration included.
 //   - Queries answers pre-parsed queries against Model (required), skipping
 //     the router entirely — the hot path for callers that resolved once and
 //     replay many queries.
@@ -45,9 +46,10 @@ type QueryResult struct {
 
 // Query answers a QueryRequest: the estimation entry point the HTTP server,
 // the cluster proxy's replicas, the lifecycle supervisor and the bench
-// harness share. The answering model's handle is pinned for the duration, so
-// a concurrent reload or Close drains the request before the estimator it is
-// using goes away.
+// harness share. Each expression is answered on the generation it was routed
+// on, pinned from routing to estimate, so a concurrent swap, reload or Close
+// drains the request before that generation goes away and never answers it
+// with another generation's model.
 func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	exprs := req.Exprs
 	switch {
@@ -61,7 +63,12 @@ func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, er
 		if req.Model == "" {
 			return QueryResult{}, errors.New("registry: pre-parsed queries require a model name")
 		}
-		cards, err := r.estimate(ctx, req.Model, req.Queries)
+		_, g, err := r.acquire(req.Model)
+		if err != nil {
+			return QueryResult{}, err
+		}
+		cards, err := r.estimate(ctx, g, req.Queries)
+		g.release()
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -76,10 +83,15 @@ func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, er
 	}
 
 	models := make([]string, len(exprs))
-	resolutions := make([]Resolution, len(exprs))
+	resolutions := make([]Resolution, 0, len(exprs))
+	defer func() {
+		for _, res := range resolutions {
+			res.gen.release()
+		}
+	}()
 	sp := obs.FromContext(ctx).StartSpan("route")
 	for i, expr := range exprs {
-		res, err := r.Resolve(req.Model, expr)
+		res, err := r.resolve(req.Model, expr)
 		if err != nil {
 			sp.End()
 			if req.Exprs != nil {
@@ -87,7 +99,8 @@ func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, er
 			}
 			return QueryResult{}, err
 		}
-		models[i], resolutions[i] = res.Model, res
+		models[i] = res.Model
+		resolutions = append(resolutions, res)
 	}
 	if len(models) == 1 {
 		sp.SetAttr("model", models[0])
@@ -100,24 +113,20 @@ func (r *Registry) Query(ctx context.Context, req QueryRequest) (QueryResult, er
 	return QueryResult{Models: models, Cards: cards}, nil
 }
 
-// estimate pins the named model's current handle and answers qs with its
-// engine, observing the per-model latency histogram: the one place an
-// estimate leaves the registry, for every QueryRequest mode.
-func (r *Registry) estimate(ctx context.Context, name string, qs []workload.Query) ([]float64, error) {
-	e, h, err := r.acquire(name)
-	if err != nil {
-		return nil, err
-	}
-	defer h.wg.Done()
+// estimate answers qs with a pinned generation's engine, observing the
+// per-model latency histogram: the one place an estimate leaves the
+// registry, for every QueryRequest mode.
+func (r *Registry) estimate(ctx context.Context, g *generation, qs []workload.Query) ([]float64, error) {
 	if r.met.timed {
-		defer e.estSec.ObserveSince(time.Now())
+		defer g.estSec.ObserveSince(time.Now())
 	}
-	return h.est.EstimateBatch(ctx, qs)
+	return g.est.EstimateBatch(ctx, qs)
 }
 
-// estimateResolutions answers a batch of resolutions, grouping them by model
-// so each backend sees one batched call carrying both the predicate and the
-// calibration queries. The result order matches the input.
+// estimateResolutions answers a batch of pinned resolutions, grouping them by
+// the generation they were routed on so each backend sees one batched call
+// carrying both the predicate and the calibration queries. The result order
+// matches the input; the caller releases the pins.
 func (r *Registry) estimateResolutions(ctx context.Context, rs []Resolution) ([]float64, error) {
 	type group struct {
 		qs   []workload.Query
@@ -125,12 +134,12 @@ func (r *Registry) estimateResolutions(ctx context.Context, rs []Resolution) ([]
 		cal  []int // index into qs of each resolution's calibration (-1 none)
 		idx  []int // position in rs
 	}
-	groups := map[string]*group{}
+	groups := map[*generation]*group{}
 	for i, res := range rs {
-		g := groups[res.Model]
+		g := groups[res.gen]
 		if g == nil {
 			g = &group{}
-			groups[res.Model] = g
+			groups[res.gen] = g
 		}
 		g.idx = append(g.idx, i)
 		g.pred = append(g.pred, len(g.qs))
@@ -143,8 +152,8 @@ func (r *Registry) estimateResolutions(ctx context.Context, rs []Resolution) ([]
 		}
 	}
 	out := make([]float64, len(rs))
-	for name, g := range groups {
-		got, err := r.estimate(ctx, name, g.qs)
+	for gen, g := range groups {
+		got, err := r.estimate(ctx, gen, g.qs)
 		if err != nil {
 			return nil, err
 		}

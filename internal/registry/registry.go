@@ -4,19 +4,22 @@
 // (internal/artifact against a model directory), atomic hot reload, and a
 // join-aware router that resolves textual queries to the right estimator.
 //
-// Hot reload is drain-safe. Every request pins the estimator handle it was
-// routed to with a reference count taken under the registry's read lock; a
-// reload builds the replacement estimator off-line, swaps the handle under
-// the write lock (so no new request can pin the old one afterwards), then
-// waits for the old handle's pins to drain before closing its engine. A
-// request therefore always completes against the estimator it started on —
-// neither an admin reload nor the file watcher can make an in-flight
-// estimate fail or disappear.
+// Hot reload is drain-safe. A model's table, join-graph routing state,
+// weights and engine are one immutable generation; every request pins the
+// generation it is routed on under the registry's read lock and is estimated
+// on it. A reload or swap builds the next generation off-line, publishes it
+// under the write lock (so no new request can pin the old one afterwards),
+// then waits for the old generation's pins to drain before closing its
+// engine. A request therefore always completes against the generation it
+// was routed on — no reload, swap or watcher poll can make an in-flight
+// estimate fail, disappear, or read another generation's predicate codes.
 package registry
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +44,7 @@ type Config struct {
 	// SaveModel writes there, and the watcher polls files under it. Default ".".
 	Dir string
 	// Serve is the registry-wide serving-engine configuration; the zero value
-	// selects the engine defaults (batch 64, 100µs window, 4096-entry cache).
+	// selects the engine defaults (batch 64, 4096-entry cache).
 	// AddOpts.Serve overrides it per model.
 	Serve serve.Config
 	// WatchInterval enables the hot-reload file watcher: every interval, each
@@ -52,10 +55,6 @@ type Config struct {
 	// admin-triggered) with the error it produced. Called from the reloading
 	// goroutine; keep it fast.
 	OnReload func(name string, err error)
-	// OnSwap, when non-nil, observes every completed SwapModel (the
-	// lifecycle subsystem's in-memory install path) with the error it
-	// produced. Called from the swapping goroutine; keep it fast.
-	OnSwap func(name string, err error)
 	// Obs, when set, exports the registry's counters (router, per-model
 	// reload/swap/version, estimate latency) through the shared metrics
 	// registry and passes it down to every model's serving engine.
@@ -78,37 +77,43 @@ func (s JoinSpec) Clause() workload.JoinClause {
 
 func (s JoinSpec) String() string { return s.Clause().String() }
 
-// handle pairs one estimator generation with the count of requests pinned to
-// it. The write-lock swap in reload guarantees no pin is added after the
-// handle leaves the entry, so wg.Wait observes a monotonically draining set.
-type handle struct {
-	model *core.Model
-	est   *serve.Estimator
-	wg    sync.WaitGroup
+// generation is one immutable serving state of a registered model, plus the
+// count of requests pinned to it. Pins are taken under the read lock and
+// install swaps the generation out under the write lock, so no pin is added
+// after it leaves its entry and pins.Wait observes a draining set.
+type generation struct {
+	table     *relation.Table // predicate codes resolve against its dictionaries
+	graph     *graphView      // nil unless the entry is a join-graph view
+	model     *core.Model
+	est       *serve.Estimator
+	planBytes int
+	estSec    *obs.Histogram // the entry's, continuous across generations
+	pins      sync.WaitGroup
 }
 
-// entry is one registered model.
+// release drops one pin.
+func (g *generation) release() { g.pins.Done() }
+
+// entry is one registered model: what outlives every generation of it.
 type entry struct {
 	name     string
-	table    *relation.Table
-	join     *JoinSpec  // non-nil for legacy two-table join views
-	graph    *graphView // non-nil for join-graph views
+	join     *JoinSpec // non-nil for legacy two-table join views
 	serveCfg serve.Config
+	quant    string // plan weight representation ("" f32, "int8"); re-applied to every generation
 
-	// Mutable state, guarded by Registry.mu: the current estimator
-	// generation, the model file ("" for purely in-memory models; SaveModel
-	// arms it), and the file's signature at last load (watcher bookkeeping).
-	h         *handle
-	path      string
-	sig       artifact.Sig
-	quant     string // plan weight representation ("" f32, "int8"); sticky across reloads/swaps
-	planBytes int    // resident packed-plan weight bytes at last install
+	// gen is written holding both reloadMu and Registry.mu, so either one
+	// suffices to read it. The model file ("" for purely in-memory models;
+	// SaveModel arms it) and its signature at last load (watcher
+	// bookkeeping) are guarded by Registry.mu.
+	gen  *generation
+	path string
+	sig  artifact.Sig
 
 	reloadMu sync.Mutex // serializes reloads and swaps of this entry
 
-	// Obs-backed lifecycle counters. The instruments survive engine swaps
-	// (the entry outlives every handle generation), so the exported series
-	// are continuous across reloads and installs.
+	// Obs-backed lifecycle counters. The instruments outlive every
+	// generation, so the exported series are continuous across reloads and
+	// installs.
 	reloads *obs.Counter
 	swaps   *obs.Counter
 	version *obs.Gauge // lifecycle artifact version; 0 until a versioned swap
@@ -138,7 +143,7 @@ type ModelInfo struct {
 type Registry struct {
 	cfg Config
 
-	mu      sync.RWMutex // guards entries, joins, graphs, closed, and handle swaps
+	mu      sync.RWMutex // guards entries, joins, graphs, closed, and generation swaps
 	entries map[string]*entry
 	joins   map[workload.JoinClause]string // canonical clause -> legacy view name
 	graphs  map[string]string              // canonical edge-set key -> graph view name
@@ -187,9 +192,10 @@ type AddOpts struct {
 	// tree, materialized with relation.MultiJoin (full outer join with
 	// per-table fanout columns). The router resolves queries whose join-
 	// clause set matches the edge set — or a connected subset of it, with
-	// fanout correction — to it. Register the graph's base tables (by their
-	// table names) before the view so subset corrections can compute exact
-	// subtree cardinalities. Mutually exclusive with Join.
+	// fanout correction — to it. Subset corrections compute exact subtree
+	// cardinalities from the graph's base tables, registered under their
+	// table names and looked up when a query routes (a sampled view's must be
+	// registered before it). Mutually exclusive with Join.
 	Graph *JoinGraphSpec
 	// Serve overrides the registry-wide engine configuration for this model
 	// (micro-batch size, cache size, admission bounds). Reloads keep the
@@ -209,7 +215,7 @@ const QuantInt8 = "int8"
 
 // applyPlanQuant validates a quant mode, applies it to the model's serving
 // plan config, and warms the packed plan, returning its resident weight
-// bytes. It runs before a model handle is published, so concurrent readers
+// bytes. It runs before a generation is published, so concurrent readers
 // always see a fully built plan.
 func applyPlanQuant(m *core.Model, quant string) (int, error) {
 	switch quant {
@@ -255,13 +261,6 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 		// current signature so the watcher only fires on a later change.
 		sig, _ = artifact.Stat(path)
 	}
-	if err := checkServable(m); err != nil {
-		return err
-	}
-	planBytes, err := applyPlanQuant(m, opts.Quant)
-	if err != nil {
-		return err
-	}
 	serveCfg := r.cfg.Serve
 	if opts.Serve != nil {
 		serveCfg = *opts.Serve
@@ -271,74 +270,28 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 	serveCfg.Obs = r.cfg.Obs
 	serveCfg.ObsModel = name
 	e := &entry{
-		name:      name,
-		table:     t,
-		path:      path,
-		join:      opts.Join,
-		graph:     graph,
-		serveCfg:  serveCfg,
-		sig:       sig,
-		quant:     opts.Quant,
-		planBytes: planBytes,
-		h:         &handle{model: m, est: serve.New(m, serveCfg)},
-		reloads:   r.met.reloads.With(name),
-		swaps:     r.met.swaps.With(name),
-		version:   r.met.version.With(name),
-		estSec:    r.met.estSec.With(name),
+		name:     name,
+		join:     opts.Join,
+		serveCfg: serveCfg,
+		quant:    opts.Quant,
+		path:     path,
+		sig:      sig,
+		reloads:  r.met.reloads.With(name),
+		swaps:    r.met.swaps.With(name),
+		version:  r.met.version.With(name),
+		estSec:   r.met.estSec.With(name),
 	}
+	g, err := newGeneration(e, t, graph, m)
+	if err != nil {
+		return err
+	}
+	e.gen = g
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		e.h.est.Close()
-		return ErrClosed
+	if err := r.registerLocked(e); err != nil {
+		g.est.Close()
+		return err
 	}
-	if _, dup := r.entries[name]; dup {
-		e.h.est.Close()
-		return fmt.Errorf("registry: model %q already registered", name)
-	}
-	if opts.Join != nil {
-		key := opts.Join.Clause().Canonical()
-		if prev, dup := r.joins[key]; dup {
-			e.h.est.Close()
-			return fmt.Errorf("registry: join %s already served by view %q", opts.Join, prev)
-		}
-		if prev, dup := r.graphs[workload.JoinSetKey([]workload.JoinClause{key})]; dup {
-			e.h.est.Close()
-			return fmt.Errorf("registry: join %s already served by graph view %q", opts.Join, prev)
-		}
-		r.joins[key] = name
-	}
-	if graph != nil {
-		if prev, dup := r.graphs[graph.key]; dup {
-			e.h.est.Close()
-			return fmt.Errorf("registry: join graph %s already served by view %q", graph.spec, prev)
-		}
-		if len(opts.Graph.Edges) == 1 {
-			if prev, dup := r.joins[opts.Graph.Edges[0].Clause().Canonical()]; dup {
-				e.h.est.Close()
-				return fmt.Errorf("registry: join %s already served by view %q", opts.Graph.Edges[0], prev)
-			}
-		}
-		r.bindBaseTablesLocked(graph)
-		if graph.sampled {
-			// A sampled view's rows are a FOJ sample: every exact anchor —
-			// including the full edge set's — comes from the base tables, so
-			// all of them must be registered up front.
-			var missing []string
-			for _, bt := range opts.Graph.Tables {
-				if graph.base[bt] == nil {
-					missing = append(missing, bt)
-				}
-			}
-			if len(missing) > 0 {
-				e.h.est.Close()
-				return fmt.Errorf("registry: sampled join-graph view %q anchors estimates on base-table cardinalities; register base tables %s before it",
-					name, strings.Join(missing, ", "))
-			}
-		}
-		r.graphs[graph.key] = name
-	}
-	r.entries[name] = e
 	// A model registered from a versioned artifact serves that generation.
 	if v := artifact.VersionOf(path); v > 0 {
 		e.version.Set(float64(v))
@@ -346,14 +299,90 @@ func (r *Registry) Add(name string, t *relation.Table, m *core.Model, opts AddOp
 	return nil
 }
 
-// checkServable rejects model configurations that cannot sit behind the
-// engine's predicate-set-keyed cache (the order-sensitive MPSN ablations).
-func checkServable(m *core.Model) error {
-	switch m.Config().MPSN {
-	case core.MPSNRNN, core.MPSNRec:
-		return fmt.Errorf("registry: the %v MPSN embeds predicate lists order-sensitively and cannot sit behind the predicate-set-keyed cache", m.Config().MPSN)
+// registerLocked indexes a built entry. Callers hold r.mu for writing.
+func (r *Registry) registerLocked(e *entry) error {
+	if r.closed {
+		return ErrClosed
 	}
+	if _, dup := r.entries[e.name]; dup {
+		return fmt.Errorf("registry: model %q already registered", e.name)
+	}
+	if e.join != nil {
+		key := e.join.Clause().Canonical()
+		if prev, dup := r.joins[key]; dup {
+			return fmt.Errorf("registry: join %s already served by view %q", e.join, prev)
+		}
+		if prev, dup := r.graphs[workload.JoinSetKey([]workload.JoinClause{key})]; dup {
+			return fmt.Errorf("registry: join %s already served by graph view %q", e.join, prev)
+		}
+		r.joins[key] = e.name
+	}
+	if graph := e.gen.graph; graph != nil {
+		if prev, dup := r.graphs[graph.key]; dup {
+			return fmt.Errorf("registry: join graph %s already served by view %q", graph.spec, prev)
+		}
+		if edges := graph.spec.Edges; len(edges) == 1 {
+			if prev, dup := r.joins[edges[0].Clause().Canonical()]; dup {
+				return fmt.Errorf("registry: join %s already served by view %q", edges[0], prev)
+			}
+		}
+		if graph.sampled {
+			// A sampled view's rows are a FOJ sample: every exact anchor —
+			// including the full edge set's — comes from the base tables, so
+			// all of them must be registered up front.
+			base := r.baseTablesLocked(graph.spec.Tables)
+			var missing []string
+			for _, bt := range graph.spec.Tables {
+				if base[bt] == nil {
+					missing = append(missing, bt)
+				}
+			}
+			if len(missing) > 0 {
+				return fmt.Errorf("registry: sampled join-graph view %q anchors estimates on base-table cardinalities; register base tables %s before it",
+					e.name, strings.Join(missing, ", "))
+			}
+		}
+		r.graphs[graph.key] = e.name
+	}
+	r.entries[e.name] = e
 	return nil
+}
+
+// newGeneration checks that m can serve, applies e's plan quant mode, warms
+// the plan and starts the engine: readers only ever see a built generation.
+func newGeneration(e *entry, t *relation.Table, graph *graphView, m *core.Model) (*generation, error) {
+	if err := m.Servable(); err != nil {
+		return nil, err
+	}
+	planBytes, err := applyPlanQuant(m, e.quant)
+	if err != nil {
+		return nil, err
+	}
+	return &generation{table: t, graph: graph, model: m, est: serve.New(m, e.serveCfg), planBytes: planBytes, estSec: e.estSec}, nil
+}
+
+// baseTablesLocked looks up the base tables graph views anchor exact join
+// sizes on: prefer the plain (non-view) model registered under the table's
+// name, falling back to any plain model serving a table of that name.
+// Callers hold r.mu.
+func (r *Registry) baseTablesLocked(names []string) map[string]*relation.Table {
+	plain := func(e *entry, name string) bool {
+		return e.join == nil && e.gen.graph == nil && e.gen.table.Name == name
+	}
+	base := make(map[string]*relation.Table, len(names))
+	for _, bt := range names {
+		if e, ok := r.entries[bt]; ok && plain(e, bt) {
+			base[bt] = e.gen.table
+			continue
+		}
+		for _, e := range r.entries {
+			if plain(e, bt) {
+				base[bt] = e.gen.table
+				break
+			}
+		}
+	}
+	return base
 }
 
 // SaveModel persists a model's current weights to its file (the Path it was
@@ -362,18 +391,18 @@ func checkServable(m *core.Model) error {
 // model makes it file-backed: the written file becomes its reload and watch
 // target.
 func (r *Registry) SaveModel(name string) (string, error) {
-	e, h, err := r.acquire(name)
+	e, g, err := r.acquire(name)
 	if err != nil {
 		return "", err
 	}
-	defer h.wg.Done()
+	defer g.release()
 	r.mu.RLock()
 	path := e.path
 	r.mu.RUnlock()
 	if path == "" {
 		path = artifact.Dir(r.cfg.Dir).Path(name)
 	}
-	if err := artifact.Save(path, h.model); err != nil {
+	if err := artifact.Save(path, g.model); err != nil {
 		return "", err
 	}
 	sig, err := artifact.Stat(path)
@@ -398,18 +427,23 @@ func (r *Registry) lookupLocked(name string) (*entry, error) {
 	return e, nil
 }
 
-// acquire pins the current handle of a named model. The pin is taken under
-// the read lock, so it strictly precedes any subsequent swap; callers must
-// h.wg.Done when finished with the estimator.
-func (r *Registry) acquire(name string) (*entry, *handle, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+// pinLocked finds a registered model and pins its current generation; the
+// caller releases it when done. Callers hold r.mu.
+func (r *Registry) pinLocked(name string) (*entry, *generation, error) {
 	e, err := r.lookupLocked(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.h.wg.Add(1)
-	return e, e.h, nil
+	g := e.gen
+	g.pins.Add(1)
+	return e, g, nil
+}
+
+// acquire pins the current generation of a named model.
+func (r *Registry) acquire(name string) (*entry, *generation, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.pinLocked(name)
 }
 
 // Table returns the table a named model serves.
@@ -420,19 +454,14 @@ func (r *Registry) Table(name string) (*relation.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.table, nil
+	return e.gen.table, nil
 }
 
 // Names lists registered model names in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(r.entries))
 }
 
 // Len reports the number of registered models.
@@ -447,42 +476,43 @@ func (r *Registry) Len() int {
 func (r *Registry) Info() []ModelInfo {
 	r.mu.RLock()
 	out := make([]ModelInfo, 0, len(r.entries))
-	handles := make([]*handle, 0, len(r.entries))
+	gens := make([]*generation, 0, len(r.entries))
 	// Pin each generation like a request would, so a concurrent reload
 	// cannot close an estimator mid-snapshot. After Close no pins may be
 	// added (Close's drain is already underway), but none are needed either:
-	// handles are final then, and Stats on a closed engine reads atomics.
+	// generations are final then, and Stats on a closed engine reads atomics.
 	pinned := !r.closed
 	for _, e := range r.entries {
+		g := e.gen
 		mi := ModelInfo{
 			Name:      e.name,
-			Table:     e.table.Name,
-			Rows:      e.table.NumRows(),
-			Columns:   e.table.NumCols(),
+			Table:     g.table.Name,
+			Rows:      g.table.NumRows(),
+			Columns:   g.table.NumCols(),
 			Join:      e.join,
 			Path:      e.path,
 			Quant:     e.quant,
-			PlanBytes: e.planBytes,
+			PlanBytes: g.planBytes,
 			Reloads:   e.reloads.Value(),
 			Swaps:     e.swaps.Value(),
 			Version:   int(e.version.Value()),
 		}
-		if e.graph != nil {
-			spec := e.graph.spec
+		if g.graph != nil {
+			spec := g.graph.spec
 			mi.Graph = &spec
 		}
 		out = append(out, mi)
 		if pinned {
-			e.h.wg.Add(1)
+			g.pins.Add(1)
 		}
-		handles = append(handles, e.h)
+		gens = append(gens, g)
 	}
 	r.mu.RUnlock()
-	for i := range out {
-		out[i].ModelBytes = handles[i].model.SizeBytes()
-		out[i].Serve = handles[i].est.Stats()
+	for i, g := range gens {
+		out[i].ModelBytes = g.model.SizeBytes()
+		out[i].Serve = g.est.Stats()
 		if pinned {
-			handles[i].wg.Done()
+			g.release()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -546,87 +576,44 @@ func (r *Registry) reload(name string) error {
 	if path == "" {
 		return fmt.Errorf("registry: model %q is in-memory and cannot be reloaded", name)
 	}
-	m, sig, err := artifact.Load(path, e.table)
+	cur := e.gen
+	m, sig, err := artifact.Load(path, cur.table)
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	return r.install(e, m, e.reloads, func() { e.sig = sig })
-}
-
-// install publishes m as e's next generation: the one sequence Reload,
-// SwapModel and so the lifecycle's retrains and the cluster's pulls go
-// through. The entry's quant mode is serving config, not artifact state, so
-// every incoming generation gets it re-applied and its plan warmed before the
-// handle is published; publish updates, under the same write lock, the entry
-// state that changes with the generation. Callers hold e.reloadMu.
-func (r *Registry) install(e *entry, m *core.Model, count *obs.Counter, publish func()) error {
-	if err := checkServable(m); err != nil {
-		return err
-	}
-	planBytes, err := applyPlanQuant(m, e.quant)
+	next, err := newGeneration(e, cur.table, cur.graph, m)
 	if err != nil {
 		return err
 	}
-	nh := &handle{model: m, est: serve.New(m, e.serveCfg)}
+	return r.install(e, next, e.reloads, SwapOpts{Path: path}, sig)
+}
+
+// install publishes next as e's generation: the one sequence Reload,
+// SwapModel and so the lifecycle's retrains and the cluster's pulls go
+// through. Under the same write lock it records from.Path (with signature
+// sig) and from.Version, when set. Callers hold e.reloadMu.
+func (r *Registry) install(e *entry, next *generation, count *obs.Counter, from SwapOpts, sig artifact.Sig) error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		nh.est.Close()
+		next.est.Close()
 		return ErrClosed
 	}
-	old := e.h
-	e.h, e.planBytes = nh, planBytes
-	publish()
+	old := e.gen
+	e.gen = next
+	if from.Path != "" {
+		e.path, e.sig = from.Path, sig
+	}
+	if from.Version > 0 {
+		e.version.Set(float64(from.Version))
+	}
 	r.mu.Unlock()
 	count.Add(1)
 	// Drain: every request that pinned the old generation did so before the
 	// swap above; wait them out, then release the old engine.
-	old.wg.Wait()
+	old.pins.Wait()
 	old.est.Close()
 	return nil
-}
-
-// bindBaseTablesLocked snapshots the registered base tables a graph view's
-// subset fanout correction needs: prefer the model registered under the base
-// table's name, falling back to any model serving a table of that name.
-// Callers hold r.mu for writing.
-func (r *Registry) bindBaseTablesLocked(graph *graphView) {
-	for bt := range graph.tables {
-		if be, ok := r.entries[bt]; ok && be.join == nil && be.graph == nil && be.table.Name == bt {
-			graph.base[bt] = be.table
-			continue
-		}
-		for _, be := range r.entries {
-			if be.join == nil && be.graph == nil && be.table.Name == bt {
-				graph.base[bt] = be.table
-				break
-			}
-		}
-	}
-}
-
-// rebindGraphViewsLocked replaces the routing state of every graph view that
-// references the named base table: a fresh graphView (empty exact-cardinality
-// anchor cache, fresh per-edge indexes) over the unchanged view table, with
-// base tables re-bound to the entries now serving. In-flight Resolves keep
-// the view object they pinned — consistent with the generation they started
-// against — and the next Resolve anchors on the swapped table. Rebuild cost
-// is O(view columns); no row data is touched. Callers hold r.mu for writing.
-func (r *Registry) rebindGraphViewsLocked(table string) {
-	for _, ge := range r.entries {
-		if ge.graph == nil || !ge.graph.tables[table] {
-			continue
-		}
-		fresh, err := newGraphView(ge.graph.spec, ge.graph.view)
-		if err != nil {
-			// The spec and view validated when the entry was added (and at
-			// every swap of the view itself); keep the stale anchors rather
-			// than dropping the view.
-			continue
-		}
-		r.bindBaseTablesLocked(fresh)
-		ge.graph = fresh
-	}
 }
 
 // SwapOpts refines SwapModel.
@@ -648,22 +635,14 @@ type SwapOpts struct {
 // trip. It is the lifecycle subsystem's install path: a background retrain
 // builds the replacement off-line (typically over a table grown by ingested
 // rows, whose dictionaries the old generation could not serve) and swaps
-// table and model together, which is what keeps every generation internally
-// consistent. Drain-safety matches Reload: the handle swaps under the write
-// lock, and requests pinned to the old generation complete against it before
-// its engine closes, so no in-flight estimate is dropped or errored.
-// Join-graph views rebuild their routing state against the new view table;
-// the new table must keep the served table's name so router inference and
-// textual predicate qualifiers stay valid.
+// table and model together as one generation, which is what keeps every
+// generation internally consistent. Drain-safety matches Reload: the
+// generation swaps under the write lock, and requests pinned to the old one
+// complete against it before its engine closes, so no in-flight estimate is
+// dropped or errored. A join-graph view's routing state is rebuilt against
+// the new view table; the new table must keep the served table's name so
+// router inference and textual predicate qualifiers stay valid.
 func (r *Registry) SwapModel(name string, m *core.Model, opts SwapOpts) error {
-	err := r.swapModel(name, m, opts)
-	if cb := r.cfg.OnSwap; cb != nil {
-		cb(name, err)
-	}
-	return err
-}
-
-func (r *Registry) swapModel(name string, m *core.Model, opts SwapOpts) error {
 	if m == nil {
 		return errors.New("registry: SwapModel needs a model")
 	}
@@ -675,41 +654,25 @@ func (r *Registry) swapModel(name string, m *core.Model, opts SwapOpts) error {
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	nt := m.Table()
-	if nt.Name != e.table.Name {
-		return fmt.Errorf("registry: swap %q: model serves table %q, entry serves %q", name, nt.Name, e.table.Name)
+	cur, nt := e.gen, m.Table()
+	if nt.Name != cur.table.Name {
+		return fmt.Errorf("registry: swap %q: model serves table %q, entry serves %q", name, nt.Name, cur.table.Name)
 	}
 	var graph *graphView
-	if e.graph != nil {
-		if graph, err = newGraphView(e.graph.spec, nt); err != nil {
+	if cur.graph != nil {
+		if graph, err = newGraphView(cur.graph.spec, nt); err != nil {
 			return fmt.Errorf("registry: swap %q: %w", name, err)
 		}
+	}
+	next, err := newGeneration(e, nt, graph, m)
+	if err != nil {
+		return err
 	}
 	var sig artifact.Sig
 	if opts.Path != "" {
 		sig, _ = artifact.Stat(opts.Path)
 	}
-	return r.install(e, m, e.swaps, func() {
-		e.table = nt
-		if graph != nil {
-			r.bindBaseTablesLocked(graph)
-			e.graph = graph
-		}
-		if e.join == nil && e.graph == nil {
-			// A base table changed underneath the graph views that anchor on it:
-			// their cached exact-cardinality corrections, per-edge join indexes,
-			// and base-table bindings all describe the replaced table. Rebuild
-			// each affected view's routing state so the next Resolve recomputes
-			// anchors against the table now serving.
-			r.rebindGraphViewsLocked(nt.Name)
-		}
-		if opts.Path != "" {
-			e.path, e.sig = opts.Path, sig
-		}
-		if opts.Version > 0 {
-			e.version.Set(float64(opts.Version))
-		}
-	})
+	return r.install(e, next, e.swaps, opts, sig)
 }
 
 // CloneModelFor pins the named model's current generation and clones it onto
@@ -718,12 +681,12 @@ func (r *Registry) swapModel(name string, m *core.Model, opts SwapOpts) error {
 // reports encoding incompatibility when t's dictionaries grew past the
 // trained profile, which is the signal to train a fresh model instead.
 func (r *Registry) CloneModelFor(name string, t *relation.Table) (*core.Model, error) {
-	_, h, err := r.acquire(name)
+	_, g, err := r.acquire(name)
 	if err != nil {
 		return nil, err
 	}
-	defer h.wg.Done()
-	return h.model.CloneFor(t)
+	defer g.release()
+	return g.model.CloneFor(t)
 }
 
 // Close stops the watcher and drains and closes every estimator. Subsequent
@@ -735,18 +698,18 @@ func (r *Registry) Close() error {
 		return nil
 	}
 	r.closed = true
-	handles := make([]*handle, 0, len(r.entries))
+	gens := make([]*generation, 0, len(r.entries))
 	for _, e := range r.entries {
-		handles = append(handles, e.h)
+		gens = append(gens, e.gen)
 	}
 	r.mu.Unlock()
 	if r.watchStop != nil {
 		close(r.watchStop)
 		<-r.watchDone
 	}
-	for _, h := range handles {
-		h.wg.Wait()
-		h.est.Close()
+	for _, g := range gens {
+		g.pins.Wait()
+		g.est.Close()
 	}
 	return nil
 }

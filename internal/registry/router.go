@@ -2,6 +2,8 @@ package registry
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,6 +31,8 @@ type Resolution struct {
 	Query workload.Query
 	Calib *workload.Query
 	Exact float64
+
+	gen *generation // routed on; pinned until estimated, nil once released
 }
 
 // estimate combines the predicate and calibration estimates into the final
@@ -65,27 +69,33 @@ func (res Resolution) estimate(pred, calib float64) float64 {
 // router rewrites them through the view's per-table column map and restricts
 // the view to rows where every queried table participates (the NeuroCard-
 // style reduction of join estimation to a single-table query over a full
-// outer join with fanout columns).
+// outer join with fanout columns). Resolve is for inspection; Query routes
+// and estimates on one generation.
 func (r *Registry) Resolve(target, expr string) (Resolution, error) {
+	res, err := r.resolve(target, expr)
+	if err != nil {
+		return Resolution{}, err
+	}
+	res.gen.release()
+	res.gen = nil
+	return res, nil
+}
+
+// resolve routes an expression and returns the resolution with the
+// generation it was routed on still pinned; the caller releases it.
+func (r *Registry) resolve(target, expr string) (Resolution, error) {
 	rq, err := workload.ParseRaw(expr)
 	if err != nil {
 		return Resolution{}, err
 	}
 	if len(rq.Joins) == 0 {
-		name, q, err := r.routeSingle(target, rq)
-		if err != nil {
-			return Resolution{}, err
-		}
-		return Resolution{Model: name, Query: q}, nil
+		return r.routeSingle(target, rq)
 	}
 	if len(rq.Joins) == 1 {
 		// Legacy two-table views keep first claim on single-clause joins so
 		// existing deployments route bitwise-identically.
-		if name, q, ok, err := r.routeLegacyJoin(target, rq); ok || err != nil {
-			if err != nil {
-				return Resolution{}, err
-			}
-			return Resolution{Model: name, Query: q}, nil
+		if res, ok, err := r.routeLegacyJoin(target, rq); ok || err != nil {
+			return res, err
 		}
 	}
 	return r.routeGraph(target, rq)
@@ -97,37 +107,26 @@ func (r *Registry) Resolve(target, expr string) (Resolution, error) {
 // they are rewritten onto the view's columns (and, for graph views, the view
 // is restricted to rows where the qualified tables participate, matching SQL
 // semantics of predicates over a full outer join).
-func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, workload.Query, error) {
-	name := target
-	if name == "" {
-		var err error
-		if name, err = r.inferTarget(rq); err != nil {
-			return "", workload.Query{}, err
-		}
-	}
-	if name == "" {
-		var err error
-		if name, err = r.soleModel(); err != nil {
-			return "", workload.Query{}, err
-		}
-	}
-	// A swap replaces the entry's table and graph under the write lock: copy
-	// both while holding the read lock.
+func (r *Registry) routeSingle(target string, rq workload.RawQuery) (res Resolution, err error) {
 	r.mu.RLock()
-	e, ok := r.entries[name]
-	closed := r.closed
-	var table *relation.Table
-	var graph *graphView
-	if ok {
-		table, graph = e.table, e.graph
+	name := target
+	if name == "" && !r.closed {
+		name, err = r.inferTargetLocked(rq)
+	}
+	if name == "" && err == nil {
+		name, err = r.soleModelLocked()
+	}
+	var e *entry
+	var g *generation
+	if err == nil {
+		e, g, err = r.pinLocked(name)
 	}
 	r.mu.RUnlock()
-	if closed {
-		return "", workload.Query{}, ErrClosed
+	if err != nil {
+		return Resolution{}, err
 	}
-	if !ok {
-		return "", workload.Query{}, fmt.Errorf("registry: unknown model %q", name)
-	}
+	defer releaseOnError(g, &err)
+	table, graph := g.table, g.graph
 	var q workload.Query
 	graphTables := map[string]bool{}
 	for _, rp := range rq.Preds {
@@ -138,22 +137,22 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, wor
 		case e.join != nil:
 			mapped, err := e.join.mapColumn(rp.Table, rp.Column)
 			if err != nil {
-				return "", workload.Query{}, err
+				return Resolution{}, err
 			}
 			col = mapped
 		case graph != nil:
 			mapped, err := graph.mapColumn(rp.Table, rp.Column)
 			if err != nil {
-				return "", workload.Query{}, err
+				return Resolution{}, err
 			}
 			col = mapped
 			graphTables[rp.Table] = true
 		default:
-			return "", workload.Query{}, fmt.Errorf("registry: predicate on %s.%s does not match model %q (table %q)", rp.Table, rp.Column, name, table.Name)
+			return Resolution{}, fmt.Errorf("registry: predicate on %s.%s does not match model %q (table %q)", rp.Table, rp.Column, name, table.Name)
 		}
 		p, err := workload.ResolvePredicate(table, col, rp.Op, rp.Lit)
 		if err != nil {
-			return "", workload.Query{}, err
+			return Resolution{}, err
 		}
 		if graph != nil {
 			q.Preds = graph.clampNull(q.Preds, p)
@@ -162,108 +161,97 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (string, wor
 		}
 	}
 	if len(graphTables) > 0 {
-		q.Preds = append(q.Preds, graph.presencePreds(setKeys(graphTables))...)
+		q.Preds = append(q.Preds, graph.presencePreds(slices.Collect(maps.Keys(graphTables)))...)
 	}
 	r.met.routed.Inc()
-	return name, q, nil
+	return Resolution{Model: name, Query: q, gen: g}, nil
+}
+
+// releaseOnError drops a route's pin when the route fails after taking it.
+func releaseOnError(g *generation, err *error) {
+	if *err != nil {
+		g.release()
+	}
 }
 
 // routeLegacyJoin resolves a single join clause against the legacy two-table
 // views. It reports ok=false — with no error — when no legacy view serves the
 // clause, letting the caller fall through to the join-graph views.
-func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (string, workload.Query, bool, error) {
+func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (res Resolution, ok bool, err error) {
 	clause := rq.Joins[0]
+	var e *entry
+	var g *generation
 	r.mu.RLock()
-	name, ok := r.joins[clause.Canonical()]
-	closed := r.closed
+	name, ok, err := r.legacyViewLocked(target, clause)
+	if ok && err == nil {
+		e, g, err = r.pinLocked(name)
+	}
 	r.mu.RUnlock()
-	if closed {
-		return "", workload.Query{}, false, ErrClosed
+	if !ok || err != nil {
+		return Resolution{}, ok, err
 	}
-	if !ok {
-		return "", workload.Query{}, false, nil
-	}
-	if target != "" && target != name {
-		r.mu.RLock()
-		te, tok := r.entries[target]
-		r.mu.RUnlock()
-		if tok && te.graph != nil {
-			// The caller explicitly targeted a join-graph view; fall through
-			// and let the graph router resolve (it checks the target serves
-			// the clause set).
-			return "", workload.Query{}, false, nil
-		}
-		return "", workload.Query{}, false, fmt.Errorf("registry: model %q does not serve the join %q (view %q does)", target, clause, name)
-	}
-	r.mu.RLock()
-	e := r.entries[name]
-	table := e.table // a swap replaces it under the write lock
-	r.mu.RUnlock()
+	defer releaseOnError(g, &err)
 	var q workload.Query
 	for _, rp := range rq.Preds {
 		if rp.Table == "" {
-			return "", workload.Query{}, false, fmt.Errorf("registry: predicate on %q in a join query must be qualified with %q or %q", rp.Column, e.join.Left, e.join.Right)
+			return Resolution{}, true, fmt.Errorf("registry: predicate on %q in a join query must be qualified with %q or %q", rp.Column, e.join.Left, e.join.Right)
 		}
 		col, err := e.join.mapColumn(rp.Table, rp.Column)
 		if err != nil {
-			return "", workload.Query{}, false, err
+			return Resolution{}, true, err
 		}
-		p, err := workload.ResolvePredicate(table, col, rp.Op, rp.Lit)
+		p, err := workload.ResolvePredicate(g.table, col, rp.Op, rp.Lit)
 		if err != nil {
-			return "", workload.Query{}, false, err
+			return Resolution{}, true, err
 		}
 		q.Preds = append(q.Preds, p)
 	}
 	r.met.routed.Inc()
 	r.met.joinRouted.Inc()
-	return name, q, true, nil
+	return Resolution{Model: name, Query: q, gen: g}, true, nil
+}
+
+// legacyViewLocked names the legacy two-table view serving clause; ok=false
+// with no error when none does or target names a join-graph view (the graph
+// router then checks the target serves the clause set). Callers hold r.mu.
+func (r *Registry) legacyViewLocked(target string, clause workload.JoinClause) (name string, ok bool, err error) {
+	if r.closed {
+		return "", false, ErrClosed
+	}
+	name, ok = r.joins[clause.Canonical()]
+	if !ok || target == "" || target == name {
+		return name, ok, nil
+	}
+	if te, tok := r.entries[target]; tok && te.gen.graph != nil {
+		return "", false, nil
+	}
+	return "", false, fmt.Errorf("registry: model %q does not serve the join %q (view %q does)", target, clause, name)
 }
 
 // routeGraph resolves a join-clause set against the registered join-graph
 // views: exactly when the set equals a view's edge set, or as a connected
 // subset of the smallest view containing every clause, with fanout
-// correction.
-func (r *Registry) routeGraph(target string, rq workload.RawQuery) (Resolution, error) {
+// correction, anchored on base tables looked up as the view is pinned.
+func (r *Registry) routeGraph(target string, rq workload.RawQuery) (res Resolution, err error) {
 	clauses := rq.Joins
 	key := workload.JoinSetKey(clauses)
 	qTables := rq.JoinTables()
 
 	r.mu.RLock()
-	closed := r.closed
-	name, exact := r.graphs[key]
-	var v *graphView
-	if exact {
-		v = r.entries[name].graph
-	} else if rq.JoinsConnected() {
-		// Subset match: the smallest view whose edge set contains every
-		// clause (fewest tables, then fewest view rows, then name, so the
-		// choice is deterministic). An explicit target restricts the
-		// candidates to that view.
-		for n, e := range r.entries {
-			g := e.graph
-			if g == nil || (target != "" && n != target) {
-				continue
-			}
-			all := true
-			for _, c := range clauses {
-				if _, ok := g.edges[c.Canonical()]; !ok {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			if v == nil || better(g, n, v, name) {
-				v, name = g, n
-			}
-		}
-	}
-	r.mu.RUnlock()
-	if closed {
+	if r.closed {
+		r.mu.RUnlock()
 		return Resolution{}, ErrClosed
 	}
-	if v == nil {
+	var g *generation
+	var base map[string]*relation.Table
+	e := r.graphViewLocked(clauses, key, target, rq.JoinsConnected())
+	if e != nil {
+		g = e.gen
+		g.pins.Add(1)
+		base = r.baseTablesLocked(qTables)
+	}
+	r.mu.RUnlock()
+	if e == nil {
 		if target != "" {
 			return Resolution{}, fmt.Errorf("registry: model %q does not serve the join %q", target, key)
 		}
@@ -276,6 +264,8 @@ func (r *Registry) routeGraph(target string, rq workload.RawQuery) (Resolution, 
 		return Resolution{}, fmt.Errorf("registry: no join-graph view serves the clause set %q; build one with duetserve -build-join or duettrain -join over tables %s",
 			key, strings.Join(qTables, ", "))
 	}
+	defer releaseOnError(g, &err)
+	name, v := e.name, g.graph
 	if target != "" && target != name {
 		return Resolution{}, fmt.Errorf("registry: model %q does not serve the join %q (view %q does)", target, key, name)
 	}
@@ -309,13 +299,45 @@ func (r *Registry) routeGraph(target string, rq workload.RawQuery) (Resolution, 
 		}
 		q.Preds = v.clampNull(q.Preds, p)
 	}
-	exactCard, err := v.exactJoin(clauses, qTables)
+	exactCard, err := v.exactJoin(clauses, qTables, base)
 	if err != nil {
 		return Resolution{}, err
 	}
 	r.met.routed.Inc()
 	r.met.joinRouted.Inc()
-	return Resolution{Model: name, Query: q, Calib: &workload.Query{Preds: presence}, Exact: exactCard}, nil
+	return Resolution{Model: name, Query: q, Calib: &workload.Query{Preds: presence}, Exact: exactCard, gen: g}, nil
+}
+
+// graphViewLocked picks the join-graph view serving a clause set: the view
+// whose edge set is exactly the set, else — for a connected set — the
+// smallest view whose edge set contains every clause (fewest tables, then
+// fewest view rows, then name, so the choice is deterministic). An explicit
+// target restricts the subset candidates to that view. Callers hold r.mu.
+func (r *Registry) graphViewLocked(clauses []workload.JoinClause, key, target string, connected bool) *entry {
+	if name, ok := r.graphs[key]; ok {
+		return r.entries[name]
+	}
+	if !connected {
+		return nil
+	}
+	var best *entry
+	for n, e := range r.entries {
+		g := e.gen.graph
+		if g == nil || (target != "" && n != target) {
+			continue
+		}
+		all := true
+		for _, c := range clauses {
+			if _, ok := g.edges[c.Canonical()]; !ok {
+				all = false
+				break
+			}
+		}
+		if all && (best == nil || better(g, n, best.gen.graph, best.name)) {
+			best = e
+		}
+	}
+	return best
 }
 
 // better orders candidate subset views: fewer base tables, then fewer view
@@ -330,13 +352,14 @@ func better(g *graphView, gname string, cur *graphView, curName string) bool {
 	return gname < curName
 }
 
-// inferTarget resolves an unnamed target from predicate qualifiers: when
+// inferTargetLocked resolves an unnamed target from predicate qualifiers: when
 // every qualified predicate names the same registered model, that model is
 // the target ("orders.amount<=10" needs no explicit model field). When the
 // qualifiers match no model but appear in registered join views — one table
 // across several views, or several tables that only a join would relate —
 // the error names the candidate views instead of failing generically.
-func (r *Registry) inferTarget(rq workload.RawQuery) (string, error) {
+// Callers hold r.mu.
+func (r *Registry) inferTargetLocked(rq workload.RawQuery) (string, error) {
 	var qualifiers []string
 	seen := map[string]bool{}
 	for _, rp := range rq.Preds {
@@ -348,8 +371,6 @@ func (r *Registry) inferTarget(rq workload.RawQuery) (string, error) {
 	if len(qualifiers) == 0 {
 		return "", nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.entries) == 1 {
 		// A sole registered model resolves regardless of qualifiers (the
 		// pre-join-graph behavior): routeSingle maps or rejects them against
@@ -386,13 +407,13 @@ func (r *Registry) viewsCoveringLocked(tables []string) []string {
 			switch {
 			case e.join != nil:
 				return e.join.Left == t || e.join.Right == t
-			case e.graph != nil:
-				return e.graph.tables[t]
+			case e.gen.graph != nil:
+				return e.gen.graph.tables[t]
 			default:
 				return false
 			}
 		}
-		all := e.join != nil || e.graph != nil
+		all := e.join != nil || e.gen.graph != nil
 		for _, t := range tables {
 			if !covers(t) {
 				all = false
@@ -412,14 +433,12 @@ func joinDesc(e *entry) string {
 	if e.join != nil {
 		return e.join.String()
 	}
-	return e.graph.key
+	return e.gen.graph.key
 }
 
-// soleModel returns the single registered model name, or an error telling
-// the caller to disambiguate.
-func (r *Registry) soleModel() (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+// soleModelLocked returns the single registered model name, or an error
+// telling the caller to disambiguate. Callers hold r.mu.
+func (r *Registry) soleModelLocked() (string, error) {
 	if r.closed {
 		return "", ErrClosed
 	}
@@ -428,22 +447,8 @@ func (r *Registry) soleModel() (string, error) {
 			return n, nil
 		}
 	}
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(r.entries))
 	return "", fmt.Errorf("registry: %d models registered (%s); specify one", len(r.entries), strings.Join(names, ", "))
-}
-
-// setKeys returns a map's keys sorted.
-func setKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // mapColumn rewrites a base-table-qualified column onto the legacy join

@@ -64,26 +64,6 @@ func TestSwapModelInstallsInMemory(t *testing.T) {
 	}
 }
 
-// TestSwapModelHook: the OnSwap observer sees successes and failures.
-func TestSwapModelHook(t *testing.T) {
-	ta := testTable("alpha", 1)
-	var got []error
-	reg := New(Config{Dir: t.TempDir(), OnSwap: func(name string, err error) { got = append(got, err) }})
-	defer reg.Close()
-	if err := reg.Add("alpha", ta, core.NewModel(ta, smallConfig(1)), AddOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SwapModel("alpha", core.NewModel(ta, smallConfig(2)), SwapOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SwapModel("missing", core.NewModel(ta, smallConfig(2)), SwapOpts{}); err == nil {
-		t.Fatal("unknown model accepted")
-	}
-	if len(got) != 2 || got[0] != nil || got[1] == nil {
-		t.Fatalf("OnSwap observations: %v", got)
-	}
-}
-
 // TestWatchTickDebounce drives the watcher's per-poll decision directly: a
 // changing file (a writer mid-flight) must never reload; only a signature
 // stable across two consecutive polls may.

@@ -494,3 +494,44 @@ func TestMultiJoinMatchesReference(t *testing.T) {
 		assertSameLayout(t, sampled, want)
 	}
 }
+
+// TestJoinIndexesRebuildReplacedTable: a cached edge index serves only the
+// columns it was built over. Counting over a replacement table of the same
+// name (a grown generation) rebuilds the edge in place, so the count is the
+// new table's and the cache still holds one index per edge.
+func TestJoinIndexesRebuildReplacedTable(t *testing.T) {
+	orders, customers, regions := chainTables()
+	ix := NewJoinIndexes()
+	count := func(c *Table) int64 {
+		t.Helper()
+		n, err := MultiJoinCardinalityIndexed(chainGraph(orders, c, regions), ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MultiJoinCardinality(chainGraph(orders, c, regions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Fatalf("cached count %d, uncached %d", n, want)
+		}
+		return n
+	}
+	before := count(customers)
+	// Customer 0, without orders, in the unknown region 9: the id dictionary
+	// gains a new first value, so every code an index translates to shifts
+	// while the join size stays.
+	grown, err := AppendRows(customers, [][]string{{"0", "9"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := count(grown); after != before {
+		t.Fatalf("count over the grown table %d, want %d", after, before)
+	}
+	if len(ix.byKey) != 2 {
+		t.Fatalf("cache holds %d edge indexes, want one per edge (2)", len(ix.byKey))
+	}
+	if count(customers) != before {
+		t.Fatal("count over the original table changed")
+	}
+}

@@ -167,24 +167,26 @@ func NewJoinIndexes() *JoinIndexes {
 }
 
 // edge returns the cached index for the edge between pt's column pc and ct's
-// column cc, building and caching it on first use. A nil receiver builds a
-// fresh uncached index (the one-shot path).
+// column cc, building and caching it on first use and rebuilding it when
+// those columns were replaced. A nil receiver builds a fresh uncached index
+// (the one-shot path).
 func (ix *JoinIndexes) edge(pt *Table, pc int, ct *Table, cc int) *EdgeIndex {
+	a, b := pt.Cols[pc], ct.Cols[cc]
 	if ix == nil {
-		return newEdgeIndex(pt.Name, pt.Cols[pc], ct.Name, ct.Cols[cc])
+		return newEdgeIndex(pt.Name, a, ct.Name, b)
 	}
-	ka := fmt.Sprintf("%s\x00%s", pt.Name, pt.Cols[pc].Name)
-	kb := fmt.Sprintf("%s\x00%s", ct.Name, ct.Cols[cc].Name)
+	ka := fmt.Sprintf("%s\x00%s", pt.Name, a.Name)
+	kb := fmt.Sprintf("%s\x00%s", ct.Name, b.Name)
 	if kb < ka {
 		ka, kb = kb, ka
 	}
 	key := ka + "\x01" + kb
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if e, ok := ix.byKey[key]; ok {
+	if e, ok := ix.byKey[key]; ok && (e.side[0].col == a && e.side[1].col == b || e.side[0].col == b && e.side[1].col == a) {
 		return e
 	}
-	e := newEdgeIndex(pt.Name, pt.Cols[pc], ct.Name, ct.Cols[cc])
+	e := newEdgeIndex(pt.Name, a, ct.Name, b)
 	ix.byKey[key] = e
 	return e
 }
