@@ -9,12 +9,17 @@ import (
 	"duet/internal/workload"
 )
 
-// estimateConcurrently runs 8 goroutines on one model, each estimating all
+// batchEstimator is what estimates in these tests: a Model or a Snapshot.
+type batchEstimator interface {
+	EstimateCardBatch(qs []workload.Query) []float64
+}
+
+// estimateConcurrently runs 8 goroutines on one estimator, each estimating all
 // of qs in calls of 1, 7, 64 and 300 queries (300 crosses the 256-query
 // chunk), starting at a different size, and hands every answer to check
 // with its query's index. check reports whether the answer is right; the
 // goroutine stops at its first wrong one.
-func estimateConcurrently(m *Model, qs []workload.Query, check func(i int, got float64) bool) {
+func estimateConcurrently(m batchEstimator, qs []workload.Query, check func(i int, got float64) bool) {
 	sizes := []int{1, 7, 64, 300}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -49,10 +54,11 @@ func concurrencyFixture() (Config, Config, TrainConfig) {
 	return tinyConfig(), mlp, tc
 }
 
-// TestEstimateConcurrent: estimates from 8 goroutines at once on one model
-// are bitwise what a serial run gives, whichever pooled scratch ran them, for
-// the direct f32 and int8 plans and the MLP-MPSN merged and un-merged. Under
-// -race it is also the check that a pass writes only its own scratch.
+// TestEstimateConcurrent: estimates from 8 goroutines at once on one model,
+// or on one int8 snapshot of it, are bitwise what a serial run gives,
+// whichever pooled scratch ran them, for the direct f32 and int8 plans and
+// the MLP-MPSN merged and un-merged. Under -race it is also the check that a
+// pass writes only its own scratch.
 func TestEstimateConcurrent(t *testing.T) {
 	tbl := tinyTable(300)
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 17, NumQueries: 300, MinPreds: 1, MaxPreds: 3,
@@ -61,23 +67,24 @@ func TestEstimateConcurrent(t *testing.T) {
 	for _, k := range []struct {
 		name  string
 		cfg   Config
-		setup func(*Model)
+		setup func(*Model) batchEstimator
 	}{
-		{"f32", direct, func(*Model) {}},
-		{"int8", direct, func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }},
-		{"mlp-unmerged", mlp, func(*Model) {}},
-		{"mlp-merged", mlp, func(m *Model) {
+		{"f32", direct, func(m *Model) batchEstimator { return m }},
+		{"int8", direct, func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }},
+		{"mlp-unmerged", mlp, func(m *Model) batchEstimator { return m }},
+		{"mlp-merged", mlp, func(m *Model) batchEstimator {
 			if err := m.Merge(); err != nil {
 				t.Fatal(err)
 			}
+			return m
 		}},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			m := NewModel(tbl, k.cfg)
 			Train(m, tc)
-			k.setup(m)
-			want := m.EstimateCardBatch(qs)
-			estimateConcurrently(m, qs, func(i int, got float64) bool {
+			est := k.setup(m)
+			want := est.EstimateCardBatch(qs)
+			estimateConcurrently(est, qs, func(i int, got float64) bool {
 				if math.Float64bits(got) != math.Float64bits(want[i]) {
 					t.Errorf("query %d: concurrent estimate %v, serial %v", i, got, want[i])
 					return false
@@ -88,42 +95,69 @@ func TestEstimateConcurrent(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrentPlanSwitch: while 8 goroutines estimate, another
-// flips the plan between f32 and int8. Each answer is bitwise the serial
-// answer under one of the two: a pass runs on the snapshot it loaded, never
-// on a half-switched model.
+// TestEstimateConcurrentPlanSwitch: while 8 goroutines estimate on an MLP-MPSN
+// model, another flips it between merged and un-merged. Each answer is
+// bitwise the serial answer under one of the two: a pass runs on the snapshot
+// it loaded, never on a half-switched model. Meanwhile 8 goroutines each
+// estimate on an f32 and an int8 snapshot compiled from the same model, which
+// share its per-column MPSNs, and get exactly their serial answers.
 func TestEstimateConcurrentPlanSwitch(t *testing.T) {
 	tbl := tinyTable(300)
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 19, NumQueries: 300, MinPreds: 1, MaxPreds: 3,
-		BoundedCol: -1})
-	direct, _, tc := concurrencyFixture()
-	m := NewModel(tbl, direct)
+		BoundedCol: -1, MultiPredCols: 1})
+	_, mlp, tc := concurrencyFixture()
+	m := NewModel(tbl, mlp)
 	Train(m, tc)
-	f32 := m.EstimateCardBatch(qs)
-	m.SetPlanConfig(made.PlanConfig{Quantize: true})
-	i8 := m.EstimateCardBatch(qs)
+	unmerged := m.EstimateCardBatch(qs)
+	if err := m.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	merged := m.EstimateCardBatch(qs)
+	m.Unmerge()
+	snaps := []*Snapshot{m.Compile(made.PlanConfig{}), m.Compile(made.PlanConfig{Quantize: true})}
+	wants := [][]float64{snaps[0].EstimateCardBatch(qs), snaps[1].EstimateCardBatch(qs)}
 
 	done := make(chan struct{})
-	var flips sync.WaitGroup
-	flips.Add(1)
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer flips.Done()
-		for quant := false; ; quant = !quant {
+		defer wg.Done()
+		for merge := true; ; merge = !merge {
 			select {
 			case <-done:
 				return
 			default:
-				m.SetPlanConfig(made.PlanConfig{Quantize: quant})
+			}
+			if !merge {
+				m.Unmerge()
+			} else if err := m.Merge(); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
+	var estimates sync.WaitGroup
+	for k, s := range snaps {
+		estimates.Add(1)
+		go func() {
+			defer estimates.Done()
+			estimateConcurrently(s, qs, func(i int, got float64) bool {
+				if math.Float64bits(got) != math.Float64bits(wants[k][i]) {
+					t.Errorf("snapshot %d, query %d: concurrent estimate %v, serial %v", k, i, got, wants[k][i])
+					return false
+				}
+				return true
+			})
+		}()
+	}
 	estimateConcurrently(m, qs, func(i int, got float64) bool {
-		if b := math.Float64bits(got); b != math.Float64bits(f32[i]) && b != math.Float64bits(i8[i]) {
-			t.Errorf("query %d: estimate %v is neither the f32 plan's %v nor the int8 plan's %v", i, got, f32[i], i8[i])
+		if b := math.Float64bits(got); b != math.Float64bits(unmerged[i]) && b != math.Float64bits(merged[i]) {
+			t.Errorf("query %d: estimate %v is neither the un-merged %v nor the merged %v", i, got, unmerged[i], merged[i])
 			return false
 		}
 		return true
 	})
+	estimates.Wait()
 	close(done)
-	flips.Wait()
+	wg.Wait()
 }

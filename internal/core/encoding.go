@@ -105,6 +105,16 @@ func (vc *valueCodec) backward(code int32, d []float32) {
 	}
 }
 
+// freeze returns a copy of vc whose embedding table, if any, is a copy of the
+// current weights without gradient storage.
+func (vc *valueCodec) freeze() *valueCodec {
+	c := *vc
+	if e := vc.embed; e != nil {
+		c.embed = &nn.Embedding{Num: e.Num, Dim: e.Dim, Table: &nn.Param{Name: e.Table.Name, W: e.Table.W.Clone()}}
+	}
+	return &c
+}
+
 func (vc *valueCodec) params() []*nn.Param {
 	if vc.embed != nil {
 		return vc.embed.Params()

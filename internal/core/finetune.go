@@ -45,7 +45,7 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 		_, loss, _ := m.step(ts, nil, nil, batch, cfg.Lambda, cfg.ClipNorm)
 		losses = append(losses, loss)
 	}
-	m.publish(m.PlanConfig())
+	m.publish()
 	return losses
 }
 

@@ -14,13 +14,14 @@ import (
 func referenceCard(m *Model, q workload.Query) float64 {
 	logits := m.Forward([]Spec{m.SpecFromQuery(q)})
 	probs := make([]float32, len(logits.Row(0)))
-	return m.maskedProduct(probs, logits.Row(0), q) * float64(m.table.NumRows())
+	return m.current().maskedProduct(probs, logits.Row(0), q) * float64(m.table.NumRows())
 }
 
-// TestEstimateCardIsBatchOfOne: on every model/plan kind, EstimateCard and
-// EstimateDetail return bitwise what EstimateCardBatch returns for the query
-// alone and inside a 600-query batch (three 256-row chunks), and that number
-// tracks the reference layer stack within the kind's documented bound.
+// TestEstimateCardIsBatchOfOne: on every model/plan kind, EstimateCardBatch
+// returns bitwise the same for a query alone and inside a 600-query batch
+// (three 256-row chunks), as do a model's EstimateCard and EstimateDetail,
+// and that number tracks the reference layer stack within the kind's
+// documented bound.
 func TestEstimateCardIsBatchOfOne(t *testing.T) {
 	tbl := tinyTable(200)
 	tc := DefaultTrainConfig()
@@ -34,17 +35,18 @@ func TestEstimateCardIsBatchOfOne(t *testing.T) {
 	kinds := []struct {
 		name  string
 		cfg   Config
-		setup func(*Model)
+		setup func(*Model) batchEstimator
 		tol   float64 // relative bound against the reference forward
 	}{
-		{"direct", tinyConfig(), func(*Model) {}, 1e-5},
-		{"mlp-mpsn", mlp, func(*Model) {}, 1e-5},
-		{"merged", mlp, func(m *Model) {
+		{"direct", tinyConfig(), func(m *Model) batchEstimator { return m }, 1e-5},
+		{"mlp-mpsn", mlp, func(m *Model) batchEstimator { return m }, 1e-5},
+		{"merged", mlp, func(m *Model) batchEstimator {
 			if err := m.Merge(); err != nil {
 				t.Fatal(err)
 			}
+			return m
 		}, 1e-3},
-		{"int8", tinyConfig(), func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }, 0.3},
+		{"int8", tinyConfig(), func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }, 0.3},
 	}
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 600, MinPreds: 1, MaxPreds: 3,
 		BoundedCol: -1, MultiPredCols: 1})
@@ -52,19 +54,21 @@ func TestEstimateCardIsBatchOfOne(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			m := NewModel(tbl, k.cfg)
 			Train(m, tc)
-			k.setup(m)
-			batch := m.EstimateCardBatch(qs)
+			est := k.setup(m)
+			batch := est.EstimateCardBatch(qs)
 			for i, q := range qs {
-				single := m.EstimateCard(q)
-				if one := m.EstimateCardBatch([]workload.Query{q})[0]; single != one {
-					t.Fatalf("query %d: EstimateCard %v vs batch of one %v", i, single, one)
-				}
+				single := est.EstimateCardBatch([]workload.Query{q})[0]
 				// Batch composition must not matter.
 				if single != batch[i] {
-					t.Fatalf("query %d: EstimateCard %v vs full batch %v", i, single, batch[i])
+					t.Fatalf("query %d: batch of one %v vs full batch %v", i, single, batch[i])
 				}
-				if detail, _, _ := m.EstimateDetail(q); detail != single {
-					t.Fatalf("query %d: EstimateDetail %v vs EstimateCard %v", i, detail, single)
+				if est == batchEstimator(m) {
+					if card := m.EstimateCard(q); card != single {
+						t.Fatalf("query %d: EstimateCard %v vs batch of one %v", i, card, single)
+					}
+					if detail, _, _ := m.EstimateDetail(q); detail != single {
+						t.Fatalf("query %d: EstimateDetail %v vs batch of one %v", i, detail, single)
+					}
 				}
 				// The packed plan re-orders floating-point additions (and
 				// int8 rounds weights), so the reference agrees within a

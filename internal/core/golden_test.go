@@ -188,25 +188,26 @@ func TestGolden(t *testing.T) {
 	for _, k := range []struct {
 		name  string
 		model *Model
-		setup func(*Model)
+		setup func(*Model) batchEstimator
 	}{
-		{"estimate-f32", models["direct"], func(*Model) {}},
-		{"estimate-int8", models["direct"], func(m *Model) { m.SetPlanConfig(made.PlanConfig{Quantize: true}) }},
-		{"estimate-mlp-unmerged", models["mlp"], func(*Model) {}},
-		{"estimate-mlp-merged", models["mlp"], func(m *Model) {
+		{"estimate-f32", models["direct"], func(m *Model) batchEstimator { return m }},
+		{"estimate-int8", models["direct"], func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }},
+		{"estimate-mlp-unmerged", models["mlp"], func(m *Model) batchEstimator { return m }},
+		{"estimate-mlp-merged", models["mlp"], func(m *Model) batchEstimator {
 			if err := m.Merge(); err != nil {
 				t.Fatal(err)
 			}
+			return m
 		}},
 	} {
-		k.setup(k.model)
+		est := k.setup(k.model)
 		first := ""
 		for _, workers := range []int{1, 2} {
 			tensor.SetMaxWorkers(workers)
 			for _, per := range []int{len(qs), 64, 7, 1} {
 				h := newBitHash()
 				for lo := 0; lo < len(qs); lo += per {
-					h.floats(k.model.EstimateCardBatch(qs[lo:min(lo+per, len(qs))])...)
+					h.floats(est.EstimateCardBatch(qs[lo:min(lo+per, len(qs))])...)
 				}
 				s := h.sum()
 				if first == "" {

@@ -31,13 +31,29 @@ type mergedMPSN struct {
 type mergedScratch struct{ in, h1, h2, out tensor.Matrix }
 
 // Merge fuses the model's per-column MLP MPSNs into a block-diagonal network
-// and publishes it with the current plan, so every later estimate uses it.
-// Call it after training (weights are copied); it returns an error for
-// models not using the MLP MPSN.
+// and publishes a snapshot that encodes through it. Every snapshot compiled
+// until Unmerge fuses the weights it was compiled from. It returns an error
+// for models not using the MLP MPSN.
 func (m *Model) Merge() error {
 	if m.cfg.MPSN != MPSNMLP {
 		return fmt.Errorf("core: Merge requires the MLP MPSN, model uses %v", m.cfg.MPSN)
 	}
+	m.fused.Store(true)
+	m.publish()
+	return nil
+}
+
+// Unmerge publishes a snapshot without the fused encoder; estimates fall
+// back to the per-column MPSNs.
+func (m *Model) Unmerge() {
+	if m.fused.Swap(false) {
+		m.publish()
+	}
+}
+
+// fuse copies the per-column MLP MPSNs' current weights into one fused
+// network.
+func (m *Model) fuse() *mergedMPSN {
 	n := m.table.NumCols()
 	H, O := m.cfg.MPSNHidden, m.cfg.MPSNOut
 	g := &mergedMPSN{hidden: H, outDim: O, ncols: n}
@@ -52,14 +68,11 @@ func (m *Model) Merge() error {
 	g.b1 = make([]float32, n*H)
 	g.b2 = make([]float32, n*H)
 	g.b3 = make([]float32, n*O)
-	for i := range m.mpsns {
-		mp, ok := m.mpsns[i].(*mlpMPSN)
-		if !ok {
-			return fmt.Errorf("core: column %d MPSN is %T, expected *mlpMPSN", i, m.mpsns[i])
-		}
-		l1 := mp.net.Layers[0].(*nn.Linear)
-		l2 := mp.net.Layers[2].(*nn.Linear)
-		l3 := mp.net.Layers[4].(*nn.Linear)
+	for i, mp := range m.mpsns {
+		layers := mp.(*mlpMPSN).net.Layers
+		l1 := layers[0].(*nn.Linear)
+		l2 := layers[2].(*nn.Linear)
+		l3 := layers[4].(*nn.Linear)
 		// nn.Linear stores W as in×out; the fused matrices are out-major.
 		placeTransposed(g.w1, l1.Weight.W, i*H, g.inOff[i])
 		placeTransposed(g.w2, l2.Weight.W, i*H, i*H)
@@ -68,17 +81,7 @@ func (m *Model) Merge() error {
 		copy(g.b2[i*H:(i+1)*H], l2.Bias.W.Data)
 		copy(g.b3[i*O:(i+1)*O], l3.Bias.W.Data)
 	}
-	s := m.current()
-	m.snap.Store(&snapshot{plan: s.plan, cfg: s.cfg, merged: g})
-	return nil
-}
-
-// Unmerge publishes the current plan without the fused encoder; estimates
-// fall back to the per-column MPSNs.
-func (m *Model) Unmerge() {
-	if s := m.snap.Load(); s != nil && s.merged != nil {
-		m.snap.Store(&snapshot{plan: s.plan, cfg: s.cfg})
-	}
+	return g
 }
 
 // placeTransposed writes srcᵀ (src is in×out) into dst at (rowOff, colOff).
@@ -94,7 +97,7 @@ func placeTransposed(dst, src *tensor.Matrix, rowOff, colOff int) {
 // working in s: one fused forward pass per predicate round, with output
 // blocks masked to the columns that actually have a predicate in that round
 // (columns without one would otherwise contribute their bias response).
-func (g *mergedMPSN) encode(m *Model, s *mergedScratch, spec Spec, xRow []float32) {
+func (g *mergedMPSN) encode(e *encoder, s *mergedScratch, spec Spec, xRow []float32) {
 	clear(xRow)
 	rounds := 0
 	for _, ps := range spec {
@@ -109,8 +112,8 @@ func (g *mergedMPSN) encode(m *Model, s *mergedScratch, spec Spec, xRow []float3
 		clear(in)
 		for i, ps := range spec {
 			if len(ps) > j {
-				encW := predEncWidth(m.codecs[i])
-				encodePred(in[g.inOff[i]:g.inOff[i]+encW], m.codecs[i], ps[j].Op, ps[j].Code)
+				encW := predEncWidth(e.codecs[i])
+				encodePred(in[g.inOff[i]:g.inOff[i]+encW], e.codecs[i], ps[j].Op, ps[j].Code)
 			}
 		}
 		tensor.MulVec(h1, g.w1, in)
@@ -125,7 +128,7 @@ func (g *mergedMPSN) encode(m *Model, s *mergedScratch, spec Spec, xRow []float3
 			if len(spec[i]) <= j {
 				continue
 			}
-			dst := m.net.In.Slice(xRow, i)
+			dst := e.in.Slice(xRow, i)
 			for k := 0; k < O; k++ {
 				dst[k] += out[i*O+k]
 			}

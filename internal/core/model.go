@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -74,52 +75,62 @@ type ColPred struct {
 // empty list marks an unconstrained (wildcard) column.
 type Spec [][]ColPred
 
-// Model is a trained or trainable Duet estimator.
+// Model is a trained or trainable Duet estimator: the MADE net, every
+// parameter with its gradient, and the predicate encoder they train.
 //
-// Estimation is safe for concurrent use. Besides the weights, an estimate
-// reads one immutable snapshot (plan, plan config, merged MPSN) through an
-// atomic pointer, with scratch from a pool; only the un-merged MPSN encode
-// takes a mutex, as the MPSNs' layers cache activations. SetPlanConfig,
-// Merge, Unmerge, Train (each epoch) and FineTune (on return) publish a new
-// snapshot, and a pass in flight finishes on the one it loaded. Training
-// updates weights in place, so estimating a model while Train or FineTune
-// runs on it is not supported: train a CloneFor copy, as the lifecycle does.
+// An estimate reads only a Snapshot (see Compile), never the training state.
+// The model publishes its own f32 snapshot through an atomic pointer,
+// compiled on first use; Merge, Unmerge, Train (each epoch) and FineTune (on
+// return) publish a new one, and a pass in flight finishes on the one it
+// loaded, so estimation is safe for concurrent use. Training updates the
+// weights in place, and an un-merged MPSN snapshot shares the per-column nets
+// with the model, so estimating a model while Train or FineTune runs on it is
+// not supported: train a CloneFor copy, as the lifecycle does.
 type Model struct {
-	table  *relation.Table
+	encoder
 	cfg    Config
-	codecs []*valueCodec
-	encs   []*columnEncoder // direct mode (MPSNNone)
-	mpsns  []MPSN           // MPSN mode
 	net    *made.MADE
 	params []*nn.Param
 
-	snap      atomic.Pointer[snapshot] // what estimates read; never reset to nil
-	passes    sync.Pool                // *pass, one per estimate chunk in flight
-	probsPool sync.Pool                // per-worker softmax scratch for masking
-	mpsnMu    sync.Mutex               // one per-column MPSN encode at a time
+	fused atomic.Bool              // set by Merge: snapshots encode through the fused MPSN
+	snap  atomic.Pointer[Snapshot] // what the model's own estimates read; never reset to nil
 }
 
-// snapshot is the compiled, immutable side of estimation.
-type snapshot struct {
-	plan   *made.Plan
-	cfg    made.PlanConfig // how plan was compiled
-	merged *mergedMPSN     // the fused MPSN encoder, built by Merge; nil without
+// encoder is the predicate side of a model: it turns queries into specs and
+// specs into network input rows. A Model trains its own; a Snapshot holds a
+// frozen copy.
+type encoder struct {
+	table  *relation.Table
+	in     nn.Blocks // network input layout, one block per column
+	codecs []*valueCodec
+	encs   []*columnEncoder // direct mode (MPSNNone)
+	mpsns  []MPSN           // MPSN mode
+	mpsnMu *sync.Mutex      // one per-column MPSN encode at a time
 }
 
-// pass is one estimate chunk's scratch.
-type pass struct {
-	specs  []Spec
-	x      tensor.Matrix
-	needed [][]int32 // per query: the constrained blocks
-	plan   made.Scratch
-	merged mergedScratch
+// freeze copies e for a snapshot. Codecs are copied with their embedding
+// weights and without gradients, so later training does not reach the copy;
+// the per-column MPSNs stay shared, behind the same mutex.
+func (e *encoder) freeze() encoder {
+	f := *e
+	f.codecs = make([]*valueCodec, len(e.codecs))
+	for i, vc := range e.codecs {
+		f.codecs[i] = vc.freeze()
+	}
+	if e.encs != nil {
+		f.encs = make([]*columnEncoder, len(e.encs))
+		for i := range f.encs {
+			f.encs[i] = newColumnEncoder(f.codecs[i])
+		}
+	}
+	return f
 }
 
 // NewModel builds an untrained Duet model for t.
 func NewModel(t *relation.Table, cfg Config) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := t.NumCols()
-	m := &Model{table: t, cfg: cfg}
+	m := &Model{encoder: encoder{table: t, mpsnMu: new(sync.Mutex)}, cfg: cfg}
 	m.codecs = make([]*valueCodec, n)
 	inBlocks := make([]int, n)
 	outBlocks := make([]int, n)
@@ -144,6 +155,7 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 		InBlocks: inBlocks, OutBlocks: outBlocks,
 		Hidden: cfg.Hidden, Residual: cfg.Residual, Seed: cfg.Seed + 1,
 	})
+	m.in = m.net.In
 	for _, vc := range m.codecs {
 		m.params = append(m.params, vc.params()...)
 	}
@@ -151,12 +163,6 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 		m.params = append(m.params, mp.Params()...)
 	}
 	m.params = append(m.params, m.net.Params()...)
-	maxOut := slices.Max(outBlocks)
-	m.passes.New = func() any { return new(pass) }
-	m.probsPool.New = func() any {
-		s := make([]float32, maxOut)
-		return &s
-	}
 	return m
 }
 
@@ -182,14 +188,14 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 // buf is resized (keeping capacity) and fully overwritten, so the serving
 // hot path encodes micro-batches without allocating; Forward passes a new
 // matrix every call, because the first layer keeps its input for backward.
-func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
+func (e *encoder) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
-	x := buf.Resize(b, m.net.In.Tot)
-	if m.cfg.MPSN == MPSNNone {
+	x := buf.Resize(b, e.in.Tot)
+	if e.encs != nil {
 		for r, spec := range specs {
 			row := x.Row(r)
-			for i, enc := range m.encs {
-				dst := m.net.In.Slice(row, i)
+			for i, enc := range e.encs {
+				dst := e.in.Slice(row, i)
 				if len(spec[i]) == 0 {
 					enc.encodeWildcard(dst)
 				} else {
@@ -201,21 +207,21 @@ func (m *Model) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 		return x
 	}
 	// The MPSNs' layers cache the activations of their last forward.
-	m.mpsnMu.Lock()
-	defer m.mpsnMu.Unlock()
-	for i, mp := range m.mpsns {
+	e.mpsnMu.Lock()
+	defer e.mpsnMu.Unlock()
+	for i, mp := range e.mpsns {
 		sets := make([]PredSet, b)
-		encW := predEncWidth(m.codecs[i])
+		encW := predEncWidth(e.codecs[i])
 		for r, spec := range specs {
 			for _, p := range spec[i] {
-				e := make([]float32, encW)
-				encodePred(e, m.codecs[i], p.Op, p.Code)
-				sets[r] = append(sets[r], e)
+				v := make([]float32, encW)
+				encodePred(v, e.codecs[i], p.Op, p.Code)
+				sets[r] = append(sets[r], v)
 			}
 		}
 		out := mp.Forward(sets)
 		for r := 0; r < b; r++ {
-			copy(m.net.In.Slice(x.Row(r), i), out.Row(r))
+			copy(e.in.Slice(x.Row(r), i), out.Row(r))
 		}
 	}
 	return x
@@ -270,14 +276,14 @@ func (m *Model) backward(specs []Spec, dLogits *tensor.Matrix) {
 // collapsed to the canonical predicate of their intersection interval (the
 // probability mask still uses the exact interval, so only the conditioning
 // of later columns is approximated; MPSN mode conditions on all predicates).
-func (m *Model) SpecFromQuery(q workload.Query) Spec {
-	n := m.table.NumCols()
+func (e *encoder) SpecFromQuery(q workload.Query) Spec {
+	n := e.table.NumCols()
 	spec := make(Spec, n)
 	for _, p := range q.Preds {
 		spec[p.Col] = append(spec[p.Col], ColPred{Op: p.Op, Code: p.Code})
 	}
-	if m.cfg.MPSN == MPSNNone {
-		ivs := q.ColumnIntervals(m.table)
+	if e.encs != nil {
+		ivs := q.ColumnIntervals(e.table)
 		for i := range spec {
 			if len(spec[i]) <= 1 {
 				continue
@@ -313,29 +319,99 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 	var out [1]float64
 	var encoded time.Time
 	t0 := time.Now()
-	m.estimate(out[:], []workload.Query{q}, &encoded)
+	m.current().estimate(out[:], []workload.Query{q}, &encoded)
 	return out[0], encoded.Sub(t0).Nanoseconds(), time.Since(encoded).Nanoseconds()
 }
 
-// EstimateCardBatch estimates every query through a packed inference plan
+// EstimateCardBatch estimates every query on the model's published snapshot
+// (Snapshot.EstimateCardBatch). It is safe for concurrent use, but not
+// alongside Train or FineTune on the same model.
+func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
+	return m.current().EstimateCardBatch(qs)
+}
+
+// current returns the published snapshot. When none is published yet it
+// compiles one and installs it, unless another caller installed one first.
+func (m *Model) current() *Snapshot {
+	if s := m.snap.Load(); s != nil {
+		return s
+	}
+	m.snap.CompareAndSwap(nil, m.Compile(made.PlanConfig{}))
+	return m.snap.Load()
+}
+
+// publish compiles the current weights and installs the result.
+func (m *Model) publish() { m.snap.Store(m.Compile(made.PlanConfig{})) }
+
+// WarmPlan compiles the packed inference plan now, if none is published,
+// instead of on the first estimate, and reports its resident weight bytes.
+func (m *Model) WarmPlan() int { return m.current().WeightBytes() }
+
+// Snapshot is a compiled, immutable estimator: what Algorithm 3's single
+// forward pass reads, and nothing training needs. It holds the packed plan,
+// the table, the input and output block layouts, frozen value codecs and the
+// MPSN encoder: the fused network after Merge, else the model's per-column
+// nets behind the mutex it shares with the model. It holds no pointer to the
+// Model, its MADE net or its parameters, so whoever serves one (a registry
+// generation, the model's own estimates) keeps no training state resident.
+type Snapshot struct {
+	encoder
+	plan   *made.Plan
+	out    nn.Blocks   // logit layout, one block per column
+	merged *mergedMPSN // the fused MPSN encoder; nil unless the model was merged
+	passes sync.Pool   // *pass, one per estimate chunk in flight
+	probs  sync.Pool   // per-worker softmax scratch for masking
+}
+
+// pass is one estimate chunk's scratch.
+type pass struct {
+	specs  []Spec
+	x      tensor.Matrix
+	needed [][]int32 // per query: the constrained blocks
+	plan   made.Scratch
+	merged mergedScratch
+}
+
+// Compile builds a snapshot of the model's current weights, with the plan
+// compiled under cfg (int8 weights, for one) and, after Merge, the fused MPSN
+// encoder. The model is not modified: its own estimates keep the f32
+// snapshot it publishes, and snapshots under different configs serve side by
+// side. Compile reads the weights, so it must not race with training.
+func (m *Model) Compile(cfg made.PlanConfig) *Snapshot {
+	s := &Snapshot{encoder: m.encoder.freeze(), plan: made.NewPlan(m.net, cfg), out: m.net.Out}
+	if m.fused.Load() {
+		s.merged = m.fuse()
+	}
+	maxOut := slices.Max(s.out.Len)
+	s.passes.New = func() any { return new(pass) }
+	s.probs.New = func() any {
+		p := make([]float32, maxOut)
+		return &p
+	}
+	return s
+}
+
+// WeightBytes reports the packed plan's resident weight bytes.
+func (s *Snapshot) WeightBytes() int { return s.plan.WeightBytes() }
+
+// EstimateCardBatch estimates every query through the packed inference plan
 // (made.Plan): all specs are encoded into a single input matrix, a
 // sparsity-packed forward computes only the logit blocks each query's
 // masked product will read, and the per-row masked products run in
-// parallel. Planned results match the training-time layer stack (Forward) up
-// to floating-point summation order; they are bitwise deterministic and
-// independent of batch composition (every kernel processes rows
-// independently in a fixed order) and of which pooled scratch ran them, so
-// callers may batch opportunistically without changing estimates.
+// parallel. Planned results match the training-time layer stack
+// (Model.Forward) up to floating-point summation order; they are bitwise
+// deterministic and independent of batch composition (every kernel processes
+// rows independently in a fixed order) and of which pooled scratch ran them,
+// so callers may batch opportunistically without changing estimates.
 //
-// It is safe for concurrent use, but not alongside Train or FineTune on the
-// same model (see Model). Scratch comes from a pool, so steady-state
+// It is safe for concurrent use. Scratch comes from a pool, so steady-state
 // estimation does not allocate matrices; chunks of 256 queries bound it.
-func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
+func (s *Snapshot) EstimateCardBatch(qs []workload.Query) []float64 {
 	const chunk = 256
 	out := make([]float64, len(qs))
 	for off := 0; off < len(qs); off += chunk {
 		end := min(off+chunk, len(qs))
-		m.estimate(out[off:end], qs[off:end], nil)
+		s.estimate(out[off:end], qs[off:end], nil)
 	}
 	return out
 }
@@ -343,38 +419,37 @@ func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 // estimate is the inference path every estimate takes: encode, planned
 // forward, masked product, one cardinality per query into out. encoded, when
 // non-nil, receives the time encoding finished.
-func (m *Model) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
-	snap := m.current()
-	ps := m.passes.Get().(*pass)
-	defer m.passes.Put(ps)
+func (s *Snapshot) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
+	ps := s.passes.Get().(*pass)
+	defer s.passes.Put(ps)
 	specs := ps.specs[:0]
 	for _, q := range qs {
-		specs = append(specs, m.SpecFromQuery(q))
+		specs = append(specs, s.SpecFromQuery(q))
 	}
 	ps.specs = specs[:0]
 	var x *tensor.Matrix
-	if snap.merged != nil {
+	if s.merged != nil {
 		// The fused MPSN encoder is single-row; run it per query.
-		x = ps.x.Resize(len(qs), m.net.In.Tot)
+		x = ps.x.Resize(len(qs), s.in.Tot)
 		for r, spec := range specs {
-			snap.merged.encode(m, &ps.merged, spec, x.Row(r))
+			s.merged.encode(&s.encoder, &ps.merged, spec, x.Row(r))
 		}
 	} else {
-		x = m.encodeBatch(specs, &ps.x)
+		x = s.encodeBatch(specs, &ps.x)
 	}
 	if encoded != nil {
 		*encoded = time.Now()
 	}
 	// The masked product reads only constrained columns' logit blocks, so
 	// the plan computes exactly those per row.
-	logits := snap.plan.Run(&ps.plan, x, ps.neededBlocks(qs))
-	rows := float64(m.table.NumRows())
+	logits := s.plan.Run(&ps.plan, x, ps.neededBlocks(qs))
+	rows := float64(s.table.NumRows())
 	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
-		probs := m.probsPool.Get().(*[]float32)
+		probs := s.probs.Get().(*[]float32)
 		for r := lo; r < hi; r++ {
-			out[r] = m.maskedProduct(*probs, logits.Row(r), qs[r]) * rows
+			out[r] = s.maskedProduct(*probs, logits.Row(r), qs[r]) * rows
 		}
-		m.probsPool.Put(probs)
+		s.probs.Put(probs)
 	})
 }
 
@@ -396,61 +471,15 @@ func (ps *pass) neededBlocks(qs []workload.Query) [][]int32 {
 	return ps.needed[:len(qs)]
 }
 
-// current returns the published snapshot. When none is published yet it
-// compiles one from the current weights under the default plan config and
-// installs it, unless another caller installed one first.
-func (m *Model) current() *snapshot {
-	if s := m.snap.Load(); s != nil {
-		return s
-	}
-	m.snap.CompareAndSwap(nil, &snapshot{plan: made.NewPlan(m.net, made.PlanConfig{})})
-	return m.snap.Load()
-}
-
-// publish compiles the current weights under cfg and installs the result,
-// keeping the published merged encoder.
-func (m *Model) publish(cfg made.PlanConfig) {
-	next := &snapshot{plan: made.NewPlan(m.net, cfg), cfg: cfg}
-	if old := m.snap.Load(); old != nil {
-		next.merged = old.merged
-	}
-	m.snap.Store(next)
-}
-
-// SetPlanConfig selects how the packed inference plan is compiled (e.g.
-// int8 weight quantization); a change compiles and publishes a new plan.
-// The setting is serving configuration, not model state: Save does not
-// persist it, and the registry re-applies it from the manifest after every
-// load.
-func (m *Model) SetPlanConfig(cfg made.PlanConfig) {
-	if cfg != m.PlanConfig() {
-		m.publish(cfg)
-	}
-}
-
-// PlanConfig returns the current plan compilation setting.
-func (m *Model) PlanConfig() made.PlanConfig {
-	if s := m.snap.Load(); s != nil {
-		return s.cfg
-	}
-	return made.PlanConfig{}
-}
-
-// WarmPlan compiles the packed inference plan now, if none is published,
-// instead of on the first estimate, and reports its resident weight bytes.
-// The registry warms plans at install time so the first estimate after an
-// add, reload or swap does not pay compilation latency.
-func (m *Model) WarmPlan() int { return m.current().plan.WeightBytes() }
-
 // maskedProduct computes Π_i Σ_{v∈I_i} P(C_i = v | ·) over the constrained
 // columns, the core of Algorithm 3. scratch is caller-supplied softmax
 // storage (len ≥ the largest column NDV), so masking can run on multiple
 // rows concurrently with per-worker buffers.
-func (m *Model) maskedProduct(scratch []float32, logitRow []float32, q workload.Query) float64 {
-	ivs := q.ColumnIntervals(m.table)
-	mask := q.ConstrainedMask(m.table.NumCols())
+func (s *Snapshot) maskedProduct(scratch []float32, logitRow []float32, q workload.Query) float64 {
+	ivs := q.ColumnIntervals(s.table)
+	mask := q.ConstrainedMask(s.table.NumCols())
 	sel := 1.0
-	for i := range m.table.Cols {
+	for i := range s.table.Cols {
 		if !mask[i] {
 			continue // unconstrained columns integrate to 1
 		}
@@ -458,7 +487,7 @@ func (m *Model) maskedProduct(scratch []float32, logitRow []float32, q workload.
 		if iv.Empty() {
 			return 0
 		}
-		seg := m.net.Out.Slice(logitRow, i)
+		seg := s.out.Slice(logitRow, i)
 		sel *= min(max(nn.IntervalMass(scratch[:len(seg)], seg, iv.Lo, iv.Hi), 1e-12), 1)
 	}
 	return sel
@@ -478,8 +507,8 @@ func (m *Model) Save(w io.Writer) error {
 	return nn.SaveParams(w, m.params)
 }
 
-// Load reads a model saved by Save, rebuilding it against t (whose NDV
-// profile must match the saved one).
+// Load reads a model saved by Save, rebuilding it against t, whose NDV
+// profile must match the saved one (EncodingCompatible).
 func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	// The stream holds two consecutive gob messages (header, then params)
 	// read by separate decoders. gob wraps a reader that is not an
@@ -491,18 +520,52 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	if err := gob.NewDecoder(br).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("core: load model header: %w", err)
 	}
-	ndvs := t.NDVs()
-	if len(ndvs) != len(blob.NDVs) {
-		return nil, fmt.Errorf("core: model has %d columns, table has %d", len(blob.NDVs), len(ndvs))
-	}
-	for i := range ndvs {
-		if ndvs[i] != blob.NDVs[i] {
-			return nil, fmt.Errorf("core: column %d NDV mismatch: model %d, table %d", i, blob.NDVs[i], ndvs[i])
-		}
+	if err := EncodingCompatible(blob.NDVs, t); err != nil {
+		return nil, err
 	}
 	m := NewModel(t, blob.Cfg)
 	if err := nn.LoadParams(br, m.params); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// EncodingCompatible reports whether weights trained on a table with the
+// per-column NDV profile ndvs can serve t: the column count and every NDV
+// must match, because every value encoding, MPSN input width, and output
+// logit block is sized by the dictionary. nil means appended rows introduced
+// no fresh dictionary values, so a model can be loaded or cloned onto the
+// grown table and fine-tuned; an error names the first grown column, and the
+// caller must train a fresh model instead.
+//
+// The check is structural (NDV equality). Under the append-only ingest path
+// that is exact: relation.AppendRows only ever adds dictionary values, so an
+// unchanged NDV implies an unchanged dictionary.
+func EncodingCompatible(ndvs []int, t *relation.Table) error {
+	now := t.NDVs()
+	if len(now) != len(ndvs) {
+		return fmt.Errorf("core: model has %d columns, table %q has %d", len(ndvs), t.Name, len(now))
+	}
+	for i := range now {
+		if now[i] != ndvs[i] {
+			return fmt.Errorf("core: column %d (%s) NDV changed %d -> %d; the dictionary grew and the trained encodings no longer cover it",
+				i, t.Cols[i].Name, ndvs[i], now[i])
+		}
+	}
+	return nil
+}
+
+// CloneFor returns a new model over t with this model's configuration and
+// weights: Save into a buffer, then Load against t, so a clone is checked
+// exactly as a model file is. It is the substrate of the lifecycle fine-tune
+// path: clone the served model onto the grown table, FineTune the clone on
+// observed feedback, and hot-swap it in while the original keeps serving.
+// CloneFor only reads parameter values, which inference never writes, so it
+// is safe while the source serves; it must not race with training on it.
+func (m *Model) CloneFor(t *relation.Table) (*Model, error) {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		return nil, err
+	}
+	return Load(&buf, t)
 }

@@ -27,18 +27,15 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 	f32 := append([]float64(nil), m.EstimateCardBatch(qs)...)
 	f32Bytes := m.WarmPlan()
 
-	m.SetPlanConfig(made.PlanConfig{Quantize: true})
-	if got := m.PlanConfig(); !got.Quantize {
-		t.Fatal("PlanConfig not updated")
-	}
-	qBytes := m.WarmPlan()
+	q8 := m.Compile(made.PlanConfig{Quantize: true})
+	qBytes := q8.WeightBytes()
 	if qBytes <= 0 || f32Bytes <= 0 {
 		t.Fatalf("weight bytes f32=%d int8=%d", f32Bytes, qBytes)
 	}
 	if ratio := float64(f32Bytes) / float64(qBytes); ratio < 3 {
 		t.Fatalf("int8 plan only %.2fx smaller (f32=%dB int8=%dB), want >= 3x", ratio, f32Bytes, qBytes)
 	}
-	quant := m.EstimateCardBatch(qs)
+	quant := q8.EstimateCardBatch(qs)
 	for i := range f32 {
 		hi, lo := f32[i], quant[i]
 		if hi < lo {
@@ -52,16 +49,15 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 	}
 	// Batch composition independence holds for the quantized plan too.
 	for _, i := range []int{0, 7, len(qs) - 1} {
-		if got := m.EstimateCardBatch(qs[i : i+1])[0]; got != quant[i] {
+		if got := q8.EstimateCardBatch(qs[i : i+1])[0]; got != quant[i] {
 			t.Fatalf("query %d: singleton quantized batch %v vs batch %v", i, got, quant[i])
 		}
 	}
-	// Switching back publishes a recompiled f32 plan.
-	m.SetPlanConfig(made.PlanConfig{})
+	// Compiling the int8 snapshot left the model's own f32 plan in place.
 	back := m.EstimateCardBatch(qs)
 	for i := range f32 {
 		if back[i] != f32[i] {
-			t.Fatalf("query %d: plan did not restore f32 behavior: %v vs %v", i, back[i], f32[i])
+			t.Fatalf("query %d: the model's estimate moved from %v to %v", i, f32[i], back[i])
 		}
 	}
 
@@ -83,16 +79,16 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 		for i, lq := range labeled {
 			qs[i] = lq.Query
 		}
-		medianQErr := func() float64 {
+		medianQErr := func(b batchEstimator) float64 {
 			errs := make([]float64, len(qs))
-			for i, est := range m.EstimateCardBatch(qs) {
+			for i, est := range b.EstimateCardBatch(qs) {
 				errs[i] = workload.QError(est, float64(labeled[i].Card))
 			}
 			return workload.Summarize(errs).Median
 		}
-		f32Bytes, f32Med := m.WarmPlan(), medianQErr()
-		m.SetPlanConfig(made.PlanConfig{Quantize: true})
-		qBytes, qMed := m.WarmPlan(), medianQErr()
+		q8 := m.Compile(made.PlanConfig{Quantize: true})
+		f32Bytes, f32Med := m.WarmPlan(), medianQErr(m)
+		qBytes, qMed := q8.WeightBytes(), medianQErr(q8)
 		if ratio := float64(f32Bytes) / float64(qBytes); ratio < 3 {
 			t.Fatalf("int8 plan only %.2fx smaller (f32=%dB int8=%dB), want >= 3x", ratio, f32Bytes, qBytes)
 		}
@@ -101,19 +97,4 @@ func TestQuantizedPlanAccuracyAndSize(t *testing.T) {
 		}
 		t.Logf("plan bytes %d -> %d, median q-error %.4f -> %.4f", f32Bytes, qBytes, f32Med, qMed)
 	})
-}
-
-// TestQuantizedPlanSurvivesClone: serving config (the plan mode) travels
-// with CloneFor, so lifecycle retrains keep serving the tier operators chose.
-func TestQuantizedPlanSurvivesClone(t *testing.T) {
-	tbl := tinyTable(120)
-	m := NewModel(tbl, tinyConfig())
-	m.SetPlanConfig(made.PlanConfig{Quantize: true})
-	c, err := m.CloneFor(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.PlanConfig().Quantize {
-		t.Fatal("clone dropped the quantized plan config")
-	}
 }

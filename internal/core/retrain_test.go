@@ -23,7 +23,7 @@ func TestCloneForCopiesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodingCompatible(m, grown); err != nil {
+	if err := EncodingCompatible(tbl.NDVs(), grown); err != nil {
 		t.Fatalf("append without fresh values must stay compatible: %v", err)
 	}
 	clone, err := m.CloneFor(grown)
@@ -56,7 +56,7 @@ func TestEncodingCompatibleRejectsGrownDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodingCompatible(m, grown); err == nil {
+	if err := EncodingCompatible(tbl.NDVs(), grown); err == nil {
 		t.Fatal("grown dictionary reported compatible")
 	}
 	if _, err := m.CloneFor(grown); err == nil {

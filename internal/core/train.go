@@ -170,7 +170,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 			s.TuplesPerSec = float64(nRows) / sec
 		}
 		history = append(history, s)
-		m.publish(m.PlanConfig())
+		m.publish()
 		if cfg.OnEpoch != nil && !cfg.OnEpoch(epoch, s) {
 			break
 		}

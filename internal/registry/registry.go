@@ -16,8 +16,10 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"sort"
@@ -78,17 +80,22 @@ func (s JoinSpec) Clause() workload.JoinClause {
 func (s JoinSpec) String() string { return s.Clause().String() }
 
 // generation is one immutable serving state of a registered model, plus the
-// count of requests pinned to it. Pins are taken under the read lock and
-// install swaps the generation out under the write lock, so no pin is added
-// after it leaves its entry and pins.Wait observes a draining set.
+// count of requests pinned to it. It holds no training state: the engine
+// serves a core.Snapshot compiled under the entry's quant mode, and the
+// model's Save bytes are what SaveModel writes and CloneModelFor loads, so a
+// lifecycle fine-tune starts from exactly the weights that serve. Pins are
+// taken under the read lock and install swaps the generation out under the
+// write lock, so no pin is added after it leaves its entry and pins.Wait
+// observes a draining set.
 type generation struct {
-	table     *relation.Table // predicate codes resolve against its dictionaries
-	graph     *graphView      // nil unless the entry is a join-graph view
-	model     *core.Model
-	est       *serve.Estimator
-	planBytes int
-	estSec    *obs.Histogram // the entry's, continuous across generations
-	pins      sync.WaitGroup
+	table      *relation.Table // predicate codes resolve against its dictionaries
+	graph      *graphView      // nil unless the entry is a join-graph view
+	artifact   []byte          // the model's Save bytes
+	est        *serve.Estimator
+	planBytes  int
+	modelBytes int64
+	estSec     *obs.Histogram // the entry's, continuous across generations
+	pins       sync.WaitGroup
 }
 
 // release drops one pin.
@@ -99,7 +106,7 @@ type entry struct {
 	name     string
 	join     *JoinSpec // non-nil for legacy two-table join views
 	serveCfg serve.Config
-	quant    string // plan weight representation ("" f32, "int8"); re-applied to every generation
+	quant    string // plan weight representation ("" f32, "int8"); every generation is compiled under it
 
 	// gen is written holding both reloadMu and Registry.mu, so either one
 	// suffices to read it. The model file ("" for purely in-memory models;
@@ -204,28 +211,15 @@ type AddOpts struct {
 	// Quant selects the packed-plan weight representation: "" (float32) or
 	// "int8" (per-span symmetric quantization, ~4x smaller resident plan,
 	// estimates approximate the f32 plan's). It is serving configuration,
-	// not part of the model artifact: reloads and lifecycle swaps re-apply
-	// it to each incoming generation, and the plan is warmed at install so
-	// the first estimate never pays plan-compile latency.
+	// not part of the model artifact: every generation, reloads and
+	// lifecycle swaps included, compiles its own snapshot under it before
+	// install, so the first estimate never pays plan-compile latency. The
+	// caller's model is not modified.
 	Quant string
 }
 
 // QuantInt8 is the AddOpts.Quant / manifest value selecting the int8 plan.
 const QuantInt8 = "int8"
-
-// applyPlanQuant validates a quant mode, applies it to the model's serving
-// plan config, and warms the packed plan, returning its resident weight
-// bytes. It runs before a generation is published, so concurrent readers
-// always see a fully built plan.
-func applyPlanQuant(m *core.Model, quant string) (int, error) {
-	switch quant {
-	case "", QuantInt8:
-	default:
-		return 0, fmt.Errorf("registry: unknown quant mode %q (want \"\" or %q)", quant, QuantInt8)
-	}
-	m.SetPlanConfig(made.PlanConfig{Quantize: quant == QuantInt8})
-	return m.WarmPlan(), nil
-}
 
 // Add registers a model for table t under name. With a non-nil model the
 // weights are taken as-is (in-memory; pass Path to make it reloadable from a
@@ -348,17 +342,31 @@ func (r *Registry) registerLocked(e *entry) error {
 	return nil
 }
 
-// newGeneration checks that m can serve, applies e's plan quant mode, warms
-// the plan and starts the engine: readers only ever see a built generation.
+// newGeneration checks that m can serve, saves its weights, compiles its
+// snapshot under e's quant mode and starts the engine: readers only ever see
+// a built generation. m is not modified, and the generation keeps no pointer
+// to it.
 func newGeneration(e *entry, t *relation.Table, graph *graphView, m *core.Model) (*generation, error) {
 	if err := m.Servable(); err != nil {
 		return nil, err
 	}
-	planBytes, err := applyPlanQuant(m, e.quant)
-	if err != nil {
-		return nil, err
+	if e.quant != "" && e.quant != QuantInt8 {
+		return nil, fmt.Errorf("registry: unknown quant mode %q (want \"\" or %q)", e.quant, QuantInt8)
 	}
-	return &generation{table: t, graph: graph, model: m, est: serve.New(m, e.serveCfg), planBytes: planBytes, estSec: e.estSec}, nil
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	snap := m.Compile(made.PlanConfig{Quantize: e.quant == QuantInt8})
+	return &generation{
+		table:      t,
+		graph:      graph,
+		artifact:   bytes.Clone(buf.Bytes()), // drops the buffer's growth slack
+		est:        serve.New(snap, e.serveCfg),
+		planBytes:  snap.WeightBytes(),
+		modelBytes: m.SizeBytes(),
+		estSec:     e.estSec,
+	}, nil
 }
 
 // baseTablesLocked looks up the base tables graph views anchor exact join
@@ -385,7 +393,7 @@ func (r *Registry) baseTablesLocked(names []string) map[string]*relation.Table {
 	return base
 }
 
-// SaveModel persists a model's current weights to its file (the Path it was
+// SaveModel persists the weights a model serves to its file (the Path it was
 // registered with, or <Dir>/<name>.duet) atomically, creating parent
 // directories as needed, and returns the path written. Saving an in-memory
 // model makes it file-backed: the written file becomes its reload and watch
@@ -402,7 +410,10 @@ func (r *Registry) SaveModel(name string) (string, error) {
 	if path == "" {
 		path = artifact.Dir(r.cfg.Dir).Path(name)
 	}
-	if err := artifact.Save(path, g.model); err != nil {
+	if err := artifact.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(g.artifact)
+		return err
+	}); err != nil {
 		return "", err
 	}
 	sig, err := artifact.Stat(path)
@@ -485,17 +496,18 @@ func (r *Registry) Info() []ModelInfo {
 	for _, e := range r.entries {
 		g := e.gen
 		mi := ModelInfo{
-			Name:      e.name,
-			Table:     g.table.Name,
-			Rows:      g.table.NumRows(),
-			Columns:   g.table.NumCols(),
-			Join:      e.join,
-			Path:      e.path,
-			Quant:     e.quant,
-			PlanBytes: g.planBytes,
-			Reloads:   e.reloads.Value(),
-			Swaps:     e.swaps.Value(),
-			Version:   int(e.version.Value()),
+			Name:       e.name,
+			Table:      g.table.Name,
+			Rows:       g.table.NumRows(),
+			Columns:    g.table.NumCols(),
+			Join:       e.join,
+			Path:       e.path,
+			Quant:      e.quant,
+			PlanBytes:  g.planBytes,
+			ModelBytes: g.modelBytes,
+			Reloads:    e.reloads.Value(),
+			Swaps:      e.swaps.Value(),
+			Version:    int(e.version.Value()),
 		}
 		if g.graph != nil {
 			spec := g.graph.spec
@@ -509,7 +521,6 @@ func (r *Registry) Info() []ModelInfo {
 	}
 	r.mu.RUnlock()
 	for i, g := range gens {
-		out[i].ModelBytes = g.model.SizeBytes()
 		out[i].Serve = g.est.Stats()
 		if pinned {
 			g.release()
@@ -675,18 +686,19 @@ func (r *Registry) SwapModel(name string, m *core.Model, opts SwapOpts) error {
 	return r.install(e, next, e.swaps, opts, sig)
 }
 
-// CloneModelFor pins the named model's current generation and clones it onto
-// t (core.Model.CloneFor): the read-only weight copy a lifecycle fine-tune
-// starts from. The clone shares no state with the serving model; the error
-// reports encoding incompatibility when t's dictionaries grew past the
-// trained profile, which is the signal to train a fresh model instead.
+// CloneModelFor loads the weights the named model's current generation
+// serves onto t: the training copy a lifecycle fine-tune starts from. The
+// clone shares no state with the serving generation; the error reports
+// encoding incompatibility (core.EncodingCompatible) when t's dictionaries
+// grew past the trained profile, which is the signal to train a fresh model
+// instead.
 func (r *Registry) CloneModelFor(name string, t *relation.Table) (*core.Model, error) {
 	_, g, err := r.acquire(name)
 	if err != nil {
 		return nil, err
 	}
 	defer g.release()
-	return g.model.CloneFor(t)
+	return core.Load(bytes.NewReader(g.artifact), t)
 }
 
 // Close stops the watcher and drains and closes every estimator. Subsequent

@@ -47,10 +47,11 @@ import (
 	"duet/internal/workload"
 )
 
-// Backend answers a batch of queries with one forward pass. core.Model
-// implements it and is safe for concurrent use; other backends need not be.
-// The engine serializes every call either way, and turns a panic in one
-// into ErrBackendPanic for the calls of that pass.
+// Backend answers a batch of queries with one forward pass. core.Snapshot,
+// what a registry generation serves, implements it, as does core.Model
+// through the snapshot it publishes; both are safe for concurrent use, other
+// backends need not be. The engine serializes every call either way, and
+// turns a panic in one into ErrBackendPanic for the calls of that pass.
 type Backend interface {
 	EstimateCardBatch(qs []workload.Query) []float64
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // matmulGrain is the minimum number of output rows per goroutine chunk.
 const matmulGrain = 8
@@ -20,7 +23,7 @@ const (
 )
 
 // packPool recycles the per-worker pack scratch of gemmAccum.
-var packPool Pool
+var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // gemmAccum is the cache-blocked GEMM driver behind Mul, MulBT and MulATAdd:
 //
@@ -69,7 +72,7 @@ func gemmAccum(m, n, kn int, a []float32, ras, kas int, b []float32, kbs, jbs in
 			p0 = lo
 		}
 		pRows := thi*tm - p0
-		s := packPool.Get(1, kc*(tn+pRows)+tm*tn)
+		s := packPool.Get().(*Matrix).Resize(1, kc*(tn+pRows)+tm*tn)
 		defer packPool.Put(s)
 		bp, ap, ct := s.Data[:kc*tn], s.Data[kc*tn:kc*(tn+pRows)], s.Data[kc*(tn+pRows):]
 		clear(ct)

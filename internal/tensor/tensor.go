@@ -53,6 +53,26 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
+// Resize reshapes m to rows×cols in place, reusing the underlying storage
+// when its capacity suffices and allocating otherwise. The element contents
+// after a resize are unspecified (retained storage is not cleared); callers
+// must fully overwrite the matrix, which every forward kernel in this
+// repository does. Resize is what lets serving reuse one scratch matrix
+// across micro-batches of varying size without per-request allocation.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic("tensor: Resize to negative dimensions")
+	}
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float32, n)
+	} else {
+		m.Data = m.Data[:n]
+	}
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
 // Zero sets every element to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
