@@ -380,7 +380,7 @@ type pass struct {
 func (m *Model) Compile(cfg made.PlanConfig) *Snapshot {
 	s := &Snapshot{encoder: m.encoder.freeze(), plan: made.NewPlan(m.net, cfg), out: m.net.Out}
 	if m.fused.Load() {
-		s.merged = m.fuse()
+		s.merged, s.mpsns = m.fuse(), nil
 	}
 	maxOut := slices.Max(s.out.Len)
 	s.passes.New = func() any { return new(pass) }
