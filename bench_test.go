@@ -67,10 +67,6 @@ func BenchmarkFig9HybridConv(b *testing.B) { runExp(b, "fig9") }
 // BenchmarkAblationMu sweeps the expand coefficient µ of Algorithm 1.
 func BenchmarkAblationMu(b *testing.B) { runExp(b, "ablation-mu") }
 
-// BenchmarkAblationMergedMPSN compares per-column vs merged block-diagonal
-// MPSN inference.
-func BenchmarkAblationMergedMPSN(b *testing.B) { runExp(b, "ablation-merge") }
-
 // BenchmarkAblationEncoding compares value-encoding strategies.
 func BenchmarkAblationEncoding(b *testing.B) { runExp(b, "ablation-enc") }
 

@@ -46,7 +46,7 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "fig3", "fig4", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "ablation-mu", "ablation-merge",
+		"fig6", "fig7", "fig8", "fig9", "ablation-mu",
 		"ablation-enc", "ablation-stability"}
 	got := Experiments()
 	if len(got) != len(want) {

@@ -26,7 +26,6 @@ func Experiments() []Experiment {
 		{"fig8", "Figure 8: convergence on random queries", Fig8},
 		{"fig9", "Figure 9: convergence on in-workload queries", Fig9},
 		{"ablation-mu", "Ablation: expand coefficient mu", AblationMu},
-		{"ablation-merge", "Ablation: merged block-diagonal MPSN", AblationMergedMPSN},
 		{"ablation-enc", "Ablation: value encoding strategies", AblationEncoding},
 		{"ablation-stability", "Ablation: estimate stability across RNG states (Problem 4)", AblationStability},
 	}

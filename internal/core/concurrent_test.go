@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"duet/internal/exec"
 	"duet/internal/made"
 	"duet/internal/workload"
 )
@@ -57,8 +59,8 @@ func concurrencyFixture() (Config, Config, TrainConfig) {
 // TestEstimateConcurrent: estimates from 8 goroutines at once on one model,
 // or on one int8 snapshot of it, are bitwise what a serial run gives,
 // whichever pooled scratch ran them, for the direct f32 and int8 plans and
-// the MLP-MPSN merged and un-merged. Under -race it is also the check that a
-// pass writes only its own scratch.
+// the MLP-MPSN. Under -race it is also the check that a pass writes only its
+// own scratch.
 func TestEstimateConcurrent(t *testing.T) {
 	tbl := tinyTable(300)
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 17, NumQueries: 300, MinPreds: 1, MaxPreds: 3,
@@ -72,12 +74,6 @@ func TestEstimateConcurrent(t *testing.T) {
 		{"f32", direct, func(m *Model) batchEstimator { return m }},
 		{"int8", direct, func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }},
 		{"mlp-unmerged", mlp, func(m *Model) batchEstimator { return m }},
-		{"mlp-merged", mlp, func(m *Model) batchEstimator {
-			if err := m.Merge(); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			m := NewModel(tbl, k.cfg)
@@ -95,69 +91,69 @@ func TestEstimateConcurrent(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrentPlanSwitch: while 8 goroutines estimate on an MLP-MPSN
-// model, another flips it between merged and un-merged. Each answer is
-// bitwise the serial answer under one of the two: a pass runs on the snapshot
-// it loaded, never on a half-switched model. Meanwhile 8 goroutines each
-// estimate on an f32 and an int8 snapshot compiled from the same model, which
-// share its per-column MPSNs, and get exactly their serial answers.
-func TestEstimateConcurrentPlanSwitch(t *testing.T) {
+// TestEstimateConcurrentWithTraining: f32 and int8 snapshots compiled from a
+// direct and an MLP-MPSN model answer bitwise as they did when compiled
+// while Train and then FineTune run on their models, and 8 goroutines
+// estimate on every snapshot until both models are done. A snapshot shares
+// no mutable state with its model; under -race this is also the check that
+// training writes nothing a snapshot reads.
+func TestEstimateConcurrentWithTraining(t *testing.T) {
 	tbl := tinyTable(300)
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 19, NumQueries: 300, MinPreds: 1, MaxPreds: 3,
 		BoundedCol: -1, MultiPredCols: 1})
-	_, mlp, tc := concurrencyFixture()
-	m := NewModel(tbl, mlp)
-	Train(m, tc)
-	unmerged := m.EstimateCardBatch(qs)
-	if err := m.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	merged := m.EstimateCardBatch(qs)
-	m.Unmerge()
-	snaps := []*Snapshot{m.Compile(made.PlanConfig{}), m.Compile(made.PlanConfig{Quantize: true})}
-	wants := [][]float64{snaps[0].EstimateCardBatch(qs), snaps[1].EstimateCardBatch(qs)}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for merge := true; ; merge = !merge {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if !merge {
-				m.Unmerge()
-			} else if err := m.Merge(); err != nil {
-				t.Error(err)
-				return
-			}
+	labeled := exec.Label(tbl, qs[:64])
+	direct, mlp, tc := concurrencyFixture()
+	var (
+		models []*Model
+		snaps  []*Snapshot
+		wants  [][]float64
+	)
+	for _, cfg := range []Config{direct, mlp} {
+		m := NewModel(tbl, cfg)
+		Train(m, tc)
+		models = append(models, m)
+		for _, quant := range []bool{false, true} {
+			s := m.Compile(made.PlanConfig{Quantize: quant})
+			snaps = append(snaps, s)
+			wants = append(wants, s.EstimateCardBatch(qs))
 		}
+	}
+
+	var training sync.WaitGroup
+	var trained, failed atomic.Bool
+	for _, m := range models {
+		training.Add(1)
+		go func() {
+			defer training.Done()
+			more := tc
+			more.Epochs = 2
+			Train(m, more)
+			ft := DefaultFineTuneConfig()
+			ft.Steps = 20
+			FineTune(m, labeled, ft)
+		}()
+	}
+	go func() {
+		training.Wait()
+		trained.Store(true)
 	}()
 	var estimates sync.WaitGroup
 	for k, s := range snaps {
 		estimates.Add(1)
 		go func() {
 			defer estimates.Done()
-			estimateConcurrently(s, qs, func(i int, got float64) bool {
-				if math.Float64bits(got) != math.Float64bits(wants[k][i]) {
-					t.Errorf("snapshot %d, query %d: concurrent estimate %v, serial %v", k, i, got, wants[k][i])
-					return false
-				}
-				return true
-			})
+			for done := false; !done && !failed.Load(); {
+				done = trained.Load()
+				estimateConcurrently(s, qs, func(i int, got float64) bool {
+					if math.Float64bits(got) != math.Float64bits(wants[k][i]) {
+						t.Errorf("snapshot %d, query %d: estimate %v during training, %v at compile", k, i, got, wants[k][i])
+						failed.Store(true)
+					}
+					return !failed.Load()
+				})
+			}
 		}()
 	}
-	estimateConcurrently(m, qs, func(i int, got float64) bool {
-		if b := math.Float64bits(got); b != math.Float64bits(unmerged[i]) && b != math.Float64bits(merged[i]) {
-			t.Errorf("query %d: estimate %v is neither the un-merged %v nor the merged %v", i, got, unmerged[i], merged[i])
-			return false
-		}
-		return true
-	})
 	estimates.Wait()
-	close(done)
-	wg.Wait()
+	training.Wait()
 }

@@ -110,7 +110,7 @@ func (vc *valueCodec) backward(code int32, d []float32) {
 func (vc *valueCodec) freeze() *valueCodec {
 	c := *vc
 	if e := vc.embed; e != nil {
-		c.embed = &nn.Embedding{Num: e.Num, Dim: e.Dim, Table: &nn.Param{Name: e.Table.Name, W: e.Table.W.Clone()}}
+		c.embed = &nn.Embedding{Num: e.Num, Dim: e.Dim, Table: frozen(e.Table)}
 	}
 	return &c
 }

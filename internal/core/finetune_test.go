@@ -40,12 +40,6 @@ func TestEstimateCardIsBatchOfOne(t *testing.T) {
 	}{
 		{"direct", tinyConfig(), func(m *Model) batchEstimator { return m }, 1e-5},
 		{"mlp-mpsn", mlp, func(m *Model) batchEstimator { return m }, 1e-5},
-		{"merged", mlp, func(m *Model) batchEstimator {
-			if err := m.Merge(); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}, 1e-3},
 		{"int8", tinyConfig(), func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }, 0.3},
 	}
 	qs := workload.Generate(tbl, workload.GenConfig{Seed: 3, NumQueries: 600, MinPreds: 1, MaxPreds: 3,

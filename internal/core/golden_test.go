@@ -182,9 +182,7 @@ func TestGolden(t *testing.T) {
 	}
 
 	// 600 estimates per plan kind, cut into calls four ways, at one and two
-	// workers: one line per kind, and every cut must hash the same. (The
-	// fused MPSN's block-diagonal products add only exact zeros to the
-	// per-column sums, so on this model its line equals the un-merged one.)
+	// workers: one line per kind, and every cut must hash the same.
 	for _, k := range []struct {
 		name  string
 		model *Model
@@ -193,12 +191,6 @@ func TestGolden(t *testing.T) {
 		{"estimate-f32", models["direct"], func(m *Model) batchEstimator { return m }},
 		{"estimate-int8", models["direct"], func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }},
 		{"estimate-mlp-unmerged", models["mlp"], func(m *Model) batchEstimator { return m }},
-		{"estimate-mlp-merged", models["mlp"], func(m *Model) batchEstimator {
-			if err := m.Merge(); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}},
 	} {
 		est := k.setup(k.model)
 		first := ""

@@ -80,20 +80,20 @@ type Spec [][]ColPred
 //
 // An estimate reads only a Snapshot (see Compile), never the training state.
 // The model publishes its own f32 snapshot through an atomic pointer,
-// compiled on first use; Merge, Unmerge, Train (each epoch) and FineTune (on
-// return) publish a new one, and a pass in flight finishes on the one it
-// loaded, so estimation is safe for concurrent use. Training updates the
-// weights in place, and an un-merged MPSN snapshot shares the per-column nets
-// with the model, so estimating a model while Train or FineTune runs on it is
-// not supported: train a CloneFor copy, as the lifecycle does.
+// compiled on first use; Train (each epoch) and FineTune (on return) publish
+// a new one, and a pass in flight finishes on the one it loaded, so
+// estimation is safe for concurrent use. A snapshot shares no mutable state
+// with its model, so estimating on one while its model trains is safe too.
+// The model's own estimates while Train or FineTune runs on it are not
+// supported until one snapshot has been published: the first one is compiled
+// lazily, and compiling reads the weights training writes.
 type Model struct {
 	encoder
 	cfg    Config
 	net    *made.MADE
 	params []*nn.Param
 
-	fused atomic.Bool              // set by Merge: snapshots encode through the fused MPSN
-	snap  atomic.Pointer[Snapshot] // what the model's own estimates read; never reset to nil
+	snap atomic.Pointer[Snapshot] // what the model's own estimates read; never reset to nil
 }
 
 // encoder is the predicate side of a model: it turns queries into specs and
@@ -105,12 +105,11 @@ type encoder struct {
 	codecs []*valueCodec
 	encs   []*columnEncoder // direct mode (MPSNNone)
 	mpsns  []MPSN           // MPSN mode
-	mpsnMu *sync.Mutex      // one per-column MPSN encode at a time
 }
 
-// freeze copies e for a snapshot. Codecs are copied with their embedding
-// weights and without gradients, so later training does not reach the copy;
-// the per-column MPSNs stay shared, behind the same mutex.
+// freeze copies e for a snapshot. Codecs and the per-column MPSNs are copied
+// with their current weights and without gradients, so later training does
+// not reach the copy.
 func (e *encoder) freeze() encoder {
 	f := *e
 	f.codecs = make([]*valueCodec, len(e.codecs))
@@ -123,6 +122,12 @@ func (e *encoder) freeze() encoder {
 			f.encs[i] = newColumnEncoder(f.codecs[i])
 		}
 	}
+	if e.mpsns != nil {
+		f.mpsns = make([]MPSN, len(e.mpsns))
+		for i, mp := range e.mpsns {
+			f.mpsns[i] = mp.clone(frozen)
+		}
+	}
 	return f
 }
 
@@ -130,7 +135,7 @@ func (e *encoder) freeze() encoder {
 func NewModel(t *relation.Table, cfg Config) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := t.NumCols()
-	m := &Model{encoder: encoder{table: t, mpsnMu: new(sync.Mutex)}, cfg: cfg}
+	m := &Model{encoder: encoder{table: t}, cfg: cfg}
 	m.codecs = make([]*valueCodec, n)
 	inBlocks := make([]int, n)
 	outBlocks := make([]int, n)
@@ -184,11 +189,13 @@ func (m *Model) Params() []*nn.Param { return m.params }
 func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 
 // encodeBatch builds the network input for a batch of specs. In MPSN mode
-// the per-column MPSNs run first and their outputs fill the column blocks.
-// buf is resized (keeping capacity) and fully overwritten, so the serving
-// hot path encodes micro-batches without allocating; Forward passes a new
-// matrix every call, because the first layer keeps its input for backward.
-func (e *encoder) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
+// mpsns, one per column, run first and their outputs fill the column blocks;
+// they cache their activations, so no two calls may run the same ones at
+// once. buf is resized (keeping capacity) and fully overwritten, so the
+// serving hot path encodes micro-batches without allocating; Forward passes
+// a new matrix every call, because the first layer keeps its input for
+// backward.
+func (e *encoder) encodeBatch(specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
 	x := buf.Resize(b, e.in.Tot)
 	if e.encs != nil {
@@ -206,10 +213,7 @@ func (e *encoder) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 		}
 		return x
 	}
-	// The MPSNs' layers cache the activations of their last forward.
-	e.mpsnMu.Lock()
-	defer e.mpsnMu.Unlock()
-	for i, mp := range e.mpsns {
+	for i, mp := range mpsns {
 		sets := make([]PredSet, b)
 		encW := predEncWidth(e.codecs[i])
 		for r, spec := range specs {
@@ -232,7 +236,7 @@ func (e *encoder) encodeBatch(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 // compare the packed plan against. No estimate runs through it, and it
 // records nothing on the model beyond the layers' activations.
 func (m *Model) Forward(specs []Spec) *tensor.Matrix {
-	return m.net.Forward(m.encodeBatch(specs, new(tensor.Matrix)))
+	return m.net.Forward(m.encodeBatch(specs, m.mpsns, new(tensor.Matrix)))
 }
 
 // backward backpropagates the logit gradient of the last Forward, which ran
@@ -324,8 +328,8 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 }
 
 // EstimateCardBatch estimates every query on the model's published snapshot
-// (Snapshot.EstimateCardBatch). It is safe for concurrent use, but not
-// alongside Train or FineTune on the same model.
+// (Snapshot.EstimateCardBatch). It is safe for concurrent use, and alongside
+// Train or FineTune on the same model once a snapshot has been published.
 func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 	return m.current().EstimateCardBatch(qs)
 }
@@ -349,41 +353,44 @@ func (m *Model) WarmPlan() int { return m.current().WeightBytes() }
 
 // Snapshot is a compiled, immutable estimator: what Algorithm 3's single
 // forward pass reads, and nothing training needs. It holds the packed plan,
-// the table, the input and output block layouts, frozen value codecs and the
-// MPSN encoder: the fused network after Merge, else the model's per-column
-// nets behind the mutex it shares with the model. It holds no pointer to the
-// Model, its MADE net or its parameters, so whoever serves one (a registry
-// generation, the model's own estimates) keeps no training state resident.
+// the table, the input and output block layouts, frozen value codecs and
+// its own copy of the per-column MPSNs, which each pass runs a clone of. It
+// holds no pointer to the Model, its MADE net or its parameters, so whoever
+// serves one (a registry generation, the model's own estimates) keeps no
+// training state resident, and training the model never reaches it.
 type Snapshot struct {
 	encoder
 	plan   *made.Plan
-	out    nn.Blocks   // logit layout, one block per column
-	merged *mergedMPSN // the fused MPSN encoder; nil unless the model was merged
-	passes sync.Pool   // *pass, one per estimate chunk in flight
-	probs  sync.Pool   // per-worker softmax scratch for masking
+	out    nn.Blocks // logit layout, one block per column
+	passes sync.Pool // *pass, one per estimate chunk in flight
+	probs  sync.Pool // per-worker softmax scratch for masking
 }
 
 // pass is one estimate chunk's scratch.
 type pass struct {
 	specs  []Spec
 	x      tensor.Matrix
+	mpsns  []MPSN    // clones of the snapshot's MPSNs: its weights, this pass's activations
 	needed [][]int32 // per query: the constrained blocks
 	plan   made.Scratch
-	merged mergedScratch
 }
 
 // Compile builds a snapshot of the model's current weights, with the plan
-// compiled under cfg (int8 weights, for one) and, after Merge, the fused MPSN
-// encoder. The model is not modified: its own estimates keep the f32
-// snapshot it publishes, and snapshots under different configs serve side by
-// side. Compile reads the weights, so it must not race with training.
+// compiled under cfg (int8 weights, for one) and copies of the predicate
+// encoder's weights. The model is not modified: its own estimates keep the
+// f32 snapshot it publishes, and snapshots under different configs serve
+// side by side. Compile reads the weights, so it must not race with
+// training; the snapshot it returns may.
 func (m *Model) Compile(cfg made.PlanConfig) *Snapshot {
 	s := &Snapshot{encoder: m.encoder.freeze(), plan: made.NewPlan(m.net, cfg), out: m.net.Out}
-	if m.fused.Load() {
-		s.merged, s.mpsns = m.fuse(), nil
-	}
 	maxOut := slices.Max(s.out.Len)
-	s.passes.New = func() any { return new(pass) }
+	s.passes.New = func() any {
+		ps := &pass{mpsns: make([]MPSN, len(s.mpsns))}
+		for i, mp := range s.mpsns {
+			ps.mpsns[i] = mp.clone(shared)
+		}
+		return ps
+	}
 	s.probs.New = func() any {
 		p := make([]float32, maxOut)
 		return &p
@@ -427,16 +434,7 @@ func (s *Snapshot) estimate(out []float64, qs []workload.Query, encoded *time.Ti
 		specs = append(specs, s.SpecFromQuery(q))
 	}
 	ps.specs = specs[:0]
-	var x *tensor.Matrix
-	if s.merged != nil {
-		// The fused MPSN encoder is single-row; run it per query.
-		x = ps.x.Resize(len(qs), s.in.Tot)
-		for r, spec := range specs {
-			s.merged.encode(&s.encoder, &ps.merged, spec, x.Row(r))
-		}
-	} else {
-		x = s.encodeBatch(specs, &ps.x)
-	}
+	x := s.encodeBatch(specs, ps.mpsns, &ps.x)
 	if encoded != nil {
 		*encoded = time.Now()
 	}

@@ -410,44 +410,6 @@ func TestMPSNModelEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesUnmerged(t *testing.T) {
-	tbl := tinyTable(200)
-	cfg := tinyConfig()
-	cfg.MPSN = MPSNMLP
-	cfg.MPSNHidden = 16
-	cfg.MPSNOut = 8
-	m := NewModel(tbl, cfg)
-	tc := DefaultTrainConfig()
-	tc.Epochs = 2
-	tc.BatchSize = 64
-	tc.Lambda = 0
-	Train(m, tc)
-	qs := workload.Generate(tbl, workload.GenConfig{Seed: 13, NumQueries: 30, MinPreds: 1, MaxPreds: 3,
-		BoundedCol: -1, MultiPredCols: 1})
-	base := make([]float64, len(qs))
-	for i, q := range qs {
-		base[i] = m.EstimateCard(q)
-	}
-	if err := m.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		got := m.EstimateCard(q)
-		if math.Abs(got-base[i]) > 1e-3*(1+math.Abs(base[i])) {
-			t.Fatalf("merged estimate %v differs from per-column %v on %v", got, base[i], q)
-		}
-	}
-	m.Unmerge()
-	if got := m.EstimateCard(qs[0]); got != base[0] {
-		t.Fatal("Unmerge did not restore the per-column path")
-	}
-	// Merge on a non-MLP model must fail.
-	m2 := NewModel(tbl, tinyConfig())
-	if err := m2.Merge(); err == nil {
-		t.Fatal("Merge should reject non-MLP models")
-	}
-}
-
 func TestEstimateDetailBreakdown(t *testing.T) {
 	tbl := tinyTable(100)
 	m := NewModel(tbl, tinyConfig())

@@ -57,13 +57,26 @@ type PredSet [][]float32
 // MPSN embeds per-row predicate sets of one column into OutDim vectors.
 // Forward must be called before Backward; Backward returns the gradient of
 // every encoded predicate (same ragged shape as the forward input) so the
-// model can route gradients into learned value embeddings.
+// model can route gradients into learned value embeddings. Forward caches
+// activations on the net, so one net runs one Forward at a time.
 type MPSN interface {
 	Forward(preds []PredSet) *tensor.Matrix
 	Backward(dOut *tensor.Matrix) []PredSet
 	Params() []*nn.Param
 	OutDim() int
+
+	// clone returns a net of the same shape with no activations cached,
+	// whose every parameter is param of the original's.
+	clone(param func(*nn.Param) *nn.Param) MPSN
 }
+
+// frozen copies p's current value without gradient storage: a clone built
+// with it keeps the weights it was cloned at.
+func frozen(p *nn.Param) *nn.Param { return &nn.Param{Name: p.Name, W: p.W.Clone()} }
+
+// shared returns p itself: a clone built with it reads the original's
+// weights through its own activation caches.
+func shared(p *nn.Param) *nn.Param { return p }
 
 // NewMPSN constructs the requested variant for one column.
 func NewMPSN(kind MPSNKind, encW, hidden, outDim int, rng *rand.Rand) MPSN {
@@ -107,6 +120,18 @@ func newMLPMPSN(encW, hidden, outDim int, rng *rand.Rand) *mlpMPSN {
 
 func (m *mlpMPSN) OutDim() int         { return m.outDim }
 func (m *mlpMPSN) Params() []*nn.Param { return m.net.Params() }
+
+func (m *mlpMPSN) clone(param func(*nn.Param) *nn.Param) MPSN {
+	layers := make([]nn.Layer, len(m.net.Layers))
+	for i, l := range m.net.Layers {
+		if lin, ok := l.(*nn.Linear); ok {
+			layers[i] = &nn.Linear{In: lin.In, Out: lin.Out, Weight: param(lin.Weight), Bias: param(lin.Bias)}
+		} else {
+			layers[i] = nn.NewReLU()
+		}
+	}
+	return &mlpMPSN{net: nn.NewSequential(layers...), encW: m.encW, outDim: m.outDim}
+}
 
 func (m *mlpMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	m.batch = len(preds)
@@ -193,6 +218,15 @@ func newRNNMPSN(encW, hidden, outDim int, rng *rand.Rand) *rnnMPSN {
 
 func (m *rnnMPSN) OutDim() int         { return m.outDim }
 func (m *rnnMPSN) Params() []*nn.Param { return append(m.lstm.Params(), m.fcW, m.fcB) }
+
+func (m *rnnMPSN) clone(param func(*nn.Param) *nn.Param) MPSN {
+	l := m.lstm
+	return &rnnMPSN{
+		lstm: &nn.LSTM{In: l.In, Hidden: l.Hidden, Wx: param(l.Wx), Wh: param(l.Wh), B: param(l.B)},
+		fcW:  param(m.fcW), fcB: param(m.fcB),
+		encW: m.encW, hidden: m.hidden, outDim: m.outDim,
+	}
+}
 
 // groupByLen buckets row indices by predicate count (>0).
 func groupByLen(preds []PredSet) map[int][]int {
@@ -318,6 +352,13 @@ func newRecMPSN(encW, hidden, outDim int, rng *rand.Rand) *recMPSN {
 
 func (m *recMPSN) OutDim() int         { return m.outDim }
 func (m *recMPSN) Params() []*nn.Param { return []*nn.Param{m.w1, m.b1, m.w2, m.b2} }
+
+func (m *recMPSN) clone(param func(*nn.Param) *nn.Param) MPSN {
+	return &recMPSN{
+		w1: param(m.w1), b1: param(m.b1), w2: param(m.w2), b2: param(m.b2),
+		encW: m.encW, hidden: m.hidden, outDim: m.outDim,
+	}
+}
 
 func (m *recMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	m.preds = preds

@@ -29,9 +29,9 @@
 // (skipping zero activations), then adds its bias: exactly the additions, in
 // exactly the order, of computing its row alone. Results are therefore
 // bitwise independent of batch composition, row-block boundaries, worker
-// count and kernel tier. Like the fused MPSN built by Merge, they match the
-// generic layer stack up to floating-point summation order (the degree sort
-// changes the order in which a logit's contributions are added). A Plan is
+// count and kernel tier. They match the generic layer stack up to
+// floating-point summation order (the degree sort changes the order in which
+// a logit's contributions are added). A Plan is
 // immutable after NewPlan and does not see later training; compile a new
 // one. A pass writes only its Scratch, so Run on distinct scratches may run
 // concurrently; Forward runs on a scratch the plan keeps, so its callers

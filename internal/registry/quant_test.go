@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"duet/internal/core"
+	"duet/internal/exec"
 	"duet/internal/made"
 	"duet/internal/relation"
 	"duet/internal/workload"
@@ -93,6 +95,42 @@ func TestSharedModelKeepsEachEntrysQuant(t *testing.T) {
 	info := reg.Info()
 	if len(info) != 2 || info[0].Quant != "" || info[1].Quant != QuantInt8 {
 		t.Fatalf("Info = %+v, want a f32 and b int8", info)
+	}
+}
+
+// TestAddedModelIgnoresLaterTraining: an entry serves the weights its model
+// had at Add. Fine-tuning the caller's model afterwards, an MLP-MPSN one or
+// a direct one, changes the model's own answers and leaves every served
+// answer bitwise as it was.
+func TestAddedModelIgnoresLaterTraining(t *testing.T) {
+	ta := testTable("alpha", 1)
+	qs := testQueries(ta, 32)
+	mlp := smallConfig(11)
+	mlp.MPSN = core.MPSNMLP
+	reg := New(Config{Dir: t.TempDir(), Serve: serveNoCache()})
+	defer reg.Close()
+	for _, k := range []struct {
+		name string
+		cfg  core.Config
+	}{{"mlp", mlp}, {"direct", smallConfig(11)}} {
+		m := core.NewModel(ta, k.cfg)
+		tc := core.DefaultTrainConfig()
+		tc.Epochs = 1
+		tc.Lambda = 0
+		core.Train(m, tc)
+		if err := reg.Add(k.name, ta, m, AddOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		served, err := estimateBatch(context.Background(), reg, k.name, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.EstimateCardBatch(qs)
+		core.FineTune(m, exec.Label(ta, qs), core.FineTuneConfig{Steps: 20, QueryBatch: 16, LR: 1e-2, Lambda: 1, Seed: 7})
+		if slices.Equal(m.EstimateCardBatch(qs), before) {
+			t.Fatalf("%s: fine-tuning left the model's own answers unchanged", k.name)
+		}
+		servesBitwise(t, reg, k.name, qs, served)
 	}
 }
 

@@ -81,7 +81,9 @@ func (s JoinSpec) String() string { return s.Clause().String() }
 
 // generation is one immutable serving state of a registered model, plus the
 // count of requests pinned to it. It holds no training state: the engine
-// serves a core.Snapshot compiled under the entry's quant mode, and the
+// serves a core.Snapshot compiled under the entry's quant mode, which shares
+// nothing mutable with the model it was compiled from, so training that
+// model later (the caller's, say) never changes what the entry answers. The
 // model's Save bytes are what SaveModel writes and CloneModelFor loads, so a
 // lifecycle fine-tune starts from exactly the weights that serve. Pins are
 // taken under the read lock and install swaps the generation out under the

@@ -27,9 +27,8 @@ func newFixture(t testing.TB, tbl *relation.Table, nq int) (*core.Model, []workl
 }
 
 // almostEqual accepts the floating-point summation-order difference between
-// the packed batch plan and the generic layer stack (the same tolerance the
-// repo's merged-MPSN fused path is allowed): a tiny relative error, with an
-// absolute floor for near-zero cardinalities.
+// the packed batch plan and the generic layer stack: a tiny relative error,
+// with an absolute floor for near-zero cardinalities.
 func almostEqual(a, b float64) bool {
 	d := a - b
 	if d < 0 {
@@ -83,8 +82,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialMPSN repeats the exactness check for the MPSN
-// variants, including the merged (fused block-diagonal) inference path.
+// TestBatchMatchesSequentialMPSN repeats the exactness check for the MLP
+// MPSN.
 func TestBatchMatchesSequentialMPSN(t *testing.T) {
 	tbl := relation.SynCensus(500, 4)
 	cfg := core.DefaultConfig()
@@ -92,20 +91,12 @@ func TestBatchMatchesSequentialMPSN(t *testing.T) {
 	m := core.NewModel(tbl, cfg)
 	qs := workload.Generate(tbl, workload.RandQConfig(tbl.NumCols(), 32))
 
-	check := func(label string) {
-		t.Helper()
-		got := m.EstimateCardBatch(qs)
-		for i, q := range qs {
-			if want := m.EstimateCard(q); !almostEqual(got[i], want) {
-				t.Fatalf("%s query %d: batch %v != sequential %v", label, i, got[i], want)
-			}
+	got := m.EstimateCardBatch(qs)
+	for i, q := range qs {
+		if want := m.EstimateCard(q); !almostEqual(got[i], want) {
+			t.Fatalf("query %d: batch %v != sequential %v", i, got[i], want)
 		}
 	}
-	check("per-column MPSN")
-	if err := m.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	check("merged MPSN")
 }
 
 // TestBatchVariableSizes exercises the capacity-reusing encode buffer across

@@ -40,16 +40,3 @@ func BenchmarkMulATAdd128(bn *testing.B) {
 		MulATAdd(dst, a, b)
 	}
 }
-
-func BenchmarkMulVec512(bn *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := New(512, 512)
-	RandUniform(a, 1, rng)
-	x := make([]float32, 512)
-	dst := make([]float32, 512)
-	bn.ReportAllocs()
-	bn.ResetTimer()
-	for i := 0; i < bn.N; i++ {
-		MulVec(dst, a, x)
-	}
-}

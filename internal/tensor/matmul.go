@@ -213,21 +213,3 @@ func MulATAdd(dst, a, b *Matrix) {
 	}
 	gemmAccum(a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, 1, dst.Data, b.Cols)
 }
-
-// MulVec computes dst = a·x for a m×k matrix and k-vector x, writing into the
-// m-element dst slice. It is the single-row fast path used at inference time.
-func MulVec(dst []float32, a *Matrix, x []float32) {
-	if a.Cols != len(x) || a.Rows != len(dst) {
-		panic(fmt.Sprintf("tensor: MulVec shape mismatch %dx%d · %d -> %d", a.Rows, a.Cols, len(x), len(dst)))
-	}
-	ParallelFor(a.Rows, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*a.Cols : (i+1)*a.Cols]
-			var s float32
-			for j, v := range row {
-				s += v * x[j]
-			}
-			dst[i] = s
-		}
-	})
-}

@@ -167,20 +167,6 @@ func TestMulATAddAccumulates(t *testing.T) {
 	}
 }
 
-func TestMulVecMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randMat(20, 13, rng)
-	x := randMat(13, 1, rng)
-	dst := make([]float32, 20)
-	MulVec(dst, a, x.Data)
-	want := naiveMul(a, x)
-	for i := range dst {
-		if !almostEq(float64(dst[i]), float64(want.Data[i]), 1e-4) {
-			t.Fatalf("idx %d got %v want %v", i, dst[i], want.Data[i])
-		}
-	}
-}
-
 func TestParallelForCoversRangeOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 1023} {
 		seen := make([]int32, n)
