@@ -34,18 +34,22 @@ func benchNet(t *relation.Table, hidden []int, residual bool) *MADE {
 // the census table's ResMADE 128x2), on batches where about half of every
 // row is zero and each row needs about half of the output blocks. b1 runs
 // the 64 rows one call each, b64 as one call; both report µs per row, so
-// the b64/b1 ratio at one worker is the weight reuse a batch buys.
+// the b64/b1 ratio at one worker is the weight reuse a batch buys. The DMV
+// net also runs as an int8 plan (dmv-i8).
 func BenchmarkPlanForward(b *testing.B) {
+	dmv := benchNet(relation.SynDMV(20000, 1), []int{512, 256, 512, 128, 1024}, false)
 	nets := []struct {
-		name string
-		net  *MADE
+		name  string
+		net   *MADE
+		quant bool
 	}{
-		{"dmv", benchNet(relation.SynDMV(20000, 1), []int{512, 256, 512, 128, 1024}, false)},
-		{"census", benchNet(relation.SynCensus(20000, 1), []int{128, 128}, true)},
+		{"dmv", dmv, false},
+		{"dmv-i8", dmv, true},
+		{"census", benchNet(relation.SynCensus(20000, 1), []int{128, 128}, true), false},
 	}
 	defer tensor.SetMaxWorkers(0)
 	for _, n := range nets {
-		p := NewPlan(n.net, PlanConfig{})
+		p := NewPlan(n.net, PlanConfig{Quantize: n.quant})
 		x, needed := planBatch(n.net, 64, 1)
 		for _, batch := range []int{1, 64} {
 			calls := make([]tensor.Matrix, x.Rows/batch)

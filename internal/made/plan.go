@@ -7,45 +7,59 @@
 //
 //   - hidden units are re-ordered by autoregressive degree (a private layout
 //     inside the plan; inputs and logits keep their public layout), which
-//     gathers each unit's structurally-allowed connections into one tight
-//     contiguous span — the kernel streams only real weights, with no
-//     branches beyond the zero-activation skip;
+//     gathers each unit's structurally-allowed connections into one
+//     contiguous span of outputs;
 //   - the output projection becomes, per block, a dense prefix of the
-//     degree-sorted hidden units, and Forward computes only the blocks each
-//     row needs.
+//     degree-sorted hidden units (its cut), and Forward computes only the
+//     blocks each row needs.
 //
-// Forward runs a batch in two phases, and each weight it loads serves every
-// row of a group that needs it. The trunk phase takes blocks of rowBlock
-// rows through every trunk layer: per input unit, the unit's span is loaded
-// once and accumulated into each row of the block whose activation is
-// nonzero; bias, ReLU and the residual add follow per block. The projection
-// phase gathers, per output block, the rows that need it into groups of
-// rowBlock, and streams each slab row once per group. Each phase is one
-// tensor.ParallelFor whose workers take work items, largest first, from an
-// atomic counter; a batch smaller than one row block runs inline, with no
-// fork and no allocation.
+// Every packed linear and every output block is stored as column panels of
+// at most panelWidth (64) floats, the last panel of each rounded up to a
+// multiple of 8. Panel p holds one row per input unit below K_p, one past
+// the last unit with a nonzero weight in the panel (for an output block, at
+// most its cut); entries outside a unit's span are zero. A pass lists each row's
+// nonzero activations of a layer input with their units, ascending, and a
+// panel reads the prefix of the list below its K_p: tensor.AxpyPanel adds
+// those rows into one 64-column strip of the destination held in registers,
+// so the destination is loaded and stored once per panel, not once per term.
+//
+// Forward runs a batch in two phases. The trunk phase takes blocks of
+// rowBlock rows through every trunk layer, each panel serving every row of
+// the block before the next panel is loaded; bias, ReLU and the residual add
+// follow per block. The projection phase has one work item per (output
+// block, panel), over every row of the batch that needs the block, so each
+// slab panel is loaded once per pass. Each phase is one tensor.ParallelFor
+// whose workers take work items, largest first, from an atomic counter; a
+// batch smaller than one row block runs inline, with no fork and no
+// allocation.
 //
 // Every output element starts at +0, adds its terms in ascending input order
 // (skipping zero activations), then adds its bias: exactly the additions, in
-// exactly the order, of computing its row alone. Results are therefore
-// bitwise independent of batch composition, row-block boundaries, worker
-// count and kernel tier. They match the generic layer stack up to
-// floating-point summation order (the degree sort changes the order in which
-// a logit's contributions are added). A Plan is
+// exactly the order, of computing its row alone. A panel also adds a product
+// for every listed unit below K_p whose span misses the element; its weight
+// entry is zero, so with finite weights and activations the product is ±0.
+// The destination starts at +0 and never becomes −0 (x + (−x) rounds to +0,
+// and no sum of finite nonzero terms underflows to zero), and adding ±0 to a
+// value other than −0 returns it unchanged; so the padded terms change
+// nothing, and each logit is bitwise the sum of its span terms.
+// Results are therefore bitwise independent of batch composition, row-block
+// boundaries, panel layout, worker count and kernel tier. They match the
+// generic layer stack up to floating-point summation order (the degree sort
+// changes the order in which a logit's contributions are added). A Plan is
 // immutable after NewPlan and does not see later training; compile a new
 // one. A pass writes only its Scratch, so Run on distinct scratches may run
 // concurrently; Forward runs on a scratch the plan keeps, so its callers
 // serialize.
 //
 // PlanConfig{Quantize: true} builds the plan with int8 weights instead of
-// float32: every packed span (and every hidden row of an output slab) stores
-// symmetric int8 codes plus one float32 scale (tensor.QuantizeI8S), and
-// Forward runs the fused dequantize-accumulate kernel (tensor.SaxpyI8) with
-// the activation×scale product folded into alpha. Weight memory shrinks
-// close to 4x and the kernel streams a quarter of the bytes; results are an
-// approximation of the f32 plan (core.TestQuantizedPlanAccuracyAndSize
-// bounds the q-error delta), but remain deterministic and
-// batch-composition independent.
+// float32: every input unit's row of a packed layer (and of each output
+// block) is quantized to symmetric int8 codes plus one float32 scale
+// (tensor.QuantizeI8S), the codes take the f32 panel layout, and Forward
+// runs tensor.AxpyPanelI8, which folds the activation×scale product into
+// each term's alpha. Weight memory shrinks close to 4x and the kernel
+// streams a quarter of the bytes; results are an approximation of the f32
+// plan (core.TestQuantizedPlanAccuracyAndSize bounds the q-error delta), but
+// remain deterministic and batch-composition independent.
 package made
 
 import (
@@ -58,15 +72,15 @@ import (
 	"duet/internal/tensor"
 )
 
-// rowBlock is how many rows share one load of a weight span: the trunk
-// phase's row block and the projection phase's row group.
+// rowBlock is how many rows share one load of a trunk panel: the trunk
+// phase's row block.
 const rowBlock = 8
 
 // PlanConfig selects how NewPlan compiles the weights.
 type PlanConfig struct {
 	// Quantize stores weights as per-span int8 codes with float32 scales
 	// instead of float32, trading ≤ one quantization step of weight
-	// precision per element for ~4x smaller resident spans.
+	// precision per element for ~4x smaller resident weights.
 	Quantize bool
 }
 
@@ -82,9 +96,9 @@ type Plan struct {
 	held Scratch // Forward's scratch
 }
 
-// Scratch is the memory one pass writes: trunk outputs, logits and the
-// projection's work lists. The zero value is ready to use; buffers grow to
-// the largest batch run on it.
+// Scratch is the memory one pass writes: trunk outputs, logits, the
+// projection's work lists and each row's activation list. The zero value is
+// ready to use; buffers grow to the largest batch run on it.
 type Scratch struct {
 	x, h   *tensor.Matrix  // the pass's input and the trunk's output
 	outs   []tensor.Matrix // per trunk stage with an output buffer, in compile order
@@ -93,6 +107,13 @@ type Scratch struct {
 	rowsOf [][]int32    // per output block: the rows that need it, ascending
 	items  []projItem   // the projection phase's work, see gather
 	next   atomic.Int64 // the next work item of a forked phase
+
+	// Per row r, from r*listCap: the row's nonzero activations of the layer
+	// input being read, and their units, ascending; nnz[r] of them.
+	act     []float32
+	unit    []int32
+	nnz     []int32
+	listCap int
 }
 
 // planLayer is one compiled trunk stage.
@@ -128,8 +149,8 @@ func NewPlan(m *MADE, cfg PlanConfig) *Plan {
 func (p *Plan) Quantized() bool { return p.quantized }
 
 // WeightBytes returns the resident bytes of the plan's weight payloads
-// (packed spans, output slabs, scales and biases; excludes span metadata
-// and activation buffers). It is the number operators compare across
+// (packed panels, scales and biases; excludes panel metadata and
+// activation buffers). It is the number operators compare across
 // quantized and f32 plans.
 func (p *Plan) WeightBytes() int {
 	total := 0
@@ -223,112 +244,132 @@ func identityOrder(n int) []int32 {
 	return ord
 }
 
-// ----- packed spans -----
+// ----- packed panels -----
 
-// spans is a packed weight matrix: input unit k's weights are one
-// contiguous span, off[k]..off[k+1], that lands on outputs start[k],
-// start[k]+1, ... Exactly one of w (float32) and wq (int8 codes with one
-// scale per span) holds the spans, chosen at pack time.
-type spans struct {
-	start []int32   // per input unit: first output its span reaches
-	off   []int32   // per input unit: offset into w/wq; len(start)+1
-	w     []float32 // float32 spans
-	wq    []int8    // quantized spans; same offsets as w
-	scale []float32 // per input unit: dequant scale of its span
-	bias  []float32 // per output; nil when the layer has none
+// panelWidth is the widest column panel, in floats: a 64-column strip of a
+// destination row fits the avx2 tier's registers.
+const panelWidth = 64
+
+// panel is one column panel of a packed matrix: its columns [col,
+// col+width) of the matrix's outputs, and one row of width entries per input
+// unit below k. width is panelWidth, or for the matrix's last panel its
+// remaining columns rounded up to a multiple of 8, so a kernel reads whole
+// groups of 8; the padding is zero.
+type panel struct {
+	col, width int
+	k          int // one past the last unit with a nonzero weight in the panel
+	off        int // the panel's first entry in w/wq
 }
 
-// quantize replaces the float32 spans with int8 codes and one scale each.
-func (s *spans) quantize() {
-	s.wq = make([]int8, len(s.w))
-	s.scale = make([]float32, len(s.start))
-	for k := range s.start {
-		lo, hi := s.off[k], s.off[k+1]
-		s.scale[k] = tensor.QuantizeI8S(s.wq[lo:hi], s.w[lo:hi])
-	}
-	s.w = nil // drop the f32 copy; wq+scale are the resident weights
+// panels is a packed weight matrix as the forward pass reads it: column
+// panels whose rows are the input units' weights. Exactly one of w
+// (float32) and wq (int8 codes, with scale per input unit) holds the
+// entries, panel after panel.
+type panels struct {
+	width int // output columns
+	ps    []panel
+	w     []float32
+	wq    []int8
+	scale []float32
+	bias  []float32
 }
 
-func (s *spans) weightBytes() int {
-	return 4*len(s.w) + len(s.wq) + 4*len(s.scale) + 4*len(s.bias)
+// packPanels packs the weights of n input units over width output columns;
+// row(u, dst) writes unit u's weights, in output layout, to dst. quant
+// stores each unit's row as int8 codes with one scale (tensor.QuantizeI8S
+// over the row: zeros move neither the scale nor any code, so it equals the
+// scale of the row's nonzero span).
+func packPanels(n, width int, quant bool, bias []float32, row func(u int, dst []float32)) panels {
+	pk := panels{width: width, bias: bias}
+	for col := 0; col < width; col += panelWidth {
+		pk.ps = append(pk.ps, panel{col: col, width: min(panelWidth, (width-col+7)&^7)})
+	}
+	buf := make([]float32, width)
+	for u := 0; u < n; u++ {
+		row(u, buf)
+		for j, v := range buf {
+			if v != 0 {
+				pk.ps[j/panelWidth].k = u + 1
+			}
+		}
+	}
+	size, rows := 0, 0 // rows: units with a row in some panel
+	for i := range pk.ps {
+		pk.ps[i].off = size
+		size += pk.ps[i].k * pk.ps[i].width
+		rows = max(rows, pk.ps[i].k)
+	}
+	var codes []int8
+	if quant {
+		pk.wq, pk.scale, codes = make([]int8, size), make([]float32, rows), make([]int8, width)
+	} else {
+		pk.w = make([]float32, size)
+	}
+	for u := 0; u < rows; u++ {
+		row(u, buf)
+		if quant {
+			pk.scale[u] = tensor.QuantizeI8S(codes, buf)
+		}
+		for _, pn := range pk.ps {
+			if u >= pn.k {
+				continue
+			}
+			at, lo, hi := pn.off+u*pn.width, pn.col, min(pn.col+pn.width, width)
+			if quant {
+				copy(pk.wq[at:], codes[lo:hi])
+			} else {
+				copy(pk.w[at:], buf[lo:hi])
+			}
+		}
+	}
+	return pk
 }
 
-// accumulate computes dst[r][col:col+width] for each of at most rowBlock
-// listed rows r: from +0, add x[r][k] × span k for ascending k, skipping
-// zero activations, then add the bias. Span k is loaded once for all the
-// rows, which is the whole reuse: every element still sees exactly its own
-// row's terms, in its own row's order.
-func (s *spans) accumulate(x *tensor.Matrix, rows []int32, dst *tensor.Matrix, col, width int) {
-	var xs, ds [rowBlock][]float32
-	n := len(rows)
-	for i, r := range rows {
-		xs[i] = x.Row(int(r))[:len(s.start)]
-		ds[i] = dst.Row(int(r))[col : col+width]
-		clear(ds[i])
+func (pk *panels) weightBytes() int {
+	return 4*len(pk.w) + len(pk.wq) + 4*len(pk.scale) + 4*len(pk.bias)
+}
+
+// panelRow sets dst, panel pn's columns of one row, to: from +0, act[t] ×
+// unit[t]'s weights for the listed units below pn.k, in list order, then the
+// bias. The list holds a row's nonzero activations in ascending unit order,
+// so every element adds exactly the terms its span reaches, in ascending
+// order, plus ±0 products for units whose span misses it; those leave it
+// unchanged (see the package comment).
+func (pk *panels) panelRow(pn *panel, act []float32, unit []int32, dst []float32) {
+	n, _ := slices.BinarySearch(unit, int32(pn.k))
+	clear(dst)
+	if pk.wq != nil {
+		tensor.AxpyPanelI8(dst, act[:n], unit[:n], pk.scale, pk.wq[pn.off:pn.off+pn.k*pn.width], pn.width)
+	} else {
+		tensor.AxpyPanel(dst, act[:n], unit[:n], pk.w[pn.off:pn.off+pn.k*pn.width], pn.width)
 	}
-	switch {
-	case n == 1:
-		// A lone row (a batch of one, or a block or group of one row): the
-		// same terms in the same order, without the row loop, whose cost
-		// per input unit would show in every single-estimate latency.
-		xr, d := xs[0], ds[0]
-		if s.wq != nil {
-			for k, av := range xr {
-				if av != 0 {
-					tensor.SaxpyI8(av*s.scale[k], s.wq[s.off[k]:s.off[k+1]], d[s.start[k]:])
-				}
-			}
-		} else {
-			for k, av := range xr {
-				if av != 0 {
-					tensor.Saxpy(av, s.w[s.off[k]:s.off[k+1]], d[s.start[k]:])
-				}
-			}
-		}
-	case s.wq != nil:
-		for k, st := range s.start {
-			for i := 0; i < n; i++ {
-				if av := xs[i][k]; av != 0 {
-					// One rounding for activation×scale, then the fused
-					// dequantize-accumulate kernel.
-					tensor.SaxpyI8(av*s.scale[k], s.wq[s.off[k]:s.off[k+1]], ds[i][st:])
-				}
-			}
-		}
-	default:
-		for k, st := range s.start {
-			for i := 0; i < n; i++ {
-				if av := xs[i][k]; av != 0 {
-					tensor.Saxpy(av, s.w[s.off[k]:s.off[k+1]], ds[i][st:])
-				}
-			}
+	if pk.bias != nil {
+		for j, bv := range pk.bias[pn.col : pn.col+len(dst)] {
+			dst[j] += bv
 		}
 	}
-	if s.bias != nil {
-		for _, seg := range ds[:n] {
-			for j, bv := range s.bias {
-				seg[j] += bv
-			}
-		}
-	}
+}
+
+// panelCols returns pn's real columns of dst, a row over the matrix's outputs.
+func (pk *panels) panelCols(pn *panel, dst []float32) []float32 {
+	return dst[pn.col:min(pn.col+pn.width, pk.width)]
 }
 
 // ----- packed trunk linear -----
 
-// packedLinear is a span-packed snapshot of a Linear/MaskedLinear with its
+// packedLinear is a panel-packed snapshot of a Linear/MaskedLinear with its
 // output units re-ordered so each input unit's allowed outputs form one
 // contiguous span.
 type packedLinear struct {
-	spans
-	outW int
+	panels
 	cols []int32 // output layout: position p holds original unit cols[p]
 	buf  int     // index of the stage's output in Scratch.outs
 }
 
 // packLinear snapshots l. rowOrder is the layout of the incoming activation
 // buffer (nil = natural); colOrder pins the output layout (nil = sort units
-// by connectivity extent so spans are tight). quant selects int8 spans; the
-// output buffer takes index *nout.
+// by connectivity extent so spans are tight). quant selects int8 weights;
+// the output buffer takes index *nout.
 func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool, nout *int) *packedLinear {
 	W := l.Weight.W
 	if rowOrder == nil {
@@ -337,36 +378,21 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool, nout *int)
 	if colOrder == nil {
 		colOrder = sortBySupport(W, rowOrder)
 	}
-	p := &packedLinear{outW: l.Out, cols: colOrder, buf: *nout}
-	*nout++
-	p.start = make([]int32, l.In)
-	p.off = make([]int32, l.In+1)
-	row := make([]float32, l.Out) // layer row in output layout
-	for a, k := range rowOrder {
-		orig := W.Row(int(k))
-		for pcol, j := range colOrder {
-			row[pcol] = orig[j]
-		}
-		lo, hi := 0, len(row)
-		for lo < hi && row[lo] == 0 {
-			lo++
-		}
-		for hi > lo && row[hi-1] == 0 {
-			hi--
-		}
-		p.start[a] = int32(lo)
-		p.w = append(p.w, row[lo:hi]...)
-		p.off[a+1] = int32(len(p.w))
-	}
+	var bias []float32
 	if l.Bias != nil {
-		p.bias = make([]float32, l.Out)
+		bias = make([]float32, l.Out)
 		for pcol, j := range colOrder {
-			p.bias[pcol] = l.Bias.W.Data[j]
+			bias[pcol] = l.Bias.W.Data[j]
 		}
 	}
-	if quant {
-		p.quantize()
-	}
+	pk := packPanels(l.In, l.Out, quant, bias, func(u int, dst []float32) {
+		orig := W.Row(int(rowOrder[u]))
+		for pcol, j := range colOrder {
+			dst[pcol] = orig[j]
+		}
+	})
+	p := &packedLinear{panels: pk, cols: colOrder, buf: *nout}
+	*nout++
 	return p
 }
 
@@ -389,12 +415,23 @@ func sortBySupport(W *tensor.Matrix, rowOrder []int32) []int32 {
 }
 
 func (p *packedLinear) bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix {
-	return s.outs[p.buf].Resize(x.Rows, p.outW)
+	return s.outs[p.buf].Resize(x.Rows, p.width)
 }
 
+// forward lists each row's nonzero inputs, then runs panel by panel, each
+// panel serving every listed row before the next is loaded.
 func (p *packedLinear) forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	out := &s.outs[p.buf]
-	p.accumulate(x, rows, out, 0, p.outW)
+	for _, r := range rows {
+		s.list(r, x.Row(int(r)))
+	}
+	for i := range p.ps {
+		pn := &p.ps[i]
+		for _, r := range rows {
+			act, unit := s.listed(r)
+			p.panelRow(pn, act, unit, p.panelCols(pn, out.Row(int(r))))
+		}
+	}
 	return out
 }
 
@@ -457,12 +494,11 @@ func (p *residualPlan) weightBytes() int {
 // ----- packed output projection -----
 
 // outBlock is one output block's packed weights. In the degree-sorted hidden
-// layout its contributing units are a prefix [0, cut), so the weights are a
-// dense cut×width slab streamed linearly: hidden unit t's span is slab row
-// t, landing on the whole block.
+// layout its contributing units are a prefix (its cut), so every panel of
+// the block holds at most the cut's rows: a dense slab cut apart by columns.
 type outBlock struct {
-	spans
-	col, width int // the block's logits are columns [col, col+width)
+	panels
+	col int // the block's logits are columns [col, col+width)
 }
 
 // packOutput snapshots the output projection block by block, rows in the
@@ -474,41 +510,25 @@ func packOutput(l *nn.Linear, out nn.Blocks, rowOrder []int32, quant bool) []out
 	}
 	blocks := make([]outBlock, out.N())
 	for b := range blocks {
-		blk := &blocks[b]
-		blk.col, blk.width = out.Off[b], out.Len[b]
-		cut := 0
-		for a, k := range rowOrder {
-			row := W.Row(int(k))[blk.col : blk.col+blk.width]
-			for _, v := range row {
-				if v != 0 {
-					cut = a + 1
-					break
-				}
-			}
-		}
-		blk.start = make([]int32, cut)
-		blk.off = make([]int32, cut+1)
-		blk.w = make([]float32, 0, cut*blk.width)
-		for t, k := range rowOrder[:cut] {
-			blk.w = append(blk.w, W.Row(int(k))[blk.col:blk.col+blk.width]...)
-			blk.off[t+1] = int32(len(blk.w))
-		}
+		col, width := out.Off[b], out.Len[b]
+		var bias []float32
 		if l.Bias != nil {
-			blk.bias = append([]float32(nil), l.Bias.W.Data[blk.col:blk.col+blk.width]...)
+			bias = append(bias, l.Bias.W.Data[col:col+width]...)
 		}
-		if quant {
-			blk.quantize()
-		}
+		blocks[b] = outBlock{col: col, panels: packPanels(l.In, width, quant, bias, func(u int, dst []float32) {
+			copy(dst, W.Row(int(rowOrder[u]))[col:col+width])
+		})}
 	}
 	return blocks
 }
 
 // ----- forward pass -----
 
-// projItem is one work item of the projection phase: one output block for
-// a group of at most rowBlock rows that need it.
+// projItem is one work item of the projection phase: one panel of one
+// output block, for every row that needs the block.
 type projItem struct {
 	blk  *outBlock
+	pn   *panel
 	rows []int32
 	macs int // the item's size, for largest-first scheduling
 }
@@ -524,14 +544,14 @@ func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 // segments of blocks not requested hold unspecified values. The returned
 // matrix is owned by s and valid until s runs another pass.
 //
-// The pass is two phases over row blocks (see the package comment): the
-// trunk in blocks of rowBlock rows, then the needed output blocks in groups
-// of rowBlock rows each, so every packed span and every slab row is loaded
-// once per block or group instead of once per row. Each phase is at most
-// one fork; a batch smaller than one row block runs inline and, once s has
-// grown to the batch, without allocating. Every logit keeps the arithmetic
-// of its row computed alone, so results are bitwise independent of batch
-// composition.
+// The pass is two phases (see the package comment): the trunk in blocks of
+// rowBlock rows, each packed panel serving every row of the block; then one
+// item per panel of each needed output block, serving every row that needs
+// the block, so each slab panel is loaded once per pass. Each phase is at
+// most one fork; a batch smaller than one row block runs inline and, once s
+// has grown to the batch, without allocating. Every logit keeps the
+// arithmetic of its row computed alone, so results are bitwise independent
+// of batch composition.
 func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 	for len(s.outs) < p.nout {
 		s.outs = append(s.outs, tensor.Matrix{})
@@ -545,6 +565,17 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 	for len(s.seq) < x.Rows {
 		s.seq = append(s.seq, int32(len(s.seq)))
 	}
+	// A list holds one layer input's row: the pass input's or a stage's.
+	s.listCap = x.Cols
+	for _, o := range s.outs[:p.nout] {
+		s.listCap = max(s.listCap, o.Cols)
+	}
+	if n := x.Rows * s.listCap; len(s.act) < n {
+		s.act, s.unit = make([]float32, n), make([]int32, n)
+	}
+	if len(s.nnz) < x.Rows {
+		s.nnz = make([]int32, x.Rows)
+	}
 	fork := x.Rows >= rowBlock
 	p.gather(s, needed[:x.Rows], fork)
 	p.runPhase(s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
@@ -553,9 +584,35 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 	return &s.logits
 }
 
+// list records row r's nonzero entries of in, a layer input, as the row's
+// list: activations and their units, ascending. A row's list is rebuilt per
+// trunk layer; the trunk's output list is the one the projection reads.
+func (s *Scratch) list(r int32, in []float32) {
+	base := int(r) * s.listCap
+	act, unit := s.act[base:base+len(in)], s.unit[base:base+len(in)]
+	// Every entry is written and only a nonzero one kept: about half of a
+	// row is zero, in no pattern a branch predictor could learn.
+	n := 0
+	for k, v := range in {
+		act[n], unit[n] = v, int32(k)
+		if v != 0 {
+			n++
+		}
+	}
+	s.nnz[r] = int32(n)
+}
+
+// listed returns row r's list.
+func (s *Scratch) listed(r int32) ([]float32, []int32) {
+	base := int(r) * s.listCap
+	n := base + int(s.nnz[r])
+	return s.act[base:n], s.unit[base:n]
+}
+
 // gather lists the projection phase's work in s: per output block, the rows
-// that need it in ascending order, cut into groups of rowBlock. When the
-// phase will fork, the items are sorted largest first; inline, order is moot.
+// that need it in ascending order, and one item per panel of the block over
+// all of them. When the phase will fork, the items are sorted largest
+// first; inline, order is moot.
 func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 	for len(s.rowsOf) < len(p.proj) {
 		s.rowsOf = append(s.rowsOf, nil)
@@ -574,11 +631,13 @@ func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 	}
 	s.items = s.items[:0]
 	for b, rows := range rowsOf {
+		if len(rows) == 0 {
+			continue
+		}
 		blk := &p.proj[b]
-		for len(rows) > 0 {
-			n := min(len(rows), rowBlock)
-			s.items = append(s.items, projItem{blk: blk, rows: rows[:n], macs: n * (len(blk.start) + 1) * blk.width})
-			rows = rows[n:]
+		for i := range blk.ps {
+			pn := &blk.ps[i]
+			s.items = append(s.items, projItem{blk: blk, pn: pn, rows: rows, macs: len(rows) * (pn.k + 1) * pn.width})
 		}
 	}
 	if fork {
@@ -617,7 +676,10 @@ func (p *Plan) runPhase(s *Scratch, ph phase, n int, fork bool) {
 func (p *Plan) item(s *Scratch, ph phase, i int) {
 	if ph == projPhase {
 		it := &s.items[i]
-		it.blk.accumulate(s.h, it.rows, &s.logits, it.blk.col, it.blk.width)
+		for _, r := range it.rows {
+			act, unit := s.listed(r)
+			it.blk.panelRow(it.pn, act, unit, it.blk.panelCols(it.pn, s.logits.Row(int(r))[it.blk.col:]))
+		}
 		return
 	}
 	lo := i * rowBlock
@@ -625,5 +687,8 @@ func (p *Plan) item(s *Scratch, ph phase, i int) {
 	h := s.x
 	for _, l := range p.trunk {
 		h = l.forward(s, h, rows)
+	}
+	for _, r := range rows {
+		s.list(r, h.Row(int(r)))
 	}
 }

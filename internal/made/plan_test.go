@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"duet/internal/nn"
+	"duet/internal/relation"
 	"duet/internal/tensor"
 )
 
@@ -185,68 +187,295 @@ func rowBlockBatch(m *MADE, rows int, seed int64) (*tensor.Matrix, [][]int32) {
 	return x, needed
 }
 
-// refForward is the plan's contract computed one row at a time, serially,
-// with scalar float32 arithmetic on the plan's own packed weights: every
-// element starts at +0, adds its terms in ascending input order, skipping
-// zero activations, then adds its bias.
-func refForward(p *Plan, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
-	out := tensor.New(x.Rows, p.out.Tot)
-	for r := 0; r < x.Rows; r++ {
-		h := refStack(p.trunk, x.Row(r))
-		for _, b := range needed[r] {
-			blk := &p.proj[b]
-			refSpans(&blk.spans, h, out.Row(r)[blk.col:blk.col+blk.width])
+// spans is the layout the plan computed on before column panels: input
+// unit k's weights are one contiguous span, off[k]..off[k+1], that lands on
+// outputs start[k], start[k]+1, ... Exactly one of w (float32) and wq (int8
+// codes with one scale per span) holds the spans.
+type spans struct {
+	start []int32   // per input unit: first output its span reaches
+	off   []int32   // per input unit: offset into w/wq; len(start)+1
+	w     []float32 // float32 spans
+	wq    []int8    // quantized spans; same offsets as w
+	scale []float32 // per input unit: dequant scale of its span
+	bias  []float32 // per output; nil when the layer has none
+}
+
+// quantize replaces the float32 spans with int8 codes and one scale each.
+func (s *spans) quantize() {
+	s.wq = make([]int8, len(s.w))
+	s.scale = make([]float32, len(s.start))
+	for k := range s.start {
+		lo, hi := s.off[k], s.off[k+1]
+		s.scale[k] = tensor.QuantizeI8S(s.wq[lo:hi], s.w[lo:hi])
+	}
+	s.w = nil
+}
+
+// linearSpans packs l as spans: input units in rowOrder (nil = natural),
+// outputs in colOrder, each unit's span its output row trimmed of exact
+// zeros at both ends.
+func linearSpans(l *nn.Linear, rowOrder, colOrder []int32) spans {
+	W := l.Weight.W
+	if rowOrder == nil {
+		rowOrder = identityOrder(l.In)
+	}
+	sp := spans{start: make([]int32, l.In), off: make([]int32, l.In+1)}
+	row := make([]float32, l.Out)
+	for a, k := range rowOrder {
+		orig := W.Row(int(k))
+		for pcol, j := range colOrder {
+			row[pcol] = orig[j]
+		}
+		lo, hi := 0, len(row)
+		for lo < hi && row[lo] == 0 {
+			lo++
+		}
+		for hi > lo && row[hi-1] == 0 {
+			hi--
+		}
+		sp.start[a] = int32(lo)
+		sp.w = append(sp.w, row[lo:hi]...)
+		sp.off[a+1] = int32(len(sp.w))
+	}
+	if l.Bias != nil {
+		sp.bias = make([]float32, l.Out)
+		for pcol, j := range colOrder {
+			sp.bias[pcol] = l.Bias.W.Data[j]
+		}
+	}
+	return sp
+}
+
+// blockSpans packs the output columns [col, col+width) of l as a dense
+// slab over the hidden units in rowOrder up to the last one with a nonzero
+// weight in the block: each unit's span is the whole block.
+func blockSpans(l *nn.Linear, col, width int, rowOrder []int32) spans {
+	W := l.Weight.W
+	cut := 0
+	for a, k := range rowOrder {
+		for _, v := range W.Row(int(k))[col : col+width] {
+			if v != 0 {
+				cut = a + 1
+				break
+			}
+		}
+	}
+	sp := spans{start: make([]int32, cut), off: make([]int32, cut+1)}
+	for t, k := range rowOrder[:cut] {
+		sp.w = append(sp.w, W.Row(int(k))[col:col+width]...)
+		sp.off[t+1] = int32(len(sp.w))
+	}
+	if l.Bias != nil {
+		sp.bias = append([]float32(nil), l.Bias.W.Data[col:col+width]...)
+	}
+	return sp
+}
+
+// spanNet is a plan's network in the span layout: the same units and
+// layouts (taken from the plan's compiled stages), packed and quantized as
+// spans. It is the reference the panels are held to.
+type spanNet struct {
+	trunk []spanStage
+	proj  []spans // per output block
+	out   nn.Blocks
+}
+
+// spanStage is one trunk stage: a linear layer's spans, a ReLU, or a
+// residual branch.
+type spanStage struct {
+	lin   *spans
+	width int
+	relu  bool
+	inner []spanStage
+}
+
+func newSpanNet(m *MADE, p *Plan) *spanNet {
+	layers := m.Net.Layers
+	trunk, order := spanStack(layers[:len(layers)-1], p.trunk, nil, p.quantized)
+	n := &spanNet{trunk: trunk, out: m.Out}
+	last := &layers[len(layers)-1].(*nn.MaskedLinear).Linear
+	for b := range p.proj {
+		sp := blockSpans(last, m.Out.Off[b], m.Out.Len[b], order)
+		if p.quantized {
+			sp.quantize()
+		}
+		n.proj = append(n.proj, sp)
+	}
+	return n
+}
+
+// spanStack walks a layer list beside its compiled stages, taking each
+// linear stage's output layout from the plan. It returns the stages and the
+// layout of the stack's output.
+func spanStack(layers []nn.Layer, compiled []planLayer, order []int32, quant bool) ([]spanStage, []int32) {
+	var out []spanStage
+	for i, l := range layers {
+		switch c := compiled[i].(type) {
+		case *packedLinear:
+			lin, ok := l.(*nn.Linear)
+			if !ok {
+				lin = &l.(*nn.MaskedLinear).Linear
+			}
+			sp := linearSpans(lin, order, c.cols)
+			if quant {
+				sp.quantize()
+			}
+			out = append(out, spanStage{lin: &sp, width: lin.Out})
+			order = c.cols
+		case reluInPlace:
+			out = append(out, spanStage{relu: true})
+		case *residualPlan:
+			var inner []spanStage
+			inner, order = spanStack(l.(*nn.Residual).Inner.(*nn.Sequential).Layers, c.inner, order, quant)
+			out = append(out, spanStage{inner: inner})
+		default:
+			panic(fmt.Sprintf("spanStack: %T", c))
+		}
+	}
+	return out, order
+}
+
+// forward computes the needed blocks of every row: the trunk in row blocks,
+// then each needed block one row at a time, every linear stage by
+// accumulate.
+func (n *spanNet) forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+	h := spanStages(n.trunk, x)
+	out := tensor.New(x.Rows, n.out.Tot)
+	for r, blocks := range needed {
+		for _, b := range blocks {
+			n.proj[b].accumulate(h, []int32{int32(r)}, out, n.out.Off[b], n.out.Len[b])
 		}
 	}
 	return out
 }
 
-func refStack(layers []planLayer, in []float32) []float32 {
-	v := append([]float32(nil), in...)
-	for _, l := range layers {
-		switch l := l.(type) {
-		case *packedLinear:
-			next := make([]float32, l.outW)
-			refSpans(&l.spans, v, next)
-			v = next
-		case reluInPlace:
-			for i := range v {
-				v[i] = max(v[i], 0)
+func spanStages(stages []spanStage, x *tensor.Matrix) *tensor.Matrix {
+	for _, st := range stages {
+		switch {
+		case st.lin != nil:
+			next := tensor.New(x.Rows, st.width)
+			for lo := 0; lo < x.Rows; lo += rowBlock {
+				var rows []int32
+				for r := lo; r < min(lo+rowBlock, x.Rows); r++ {
+					rows = append(rows, int32(r))
+				}
+				st.lin.accumulate(x, rows, next, 0, st.width)
 			}
-		case *residualPlan:
-			fx := refStack(l.inner, v)
-			sum := make([]float32, len(v))
-			for i := range v {
-				sum[i] = v[i] + fx[i]
+			x = next
+		case st.relu:
+			x = x.Clone()
+			for i, v := range x.Data {
+				x.Data[i] = max(v, 0)
 			}
-			v = sum
 		default:
-			panic(fmt.Sprintf("refStack: %T", l))
+			fx := spanStages(st.inner, x)
+			sum := tensor.New(x.Rows, x.Cols)
+			for i, v := range x.Data {
+				sum.Data[i] = v + fx.Data[i]
+			}
+			x = sum
 		}
 	}
-	return v
+	return x
 }
 
-func refSpans(s *spans, x, dst []float32) {
-	clear(dst)
+// accumulate is the span layout's kernel loop, as the plan ran it before
+// panels, with the scalar reference in place of the saxpy kernels (which
+// every tier matches bit for bit). It computes dst[r][col:col+width] for
+// each of at most rowBlock listed rows r: from +0, add x[r][k] × span k for
+// ascending k, skipping zero activations, then add the bias.
+func (s *spans) accumulate(x *tensor.Matrix, rows []int32, dst *tensor.Matrix, col, width int) {
+	var xs, ds [rowBlock][]float32
+	n := len(rows)
+	for i, r := range rows {
+		xs[i] = x.Row(int(r))[:len(s.start)]
+		ds[i] = dst.Row(int(r))[col : col+width]
+		clear(ds[i])
+	}
 	for k, st := range s.start {
-		av := x[k]
-		if av == 0 {
-			continue
-		}
-		seg := dst[st:]
-		for i := s.off[k]; i < s.off[k+1]; i++ {
-			j := i - s.off[k]
+		for i := 0; i < n; i++ {
+			av := xs[i][k]
+			if av == 0 {
+				continue
+			}
+			d := ds[i][st:]
 			if s.wq != nil {
-				alpha := float32(av * s.scale[k])
-				seg[j] += float32(alpha * float32(s.wq[i]))
+				// One rounding for activation×scale, then the
+				// dequantize-accumulate.
+				alpha := av * s.scale[k]
+				for j, q := range s.wq[s.off[k]:s.off[k+1]] {
+					d[j] += float32(alpha * float32(q))
+				}
 			} else {
-				seg[j] += float32(av * s.w[i])
+				for j, w := range s.w[s.off[k]:s.off[k+1]] {
+					d[j] += float32(av * w)
+				}
 			}
 		}
 	}
-	for j, bv := range s.bias {
-		dst[j] += bv
+	if s.bias != nil {
+		for _, seg := range ds[:n] {
+			for j, bv := range s.bias {
+				seg[j] += bv
+			}
+		}
+	}
+}
+
+// sameBlocks fails t unless got and want agree bit for bit on every block
+// each row needs.
+func sameBlocks(t *testing.T, what string, out nn.Blocks, got, want *tensor.Matrix, needed [][]int32) {
+	t.Helper()
+	for r, blocks := range needed {
+		for _, b := range blocks {
+			g, w := out.Slice(got.Row(r), int(b)), out.Slice(want.Row(r), int(b))
+			for k := range w {
+				if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
+					t.Fatalf("%s: row %d block %d logit %d is %v (%#x), the span reference %v (%#x)",
+						what, r, b, k, g[k], math.Float32bits(g[k]), w[k], math.Float32bits(w[k]))
+				}
+			}
+		}
+	}
+}
+
+// TestPlanPanelsMatchSpanReference: on nets shaped like the two benchmark
+// models (the DMV table's plain MADE with its 1,243-wide output block, the
+// census table's ResMADE), the panel-packed pass computes every needed logit
+// bit for bit as the span layout's accumulate loop does, f32 and int8. The
+// nets carry planted exact-zero weights inside spans and random biases, and
+// the batches exact-zero and negative inputs, so panels add ±0 products,
+// including negative ones on a +0 destination, that the span loop never
+// adds.
+func TestPlanPanelsMatchSpanReference(t *testing.T) {
+	defer tensor.SetMaxWorkers(0)
+	tensor.SetMaxWorkers(2)
+	nets := map[string]*MADE{
+		"dmv":    benchNet(relation.SynDMV(20000, 1), []int{512, 256, 512, 128, 1024}, false),
+		"census": benchNet(relation.SynCensus(20000, 1), []int{128, 128}, true),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range nets {
+		for _, p := range m.Params() {
+			for i, v := range p.W.Data {
+				switch {
+				case p.W.Rows == 1: // a bias
+					p.W.Data[i] = float32(rng.NormFloat64())
+				case v != 0 && rng.Intn(10) == 0:
+					p.W.Data[i] = 0
+				}
+			}
+		}
+	}
+	for name, m := range nets {
+		for _, quant := range []bool{false, true} {
+			p := NewPlan(m, PlanConfig{Quantize: quant})
+			ref := newSpanNet(m, p)
+			for _, rows := range []int{1, 7, 8, 64} {
+				x, needed := planBatch(m, rows, int64(rows))
+				sameBlocks(t, fmt.Sprintf("%s quant=%v rows=%d", name, quant, rows), m.Out, p.Forward(x, needed), ref.forward(x, needed), needed)
+			}
+		}
 	}
 }
 
@@ -262,9 +491,10 @@ func TestPlanRowBlocksBitwise(t *testing.T) {
 	for name, m := range rowBlockNets() {
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
+			ref := newSpanNet(m, p)
 			for _, rows := range []int{1, 2, 7, 8, 9, 33, 64, 67} {
 				x, needed := rowBlockBatch(m, rows, int64(rows))
-				want := refForward(p, x, needed)
+				want := ref.forward(x, needed)
 				for _, tr := range tensor.KernelTiers() {
 					if err := tensor.SetKernelTier(tr); err != nil {
 						t.Fatal(err)

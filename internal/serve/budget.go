@@ -7,11 +7,12 @@ import (
 )
 
 // This file derives default per-stage SLO budgets from a roofline model of
-// the packed inference plan. The plan's forward pass is a stream of saxpy
-// accumulations over the resident weight spans — memory-bound on every
-// realistic host — so its expected latency is weight traffic divided by the
-// sustained kernel bandwidth, which a short calibration run measures on the
-// actual dispatch tier in use. The budgets that come out are *priors*, not
+// the packed inference plan. The plan's forward pass streams its resident
+// weight panels once per pass (tensor.AxpyPanel, the destination held in
+// registers) — memory-bound on every realistic host — so its expected
+// latency is weight traffic divided by a sustained streaming bandwidth,
+// which a short saxpy calibration run measures on the actual dispatch tier
+// in use. Saxpy also moves its destination, so the figure is conservative. The budgets that come out are *priors*, not
 // arbitrary thresholds: a plan_exec violation means the kernel ran slower
 // than the hardware says it should, not that an operator guessed a number.
 

@@ -6,7 +6,8 @@ package tensor
 // runtime detection is needed). The kernels use unfused FMUL/FADD vector
 // pairs — never FMLA — to keep the two-rounding bitwise contract with the
 // generic reference (which pins its own rounding with explicit float32(...)
-// conversions precisely because the arm64 compiler fuses otherwise).
+// conversions precisely because the arm64 compiler fuses otherwise). The
+// panel kernels have no NEON version yet: the tier runs the generic loops.
 
 // saxpyNEONAsm requires len(x) to be a multiple of 8; the Go wrapper
 // finishes the tail with the generic loop (bitwise-identical per element).
@@ -42,11 +43,13 @@ func saxpyI8NEON(alpha float32, q []int8, y []float32) {
 
 func archKernels() []kernel {
 	return []kernel{{
-		name:     "neon",
-		saxpy:    saxpyNEON,
-		saxpyI8:  saxpyI8NEON,
-		gemmTile: gemmTile8x8NEONAsm,
-		tileM:    8,
-		tileN:    8,
+		name:        "neon",
+		saxpy:       saxpyNEON,
+		saxpyI8:     saxpyI8NEON,
+		axpyPanel:   axpyPanelGeneric,
+		axpyPanelI8: axpyPanelI8Generic,
+		gemmTile:    gemmTile8x8NEONAsm,
+		tileM:       8,
+		tileN:       8,
 	}}
 }

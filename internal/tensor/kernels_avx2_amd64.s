@@ -203,3 +203,275 @@ store:
 	VMOVUPS Y7, (AX)
 	VZEROUPPER
 	RET
+
+// Panel kernels (tensor.AxpyPanel, tensor.AxpyPanelI8), one strip per call:
+// len(y) is 64, 32, 16 or 8, and those columns of y live in Y0..Y7 across
+// the whole term list, so y is loaded and stored once per call. Per term t:
+// R8 = k[t]*stride in bytes, Y8 = alpha broadcast, then one unfused
+// multiply/add per 8 columns.
+// Registers: DI y, BX alpha (x for int8), CX k, SI panel, DX term count,
+// AX term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
+
+#define PANEL_F32_TERM \
+	MOVLQSX      (CX)(AX*4), R8; \
+	IMULQ        R9, R8; \
+	VBROADCASTSS (BX)(AX*4), Y8
+
+#define PANEL_F32_MAC(off, acc, tmp) \
+	VMULPS off(SI)(R8*1), Y8, tmp; \
+	VADDPS tmp, acc, acc
+
+// alpha = x[t]*scale[k[t]], rounded once, as the int8 plan has always
+// folded its scale.
+#define PANEL_I8_TERM \
+	MOVLQSX      (CX)(AX*4), R8; \
+	VMOVSS       (BX)(AX*4), X8; \
+	VMULSS       (R10)(R8*4), X8, X8; \
+	VBROADCASTSS X8, Y8; \
+	IMULQ        R9, R8
+
+#define PANEL_I8_MAC(off, acc, tmp) \
+	VPMOVSXBD off(SI)(R8*1), tmp; \
+	VCVTDQ2PS tmp, tmp; \
+	VMULPS    Y8, tmp, tmp; \
+	VADDPS    tmp, acc, acc
+
+// func axpyPanelAVX2Asm(y, alpha []float32, k []int32, panel []float32, stride int)
+TEXT ·axpyPanelAVX2Asm(SB), NOSPLIT, $0-104
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), R11
+	MOVQ alpha_base+24(FP), BX
+	MOVQ alpha_len+32(FP), DX
+	MOVQ k_base+48(FP), CX
+	MOVQ panel_base+72(FP), SI
+	MOVQ stride+96(FP), R9
+	SHLQ $2, R9
+	XORQ AX, AX
+	CMPQ R11, $64
+	JEQ  w64
+	CMPQ R11, $32
+	JEQ  w32
+	CMPQ R11, $16
+	JEQ  w16
+	JMP  w8
+
+w64:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	TESTQ DX, DX
+	JZ    store64
+
+loop64:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, Y0, Y9)
+	PANEL_F32_MAC(32, Y1, Y10)
+	PANEL_F32_MAC(64, Y2, Y11)
+	PANEL_F32_MAC(96, Y3, Y12)
+	PANEL_F32_MAC(128, Y4, Y13)
+	PANEL_F32_MAC(160, Y5, Y14)
+	PANEL_F32_MAC(192, Y6, Y9)
+	PANEL_F32_MAC(224, Y7, Y10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop64
+
+store64:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+w32:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	TESTQ DX, DX
+	JZ    store32
+
+loop32:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, Y0, Y9)
+	PANEL_F32_MAC(32, Y1, Y10)
+	PANEL_F32_MAC(64, Y2, Y11)
+	PANEL_F32_MAC(96, Y3, Y12)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop32
+
+store32:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+w16:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	TESTQ DX, DX
+	JZ    store16
+
+loop16:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, Y0, Y9)
+	PANEL_F32_MAC(32, Y1, Y10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop16
+
+store16:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+w8:
+	VMOVUPS 0(DI), Y0
+	TESTQ DX, DX
+	JZ    store8
+
+loop8:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, Y0, Y9)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop8
+
+store8:
+	VMOVUPS Y0, 0(DI)
+	VZEROUPPER
+	RET
+
+// func axpyPanelI8AVX2Asm(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
+TEXT ·axpyPanelI8AVX2Asm(SB), NOSPLIT, $0-128
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), R11
+	MOVQ x_base+24(FP), BX
+	MOVQ x_len+32(FP), DX
+	MOVQ k_base+48(FP), CX
+	MOVQ scale_base+72(FP), R10
+	MOVQ panel_base+96(FP), SI
+	MOVQ stride+120(FP), R9
+	XORQ AX, AX
+	CMPQ R11, $64
+	JEQ  w64
+	CMPQ R11, $32
+	JEQ  w32
+	CMPQ R11, $16
+	JEQ  w16
+	JMP  w8
+
+w64:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	TESTQ DX, DX
+	JZ    store64
+
+loop64:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, Y0, Y9)
+	PANEL_I8_MAC(8, Y1, Y10)
+	PANEL_I8_MAC(16, Y2, Y11)
+	PANEL_I8_MAC(24, Y3, Y12)
+	PANEL_I8_MAC(32, Y4, Y13)
+	PANEL_I8_MAC(40, Y5, Y14)
+	PANEL_I8_MAC(48, Y6, Y9)
+	PANEL_I8_MAC(56, Y7, Y10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop64
+
+store64:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+w32:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	TESTQ DX, DX
+	JZ    store32
+
+loop32:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, Y0, Y9)
+	PANEL_I8_MAC(8, Y1, Y10)
+	PANEL_I8_MAC(16, Y2, Y11)
+	PANEL_I8_MAC(24, Y3, Y12)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop32
+
+store32:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+w16:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	TESTQ DX, DX
+	JZ    store16
+
+loop16:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, Y0, Y9)
+	PANEL_I8_MAC(8, Y1, Y10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop16
+
+store16:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+w8:
+	VMOVUPS 0(DI), Y0
+	TESTQ DX, DX
+	JZ    store8
+
+loop8:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, Y0, Y9)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop8
+
+store8:
+	VMOVUPS Y0, 0(DI)
+	VZEROUPPER
+	RET

@@ -198,3 +198,237 @@ store:
 	ADDQ   CX, AX
 	MOVUPS X7, (AX)
 	RET
+
+// Panel kernels (tensor.AxpyPanel, tensor.AxpyPanelI8), one strip per call:
+// len(y) is 32, 16 or 8 (a 64-column panel is two strips), and those
+// columns of y live in X0..X7 across the whole term list. Per term t: R8 =
+// k[t]*stride in bytes, X8 = alpha broadcast, then one unfused multiply/add
+// per 4 columns. Panel rows are loaded unaligned into a temporary, never
+// used as a MULPS memory operand.
+// Registers: DI y, BX alpha (x for int8), CX k, SI panel, DX term count,
+// AX term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
+
+#define PANEL_F32_TERM \
+	MOVLQSX (CX)(AX*4), R8; \
+	IMULQ   R9, R8; \
+	MOVSS   (BX)(AX*4), X8; \
+	SHUFPS  $0x00, X8, X8
+
+#define PANEL_F32_MAC(off, acc, tmp) \
+	MOVUPS off(SI)(R8*1), tmp; \
+	MULPS  X8, tmp; \
+	ADDPS  tmp, acc
+
+// alpha = x[t]*scale[k[t]], rounded once, as the int8 plan has always
+// folded its scale.
+#define PANEL_I8_TERM \
+	MOVLQSX (CX)(AX*4), R8; \
+	MOVSS   (BX)(AX*4), X8; \
+	MULSS   (R10)(R8*4), X8; \
+	SHUFPS  $0x00, X8, X8; \
+	IMULQ   R9, R8
+
+#define PANEL_I8_MAC(off, acc, tmp) \
+	MOVL      off(SI)(R8*1), tmp; \
+	PUNPCKLBW tmp, tmp; \
+	PUNPCKLWL tmp, tmp; \
+	PSRAL     $24, tmp; \
+	CVTPL2PS  tmp, tmp; \
+	MULPS     X8, tmp; \
+	ADDPS     tmp, acc
+
+// func axpyPanelSSEAsm(y, alpha []float32, k []int32, panel []float32, stride int)
+TEXT ·axpyPanelSSEAsm(SB), NOSPLIT, $0-104
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), R11
+	MOVQ alpha_base+24(FP), BX
+	MOVQ alpha_len+32(FP), DX
+	MOVQ k_base+48(FP), CX
+	MOVQ panel_base+72(FP), SI
+	MOVQ stride+96(FP), R9
+	SHLQ $2, R9
+	XORQ AX, AX
+	CMPQ R11, $32
+	JEQ  w32
+	CMPQ R11, $16
+	JEQ  w16
+	JMP  w8
+
+w32:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	MOVUPS 64(DI), X4
+	MOVUPS 80(DI), X5
+	MOVUPS 96(DI), X6
+	MOVUPS 112(DI), X7
+	TESTQ DX, DX
+	JZ    store32
+
+loop32:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, X0, X9)
+	PANEL_F32_MAC(16, X1, X10)
+	PANEL_F32_MAC(32, X2, X11)
+	PANEL_F32_MAC(48, X3, X12)
+	PANEL_F32_MAC(64, X4, X13)
+	PANEL_F32_MAC(80, X5, X14)
+	PANEL_F32_MAC(96, X6, X9)
+	PANEL_F32_MAC(112, X7, X10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop32
+
+store32:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	RET
+
+w16:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	TESTQ DX, DX
+	JZ    store16
+
+loop16:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, X0, X9)
+	PANEL_F32_MAC(16, X1, X10)
+	PANEL_F32_MAC(32, X2, X11)
+	PANEL_F32_MAC(48, X3, X12)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop16
+
+store16:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	RET
+
+w8:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	TESTQ DX, DX
+	JZ    store8
+
+loop8:
+	PANEL_F32_TERM
+	PANEL_F32_MAC(0, X0, X9)
+	PANEL_F32_MAC(16, X1, X10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop8
+
+store8:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	RET
+
+// func axpyPanelI8SSEAsm(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
+TEXT ·axpyPanelI8SSEAsm(SB), NOSPLIT, $0-128
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), R11
+	MOVQ x_base+24(FP), BX
+	MOVQ x_len+32(FP), DX
+	MOVQ k_base+48(FP), CX
+	MOVQ scale_base+72(FP), R10
+	MOVQ panel_base+96(FP), SI
+	MOVQ stride+120(FP), R9
+	XORQ AX, AX
+	CMPQ R11, $32
+	JEQ  w32
+	CMPQ R11, $16
+	JEQ  w16
+	JMP  w8
+
+w32:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	MOVUPS 64(DI), X4
+	MOVUPS 80(DI), X5
+	MOVUPS 96(DI), X6
+	MOVUPS 112(DI), X7
+	TESTQ DX, DX
+	JZ    store32
+
+loop32:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, X0, X9)
+	PANEL_I8_MAC(4, X1, X10)
+	PANEL_I8_MAC(8, X2, X11)
+	PANEL_I8_MAC(12, X3, X12)
+	PANEL_I8_MAC(16, X4, X13)
+	PANEL_I8_MAC(20, X5, X14)
+	PANEL_I8_MAC(24, X6, X9)
+	PANEL_I8_MAC(28, X7, X10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop32
+
+store32:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	RET
+
+w16:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	TESTQ DX, DX
+	JZ    store16
+
+loop16:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, X0, X9)
+	PANEL_I8_MAC(4, X1, X10)
+	PANEL_I8_MAC(8, X2, X11)
+	PANEL_I8_MAC(12, X3, X12)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop16
+
+store16:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	RET
+
+w8:
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	TESTQ DX, DX
+	JZ    store8
+
+loop8:
+	PANEL_I8_TERM
+	PANEL_I8_MAC(0, X0, X9)
+	PANEL_I8_MAC(4, X1, X10)
+	INCQ AX
+	CMPQ AX, DX
+	JLT  loop8
+
+store8:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	RET

@@ -319,3 +319,243 @@ func BenchmarkTrainGEMMMulTier(b *testing.B) {
 		})
 	}
 }
+
+// finiteFloats yields finite values only, the panel kernels' domain: signed
+// zeros, subnormals and both signs, so some products are -0 and land on a
+// +0 destination.
+func finiteFloats(rng *rand.Rand, n int) []float32 {
+	special := []float32{
+		0,
+		float32(math.Copysign(0, -1)),
+		math.Float32frombits(0x00000001), // smallest subnormal
+		math.Float32frombits(0x807FFFFF), // largest negative subnormal
+		1, -1, 0.5, -2, 1e-30, -1e30,
+	}
+	out := make([]float32, n)
+	for i := range out {
+		if rng.Intn(4) == 0 {
+			out[i] = special[rng.Intn(len(special))]
+		} else {
+			out[i] = rng.Float32()*4 - 2
+		}
+	}
+	return out
+}
+
+// panelCase is one AxpyPanel/AxpyPanelI8 call: terms over ascending rows of
+// a panel with the given stride, into a destination of width columns.
+type panelCase struct {
+	width, stride int
+	alpha, y      []float32 // alpha doubles as AxpyPanelI8's x
+	k             []int32
+	panel         []float32
+	codes         []int8
+	scale         []float32
+}
+
+// run applies the f32 kernel (i8 false) or the int8 one to a copy of c.y
+// through fn and returns the result.
+func (c *panelCase) run(i8 bool, f32 axpyPanelFunc, q axpyPanelI8Func) []float32 {
+	y := append([]float32(nil), c.y...)
+	if i8 {
+		q(y, c.alpha, c.k, c.scale, c.codes, c.stride)
+	} else {
+		f32(y, c.alpha, c.k, c.panel, c.stride)
+	}
+	return y
+}
+
+func newPanelCase(rng *rand.Rand, width, terms int, zeroY bool) panelCase {
+	c := panelCase{width: width, stride: (width + 7) &^ 7}
+	if rng.Intn(3) == 0 {
+		c.stride += 8 * (1 + rng.Intn(3))
+	}
+	rows := terms + rng.Intn(terms+2)
+	for u := 0; u < rows && len(c.k) < terms; u++ {
+		if rows-u <= terms-len(c.k) || rng.Intn(2) == 0 {
+			c.k = append(c.k, int32(u))
+		}
+	}
+	c.alpha = finiteFloats(rng, len(c.k))
+	c.y = make([]float32, width)
+	if !zeroY {
+		c.y = finiteFloats(rng, width)
+	}
+	c.panel = finiteFloats(rng, rows*c.stride)
+	c.codes = make([]int8, len(c.panel))
+	for i := range c.codes {
+		if rng.Intn(4) != 0 {
+			c.codes[i] = int8(rng.Intn(255) - 127)
+		}
+	}
+	c.scale = finiteFloats(rng, rows)
+	return c
+}
+
+// TestAxpyPanelTiersBitwiseMatchGeneric: every tier's panel kernels, f32 and
+// int8, agree bit for bit with the generic loops at every width up to a
+// 64-column panel (the strips and the ragged tail), over 0–300 terms, on a
+// +0 destination and on a live one.
+func TestAxpyPanelTiersBitwiseMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var cases []panelCase
+	for width := 1; width <= 64; width++ {
+		for _, terms := range []int{0, 1, 2, 3, 7, 8, 31, 64, 100, 255, 300} {
+			if width%8 != 0 && terms > 64 && width%3 != 0 {
+				continue // ragged widths: a sample of the long lists is enough
+			}
+			cases = append(cases, newPanelCase(rng, width, terms, rng.Intn(2) == 0))
+		}
+	}
+	withTier(t, func(t *testing.T, tier string) {
+		for ci, c := range cases {
+			for _, i8 := range []bool{false, true} {
+				want := c.run(i8, axpyPanelGeneric, axpyPanelI8Generic)
+				got := c.run(i8, AxpyPanel, AxpyPanelI8)
+				bitsEqualSlices(t, fmt.Sprintf("case %d (width %d, stride %d, %d terms, int8 %v)", ci, c.width, c.stride, len(c.k), i8), got, want)
+			}
+		}
+	})
+}
+
+func TestAxpyPanelChecksArguments(t *testing.T) {
+	y := make([]float32, 8)
+	panel := make([]float32, 16)
+	for name, call := range map[string]func(){
+		"stride not a multiple of 8": func() { AxpyPanel(y, []float32{1}, []int32{0}, panel, 12) },
+		"width above stride":         func() { AxpyPanel(make([]float32, 16), []float32{1}, []int32{0}, panel, 8) },
+		"row past the panel":         func() { AxpyPanel(y, []float32{1}, []int32{2}, panel, 8) },
+		"negative row":               func() { AxpyPanel(y, []float32{1, 1}, []int32{-1, 0}, panel, 8) },
+		"unit past the scales":       func() { AxpyPanelI8(y, []float32{1}, []int32{1}, []float32{1}, make([]int8, 16), 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzAxpyPanel checks the active tier's panel kernels against the generic
+// loops on shapes and values drawn from the input: the width (1–64), the
+// stride padding, the rows listed and every float's bits (non-finite bit
+// patterns are folded to finite ones, the kernels' domain).
+func FuzzAxpyPanel(f *testing.F) {
+	f.Add([]byte{63, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{7, 1, 200, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add([]byte{31, 2, 17, 0xff, 0x7f, 0x80, 0x80, 0x00, 0x01, 0x00, 0x00})
+	f.Add(make([]byte, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		width := 1 + int(data[0])%64
+		stride := (width+7)&^7 + 8*int(data[1]%3)
+		mask, data := data[2], data[3:]
+		next := func() uint32 {
+			var v uint32
+			for i := 0; i < 4 && len(data) > 0; i++ {
+				v = v<<8 | uint32(data[0])
+				data = data[1:]
+			}
+			return v
+		}
+		float := func() float32 {
+			v := math.Float32frombits(next())
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				v = math.Float32frombits(math.Float32bits(v) &^ (1 << 30))
+			}
+			return v
+		}
+		// Rows 0..rows-1, each listed when its bit of the cycling mask is set.
+		rows := 1 + len(data)/(2*stride+8)
+		c := panelCase{width: width, stride: stride, y: make([]float32, width)}
+		for u := 0; u < rows; u++ {
+			if mask>>(u%8)&1 != 0 || mask == 0 {
+				c.k = append(c.k, int32(u))
+				c.alpha = append(c.alpha, float())
+			}
+		}
+		for j := range c.y {
+			if mask&1 != 0 {
+				c.y[j] = float()
+			}
+		}
+		c.panel = make([]float32, rows*stride)
+		c.codes = make([]int8, rows*stride)
+		c.scale = make([]float32, rows)
+		for i := range c.panel {
+			c.panel[i] = float()
+			c.codes[i] = int8(next())
+		}
+		for u := range c.scale {
+			c.scale[u] = float()
+		}
+		for _, i8 := range []bool{false, true} {
+			want := c.run(i8, axpyPanelGeneric, axpyPanelI8Generic)
+			got := c.run(i8, AxpyPanel, AxpyPanelI8)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("tier %s, int8 %v, width %d, stride %d, rows %v: column %d is %v, generic %v",
+						KernelTier(), i8, width, stride, c.k, j, got[j], want[j])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkAxpyPanelTier prices one 64-column panel pass per tier, every row
+// listed, with the panel sized to sit in L1, in a 256 KB L2-sized slab (the
+// DMV plan's widest output block) and in 2 MB. It reports GMAC/s; compare
+// BenchmarkSaxpyTier, which loads and stores its destination per term.
+func BenchmarkAxpyPanelTier(b *testing.B) {
+	orig := KernelTier()
+	defer SetKernelTier(orig)
+	const width = 64
+	for _, tier := range KernelTiers() {
+		for _, ws := range []struct {
+			name  string
+			bytes int
+		}{{"l1", 16 << 10}, {"256k", 256 << 10}, {"2m", 2 << 20}} {
+			for _, i8 := range []bool{false, true} {
+				kind := "f32"
+				rows := ws.bytes / (4 * width)
+				if i8 {
+					kind, rows = "i8", ws.bytes/width
+				}
+				b.Run(fmt.Sprintf("%s/%s/%s", tier, kind, ws.name), func(b *testing.B) {
+					if err := SetKernelTier(tier); err != nil {
+						b.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(1))
+					normal := func(n int) []float32 { // no subnormal operands, whose assists would dominate
+						v := make([]float32, n)
+						for i := range v {
+							v[i] = rng.Float32() + 0.5
+						}
+						return v
+					}
+					c := panelCase{stride: width, alpha: normal(rows), panel: normal(rows * width), codes: make([]int8, rows*width), scale: normal(rows)}
+					for u := range c.codes {
+						c.codes[u] = int8(rng.Intn(255) - 127)
+					}
+					for u := 0; u < rows; u++ {
+						c.k = append(c.k, int32(u))
+					}
+					y := make([]float32, width)
+					for i := 0; i < b.N; i++ {
+						if i8 {
+							AxpyPanelI8(y, c.alpha, c.k, c.scale, c.codes, c.stride)
+						} else {
+							AxpyPanel(y, c.alpha, c.k, c.panel, c.stride)
+						}
+					}
+					b.ReportMetric(float64(b.N)*float64(rows*width)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+				})
+			}
+		}
+	}
+}
