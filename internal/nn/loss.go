@@ -33,6 +33,11 @@ func (b Blocks) Slice(row []float32, i int) []float32 {
 	return row[b.Off[i] : b.Off[i]+b.Len[i]]
 }
 
+// expChunk is the length of the stack buffer the softmax loops take their
+// exponentials through (tensor.ExpShift), a chunk at a time, before summing
+// them in ascending order.
+const expChunk = 256
+
 // Softmax writes the softmax of logits into dst (which may alias logits).
 // The reduction runs in float64 for stability.
 func Softmax(dst, logits []float32) {
@@ -43,10 +48,15 @@ func Softmax(dst, logits []float32) {
 		}
 	}
 	var sum float64
-	for i, v := range logits {
-		e := math.Exp(float64(v) - mx)
-		dst[i] = float32(e)
-		sum += e
+	var buf [expChunk]float64
+	for off := 0; off < len(logits); off += expChunk {
+		e := buf[:min(len(logits)-off, expChunk)]
+		tensor.ExpShift(e, logits[off:off+len(e)], mx)
+		d := dst[off : off+len(e)]
+		for i, v := range e {
+			d[i] = float32(v)
+			sum += v
+		}
 	}
 	inv := 1.0 / sum
 	for i := range dst {
@@ -78,8 +88,13 @@ func LogSumExp(logits []float32) float64 {
 		return mx
 	}
 	var sum float64
-	for _, v := range logits {
-		sum += math.Exp(float64(v) - mx)
+	var buf [expChunk]float64
+	for off := 0; off < len(logits); off += expChunk {
+		e := buf[:min(len(logits)-off, expChunk)]
+		tensor.ExpShift(e, logits[off:off+len(e)], mx)
+		for _, v := range e {
+			sum += v
+		}
 	}
 	return mx + math.Log(sum)
 }
@@ -110,6 +125,7 @@ func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *
 	term := (*terms)[:batch*nb]
 	invB := 1.0 / float64(batch)
 	tensor.ParallelFor(batch, tensor.RowGrain(logits.Cols), func(lo, hi int) {
+		var buf [expChunk]float64
 		for r := lo; r < hi; r++ {
 			row := logits.Row(r)
 			var dRow []float32
@@ -127,9 +143,13 @@ func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *
 					continue
 				}
 				dSeg := blocks.Slice(dRow, bi)
-				for j, v := range seg {
-					p := math.Exp(float64(v) - lse)
-					dSeg[j] += float32(p * invB)
+				for off := 0; off < len(seg); off += expChunk {
+					p := buf[:min(len(seg)-off, expChunk)]
+					tensor.ExpShift(p, seg[off:off+len(p)], lse)
+					d := dSeg[off : off+len(p)]
+					for j, v := range p {
+						d[j] += float32(v * invB)
+					}
 				}
 				dSeg[y] -= float32(invB)
 			}

@@ -16,10 +16,11 @@ var cpuHasAVX2, cpuHasFMA = detectAVX2FMA()
 
 // detectAVX2FMA reports whether AVX2 (and, separately, FMA) can be used:
 // the CPU must advertise the feature and the OS must have enabled saving of
-// the YMM state (XCR0 bits 1 and 2). FMA is detected only so operators can
-// see it in diagnostics; the kernels deliberately do not use it — a fused
-// multiply-add rounds once where the scalar reference rounds twice, which
-// would break the bitwise-equivalence contract between tiers.
+// the YMM state (XCR0 bits 1 and 2). Only ExpShift's avx2 kernel uses FMA,
+// because its reference, math.Exp, does on the same CPUs; every other kernel
+// deliberately does not — a fused multiply-add rounds once where the scalar
+// reference rounds twice, which would break the bitwise-equivalence contract
+// between tiers.
 func detectAVX2FMA() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

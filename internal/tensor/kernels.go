@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -35,6 +36,18 @@ import (
 // strips of 64/32/16/8 columns and sse of 32/16/8; neon runs the generic
 // loop. Their contract covers finite inputs, which is all the plan feeds
 // them; the other kernels also pin NaN and Inf bits.
+//
+// ExpShift is the one kernel whose reference is not a loop in this file but
+// math.Exp on the same host, and it is the one stated exception to "asm
+// tiers never fuse": Go's amd64 math.Exp runs Shibata's SIMD-oriented
+// reduction (ISC'10, the SLEEF method) in scalar asm, with FMA where the CPU
+// has it. The avx2 kernel runs that instruction sequence four lanes at a
+// time, with the same constants, the same VCVTPD2DQ rounding and 2^n
+// exponent build, and FMA exactly where math.Exp uses it, so it only runs
+// on hosts where math.Exp takes its FMA path; lanes outside (-708, 708) and
+// NaNs are recomputed with math.Exp. Every other tier, and avx2 without FMA,
+// runs the math.Exp loop. A Go release that changes math.Exp is caught by
+// TestExpShiftMatchesMathExp and FuzzExpShift.
 
 // gemmTileFunc accumulates a tileM×tileN output tile:
 //
@@ -64,6 +77,7 @@ type kernel struct {
 	axpyPanelI8  axpyPanelI8Func
 	gemmTile     gemmTileFunc
 	tileM, tileN int
+	expVector    bool // ExpShift runs expShiftVector
 }
 
 var genericKernel = kernel{
@@ -90,6 +104,7 @@ var (
 	axpyPanelI8Impl      axpyPanelI8Func
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
+	expVector            bool
 )
 
 func init() {
@@ -118,6 +133,7 @@ func setKernel(k kernel) {
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN
+	expVector = k.expVector
 }
 
 // KernelTier reports the name of the tier currently dispatching the SIMD
@@ -211,6 +227,21 @@ func AxpyPanelI8(y, x []float32, k []int32, scale []float32, panel []int8, strid
 	checkPanel(len(y), k, len(panel), stride)
 	_ = scale[k[n-1]]
 	axpyPanelI8Impl(y, x, k, scale, panel, stride)
+}
+
+// ExpShift computes dst[i] = math.Exp(float64(x[i]) - c) for i < len(x),
+// bit for bit on every tier; len(dst) must be at least len(x). It is the
+// exponential under every softmax: the caller passes the row's maximum as
+// c and sums dst itself.
+func ExpShift(dst []float64, x []float32, c float64) {
+	dst = dst[:len(x)]
+	n := 0
+	if expVector {
+		n = expShiftVector(dst, x, c)
+	}
+	for i := n; i < len(x); i++ {
+		dst[i] = math.Exp(float64(x[i]) - c)
+	}
 }
 
 func checkPanel(width int, k []int32, panelLen, stride int) {

@@ -2,10 +2,13 @@
 
 package tensor
 
+import "math"
+
 // amd64 tiers: "avx2" (256-bit, gated on runtime AVX2+OS support) above
 // "sse" (128-bit, part of the amd64 baseline). Both use unfused multiply/add
-// pairs so results are bitwise identical to the generic reference; see the
-// contract notes in kernels.go.
+// pairs so results are bitwise identical to the generic reference; the one
+// exception is ExpShift's avx2 kernel, which fuses where math.Exp does. See
+// the contract notes in kernels.go.
 
 // saxpySSEAsm is the SSE Saxpy (kernels_sse_amd64.s); it handles any
 // length, including the scalar tail, in assembly.
@@ -120,6 +123,28 @@ func axpyPanelI8SSE(y, x []float32, k []int32, scale []float32, panel []int8, st
 	}
 }
 
+// expShiftAVX2Asm requires len(x) to be a multiple of 4 (see
+// kernels_avx2_amd64.s). It reports whether any lane's argument lay outside
+// (-708, 708) or was NaN; those lanes hold garbage.
+//
+//go:noescape
+func expShiftAVX2Asm(dst []float64, x []float32, c float64) (wide bool)
+
+// expShiftVector runs ExpShift's avx2 kernel over the longest multiple of 4
+// in x, recomputes its out-of-range lanes with math.Exp, and returns how
+// many elements it wrote.
+func expShiftVector(dst []float64, x []float32, c float64) int {
+	n := len(x) &^ 3
+	if n > 0 && expShiftAVX2Asm(dst[:n], x[:n], c) {
+		for i, v := range x[:n] {
+			if d := float64(v) - c; !(d > -708 && d < 708) {
+				dst[i] = math.Exp(d)
+			}
+		}
+	}
+	return n
+}
+
 func saxpyI8SSE(alpha float32, q []int8, y []float32) {
 	n := len(q) &^ 3
 	if n > 0 {
@@ -159,6 +184,8 @@ func archKernels() []kernel {
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,
 		tileN:       8,
+		// math.Exp takes its FMA path exactly when the CPU has AVX and FMA.
+		expVector: cpuHasFMA,
 	}
 	return []kernel{avx2, sse}
 }

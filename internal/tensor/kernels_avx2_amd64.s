@@ -475,3 +475,118 @@ store8:
 	VMOVUPS Y0, 0(DI)
 	VZEROUPPER
 	RET
+
+// ExpShift's kernel: math.Exp of math/exp_amd64.s on its useFMA path, four
+// float64 lanes per group, with that file's constants and operation order,
+// so a lane in (-708, 708) gets math.Exp's bits. Each constant is stored
+// four times for full-width memory operands.
+#define EXPC(off, v) \
+	DATA expc<>+off(SB)/8, v; \
+	DATA expc<>+off+8(SB)/8, v; \
+	DATA expc<>+off+16(SB)/8, v; \
+	DATA expc<>+off+24(SB)/8, v
+
+EXPC(0, $1.4426950408889634073599246810018920)            // log2(e)
+EXPC(32, $0.69314718055966295651160180568695068359375)    // upper half of ln 2
+EXPC(64, $0.28235290563031577122588448175013436025525412068e-12) // lower half of ln 2
+EXPC(96, $0.0625)
+EXPC(128, $2.4801587301587301587e-5)
+EXPC(160, $1.9841269841269841270e-4)
+EXPC(192, $1.3888888888888888889e-3)
+EXPC(224, $8.3333333333333333333e-3)
+EXPC(256, $4.1666666666666666667e-2)
+EXPC(288, $1.6666666666666666667e-1)
+EXPC(320, $0.5)
+EXPC(352, $1.0)
+EXPC(384, $2.0)
+EXPC(416, $708.0)
+EXPC(448, $0x7FFFFFFFFFFFFFFF) // clears the sign bit
+DATA expc<>+480(SB)/4, $0x3FF // exponent bias, four int32 lanes
+DATA expc<>+484(SB)/4, $0x3FF
+DATA expc<>+488(SB)/4, $0x3FF
+DATA expc<>+492(SB)/4, $0x3FF
+GLOBL expc<>(SB), RODATA|NOPTR, $496
+
+// EXP4 overwrites X with exp(X) for four lanes, using T and N (N's low
+// half is XN) as temporaries, and ORs into Y8 a lane mask of those outside
+// (-708, 708), NaN included. Y9..Y13 hold |.| mask, 708, ln 2 halves and
+// log2(e).
+#define EXP4(X, T, N, XN) \
+	VANDPD       Y9, X, T; \
+	VCMPPD       $0x15, Y10, T, T; \
+	VORPD        T, Y8, Y8; \
+	VMULPD       Y13, X, T; \
+	VCVTPD2DQY   T, XN; \
+	VCVTDQ2PD    XN, T; \
+	VFNMADD231PD Y12, T, X; \
+	VFNMADD231PD Y11, T, X; \
+	VMULPD       expc<>+96(SB), X, X; \
+	VMOVUPD      expc<>+128(SB), T; \
+	VFMADD213PD  expc<>+160(SB), X, T; \
+	VFMADD213PD  expc<>+192(SB), X, T; \
+	VFMADD213PD  expc<>+224(SB), X, T; \
+	VFMADD213PD  expc<>+256(SB), X, T; \
+	VFMADD213PD  expc<>+288(SB), X, T; \
+	VFMADD213PD  expc<>+320(SB), X, T; \
+	VFMADD213PD  expc<>+352(SB), X, T; \
+	VMULPD       T, X, X; \
+	VADDPD       expc<>+384(SB), X, T; \
+	VMULPD       T, X, X; \
+	VADDPD       expc<>+384(SB), X, T; \
+	VMULPD       T, X, X; \
+	VADDPD       expc<>+384(SB), X, T; \
+	VMULPD       T, X, X; \
+	VADDPD       expc<>+384(SB), X, T; \
+	VFMADD213PD  expc<>+352(SB), T, X; \
+	VPADDD       expc<>+480(SB), XN, XN; \
+	VPMOVZXDQ    XN, N; \
+	VPSLLQ       $52, N, N; \
+	VMULPD       N, X, X
+
+// func expShiftAVX2Asm(dst []float64, x []float32, c float64) (wide bool)
+// dst[i] = exp(float64(x[i]) - c) for i < len(x), a multiple of 4; the Go
+// wrapper guarantees len(dst) >= len(x). Lanes whose argument lies outside
+// (-708, 708) hold garbage, and wide reports whether there were any. Eight
+// lanes per iteration, then a group of four.
+TEXT ·expShiftAVX2Asm(SB), NOSPLIT, $0-57
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), BX
+	VBROADCASTSD c+48(FP), Y14
+	VMOVUPD      expc<>+0(SB), Y13
+	VMOVUPD      expc<>+32(SB), Y12
+	VMOVUPD      expc<>+64(SB), Y11
+	VMOVUPD      expc<>+416(SB), Y10
+	VMOVUPD      expc<>+448(SB), Y9
+	VXORPD       Y8, Y8, Y8
+	XORQ         AX, AX
+	MOVQ         BX, DX
+	SHRQ         $3, BX
+	JZ           exp4
+
+exp8:
+	VCVTPS2PD (SI)(AX*4), Y0
+	VCVTPS2PD 16(SI)(AX*4), Y3
+	VSUBPD    Y14, Y0, Y0
+	VSUBPD    Y14, Y3, Y3
+	EXP4(Y0, Y1, Y2, X2)
+	EXP4(Y3, Y4, Y5, X5)
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVUPD   Y3, 32(DI)(AX*8)
+	ADDQ      $8, AX
+	DECQ      BX
+	JNZ       exp8
+
+exp4:
+	TESTQ     $4, DX
+	JZ        expdone
+	VCVTPS2PD (SI)(AX*4), Y0
+	VSUBPD    Y14, Y0, Y0
+	EXP4(Y0, Y1, Y2, X2)
+	VMOVUPD   Y0, (DI)(AX*8)
+
+expdone:
+	VPTEST     Y8, Y8
+	SETNE      wide+56(FP)
+	VZEROUPPER
+	RET
