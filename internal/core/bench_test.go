@@ -98,3 +98,20 @@ func BenchmarkTrainStepDMV(b *testing.B) {
 func BenchmarkTrainStepCensus(b *testing.B) {
 	benchTrainStep(b, relation.SynCensus(20000, 1), DefaultConfig())
 }
+
+// BenchmarkEstimateBurstDMV is one embed_burst call without the harness: 64
+// distinct Rand-Q queries per EstimateCardBatch on an untrained DMV model
+// over a 20,000-row SynDMV table. Its µs/call is the plan plus the masked
+// product; BenchmarkPlanForward in internal/made prices the plan alone.
+func BenchmarkEstimateBurstDMV(b *testing.B) {
+	tbl := relation.SynDMV(20000, 1)
+	m := NewModel(tbl, DMVConfig())
+	qs := workload.Generate(tbl, workload.RandQConfig(tbl.NumCols(), 64))
+	m.EstimateCardBatch(qs) // compile the snapshot, warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.EstimateCardBatch(qs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/call")
+}

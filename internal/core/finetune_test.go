@@ -14,7 +14,11 @@ import (
 func referenceCard(m *Model, q workload.Query) float64 {
 	logits := m.Forward([]Spec{m.SpecFromQuery(q)})
 	probs := make([]float32, len(logits.Row(0)))
-	return m.current().maskedProduct(probs, logits.Row(0), q) * float64(m.table.NumRows())
+	var cols []int32
+	for _, c := range q.Columns() {
+		cols = append(cols, int32(c))
+	}
+	return m.current().maskedProduct(probs, logits.Row(0), q.ColumnIntervals(m.table), cols) * float64(m.table.NumRows())
 }
 
 // TestEstimateCardIsBatchOfOne: on every model/plan kind, EstimateCardBatch

@@ -283,29 +283,44 @@ func (m *Model) backward(specs []Spec, dLogits *tensor.Matrix) {
 func (e *encoder) SpecFromQuery(q workload.Query) Spec {
 	n := e.table.NumCols()
 	spec := make(Spec, n)
-	for _, p := range q.Preds {
-		spec[p.Col] = append(spec[p.Col], ColPred{Op: p.Op, Code: p.Code})
-	}
-	if e.encs != nil {
-		ivs := q.ColumnIntervals(e.table)
-		for i := range spec {
-			if len(spec[i]) <= 1 {
-				continue
-			}
-			iv := ivs[i]
-			switch {
-			case iv.Empty():
-				spec[i] = spec[i][:1]
-			case iv.Lo == iv.Hi:
-				spec[i] = []ColPred{{Op: workload.OpEq, Code: iv.Lo}}
-			case iv.Lo == 0:
-				spec[i] = []ColPred{{Op: workload.OpLe, Code: iv.Hi}}
-			default:
-				spec[i] = []ColPred{{Op: workload.OpGe, Code: iv.Lo}}
+	e.specInto(spec, nil, q.ColumnIntervals(e.table), q)
+	return spec
+}
+
+// specInto is SpecFromQuery into spec, one list per column, whose entries
+// it appends to preds; it returns the extended preds. ivs are q's column
+// intervals. A list is capped at its length, so appending to one never
+// reaches the next.
+func (e *encoder) specInto(spec Spec, preds []ColPred, ivs []workload.Interval, q workload.Query) []ColPred {
+	for i := range spec {
+		start := len(preds)
+		for _, p := range q.Preds {
+			if p.Col == i {
+				preds = append(preds, ColPred{Op: p.Op, Code: p.Code})
 			}
 		}
+		spec[i] = preds[start:len(preds):len(preds)]
 	}
-	return spec
+	if e.encs == nil {
+		return preds
+	}
+	for i, l := range spec {
+		if len(l) <= 1 {
+			continue
+		}
+		iv := ivs[i]
+		switch {
+		case iv.Empty():
+		case iv.Lo == iv.Hi:
+			l[0] = ColPred{Op: workload.OpEq, Code: iv.Lo}
+		case iv.Lo == 0:
+			l[0] = ColPred{Op: workload.OpLe, Code: iv.Hi}
+		default:
+			l[0] = ColPred{Op: workload.OpGe, Code: iv.Lo}
+		}
+		spec[i] = l[:1]
+	}
+	return preds
 }
 
 // EstimateCard estimates the query's cardinality with a single forward pass
@@ -366,9 +381,14 @@ type Snapshot struct {
 	probs  sync.Pool // per-worker softmax scratch for masking
 }
 
-// pass is one estimate chunk's scratch.
+// pass is one estimate chunk's scratch. Its buffers grow to the largest
+// chunk it has run and are reused, so a warm pass allocates nothing per
+// query.
 type pass struct {
 	specs  []Spec
+	lists  [][]ColPred         // the specs' per-column lists, NumCols per query
+	preds  []ColPred           // the lists' entries
+	ivs    []workload.Interval // per query, NumCols column intervals
 	x      tensor.Matrix
 	mpsns  []MPSN    // clones of the snapshot's MPSNs: its weights, this pass's activations
 	needed [][]int32 // per query: the constrained blocks
@@ -429,11 +449,7 @@ func (s *Snapshot) EstimateCardBatch(qs []workload.Query) []float64 {
 func (s *Snapshot) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
 	ps := s.passes.Get().(*pass)
 	defer s.passes.Put(ps)
-	specs := ps.specs[:0]
-	for _, q := range qs {
-		specs = append(specs, s.SpecFromQuery(q))
-	}
-	ps.specs = specs[:0]
+	specs := ps.buildSpecs(&s.encoder, qs)
 	x := s.encodeBatch(specs, ps.mpsns, &ps.x)
 	if encoded != nil {
 		*encoded = time.Now()
@@ -442,13 +458,32 @@ func (s *Snapshot) estimate(out []float64, qs []workload.Query, encoded *time.Ti
 	// the plan computes exactly those per row.
 	logits := s.plan.Run(&ps.plan, x, ps.neededBlocks(qs))
 	rows := float64(s.table.NumRows())
+	n := s.table.NumCols()
 	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
 		probs := s.probs.Get().(*[]float32)
 		for r := lo; r < hi; r++ {
-			out[r] = s.maskedProduct(*probs, logits.Row(r), qs[r]) * rows
+			out[r] = s.maskedProduct(*probs, logits.Row(r), ps.ivs[r*n:(r+1)*n], ps.needed[r]) * rows
 		}
 		s.probs.Put(probs)
 	})
+}
+
+// buildSpecs writes every query's column intervals and spec into the pass's
+// flat buffers and returns the specs.
+func (ps *pass) buildSpecs(e *encoder, qs []workload.Query) []Spec {
+	n := e.table.NumCols()
+	if cap(ps.lists) < len(qs)*n {
+		ps.lists = make([][]ColPred, len(qs)*n)
+		ps.ivs = make([]workload.Interval, len(qs)*n)
+	}
+	specs, preds := ps.specs[:0], ps.preds[:0]
+	for r, q := range qs {
+		spec := Spec(ps.lists[r*n : (r+1)*n : (r+1)*n])
+		preds = e.specInto(spec, preds, q.IntervalsInto(ps.ivs[r*n:], e.table), q)
+		specs = append(specs, spec)
+	}
+	ps.specs, ps.preds = specs, preds
+	return specs
 }
 
 // neededBlocks returns, per query, the ascending list of constrained column
@@ -470,22 +505,18 @@ func (ps *pass) neededBlocks(qs []workload.Query) [][]int32 {
 }
 
 // maskedProduct computes Π_i Σ_{v∈I_i} P(C_i = v | ·) over the constrained
-// columns, the core of Algorithm 3. scratch is caller-supplied softmax
-// storage (len ≥ the largest column NDV), so masking can run on multiple
-// rows concurrently with per-worker buffers.
-func (s *Snapshot) maskedProduct(scratch []float32, logitRow []float32, q workload.Query) float64 {
-	ivs := q.ColumnIntervals(s.table)
-	mask := q.ConstrainedMask(s.table.NumCols())
+// columns cols (ascending), the core of Algorithm 3; ivs holds the query's
+// interval per column. scratch is caller-supplied softmax storage (len ≥ the
+// largest column NDV), so masking can run on multiple rows concurrently
+// with per-worker buffers.
+func (s *Snapshot) maskedProduct(scratch []float32, logitRow []float32, ivs []workload.Interval, cols []int32) float64 {
 	sel := 1.0
-	for i := range s.table.Cols {
-		if !mask[i] {
-			continue // unconstrained columns integrate to 1
-		}
+	for _, i := range cols {
 		iv := ivs[i]
 		if iv.Empty() {
 			return 0
 		}
-		seg := s.out.Slice(logitRow, i)
+		seg := s.out.Slice(logitRow, int(i))
 		sel *= min(max(nn.IntervalMass(scratch[:len(seg)], seg, iv.Lo, iv.Hi), 1e-12), 1)
 	}
 	return sel

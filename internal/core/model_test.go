@@ -442,3 +442,39 @@ func TestDirectModeMultiPredCollapse(t *testing.T) {
 		t.Fatalf("range estimate %v should be below full-domain %v", est, m.EstimateCard(qFull))
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestEstimatePassAllocs pins that a warm estimate pass allocates nothing per
+// query: specs, column intervals and the masked product's inputs live in the
+// pooled pass. On one worker a call makes at most 4 allocations (the result
+// slice and fixed per-call closures) at every batch size; with two, the
+// plan's forked phases add a fixed count per call, so the figure still does
+// not grow with the batch.
+func TestEstimatePassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tbl := relation.SynDMV(2000, 1)
+	s := NewModel(tbl, DMVConfig()).current()
+	defer tensor.SetMaxWorkers(0)
+	for _, workers := range []int{1, 2} {
+		tensor.SetMaxWorkers(workers)
+		var first float64
+		for _, n := range []int{16, 64, 256} {
+			qs := workload.Generate(tbl, workload.RandQConfig(tbl.NumCols(), n))
+			s.EstimateCardBatch(qs)
+			allocs := testing.AllocsPerRun(10, func() { s.EstimateCardBatch(qs) })
+			t.Logf("%d workers, %d queries: %v allocations per call", workers, n, allocs)
+			if workers == 1 && allocs > 4 {
+				t.Errorf("%d queries on one worker: %v allocations per call, want at most 4", n, allocs)
+			}
+			if first == 0 {
+				first = allocs
+			} else if allocs > first {
+				t.Errorf("%d workers: %v allocations per call at %d queries, %v at 16", workers, allocs, n, first)
+			}
+		}
+	}
+}

@@ -146,7 +146,13 @@ func (iv Interval) Width() int32 {
 // ColumnIntervals intersects all predicates per column into one interval per
 // table column. Unconstrained columns get the full domain [0, ndv-1].
 func (q Query) ColumnIntervals(t *relation.Table) []Interval {
-	out := make([]Interval, t.NumCols())
+	return q.IntervalsInto(make([]Interval, t.NumCols()), t)
+}
+
+// IntervalsInto is ColumnIntervals into out, which must hold t.NumCols()
+// intervals; it returns out[:t.NumCols()].
+func (q Query) IntervalsInto(out []Interval, t *relation.Table) []Interval {
+	out = out[:t.NumCols()]
 	for i, c := range t.Cols {
 		out[i] = Interval{0, int32(c.NumDistinct()) - 1}
 	}
@@ -162,16 +168,6 @@ func (q Query) ColumnIntervals(t *relation.Table) []Interval {
 		}
 	}
 	return out
-}
-
-// ConstrainedMask returns a bitmask slice with true for columns touched by
-// at least one predicate.
-func (q Query) ConstrainedMask(ncols int) []bool {
-	mask := make([]bool, ncols)
-	for _, p := range q.Preds {
-		mask[p.Col] = true
-	}
-	return mask
 }
 
 // LabeledQuery pairs a query with its true cardinality.
