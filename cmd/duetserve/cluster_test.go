@@ -68,9 +68,17 @@ func startFleet(t *testing.T, n int) *fleet {
 	proxy, err := duet.NewClusterProxy(duet.ClusterConfig{
 		Members:     f.urls,
 		Replication: 2,
+		// A live member must never fail a probe, even while the rollout
+		// subtest's estimate loop and other processes load the CPU: a false
+		// mark-down (and the mark-up after it) would land among the
+		// failover subtest's flips. The default timeout, half of the
+		// interval, is too short for that, so it is set apart. A closed
+		// member refuses at once, so its mark-down still takes only
+		// FailAfter rounds.
 		Health: duet.ClusterHealthConfig{
-			Interval:  20 * time.Millisecond,
-			FailAfter: 2,
+			Interval:  50 * time.Millisecond,
+			Timeout:   time.Second,
+			FailAfter: 3,
 			RiseAfter: 2,
 		},
 		OnHealthChange: func(addr string, healthy bool) {
@@ -268,7 +276,7 @@ func TestClusterFleet(t *testing.T) {
 		}
 
 		// The checker marks the member down within its hysteresis window
-		// (FailAfter=2 probes at 20ms; generous deadline for loaded CI).
+		// (FailAfter=3 probes at 50ms; generous deadline for loaded CI).
 		select {
 		case addr := <-f.flips:
 			if addr != owners[0] {
