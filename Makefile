@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-train bench-plan golden serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
+.PHONY: all build vet fmt test race bench bench-train bench-plan bench-estimate golden serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
 
 all: build vet fmt test
 
@@ -44,6 +44,15 @@ bench-train:
 # made.plan_us_b64.
 bench-plan:
 	$(GO) test -run='^$$' -bench='PlanForward' -benchmem ./internal/made
+
+# The estimate pass around the plan: one 64-query EstimateCardBatch on an
+# untrained DMV model (µs/call and allocs/op; its plan is bench-plan's DMV
+# b64 row), and one Softmax at the DMV model's two widest logit blocks, the
+# masked product's per-column cost. Call minus plan is the masked product's
+# share, the pass benchmark/ reports as core.self_us.
+bench-estimate:
+	$(GO) test -run='^$$' -bench='EstimateBurstDMV' -benchmem ./internal/core
+	$(GO) test -run='^$$' -bench='Softmax' -benchmem ./internal/nn
 
 # The bitwise contract: trained weights, losses and estimates hashed against
 # internal/core/testdata/golden.txt. A change that means to move numbers
