@@ -53,6 +53,46 @@ func TestSoftmaxExtremeLogits(t *testing.T) {
 	}
 }
 
+// TestSoftmaxChunksMatchScalarLoop holds Softmax (in place too) and
+// LogSumExp, which take their exponentials a stack chunk at a time, to the
+// one-element-at-a-time math.Exp loops they replaced, bit for bit, at widths
+// on both sides of a chunk boundary.
+func TestSoftmaxChunksMatchScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 3, 4, expChunk - 1, expChunk, expChunk + 1, 600, 1243} {
+		logits := make([]float32, n)
+		for i := range logits {
+			logits[i] = float32(rng.NormFloat64() * 8)
+		}
+		mx := math.Inf(-1)
+		for _, v := range logits {
+			mx = math.Max(mx, float64(v))
+		}
+		want := make([]float32, n)
+		var sum float64
+		for i, v := range logits {
+			e := math.Exp(float64(v) - mx)
+			want[i] = float32(e)
+			sum += e
+		}
+		for i := range want {
+			want[i] = float32(float64(want[i]) * (1.0 / sum))
+		}
+		got := make([]float32, n)
+		Softmax(got, logits)
+		inPlace := append([]float32(nil), logits...)
+		Softmax(inPlace, inPlace)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: Softmax[%d] = %v (in place %v), scalar loop %v", n, i, got[i], inPlace[i], want[i])
+			}
+		}
+		if got, want := LogSumExp(logits), mx+math.Log(sum); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: LogSumExp %v, scalar loop %v", n, got, want)
+		}
+	}
+}
+
 func TestLogSumExp(t *testing.T) {
 	got := LogSumExp([]float32{0, 0})
 	if math.Abs(got-math.Log(2)) > 1e-6 {
