@@ -47,7 +47,9 @@ import (
 // on hosts where math.Exp takes its FMA path; lanes outside (-708, 708) and
 // NaNs are recomputed with math.Exp. Every other tier, and avx2 without FMA,
 // runs the math.Exp loop. A Go release that changes math.Exp is caught by
-// TestExpShiftMatchesMathExp and FuzzExpShift.
+// TestExpShiftMatchesMathExp and FuzzExpShift. ExpShift dispatches on a
+// flag, not an impl pointer: its callers pass stack buffers, which an
+// indirect call would move to the heap.
 
 // gemmTileFunc accumulates a tileM×tileN output tile:
 //
