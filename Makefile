@@ -29,12 +29,14 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The training-side kernel figures: the three GEMMs of a layer at the
-# cache-resident ResMADE shape and at the DMV output layer (GFLOP/s), and a
-# whole step on the paper's two configurations (tuples/s). benchmark/ reports
-# the same two quantities end to end as tensor.gemm_gflop_s and
-# core.train_tuples_per_s.
+# cache-resident ResMADE shape and at the DMV output layer (GFLOP/s), on
+# every kernel tier the host has, best first (avx512's 8x32 tile above
+# avx2's 8x8 where the CPU has AVX-512; the generic rows take a few seconds),
+# and a whole step on the paper's two configurations on the active tier
+# (tuples/s). benchmark/ reports the same two quantities end to end, on the
+# active tier, as tensor.gemm_gflop_s and core.train_tuples_per_s.
 bench-train:
-	$(GO) test -run='^$$' -bench='TrainGEMM(Mul|MulBT|MulATAdd)(DMV)?$$' -benchmem ./internal/tensor
+	$(GO) test -run='^$$' -bench='TrainGEMMTier' -benchmem ./internal/tensor
 	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)$$' -benchmem ./internal/core
 
 # The serving-side kernel figure: Plan.Forward in µs per row on untrained

@@ -362,10 +362,12 @@ var ErrRegistryClosed = registry.ErrClosed
 // plan, with estimates that approximate (not bitwise match) the f32 plan's.
 const QuantInt8 = registry.QuantInt8
 
-// KernelTier reports the active SIMD kernel tier ("avx2", "sse", "neon", or
-// "generic"), selected at startup from CPU features; the DUET_KERNEL
-// environment variable forces a slower tier. Every tier computes bitwise-
-// identical results; they differ only in speed.
+// KernelTier reports the active SIMD kernel tier ("avx512", "avx2", "sse",
+// "neon", or "generic"), the best the CPU and OS support, picked at startup;
+// the DUET_KERNEL environment variable forces a slower tier (DUET_KERNEL=avx2
+// on hosts whose clock drops under 512-bit code). avx512 is avx2 with a
+// wider training-GEMM tile, so it speeds up training, not serving. Every
+// tier computes bitwise-identical results; they differ only in speed.
 func KernelTier() string { return tensor.KernelTier() }
 
 // RegisterKernelMetrics exports the active kernel tier as an info-style gauge

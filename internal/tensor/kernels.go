@@ -11,7 +11,8 @@ import (
 // Every hot-path primitive in this package (Saxpy, SaxpyI8, AxpyPanel,
 // AxpyPanelI8 and the blocked GEMM microkernel behind Mul/MulBT/MulATAdd) is
 // reached through an impl pointer selected once at init from CPU feature
-// detection: "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit, any amd64),
+// detection: "avx512" (avx2 with a 512-bit training-GEMM tile, amd64 with
+// AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit, any amd64),
 // "neon" (128-bit, arm64) and "generic" (pure Go, every platform).
 // DUET_KERNEL=<tier> overrides the choice at startup; SetKernelTier switches
 // tiers from tests and benchmarks.
@@ -25,17 +26,23 @@ import (
 // would (arm64). For the same reason the asm tiers use unfused vector
 // multiply/add pairs (VMULPS/VADDPS, FMUL/FADD) even when FMA hardware is
 // present; FMA's single rounding would diverge from the reference by an ulp.
-// Tier selection therefore never changes results, only speed.
+// A lane rounds the same at every vector width, so the 512-bit pair of the
+// avx512 tile keeps the contract exactly as the 256-bit and 128-bit pairs
+// do. Tier selection therefore never changes results, only speed. The one
+// bit pattern outside the contract is a NaN's payload: when both operands of
+// a multiply or an add are NaN, x86 passes the first one's on, and Go's
+// compiler orders the generic loops' operands as it likes. Which values are
+// NaN is pinned; FuzzGEMMTile holds the tiles to that.
 //
 // The panel kernels (AxpyPanel, AxpyPanelI8) hold the same contract with a
 // different memory pattern: a strip of up to 64 destination columns stays
 // in registers while every listed term is added to it, where Saxpy loads
 // and stores its destination once per call. Keeping a value in a register
 // instead of storing and reloading it is exact, so a strip's element sees
-// the rounded sums the generic loop does, in the same order. avx2 runs
-// strips of 64/32/16/8 columns and sse of 32/16/8; neon runs the generic
-// loop. Their contract covers finite inputs, which is all the plan feeds
-// them; the other kernels also pin NaN and Inf bits.
+// the rounded sums the generic loop does, in the same order. avx2 and
+// avx512 run strips of 64/32/16/8 columns and sse of 32/16/8; neon runs the
+// generic loop. Their contract covers finite inputs, which is all the plan
+// feeds them; the other kernels also pin Inf bits and which values are NaN.
 //
 // ExpShift is the one kernel whose reference is not a loop in this file but
 // math.Exp on the same host, and it is the one stated exception to "asm
@@ -45,8 +52,9 @@ import (
 // time, with the same constants, the same VCVTPD2DQ rounding and 2^n
 // exponent build, and FMA exactly where math.Exp uses it, so it only runs
 // on hosts where math.Exp takes its FMA path; lanes outside (-708, 708) and
-// NaNs are recomputed with math.Exp. Every other tier, and avx2 without FMA,
-// runs the math.Exp loop. A Go release that changes math.Exp is caught by
+// NaNs are recomputed with math.Exp. avx512 runs the same kernel under the
+// same flag. Every other tier, and avx2 or avx512 without FMA, runs the
+// math.Exp loop. A Go release that changes math.Exp is caught by
 // TestExpShiftMatchesMathExp and FuzzExpShift. ExpShift dispatches on a
 // flag, not an impl pointer: its callers pass stack buffers, which an
 // indirect call would move to the heap.
@@ -139,7 +147,7 @@ func setKernel(k kernel) {
 }
 
 // KernelTier reports the name of the tier currently dispatching the SIMD
-// kernels: "avx2", "sse", "neon" or "generic".
+// kernels: "avx512", "avx2", "sse", "neon" or "generic".
 func KernelTier() string { return activeKernel.name }
 
 // KernelTiers lists the tiers available on this CPU, best first. The last

@@ -4,11 +4,12 @@ package tensor
 
 import "math"
 
-// amd64 tiers: "avx2" (256-bit, gated on runtime AVX2+OS support) above
-// "sse" (128-bit, part of the amd64 baseline). Both use unfused multiply/add
-// pairs so results are bitwise identical to the generic reference; the one
-// exception is ExpShift's avx2 kernel, which fuses where math.Exp does. See
-// the contract notes in kernels.go.
+// amd64 tiers, best first; amd64Tiers (cpu_amd64.go) decides which the host
+// can run: "avx512" (avx2 plus a 512-bit 8x32 training-GEMM tile), "avx2"
+// (256-bit) and "sse" (128-bit, part of the amd64 baseline). All use unfused
+// multiply/add pairs so results are bitwise identical to the generic
+// reference; the one exception is ExpShift's avx2 kernel, which fuses where
+// math.Exp does. See the contract notes in kernels.go.
 
 // saxpySSEAsm is the SSE Saxpy (kernels_sse_amd64.s); it handles any
 // length, including the scalar tail, in assembly.
@@ -42,6 +43,12 @@ func gemmTile8x4SSEAsm(a []float32, ras, kas int, b []float32, ldb int, c []floa
 //
 //go:noescape
 func gemmTile8x8AVX2Asm(a []float32, ras, kas int, b []float32, ldb int, c []float32, ldc, kn int)
+
+// gemmTile8x32AVX512Asm accumulates an 8x32 tile (see gemmTileFunc,
+// kernels_avx512_amd64.s).
+//
+//go:noescape
+func gemmTile8x32AVX512Asm(a []float32, ras, kas int, b []float32, ldb int, c []float32, ldc, kn int)
 
 // The panel kernels' asm runs one strip of y per call, its columns held in
 // registers across the whole term list: 64, 32, 16 or 8 columns on avx2,
@@ -161,8 +168,10 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 	saxpyI8Generic(alpha, q[n:], y[n:len(q)])
 }
 
-func archKernels() []kernel {
-	sse := kernel{
+// sseKernel and avx2Kernel are the tiers amd64Tiers (cpu_amd64.go) builds
+// the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm.
+var (
+	sseKernel = kernel{
 		name:        "sse",
 		saxpy:       saxpySSEAsm,
 		saxpyI8:     saxpyI8SSE,
@@ -172,10 +181,7 @@ func archKernels() []kernel {
 		tileM:       8,
 		tileN:       4,
 	}
-	if !cpuHasAVX2 {
-		return []kernel{sse}
-	}
-	avx2 := kernel{
+	avx2Kernel = kernel{
 		name:        "avx2",
 		saxpy:       saxpyAVX2Asm,
 		saxpyI8:     saxpyI8AVX2,
@@ -184,8 +190,5 @@ func archKernels() []kernel {
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,
 		tileN:       8,
-		// math.Exp takes its FMA path exactly when the CPU has AVX and FMA.
-		expVector: cpuHasFMA,
 	}
-	return []kernel{avx2, sse}
-}
+)

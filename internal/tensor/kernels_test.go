@@ -136,14 +136,16 @@ func TestSaxpyI8TiersBitwiseMatchGeneric(t *testing.T) {
 }
 
 // TestGEMMTiersBitwiseMatchGeneric checks Mul/MulBT/MulATAdd per tier
-// against the generic tier across ragged shapes that exercise full tiles,
-// column edges and row edges, and k extents (m for MulATAdd, whose reduction
-// runs over a's rows) on both sides of the driver's gemmKC block boundary.
+// against the generic tier across ragged shapes that exercise full tiles
+// (n = 32 is one whole avx512 tile, 33 and 71 leave it ragged), column
+// edges and row edges, and k extents (m for MulATAdd, whose reduction runs
+// over a's rows) on both sides of the driver's gemmKC block boundary.
 func TestGEMMTiersBitwiseMatchGeneric(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {2, 3, 2}, {7, 5, 3}, {8, 8, 8}, {8, 16, 4}, {9, 7, 9},
 		{16, 32, 12}, {17, 33, 9}, {24, 16, 31}, {33, 13, 17},
 		{17, gemmKC + 1, 9}, {23, 2*gemmKC + 3, 13}, {2*gemmKC + 3, 13, 23}, {33, 700, 31},
+		{8, 16, 32}, {16, 40, 33}, {19, gemmKC + 7, 71},
 	}
 	type golden struct{ mul, mulbt, mulat *Matrix }
 	goldens := make([]golden, len(shapes))
@@ -199,6 +201,9 @@ func TestKernelTierAPI(t *testing.T) {
 	if got := KernelTier(); got == "" {
 		t.Fatal("KernelTier() empty")
 	}
+	// An unavailable DUET_KERNEL name falls back silently, so say which
+	// tiers this host has: a log without avx512 never ran its tile.
+	t.Logf("tiers %v, active %s", tiers, KernelTier())
 	if err := SetKernelTier("no-such-tier"); err == nil {
 		t.Fatal("SetKernelTier accepted an unknown tier")
 	}
@@ -307,16 +312,94 @@ func BenchmarkSaxpyI8Tier(b *testing.B) {
 	}
 }
 
-func BenchmarkTrainGEMMMulTier(b *testing.B) {
+// FuzzGEMMTile checks the active tier's GEMM register tile against
+// gemmTileGeneric, run over the same tile in 4x4 pieces, on strides, base
+// offsets, k extents (0–300) and raw float bits drawn from the input: NaNs
+// of any payload and both infinities included. Every bit must match except
+// a NaN's payload (kernels.go says why). Cells of c outside the tile must
+// come back untouched.
+func FuzzGEMMTile(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 44, 5, 3, 7, 1, 2, 3, 0x7f, 0xc0, 0, 1, 0xff, 0x80, 0, 0, 0x80, 0, 0, 0})
+	f.Add([]byte{2, 255, 9, 0, 15, 8, 9, 10, 0x7f, 0x80, 0, 0, 0x7f, 0x80, 0, 1, 0x7f, 0x7f, 0xff, 0xff})
+	f.Add(make([]byte, 96))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		tm, tn := gemmTileM, gemmTileN
+		kn := (int(data[0])<<8 | int(data[1])) % 301
+		// a is read k-contiguous (ras >= kn) or row-contiguous (kas >= tm),
+		// as the driver calls it, or with the input's strides as they come.
+		ras, kas := max(kn, 1)+int(data[2]%5), 1
+		switch data[3] % 3 {
+		case 1:
+			ras, kas = 1, tm+int(data[2]%5)
+		case 2:
+			ras, kas = int(data[2]%17), int(data[3]%13)
+		}
+		ldb, ldc := tn+int(data[4]%9), tn+int(data[5]%9)
+		offA, offB, offC := int(data[6]%16), int(data[7]%16), int(data[5]/16)
+		data = data[8:]
+		float := func() float32 {
+			var v uint32
+			for i := 0; i < 4 && len(data) > 0; i++ {
+				v = v<<8 | uint32(data[0])
+				data = data[1:]
+			}
+			return math.Float32frombits(v)
+		}
+		fill := func(n int) []float32 {
+			s := make([]float32, n)
+			for i := range s {
+				s[i] = float()
+			}
+			return s
+		}
+		a := fill(offA + (tm-1)*ras + max(kn-1, 0)*kas + 1)
+		b := fill(offB + max(kn-1, 0)*ldb + tn)
+		c := fill(offC + (tm-1)*ldc + tn + 3)
+		want := append([]float32(nil), c...)
+		for i := 0; i < tm; i += 4 {
+			for j := 0; j < tn; j += 4 {
+				gemmTileGeneric(a[offA+i*ras:], ras, kas, b[offB+j:], ldb, want[offC+i*ldc+j:], ldc, kn)
+			}
+		}
+		gemmTileImpl(a[offA:], ras, kas, b[offB:], ldb, c[offC:], ldc, kn)
+		for x := range want {
+			if math.Float32bits(c[x]) != math.Float32bits(want[x]) && !(c[x] != c[x] && want[x] != want[x]) {
+				t.Fatalf("tier %s, %dx%d tile, kn %d, ras %d, kas %d, ldb %d, ldc %d: c[%d] is %#x, generic %#x",
+					KernelTier(), tm, tn, kn, ras, kas, ldb, ldc, x, math.Float32bits(c[x]), math.Float32bits(want[x]))
+			}
+		}
+	})
+}
+
+// BenchmarkTrainGEMMTier runs the three GEMMs of a layer on every tier, at
+// the ResMADE-128 and the DMV output-layer shapes of BenchmarkTrainGEMM*
+// (matmul_test.go), best tier first. `make bench-train` prints it.
+func BenchmarkTrainGEMMTier(b *testing.B) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
+	gemms := []struct {
+		name string
+		pick func(layerMats) (dst, a, b *Matrix)
+		gemm func(dst, a, b *Matrix)
+	}{{"Mul", forward, Mul}, {"MulBT", backward, MulBT}, {"MulATAdd", grad, MulATAdd}}
 	for _, tier := range KernelTiers() {
-		b.Run(tier, func(b *testing.B) {
-			if err := SetKernelTier(tier); err != nil {
-				b.Fatal(err)
+		for _, g := range gemms {
+			for _, sh := range []struct {
+				suffix string
+				shape  gemmShape
+			}{{"", resmadeShape}, {"DMV", dmvOutShape}} {
+				b.Run(tier+"/"+g.name+sh.suffix, func(b *testing.B) {
+					if err := SetKernelTier(tier); err != nil {
+						b.Fatal(err)
+					}
+					benchGEMM(b, sh.shape, g.pick, g.gemm)
+				})
 			}
-			benchGEMM(b, resmadeShape, forward, Mul)
-		})
+		}
 	}
 }
 

@@ -9,14 +9,19 @@ import (
 const matmulGrain = 8
 
 // Blocking of the GEMM driver. gemmKC is the k extent of one block: a
-// gemmKC×tileN panel of b (8 KB at tile width 8) and a tileM×gemmKC slab of a
-// (another 8 KB) sit in half of a 32 KB L1 while a tile runs. gemmInPlace is
-// the largest k block of a strided operand, in floats (gemmKC × its stride
-// along k, 128 KB), that the microkernel reads where it lies instead of
-// through a packed copy: a block that small is L2-resident and its rows share
-// pages, so the copy costs more than the strided loads it would replace. The
-// ResMADE-128 layer's operands are within it; of the DMV model's, only those
-// of its 128-wide layer.
+// gemmKC×tileN panel of b (8 KB at avx2's tile width 8, 32 KB at avx512's
+// 32) and a tileM×gemmKC slab of a (another 8 KB) sit in L1 while a tile
+// runs: half of a 32 KB L1 on avx2, 40 KB of a Sapphire Rapids core's 48 KB
+// on avx512. There, 128 was 9–13% slower than 256 on each of the three DMV
+// output-layer GEMMs (one worker, medians of six alternating runs) and no
+// faster at ResMADE-128. gemmInPlace is the largest k block of a strided
+// operand, in floats (gemmKC × its stride along k, 128 KB), that the
+// microkernel reads where it lies instead of through a packed copy: a block
+// that small is L2-resident and its rows share pages, so the copy costs more
+// than the strided loads it would replace. That holds for the 32-wide tile
+// too: packing such blocks cut avx512's ResMADE-128 Mul from ~69 to ~56
+// GFLOP/s and MulATAdd from ~70 to ~36. The ResMADE-128 layer's operands
+// are within it; of the DMV model's, only those of its 128-wide layer.
 const (
 	gemmKC      = 256
 	gemmInPlace = 1 << 15
@@ -35,12 +40,12 @@ var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 // register tiles. Each worker cuts k into blocks of gemmKC and, per block,
 // copies one kb×tileN column panel of b at a time into pooled contiguous
 // scratch (ldb = tileN, columns past n zero) and runs every row tile of its
-// chunk over that panel, so the microkernel's b loads walk 8 KB of L1 instead
-// of kb cache lines — and, at a training-sized ldb, kb pages — a row stride
-// apart. a is packed row-major per k block only where the microkernel should
-// not read it in place: all of the worker's rows when a is strided along k
-// (MulATAdd), otherwise just a ragged last row tile, zero-padded to tileM
-// rows. A strided operand whose k block is within gemmInPlace skips the copy:
+// chunk over that panel, so the microkernel's b loads walk 8–32 KB of L1
+// instead of kb cache lines — and, at a training-sized ldb, kb pages — a row
+// stride apart. a is packed row-major per k block only where the microkernel
+// should not read it in place: all of the worker's rows when a is strided
+// along k (MulATAdd), otherwise just a ragged last row tile, zero-padded to
+// tileM rows. A strided operand whose k block is within gemmInPlace skips the copy:
 // the same loop nest runs with the operand's own strides passed through.
 // Edge tiles (rows past m, columns past n) run the same microkernel on a
 // padded copy of their c tile, of which only the real cells are stored back.
@@ -130,10 +135,7 @@ func packPanel(bp []float32, tn int, b []float32, kbs, jbs, w int) {
 	}
 	if jbs == 1 {
 		for k := 0; k*tn < len(bp); k++ {
-			dst := bp[k*tn : k*tn+w]
-			for j, v := range b[k*kbs : k*kbs+w] { // w ≤ 8: a call to memmove costs more
-				dst[j] = v
-			}
+			copy(bp[k*tn:k*tn+w], b[k*kbs:k*kbs+w])
 		}
 		return
 	}
