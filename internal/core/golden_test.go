@@ -87,15 +87,17 @@ func (s *goldenRowSource) DrawTuples(dst [][]int32) {
 
 // TestGolden pins, bit for bit, what training and estimation compute: the
 // two benchmark models, a hybrid Train and a FineTune after it (direct and
-// MLP-MPSN), 600 estimates under every plan kind, and a materialized and a
+// MLP-MPSN), 600 estimates under every plan kind, 640 Rand-Q estimates on
+// each benchmark model (trained activations through the served plan's
+// shapes), and a materialized and a
 // sampled join view with a model trained on each. Each line of
 // testdata/golden.txt is a name and the first 16 hex digits of a sha256 over
 // parameter float32 bits then per-epoch or per-step losses, over estimate
 // float64 bits, or over a view's column names, dictionaries and codes. A
 // change that means to move numbers reruns with -update, and the file's diff
 // is the record; any other change must leave it as it is.
-// Estimates are also checked to be bitwise independent of how the 600
-// queries are cut into calls (one call, 64, 7, 1) and of the worker count.
+// Estimates are also checked to be bitwise independent of how the queries
+// are cut into calls (one call, 64, 7, 1) and of the worker count.
 func TestGolden(t *testing.T) {
 	defer tensor.SetMaxWorkers(0)
 	var got []string
@@ -103,6 +105,7 @@ func TestGolden(t *testing.T) {
 
 	// The benchmark's two set-ups (benchmark/stack.go trainModel): data-only,
 	// one epoch over a tuple budget drawn from a seed-1 row source.
+	benchModels := map[string]*Model{}
 	for _, bm := range []struct {
 		name   string
 		table  *relation.Table
@@ -125,6 +128,7 @@ func TestGolden(t *testing.T) {
 			h.floats(e.DataLoss)
 		}
 		line(bm.name, h.sum())
+		benchModels[bm.name] = m
 	}
 
 	// Hybrid training on the table path, then fine-tuning on its worst
@@ -181,18 +185,26 @@ func TestGolden(t *testing.T) {
 		models[k.name] = m
 	}
 
-	// 600 estimates per plan kind, cut into calls four ways, at one and two
-	// workers: one line per kind, and every cut must hash the same.
+	// 600 estimates per plan kind, and 640 Rand-Q estimates on each
+	// benchmark model, cut into calls four ways, at one and two workers: one
+	// line per kind, and every cut must hash the same.
+	randQ := func(m *Model) []workload.Query {
+		return workload.Generate(m.Table(), workload.RandQConfig(m.Table().NumCols(), 640))
+	}
+	f32 := func(m *Model) batchEstimator { return m }
 	for _, k := range []struct {
 		name  string
 		model *Model
 		setup func(*Model) batchEstimator
+		qs    []workload.Query
 	}{
-		{"estimate-f32", models["direct"], func(m *Model) batchEstimator { return m }},
-		{"estimate-int8", models["direct"], func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }},
-		{"estimate-mlp-unmerged", models["mlp"], func(m *Model) batchEstimator { return m }},
+		{"estimate-f32", models["direct"], f32, qs},
+		{"estimate-int8", models["direct"], func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }, qs},
+		{"estimate-mlp-unmerged", models["mlp"], f32, qs},
+		{"estimate-bench-dmv", benchModels["bench-dmv"], f32, randQ(benchModels["bench-dmv"])},
+		{"estimate-bench-census", benchModels["bench-census"], f32, randQ(benchModels["bench-census"])},
 	} {
-		est := k.setup(k.model)
+		est, qs := k.setup(k.model), k.qs
 		first := ""
 		for _, workers := range []int{1, 2} {
 			tensor.SetMaxWorkers(workers)
