@@ -64,6 +64,7 @@ package made
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -75,6 +76,16 @@ import (
 // rowBlock is how many rows share one load of a trunk panel: the trunk
 // phase's row block.
 const rowBlock = 8
+
+// maxInflation is the most union MACs per own MAC at which a group of rows
+// runs on one union list: a group of g rows whose union holds U units, where
+// its rows hold S nonzeros between them, shares its list when g·U ≤
+// maxInflation·S, and runs as lone rows otherwise. avx512's 4-row kernel
+// does ~2.4x the useful MACs per second of its one-row strips on a 256 KB
+// panel (BenchmarkAxpyPanelTier: ~36 against ~15 GMAC/s); the margin below
+// that pays for the lone rows' lists and the kernel's lower rate on ragged
+// panels.
+const maxInflation = 2.0
 
 // PlanConfig selects how NewPlan compiles the weights.
 type PlanConfig struct {
@@ -97,7 +108,7 @@ type Plan struct {
 }
 
 // Scratch is the memory one pass writes: trunk outputs, logits, the
-// projection's work lists and each row's activation list. The zero value is
+// projection's work lists and the row groups' unit lists. The zero value is
 // ready to use; buffers grow to the largest batch run on it.
 type Scratch struct {
 	x, h   *tensor.Matrix  // the pass's input and the trunk's output
@@ -108,12 +119,37 @@ type Scratch struct {
 	items  []projItem   // the projection phase's work, see gather
 	next   atomic.Int64 // the next work item of a forked phase
 
-	// Per row r, from r*listCap: the row's nonzero activations of the layer
-	// input being read, and their units, ascending; nnz[r] of them.
-	act     []float32
+	g int // rows per union group: the tier's tensor.PanelRows on an f32 plan, else 1
+
+	// Per row r, from r*words: the bits of the row's nonzero entries of the
+	// layer input being read, when r may share a union list.
+	mask  []uint64
+	words int
+	// Per row r, from r*listCap: the unit list of the group r leads, or of
+	// r alone. The trunk reuses it layer by layer; after the trunk it holds
+	// each row's own list of the trunk output.
 	unit    []int32
-	nnz     []int32
 	listCap int
+	// The trunk's groups: a row block starting at row lo keeps its groups of
+	// the current layer input in groups[lo:lo+len(block)]; after the trunk,
+	// groups[r] is row r alone with its own list.
+	groups []group
+	// The projection's groups, output block after output block, and the
+	// union lists they share (see gather).
+	projGroups []group
+	projUnits  []int32
+
+	tally []GroupMACs // GroupMACs' counts by output buffer, the projection's last; nil on a served pass
+}
+
+// group is rows that share one unit list: ascending, the units below which
+// some row has a nonzero activation of the layer input. A lone row's list
+// is its own nonzero units; a union group's (tensor.PanelRows rows) is the
+// union of its rows', and a row adds a ±0 product for each union unit where
+// its own activation is ±0 (see the package comment).
+type group struct {
+	rows  []int32
+	units []int32
 }
 
 // planLayer is one compiled trunk stage.
@@ -267,6 +303,7 @@ type panel struct {
 // entries, panel after panel.
 type panels struct {
 	width int // output columns
+	k     int // one past the last unit with a nonzero weight in any panel
 	ps    []panel
 	w     []float32
 	wq    []int8
@@ -293,19 +330,19 @@ func packPanels(n, width int, quant bool, bias []float32, row func(u int, dst []
 			}
 		}
 	}
-	size, rows := 0, 0 // rows: units with a row in some panel
+	size := 0
 	for i := range pk.ps {
 		pk.ps[i].off = size
 		size += pk.ps[i].k * pk.ps[i].width
-		rows = max(rows, pk.ps[i].k)
+		pk.k = max(pk.k, pk.ps[i].k)
 	}
 	var codes []int8
 	if quant {
-		pk.wq, pk.scale, codes = make([]int8, size), make([]float32, rows), make([]int8, width)
+		pk.wq, pk.scale, codes = make([]int8, size), make([]float32, pk.k), make([]int8, width)
 	} else {
 		pk.w = make([]float32, size)
 	}
-	for u := 0; u < rows; u++ {
+	for u := 0; u < pk.k; u++ {
 		row(u, buf)
 		if quant {
 			pk.scale[u] = tensor.QuantizeI8S(codes, buf)
@@ -329,30 +366,38 @@ func (pk *panels) weightBytes() int {
 	return 4*len(pk.w) + len(pk.wq) + 4*len(pk.scale) + 4*len(pk.bias)
 }
 
-// panelRow sets dst, panel pn's columns of one row, to: from +0, act[t] ×
-// unit[t]'s weights for the listed units below pn.k, in list order, then the
-// bias. The list holds a row's nonzero activations in ascending unit order,
-// so every element adds exactly the terms its span reaches, in ascending
-// order, plus ±0 products for units whose span misses it; those leave it
-// unchanged (see the package comment).
-func (pk *panels) panelRow(pn *panel, act []float32, unit []int32, dst []float32) {
-	n, _ := slices.BinarySearch(unit, int32(pn.k))
-	clear(dst)
-	if pk.wq != nil {
-		tensor.AxpyPanelI8(dst, act[:n], unit[:n], pk.scale, pk.wq[pn.off:pn.off+pn.k*pn.width], pn.width)
-	} else {
-		tensor.AxpyPanel(dst, act[:n], unit[:n], pk.w[pn.off:pn.off+pn.k*pn.width], pn.width)
+// panelGroup sets panel pn's columns of g's rows of dst, from column col:
+// from +0, each row's activations in `in` at g's units below pn.k times
+// those units' weights, in list order, then the bias. g's list holds the
+// units of the rows' nonzero activations in ascending order, so every
+// element adds exactly the terms its span reaches, in ascending order, plus
+// ±0 products for units whose span misses it or where its row's activation
+// is ±0; those leave it unchanged (see the package comment).
+func (pk *panels) panelGroup(pn *panel, g group, in, dst *tensor.Matrix, col int) {
+	n, _ := slices.BinarySearch(g.units, int32(pn.k))
+	lo, width := col+pn.col, min(pn.width, pk.width-pn.col)
+	for _, r := range g.rows {
+		clear(dst.Row(int(r))[lo : lo+width])
+	}
+	switch {
+	case pk.wq != nil: // a lone row: int8 plans share no lists
+		r := int(g.rows[0])
+		tensor.AxpyPanelI8(dst.Row(r)[lo:lo+width], in.Row(r), g.units[:n], pk.scale, pk.wq[pn.off:pn.off+pn.k*pn.width], pn.width)
+	case len(g.rows) == 1:
+		r := int(g.rows[0])
+		tensor.AxpyPanel(dst.Row(r)[lo:lo+width], in.Row(r), g.units[:n], pk.w[pn.off:pn.off+pn.k*pn.width], pn.width)
+	default:
+		tensor.AxpyPanelRows(dst.Data[lo:], dst.Cols, in.Data, in.Cols, g.rows, width, g.units[:n], pk.w[pn.off:pn.off+pn.k*pn.width], pn.width)
 	}
 	if pk.bias != nil {
-		for j, bv := range pk.bias[pn.col : pn.col+len(dst)] {
-			dst[j] += bv
+		bias := pk.bias[pn.col : pn.col+width]
+		for _, r := range g.rows {
+			y := dst.Row(int(r))[lo : lo+width]
+			for j, bv := range bias {
+				y[j] += bv
+			}
 		}
 	}
-}
-
-// panelCols returns pn's real columns of dst, a row over the matrix's outputs.
-func (pk *panels) panelCols(pn *panel, dst []float32) []float32 {
-	return dst[pn.col:min(pn.col+pn.width, pk.width)]
 }
 
 // ----- packed trunk linear -----
@@ -418,18 +463,17 @@ func (p *packedLinear) bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix {
 	return s.outs[p.buf].Resize(x.Rows, p.width)
 }
 
-// forward lists each row's nonzero inputs, then runs panel by panel, each
-// panel serving every listed row before the next is loaded.
+// forward groups the rows by their nonzero inputs, then runs panel by
+// panel, each panel serving every group before the next is loaded.
 func (p *packedLinear) forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	out := &s.outs[p.buf]
-	for _, r := range rows {
-		s.list(r, x.Row(int(r)))
+	groups := s.group(rows, x)
+	if s.tally != nil {
+		s.count(&s.tally[p.buf], groups, x.Cols, p.width)
 	}
 	for i := range p.ps {
-		pn := &p.ps[i]
-		for _, r := range rows {
-			act, unit := s.listed(r)
-			p.panelRow(pn, act, unit, p.panelCols(pn, out.Row(int(r))))
+		for _, g := range groups {
+			p.panelGroup(&p.ps[i], g, x, out, 0)
 		}
 	}
 	return out
@@ -525,12 +569,12 @@ func packOutput(l *nn.Linear, out nn.Blocks, rowOrder []int32, quant bool) []out
 // ----- forward pass -----
 
 // projItem is one work item of the projection phase: one panel of one
-// output block, for every row that needs the block.
+// output block, for every group of rows that needs the block.
 type projItem struct {
-	blk  *outBlock
-	pn   *panel
-	rows []int32
-	macs int // the item's size, for largest-first scheduling
+	blk    *outBlock
+	pn     *panel
+	groups []group
+	macs   int // the item's size, for largest-first scheduling
 }
 
 // Forward is Run on the scratch the plan keeps: the result is valid until
@@ -545,13 +589,13 @@ func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 // matrix is owned by s and valid until s runs another pass.
 //
 // The pass is two phases (see the package comment): the trunk in blocks of
-// rowBlock rows, each packed panel serving every row of the block; then one
-// item per panel of each needed output block, serving every row that needs
-// the block, so each slab panel is loaded once per pass. Each phase is at
-// most one fork; a batch smaller than one row block runs inline and, once s
-// has grown to the batch, without allocating. Every logit keeps the
-// arithmetic of its row computed alone, so results are bitwise independent
-// of batch composition.
+// rowBlock rows, each packed panel serving every row group of the block;
+// then one item per panel of each needed output block, serving every group
+// of the rows that need the block, so each slab panel is loaded once per
+// pass. Each phase is at most one fork; a batch smaller than one row block
+// runs inline and, once s has grown to the batch, without allocating. Every
+// logit keeps the arithmetic of its row computed alone, so results are
+// bitwise independent of batch composition.
 func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 	for len(s.outs) < p.nout {
 		s.outs = append(s.outs, tensor.Matrix{})
@@ -565,54 +609,117 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 	for len(s.seq) < x.Rows {
 		s.seq = append(s.seq, int32(len(s.seq)))
 	}
-	// A list holds one layer input's row: the pass input's or a stage's.
+	s.g = 1
+	if !p.quantized {
+		s.g = tensor.PanelRows()
+	}
+	// A list holds units of one layer input: the pass input's or a stage's.
 	s.listCap = x.Cols
 	for _, o := range s.outs[:p.nout] {
 		s.listCap = max(s.listCap, o.Cols)
 	}
-	if n := x.Rows * s.listCap; len(s.act) < n {
-		s.act, s.unit = make([]float32, n), make([]int32, n)
+	s.words = (s.listCap + 63) / 64
+	if n := x.Rows * s.listCap; len(s.unit) < n {
+		s.unit = make([]int32, n)
 	}
-	if len(s.nnz) < x.Rows {
-		s.nnz = make([]int32, x.Rows)
+	if n := x.Rows * s.words; len(s.mask) < n {
+		s.mask = make([]uint64, n)
 	}
-	fork := x.Rows >= rowBlock
-	p.gather(s, needed[:x.Rows], fork)
+	if len(s.groups) < x.Rows {
+		s.groups = make([]group, x.Rows)
+	}
+	fork := x.Rows >= rowBlock && s.tally == nil
 	p.runPhase(s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
+	p.gather(s, needed[:x.Rows], fork)
 	p.runPhase(s, projPhase, len(s.items), fork)
 	s.x, s.h = nil, nil
 	return &s.logits
 }
 
-// list records row r's nonzero entries of in, a layer input, as the row's
-// list: activations and their units, ascending. A row's list is rebuilt per
-// trunk layer; the trunk's output list is the one the projection reads.
-func (s *Scratch) list(r int32, in []float32) {
-	base := int(r) * s.listCap
-	act, unit := s.act[base:base+len(in)], s.unit[base:base+len(in)]
-	// Every entry is written and only a nonzero one kept: about half of a
-	// row is zero, in no pattern a branch predictor could learn.
+// own lists row r's nonzero entries of in, a layer input row: their units,
+// ascending, from s.unit[r*listCap], returned as r's own list. With marks
+// it also sets r's mask to them.
+func (s *Scratch) own(r int32, in []float32, marks bool) []int32 {
+	var mask []uint64
+	if marks {
+		mask = s.mask[int(r)*s.words:]
+	}
+	return tensor.Nonzeros(s.unit[int(r)*s.listCap:], mask, in)
+}
+
+// nonzeros returns how many units below lim are nonzero in some row of rows
+// (the union) and in each row, summed.
+func (s *Scratch) nonzeros(rows []int32, lim int) (union, sum int) {
+	for w := 0; w*64 < lim; w++ {
+		keep := ^uint64(0) >> max(0, w*64+64-lim)
+		var or uint64
+		for _, r := range rows {
+			word := s.mask[int(r)*s.words+w] & keep
+			or |= word
+			sum += bits.OnesCount64(word)
+		}
+		union += bits.OnesCount64(or)
+	}
+	return union, sum
+}
+
+// unionPays reports whether rows, a whole run of s.g rows, should share
+// their union list of the units below lim rather than run as lone rows.
+func (s *Scratch) unionPays(rows []int32, lim int) bool {
+	if s.g == 1 || len(rows) < s.g {
+		return false
+	}
+	union, sum := s.nonzeros(rows, lim)
+	return float64(len(rows)*union) <= maxInflation*float64(sum)
+}
+
+// union writes the units below lim that are nonzero in some row of rows to
+// dst, ascending, and returns them.
+func (s *Scratch) union(rows []int32, lim int, dst []int32) []int32 {
 	n := 0
-	for k, v := range in {
-		act[n], unit[n] = v, int32(k)
-		if v != 0 {
+	for w := 0; w*64 < lim; w++ {
+		var or uint64
+		for _, r := range rows {
+			or |= s.mask[int(r)*s.words+w]
+		}
+		for or &= ^uint64(0) >> max(0, w*64+64-lim); or != 0; or &= or - 1 {
+			dst[n] = int32(w*64 + bits.TrailingZeros64(or))
 			n++
 		}
 	}
-	s.nnz[r] = int32(n)
+	return dst[:n]
 }
 
-// listed returns row r's list.
-func (s *Scratch) listed(r int32) ([]float32, []int32) {
-	base := int(r) * s.listCap
-	n := base + int(s.nnz[r])
-	return s.act[base:n], s.unit[base:n]
+// group groups rows, one trunk row block, by their nonzero entries of in, a
+// layer input: each run of s.g rows whose union pays is one group, its
+// list in s.unit from its first row, and every other row is a lone group.
+// The groups go to s.groups from the block's first row.
+func (s *Scratch) group(rows []int32, in *tensor.Matrix) []group {
+	lo, marks := int(rows[0]), s.g > 1 && len(rows) >= s.g
+	groups := s.groups[lo : lo+len(rows)]
+	for i, r := range rows {
+		groups[i] = group{rows[i : i+1], s.own(r, in.Row(int(r)), marks)}
+	}
+	n := 0
+	for i := 0; i < len(rows); i += s.g {
+		run := rows[i:min(i+s.g, len(rows))]
+		if s.unionPays(run, in.Cols) {
+			groups[n] = group{run, s.union(run, in.Cols, s.unit[int(run[0])*s.listCap:])}
+			n++
+		} else {
+			n += copy(groups[n:], groups[i:i+len(run)])
+		}
+	}
+	return groups[:n]
 }
 
-// gather lists the projection phase's work in s: per output block, the rows
-// that need it in ascending order, and one item per panel of the block over
-// all of them. When the phase will fork, the items are sorted largest
-// first; inline, order is moot.
+// gather lists the projection phase's work in s. Per output block: the rows
+// that need it in ascending order, cut into runs of s.g rows; a whole run
+// whose union of the units below the block's last row pays is one group,
+// its list appended to s.projUnits, and every other row is its own lone
+// group from the trunk's end. Then one item per panel of the block over all
+// of its groups. When the phase will fork, the items are sorted largest
+// first; inline, order is moot. It runs between the phases, serially.
 func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 	for len(s.rowsOf) < len(p.proj) {
 		s.rowsOf = append(s.rowsOf, nil)
@@ -629,20 +736,91 @@ func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 			}
 		}
 	}
+	// Every row of a block is in at most one of its groups, so s.projGroups
+	// never grows inside the loop. A union list is appended whole to
+	// s.projUnits; when that grows, the lists already cut from it keep the
+	// old array, which nothing writes.
+	total := 0
+	for _, rows := range rowsOf {
+		total += len(rows)
+	}
+	s.projGroups = slices.Grow(s.projGroups[:0], total)
+	s.projUnits = s.projUnits[:0]
 	s.items = s.items[:0]
 	for b, rows := range rowsOf {
+		blk, at := &p.proj[b], len(s.projGroups)
+		for i := 0; i < len(rows); i += s.g {
+			run := rows[i:min(i+s.g, len(rows))]
+			if !s.unionPays(run, blk.k) {
+				for _, r := range run {
+					s.projGroups = append(s.projGroups, s.groups[r])
+				}
+				continue
+			}
+			u := len(s.projUnits)
+			s.projUnits = slices.Grow(s.projUnits, blk.k)
+			units := s.union(run, blk.k, s.projUnits[u:u+blk.k])
+			s.projUnits = s.projUnits[:u+len(units)]
+			s.projGroups = append(s.projGroups, group{run, units})
+		}
 		if len(rows) == 0 {
 			continue
 		}
-		blk := &p.proj[b]
+		groups := s.projGroups[at:]
+		if s.tally != nil {
+			s.count(&s.tally[len(s.tally)-1], groups, blk.k, blk.width)
+		}
 		for i := range blk.ps {
 			pn := &blk.ps[i]
-			s.items = append(s.items, projItem{blk: blk, pn: pn, rows: rows, macs: len(rows) * (pn.k + 1) * pn.width})
+			s.items = append(s.items, projItem{blk: blk, pn: pn, groups: groups, macs: len(rows) * (pn.k + 1) * pn.width})
 		}
 	}
 	if fork {
 		slices.SortFunc(s.items, func(a, b projItem) int { return b.macs - a.macs })
 	}
+}
+
+// GroupMACs is what one stage of a pass costs in multiply-adds: Union over
+// its row groups' lists, Own over each row's own list. Both take a list
+// whole below the stage's last input unit, not cut at each panel's.
+type GroupMACs struct{ Union, Own int }
+
+// count adds groups, over the units below lim of a layer input, into a
+// stage of width outputs, to t.
+func (s *Scratch) count(t *GroupMACs, groups []group, lim, width int) {
+	for _, g := range groups {
+		n, _ := slices.BinarySearch(g.units, int32(lim))
+		t.Union += len(g.rows) * n * width
+		if len(g.rows) == 1 {
+			t.Own += n * width
+		} else {
+			_, own := s.nonzeros(g.rows, lim)
+			t.Own += own * width
+		}
+	}
+}
+
+// GroupMACs runs the plan on a batch, inline, and reports per packed trunk
+// layer, in compile order, and then for the output projection, the MACs of
+// the pass's row groups (see GroupMACs). Union over Own is the union
+// inflation the batch costs: 1 where every group is a lone row.
+func (p *Plan) GroupMACs(x *tensor.Matrix, needed [][]int32) []GroupMACs {
+	s := &Scratch{tally: make([]GroupMACs, p.nout+1)}
+	p.Run(s, x, needed)
+	var out []GroupMACs
+	var walk func([]planLayer)
+	walk = func(ls []planLayer) {
+		for _, l := range ls {
+			switch l := l.(type) {
+			case *packedLinear:
+				out = append(out, s.tally[l.buf])
+			case *residualPlan:
+				walk(l.inner)
+			}
+		}
+	}
+	walk(p.trunk)
+	return append(out, s.tally[p.nout])
 }
 
 type phase int
@@ -676,9 +854,8 @@ func (p *Plan) runPhase(s *Scratch, ph phase, n int, fork bool) {
 func (p *Plan) item(s *Scratch, ph phase, i int) {
 	if ph == projPhase {
 		it := &s.items[i]
-		for _, r := range it.rows {
-			act, unit := s.listed(r)
-			it.blk.panelRow(it.pn, act, unit, it.blk.panelCols(it.pn, s.logits.Row(int(r))[it.blk.col:]))
+		for _, g := range it.groups {
+			it.blk.panelGroup(it.pn, g, s.h, &s.logits, it.blk.col)
 		}
 		return
 	}
@@ -688,7 +865,10 @@ func (p *Plan) item(s *Scratch, ph phase, i int) {
 	for _, l := range p.trunk {
 		h = l.forward(s, h, rows)
 	}
+	// Each row's own list of the trunk output, for the projection: its lone
+	// group, and its mask for the projection's unions, if a batch this big
+	// can have any.
 	for _, r := range rows {
-		s.list(r, h.Row(int(r)))
+		s.groups[r] = group{s.seq[r : r+1], s.own(r, h.Row(int(r)), s.g > 1 && s.x.Rows >= s.g)}
 	}
 }

@@ -66,5 +66,7 @@ func amd64Tiers(ecx1, ebx7, xcr0 uint32) []kernel {
 	avx512 := avx2
 	avx512.name = "avx512"
 	avx512.gemmTile, avx512.tileN = gemmTile8x32AVX512Asm, 32
+	avx512.axpyPanelG, avx512.panelRows = axpyPanel4AVX512Asm, 4
+	avx512.nonzeros = nonzerosAVX512Asm
 	return append([]kernel{avx512}, tiers...)
 }

@@ -9,10 +9,10 @@ import (
 // Kernel tier dispatch.
 //
 // Every hot-path primitive in this package (Saxpy, SaxpyI8, AxpyPanel,
-// AxpyPanelI8 and the blocked GEMM microkernel behind Mul/MulBT/MulATAdd) is
-// reached through an impl pointer selected once at init from CPU feature
-// detection: "avx512" (avx2 with a 512-bit training-GEMM tile, amd64 with
-// AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit, any amd64),
+// AxpyPanelI8, AxpyPanelRows and the blocked GEMM microkernel behind
+// Mul/MulBT/MulATAdd) is reached through an impl pointer selected once at
+// init from CPU feature detection: "avx512" (avx2 with a 512-bit
+// training-GEMM tile and a 4-row panel kernel, amd64 with AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit, any amd64),
 // "neon" (128-bit, arm64) and "generic" (pure Go, every platform).
 // DUET_KERNEL=<tier> overrides the choice at startup; SetKernelTier switches
 // tiers from tests and benchmarks.
@@ -34,15 +34,25 @@ import (
 // compiler orders the generic loops' operands as it likes. Which values are
 // NaN is pinned; FuzzGEMMTile holds the tiles to that.
 //
-// The panel kernels (AxpyPanel, AxpyPanelI8) hold the same contract with a
-// different memory pattern: a strip of up to 64 destination columns stays
-// in registers while every listed term is added to it, where Saxpy loads
-// and stores its destination once per call. Keeping a value in a register
-// instead of storing and reloading it is exact, so a strip's element sees
-// the rounded sums the generic loop does, in the same order. avx2 and
-// avx512 run strips of 64/32/16/8 columns and sse of 32/16/8; neon runs the
-// generic loop. Their contract covers finite inputs, which is all the plan
-// feeds them; the other kernels also pin Inf bits and which values are NaN.
+// The panel kernels (AxpyPanel, AxpyPanelI8, AxpyPanelRows) hold the same
+// contract with a different memory pattern: a strip of up to 64 destination
+// columns stays in registers while every listed term is added to it, where
+// Saxpy loads and stores its destination once per call. Keeping a value in
+// a register instead of storing and reloading it is exact, so a strip's
+// element sees the rounded sums the generic loop does, in the same order.
+// avx2 and avx512 run one-row strips of 64/32/16/8 columns and sse of
+// 32/16/8; neon runs the generic loop. AxpyPanelRows is the group form: a
+// group of rows shares one unit list, so each panel row is loaded once for
+// the group. avx512 runs it 4 rows × up to 64 columns at a time (its
+// PanelRows), every other tier one row at a time; either way each row's
+// elements add the rows' own terms in list order, so the group form is
+// bitwise the one-row form row by row. A list shared by a group is the
+// union of its rows' nonzero units, so a row also adds a[u]·w = ±0 for a
+// union unit u where its own activation is ±0; a caller whose destination
+// starts at +0 and never becomes −0 gets the sum of its own terms back
+// unchanged (made's plan makes that argument). The panel contract covers
+// finite inputs, which is all the plan feeds them; the other kernels also
+// pin Inf bits and which values are NaN.
 //
 // ExpShift is the one kernel whose reference is not a loop in this file but
 // math.Exp on the same host, and it is the one stated exception to "asm
@@ -71,10 +81,13 @@ import (
 type gemmTileFunc func(a []float32, ras, kas int, b []float32, ldb int, c []float32, ldc, kn int)
 
 // axpyPanelFunc and axpyPanelI8Func are AxpyPanel and AxpyPanelI8 after
-// their argument checks (see there).
+// their argument checks (see there). axpyPanelRowsFunc is AxpyPanelRows
+// after its checks, for exactly a tier's PanelRows rows.
 type (
-	axpyPanelFunc   func(y, alpha []float32, k []int32, panel []float32, stride int)
-	axpyPanelI8Func func(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
+	axpyPanelFunc     func(y, a []float32, k []int32, panel []float32, stride int)
+	axpyPanelI8Func   func(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
+	axpyPanelRowsFunc func(y []float32, ldy int, a []float32, lda int, rows []int32, width int, k []int32, panel []float32, stride int)
+	nonzerosFunc      func(idx []int32, mask []uint64, x []float32) int
 )
 
 // kernel bundles one tier's primitives. saxpy and saxpyI8 process exactly
@@ -85,6 +98,9 @@ type kernel struct {
 	saxpyI8      func(alpha float32, q []int8, y []float32)
 	axpyPanel    axpyPanelFunc
 	axpyPanelI8  axpyPanelI8Func
+	panelRows    int               // AxpyPanelRows' group size; 1 when axpyPanelG is nil
+	axpyPanelG   axpyPanelRowsFunc // the group kernel, or nil
+	nonzeros     nonzerosFunc
 	gemmTile     gemmTileFunc
 	tileM, tileN int
 	expVector    bool // ExpShift runs expShiftVector
@@ -96,6 +112,8 @@ var genericKernel = kernel{
 	saxpyI8:     saxpyI8Generic,
 	axpyPanel:   axpyPanelGeneric,
 	axpyPanelI8: axpyPanelI8Generic,
+	panelRows:   1,
+	nonzeros:    nonzerosGeneric,
 	gemmTile:    gemmTileGeneric,
 	tileM:       4,
 	tileN:       4,
@@ -112,6 +130,9 @@ var (
 	saxpyI8Impl          func(alpha float32, q []int8, y []float32)
 	axpyPanelImpl        axpyPanelFunc
 	axpyPanelI8Impl      axpyPanelI8Func
+	axpyPanelGImpl       axpyPanelRowsFunc
+	panelRows            int
+	nonzerosImpl         nonzerosFunc
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
 	expVector            bool
@@ -140,6 +161,9 @@ func setKernel(k kernel) {
 	saxpyI8Impl = k.saxpyI8
 	axpyPanelImpl = k.axpyPanel
 	axpyPanelI8Impl = k.axpyPanelI8
+	axpyPanelGImpl = k.axpyPanelG
+	panelRows = k.panelRows
+	nonzerosImpl = k.nonzeros
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN
@@ -197,46 +221,97 @@ func SaxpyI8(alpha float32, q []int8, y []float32) {
 
 // AxpyPanel computes, for j < len(y),
 //
-//	y[j] += alpha[t]*panel[k[t]*stride+j]   for t = 0, 1, ..., len(alpha)-1
+//	y[j] += a[k[t]]*panel[k[t]*stride+j]   for t = 0, 1, ..., len(k)-1
 //
 // with y held in registers across the whole list: one load and one store of
 // y per call, however many terms. It is the inner kernel of the packed
 // inference plan, whose weights are column panels: panel row u, stride
-// floats long, holds input unit u's weights for the panel's columns. Each
-// element adds its terms in list order, rounding every multiply and every add
-// separately, so results are identical across tiers.
+// floats long, holds input unit u's weights for the panel's columns, and a
+// is the layer input's dense row, read only at the listed units. Each
+// element adds its terms in list order, rounding every multiply and every
+// add separately, so results are identical across tiers.
 //
 // stride must be a multiple of 8 and at least len(y), k must be ascending,
-// and panel must hold row k[len(alpha)-1] whole: tiers read rows in groups of
+// and panel must hold row k[len(k)-1] whole: tiers read rows in groups of
 // 8 floats, so a ragged len(y) reads into the row's padding. Only the ends of
 // k are bounds-checked.
-func AxpyPanel(y, alpha []float32, k []int32, panel []float32, stride int) {
-	n := len(alpha)
+func AxpyPanel(y, a []float32, k []int32, panel []float32, stride int) {
+	n := len(k)
 	if n == 0 || len(y) == 0 {
 		return
 	}
-	k = k[:n]
 	checkPanel(len(y), k, len(panel), stride)
-	axpyPanelImpl(y, alpha, k, panel, stride)
+	_ = a[k[n-1]]
+	axpyPanelImpl(y, a, k, panel, stride)
 }
+
+// AxpyPanelRows is AxpyPanel for a group of rows that share one unit list:
+// for each r in rows and j < width,
+//
+//	y[r*ldy+j] += a[r*lda+k[t]]*panel[k[t]*stride+j]   for t = 0, 1, ..., len(k)-1
+//
+// y and a are row-major matrices with row strides ldy and lda. Each panel
+// row is loaded once per PanelRows rows instead of once per row. Every row's
+// elements add the same terms, in the same order and with the same
+// roundings, as AxpyPanel on that row alone, so the result is bitwise the
+// one-row form's on every tier. The argument rules are AxpyPanel's, per row.
+func AxpyPanelRows(y []float32, ldy int, a []float32, lda int, rows []int32, width int, k []int32, panel []float32, stride int) {
+	n := len(k)
+	if n == 0 || width == 0 {
+		return
+	}
+	checkPanel(width, k, len(panel), stride)
+	for _, r := range rows {
+		_, _ = y[int(r)*ldy:][width-1], a[int(r)*lda:][k[n-1]]
+	}
+	if g := panelRows; g > 1 {
+		for ; len(rows) >= g; rows = rows[g:] {
+			axpyPanelGImpl(y, ldy, a, lda, rows[:g], width, k, panel, stride)
+		}
+	}
+	for _, r := range rows {
+		axpyPanelImpl(y[int(r)*ldy:][:width], a[int(r)*lda:], k, panel, stride)
+	}
+}
+
+// PanelRows is the active tier's AxpyPanelRows group size: how many rows
+// share each load of a panel row. It is 4 on avx512 and 1 on every other
+// tier, where AxpyPanelRows runs its rows one at a time.
+func PanelRows() int { return panelRows }
 
 // AxpyPanelI8 is AxpyPanel over int8 codes with one dequant scale per input
 // unit:
 //
-//	y[j] += (x[t]*scale[k[t]]) * float32(panel[k[t]*stride+j])
+//	y[j] += (x[k[t]]*scale[k[t]]) * float32(panel[k[t]*stride+j])
 //
 // where the parenthesized product rounds to float32 once per term, as the
 // int8 plan's alpha always has. The int8→float32 widening is exact. The
-// argument rules are AxpyPanel's, and scale must reach k[len(x)-1].
+// argument rules are AxpyPanel's, and x and scale must reach k[len(k)-1].
 func AxpyPanelI8(y, x []float32, k []int32, scale []float32, panel []int8, stride int) {
-	n := len(x)
+	n := len(k)
 	if n == 0 || len(y) == 0 {
 		return
 	}
-	k = k[:n]
 	checkPanel(len(y), k, len(panel), stride)
-	_ = scale[k[n-1]]
+	_, _ = x[k[n-1]], scale[k[n-1]]
 	axpyPanelI8Impl(y, x, k, scale, panel, stride)
+}
+
+// Nonzeros writes the indices of x's nonzero entries to idx, ascending, and
+// returns them; len(idx) must be at least len(x). It is how the plan lists
+// a row's units for the panel kernels. When mask is not nil it also sets
+// mask to the same entries as bits, bit j of mask[w] for x[64w+j], and
+// len(mask) must be at least (len(x)+63)/64; AxpyPanelRows' callers OR
+// rows' masks into a group's list. ±0 is zero and NaN is not, as for !=.
+func Nonzeros(idx []int32, mask []uint64, x []float32) []int32 {
+	idx = idx[:len(x)]
+	if mask != nil {
+		mask = mask[:(len(x)+63)/64]
+		if len(mask) > 0 {
+			mask[len(mask)-1] = 0
+		}
+	}
+	return idx[:nonzerosImpl(idx, mask, x)]
 }
 
 // ExpShift computes dst[i] = math.Exp(float64(x[i]) - c) for i < len(x),
@@ -282,23 +357,43 @@ func saxpyI8Generic(alpha float32, q []int8, y []float32) {
 
 // axpyPanelGeneric adds the terms one row at a time: each element still
 // sees them in list order, which is all the register-held tiers promise.
-func axpyPanelGeneric(y, alpha []float32, k []int32, panel []float32, stride int) {
-	for t, a := range alpha {
-		row := panel[int(k[t])*stride:][:len(y)]
+func axpyPanelGeneric(y, a []float32, k []int32, panel []float32, stride int) {
+	for _, u := range k {
+		av := a[u]
+		row := panel[int(u)*stride:][:len(y)]
 		for j, v := range row {
-			y[j] += float32(a * v)
+			y[j] += float32(av * v)
 		}
 	}
 }
 
 func axpyPanelI8Generic(y, x []float32, k []int32, scale []float32, panel []int8, stride int) {
-	for t, xv := range x {
-		a := float32(xv * scale[k[t]])
-		row := panel[int(k[t])*stride:][:len(y)]
+	for _, u := range k {
+		a := float32(x[u] * scale[u])
+		row := panel[int(u)*stride:][:len(y)]
 		for j, v := range row {
 			y[j] += float32(a * float32(v))
 		}
 	}
+}
+
+// nonzerosGeneric writes every index and keeps the nonzero ones: about half
+// of a plan row is zero, in no pattern a branch predictor could learn.
+func nonzerosGeneric(idx []int32, mask []uint64, x []float32) int {
+	n := 0
+	for k, v := range x {
+		idx[n] = int32(k)
+		if v != 0 {
+			n++
+		}
+	}
+	if mask != nil {
+		clear(mask)
+		for _, u := range idx[:n] {
+			mask[u>>6] |= 1 << (u & 63)
+		}
+	}
+	return n
 }
 
 // gemmTileGeneric accumulates a 4x4 tile with k outermost, matching the asm

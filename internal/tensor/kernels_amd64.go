@@ -50,7 +50,22 @@ func gemmTile8x8AVX2Asm(a []float32, ras, kas int, b []float32, ldb int, c []flo
 //go:noescape
 func gemmTile8x32AVX512Asm(a []float32, ras, kas int, b []float32, ldb int, c []float32, ldc, kn int)
 
-// The panel kernels' asm runs one strip of y per call, its columns held in
+// axpyPanel4AVX512Asm is the avx512 tier's AxpyPanelRows group kernel:
+// four rows, a strip of 1–64 columns each (kernels_avx512_amd64.s). It
+// masks a ragged strip's last 16 columns, so it reads and writes nothing
+// past width.
+//
+//go:noescape
+func axpyPanel4AVX512Asm(y []float32, ldy int, a []float32, lda int, rows []int32, width int, k []int32, panel []float32, stride int)
+
+// nonzerosAVX512Asm is the avx512 tier's Nonzeros (kernels_avx512_amd64.s),
+// 16 entries per compare; it writes mask only when len(mask) > 0, and
+// leaves the last word's bits past len(x) as they were.
+//
+//go:noescape
+func nonzerosAVX512Asm(idx []int32, mask []uint64, x []float32) int
+
+// The one-row panel kernels' asm runs one strip of y per call, its columns held in
 // registers across the whole term list: 64, 32, 16 or 8 columns on avx2,
 // 32, 16 or 8 on sse. The wrappers cover len(y) with the widest strips that
 // fit, then run a ragged tail of fewer than 8 columns as an 8-column strip
@@ -58,13 +73,13 @@ func gemmTile8x32AVX512Asm(a []float32, ras, kas int, b []float32, ldb int, c []
 // Strips split y's columns, never a column's term order.
 
 //go:noescape
-func axpyPanelAVX2Asm(y, alpha []float32, k []int32, panel []float32, stride int)
+func axpyPanelAVX2Asm(y, a []float32, k []int32, panel []float32, stride int)
 
 //go:noescape
 func axpyPanelI8AVX2Asm(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
 
 //go:noescape
-func axpyPanelSSEAsm(y, alpha []float32, k []int32, panel []float32, stride int)
+func axpyPanelSSEAsm(y, a []float32, k []int32, panel []float32, stride int)
 
 //go:noescape
 func axpyPanelI8SSEAsm(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
@@ -78,15 +93,15 @@ func strip(n, widest int) int {
 	return widest
 }
 
-func axpyPanelAVX2(y, alpha []float32, k []int32, panel []float32, stride int) {
+func axpyPanelAVX2(y, a []float32, k []int32, panel []float32, stride int) {
 	for w := 0; len(y) >= 8; y, panel = y[w:], panel[w:] {
 		w = strip(len(y), 64)
-		axpyPanelAVX2Asm(y[:w], alpha, k, panel, stride)
+		axpyPanelAVX2Asm(y[:w], a, k, panel, stride)
 	}
 	if len(y) > 0 {
 		var tail [8]float32
 		copy(tail[:], y)
-		axpyPanelAVX2Asm(tail[:], alpha, k, panel, stride)
+		axpyPanelAVX2Asm(tail[:], a, k, panel, stride)
 		copy(y, tail[:])
 	}
 }
@@ -104,15 +119,15 @@ func axpyPanelI8AVX2(y, x []float32, k []int32, scale []float32, panel []int8, s
 	}
 }
 
-func axpyPanelSSE(y, alpha []float32, k []int32, panel []float32, stride int) {
+func axpyPanelSSE(y, a []float32, k []int32, panel []float32, stride int) {
 	for w := 0; len(y) >= 8; y, panel = y[w:], panel[w:] {
 		w = strip(len(y), 32)
-		axpyPanelSSEAsm(y[:w], alpha, k, panel, stride)
+		axpyPanelSSEAsm(y[:w], a, k, panel, stride)
 	}
 	if len(y) > 0 {
 		var tail [8]float32
 		copy(tail[:], y)
-		axpyPanelSSEAsm(tail[:], alpha, k, panel, stride)
+		axpyPanelSSEAsm(tail[:], a, k, panel, stride)
 		copy(y, tail[:])
 	}
 }
@@ -169,7 +184,8 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 }
 
 // sseKernel and avx2Kernel are the tiers amd64Tiers (cpu_amd64.go) builds
-// the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm.
+// the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm,
+// axpyPanel4AVX512Asm and nonzerosAVX512Asm.
 var (
 	sseKernel = kernel{
 		name:        "sse",
@@ -177,6 +193,8 @@ var (
 		saxpyI8:     saxpyI8SSE,
 		axpyPanel:   axpyPanelSSE,
 		axpyPanelI8: axpyPanelI8SSE,
+		panelRows:   1,
+		nonzeros:    nonzerosGeneric,
 		gemmTile:    gemmTile8x4SSEAsm,
 		tileM:       8,
 		tileN:       4,
@@ -187,6 +205,8 @@ var (
 		saxpyI8:     saxpyI8AVX2,
 		axpyPanel:   axpyPanelAVX2,
 		axpyPanelI8: axpyPanelI8AVX2,
+		panelRows:   1,
+		nonzeros:    nonzerosGeneric,
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,
 		tileN:       8,

@@ -207,25 +207,25 @@ store:
 // Panel kernels (tensor.AxpyPanel, tensor.AxpyPanelI8), one strip per call:
 // len(y) is 64, 32, 16 or 8, and those columns of y live in Y0..Y7 across
 // the whole term list, so y is loaded and stored once per call. Per term t:
-// R8 = k[t]*stride in bytes, Y8 = alpha broadcast, then one unfused
-// multiply/add per 8 columns.
-// Registers: DI y, BX alpha (x for int8), CX k, SI panel, DX term count,
-// AX term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
+// R8 = k[t], Y8 = a[k[t]] broadcast from the dense activation row, R8 =
+// k[t]*stride in bytes, then one unfused multiply/add per 8 columns.
+// Registers: DI y, BX a (x for int8), CX k, SI panel, DX term count, AX
+// term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
 
 #define PANEL_F32_TERM \
 	MOVLQSX      (CX)(AX*4), R8; \
-	IMULQ        R9, R8; \
-	VBROADCASTSS (BX)(AX*4), Y8
+	VBROADCASTSS (BX)(R8*4), Y8; \
+	IMULQ        R9, R8
 
 #define PANEL_F32_MAC(off, acc, tmp) \
 	VMULPS off(SI)(R8*1), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// alpha = x[t]*scale[k[t]], rounded once, as the int8 plan has always
+// alpha = x[k[t]]*scale[k[t]], rounded once, as the int8 plan has always
 // folded its scale.
 #define PANEL_I8_TERM \
 	MOVLQSX      (CX)(AX*4), R8; \
-	VMOVSS       (BX)(AX*4), X8; \
+	VMOVSS       (BX)(R8*4), X8; \
 	VMULSS       (R10)(R8*4), X8, X8; \
 	VBROADCASTSS X8, Y8; \
 	IMULQ        R9, R8
@@ -236,12 +236,12 @@ store:
 	VMULPS    Y8, tmp, tmp; \
 	VADDPS    tmp, acc, acc
 
-// func axpyPanelAVX2Asm(y, alpha []float32, k []int32, panel []float32, stride int)
+// func axpyPanelAVX2Asm(y, a []float32, k []int32, panel []float32, stride int)
 TEXT ·axpyPanelAVX2Asm(SB), NOSPLIT, $0-104
 	MOVQ y_base+0(FP), DI
 	MOVQ y_len+8(FP), R11
-	MOVQ alpha_base+24(FP), BX
-	MOVQ alpha_len+32(FP), DX
+	MOVQ a_base+24(FP), BX
+	MOVQ k_len+56(FP), DX
 	MOVQ k_base+48(FP), CX
 	MOVQ panel_base+72(FP), SI
 	MOVQ stride+96(FP), R9
@@ -361,7 +361,7 @@ TEXT ·axpyPanelI8AVX2Asm(SB), NOSPLIT, $0-128
 	MOVQ y_base+0(FP), DI
 	MOVQ y_len+8(FP), R11
 	MOVQ x_base+24(FP), BX
-	MOVQ x_len+32(FP), DX
+	MOVQ k_len+56(FP), DX
 	MOVQ k_base+48(FP), CX
 	MOVQ scale_base+72(FP), R10
 	MOVQ panel_base+96(FP), SI

@@ -202,28 +202,29 @@ store:
 // Panel kernels (tensor.AxpyPanel, tensor.AxpyPanelI8), one strip per call:
 // len(y) is 32, 16 or 8 (a 64-column panel is two strips), and those
 // columns of y live in X0..X7 across the whole term list. Per term t: R8 =
-// k[t]*stride in bytes, X8 = alpha broadcast, then one unfused multiply/add
-// per 4 columns. Panel rows are loaded unaligned into a temporary, never
-// used as a MULPS memory operand.
-// Registers: DI y, BX alpha (x for int8), CX k, SI panel, DX term count,
-// AX term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
+// k[t], X8 = a[k[t]] broadcast from the dense activation row, R8 =
+// k[t]*stride in bytes, then one unfused multiply/add per 4 columns. Panel
+// rows are loaded unaligned into a temporary, never used as a MULPS memory
+// operand.
+// Registers: DI y, BX a (x for int8), CX k, SI panel, DX term count, AX
+// term index, R9 row stride in bytes, R10 scale (int8 only), R11 len(y).
 
 #define PANEL_F32_TERM \
 	MOVLQSX (CX)(AX*4), R8; \
-	IMULQ   R9, R8; \
-	MOVSS   (BX)(AX*4), X8; \
-	SHUFPS  $0x00, X8, X8
+	MOVSS   (BX)(R8*4), X8; \
+	SHUFPS  $0x00, X8, X8; \
+	IMULQ   R9, R8
 
 #define PANEL_F32_MAC(off, acc, tmp) \
 	MOVUPS off(SI)(R8*1), tmp; \
 	MULPS  X8, tmp; \
 	ADDPS  tmp, acc
 
-// alpha = x[t]*scale[k[t]], rounded once, as the int8 plan has always
+// alpha = x[k[t]]*scale[k[t]], rounded once, as the int8 plan has always
 // folded its scale.
 #define PANEL_I8_TERM \
 	MOVLQSX (CX)(AX*4), R8; \
-	MOVSS   (BX)(AX*4), X8; \
+	MOVSS   (BX)(R8*4), X8; \
 	MULSS   (R10)(R8*4), X8; \
 	SHUFPS  $0x00, X8, X8; \
 	IMULQ   R9, R8
@@ -237,12 +238,12 @@ store:
 	MULPS     X8, tmp; \
 	ADDPS     tmp, acc
 
-// func axpyPanelSSEAsm(y, alpha []float32, k []int32, panel []float32, stride int)
+// func axpyPanelSSEAsm(y, a []float32, k []int32, panel []float32, stride int)
 TEXT ·axpyPanelSSEAsm(SB), NOSPLIT, $0-104
 	MOVQ y_base+0(FP), DI
 	MOVQ y_len+8(FP), R11
-	MOVQ alpha_base+24(FP), BX
-	MOVQ alpha_len+32(FP), DX
+	MOVQ a_base+24(FP), BX
+	MOVQ k_len+56(FP), DX
 	MOVQ k_base+48(FP), CX
 	MOVQ panel_base+72(FP), SI
 	MOVQ stride+96(FP), R9
@@ -340,7 +341,7 @@ TEXT ·axpyPanelI8SSEAsm(SB), NOSPLIT, $0-128
 	MOVQ y_base+0(FP), DI
 	MOVQ y_len+8(FP), R11
 	MOVQ x_base+24(FP), BX
-	MOVQ x_len+32(FP), DX
+	MOVQ k_len+56(FP), DX
 	MOVQ k_base+48(FP), CX
 	MOVQ scale_base+72(FP), R10
 	MOVQ panel_base+96(FP), SI

@@ -429,7 +429,7 @@ func finiteFloats(rng *rand.Rand, n int) []float32 {
 // a panel with the given stride, into a destination of width columns.
 type panelCase struct {
 	width, stride int
-	alpha, y      []float32 // alpha doubles as AxpyPanelI8's x
+	a, y          []float32 // a, one activation per panel row, doubles as AxpyPanelI8's x
 	k             []int32
 	panel         []float32
 	codes         []int8
@@ -441,9 +441,9 @@ type panelCase struct {
 func (c *panelCase) run(i8 bool, f32 axpyPanelFunc, q axpyPanelI8Func) []float32 {
 	y := append([]float32(nil), c.y...)
 	if i8 {
-		q(y, c.alpha, c.k, c.scale, c.codes, c.stride)
+		q(y, c.a, c.k, c.scale, c.codes, c.stride)
 	} else {
-		f32(y, c.alpha, c.k, c.panel, c.stride)
+		f32(y, c.a, c.k, c.panel, c.stride)
 	}
 	return y
 }
@@ -459,7 +459,7 @@ func newPanelCase(rng *rand.Rand, width, terms int, zeroY bool) panelCase {
 			c.k = append(c.k, int32(u))
 		}
 	}
-	c.alpha = finiteFloats(rng, len(c.k))
+	c.a = finiteFloats(rng, rows)
 	c.y = make([]float32, width)
 	if !zeroY {
 		c.y = finiteFloats(rng, width)
@@ -509,7 +509,11 @@ func TestAxpyPanelChecksArguments(t *testing.T) {
 		"width above stride":         func() { AxpyPanel(make([]float32, 16), []float32{1}, []int32{0}, panel, 8) },
 		"row past the panel":         func() { AxpyPanel(y, []float32{1}, []int32{2}, panel, 8) },
 		"negative row":               func() { AxpyPanel(y, []float32{1, 1}, []int32{-1, 0}, panel, 8) },
-		"unit past the scales":       func() { AxpyPanelI8(y, []float32{1}, []int32{1}, []float32{1}, make([]int8, 16), 8) },
+		"unit past the scales":       func() { AxpyPanelI8(y, []float32{1, 1}, []int32{1}, []float32{1}, make([]int8, 16), 8) },
+		"unit past the activations":  func() { AxpyPanel(y, []float32{1}, []int32{1}, panel, 8) },
+		"group row past y":           func() { AxpyPanelRows(y, 8, panel, 8, []int32{0, 1}, 8, []int32{0}, panel, 8) },
+		"group row past a":           func() { AxpyPanelRows(panel, 8, y, 8, []int32{0, 1}, 8, []int32{0}, panel, 8) },
+		"negative group row":         func() { AxpyPanelRows(panel, 8, panel, 8, []int32{-1}, 8, []int32{0}, panel, 8) },
 	} {
 		func() {
 			defer func() {
@@ -556,10 +560,11 @@ func FuzzAxpyPanel(f *testing.F) {
 		// Rows 0..rows-1, each listed when its bit of the cycling mask is set.
 		rows := 1 + len(data)/(2*stride+8)
 		c := panelCase{width: width, stride: stride, y: make([]float32, width)}
+		c.a = make([]float32, rows)
 		for u := 0; u < rows; u++ {
 			if mask>>(u%8)&1 != 0 || mask == 0 {
 				c.k = append(c.k, int32(u))
-				c.alpha = append(c.alpha, float())
+				c.a[u] = float()
 			}
 		}
 		for j := range c.y {
@@ -590,10 +595,186 @@ func FuzzAxpyPanel(f *testing.F) {
 	})
 }
 
+// groupCase is one AxpyPanelRows call: rows of a y and an a matrix that
+// share a list of ascending panel rows.
+type groupCase struct {
+	width, stride, ldy, lda int
+	rows, k                 []int32
+	y, a, panel             []float32
+}
+
+// run applies AxpyPanelRows to a copy of c.y, or with oneByOne each row
+// through the generic one-row loop, and returns the whole matrix.
+func (c *groupCase) run(oneByOne bool) []float32 {
+	y := append([]float32(nil), c.y...)
+	if !oneByOne {
+		AxpyPanelRows(y, c.ldy, c.a, c.lda, c.rows, c.width, c.k, c.panel, c.stride)
+		return y
+	}
+	for _, r := range c.rows {
+		axpyPanelGeneric(y[int(r)*c.ldy:][:c.width], c.a[int(r)*c.lda:], c.k, c.panel, c.stride)
+	}
+	return y
+}
+
+func (c *groupCase) check(t *testing.T, name string) {
+	t.Helper()
+	bitsEqualSlices(t, fmt.Sprintf("%s (tier %s, %d rows %v, width %d, stride %d, units %v)",
+		name, KernelTier(), len(c.rows), c.rows, c.width, c.stride, c.k), c.run(false), c.run(true))
+}
+
+// TestAxpyPanelRowsTiersBitwiseMatchGeneric: every tier's group kernel
+// agrees bit for bit with the generic loop run row by row, at every strip
+// width up to 64 (ragged ones included), over groups of 1–9 rows (whole
+// groups of the tier's PanelRows and a remainder), on a +0 destination and
+// on a live one, with ±0 activations at some listed units as a union list
+// has, and nothing outside the strips written.
+func TestAxpyPanelRowsTiersBitwiseMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var cases []groupCase
+	for width := 1; width <= 64; width++ {
+		for _, terms := range []int{0, 1, 5, 64, 200} {
+			pc := newPanelCase(rng, width, terms, false)
+			units := len(pc.panel) / pc.stride
+			c := groupCase{width: width, stride: pc.stride, k: pc.k, panel: pc.panel,
+				ldy: width + rng.Intn(9), lda: units + rng.Intn(9)}
+			n := 1 + rng.Intn(9)
+			for r := 0; len(c.rows) < n; r++ {
+				if rng.Intn(3) != 0 {
+					c.rows = append(c.rows, int32(r))
+				}
+			}
+			last := int(c.rows[n-1]) + 1
+			c.a = finiteFloats(rng, last*c.lda)
+			for i := range c.a {
+				if rng.Intn(3) == 0 {
+					c.a[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+				}
+			}
+			c.y = make([]float32, last*c.ldy)
+			if rng.Intn(2) == 0 {
+				c.y = finiteFloats(rng, len(c.y))
+			}
+			cases = append(cases, c)
+		}
+	}
+	withTier(t, func(t *testing.T, tier string) {
+		for ci, c := range cases {
+			c.check(t, fmt.Sprintf("case %d", ci))
+		}
+	})
+}
+
+// FuzzAxpyPanelRows checks the active tier's AxpyPanelRows against the
+// generic one-row loop on every row, on shapes and values drawn from the
+// input: the group size (1–4), the strip width (1–64), the stride padding,
+// the gaps between rows and the row strides, the units listed, and every
+// float's bits (non-finite patterns folded to finite ones); a cycling mask
+// makes some activations at listed units ±0, as a union list's are.
+func FuzzAxpyPanelRows(f *testing.F) {
+	f.Add([]byte{3, 63, 0, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 39, 1, 0xa5, 1, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add([]byte{2, 26, 2, 17, 2, 0xff, 0x7f, 0x80, 0x80, 0x00, 0x01, 0x00, 0x00})
+	f.Add([]byte{0, 7, 0, 0xff, 0, 0x3f, 0x80, 0, 0, 0xbf, 0x80, 0, 0})
+	f.Add(make([]byte, 96))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n, width := 1+int(data[0])%4, 1+int(data[1])%64
+		stride := (width+7)&^7 + 8*int(data[2]%3)
+		mask, gap, data := data[3], 1+int(data[4]%3), data[5:]
+		next := func() uint32 {
+			var v uint32
+			for i := 0; i < 4 && len(data) > 0; i++ {
+				v = v<<8 | uint32(data[0])
+				data = data[1:]
+			}
+			return v
+		}
+		float := func() float32 {
+			v := math.Float32frombits(next())
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				v = math.Float32frombits(math.Float32bits(v) &^ (1 << 30))
+			}
+			return v
+		}
+		units := 1 + len(data)/(4*stride+16)
+		c := groupCase{width: width, stride: stride, ldy: width + gap, lda: units + gap}
+		for u := 0; u < units; u++ {
+			if mask>>(u%8)&1 != 0 || mask == 0 {
+				c.k = append(c.k, int32(u))
+			}
+		}
+		for i := 0; i < n; i++ {
+			c.rows = append(c.rows, int32(i*gap))
+		}
+		last := int(c.rows[n-1]) + 1
+		c.a = make([]float32, last*c.lda)
+		for _, r := range c.rows {
+			for _, u := range c.k {
+				v := float()
+				if mask>>((int(r)+int(u))%8)&1 == 0 { // a ±0 at a union unit
+					v = float32(math.Copysign(0, float64(v)))
+				}
+				c.a[int(r)*c.lda+int(u)] = v
+			}
+		}
+		c.y = make([]float32, last*c.ldy)
+		if mask&1 != 0 {
+			for j := range c.y {
+				c.y[j] = float()
+			}
+		}
+		c.panel = make([]float32, units*stride)
+		for i := range c.panel {
+			c.panel[i] = float()
+		}
+		c.check(t, "fuzz")
+	})
+}
+
+// TestNonzerosTiersMatchGeneric: every tier's Nonzeros lists and masks
+// the same entries as the generic loop, at every length up to 300 (whole
+// 16-entry chunks and a ragged tail), with ±0, NaN and subnormals in x.
+func TestNonzerosTiersMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var xs [][]float32
+	for n := 0; n <= 300; n++ {
+		x := trickyFloats(rng, n)
+		for i := range x {
+			if rng.Intn(2) == 0 {
+				x[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+			}
+		}
+		xs = append(xs, x)
+	}
+	withTier(t, func(t *testing.T, tier string) {
+		for _, x := range xs {
+			words := (len(x) + 63) / 64
+			wantIdx, wantMask := make([]int32, len(x)), make([]uint64, words)
+			wantIdx = wantIdx[:nonzerosGeneric(wantIdx, wantMask, x)]
+			mask := make([]uint64, words+1)
+			for i := range mask {
+				mask[i] = ^uint64(0) // stale bits a short x must not leave behind
+			}
+			idx := Nonzeros(make([]int32, len(x)+3), mask, x)
+			if fmt.Sprint(idx) != fmt.Sprint(wantIdx) || fmt.Sprint(mask[:words]) != fmt.Sprint(wantMask) || mask[words] != ^uint64(0) {
+				t.Fatalf("len %d: indices %v mask %x, generic %v mask %x", len(x), idx, mask, wantIdx, wantMask)
+			}
+			if got := Nonzeros(make([]int32, len(x)), nil, x); fmt.Sprint(got) != fmt.Sprint(wantIdx) {
+				t.Fatalf("len %d without a mask: %v, generic %v", len(x), got, wantIdx)
+			}
+		}
+	})
+}
+
 // BenchmarkAxpyPanelTier prices one 64-column panel pass per tier, every row
 // listed, with the panel sized to sit in L1, in a 256 KB L2-sized slab (the
-// DMV plan's widest output block) and in 2 MB. It reports GMAC/s; compare
-// BenchmarkSaxpyTier, which loads and stores its destination per term.
+// DMV plan's widest output block) and in 2 MB: one row (f32, i8), and four
+// rows sharing the list through AxpyPanelRows (f32x4, one row at a time
+// except on avx512). It reports GMAC/s; compare BenchmarkSaxpyTier, which
+// loads and stores its destination per term.
 func BenchmarkAxpyPanelTier(b *testing.B) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
@@ -603,11 +784,10 @@ func BenchmarkAxpyPanelTier(b *testing.B) {
 			name  string
 			bytes int
 		}{{"l1", 16 << 10}, {"256k", 256 << 10}, {"2m", 2 << 20}} {
-			for _, i8 := range []bool{false, true} {
-				kind := "f32"
+			for _, kind := range []string{"f32", "f32x4", "i8"} {
 				rows := ws.bytes / (4 * width)
-				if i8 {
-					kind, rows = "i8", ws.bytes/width
+				if kind == "i8" {
+					rows = ws.bytes / width
 				}
 				b.Run(fmt.Sprintf("%s/%s/%s", tier, kind, ws.name), func(b *testing.B) {
 					if err := SetKernelTier(tier); err != nil {
@@ -621,22 +801,29 @@ func BenchmarkAxpyPanelTier(b *testing.B) {
 						}
 						return v
 					}
-					c := panelCase{stride: width, alpha: normal(rows), panel: normal(rows * width), codes: make([]int8, rows*width), scale: normal(rows)}
+					c := panelCase{stride: width, a: normal(4 * rows), panel: normal(rows * width), codes: make([]int8, rows*width), scale: normal(rows)}
 					for u := range c.codes {
 						c.codes[u] = int8(rng.Intn(255) - 127)
 					}
 					for u := 0; u < rows; u++ {
 						c.k = append(c.k, int32(u))
 					}
-					y := make([]float32, width)
+					y := make([]float32, 4*width)
+					group, macs := []int32{0, 1, 2, 3}, rows*width
 					for i := 0; i < b.N; i++ {
-						if i8 {
-							AxpyPanelI8(y, c.alpha, c.k, c.scale, c.codes, c.stride)
-						} else {
-							AxpyPanel(y, c.alpha, c.k, c.panel, c.stride)
+						switch kind {
+						case "f32":
+							AxpyPanel(y[:width], c.a, c.k, c.panel, c.stride)
+						case "f32x4":
+							AxpyPanelRows(y, width, c.a, rows, group, width, c.k, c.panel, c.stride)
+						default:
+							AxpyPanelI8(y[:width], c.a, c.k, c.scale, c.codes, c.stride)
 						}
 					}
-					b.ReportMetric(float64(b.N)*float64(rows*width)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+					if kind == "f32x4" {
+						macs *= len(group)
+					}
+					b.ReportMetric(float64(b.N)*float64(macs)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
 				})
 			}
 		}
