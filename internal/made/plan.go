@@ -17,49 +17,64 @@
 // at most panelWidth (64) floats, the last panel of each rounded up to a
 // multiple of 8. Panel p holds one row per input unit below K_p, one past
 // the last unit with a nonzero weight in the panel (for an output block, at
-// most its cut); entries outside a unit's span are zero. A pass lists each row's
-// nonzero activations of a layer input with their units, ascending, and a
-// panel reads the prefix of the list below its K_p: tensor.AxpyPanel adds
-// those rows into one 64-column strip of the destination held in registers,
-// so the destination is loaded and stored once per panel, not once per term.
+// most its cut); entries outside a unit's span are zero.
+//
+// A pass reads a layer input through unit lists, one per row group: the
+// ascending units at which some row of the group has a nonzero activation
+// (tensor.Nonzeros lists a row's own and sets its bitmask; a group's list
+// is its rows' masks ORed and walked with bits.TrailingZeros64). A lone row
+// is a group of one, with its own list. A group has tensor.PanelRows rows
+// on an f32 plan (4 on avx512, where the group kernel loads each panel row
+// once for four rows, 1 elsewhere) and 1 on an int8 plan; the trunk groups
+// the rows of each row block, the projection consecutive rows of those that
+// need an output block. A run of rows shares one list only where its union
+// inflation (rows × union units over the rows' own nonzeros) is at most
+// maxInflation; otherwise each row of it is a lone group. A panel reads the
+// prefix of a list below its K_p: tensor.AxpyPanel (a lone row) or
+// tensor.AxpyPanelRows (a group) adds each listed unit's panel row, times
+// each row's activation read from its dense input row, into a 64-column
+// strip of the destination held in registers, so the destination is loaded
+// and stored once per panel, not once per term.
 //
 // Forward runs a batch in two phases. The trunk phase takes blocks of
 // rowBlock rows through every trunk layer, each panel serving every row of
 // the block before the next panel is loaded; bias, ReLU and the residual add
 // follow per block. The projection phase has one work item per (output
-// block, panel), over every row of the batch that needs the block, so each
-// slab panel is loaded once per pass. Each phase is one tensor.ParallelFor
-// whose workers take work items, largest first, from an atomic counter; a
-// batch smaller than one row block runs inline, with no fork and no
-// allocation.
+// block, panel), over the groups of every row of the batch that needs the
+// block, so each slab panel is loaded once per pass; its groups are built
+// serially between the phases. Each phase is one tensor.ParallelFor whose
+// workers take work items, largest first, from an atomic counter; a batch
+// smaller than one row block runs inline, with no fork and no allocation.
 //
 // Every output element starts at +0, adds its terms in ascending input order
 // (skipping zero activations), then adds its bias: exactly the additions, in
 // exactly the order, of computing its row alone. A panel also adds a product
-// for every listed unit below K_p whose span misses the element; its weight
-// entry is zero, so with finite weights and activations the product is ±0.
+// for every listed unit below K_p whose span misses the element, and, in a
+// group, for every listed unit where the element's own row has a ±0
+// activation; its weight entry or its activation is ±0, so with finite
+// weights and activations the product is ±0.
 // The destination starts at +0 and never becomes −0 (x + (−x) rounds to +0,
 // and no sum of finite nonzero terms underflows to zero), and adding ±0 to a
 // value other than −0 returns it unchanged; so the padded terms change
 // nothing, and each logit is bitwise the sum of its span terms.
 // Results are therefore bitwise independent of batch composition, row-block
-// boundaries, panel layout, worker count and kernel tier. They match the
-// generic layer stack up to floating-point summation order (the degree sort
-// changes the order in which a logit's contributions are added). A Plan is
-// immutable after NewPlan and does not see later training; compile a new
-// one. A pass writes only its Scratch, so Run on distinct scratches may run
-// concurrently; Forward runs on a scratch the plan keeps, so its callers
-// serialize.
+// boundaries, row groups, panel layout, worker count and kernel tier. They
+// match the generic layer stack up to floating-point summation order (the
+// degree sort changes the order in which a logit's contributions are
+// added). A Plan is immutable after NewPlan and does not see later
+// training; compile a new one. A pass writes only its Scratch, so Run on
+// distinct scratches may run concurrently; Forward runs on a scratch the
+// plan keeps, so its callers serialize.
 //
 // PlanConfig{Quantize: true} builds the plan with int8 weights instead of
 // float32: every input unit's row of a packed layer (and of each output
 // block) is quantized to symmetric int8 codes plus one float32 scale
 // (tensor.QuantizeI8S), the codes take the f32 panel layout, and Forward
-// runs tensor.AxpyPanelI8, which folds the activation×scale product into
-// each term's alpha. Weight memory shrinks close to 4x and the kernel
-// streams a quarter of the bytes; results are an approximation of the f32
-// plan (core.TestQuantizedPlanAccuracyAndSize bounds the q-error delta), but
-// remain deterministic and batch-composition independent.
+// runs tensor.AxpyPanelI8 on lone rows, which folds the activation×scale
+// product into each term's alpha. Weight memory shrinks close to 4x and the
+// kernel streams a quarter of the bytes; results are an approximation of
+// the f32 plan (core.TestQuantizedPlanAccuracyAndSize bounds the q-error
+// delta), but remain deterministic and batch-composition independent.
 package made
 
 import (

@@ -520,6 +520,37 @@ func TestPlanRowBlocksBitwise(t *testing.T) {
 	}
 }
 
+// TestPlanGroupMACs: rows share union lists only where the tier runs a
+// group kernel on them (an f32 plan on a tier whose PanelRows exceeds 1;
+// never an int8 plan), there on some stage of a 64-row batch, and no stage's
+// union MACs exceed maxInflation times its rows' own.
+func TestPlanGroupMACs(t *testing.T) {
+	tier := tensor.KernelTier()
+	defer tensor.SetKernelTier(tier)
+	for name, m := range rowBlockNets() {
+		x, needed := rowBlockBatch(m, 64, 9)
+		for _, quant := range []bool{false, true} {
+			p := NewPlan(m, PlanConfig{Quantize: quant})
+			for _, tr := range tensor.KernelTiers() {
+				if err := tensor.SetKernelTier(tr); err != nil {
+					t.Fatal(err)
+				}
+				groups := tensor.PanelRows() > 1 && !quant
+				shared := false
+				for i, g := range p.GroupMACs(x, needed) {
+					if g.Own == 0 || float64(g.Union) > maxInflation*float64(g.Own) || (!groups && g.Union != g.Own) {
+						t.Errorf("%s quant=%v tier=%s: stage %d runs %d union MACs for %d own", name, quant, tr, i, g.Union, g.Own)
+					}
+					shared = shared || g.Union > g.Own
+				}
+				if groups && !shared {
+					t.Errorf("%s tier=%s: no stage shared a union list", name, tr)
+				}
+			}
+		}
+	}
+}
+
 // TestPlanForwardAllocs: on a warmed plan, a batch smaller than one row
 // block allocates nothing, which also proves it never forks (a go statement
 // and ParallelFor's join object both allocate), and a 64-row batch

@@ -9,11 +9,13 @@ import (
 // Kernel tier dispatch.
 //
 // Every hot-path primitive in this package (Saxpy, SaxpyI8, AxpyPanel,
-// AxpyPanelI8, AxpyPanelRows and the blocked GEMM microkernel behind
-// Mul/MulBT/MulATAdd) is reached through an impl pointer selected once at
-// init from CPU feature detection: "avx512" (avx2 with a 512-bit
-// training-GEMM tile and a 4-row panel kernel, amd64 with AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit, any amd64),
-// "neon" (128-bit, arm64) and "generic" (pure Go, every platform).
+// AxpyPanelI8, AxpyPanelRows, Nonzeros and the blocked GEMM microkernel
+// behind Mul/MulBT/MulATAdd) is reached through an impl pointer selected
+// once at init from CPU feature detection: "avx512" (avx2 with a 512-bit
+// training-GEMM tile, a 4-row panel kernel and a compress-store Nonzeros,
+// amd64 with AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit,
+// any amd64), "neon" (128-bit, arm64) and "generic" (pure Go, every
+// platform).
 // DUET_KERNEL=<tier> overrides the choice at startup; SetKernelTier switches
 // tiers from tests and benchmarks.
 //
@@ -44,9 +46,10 @@ import (
 // 32/16/8; neon runs the generic loop. AxpyPanelRows is the group form: a
 // group of rows shares one unit list, so each panel row is loaded once for
 // the group. avx512 runs it 4 rows × up to 64 columns at a time (its
-// PanelRows), every other tier one row at a time; either way each row's
-// elements add the rows' own terms in list order, so the group form is
-// bitwise the one-row form row by row. A list shared by a group is the
+// PanelRows; a ragged strip's last 16 columns under a mask), every other
+// tier one row at a time; either way each row's elements add that row's
+// terms in list order, so the group form is bitwise the one-row form row
+// by row. A list shared by a group is the
 // union of its rows' nonzero units, so a row also adds a[u]·w = ±0 for a
 // union unit u where its own activation is ±0; a caller whose destination
 // starts at +0 and never becomes −0 gets the sum of its own terms back

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// maxWorkers bounds the number of goroutines used by parallel kernels.
-var maxWorkers = runtime.NumCPU()
+// maxWorkers bounds the number of goroutines used by parallel kernels: the
+// processors Go may run at once (GOMAXPROCS), not the host's CPUs, so a
+// process held to one processor never forks.
+var maxWorkers = runtime.GOMAXPROCS(0)
 
 // SetMaxWorkers overrides the number of goroutines used by parallel kernels.
-// n < 1 resets to runtime.NumCPU. Intended for benchmarks that want a fixed
-// degree of parallelism.
+// n < 1 resets to runtime.GOMAXPROCS(0). Intended for benchmarks that want a
+// fixed degree of parallelism.
 func SetMaxWorkers(n int) {
 	if n < 1 {
-		n = runtime.NumCPU()
+		n = runtime.GOMAXPROCS(0)
 	}
 	maxWorkers = n
 }

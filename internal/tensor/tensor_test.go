@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -223,6 +224,20 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 		}
 	}()
 	ParallelFor(4, 1, func(lo, hi int) { panic(boom) })
+}
+
+// TestParallelForInlineUnderGOMAXPROCS1: the default worker count is
+// GOMAXPROCS, not the host's CPU count, so under GOMAXPROCS=1 ParallelFor
+// runs its whole range in one inline call however many CPUs the host has.
+func TestParallelForInlineUnderGOMAXPROCS1(t *testing.T) {
+	defer SetMaxWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	SetMaxWorkers(0)
+	var calls [][2]int
+	ParallelFor(1<<10, 1, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	if len(calls) != 1 || calls[0] != [2]int{0, 1 << 10} {
+		t.Fatalf("ParallelFor under GOMAXPROCS=1 ran %v, want one inline call over [0, 1024)", calls)
+	}
 }
 
 func TestSetMaxWorkers(t *testing.T) {
