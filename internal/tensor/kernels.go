@@ -101,7 +101,7 @@ type kernel struct {
 	saxpyI8      func(alpha float32, q []int8, y []float32)
 	axpyPanel    axpyPanelFunc
 	axpyPanelI8  axpyPanelI8Func
-	panelRows    int               // AxpyPanelRows' group size; 1 when axpyPanelG is nil
+	panelRows    int               // AxpyPanelRows' group size; 0 (one row) when axpyPanelG is nil
 	axpyPanelG   axpyPanelRowsFunc // the group kernel, or nil
 	nonzeros     nonzerosFunc
 	gemmTile     gemmTileFunc
@@ -115,7 +115,6 @@ var genericKernel = kernel{
 	saxpyI8:     saxpyI8Generic,
 	axpyPanel:   axpyPanelGeneric,
 	axpyPanelI8: axpyPanelI8Generic,
-	panelRows:   1,
 	nonzeros:    nonzerosGeneric,
 	gemmTile:    gemmTileGeneric,
 	tileM:       4,
@@ -165,7 +164,7 @@ func setKernel(k kernel) {
 	axpyPanelImpl = k.axpyPanel
 	axpyPanelI8Impl = k.axpyPanelI8
 	axpyPanelGImpl = k.axpyPanelG
-	panelRows = k.panelRows
+	panelRows = max(1, k.panelRows)
 	nonzerosImpl = k.nonzeros
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM

@@ -193,7 +193,6 @@ var (
 		saxpyI8:     saxpyI8SSE,
 		axpyPanel:   axpyPanelSSE,
 		axpyPanelI8: axpyPanelI8SSE,
-		panelRows:   1,
 		nonzeros:    nonzerosGeneric,
 		gemmTile:    gemmTile8x4SSEAsm,
 		tileM:       8,
@@ -205,7 +204,6 @@ var (
 		saxpyI8:     saxpyI8AVX2,
 		axpyPanel:   axpyPanelAVX2,
 		axpyPanelI8: axpyPanelI8AVX2,
-		panelRows:   1,
 		nonzeros:    nonzerosGeneric,
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,

@@ -48,7 +48,6 @@ func archKernels() []kernel {
 		saxpyI8:     saxpyI8NEON,
 		axpyPanel:   axpyPanelGeneric,
 		axpyPanelI8: axpyPanelI8Generic,
-		panelRows:   1,
 		nonzeros:    nonzerosGeneric,
 		gemmTile:    gemmTile8x8NEONAsm,
 		tileM:       8,
