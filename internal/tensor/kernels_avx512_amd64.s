@@ -3,14 +3,15 @@
 #include "textflag.h"
 
 // The avx512 tier's kernels of its own: the training GEMM's register tile,
-// the 4-row panel kernel and Nonzeros. Everything else the tier runs is avx2's
-// (kernels_avx2_amd64.s). A 512-bit VMULPS/VADDPS pair rounds each lane
-// exactly like the 256-bit pair and the generic loop's float32(a*b) then
-// +=, so both keep the tier contract (kernels.go): unfused, k ascending per
-// element.
+// the 4-row panel kernel and Nonzeros. Everything else the tier runs is
+// avx2's (kernels_avx2_amd64.s). A 512-bit VMULPS/VADDPS pair rounds each
+// lane exactly like the 256-bit pair and the generic loop's float32(a*b)
+// then +=, so the tile and the panel kernel keep the tier contract
+// (kernels.go): unfused, k ascending per element.
 
-// The 4-row panel kernel's macros (see axpyPanel4AVX512Asm below). They
-// precede every TEXT so that go vet reads their argument names against none.
+// The 4-row panel kernel's macros (see axpyPanel4AVX512Asm below) come
+// before every TEXT: go vet checks the argument names a line uses against
+// the function the line follows, and these name the panel kernel's.
 
 // P4_ROW sets DI to row i's destination (off is i*4, the rows entry).
 #define P4_ROW(off) \
