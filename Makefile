@@ -50,9 +50,8 @@ bench-plan:
 # The estimate pass around the plan: one 64-query EstimateCardBatch on an
 # untrained DMV model (µs/call and allocs/op; its plan is bench-plan's DMV
 # b64 row) and on the model embed_burst serves (trained like
-# benchmark/stack.go's trainModel), each with the plan's union inflation
-# (union-MAC/row-MAC, 1 where no rows share a list), and one Softmax at the
-# DMV model's two widest logit blocks, the masked product's per-column cost.
+# benchmark/stack.go's trainModel), and one Softmax at the DMV model's two
+# widest logit blocks, the masked product's per-column cost.
 # Call minus plan is the masked product's share, the pass benchmark/ reports
 # as core.self_us.
 bench-estimate:

@@ -366,8 +366,9 @@ const QuantInt8 = registry.QuantInt8
 // "neon", or "generic"), the best the CPU and OS support, picked at startup;
 // the DUET_KERNEL environment variable forces a slower tier (DUET_KERNEL=avx2
 // on hosts whose clock drops under 512-bit code). avx512 is avx2 with a
-// wider training-GEMM tile, so it speeds up training, not serving. Every
-// tier computes bitwise-identical results; they differ only in speed.
+// wider training-GEMM tile and a 4-row panel kernel for the f32 serving
+// plan, so it speeds up training and serving. Every tier computes
+// bitwise-identical results; they differ only in speed.
 func KernelTier() string { return tensor.KernelTier() }
 
 // RegisterKernelMetrics exports the active kernel tier as an info-style gauge

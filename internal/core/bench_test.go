@@ -104,9 +104,6 @@ func BenchmarkTrainStepCensus(b *testing.B) {
 // distinct Rand-Q queries per EstimateCardBatch on an untrained DMV model
 // over a 20,000-row SynDMV table. Its µs/call is the plan plus the masked
 // product; BenchmarkPlanForward in internal/made prices the plan alone.
-// union-MAC/row-MAC is the plan's union inflation on the call (see
-// made.Plan.GroupMACs): untrained activations are denser and less alike
-// than trained ones, so it runs above the served model's.
 func BenchmarkEstimateBurstDMV(b *testing.B) {
 	tbl := relation.SynDMV(20000, 1)
 	benchBurst(b, tbl, NewModel(tbl, DMVConfig()))
@@ -135,21 +132,5 @@ func benchBurst(b *testing.B, tbl *relation.Table, m *Model) {
 	for i := 0; i < b.N; i++ {
 		m.EstimateCardBatch(qs)
 	}
-	b.StopTimer() // the inflation pass below is not the benchmark's work
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/call")
-	b.ReportMetric(m.current().unionInflation(qs), "union-MAC/row-MAC")
-}
-
-// unionInflation is the plan's union inflation on one pass over qs: MACs
-// over its row groups' lists per MAC over each row's own list.
-func (s *Snapshot) unionInflation(qs []workload.Query) float64 {
-	ps := s.passes.Get().(*pass)
-	defer s.passes.Put(ps)
-	x := s.encodeBatch(ps.buildSpecs(&s.encoder, qs), ps.mpsns, &ps.x)
-	union, own := 0, 0
-	for _, g := range s.plan.GroupMACs(x, ps.neededBlocks(qs)) {
-		union += g.Union
-		own += g.Own
-	}
-	return float64(union) / float64(own)
 }

@@ -25,16 +25,15 @@
 // is its rows' masks ORed and walked with bits.TrailingZeros64). A lone row
 // is a group of one, with its own list. A group has tensor.PanelRows rows
 // on an f32 plan (4 on avx512, where the group kernel loads each panel row
-// once for four rows, 1 elsewhere) and 1 on an int8 plan; the trunk groups
-// the rows of each row block, the projection consecutive rows of those that
-// need an output block. A run of rows shares one list only where its union
-// inflation (rows × union units over the rows' own nonzeros) is at most
-// maxInflation; otherwise each row of it is a lone group. A panel reads the
-// prefix of a list below its K_p: tensor.AxpyPanel (a lone row) or
-// tensor.AxpyPanelRows (a group) adds each listed unit's panel row, times
-// each row's activation read from its dense input row, into a 64-column
-// strip of the destination held in registers, so the destination is loaded
-// and stored once per panel, not once per term.
+// once for four rows, 1 elsewhere) and 1 on an int8 plan. The trunk cuts
+// the rows of each row block into runs of that many, the projection the
+// rows that need an output block, in order; each whole run is one group and
+// each row of a shorter last run a lone group, whatever the rows' values.
+// A panel reads the prefix of a list below its K_p: tensor.AxpyPanel (a
+// lone row) or tensor.AxpyPanelRows (a group) adds each listed unit's panel
+// row, times each row's activation read from its dense input row, into a
+// 64-column strip of the destination held in registers, so the destination
+// is loaded and stored once per panel, not once per term.
 //
 // Forward runs a batch in two phases. The trunk phase takes blocks of
 // rowBlock rows through every trunk layer, each panel serving every row of
@@ -92,15 +91,9 @@ import (
 // phase's row block.
 const rowBlock = 8
 
-// maxInflation is the most union MACs per own MAC at which a group of rows
-// runs on one union list: a group of g rows whose union holds U units, where
-// its rows hold S nonzeros between them, shares its list when g·U ≤
-// maxInflation·S, and runs as lone rows otherwise. avx512's 4-row kernel
-// does ~2.4x the useful MACs per second of its one-row strips on a 256 KB
-// panel (BenchmarkAxpyPanelTier: ~36 against ~15 GMAC/s); the margin below
-// that pays for the lone rows' lists and the kernel's lower rate on ragged
-// panels.
-const maxInflation = 2.0
+// groupRows is the rows per union group of an f32 pass: the active tier's
+// tensor.PanelRows. Tests replace it to run groups on one-row tiers too.
+var groupRows = tensor.PanelRows
 
 // PlanConfig selects how NewPlan compiles the weights.
 type PlanConfig struct {
@@ -134,7 +127,7 @@ type Scratch struct {
 	items  []projItem   // the projection phase's work, see gather
 	next   atomic.Int64 // the next work item of a forked phase
 
-	g int // rows per union group: the tier's tensor.PanelRows on an f32 plan, else 1
+	g int // rows per union group: groupRows() on an f32 plan, else 1
 
 	// Per row r, from r*words: the bits of the row's nonzero entries of the
 	// layer input being read, when r may share a union list.
@@ -153,8 +146,6 @@ type Scratch struct {
 	// union lists they share (see gather).
 	projGroups []group
 	projUnits  []int32
-
-	tally []GroupMACs // GroupMACs' counts by output buffer, the projection's last; nil on a served pass
 }
 
 // group is rows that share one unit list: ascending, the units below which
@@ -195,9 +186,6 @@ func NewPlan(m *MADE, cfg PlanConfig) *Plan {
 	p.proj = packOutput(&last.Linear, m.Out, trunkOrder, cfg.Quantize)
 	return p
 }
-
-// Quantized reports whether the plan stores int8 weights.
-func (p *Plan) Quantized() bool { return p.quantized }
 
 // WeightBytes returns the resident bytes of the plan's weight payloads
 // (packed panels, scales and biases; excludes panel metadata and
@@ -483,9 +471,6 @@ func (p *packedLinear) bind(s *Scratch, x *tensor.Matrix) *tensor.Matrix {
 func (p *packedLinear) forward(s *Scratch, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	out := &s.outs[p.buf]
 	groups := s.group(rows, x)
-	if s.tally != nil {
-		s.count(&s.tally[p.buf], groups, x.Cols, p.width)
-	}
 	for i := range p.ps {
 		for _, g := range groups {
 			p.panelGroup(&p.ps[i], g, x, out, 0)
@@ -626,7 +611,7 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 	}
 	s.g = 1
 	if !p.quantized {
-		s.g = tensor.PanelRows()
+		s.g = groupRows()
 	}
 	// A list holds units of one layer input: the pass input's or a stage's.
 	s.listCap = x.Cols
@@ -643,7 +628,7 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 	if len(s.groups) < x.Rows {
 		s.groups = make([]group, x.Rows)
 	}
-	fork := x.Rows >= rowBlock && s.tally == nil
+	fork := x.Rows >= rowBlock
 	p.runPhase(s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
 	p.gather(s, needed[:x.Rows], fork)
 	p.runPhase(s, projPhase, len(s.items), fork)
@@ -660,32 +645,6 @@ func (s *Scratch) own(r int32, in []float32, marks bool) []int32 {
 		mask = s.mask[int(r)*s.words:]
 	}
 	return tensor.Nonzeros(s.unit[int(r)*s.listCap:], mask, in)
-}
-
-// nonzeros returns how many units below lim are nonzero in some row of rows
-// (the union) and in each row, summed.
-func (s *Scratch) nonzeros(rows []int32, lim int) (union, sum int) {
-	for w := 0; w*64 < lim; w++ {
-		keep := ^uint64(0) >> max(0, w*64+64-lim)
-		var or uint64
-		for _, r := range rows {
-			word := s.mask[int(r)*s.words+w] & keep
-			or |= word
-			sum += bits.OnesCount64(word)
-		}
-		union += bits.OnesCount64(or)
-	}
-	return union, sum
-}
-
-// unionPays reports whether rows, a whole run of s.g rows, should share
-// their union list of the units below lim rather than run as lone rows.
-func (s *Scratch) unionPays(rows []int32, lim int) bool {
-	if s.g == 1 || len(rows) < s.g {
-		return false
-	}
-	union, sum := s.nonzeros(rows, lim)
-	return float64(len(rows)*union) <= maxInflation*float64(sum)
 }
 
 // union writes the units below lim that are nonzero in some row of rows to
@@ -706,9 +665,9 @@ func (s *Scratch) union(rows []int32, lim int, dst []int32) []int32 {
 }
 
 // group groups rows, one trunk row block, by their nonzero entries of in, a
-// layer input: each run of s.g rows whose union pays is one group, its
-// list in s.unit from its first row, and every other row is a lone group.
-// The groups go to s.groups from the block's first row.
+// layer input: each whole run of s.g rows is one group, its union list in
+// s.unit from its first row, and the rows of a shorter last run are lone
+// groups. The groups go to s.groups from the block's first row.
 func (s *Scratch) group(rows []int32, in *tensor.Matrix) []group {
 	lo, marks := int(rows[0]), s.g > 1 && len(rows) >= s.g
 	groups := s.groups[lo : lo+len(rows)]
@@ -718,7 +677,7 @@ func (s *Scratch) group(rows []int32, in *tensor.Matrix) []group {
 	n := 0
 	for i := 0; i < len(rows); i += s.g {
 		run := rows[i:min(i+s.g, len(rows))]
-		if s.unionPays(run, in.Cols) {
+		if s.g > 1 && len(run) == s.g {
 			groups[n] = group{run, s.union(run, in.Cols, s.unit[int(run[0])*s.listCap:])}
 			n++
 		} else {
@@ -729,12 +688,12 @@ func (s *Scratch) group(rows []int32, in *tensor.Matrix) []group {
 }
 
 // gather lists the projection phase's work in s. Per output block: the rows
-// that need it in ascending order, cut into runs of s.g rows; a whole run
-// whose union of the units below the block's last row pays is one group,
-// its list appended to s.projUnits, and every other row is its own lone
-// group from the trunk's end. Then one item per panel of the block over all
-// of its groups. When the phase will fork, the items are sorted largest
-// first; inline, order is moot. It runs between the phases, serially.
+// that need it in ascending order, cut into runs of s.g rows; a whole run is
+// one group, its union of the units below the block's last row appended to
+// s.projUnits, and each row of a shorter last run is its own lone group from
+// the trunk's end. Then one item per panel of the block over all of its
+// groups. When the phase will fork, the items are sorted largest first;
+// inline, order is moot. It runs between the phases, serially.
 func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 	for len(s.rowsOf) < len(p.proj) {
 		s.rowsOf = append(s.rowsOf, nil)
@@ -766,25 +725,22 @@ func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 		blk, at := &p.proj[b], len(s.projGroups)
 		for i := 0; i < len(rows); i += s.g {
 			run := rows[i:min(i+s.g, len(rows))]
-			if !s.unionPays(run, blk.k) {
-				for _, r := range run {
-					s.projGroups = append(s.projGroups, s.groups[r])
-				}
+			if s.g > 1 && len(run) == s.g {
+				u := len(s.projUnits)
+				s.projUnits = slices.Grow(s.projUnits, blk.k)
+				units := s.union(run, blk.k, s.projUnits[u:u+blk.k])
+				s.projUnits = s.projUnits[:u+len(units)]
+				s.projGroups = append(s.projGroups, group{run, units})
 				continue
 			}
-			u := len(s.projUnits)
-			s.projUnits = slices.Grow(s.projUnits, blk.k)
-			units := s.union(run, blk.k, s.projUnits[u:u+blk.k])
-			s.projUnits = s.projUnits[:u+len(units)]
-			s.projGroups = append(s.projGroups, group{run, units})
+			for _, r := range run {
+				s.projGroups = append(s.projGroups, s.groups[r])
+			}
 		}
 		if len(rows) == 0 {
 			continue
 		}
 		groups := s.projGroups[at:]
-		if s.tally != nil {
-			s.count(&s.tally[len(s.tally)-1], groups, blk.k, blk.width)
-		}
 		for i := range blk.ps {
 			pn := &blk.ps[i]
 			s.items = append(s.items, projItem{blk: blk, pn: pn, groups: groups, macs: len(rows) * (pn.k + 1) * pn.width})
@@ -793,49 +749,6 @@ func (p *Plan) gather(s *Scratch, needed [][]int32, fork bool) {
 	if fork {
 		slices.SortFunc(s.items, func(a, b projItem) int { return b.macs - a.macs })
 	}
-}
-
-// GroupMACs is what one stage of a pass costs in multiply-adds: Union over
-// its row groups' lists, Own over each row's own list. Both take a list
-// whole below the stage's last input unit, not cut at each panel's.
-type GroupMACs struct{ Union, Own int }
-
-// count adds groups, over the units below lim of a layer input, into a
-// stage of width outputs, to t.
-func (s *Scratch) count(t *GroupMACs, groups []group, lim, width int) {
-	for _, g := range groups {
-		n, _ := slices.BinarySearch(g.units, int32(lim))
-		t.Union += len(g.rows) * n * width
-		if len(g.rows) == 1 {
-			t.Own += n * width
-		} else {
-			_, own := s.nonzeros(g.rows, lim)
-			t.Own += own * width
-		}
-	}
-}
-
-// GroupMACs runs the plan on a batch, inline, and reports per packed trunk
-// layer, in compile order, and then for the output projection, the MACs of
-// the pass's row groups (see GroupMACs). Union over Own is the union
-// inflation the batch costs: 1 where every group is a lone row.
-func (p *Plan) GroupMACs(x *tensor.Matrix, needed [][]int32) []GroupMACs {
-	s := &Scratch{tally: make([]GroupMACs, p.nout+1)}
-	p.Run(s, x, needed)
-	var out []GroupMACs
-	var walk func([]planLayer)
-	walk = func(ls []planLayer) {
-		for _, l := range ls {
-			switch l := l.(type) {
-			case *packedLinear:
-				out = append(out, s.tally[l.buf])
-			case *residualPlan:
-				walk(l.inner)
-			}
-		}
-	}
-	walk(p.trunk)
-	return append(out, s.tally[p.nout])
 }
 
 type phase int

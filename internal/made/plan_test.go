@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,7 +79,7 @@ func TestPlanMatchesForward(t *testing.T) {
 			t.Errorf("%s: f32 plan is %.3g off the layer stack, want <= 1e-5", name, e)
 		}
 		q := NewPlan(m, PlanConfig{Quantize: true})
-		if !q.Quantized() {
+		if !q.quantized {
 			t.Fatalf("%s: quantized plan reports f32", name)
 		}
 		e := maxBlockErr(m, q.Forward(x, needed), ref, needed)
@@ -98,38 +99,41 @@ func TestPlanRowsIndependentOfBatch(t *testing.T) {
 	for name, m := range planNets() {
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
-			x, needed := planBatch(m, 33, 9)
-			full := p.Forward(x, needed).Clone()
+			for _, gsize := range groupSizes {
+				setGroupRows(t, gsize)
+				x, needed := planBatch(m, 33, 9)
+				full := p.Forward(x, needed).Clone()
 
-			// Each row alone.
-			for r := range needed {
-				one := &tensor.Matrix{Rows: 1, Cols: x.Cols, Data: x.Row(r)}
-				got := p.Forward(one, needed[r:r+1])
-				for _, b := range needed[r] {
-					g, w := m.Out.Slice(got.Row(0), int(b)), m.Out.Slice(full.Row(r), int(b))
-					for k := range w {
-						if g[k] != w[k] {
-							t.Fatalf("%s quant=%v: row %d block %d differs alone (%v) and in the batch (%v)", name, quant, r, b, g[k], w[k])
+				// Each row alone.
+				for r := range needed {
+					one := &tensor.Matrix{Rows: 1, Cols: x.Cols, Data: x.Row(r)}
+					got := p.Forward(one, needed[r:r+1])
+					for _, b := range needed[r] {
+						g, w := m.Out.Slice(got.Row(0), int(b)), m.Out.Slice(full.Row(r), int(b))
+						for k := range w {
+							if g[k] != w[k] {
+								t.Fatalf("%s quant=%v g=%d: row %d block %d differs alone (%v) and in the batch (%v)", name, quant, groupRows(), r, b, g[k], w[k])
+							}
 						}
 					}
 				}
-			}
 
-			// The batch reversed, in a different batch size's buffers.
-			n := x.Rows - 1
-			rev := tensor.New(n, x.Cols)
-			revNeeded := make([][]int32, n)
-			for r := 0; r < n; r++ {
-				copy(rev.Row(r), x.Row(n-r))
-				revNeeded[r] = needed[n-r]
-			}
-			got := p.Forward(rev, revNeeded)
-			for r := 0; r < n; r++ {
-				for _, b := range revNeeded[r] {
-					g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(full.Row(n-r), int(b))
-					for k := range w {
-						if g[k] != w[k] {
-							t.Fatalf("%s quant=%v: row %d block %d differs when the batch is reversed", name, quant, n-r, b)
+				// The batch reversed, in a different batch size's buffers.
+				n := x.Rows - 1
+				rev := tensor.New(n, x.Cols)
+				revNeeded := make([][]int32, n)
+				for r := 0; r < n; r++ {
+					copy(rev.Row(r), x.Row(n-r))
+					revNeeded[r] = needed[n-r]
+				}
+				got := p.Forward(rev, revNeeded)
+				for r := 0; r < n; r++ {
+					for _, b := range revNeeded[r] {
+						g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(full.Row(n-r), int(b))
+						for k := range w {
+							if g[k] != w[k] {
+								t.Fatalf("%s quant=%v g=%d: row %d block %d differs when the batch is reversed", name, quant, groupRows(), n-r, b)
+							}
 						}
 					}
 				}
@@ -471,9 +475,12 @@ func TestPlanPanelsMatchSpanReference(t *testing.T) {
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
 			ref := newSpanNet(m, p)
-			for _, rows := range []int{1, 7, 8, 64} {
-				x, needed := planBatch(m, rows, int64(rows))
-				sameBlocks(t, fmt.Sprintf("%s quant=%v rows=%d", name, quant, rows), m.Out, p.Forward(x, needed), ref.forward(x, needed), needed)
+			for _, gsize := range groupSizes {
+				setGroupRows(t, gsize)
+				for _, rows := range []int{1, 7, 8, 64} {
+					x, needed := planBatch(m, rows, int64(rows))
+					sameBlocks(t, fmt.Sprintf("%s quant=%v g=%d rows=%d", name, quant, groupRows(), rows), m.Out, p.Forward(x, needed), ref.forward(x, needed), needed)
+				}
 			}
 		}
 	}
@@ -499,16 +506,19 @@ func TestPlanRowBlocksBitwise(t *testing.T) {
 					if err := tensor.SetKernelTier(tr); err != nil {
 						t.Fatal(err)
 					}
-					for _, workers := range []int{1, 2, 4} {
-						tensor.SetMaxWorkers(workers)
-						got := p.Forward(x, needed)
-						for r, blocks := range needed {
-							for _, b := range blocks {
-								g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want.Row(r), int(b))
-								for k := range w {
-									if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
-										t.Fatalf("%s quant=%v rows=%d tier=%s workers=%d: row %d block %d logit %d is %v, the per-row reference %v",
-											name, quant, rows, tr, workers, r, b, k, g[k], w[k])
+					for _, gsize := range groupSizes {
+						setGroupRows(t, gsize)
+						for _, workers := range []int{1, 2, 4} {
+							tensor.SetMaxWorkers(workers)
+							got := p.Forward(x, needed)
+							for r, blocks := range needed {
+								for _, b := range blocks {
+									g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want.Row(r), int(b))
+									for k := range w {
+										if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
+											t.Fatalf("%s quant=%v rows=%d tier=%s g=%d workers=%d: row %d block %d logit %d is %v, the per-row reference %v",
+												name, quant, rows, tr, groupRows(), workers, r, b, k, g[k], w[k])
+										}
 									}
 								}
 							}
@@ -520,33 +530,110 @@ func TestPlanRowBlocksBitwise(t *testing.T) {
 	}
 }
 
-// TestPlanGroupMACs: rows share union lists only where the tier runs a
-// group kernel on them (an f32 plan on a tier whose PanelRows exceeds 1;
-// never an int8 plan), there on some stage of a 64-row batch, and no stage's
-// union MACs exceed maxInflation times its rows' own.
-func TestPlanGroupMACs(t *testing.T) {
-	tier := tensor.KernelTier()
-	defer tensor.SetKernelTier(tier)
+// setGroupRows makes every f32 pass until the test ends group rows by n, or
+// by the tier's tensor.PanelRows when n is 0. n = 4 runs the union path on
+// every tier: a one-row tier's AxpyPanelRows takes a group's rows one at a
+// time over the shared list.
+func setGroupRows(t *testing.T, n int) {
+	groupRows = func() int { return n }
+	if n == 0 {
+		groupRows = tensor.PanelRows
+	}
+	t.Cleanup(func() { groupRows = tensor.PanelRows })
+}
+
+// groupSizes are the group sizes the bitwise tests run under: the tier's own
+// (0) and 4.
+var groupSizes = []int{0, 4}
+
+// TestPlanGroupsByPosition: a pass cuts rows into groups by position alone.
+// With g rows per group (an f32 plan and g > 1), each whole run of g rows,
+// of a trunk row block or of the rows that need an output block, is one
+// group, and each row of a shorter last run is a lone group; on an int8 plan
+// or with g = 1 every group is one row. Each group's list is, ascending, the
+// units at which one of its rows has a nonzero input.
+func TestPlanGroupsByPosition(t *testing.T) {
 	for name, m := range rowBlockNets() {
-		x, needed := rowBlockBatch(m, 64, 9)
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
-			for _, tr := range tensor.KernelTiers() {
-				if err := tensor.SetKernelTier(tr); err != nil {
-					t.Fatal(err)
+			for _, n := range []int{0, 1, 4} {
+				setGroupRows(t, n)
+				g := groupRows()
+				if quant {
+					g = 1
 				}
-				groups := tensor.PanelRows() > 1 && !quant
-				shared := false
-				for i, g := range p.GroupMACs(x, needed) {
-					if g.Own == 0 || float64(g.Union) > maxInflation*float64(g.Own) || (!groups && g.Union != g.Own) {
-						t.Errorf("%s quant=%v tier=%s: stage %d runs %d union MACs for %d own", name, quant, tr, i, g.Union, g.Own)
+				for _, rows := range []int{1, 3, 7, 8, 9, 33, 64} {
+					what := fmt.Sprintf("%s quant=%v g=%d rows=%d", name, quant, g, rows)
+					x, needed := rowBlockBatch(m, rows, int64(rows))
+					var s Scratch
+					p.Run(&s, x, needed)
+					if s.g != g {
+						t.Fatalf("%s: the pass grouped %d rows", what, s.g)
 					}
-					shared = shared || g.Union > g.Own
-				}
-				if groups && !shared {
-					t.Errorf("%s tier=%s: no stage shared a union list", name, tr)
+					// The projection's groups, from the trunk output, before
+					// s.group below overwrites the lists they read.
+					h := x
+					for _, l := range p.trunk {
+						h = l.bind(&s, h)
+					}
+					for b := range p.proj {
+						var need []int32
+						for r, blocks := range needed {
+							if slices.Contains(blocks, int32(b)) {
+								need = append(need, int32(r))
+							}
+						}
+						i := slices.IndexFunc(s.items, func(it projItem) bool { return it.blk == &p.proj[b] })
+						if (i >= 0) != (len(need) > 0) {
+							t.Fatalf("%s: block %d has work items %v, rows %v need it", what, b, i >= 0, need)
+						}
+						if i >= 0 {
+							checkGroups(t, fmt.Sprintf("%s block %d", what, b), s.items[i].groups, need, g, h, p.proj[b].k)
+						}
+					}
+					// The trunk's groups of the pass input, per row block.
+					for lo := 0; lo < rows; lo += rowBlock {
+						block := s.seq[lo:min(lo+rowBlock, rows)]
+						checkGroups(t, fmt.Sprintf("%s row block %d", what, lo/rowBlock), s.group(block, x), block, g, x, x.Cols)
+					}
 				}
 			}
+		}
+	}
+}
+
+// checkGroups fails t unless groups cut rows, in order, into one group per
+// whole run of g rows and one lone group per row of a shorter last run, and
+// each group's list below lim is the ascending units below lim at which one
+// of its rows of in is nonzero.
+func checkGroups(t *testing.T, what string, groups []group, rows []int32, g int, in *tensor.Matrix, lim int) {
+	t.Helper()
+	var want [][]int32
+	for i := 0; i < len(rows); i += g {
+		if run := rows[i:min(i+g, len(rows))]; len(run) == g {
+			want = append(want, run)
+		} else {
+			for j := range run {
+				want = append(want, run[j:j+1])
+			}
+		}
+	}
+	if len(groups) != len(want) {
+		t.Fatalf("%s: %d groups of rows %v, want %d", what, len(groups), rows, len(want))
+	}
+	for i, gr := range groups {
+		if !slices.Equal(gr.rows, want[i]) {
+			t.Fatalf("%s: group %d holds rows %v, want %v", what, i, gr.rows, want[i])
+		}
+		var units []int32
+		for u := 0; u < lim; u++ {
+			if slices.ContainsFunc(gr.rows, func(r int32) bool { return in.Row(int(r))[u] != 0 }) {
+				units = append(units, int32(u))
+			}
+		}
+		n, _ := slices.BinarySearch(gr.units, int32(lim))
+		if !slices.Equal(gr.units[:n], units) {
+			t.Fatalf("%s: group %d (rows %v) lists units %v, want %v", what, i, gr.rows, gr.units[:n], units)
 		}
 	}
 }
@@ -596,38 +683,41 @@ func TestPlanConcurrentScratches(t *testing.T) {
 	for name, m := range rowBlockNets() {
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
-			xs := make([]*tensor.Matrix, len(sizes))
-			needed := make([][][]int32, len(sizes))
-			want := make([]*tensor.Matrix, len(sizes))
-			for i, rows := range sizes {
-				xs[i], needed[i] = rowBlockBatch(m, rows, int64(100+rows))
-				want[i] = p.Forward(xs[i], needed[i]).Clone()
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 6; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var s Scratch
-					for iter := 0; iter < 20; iter++ {
-						i := (g + iter) % len(sizes)
-						got := p.Run(&s, xs[i], needed[i])
-						for r, blocks := range needed[i] {
-							for _, b := range blocks {
-								gs, ws := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want[i].Row(r), int(b))
-								for k := range ws {
-									if math.Float32bits(gs[k]) != math.Float32bits(ws[k]) {
-										t.Errorf("%s quant=%v goroutine %d: %d rows, row %d block %d logit %d is %v, Forward's %v",
-											name, quant, g, sizes[i], r, b, k, gs[k], ws[k])
-										return
+			for _, gsize := range groupSizes {
+				setGroupRows(t, gsize)
+				xs := make([]*tensor.Matrix, len(sizes))
+				needed := make([][][]int32, len(sizes))
+				want := make([]*tensor.Matrix, len(sizes))
+				for i, rows := range sizes {
+					xs[i], needed[i] = rowBlockBatch(m, rows, int64(100+rows))
+					want[i] = p.Forward(xs[i], needed[i]).Clone()
+				}
+				var wg sync.WaitGroup
+				for g := 0; g < 6; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var s Scratch
+						for iter := 0; iter < 20; iter++ {
+							i := (g + iter) % len(sizes)
+							got := p.Run(&s, xs[i], needed[i])
+							for r, blocks := range needed[i] {
+								for _, b := range blocks {
+									gs, ws := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want[i].Row(r), int(b))
+									for k := range ws {
+										if math.Float32bits(gs[k]) != math.Float32bits(ws[k]) {
+											t.Errorf("%s quant=%v g=%d goroutine %d: %d rows, row %d block %d logit %d is %v, Forward's %v",
+												name, quant, groupRows(), g, sizes[i], r, b, k, gs[k], ws[k])
+											return
+										}
 									}
 								}
 							}
 						}
-					}
-				}()
+					}()
+				}
+				wg.Wait()
 			}
-			wg.Wait()
 		}
 	}
 }

@@ -80,7 +80,7 @@ func BenchmarkEstimateLoneMiss(b *testing.B) {
 			}
 			if mode == "traced" {
 				tracer = obs.NewTracer(obs.TracerConfig{Metrics: cfg.Obs,
-					Budgets: DeriveBudgets(m.WarmPlan(), 0, CalibrateBudgets()),
+					Budgets: DeriveBudgets(m.WarmPlan(), CalibrateBudgets()),
 					Log:     slog.New(slog.DiscardHandler)}) // a preempted pass blows its budget; keep that off stderr
 			}
 			e := New(m, cfg)

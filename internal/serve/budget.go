@@ -65,9 +65,7 @@ func CalibrateBudgets() BudgetCalib {
 const budgetHeadroom = 8
 
 // DeriveBudgets returns the default per-stage SLO budget table for an engine
-// whose packed plan keeps planBytes of weights resident. The flush-window
-// parameter is unused: the engine no longer waits on a clock, and the
-// parameter stays only so existing callers keep compiling. Stages:
+// whose packed plan keeps planBytes of weights resident. Stages:
 //
 //   - plan_exec: headroom × (planBytes / calibrated bandwidth), floored at
 //     250µs so tiny demo plans don't produce budgets below scheduler jitter.
@@ -79,7 +77,7 @@ const budgetHeadroom = 8
 //   - route: flat 1ms; registry resolution is a read-locked map lookup.
 //   - forward: plan_exec + batch_wait + a 25ms intra-fleet network
 //     allowance, covering the proxy's whole downstream hop.
-func DeriveBudgets(planBytes int, _ time.Duration, c BudgetCalib) map[string]time.Duration {
+func DeriveBudgets(planBytes int, c BudgetCalib) map[string]time.Duration {
 	if c.BytesPerSec <= 0 {
 		c = CalibrateBudgets()
 	}

@@ -8,7 +8,7 @@ import (
 func TestDeriveBudgetsRoofline(t *testing.T) {
 	// 1 GB/s bandwidth, 1 MB plan: roofline 1ms, ×8 headroom = 8ms.
 	c := BudgetCalib{BytesPerSec: 1e9}
-	b := DeriveBudgets(1_000_000, 2*time.Millisecond, c)
+	b := DeriveBudgets(1_000_000, c)
 	if b["plan_exec"] != 8*time.Millisecond {
 		t.Fatalf("plan_exec = %v, want 8ms", b["plan_exec"])
 	}
@@ -29,7 +29,7 @@ func TestDeriveBudgetsRoofline(t *testing.T) {
 func TestDeriveBudgetsFloors(t *testing.T) {
 	c := BudgetCalib{BytesPerSec: 1e12}
 	// A tiny plan roofs below scheduler jitter; the floor holds the budget up.
-	b := DeriveBudgets(64, -1, c)
+	b := DeriveBudgets(64, c)
 	if b["plan_exec"] != 250*time.Microsecond {
 		t.Fatalf("plan_exec = %v, want the 250us floor", b["plan_exec"])
 	}
@@ -44,7 +44,7 @@ func TestCalibrateBudgets(t *testing.T) {
 		t.Fatalf("calibrated bandwidth = %v", c.BytesPerSec)
 	}
 	// A zero calibration forces DeriveBudgets to self-calibrate.
-	b := DeriveBudgets(1<<20, 0, BudgetCalib{})
+	b := DeriveBudgets(1<<20, BudgetCalib{})
 	if b["plan_exec"] <= 0 {
 		t.Fatalf("self-calibrated plan_exec = %v", b["plan_exec"])
 	}

@@ -201,8 +201,10 @@ func SetKernelTier(name string) error {
 }
 
 // Saxpy computes y[i] += alpha*x[i] for i < len(x); len(y) must be at least
-// len(x). It is the inner kernel of the packed inference plan. The operation
-// is elementwise — no horizontal reduction — and every tier rounds the
+// len(x). The packed inference plan runs the panel kernels instead; Saxpy
+// is serve.CalibrateBudgets' bandwidth probe and the f32 rung of the
+// benchmark's kernel ladder (tensor.saxpy_gb_s). The operation is
+// elementwise — no horizontal reduction — and every tier rounds the
 // multiply and the add separately, so results are identical across tiers.
 func Saxpy(alpha float32, x, y []float32) {
 	// The reslice enforces len(y) >= len(x) with a panic; the asm tiers
@@ -212,10 +214,10 @@ func Saxpy(alpha float32, x, y []float32) {
 }
 
 // SaxpyI8 computes y[i] += alpha*float32(q[i]) for i < len(q); len(y) must
-// be at least len(q). It is the fused dequantize-accumulate kernel of the
-// int8 packed plan: alpha carries the caller's activation×scale product and
-// the int8→float32 widening is exact, so like Saxpy the result is bitwise
-// identical across tiers.
+// be at least len(q). It is the int8 rung of the benchmark's kernel ladder
+// (tensor.saxpy_i8_gb_s), a fused dequantize-accumulate: alpha carries the
+// caller's activation×scale product and the int8→float32 widening is exact,
+// so like Saxpy the result is bitwise identical across tiers.
 func SaxpyI8(alpha float32, q []int8, y []float32) {
 	y = y[:len(q)]
 	saxpyI8Impl(alpha, q, y)

@@ -5,8 +5,9 @@ package tensor
 import "math"
 
 // amd64 tiers, best first; amd64Tiers (cpu_amd64.go) decides which the host
-// can run: "avx512" (avx2 plus a 512-bit 8x32 training-GEMM tile), "avx2"
-// (256-bit) and "sse" (128-bit, part of the amd64 baseline). All use unfused
+// can run: "avx512" (avx2 plus a 512-bit 8x32 training-GEMM tile, the 4-row
+// AxpyPanelRows kernel and a compress-store Nonzeros), "avx2" (256-bit) and
+// "sse" (128-bit, part of the amd64 baseline). All use unfused
 // multiply/add pairs so results are bitwise identical to the generic
 // reference; the one exception is ExpShift's avx2 kernel, which fuses where
 // math.Exp does. See the contract notes in kernels.go.

@@ -216,14 +216,16 @@ func splitAnd(s string) []string {
 	var parts []string
 	depth := false // inside single quotes
 	last := 0
-	upper := strings.ToUpper(s)
 	for i := 0; i+5 <= len(s); i++ {
 		if s[i] == '\'' {
 			depth = !depth
 		}
-		if !depth && upper[i:i+5] == " AND " {
+		// EqualFold, not a ToUpper copy of s: upper-casing can change the
+		// byte length, so the copy's offsets need not be s's.
+		if !depth && strings.EqualFold(s[i:i+5], " AND ") {
 			parts = append(parts, s[last:i])
 			last = i + 5
+			i += 4 // separators do not overlap: the next starts at last or later
 		}
 	}
 	parts = append(parts, s[last:])

@@ -179,6 +179,8 @@ func TestParseErrors(t *testing.T) {
 		{"a.x = a.y", "relates a table to itself"},         // self join
 		{"a.x = b.y AND a.x = b.y", "duplicate join pred"}, // duplicate clause
 		{"a.x = b.y AND b.y = a.x", "duplicate join pred"}, // duplicate, flipped
+		{"age=1 AND AND age=2", "cannot parse"},            // overlapping separators
+		{"age=1 AND ſtate='NY'", "cannot parse"},           // ſ upper-cases to one byte fewer
 	} {
 		_, err := ParseQuery(tbl, tc.expr)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -366,4 +368,53 @@ func TestParseBeyondDictionaryClamps(t *testing.T) {
 			t.Fatalf("%s: want the full domain, got [%d,%d]", tc.expr, lo, hi)
 		}
 	}
+}
+
+// FuzzParseQuery feeds arbitrary text to ParseRaw and to ParseQuery over
+// parseTable: neither may panic, ParseQuery accepts only what ParseRaw
+// splits into join-free predicates, one each, and a query it returns has
+// every predicate on a column of the table with an in-domain code, so
+// ColumnIntervals and CanonicalKey run on it.
+func FuzzParseQuery(f *testing.F) {
+	for _, s := range []string{
+		"age>=30 AND state='NY' AND score<3.0",
+		"age>=30 and state='NY' And score<3.0",
+		"t.age>=30 AND t.state='NY'",
+		"state<='OK'",
+		"score>10.5",
+		"age<100",
+		"age=25.5",
+		"s='x AND y' AND n=2",
+		"age~5",
+		"age >= ",
+		"state=NY",
+		"other.age>=30",
+		"age>=30 AND a.x = b.y",
+		"orders.cust_id = customers.id AND orders.amount<=10 AND region>2",
+		"a . x = b . y",
+		"a.x = b.y AND b.y = a.x",
+		"  ",
+	} {
+		f.Add(s)
+	}
+	tbl := parseTable()
+	f.Fuzz(func(t *testing.T, s string) {
+		rq, rawErr := ParseRaw(s)
+		q, err := ParseQuery(tbl, s)
+		if err != nil {
+			return
+		}
+		if rawErr != nil || len(rq.Joins) != 0 || len(rq.Preds) != len(q.Preds) {
+			t.Fatalf("ParseQuery(%q) = %v, but ParseRaw gives %+v, %v", s, q, rq, rawErr)
+		}
+		for _, p := range q.Preds {
+			if p.Col < 0 || p.Col >= tbl.NumCols() || p.Op >= NumOps || p.Code < 0 || int(p.Code) >= tbl.Cols[p.Col].NumDistinct() {
+				t.Fatalf("ParseQuery(%q): predicate %v is outside the table", s, p)
+			}
+		}
+		if ivs := q.ColumnIntervals(tbl); len(ivs) != tbl.NumCols() {
+			t.Fatalf("ParseQuery(%q): %d column intervals for %d columns", s, len(ivs), tbl.NumCols())
+		}
+		q.CanonicalKey()
+	})
 }

@@ -60,5 +60,5 @@ func NewObsLogger(w io.Writer, level slog.Level) *slog.Logger { return obs.NewLo
 // result with ObsSuite.Tracer.SetBudgets, overlaying any operator-configured
 // budgets.
 func DeriveSLOBudgets(planBytes int, flushWindow time.Duration) map[string]time.Duration {
-	return serve.DeriveBudgets(planBytes, flushWindow, serve.CalibrateBudgets())
+	return serve.DeriveBudgets(planBytes, serve.CalibrateBudgets())
 }
