@@ -263,4 +263,27 @@ func TestVersionEndpointsAndPull(t *testing.T) {
 	if env := decodeEnvelope(t, rec); env.Code != CodeUpstream {
 		t.Fatalf("missing version envelope: %+v", env)
 	}
+
+	// A version the source serves as garbage fails to load: the pull is a
+	// 400, the peer keeps serving v3, and it retains no copy of v5 that its
+	// listing could offer to a rollout.
+	if err := os.WriteFile(filepath.Join(srcDir, "alpha.v5.duet"), []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec = do(t, peer, "POST", "/v1/models/alpha/pull",
+		`{"source":"`+source.URL+`","version":5}`, nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("garbage pull: %d %s", rec.Code, rec.Body.String())
+	}
+	if st := peerReg.Stats().PerModel["alpha"]; st.Version != 3 || st.Swaps != 1 {
+		t.Fatalf("peer after garbage pull: %+v", st)
+	}
+	rec = do(t, peer, "GET", "/v1/models/alpha/versions", "", nil)
+	listing.Versions = nil
+	if err := json.NewDecoder(rec.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Versions) != 1 || listing.Versions[0].Version != 3 || listing.Serving != 3 {
+		t.Fatalf("peer listing after garbage pull: %+v", listing)
+	}
 }

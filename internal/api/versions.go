@@ -88,11 +88,11 @@ var pullClient = &http.Client{Timeout: 60 * time.Second}
 // pull implements the rolling install's per-node step: download the
 // artifact straight into this node's copy of that generation (atomically, so
 // a crashed transfer leaves nothing for the version listing to serve), load
-// it against the served table, and drain-swap it in. The swap reuses the
-// lifecycle install path, so in-flight estimates complete on the old
-// generation. The peer's table must be encoding-compatible with ours (same
-// dictionaries); a node whose backing table diverged re-trains locally
-// instead of pulling.
+// it against the served table (deleting it if it does not load), and
+// drain-swap it in. The swap reuses the lifecycle install path, so in-flight
+// estimates complete on the old generation. The peer's table must be
+// encoding-compatible with ours (same dictionaries); a node whose backing
+// table diverged re-trains locally instead of pulling.
 func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req pullRequest
@@ -136,6 +136,7 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 	}
 	m, _, err := artifact.Load(path, table)
 	if err != nil {
+		os.Remove(path) // else the listing offers it to a rollout, and a restart tries it first
 		WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("artifact v%d is not loadable against this node's %q table (diverged encoding? retrain locally): %w",
 				req.Version, name, err), nil)

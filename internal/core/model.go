@@ -537,7 +537,8 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model saved by Save, rebuilding it against t, whose NDV
-// profile must match the saved one (EncodingCompatible).
+// profile must match the saved one (EncodingCompatible). A malformed file is
+// an error, never a panic or a model that breaks the MADE degree rule.
 func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	// The stream holds two consecutive gob messages (header, then params)
 	// read by separate decoders. gob wraps a reader that is not an
@@ -552,11 +553,39 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	if err := EncodingCompatible(blob.NDVs, t); err != nil {
 		return nil, err
 	}
+	if err := buildable(blob.Cfg); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
 	m := NewModel(t, blob.Cfg)
 	if err := nn.LoadParams(br, m.params); err != nil {
 		return nil, err
 	}
+	for _, l := range m.net.Masked {
+		for i := 0; i < l.In; i++ {
+			for o, w := range l.Weight.W.Row(i) {
+				if w != 0 && !l.Allowed(i, o) {
+					return nil, fmt.Errorf("core: load model: %s[%d,%d] is %v where the MADE degrees allow no weight", l.Weight.Name, i, o, w)
+				}
+			}
+		}
+	}
 	return m, nil
+}
+
+// buildable reports why NewModel would panic on cfg or build a model that
+// encodes no predicate, one check per builder; nil when it would do neither.
+func buildable(cfg Config) error {
+	if slices.ContainsFunc(cfg.Hidden, func(h int) bool { return h < 0 }) ||
+		cfg.Residual && (len(cfg.Hidden) == 0 || slices.Min(cfg.Hidden) != slices.Max(cfg.Hidden)) {
+		return fmt.Errorf("no network has hidden widths %v (residual %v)", cfg.Hidden, cfg.Residual)
+	}
+	if cfg.Encoding > EncEmbed || cfg.EmbedDim < 0 {
+		return fmt.Errorf("no value codec has encoding %v and embedding width %d", cfg.Encoding, cfg.EmbedDim)
+	}
+	if cfg.MPSN > MPSNRec || cfg.MPSN != MPSNNone && (cfg.MPSNHidden < 0 || cfg.MPSNOut < 0) {
+		return fmt.Errorf("no MPSN is of kind %v with widths %d, %d", cfg.MPSN, cfg.MPSNHidden, cfg.MPSNOut)
+	}
+	return nil
 }
 
 // EncodingCompatible reports whether weights trained on a table with the

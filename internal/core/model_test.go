@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
 	"math"
 	"os"
@@ -266,22 +267,11 @@ func TestQueryLossGradcheck(t *testing.T) {
 	m.queryLossBackward(&trainState{}, labeled, lambda)
 	// Masked-out MADE weights are pinned to zero by construction (init +
 	// gradient masking); finite differences on them are meaningless, so
-	// collect masks and skip those entries.
-	masks := make(map[*nn.Param]*tensor.Matrix)
-	var collect func(l nn.Layer)
-	collect = func(l nn.Layer) {
-		switch v := l.(type) {
-		case *nn.MaskedLinear:
-			masks[v.Weight] = v.Mask
-		case *nn.Sequential:
-			for _, inner := range v.Layers {
-				collect(inner)
-			}
-		case *nn.Residual:
-			collect(v.Inner)
-		}
+	// collect each masked weight's layer and skip the entries it disallows.
+	masked := make(map[*nn.Param]*nn.MaskedLinear)
+	for _, l := range m.net.Masked {
+		masked[l.Weight] = l
 	}
-	collect(m.net.Net)
 	// Copy analytic grads.
 	type pg struct {
 		p   *nn.Param
@@ -291,10 +281,10 @@ func TestQueryLossGradcheck(t *testing.T) {
 	var checks []pg
 	for _, p := range m.params {
 		g := append([]float32(nil), p.G.Data...)
-		mask := masks[p]
+		ml := masked[p]
 		var idx []int
 		for i := 0; i < len(g); i += 11 {
-			if mask != nil && mask.Data[i] == 0 {
+			if ml != nil && !ml.Allowed(i/ml.Out, i%ml.Out) {
 				continue
 			}
 			idx = append(idx, i)
@@ -379,6 +369,97 @@ func TestSaveLoadThroughFile(t *testing.T) {
 	q := workload.Query{Preds: []workload.Predicate{{Col: 0, Op: workload.OpLe, Code: 1}}}
 	if m.EstimateCard(q) != m2.EstimateCard(q) {
 		t.Fatal("file-loaded model disagrees with saved model")
+	}
+}
+
+// TestLoadRejectsMalformed: a model file comes from outside the program, so
+// Load returns an error, never a panic, on a header NewModel cannot build (or
+// would build into a model that encodes no predicate), on parameters shorter
+// than their shapes, and on a nonzero weight that the MADE degrees disallow.
+func TestLoadRejectsMalformed(t *testing.T) {
+	tbl := tinyTable(100)
+	good := NewModel(tbl, tinyConfig())
+	// file writes header cfg followed by params, as Save does.
+	file := func(cfg Config, params []*nn.Param) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(modelBlob{Cfg: cfg, NDVs: tbl.NDVs()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := nn.SaveParams(&buf, params); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	header := func(edit func(*Config)) *bytes.Buffer {
+		cfg := tinyConfig()
+		edit(&cfg)
+		return file(cfg, good.params)
+	}
+	// One zero per parameter, under each parameter's true shape.
+	short := make([]*nn.Param, len(good.params))
+	for i, p := range good.params {
+		short[i] = &nn.Param{Name: p.Name, W: &tensor.Matrix{Rows: p.W.Rows, Cols: p.W.Cols, Data: []float32{0}}}
+	}
+	// A model with one nonzero weight where the degrees allow none.
+	broken := NewModel(tbl, tinyConfig())
+	out := broken.net.Masked[len(broken.net.Masked)-1]
+	out.Weight.W.Set(0, 0, 0.5) // output unit 0 is column 0's block: no input may reach it
+
+	for _, tc := range []struct {
+		name string
+		file *bytes.Buffer
+	}{
+		{"negative hidden widths", header(func(c *Config) { c.Hidden = []int{-1, -1} })},
+		{"residual without hidden layers", header(func(c *Config) { c.Hidden = nil })},
+		{"residual with unequal widths", header(func(c *Config) { c.Hidden = []int{32, 16} })},
+		{"unknown value encoding", header(func(c *Config) { c.Encoding = 9 })},
+		{"negative embedding width", header(func(c *Config) { c.Encoding, c.EmbedDim = EncEmbed, -3 })},
+		{"unknown MPSN kind", header(func(c *Config) { c.MPSN = 9 })},
+		{"negative MPSN width", header(func(c *Config) { c.MPSN, c.MPSNHidden = MPSNRNN, -1 })},
+		{"short weights", file(tinyConfig(), short)},
+		{"weight the degrees disallow", file(tinyConfig(), broken.params)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if m, err := Load(tc.file, tbl); err == nil {
+				t.Fatalf("loaded a malformed model: %+v", m.Config())
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+	if _, err := Load(file(tinyConfig(), good.params), tbl); err != nil {
+		t.Fatalf("the well-formed control file does not load: %v", err)
+	}
+}
+
+// TestNewModelHeap pins the live heap of an untrained model: its weights,
+// their gradients and the MADE layers' degree vectors. The DMV model
+// measured 21.8 MB; a dense In×Out float32 mask per masked layer would add
+// 10.6 MB and fail the bound. The census figure is only logged.
+func TestNewModelHeap(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct {
+		name  string
+		tbl   *relation.Table
+		cfg   Config
+		maxMB float64
+	}{
+		{"dmv", relation.SynDMV(20000, 1), DMVConfig(), 23},
+		{"census", relation.SynCensus(20000, 1), DefaultConfig(), 0},
+	} {
+		before := heap()
+		m := NewModel(tc.tbl, tc.cfg)
+		mb := float64(heap()-before) / 1e6
+		runtime.KeepAlive(m)
+		t.Logf("%s: NewModel holds %.2f MB of heap", tc.name, mb)
+		if tc.maxMB > 0 && mb > tc.maxMB {
+			t.Errorf("%s: NewModel holds %.2f MB of heap, want <= %.0f MB", tc.name, mb, tc.maxMB)
+		}
 	}
 }
 

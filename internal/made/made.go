@@ -5,9 +5,9 @@
 // The input vector is partitioned into one block per table column (the
 // column's value/predicate encoding); the output vector is partitioned into
 // one block per column holding logits over that column's distinct values.
-// Degree-based binary masks guarantee the autoregressive property: output
-// block i depends only on input blocks j < i, so block 0 is the
-// unconditional distribution P(C_0) and block i models P(C_i | inputs_<i).
+// Unit degrees guarantee the autoregressive property: output block i depends
+// only on input blocks j < i, so block 0 is the unconditional distribution
+// P(C_0) and block i models P(C_i | inputs_<i).
 package made
 
 import (
@@ -29,16 +29,18 @@ type Config struct {
 
 // MADE is a masked autoregressive network.
 type MADE struct {
-	Cfg Config
-	Net *nn.Sequential
-	In  nn.Blocks // input block layout
-	Out nn.Blocks // output (logit) block layout
+	Cfg    Config
+	Net    *nn.Sequential
+	Masked []*nn.MaskedLinear // Net's masked layers, nested ones too, in build order
+	In     nn.Blocks          // input block layout
+	Out    nn.Blocks          // output (logit) block layout
 }
 
-// New builds the network, constructing degree-based masks. With N columns,
-// input block j has degree j+1, hidden units cycle degrees 1..N-1, and
-// output block j (degree j+1) connects to hidden units of strictly smaller
-// degree; consequently output block 0 receives no input connections and is
+// New builds the network over unit degrees, the rule each nn.MaskedLinear
+// keeps. With N columns, input block j has degree j+1, hidden units cycle
+// degrees 1..N-1, and output block j (degree j+1) connects to hidden units of
+// strictly smaller degree: the output layer's input degrees are the hidden
+// ones plus one. Output block 0 thus receives no input connections and is
 // produced by bias alone, as required for the unconditional P(C_0).
 func New(cfg Config) *MADE {
 	n := len(cfg.InBlocks)
@@ -46,15 +48,15 @@ func New(cfg Config) *MADE {
 		panic(fmt.Sprintf("made: bad block config in=%d out=%d", len(cfg.InBlocks), len(cfg.OutBlocks)))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	in := nn.NewBlocks(cfg.InBlocks)
-	out := nn.NewBlocks(cfg.OutBlocks)
-
-	inDeg := blockDegrees(cfg.InBlocks)
-	outDeg := blockDegrees(cfg.OutBlocks)
+	m := &MADE{Cfg: cfg, In: nn.NewBlocks(cfg.InBlocks), Out: nn.NewBlocks(cfg.OutBlocks)}
+	masked := func(inDeg, outDeg []int) *nn.MaskedLinear {
+		l := nn.NewMaskedLinear(inDeg, outDeg, rng)
+		m.Masked = append(m.Masked, l)
+		return l
+	}
 
 	var layers []nn.Layer
-	prevDeg := inDeg
-	prevWidth := in.Tot
+	prevDeg := blockDegrees(cfg.InBlocks)
 	if cfg.Residual {
 		if len(cfg.Hidden) == 0 {
 			panic("made: residual net needs at least one hidden width")
@@ -67,30 +69,31 @@ func New(cfg Config) *MADE {
 		}
 		hDeg := hiddenDegrees(h, n)
 		// Input projection.
-		layers = append(layers,
-			nn.NewMaskedLinear(prevWidth, h, maskGE(prevDeg, hDeg), rng), nn.NewReLU())
+		layers = append(layers, masked(prevDeg, hDeg), nn.NewReLU())
 		// One residual block per configured hidden layer.
 		for range cfg.Hidden {
 			inner := nn.NewSequential(
-				nn.NewMaskedLinear(h, h, maskGE(hDeg, hDeg), rng),
+				masked(hDeg, hDeg),
 				nn.NewReLU(),
-				nn.NewMaskedLinear(h, h, maskGE(hDeg, hDeg), rng),
+				masked(hDeg, hDeg),
 			)
 			layers = append(layers, nn.NewResidual(inner), nn.NewReLU())
 		}
-		prevDeg, prevWidth = hDeg, h
+		prevDeg = hDeg
 	} else {
 		for _, h := range cfg.Hidden {
 			hDeg := hiddenDegrees(h, n)
-			layers = append(layers,
-				nn.NewMaskedLinear(prevWidth, h, maskGE(prevDeg, hDeg), rng), nn.NewReLU())
-			prevDeg, prevWidth = hDeg, h
+			layers = append(layers, masked(prevDeg, hDeg), nn.NewReLU())
+			prevDeg = hDeg
 		}
 	}
-	layers = append(layers,
-		nn.NewMaskedLinear(prevWidth, out.Tot, maskGT(prevDeg, outDeg), rng))
-
-	return &MADE{Cfg: cfg, Net: nn.NewSequential(layers...), In: in, Out: out}
+	strict := make([]int, len(prevDeg))
+	for i, d := range prevDeg {
+		strict[i] = d + 1
+	}
+	layers = append(layers, masked(strict, blockDegrees(cfg.OutBlocks)))
+	m.Net = nn.NewSequential(layers...)
+	return m
 }
 
 // blockDegrees expands per-block widths into a unit degree vector where every
@@ -107,7 +110,8 @@ func blockDegrees(blocks []int) []int {
 
 // hiddenDegrees assigns degrees 1..n-1 cyclically to width units. With a
 // single column there are no valid hidden degrees; units get degree 1 and the
-// output mask disconnects them, leaving a bias-only unconditional model.
+// output layer's degree rule disconnects them, leaving a bias-only
+// unconditional model.
 func hiddenDegrees(width, n int) []int {
 	maxDeg := n - 1
 	if maxDeg < 1 {
@@ -118,36 +122,6 @@ func hiddenDegrees(width, n int) []int {
 		deg[i] = 1 + i%maxDeg
 	}
 	return deg
-}
-
-// maskGE builds the in×out mask with M[i,o]=1 iff degOut[o] >= degIn[i]
-// (input→hidden and hidden→hidden rule).
-func maskGE(degIn, degOut []int) *tensor.Matrix {
-	m := tensor.New(len(degIn), len(degOut))
-	for i, di := range degIn {
-		row := m.Row(i)
-		for o, do := range degOut {
-			if do >= di {
-				row[o] = 1
-			}
-		}
-	}
-	return m
-}
-
-// maskGT builds the in×out mask with M[i,o]=1 iff degOut[o] > degIn[i]
-// (hidden→output rule).
-func maskGT(degIn, degOut []int) *tensor.Matrix {
-	m := tensor.New(len(degIn), len(degOut))
-	for i, di := range degIn {
-		row := m.Row(i)
-		for o, do := range degOut {
-			if do > di {
-				row[o] = 1
-			}
-		}
-	}
-	return m
 }
 
 // Forward runs the network on a batch of encoded inputs.

@@ -118,29 +118,18 @@ func TestGradcheckThroughCE(t *testing.T) {
 	d := tensor.New(2, m.Out.Tot)
 	nn.SoftmaxCE(logits, m.Out, labels, d, nil)
 	m.Backward(d)
-	// Masked-out weight entries are held at zero by init + gradient masking,
-	// so forward passes do not apply the mask; finite differences on those
-	// entries are meaningless. Collect each param's mask to skip them.
-	masks := make(map[*nn.Param]*tensor.Matrix)
-	var collect func(l nn.Layer)
-	collect = func(l nn.Layer) {
-		switch v := l.(type) {
-		case *nn.MaskedLinear:
-			masks[v.Weight] = v.Mask
-		case *nn.Sequential:
-			for _, inner := range v.Layers {
-				collect(inner)
-			}
-		case *nn.Residual:
-			collect(v.Inner)
-		}
+	// Disallowed weight entries are held at zero by init + gradient masking,
+	// so forward passes do not apply the rule; finite differences on those
+	// entries are meaningless. Collect each masked weight's layer to skip them.
+	masked := make(map[*nn.Param]*nn.MaskedLinear)
+	for _, l := range m.Masked {
+		masked[l.Weight] = l
 	}
-	collect(m.Net)
 	const eps = 1e-2
 	for _, p := range m.Params() {
-		mask := masks[p]
+		ml := masked[p]
 		for i := 0; i < len(p.W.Data); i += 7 { // sample every 7th weight
-			if mask != nil && mask.Data[i] == 0 {
+			if ml != nil && !ml.Allowed(i/ml.Out, i%ml.Out) {
 				continue
 			}
 			orig := p.W.Data[i]
@@ -205,6 +194,37 @@ func TestParamCount(t *testing.T) {
 	}
 	if nn.SizeBytes(m.Params()) != int64(nn.NumParams(m.Params()))*4 {
 		t.Fatal("SizeBytes mismatch")
+	}
+}
+
+// TestMaskedLayersAndOutputRule: Masked lists every masked layer in build
+// order, nested residual ones too, and the output layer's rule is strict:
+// output block j reaches only hidden units of degree below j+1.
+func TestMaskedLayersAndOutputRule(t *testing.T) {
+	for _, tc := range []struct {
+		residual bool
+		layers   int
+	}{{false, 3}, {true, 6}} {
+		m := New(smallConfig(tc.residual))
+		if len(m.Masked) != tc.layers {
+			t.Fatalf("residual=%v: %d masked layers, want %d", tc.residual, len(m.Masked), tc.layers)
+		}
+		if first, ok := m.Net.Layers[0].(*nn.MaskedLinear); !ok || first != m.Masked[0] {
+			t.Fatalf("residual=%v: Masked[0] is not the input layer", tc.residual)
+		}
+		last := m.Masked[len(m.Masked)-1]
+		if last != m.Net.Layers[len(m.Net.Layers)-1] {
+			t.Fatalf("residual=%v: the last of Masked is not the output layer", tc.residual)
+		}
+		hDeg := hiddenDegrees(16, m.In.N())
+		for i, d := range hDeg {
+			for j := 0; j < m.Out.N(); j++ {
+				if got, want := last.Allowed(i, m.Out.Off[j]), j+1 > d; got != want {
+					t.Fatalf("residual=%v: hidden unit %d (degree %d) to output block %d allowed=%v, want %v",
+						tc.residual, i, d, j, got, want)
+				}
+			}
+		}
 	}
 }
 

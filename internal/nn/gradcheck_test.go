@@ -78,23 +78,31 @@ func TestLinearInputGradcheck(t *testing.T) {
 	}
 }
 
+// TestMaskedLinearRespectsMask: a disallowed weight starts as its Xavier
+// draw times zero (a negative draw keeps its sign, as -0) and stays zero
+// through Adam; every allowed weight keeps its draw.
 func TestMaskedLinearRespectsMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mask := tensor.New(4, 3)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			if (i+j)%2 == 0 {
-				mask.Set(i, j, 1)
+	l := NewMaskedLinear([]int{1, 2, 3, 1}, []int{1, 3, 2}, rand.New(rand.NewSource(3)))
+	draws := NewLinear(4, 3, rand.New(rand.NewSource(3))).Weight.W
+	disallowed, negZero := 0, 0
+	for i, w := range l.Weight.W.Data {
+		want := draws.Data[i]
+		if !l.Allowed(i/3, i%3) {
+			want *= 0
+			disallowed++
+			if math.Signbit(float64(want)) {
+				negZero++
 			}
 		}
-	}
-	l := NewMaskedLinear(4, 3, mask, rng)
-	for i := range mask.Data {
-		if mask.Data[i] == 0 && l.Weight.W.Data[i] != 0 {
-			t.Fatal("masked weight not zero at init")
+		if math.Float32bits(w) != math.Float32bits(want) {
+			t.Fatalf("weight %d initialized to %v, want %v", i, w, want)
 		}
 	}
+	if disallowed != 3 || negZero == 0 {
+		t.Fatalf("%d disallowed weights (%d of them -0), want 3 with at least one -0", disallowed, negZero)
+	}
 	// Train a few Adam steps; masked entries must stay exactly zero.
+	rng := rand.New(rand.NewSource(4))
 	opt := NewAdam(1e-2)
 	x := tensor.New(8, 4)
 	tensor.RandUniform(x, 1, rng)
@@ -104,9 +112,9 @@ func TestMaskedLinearRespectsMask(t *testing.T) {
 		l.Backward(gradOf(y))
 		opt.Step(l.Params())
 	}
-	for i := range mask.Data {
-		if mask.Data[i] == 0 && l.Weight.W.Data[i] != 0 {
-			t.Fatalf("masked weight %d drifted to %v", i, l.Weight.W.Data[i])
+	for i, w := range l.Weight.W.Data {
+		if !l.Allowed(i/3, i%3) && w != 0 {
+			t.Fatalf("masked weight %d drifted to %v", i, w)
 		}
 	}
 }
@@ -164,11 +172,8 @@ func TestSequentialAndResidualGradcheck(t *testing.T) {
 // computes what it would have computed anyway.
 func TestReleaseBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	mask := tensor.New(6, 6)
-	for i := range mask.Data {
-		mask.Data[i] = float32(i % 2)
-	}
-	masked := NewMaskedLinear(6, 6, mask, rng)
+	deg := []int{1, 2, 3, 1, 2, 3}
+	masked := NewMaskedLinear(deg, deg, rng)
 	lin, relu, sig := NewLinear(4, 6, rng), NewReLU(), NewSigmoid()
 	res := NewResidual(NewSequential(masked, relu))
 	net := NewSequential(lin, res, sig, NewLinear(6, 6, rng))

@@ -26,7 +26,7 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams restores parameter values saved by SaveParams into params,
-// validating shapes positionally.
+// validating shapes and value counts positionally.
 func LoadParams(r io.Reader, params []*Param) error {
 	dec := gob.NewDecoder(r)
 	var blobs []paramBlob
@@ -38,9 +38,9 @@ func LoadParams(r io.Reader, params []*Param) error {
 	}
 	for i, b := range blobs {
 		p := params[i]
-		if b.Rows != p.W.Rows || b.Cols != p.W.Cols {
-			return fmt.Errorf("nn: load params: %q shape %dx%d, model expects %dx%d",
-				b.Name, b.Rows, b.Cols, p.W.Rows, p.W.Cols)
+		if b.Rows != p.W.Rows || b.Cols != p.W.Cols || len(b.Data) != len(p.W.Data) {
+			return fmt.Errorf("nn: load params: %q shape %dx%d with %d values, model expects %dx%d",
+				b.Name, b.Rows, b.Cols, len(b.Data), p.W.Rows, p.W.Cols)
 		}
 		copy(p.W.Data, b.Data)
 	}

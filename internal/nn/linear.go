@@ -63,33 +63,49 @@ func (l *Linear) ReleaseBuffers() {
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// MaskedLinear is a Linear layer whose weight matrix is elementwise gated by
-// a fixed binary mask (MADE-style). Masked entries are zero at initialization
-// and their gradients are zeroed in Backward, so they remain exactly zero
-// under Adam (which makes zero updates for identically-zero gradients).
+// MaskedLinear is a Linear layer with MADE connectivity: weight (i, o) exists
+// iff OutDeg[o] >= InDeg[i] (Allowed). Disallowed weights are zero at
+// initialization and their gradients are zeroed in Backward, so they remain
+// exactly zero under Adam (which makes zero updates for identically-zero
+// gradients).
 type MaskedLinear struct {
 	Linear
-	Mask *tensor.Matrix // In×Out, entries 0 or 1
+	InDeg, OutDeg []int // one degree per input unit and per output unit
 }
 
-// NewMaskedLinear creates a masked fully connected layer. The mask is
-// retained (not copied) and applied to the initial weights immediately.
-func NewMaskedLinear(in, out int, mask *tensor.Matrix, rng *rand.Rand) *MaskedLinear {
-	if mask.Rows != in || mask.Cols != out {
-		panic("nn: MaskedLinear mask shape mismatch")
-	}
-	l := &MaskedLinear{Linear: *NewLinear(in, out, rng), Mask: mask}
+// NewMaskedLinear creates a masked fully connected layer with len(inDeg)
+// inputs and len(outDeg) outputs; it retains the degree vectors.
+func NewMaskedLinear(inDeg, outDeg []int, rng *rand.Rand) *MaskedLinear {
+	l := &MaskedLinear{Linear: *NewLinear(len(inDeg), len(outDeg), rng), InDeg: inDeg, OutDeg: outDeg}
 	l.Weight.Name = "masked.w"
 	l.Bias.Name = "masked.b"
-	l.Weight.W.Hadamard(mask)
+	l.zeroDisallowed(l.Weight.W)
 	return l
 }
 
-// Backward zeroes the gradient of masked-out weights after the usual
+// Allowed reports whether weight (i, o) exists.
+func (l *MaskedLinear) Allowed(i, o int) bool { return l.OutDeg[o] >= l.InDeg[i] }
+
+// zeroDisallowed multiplies every disallowed cell of the In×Out matrix m by
+// zero. Multiplying rather than assigning keeps a negative initial draw as
+// -0: those bits are part of every model's weights, which golden tests pin.
+func (l *MaskedLinear) zeroDisallowed(m *tensor.Matrix) {
+	tensor.ParallelFor(l.In, tensor.RowGrain(l.Out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row, di := m.Row(i)[:len(l.OutDeg)], l.InDeg[i] // one bounds check per row
+			for o, do := range l.OutDeg {
+				if do < di {
+					row[o] *= 0
+				}
+			}
+		}
+	})
+}
+
+// Backward zeroes the gradient of disallowed weights after the usual
 // accumulation so the connectivity pattern is invariant under training.
 func (l *MaskedLinear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	before := l.Weight.G // MulATAdd accumulates; mask everything accumulated so far
 	dIn := l.Linear.Backward(dOut)
-	before.Hadamard(l.Mask)
+	l.zeroDisallowed(l.Weight.G)
 	return dIn
 }

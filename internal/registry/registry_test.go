@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -276,6 +277,71 @@ func TestWatcherHotReload(t *testing.T) {
 	}
 	if got, _ := estimate(context.Background(), reg, "alpha", q); got != want2 {
 		t.Fatalf("post-watch estimate %v, want %v", got, want2)
+	}
+}
+
+// TestWatcherSurvivesMalformedFile: a file over a watched model's path whose
+// header no model can be built from fails the reload with an error, which
+// OnReload observes, and the previous generation keeps answering.
+func TestWatcherSurvivesMalformedFile(t *testing.T) {
+	dir := t.TempDir()
+	ta := testTable("alpha", 1)
+	q := workload.Query{Preds: []workload.Predicate{{Col: 0, Op: workload.OpLe, Code: 20}}}
+	m1 := trainedModel(ta, 11)
+	want := m1.EstimateCardBatch([]workload.Query{q})[0]
+
+	path := filepath.Join(dir, "alpha.duet")
+	writeModel(t, path, m1)
+	reloaded := make(chan error, 16)
+	reg := New(Config{
+		Dir: dir, Serve: serveNoCache(), WatchInterval: 5 * time.Millisecond,
+		// The watcher retries the unchanged file every other poll, so the
+		// callback must never block it (or Reload below) on a full channel.
+		OnReload: func(name string, err error) {
+			select {
+			case reloaded <- err:
+			default:
+			}
+		},
+	})
+	defer reg.Close()
+	if err := reg.Add("alpha", ta, nil, AddOpts{}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The header core.Save writes, with hidden widths no network can have.
+	bad := smallConfig(11)
+	bad.Hidden = []int{-1, -1}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(struct {
+		Cfg  core.Config
+		NDVs []int
+	}{bad, ta.NDVs()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, time.Now(), time.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-reloaded:
+		if err == nil {
+			t.Fatal("the watcher loaded a malformed model file")
+		}
+		t.Log(err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("watcher never tried the malformed file")
+	}
+	if err := reg.Reload("alpha"); err == nil {
+		t.Fatal("Reload loaded a malformed model file")
+	}
+	if got, err := estimate(context.Background(), reg, "alpha", q); err != nil || got != want {
+		t.Fatalf("estimate after the failed reloads: %v, %v; want %v from the first generation", got, err, want)
 	}
 }
 

@@ -5,15 +5,16 @@
 // micro-batch and answered by a single batched network inference without
 // changing any individual estimate.
 //
-// The engine sits between callers and a batch-native Backend (core.Model's
-// EstimateCardBatch), which it treats as a single-occupancy resource.
-// core.Model is safe for concurrent use, but the engine still runs one pass
-// per model at a time. Coalescing is driven by that occupancy, never by a
-// clock: a miss that finds the backend idle becomes the leader and runs the
-// forward pass inline on its own goroutine; misses that arrive while a pass
-// is running park, and the finishing leader hands the parked calls — FIFO,
-// up to MaxBatch queries, deduplicated by canonical predicate-set key — to
-// the first of them, which leads the next pass. Batches therefore form
+// The engine sits between callers and a batch-native Backend (the
+// EstimateCardBatch of the core.Snapshot a registry generation serves),
+// which it treats as a single-occupancy resource. A snapshot is safe for
+// concurrent use, but the engine still runs one pass per model at a time.
+// Coalescing is driven by that occupancy, never by a clock: a miss that
+// finds the backend idle becomes the leader and runs the forward pass inline
+// on its own goroutine; misses that arrive while a pass is running park, and
+// the finishing leader hands the parked calls — FIFO, up to MaxBatch
+// queries, deduplicated by canonical predicate-set key — to the first of
+// them, which leads the next pass. Batches therefore form
 // exactly when the backend is the bottleneck, and a lone estimate costs one
 // forward pass and nothing else. Estimate is the one-query case of
 // EstimateBatch: both share one cache, dedup, admission and stage-clock

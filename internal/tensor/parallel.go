@@ -21,10 +21,10 @@ func SetMaxWorkers(n int) {
 }
 
 // ElemGrain is the ParallelFor grain, in elements, of the elementwise stages
-// of a training step (ReLU, Hadamard, AddRowVector, the bias gradient, Adam):
-// 64 KB of float32 per worker, a few times what a fork and join cost, so
-// batch-wide activations split across cores while MPSN-sized matrices and
-// single rows stay inline. Chunks are disjoint and each element's own
+// of a training step (ReLU, the MADE gradient mask, AddRowVector, the bias
+// gradient, Adam): 64 KB of float32 per worker, a few times what a fork and
+// join cost, so batch-wide activations split across cores while MPSN-sized
+// matrices and single rows stay inline. Chunks are disjoint and each element's own
 // arithmetic is unchanged, so the split never changes a bit.
 const ElemGrain = 1 << 14
 

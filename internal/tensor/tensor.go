@@ -102,17 +102,6 @@ func (m *Matrix) Scale(alpha float32) {
 	}
 }
 
-// Hadamard multiplies m elementwise by src.
-func (m *Matrix) Hadamard(src *Matrix) {
-	m.mustSameShape(src, "Hadamard")
-	ParallelFor(len(m.Data), ElemGrain, func(lo, hi int) {
-		dst := m.Data[lo:hi]
-		for i, v := range src.Data[lo:hi] {
-			dst[i] *= v
-		}
-	})
-}
-
 // AddRowVector adds the 1×Cols vector v to every row of m.
 func (m *Matrix) AddRowVector(v []float32) {
 	if len(v) != m.Cols {

@@ -60,11 +60,6 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(0, 0) != 22 {
 		t.Fatalf("Scale: got %v", a.Data)
 	}
-	h := FromSlice(2, 2, []float32{1, 0, 1, 0})
-	a.Hadamard(h)
-	if a.At(0, 1) != 0 || a.At(1, 1) != 0 {
-		t.Fatalf("Hadamard: got %v", a.Data)
-	}
 }
 
 func TestAddRowVector(t *testing.T) {
