@@ -108,5 +108,8 @@ loc:
 	@printf 'non-test '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 	@printf 'all      '; find . -name '*.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
+# One synthetic census model from a one-model manifest: trains a short run on
+# first start and saves census.duet in the working directory, which later
+# starts load.
 serve:
-	$(GO) run ./cmd/duetserve -syn census -rows 20000
+	$(GO) run ./cmd/duetserve -manifest examples/serving/census.json

@@ -135,7 +135,7 @@ func TestManifestLifecycleBlock(t *testing.T) {
 
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, dir, dir, false, duet.ServeConfig{}); err != nil {
+	if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
 		t.Fatal(err)
 	}
 	lc, err := startLifecycle(reg, man, dir, dir, nil)
@@ -195,7 +195,7 @@ func TestRestartLoadsNewestGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
-		if err := assembleRegistry(reg, man, dir, dir, false, duet.ServeConfig{}); err != nil {
+		if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
 			t.Fatalf("assemble: %v", err)
 		}
 		lc, err := startLifecycle(reg, man, dir, dir, nil)
@@ -286,7 +286,7 @@ func TestRestartSkipsGenerationsThatDoNotFit(t *testing.T) {
 		t.Helper()
 		reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 		defer reg.Close()
-		if err := assembleRegistry(reg, man, dir, dir, false, duet.ServeConfig{}); err != nil {
+		if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Info()[0]
@@ -309,7 +309,7 @@ func TestRestartSkipsGenerationsThatDoNotFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, on := range map[int]*duet.Table{1: tbl, 2: grown} {
-		if _, err := models.Put("demo", v, duet.New(on, modelConfig(false)).Save); err != nil {
+		if _, err := models.Put("demo", v, duet.New(on, modelConfig(false)).Save, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,15 +5,17 @@
 // change on disk — atomically, draining in-flight requests against the old
 // generation before it closes.
 //
-// Single-model mode (backward compatible with earlier releases):
+// A manifest is the one description of a deployment: the tables and join
+// views a replica serves (with their weights files, training epochs, plan
+// quantization and per-model engine settings), the SLO budgets, the
+// lifecycle policy, and the fleet a proxy fronts. The flags are process
+// settings only:
 //
-//	duetserve -csv table.csv -model model.duet -addr :8080
-//	duetserve -syn census -rows 20000 -train 3        # quick demo, trains in-process
-//
-// Multi-model mode takes a manifest of base tables and join views:
-//
+//	duetserve -manifest examples/serving/census.json          # one synthetic table, trains in-process
 //	duetserve -manifest deploy.json -modeldir models -watch 2s
 //	duetserve -manifest deploy.json -modeldir models -build-join   # train+save join models, exit
+//
+// A one-model manifest answers requests that name no model.
 //
 // Endpoints (all under /v1; a bare path answers 404):
 //
@@ -37,8 +39,7 @@
 // each); the proxy health-checks members, fails estimates over between
 // replicas, and drives rolling version installs:
 //
-//	duetserve -proxy -members http://r1:8080,http://r2:8080,http://r3:8080
-//	duetserve -proxy -manifest deploy.json        # reads the manifest's "cluster" block
+//	duetserve -proxy -manifest deploy.json        # fronts the manifest's "cluster" block
 //	POST /v1/models/{name}/rollout {"version": 4} # rolling install across owners
 //
 // With a "lifecycle" block in the manifest, the service maintains itself: it
@@ -77,37 +78,23 @@ import (
 )
 
 func main() {
-	// Single-model flags (backward compatible).
-	csvPath := flag.String("csv", "", "CSV file the model was trained on (single-model mode)")
-	syn := flag.String("syn", "", "synthetic dataset: dmv | kdd | census (single-model mode)")
-	rows := flag.Int("rows", 20000, "rows for synthetic datasets")
-	seed := flag.Int64("seed", 1, "generation seed")
-	modelPath := flag.String("model", "", "trained model file (from duettrain)")
-	train := flag.Int("train", 3, "when no model file is given, train data-only for this many epochs")
-	quant := flag.String("quant", "", `packed-plan weight representation: "" (float32) or "int8" (single-model mode; manifests use per-model "quant")`)
-	// Multi-model flags.
-	manifestPath := flag.String("manifest", "", "multi-model manifest JSON (see package docs)")
+	manifestPath := flag.String("manifest", "", "deployment manifest JSON: the models a replica serves, or the fleet -proxy fronts (see package docs)")
 	modelDir := flag.String("modeldir", ".", "model directory for loading, saving, and watching weights")
-	buildJoin := flag.Bool("build-join", false, "with -manifest: materialize join views, train and save their models, then exit")
+	buildJoin := flag.Bool("build-join", false, "materialize join views, train and save their models, then exit")
 	watch := flag.Duration("watch", 0, "hot-reload poll interval for file-backed models (0 disables)")
-	// Engine flags.
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("batch", 64, "micro-batch size")
-	cache := flag.Int("cache", 4096, "LRU result-cache entries (negative disables)")
-	// Cluster flags.
-	proxyMode := flag.Bool("proxy", false, "run as a cluster proxy over -members (or the manifest's cluster block) instead of serving models")
-	members := flag.String("members", "", "comma-separated replica base URLs (proxy mode)")
-	replication := flag.Int("replication", 0, "replicas per model in proxy mode (default 2, or the manifest's cluster.replication)")
-	// Observability flags.
+	proxyMode := flag.Bool("proxy", false, "run as a cluster proxy over the manifest's \"cluster\" block instead of serving models")
 	metricsOn := flag.Bool("metrics", true, "serve Prometheus metrics at GET /v1/metrics")
 	traceRing := flag.Int("trace-ring", 256, "recent request traces retained for GET /v1/debug/traces (negative disables tracing)")
 	slowQueryMS := flag.Int("slow-query-ms", 250, "log traced requests slower than this many milliseconds (0 disables)")
-	slo := flag.String("slo", "", `per-stage SLO budgets: "" derives defaults from a roofline calibration of the packed plan, "off" disables all checks, or "stage=duration,..." overrides (e.g. "plan_exec=2ms,forward=50ms"; 0 disables a stage)`)
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	flag.Parse()
 
-	sloOverrides, sloOff, err := parseSLOFlag(*slo)
+	if *manifestPath == "" {
+		fatal(errors.New("pass -manifest FILE (examples/serving/census.json serves one synthetic table)"))
+	}
+	man, err := loadManifest(*manifestPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,16 +113,14 @@ func main() {
 	duet.RegisterKernelMetrics(suite.Metrics)
 
 	if *proxyMode {
-		if err := runProxy(*addr, *members, *manifestPath, *replication, suite, sloOverrides, sloOff); err != nil {
+		if err := runProxy(*addr, man, suite); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	baseServe := duet.ServeConfig{MaxBatch: *maxBatch, CacheSize: *cache}
 	reg := duet.NewRegistry(duet.RegistryConfig{
 		Dir:           *modelDir,
-		Serve:         baseServe,
 		WatchInterval: *watch,
 		Obs:           suite.Metrics,
 		OnReload: func(name string, err error) {
@@ -154,41 +139,23 @@ func main() {
 		}
 	}()
 
-	var man *Manifest
-	switch {
-	case *manifestPath != "":
-		man, err = loadManifest(*manifestPath)
-		if err != nil {
+	if err := assembleRegistry(reg, man, filepath.Dir(*manifestPath), *modelDir, *buildJoin); err != nil {
+		fatal(err)
+	}
+	if *buildJoin {
+		slog.Info("join views built and saved; exiting (-build-join)", "dir", *modelDir)
+		return
+	}
+	if man.Lifecycle != nil {
+		if lc, err = startLifecycle(reg, man, filepath.Dir(*manifestPath), *modelDir, suite); err != nil {
 			fatal(err)
 		}
-		if err := assembleRegistry(reg, man, filepath.Dir(*manifestPath), *modelDir, *buildJoin, baseServe); err != nil {
-			fatal(err)
-		}
-		if *buildJoin {
-			slog.Info("join views built and saved; exiting (-build-join)", "dir", *modelDir)
-			return
-		}
-		if man.Lifecycle != nil {
-			var lcErr error
-			if lc, lcErr = startLifecycle(reg, man, filepath.Dir(*manifestPath), *modelDir, suite); lcErr != nil {
-				fatal(lcErr)
-			}
-			slog.Info("lifecycle enabled: POST /ingest, POST /feedback, GET /lifecycle", "dir", *modelDir)
-		}
-	case *csvPath != "" || *syn != "":
-		if err := validQuant("single", *quant); err != nil {
-			fatal(err)
-		}
-		if err := registerSingle(reg, *csvPath, *syn, *rows, *seed, *modelPath, *train, *quant); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("pass -manifest FILE, -csv FILE, or -syn dmv|kdd|census"))
+		slog.Info("lifecycle enabled: POST /ingest, POST /feedback, GET /lifecycle", "dir", *modelDir)
 	}
 
 	// Budgets arm after the registry holds its plans: the roofline default
 	// for plan_exec derives from the largest resident packed plan.
-	applySLOBudgets(suite, reg, man, sloOverrides, sloOff)
+	applySLOBudgets(suite, reg, man)
 
 	// Graceful shutdown: once the listener has stopped and open requests
 	// have finished, drain and close every estimator, so the drained
@@ -253,33 +220,6 @@ func parseLevel(s string) slog.Level {
 	default:
 		return slog.LevelInfo
 	}
-}
-
-// registerSingle is the backward-compatible one-table mode: the sole model
-// answers /v1/estimate requests that name no model. -model names the weights
-// to serve and arms hot reload on them, so a missing file is an error, not a
-// cue to train; without it the model trains in memory and nothing is written.
-func registerSingle(reg *duet.Registry, csvPath, syn string, rows int, seed int64, modelPath string, train int, quant string) error {
-	tbl, err := duet.OpenTable(csvPath, syn, rows, seed)
-	if err != nil {
-		return err
-	}
-	name := syn
-	if csvPath != "" {
-		name = strings.TrimSuffix(filepath.Base(csvPath), filepath.Ext(csvPath))
-		tbl.Name = name
-	}
-	slog.Info("table loaded", "model", name, "stats", tbl.Stats())
-	if modelPath != "" {
-		if _, err := os.Stat(modelPath); err != nil {
-			return err
-		}
-	}
-	m, path, err := ensureModel(tbl, nil, modelPath, train, false, false, nil)
-	if err != nil {
-		return err
-	}
-	return reg.Add(name, tbl, m, duet.AddOpts{Path: path, Quant: quant})
 }
 
 func fatal(err error) {

@@ -39,8 +39,7 @@ type Manifest struct {
 	// Budgets maps stage names (admission_wait, cache_lookup, batch_wait,
 	// plan_exec, route, forward) to per-stage SLO budgets as Go duration
 	// strings ("2ms", "500us"). Stages listed here override the roofline-
-	// derived defaults; "0s" disables a stage's check. The -slo flag
-	// overrides this block.
+	// derived defaults; "0s" disables a stage's check.
 	Budgets stageBudgets `json:"budgets,omitempty"`
 }
 
@@ -132,9 +131,9 @@ func (ls *LifecycleSpec) policy() duet.LifecyclePolicy {
 	return pol
 }
 
-// ServeSpec overrides the registry-wide serving-engine configuration for one
-// manifest entry. Zero fields keep the registry default; a negative cache
-// disables caching (the engine's convention).
+// ServeSpec sets the serving-engine configuration of one manifest entry.
+// Zero fields keep the engine default; a negative cache disables caching
+// (the engine's convention).
 type ServeSpec struct {
 	// Batch caps the micro-batch size.
 	Batch int `json:"batch,omitempty"`
@@ -163,28 +162,16 @@ func (s *ServeSpec) validate(owner string) error {
 	return nil
 }
 
-// config renders the override as an engine configuration, inheriting
-// unset fields from the registry-wide base.
-func (s *ServeSpec) config(base duet.ServeConfig) *duet.ServeConfig {
+// config renders the block as an engine configuration; the engine fills in
+// its defaults for unset fields.
+func (s *ServeSpec) config() *duet.ServeConfig {
 	if s == nil {
 		return nil
 	}
-	cfg := base
-	if s.Batch != 0 {
-		cfg.MaxBatch = s.Batch
-	}
-	if s.Cache != 0 {
-		cfg.CacheSize = s.Cache
-	}
-	if s.QPS != 0 {
-		cfg.Admission.QPS = s.QPS
-	}
-	if s.Burst != 0 {
-		cfg.Admission.Burst = s.Burst
-	}
-	if s.MaxQueue != 0 {
-		cfg.Admission.MaxQueue = s.MaxQueue
-	}
+	cfg := duet.ServeConfig{MaxBatch: s.Batch, CacheSize: s.Cache}
+	cfg.Admission.QPS = s.QPS
+	cfg.Admission.Burst = s.Burst
+	cfg.Admission.MaxQueue = s.MaxQueue
 	return &cfg
 }
 
@@ -193,10 +180,9 @@ func (s *ServeSpec) config(base duet.ServeConfig) *duet.ServeConfig {
 // through the memory-mapped column store instead of parsed, so base tables
 // larger than RAM serve off the page cache), or a built-in synthetic
 // generator. Weights come from the model file when it exists; otherwise the
-// model is trained in-process for TrainEpochs (data-only) and, when a model
-// path is set, saved back for next time. When lifecycle is enabled, a
-// .duetcol-backed model compacts its ingest tail back into the columnar file
-// on every retrain.
+// model is trained in-process for TrainEpochs (data-only) and saved there
+// for next time. When lifecycle is enabled, a .duetcol-backed model compacts
+// its ingest tail back into the columnar file on every retrain.
 type ModelSpec struct {
 	Name string `json:"name"`
 	CSV  string `json:"csv,omitempty"`
@@ -210,7 +196,7 @@ type ModelSpec struct {
 	TrainEpochs *int `json:"train_epochs,omitempty"`
 	// Large selects the DMV-sized architecture.
 	Large bool `json:"large,omitempty"`
-	// Serve overrides the engine configuration for this model only.
+	// Serve sets the engine configuration for this model.
 	Serve *ServeSpec `json:"serve,omitempty"`
 	// Quant selects the packed-plan weight representation: "" (float32) or
 	// "int8". Serving configuration only — the weights file stays float32 and
@@ -420,16 +406,16 @@ func modelConfig(large bool) duet.Config {
 	return duet.DefaultConfig()
 }
 
-// ensureModel returns weights for a table and the file backing them ("" when
-// they exist only in memory): the first of generations — a retrained
-// deployment's versioned artifacts, newest first — that loads against tbl (a
-// CSV-backed table lost its ingested rows at restart, so a generation whose
-// dictionaries grew no longer fits it; a compacted .duetcol-backed one fits
-// only its newest), else the seed file at path, else a model trained
-// data-only for epochs and, when persist is set, saved to path so later runs
-// and hot reload have a file to watch. A non-nil src streams the training
-// tuples (the sampled join path) instead of reading table rows.
-func ensureModel(tbl *duet.Table, generations []string, path string, epochs int, large, persist bool, src *duet.JoinSampler) (*duet.Model, string, error) {
+// ensureModel returns weights for a table and the file backing them: the
+// first of generations — a retrained deployment's versioned artifacts,
+// newest first — that loads against tbl (a CSV-backed table lost its
+// ingested rows at restart, so a generation whose dictionaries grew no
+// longer fits it; a compacted .duetcol-backed one fits only its newest),
+// else the seed file at path, else a model trained data-only for epochs and
+// saved to path so later runs and hot reload have a file to watch. A non-nil
+// src streams the training tuples (the sampled join path) instead of
+// reading table rows.
+func ensureModel(tbl *duet.Table, generations []string, path string, epochs int, large bool, src *duet.JoinSampler) (*duet.Model, string, error) {
 	for _, p := range append(generations, path) {
 		m, _, err := artifact.Load(p, tbl)
 		if err == nil {
@@ -456,9 +442,6 @@ func ensureModel(tbl *duet.Table, generations []string, path string, epochs int,
 	} else {
 		slog.Warn("serving an untrained model", "model", tbl.Name)
 	}
-	if !persist {
-		return m, "", nil
-	}
 	if err := artifact.Save(path, m); err != nil {
 		return nil, "", err
 	}
@@ -469,9 +452,7 @@ func ensureModel(tbl *duet.Table, generations []string, path string, epochs int,
 // assembleRegistry builds every table and model a manifest names and
 // registers them. buildJoins forces retraining and saving of the join-view
 // models (the -build-join offline path) even when weights already exist.
-// baseServe is the registry-wide engine configuration per-entry overrides
-// inherit unset fields from.
-func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir string, buildJoins bool, baseServe duet.ServeConfig) error {
+func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir string, buildJoins bool) error {
 	dir := artifact.Dir(modelDir)
 	// add resolves one entry's weights and registers it; file is its "model"
 	// field, the seed weights.
@@ -498,7 +479,7 @@ func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir s
 				generations = append(generations, dir.VersionPath(name, versions[i]))
 			}
 		}
-		m, path, err := ensureModel(tbl, generations, path, epochs, large, true, src)
+		m, path, err := ensureModel(tbl, generations, path, epochs, large, src)
 		if err != nil {
 			return fmt.Errorf("model %q: %w", name, err)
 		}
@@ -513,7 +494,7 @@ func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir s
 		}
 		slog.Info("table built", "model", ms.Name, "stats", tbl.Stats())
 		tables[ms.Name] = tbl
-		opts := duet.AddOpts{Serve: ms.Serve.config(baseServe), Quant: ms.Quant}
+		opts := duet.AddOpts{Serve: ms.Serve.config(), Quant: ms.Quant}
 		if err := add(ms.Name, ms.Model, tbl, epochsOrDefault(ms.TrainEpochs), ms.Large, false, nil, opts); err != nil {
 			return err
 		}
@@ -524,7 +505,7 @@ func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir s
 			return fmt.Errorf("join %q: %w", js.Name, err)
 		}
 		slog.Info("join view built", "model", js.Name, "stats", joined.Stats())
-		opts.Serve = js.Serve.config(baseServe)
+		opts.Serve = js.Serve.config()
 		opts.Quant = js.Quant
 		if err := add(js.Name, js.Model, joined, epochsOrDefault(js.TrainEpochs), js.Large, buildJoins, src, opts); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,7 +35,7 @@ func TestLegacyManifestGolden(t *testing.T) {
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir()})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false, duet.ServeConfig{}); err != nil {
+	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 3 {
@@ -87,7 +88,7 @@ func TestGraphManifest(t *testing.T) {
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir(), Serve: duet.ServeConfig{CacheSize: 64}})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false, duet.ServeConfig{CacheSize: 64}); err != nil {
+	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 4 {
@@ -180,7 +181,7 @@ func TestSampledGraphManifest(t *testing.T) {
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir()})
 	defer reg.Close()
-	if err := assembleRegistry(reg, parsed, "testdata", t.TempDir(), false, duet.ServeConfig{}); err != nil {
+	if err := assembleRegistry(reg, parsed, "testdata", t.TempDir(), false); err != nil {
 		t.Fatal(err)
 	}
 	view, err := reg.Table("ocr")
@@ -274,7 +275,7 @@ func TestColumnarManifest(t *testing.T) {
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, m, dir, dir, false, duet.ServeConfig{}); err != nil {
+	if err := assembleRegistry(reg, m, dir, dir, false); err != nil {
 		t.Fatal(err)
 	}
 	served, err := reg.Table("census")
@@ -299,5 +300,60 @@ func TestColumnarManifest(t *testing.T) {
 	defer lc.Close()
 	if stats := lc.Stats(); len(stats) != 1 || stats[0].Model != "census" {
 		t.Fatalf("managed: %+v", stats)
+	}
+}
+
+// TestExampleManifests loads every manifest under examples/, so a schema
+// change that orphans one fails here rather than at a reader's first run.
+func TestExampleManifests(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 2 {
+		t.Fatalf("found %d example manifests, want the cluster and serving ones", len(paths))
+	}
+	for _, p := range paths {
+		if _, err := loadManifest(p); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+}
+
+// TestOneModelManifestServes assembles the one-model serving example and
+// checks that /v1/estimate answers requests that name no model, the way a
+// single-table deployment is queried.
+func TestOneModelManifestServes(t *testing.T) {
+	path := filepath.Join("..", "..", "examples", "serving", "census.json")
+	man, err := loadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
+	defer reg.Close()
+	if err := assembleRegistry(reg, man, filepath.Dir(path), dir, false); err != nil {
+		t.Fatal(err)
+	}
+	rec, out := doJSON(t, testHandler(reg), "POST", "/v1/estimate", map[string]any{"query": "age<=40 AND hours>30"})
+	if rec.Code != http.StatusOK || out["model"] != "census" {
+		t.Fatalf("unnamed estimate: %d %v", rec.Code, out)
+	}
+	if card, ok := out["card"].(float64); !ok || !(card > 0) {
+		t.Fatalf("unnamed estimate card: %v", out)
+	}
+}
+
+// TestProxyNeedsClusterBlock: -proxy reads its fleet from the manifest's
+// "cluster" block alone, so a manifest without one is refused before the
+// proxy listens.
+func TestProxyNeedsClusterBlock(t *testing.T) {
+	man, err := loadManifest(filepath.Join("..", "..", "examples", "serving", "census.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runProxy("127.0.0.1:0", man, duet.NewObsSuite(duet.ObsConfig{}))
+	if err == nil || !strings.Contains(err.Error(), `"cluster"`) {
+		t.Fatalf("runProxy without a cluster block: err %v", err)
 	}
 }

@@ -194,7 +194,7 @@ func TestManifestAssembly(t *testing.T) {
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, dir, dir, false, duet.ServeConfig{}); err != nil {
+	if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 2 {

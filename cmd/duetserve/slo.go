@@ -32,43 +32,6 @@ func sloStageList() string {
 	return strings.Join(names, ", ")
 }
 
-// parseSLOFlag parses -slo: "" keeps the derived defaults, "off" disables
-// every budget check, and "stage=duration,..." overrides individual stages
-// ("plan_exec=2ms,forward=50ms"; a zero duration disables that stage).
-func parseSLOFlag(s string) (overrides map[string]time.Duration, off bool, err error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, false, nil
-	}
-	if s == "off" {
-		return nil, true, nil
-	}
-	overrides = make(map[string]time.Duration)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		stage, val, ok := strings.Cut(part, "=")
-		stage = strings.TrimSpace(stage)
-		if !ok {
-			return nil, false, fmt.Errorf("-slo %q: want stage=duration", part)
-		}
-		if !sloStages[stage] {
-			return nil, false, fmt.Errorf("-slo: unknown stage %q (stages: %s)", stage, sloStageList())
-		}
-		d, err := time.ParseDuration(strings.TrimSpace(val))
-		if err != nil {
-			return nil, false, fmt.Errorf("-slo %q: %w", part, err)
-		}
-		if d < 0 {
-			return nil, false, fmt.Errorf("-slo %q: budget must be >= 0 (0 disables the stage)", part)
-		}
-		overrides[stage] = d
-	}
-	return overrides, false, nil
-}
-
 // stageBudgets is the manifest's "budgets" block: stage name to Go duration
 // string, validated and parsed once, as the manifest decodes.
 type stageBudgets map[string]time.Duration
@@ -97,16 +60,12 @@ func (b *stageBudgets) UnmarshalJSON(data []byte) error {
 
 // applySLOBudgets installs the per-stage budget table on the suite's tracer:
 // roofline-derived defaults for the largest resident plan, overlaid by the
-// manifest's "budgets" block, overlaid by -slo. Stages overridden to zero
-// are disabled. A proxy passes a nil registry: it owns no plan, so there is
-// no roofline to derive from and only the explicit budgets (typically
-// "forward" and "route") apply.
-func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest, overrides map[string]time.Duration, off bool) {
+// manifest's "budgets" block, where a zero budget disables its stage. A
+// proxy passes a nil registry: it owns no plan, so there is no roofline to
+// derive from and only the manifest's budgets (typically "forward" and
+// "route") apply.
+func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest) {
 	if suite == nil || suite.Tracer == nil {
-		return
-	}
-	if off {
-		suite.Tracer.SetBudgets(nil)
 		return
 	}
 	budgets := map[string]time.Duration{}
@@ -119,12 +78,7 @@ func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest, ov
 		}
 		budgets = duet.DeriveSLOBudgets(planBytes, 0)
 	}
-	if man != nil {
-		for stage, d := range man.Budgets {
-			budgets[stage] = d
-		}
-	}
-	for stage, d := range overrides {
+	for stage, d := range man.Budgets {
 		budgets[stage] = d
 	}
 	suite.Tracer.SetBudgets(budgets)

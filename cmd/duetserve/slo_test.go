@@ -11,35 +11,6 @@ import (
 	"duet"
 )
 
-func TestParseSLOFlag(t *testing.T) {
-	if ov, off, err := parseSLOFlag(""); ov != nil || off || err != nil {
-		t.Fatalf("empty flag = (%v, %v, %v), want defaults", ov, off, err)
-	}
-	if _, off, err := parseSLOFlag("off"); !off || err != nil {
-		t.Fatalf("off flag = (%v, %v), want off", off, err)
-	}
-	ov, off, err := parseSLOFlag("plan_exec=2ms, forward=1s, batch_wait=0s")
-	if err != nil || off {
-		t.Fatalf("parse: %v off=%v", err, off)
-	}
-	want := map[string]time.Duration{"plan_exec": 2 * time.Millisecond, "forward": time.Second, "batch_wait": 0}
-	for stage, d := range want {
-		if ov[stage] != d {
-			t.Fatalf("overrides[%s] = %v, want %v (all: %v)", stage, ov[stage], d, ov)
-		}
-	}
-	for flag, wantSub := range map[string]string{
-		"nope=1ms":      "unknown stage",
-		"plan_exec":     "want stage=duration",
-		"plan_exec=abc": "invalid duration",
-		"plan_exec=-1s": "must be >= 0",
-	} {
-		if _, _, err := parseSLOFlag(flag); err == nil || !strings.Contains(err.Error(), wantSub) {
-			t.Fatalf("parseSLOFlag(%q) err = %v, want substring %q", flag, err, wantSub)
-		}
-	}
-}
-
 func TestManifestBudgetValidation(t *testing.T) {
 	dir := t.TempDir()
 	manPath := filepath.Join(dir, "m.json")
@@ -73,7 +44,7 @@ func TestManifestBudgetValidation(t *testing.T) {
 
 // TestApplySLOBudgetsPrecedence arms a replica suite through the real entry
 // point and checks the layering: roofline defaults for every stage, manifest
-// entries over those, -slo overrides over everything, zero disabling a stage.
+// entries over those, a "0s" entry disabling its stage.
 func TestApplySLOBudgetsPrecedence(t *testing.T) {
 	dir := t.TempDir()
 	suite := duet.NewObsSuite(duet.ObsConfig{TraceRing: 8})
@@ -87,19 +58,15 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man := &Manifest{Budgets: stageBudgets{"forward": 123 * time.Millisecond, "plan_exec": 77 * time.Millisecond}}
-	overrides := map[string]time.Duration{"plan_exec": 9 * time.Millisecond, "route": 0}
-	applySLOBudgets(suite, reg, man, overrides, false)
+	man := &Manifest{Budgets: stageBudgets{"forward": 123 * time.Millisecond, "plan_exec": 77 * time.Millisecond, "route": 0}}
+	applySLOBudgets(suite, reg, man)
 
 	b := suite.Tracer.Budgets()
-	if b["forward"] != 123*time.Millisecond {
-		t.Fatalf("manifest must override roofline: forward = %v", b["forward"])
-	}
-	if b["plan_exec"] != 9*time.Millisecond {
-		t.Fatalf("-slo must override the manifest: plan_exec = %v", b["plan_exec"])
+	if b["forward"] != 123*time.Millisecond || b["plan_exec"] != 77*time.Millisecond {
+		t.Fatalf("manifest must override roofline: %v", b)
 	}
 	if _, ok := b["route"]; ok {
-		t.Fatalf("zero override must disable the stage: route = %v", b["route"])
+		t.Fatalf("a zero budget must disable the stage: route = %v", b["route"])
 	}
 	for _, stage := range []string{"cache_lookup", "admission_wait", "batch_wait"} {
 		if b[stage] <= 0 {
@@ -107,21 +74,15 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 		}
 	}
 
-	// -slo off wipes the table entirely.
-	applySLOBudgets(suite, reg, man, nil, true)
-	if b := suite.Tracer.Budgets(); len(b) != 0 {
-		t.Fatalf("off must clear every budget, got %v", b)
-	}
-
-	// Proxy arming: explicit budgets only, no roofline.
+	// Proxy arming: the manifest's budgets only, no roofline.
 	psuite := duet.NewObsSuite(duet.ObsConfig{TraceRing: 8})
-	applySLOBudgets(psuite, nil, nil, nil, false)
+	applySLOBudgets(psuite, nil, &Manifest{})
 	if b := psuite.Tracer.Budgets(); len(b) != 0 {
-		t.Fatalf("proxy with no explicit budgets must stay unarmed, got %v", b)
+		t.Fatalf("proxy with no budgets block must stay unarmed, got %v", b)
 	}
-	applySLOBudgets(psuite, nil, man, map[string]time.Duration{"forward": time.Second}, false)
+	applySLOBudgets(psuite, nil, man)
 	b = psuite.Tracer.Budgets()
-	if b["forward"] != time.Second || b["plan_exec"] != 77*time.Millisecond {
+	if len(b) != 2 || b["forward"] != 123*time.Millisecond || b["plan_exec"] != 77*time.Millisecond {
 		t.Fatalf("proxy budgets = %v", b)
 	}
 }

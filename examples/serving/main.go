@@ -10,9 +10,10 @@
 //
 // Run with: go run ./examples/serving
 //
-// The same engine is exposed over HTTP by cmd/duetserve:
+// The same engine is exposed over HTTP by cmd/duetserve; census.json next to
+// this file is a one-model manifest, so requests need not name the model:
 //
-//	go run ./cmd/duetserve -syn census -rows 20000 &
+//	go run ./cmd/duetserve -manifest examples/serving/census.json &
 //	curl -s localhost:8080/v1/estimate -H 'Content-Type: application/json' -d '{"query": "age<=40 AND hours>30"}'
 //	curl -s localhost:8080/v1/stats
 package main

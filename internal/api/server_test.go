@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"duet/internal/artifact"
 	"duet/internal/core"
 	"duet/internal/registry"
 	"duet/internal/relation"
@@ -285,5 +286,31 @@ func TestVersionEndpointsAndPull(t *testing.T) {
 	}
 	if len(listing.Versions) != 1 || listing.Versions[0].Version != 3 || listing.Serving != 3 {
 		t.Fatalf("peer listing after garbage pull: %+v", listing)
+	}
+
+	// Re-pulling the version the peer serves, from a source that now serves
+	// garbage under it, is a 400 too, and the peer's own copy survives: on
+	// disk, loadable, and in the listing.
+	if err := os.WriteFile(filepath.Join(srcDir, "alpha.v3.duet"), []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec = do(t, peer, "POST", "/v1/models/alpha/pull",
+		`{"source":"`+source.URL+`","version":3}`, nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("garbage re-pull of the served version: %d %s", rec.Code, rec.Body.String())
+	}
+	if _, _, err := artifact.Load(filepath.Join(peerDir, "alpha.v3.duet"), tbl); err != nil {
+		t.Fatalf("the peer's served copy did not survive the garbage re-pull: %v", err)
+	}
+	rec = do(t, peer, "GET", "/v1/models/alpha/versions", "", nil)
+	listing.Versions = nil
+	if err := json.NewDecoder(rec.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Versions) != 1 || listing.Versions[0].Version != 3 || listing.Serving != 3 {
+		t.Fatalf("peer listing after the garbage re-pull: %+v", listing)
+	}
+	if entries, _ := os.ReadDir(peerDir); len(entries) != 1 {
+		t.Fatalf("the failed pulls left files behind: %v", entries)
 	}
 }

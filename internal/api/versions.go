@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"duet/internal/artifact"
+	"duet/internal/core"
 	"duet/internal/registry"
 )
 
@@ -86,13 +87,14 @@ type pullRequest struct {
 var pullClient = &http.Client{Timeout: 60 * time.Second}
 
 // pull implements the rolling install's per-node step: download the
-// artifact straight into this node's copy of that generation (atomically, so
-// a crashed transfer leaves nothing for the version listing to serve), load
-// it against the served table (deleting it if it does not load), and
-// drain-swap it in. The swap reuses the lifecycle install path, so in-flight
-// estimates complete on the old generation. The peer's table must be
-// encoding-compatible with ours (same dictionaries); a node whose backing
-// table diverged re-trains locally instead of pulling.
+// artifact to a temporary file, load it against the served table, rename it
+// to this node's copy of that generation only once it loads (so neither a
+// crashed transfer nor bytes that do not load replace a copy the node
+// serves or its listing offers), and drain-swap it in. The swap reuses the
+// lifecycle install path, so in-flight estimates complete on the old
+// generation. The peer's table must be encoding-compatible with ours (same
+// dictionaries); a node whose backing table diverged re-trains locally
+// instead of pulling.
 func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req pullRequest
@@ -118,6 +120,8 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad source url: %w", err), nil)
 		return
 	}
+	var m *core.Model
+	var loadErr error
 	path, err := s.dir.Put(name, req.Version, func(w io.Writer) error {
 		resp, err := pullClient.Get(src)
 		if err != nil {
@@ -129,17 +133,18 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 		}
 		_, err = io.Copy(w, resp.Body)
 		return err
+	}, func(tmp string) error {
+		m, _, loadErr = artifact.Load(tmp, table)
+		return loadErr
 	})
-	if err != nil {
-		WriteError(w, r, http.StatusBadGateway, fmt.Errorf("fetch artifact: %w", err), nil)
-		return
-	}
-	m, _, err := artifact.Load(path, table)
-	if err != nil {
-		os.Remove(path) // else the listing offers it to a rollout, and a restart tries it first
+	if loadErr != nil {
 		WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("artifact v%d is not loadable against this node's %q table (diverged encoding? retrain locally): %w",
-				req.Version, name, err), nil)
+				req.Version, name, loadErr), nil)
+		return
+	}
+	if err != nil {
+		WriteError(w, r, http.StatusBadGateway, fmt.Errorf("fetch artifact: %w", err), nil)
 		return
 	}
 	if err := s.reg.SwapModel(name, m, registry.SwapOpts{Path: path, Version: req.Version}); err != nil {

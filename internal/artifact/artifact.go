@@ -90,16 +90,25 @@ func (d Dir) Prune(name string, keep int) {
 	}
 }
 
-// Put writes generation v of name atomically and returns its path.
-func (d Dir) Put(name string, v int, write func(io.Writer) error) (string, error) {
+// Put writes generation v of name atomically and returns its path. A
+// non-nil check sees the finished temporary file before it replaces the
+// generation; if check fails, the generation keeps what it held, so bytes
+// from outside that do not load never destroy a copy being served.
+func (d Dir) Put(name string, v int, write func(io.Writer) error, check func(tmp string) error) (string, error) {
 	path := d.VersionPath(name, v)
-	return path, WriteFile(path, write)
+	return path, writeFile(path, write, check)
 }
 
 // WriteFile replaces path with what write produces, creating parent
 // directories as needed. If write, the close or the rename fails, path keeps
 // its previous content and no temporary is left behind.
 func WriteFile(path string, write func(io.Writer) error) error {
+	return writeFile(path, write, nil)
+}
+
+// writeFile is WriteFile with a check of the temporary file, when non-nil,
+// before the rename.
+func writeFile(path string, write func(io.Writer) error, check func(tmp string) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -111,6 +120,9 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	err = write(tmp)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil && check != nil {
+		err = check(tmp.Name())
 	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)

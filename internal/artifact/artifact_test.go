@@ -76,6 +76,35 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	}
 }
 
+// TestPutCheckKeepsGeneration: a Put whose check refuses the written bytes
+// leaves the generation byte-identical and no temporary behind; the check
+// sees the finished file.
+func TestPutCheckKeepsGeneration(t *testing.T) {
+	dir := Dir(t.TempDir())
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := w.Write([]byte(s)); return err }
+	}
+	if _, err := dir.Put("alpha", 2, write("served"), nil); err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("does not load")
+	_, err := dir.Put("alpha", 2, write("garbage"), func(tmp string) error {
+		if got, _ := os.ReadFile(tmp); string(got) != "garbage" {
+			t.Errorf("check saw %q, want the written bytes", got)
+		}
+		return refused
+	})
+	if !errors.Is(err, refused) {
+		t.Fatalf("Put = %v, want the check's error", err)
+	}
+	if got, _ := os.ReadFile(dir.VersionPath("alpha", 2)); string(got) != "served" {
+		t.Fatalf("a refused Put changed the generation: %q", got)
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"alpha.v2.duet"}) {
+		t.Fatalf("a refused Put left files behind: %v", names)
+	}
+}
+
 func TestVersionsLatestVersionOf(t *testing.T) {
 	missing := Dir(filepath.Join(t.TempDir(), "not-created-yet"))
 	if vs, err := missing.Versions("a"); err != nil || len(vs) != 0 {
@@ -140,7 +169,7 @@ func TestPutLoadRoundTrip(t *testing.T) {
 	dir := Dir(filepath.Join(t.TempDir(), "models")) // created on first write
 	tbl := testTable()
 	m := testModel(tbl)
-	path, err := dir.Put("alpha", 3, m.Save)
+	path, err := dir.Put("alpha", 3, m.Save, nil)
 	if err != nil || path != dir.VersionPath("alpha", 3) {
 		t.Fatalf("Put = %q, %v", path, err)
 	}

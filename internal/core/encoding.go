@@ -56,6 +56,17 @@ type valueCodec struct {
 }
 
 func newValueCodec(ndv int, mode ValueEncoding, embedDim, embedThreshold int, rng *rand.Rand) *valueCodec {
+	vc := &valueCodec{ndv: ndv}
+	vc.mode, vc.width = codecShape(ndv, mode, embedDim, embedThreshold)
+	if vc.mode == EncEmbed {
+		vc.embed = nn.NewEmbedding(ndv, embedDim, rng)
+	}
+	return vc
+}
+
+// codecShape resolves EncAuto for a column of ndv values and returns the
+// encoding a codec uses and the width of its vectors.
+func codecShape(ndv int, mode ValueEncoding, embedDim, embedThreshold int) (ValueEncoding, int) {
 	if mode == EncAuto {
 		switch {
 		case ndv <= 32:
@@ -66,20 +77,15 @@ func newValueCodec(ndv int, mode ValueEncoding, embedDim, embedThreshold int, rn
 			mode = EncEmbed
 		}
 	}
-	vc := &valueCodec{ndv: ndv, mode: mode}
 	switch mode {
 	case EncOneHot:
-		vc.width = ndv
+		return mode, ndv
 	case EncBinary:
-		vc.width = bits.Len(uint(ndv - 1))
-		if vc.width == 0 {
-			vc.width = 1
-		}
+		return mode, max(bits.Len(uint(ndv-1)), 1)
 	case EncEmbed:
-		vc.width = embedDim
-		vc.embed = nn.NewEmbedding(ndv, embedDim, rng)
+		return mode, embedDim
 	}
-	return vc
+	return mode, 0
 }
 
 // encode writes the encoding of code into dst (len == width).

@@ -538,7 +538,10 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load reads a model saved by Save, rebuilding it against t, whose NDV
 // profile must match the saved one (EncodingCompatible). A malformed file is
-// an error, never a panic or a model that breaks the MADE degree rule.
+// an error, never a panic or a model that breaks the MADE degree rule, and
+// Load allocates O(the file) before it finds out: the weights are decoded
+// first, and a header whose widths imply more of them than the file carries
+// is refused before NewModel builds anything.
 func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	// The stream holds two consecutive gob messages (header, then params)
 	// read by separate decoders. gob wraps a reader that is not an
@@ -553,11 +556,18 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	if err := EncodingCompatible(blob.NDVs, t); err != nil {
 		return nil, err
 	}
-	if err := buildable(blob.Cfg); err != nil {
+	if err := buildable(blob.Cfg, blob.NDVs); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
+	saved, err := nn.ReadParams(br)
+	if err != nil {
+		return nil, err
+	}
+	if want := paramCount(blob.NDVs, blob.Cfg); want != float64(saved.Len()) {
+		return nil, fmt.Errorf("core: load model: the header's widths imply %.0f weights, the file carries %d", want, saved.Len())
+	}
 	m := NewModel(t, blob.Cfg)
-	if err := nn.LoadParams(br, m.params); err != nil {
+	if err := saved.Into(m.params); err != nil {
 		return nil, err
 	}
 	for _, l := range m.net.Masked {
@@ -572,20 +582,68 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	return m, nil
 }
 
-// buildable reports why NewModel would panic on cfg or build a model that
-// encodes no predicate, one check per builder; nil when it would do neither.
-func buildable(cfg Config) error {
-	if slices.ContainsFunc(cfg.Hidden, func(h int) bool { return h < 0 }) ||
+// buildable reports why NewModel would panic on cfg, or build a model with a
+// zero-width layer or input block that carries nothing (so the network
+// cannot condition on what it covers) or that encodes no predicate, over
+// columns with NDV profile ndvs; nil when it would do none of these.
+func buildable(cfg Config, ndvs []int) error {
+	if slices.ContainsFunc(cfg.Hidden, func(h int) bool { return h <= 0 }) ||
 		cfg.Residual && (len(cfg.Hidden) == 0 || slices.Min(cfg.Hidden) != slices.Max(cfg.Hidden)) {
 		return fmt.Errorf("no network has hidden widths %v (residual %v)", cfg.Hidden, cfg.Residual)
 	}
-	if cfg.Encoding > EncEmbed || cfg.EmbedDim < 0 {
+	embeds := slices.ContainsFunc(ndvs, func(ndv int) bool {
+		mode, _ := codecShape(ndv, cfg.Encoding, cfg.EmbedDim, cfg.EmbedThreshold)
+		return mode == EncEmbed
+	})
+	if cfg.Encoding > EncEmbed || cfg.EmbedDim < 0 || embeds && cfg.EmbedDim == 0 {
 		return fmt.Errorf("no value codec has encoding %v and embedding width %d", cfg.Encoding, cfg.EmbedDim)
 	}
-	if cfg.MPSN > MPSNRec || cfg.MPSN != MPSNNone && (cfg.MPSNHidden < 0 || cfg.MPSNOut < 0) {
+	if cfg.MPSN > MPSNRec || cfg.MPSN != MPSNNone && (cfg.MPSNHidden <= 0 || cfg.MPSNOut <= 0) {
 		return fmt.Errorf("no MPSN is of kind %v with widths %d, %d", cfg.MPSN, cfg.MPSNHidden, cfg.MPSNOut)
 	}
 	return nil
+}
+
+// paramCount is how many weights NewModel builds for cfg over columns with
+// NDV profile ndvs, worked out without building anything, for a cfg that
+// passes buildable. It is a float64 so that no header's widths overflow it:
+// every count a file can carry is below 2^53, where float64 is exact.
+func paramCount(ndvs []int, cfg Config) float64 {
+	linear := func(in, out float64) float64 { return in*out + out }
+	h, o := float64(cfg.MPSNHidden), float64(cfg.MPSNOut)
+	var n, in, out float64
+	for _, ndv := range ndvs {
+		mode, width := codecShape(ndv, cfg.Encoding, cfg.EmbedDim, cfg.EmbedThreshold)
+		if mode == EncEmbed {
+			n += float64(ndv) * float64(width)
+		}
+		out += float64(ndv)
+		enc := float64(width) + float64(workload.NumOps) // predEncWidth
+		switch cfg.MPSN {
+		case MPSNNone:
+			in += enc + 1 // the wildcard bit
+			continue
+		case MPSNMLP:
+			n += linear(enc, h) + linear(h, h) + linear(h, o)
+		case MPSNRNN:
+			n += linear(enc, 4*h) + h*4*h + linear(h, o)
+		case MPSNRec:
+			n += linear(enc+o, h) + linear(h, o)
+		}
+		in += o
+	}
+	prev := in
+	if cfg.Residual {
+		w := float64(cfg.Hidden[0])
+		n += linear(in, w) + float64(len(cfg.Hidden))*2*linear(w, w)
+		prev = w
+	} else {
+		for _, w := range cfg.Hidden {
+			n += linear(prev, float64(w))
+			prev = float64(w)
+		}
+	}
+	return n + linear(prev, out)
 }
 
 // EncodingCompatible reports whether weights trained on a table with the

@@ -372,28 +372,36 @@ func TestSaveLoadThroughFile(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMalformed: a model file comes from outside the program, so
-// Load returns an error, never a panic, on a header NewModel cannot build (or
-// would build into a model that encodes no predicate), on parameters shorter
-// than their shapes, and on a nonzero weight that the MADE degrees disallow.
-func TestLoadRejectsMalformed(t *testing.T) {
-	tbl := tinyTable(100)
-	good := NewModel(tbl, tinyConfig())
-	// file writes header cfg followed by params, as Save does.
-	file := func(cfg Config, params []*nn.Param) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(modelBlob{Cfg: cfg, NDVs: tbl.NDVs()}); err != nil {
-			t.Fatal(err)
-		}
-		if err := nn.SaveParams(&buf, params); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+// modelFile writes a header cfg over tbl followed by params, as Save does.
+func modelFile(tb testing.TB, tbl *relation.Table, cfg Config, params []*nn.Param) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(modelBlob{Cfg: cfg, NDVs: tbl.NDVs()}); err != nil {
+		tb.Fatal(err)
 	}
-	header := func(edit func(*Config)) *bytes.Buffer {
+	if err := nn.SaveParams(&buf, params); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// malformedModels are files over tbl that Load must refuse, by what is wrong
+// with each.
+func malformedModels(tb testing.TB, tbl *relation.Table) []struct {
+	name string
+	file []byte
+} {
+	good := NewModel(tbl, tinyConfig())
+	// header edits the config over good's weights.
+	header := func(edit func(*Config)) []byte {
 		cfg := tinyConfig()
 		edit(&cfg)
-		return file(cfg, good.params)
+		return modelFile(tb, tbl, cfg, good.params)
+	}
+	// built is header with the weights of the model its config builds.
+	built := func(edit func(*Config)) []byte {
+		cfg := tinyConfig()
+		edit(&cfg)
+		return modelFile(tb, tbl, cfg, NewModel(tbl, cfg).params)
 	}
 	// One zero per parameter, under each parameter's true shape.
 	short := make([]*nn.Param, len(good.params))
@@ -405,9 +413,9 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	out := broken.net.Masked[len(broken.net.Masked)-1]
 	out.Weight.W.Set(0, 0, 0.5) // output unit 0 is column 0's block: no input may reach it
 
-	for _, tc := range []struct {
+	return []struct {
 		name string
-		file *bytes.Buffer
+		file []byte
 	}{
 		{"negative hidden widths", header(func(c *Config) { c.Hidden = []int{-1, -1} })},
 		{"residual without hidden layers", header(func(c *Config) { c.Hidden = nil })},
@@ -416,19 +424,110 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		{"negative embedding width", header(func(c *Config) { c.Encoding, c.EmbedDim = EncEmbed, -3 })},
 		{"unknown MPSN kind", header(func(c *Config) { c.MPSN = 9 })},
 		{"negative MPSN width", header(func(c *Config) { c.MPSN, c.MPSNHidden = MPSNRNN, -1 })},
-		{"short weights", file(tinyConfig(), short)},
-		{"weight the degrees disallow", file(tinyConfig(), broken.params)},
-	} {
+		{"zero hidden widths", built(func(c *Config) { c.Hidden = []int{0, 0} })},
+		{"zero embedding width", built(func(c *Config) { c.Encoding, c.EmbedDim = EncEmbed, 0 })},
+		{"zero MPSN hidden width", built(func(c *Config) { c.MPSN, c.MPSNHidden = MPSNMLP, 0 })},
+		{"zero MPSN output width", built(func(c *Config) { c.MPSN, c.MPSNOut = MPSNRec, 0 })},
+		{"widths beyond the weights", header(func(c *Config) { c.Hidden = []int{2048, 2048} })},
+		{"short weights", modelFile(tb, tbl, tinyConfig(), short)},
+		{"weight the degrees disallow", modelFile(tb, tbl, tinyConfig(), broken.params)},
+	}
+}
+
+// TestLoadRejectsMalformed: a model file comes from outside the program, so
+// Load returns an error, never a panic, on a header NewModel cannot build (or
+// would build into a model with a zero-width layer, or one that encodes no
+// predicate), on a header whose widths imply more weights than the file
+// carries, on parameters shorter than their shapes, and on a nonzero weight
+// that the MADE degrees disallow; and it finds out having allocated O(the
+// file), not what the header's widths imply.
+func TestLoadRejectsMalformed(t *testing.T) {
+	tbl := tinyTable(100)
+	for _, tc := range malformedModels(t, tbl) {
 		t.Run(tc.name, func(t *testing.T) {
-			if m, err := Load(tc.file, tbl); err == nil {
+			var m *Model
+			var err error
+			alloc := allocated(func() { m, err = Load(bytes.NewReader(tc.file), tbl) })
+			if err == nil {
 				t.Fatalf("loaded a malformed model: %+v", m.Config())
-			} else {
-				t.Log(err)
+			}
+			t.Log(err)
+			if limit := loadAllocLimit(len(tc.file)); alloc > limit {
+				t.Fatalf("Load of a %d-byte file allocated %d bytes, over %d", len(tc.file), alloc, limit)
 			}
 		})
 	}
-	if _, err := Load(file(tinyConfig(), good.params), tbl); err != nil {
+	if _, err := Load(bytes.NewReader(modelFile(t, tbl, tinyConfig(), NewModel(tbl, tinyConfig()).params)), tbl); err != nil {
 		t.Fatalf("the well-formed control file does not load: %v", err)
+	}
+	// A zero embedding width is fine where no column embeds.
+	noEmbed := tinyConfig()
+	noEmbed.EmbedDim = 0
+	if _, err := Load(bytes.NewReader(modelFile(t, tbl, noEmbed, NewModel(tbl, noEmbed).params)), tbl); err != nil {
+		t.Fatalf("a model with no embedded column and EmbedDim 0 does not load: %v", err)
+	}
+}
+
+// FuzzLoad: any bytes give a model or an error, never a panic, and Load
+// allocates O(the input) on the way. The seeds are a saved tiny model and
+// every malformed file TestLoadRejectsMalformed refuses.
+func FuzzLoad(f *testing.F) {
+	tbl := tinyTable(100)
+	var buf bytes.Buffer
+	if err := NewModel(tbl, tinyConfig()).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, tc := range malformedModels(f, tbl) {
+		f.Add(tc.file)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var err error
+		alloc := allocated(func() { _, err = Load(bytes.NewReader(data), tbl) })
+		if limit := loadAllocLimit(len(data)); alloc > limit {
+			t.Fatalf("Load of %d bytes allocated %d bytes, over %d (err %v)", len(data), alloc, limit, err)
+		}
+	})
+}
+
+// allocated reports the bytes f allocates, process-wide.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// loadAllocLimit bounds what Load may allocate for an n-byte file: gob
+// decodes a float32 from as little as one byte and a model holds a gradient
+// beside every weight (the 64 per byte), and gob reads each of the two
+// messages in chunks of up to 10 MB, allocated before the bytes arrive (the
+// constant). A header's widths weigh in nowhere.
+func loadAllocLimit(n int) uint64 { return 64*uint64(n) + 24<<20 }
+
+// TestParamCount: the arithmetic Load checks a file against counts exactly
+// the weights NewModel builds, for every encoding, MPSN kind and layout.
+func TestParamCount(t *testing.T) {
+	tbl := tinyTable(100)
+	for _, enc := range []ValueEncoding{EncAuto, EncOneHot, EncBinary, EncEmbed} {
+		for _, kind := range []MPSNKind{MPSNNone, MPSNMLP, MPSNRNN, MPSNRec} {
+			for _, residual := range []bool{true, false} {
+				cfg := tinyConfig()
+				cfg.Encoding, cfg.MPSN, cfg.Residual = enc, kind, residual
+				cfg.EmbedDim, cfg.MPSNHidden, cfg.MPSNOut = 5, 7, 3
+				if !residual {
+					cfg.Hidden = []int{24, 16, 40}
+				}
+				want := 0
+				for _, p := range NewModel(tbl, cfg).params {
+					want += len(p.W.Data)
+				}
+				if got := paramCount(tbl.NDVs(), cfg); got != float64(want) {
+					t.Errorf("encoding %v, MPSN %v, residual %v: paramCount %v, NewModel holds %d", enc, kind, residual, got, want)
+				}
+			}
+		}
 	}
 }
 

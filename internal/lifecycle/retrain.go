@@ -90,7 +90,7 @@ func (s *Supervisor) retrain(mg *managed) {
 	st.TrainDuration = time.Since(t0)
 	st.Kind = kind
 	if dir := artifact.Dir(s.opt.Dir); err == nil && dir != "" {
-		if st.Path, err = dir.Put(mg.name, version, m.Save); err == nil {
+		if st.Path, err = dir.Put(mg.name, version, m.Save, nil); err == nil {
 			dir.Prune(mg.name, s.pol.KeepVersions)
 		}
 	}

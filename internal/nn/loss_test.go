@@ -320,7 +320,14 @@ func TestSaveLoadParamsRoundtrip(t *testing.T) {
 	if l2.Weight.W.Equal(l1.Weight.W) {
 		t.Fatal("test setup: weights should differ before load")
 	}
-	if err := LoadParams(&buf, l2.Params()); err != nil {
+	saved, err := ReadParams(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Len() != 3*4+4 {
+		t.Fatalf("stream carries %d values, want 16", saved.Len())
+	}
+	if err := saved.Into(l2.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if !l2.Weight.W.Equal(l1.Weight.W) || !l2.Bias.W.Equal(l1.Bias.W) {
@@ -332,7 +339,11 @@ func TestSaveLoadParamsRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	l3 := NewLinear(4, 3, rng)
-	if err := LoadParams(&buf2, l3.Params()); err == nil {
+	saved, err = ReadParams(&buf2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.Into(l3.Params()); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }

@@ -280,9 +280,10 @@ func TestWatcherHotReload(t *testing.T) {
 	}
 }
 
-// TestWatcherSurvivesMalformedFile: a file over a watched model's path whose
-// header no model can be built from fails the reload with an error, which
-// OnReload observes, and the previous generation keeps answering.
+// TestWatcherSurvivesMalformedFile: a malformed file written over a watched
+// model fails its reload and the last good generation keeps serving; the
+// watcher tries each such write once, not on every poll while it sits there,
+// and a good write after it still reloads.
 func TestWatcherSurvivesMalformedFile(t *testing.T) {
 	dir := t.TempDir()
 	ta := testTable("alpha", 1)
@@ -292,11 +293,13 @@ func TestWatcherSurvivesMalformedFile(t *testing.T) {
 
 	path := filepath.Join(dir, "alpha.duet")
 	writeModel(t, path, m1)
-	reloaded := make(chan error, 16)
+	reloaded := make(chan error, 64)
 	reg := New(Config{
 		Dir: dir, Serve: serveNoCache(), WatchInterval: 5 * time.Millisecond,
-		// The watcher retries the unchanged file every other poll, so the
-		// callback must never block it (or Reload below) on a full channel.
+		// Never block the watcher (or Reload below) on a full channel: a
+		// watcher that retried the unchanged file would fill it. 64 holds
+		// the four outcomes this test expects and the retries that quiet
+		// counts at 40 polls per wait.
 		OnReload: func(name string, err error) {
 			select {
 			case reloaded <- err:
@@ -309,40 +312,88 @@ func TestWatcherSurvivesMalformedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The header core.Save writes, with hidden widths no network can have.
-	bad := smallConfig(11)
-	bad.Hidden = []int{-1, -1}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(struct {
-		Cfg  core.Config
-		NDVs []int
-	}{bad, ta.NDVs()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, time.Now(), time.Now().Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-reloaded:
-		if err == nil {
-			t.Fatal("the watcher loaded a malformed model file")
+	// place renames the finished file tmp over the watched path, stamped
+	// hours ahead, so the watcher sees each write as one change however
+	// slowly it was written.
+	tmp := filepath.Join(dir, "next.tmp")
+	place := func(hours int) {
+		t.Helper()
+		if err := os.Chtimes(tmp, time.Now(), time.Now().Add(time.Duration(hours)*time.Hour)); err != nil {
+			t.Fatal(err)
 		}
-		t.Log(err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("watcher never tried the malformed file")
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// writeBad writes the header core.Save writes, with hidden widths no
+	// network can have.
+	writeBad := func(write int) {
+		t.Helper()
+		bad := smallConfig(11)
+		bad.Hidden = []int{-write, -write}
+		f, err := os.Create(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(struct {
+			Cfg  core.Config
+			NDVs []int
+		}{bad, ta.NDVs()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		place(write)
+	}
+	// next waits for the watcher's next reload outcome.
+	next := func() error {
+		t.Helper()
+		select {
+		case err := <-reloaded:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("the watcher never tried the new file")
+			return nil
+		}
+	}
+	// quiet checks that 40 polls pass with no further reload.
+	quiet := func() {
+		t.Helper()
+		time.Sleep(200 * time.Millisecond)
+		if n := len(reloaded); n != 0 {
+			t.Fatalf("the watcher reloaded an unchanged file %d more times", n)
+		}
+	}
+
+	for write := 1; write <= 2; write++ {
+		writeBad(write)
+		if err := next(); err == nil {
+			t.Fatal("the watcher loaded a malformed model file")
+		} else {
+			t.Log(err)
+		}
+		quiet()
 	}
 	if err := reg.Reload("alpha"); err == nil {
 		t.Fatal("Reload loaded a malformed model file")
 	}
+	<-reloaded // the admin Reload's own outcome
 	if got, err := estimate(context.Background(), reg, "alpha", q); err != nil || got != want {
 		t.Fatalf("estimate after the failed reloads: %v, %v; want %v from the first generation", got, err, want)
 	}
+
+	m2 := trainedModel(ta, 12)
+	writeModel(t, tmp, m2)
+	place(3)
+	if err := next(); err != nil {
+		t.Fatalf("the good write after the malformed ones did not reload: %v", err)
+	}
+	want2 := m2.EstimateCardBatch([]workload.Query{q})[0]
+	if got, err := estimate(context.Background(), reg, "alpha", q); err != nil || got != want2 {
+		t.Fatalf("estimate after the good write: %v, %v; want %v", got, err, want2)
+	}
+	quiet()
 }
 
 func writeModel(t *testing.T, path string, m *core.Model) {

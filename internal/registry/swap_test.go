@@ -78,8 +78,8 @@ func TestWatchTickDebounce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pending := make(map[string]artifact.Sig)
-	if got := reg.watchTick(pending); len(got) != 0 {
+	w := watchState{pending: map[string]artifact.Sig{}, failed: map[string]artifact.Sig{}}
+	if got := reg.watchTick(w); len(got) != 0 {
 		t.Fatalf("unchanged file reported stale: %v", got)
 	}
 
@@ -88,7 +88,7 @@ func TestWatchTickDebounce(t *testing.T) {
 	if err := os.WriteFile(path, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.watchTick(pending); len(got) != 0 {
+	if got := reg.watchTick(w); len(got) != 0 {
 		t.Fatalf("first observation of a change reloaded immediately: %v", got)
 	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -99,7 +99,7 @@ func TestWatchTickDebounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if got := reg.watchTick(pending); len(got) != 0 {
+	if got := reg.watchTick(w); len(got) != 0 {
 		t.Fatalf("still-growing file reloaded: %v", got)
 	}
 
@@ -107,10 +107,10 @@ func TestWatchTickDebounce(t *testing.T) {
 	// observe the same signature and the second one triggers.
 	m2 := trainedModel(ta, 99)
 	writeModel(t, path, m2)
-	if got := reg.watchTick(pending); len(got) != 0 {
+	if got := reg.watchTick(w); len(got) != 0 {
 		t.Fatalf("settled file reloaded one poll early: %v", got)
 	}
-	if got := reg.watchTick(pending); len(got) != 1 || got[0] != "alpha" {
+	if got := reg.watchTick(w); len(got) != 1 || got["alpha"] == (artifact.Sig{}) {
 		t.Fatalf("settled file not reloaded on the confirming poll: %v", got)
 	}
 	if err := reg.Reload("alpha"); err != nil {
@@ -118,8 +118,8 @@ func TestWatchTickDebounce(t *testing.T) {
 	}
 
 	// A file that reverts to the loaded signature drops its candidacy.
-	if got := reg.watchTick(pending); len(got) != 0 || len(pending) != 0 {
-		t.Fatalf("post-reload state not clean: ready %v pending %v", got, pending)
+	if got := reg.watchTick(w); len(got) != 0 || len(w.pending) != 0 {
+		t.Fatalf("post-reload state not clean: ready %v pending %v", got, w.pending)
 	}
 
 	// SaveModel records the signature of the file it wrote: the watcher must
@@ -128,8 +128,8 @@ func TestWatchTickDebounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tick := 0; tick < 2; tick++ {
-		if got := reg.watchTick(pending); len(got) != 0 || len(pending) != 0 {
-			t.Fatalf("tick %d after SaveModel: ready %v pending %v", tick, got, pending)
+		if got := reg.watchTick(w); len(got) != 0 || len(w.pending) != 0 {
+			t.Fatalf("tick %d after SaveModel: ready %v pending %v", tick, got, w.pending)
 		}
 	}
 }

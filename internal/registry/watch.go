@@ -14,34 +14,47 @@ import (
 // requirement (an identical artifact.Sig on two consecutive polls) debounces
 // mid-write mtime churn: this repo's own writers rename finished files into
 // place, but an operator's cp or rsync over a watched file does not, and a
-// partially written model must never be loaded.
+// partially written model must never be loaded. A file whose reload failed
+// is not tried again until it changes: loading it again would only build
+// and refuse the same model once more.
 func (r *Registry) watch(interval time.Duration) {
 	defer close(r.watchDone)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	pending := make(map[string]artifact.Sig)
+	w := watchState{pending: map[string]artifact.Sig{}, failed: map[string]artifact.Sig{}}
 	for {
 		select {
 		case <-r.watchStop:
 			return
 		case <-ticker.C:
-			for _, name := range r.watchTick(pending) {
+			for name, sig := range r.watchTick(w) {
 				// Reload re-checks staleness implicitly: it records the mtime
 				// it loaded, so a concurrent admin reload just wins the race.
-				_ = r.Reload(name)
+				if r.Reload(name) != nil {
+					w.failed[name] = sig
+				}
 			}
 		}
 	}
 }
 
+// watchState is the watcher's memory across polls, per model name.
+type watchState struct {
+	// pending is a changed file's signature, reloaded if it still holds at
+	// the next poll.
+	pending map[string]artifact.Sig
+	// failed is the signature of a file whose reload failed.
+	failed map[string]artifact.Sig
+}
+
 // watchTick performs one poll: it probes every file-backed model, remembers
 // candidates whose on-disk signature differs from the loaded one, and returns
-// the names whose candidate signature held steady since the previous poll.
-// pending is the watcher's cross-poll candidate memory, updated in place; a
-// file that keeps changing keeps deferring, and one that reverts to the
-// loaded signature is dropped. A vanished file is not stale — the last good
-// model keeps serving until the file reappears.
-func (r *Registry) watchTick(pending map[string]artifact.Sig) []string {
+// the names whose candidate signature held steady since the previous poll,
+// with that signature. A file that keeps changing keeps deferring, one that
+// reverts to the loaded signature is dropped, and one whose signature is the
+// one that failed to reload is skipped. A vanished file is not stale — the
+// last good model keeps serving until the file reappears.
+func (r *Registry) watchTick(w watchState) map[string]artifact.Sig {
 	type probe struct {
 		name   string
 		path   string
@@ -55,7 +68,7 @@ func (r *Registry) watchTick(pending map[string]artifact.Sig) []string {
 		}
 	}
 	r.mu.RUnlock()
-	var ready []string
+	ready := map[string]artifact.Sig{}
 	stale := make(map[string]bool, len(probes))
 	for _, p := range probes {
 		sig, err := artifact.Stat(p.path)
@@ -63,16 +76,21 @@ func (r *Registry) watchTick(pending map[string]artifact.Sig) []string {
 			continue
 		}
 		stale[p.name] = true
-		if prev, ok := pending[p.name]; ok && prev.Equal(sig) {
-			delete(pending, p.name)
-			ready = append(ready, p.name)
+		if failed, ok := w.failed[p.name]; ok && failed.Equal(sig) {
 			continue
 		}
-		pending[p.name] = sig
+		if prev, ok := w.pending[p.name]; ok && prev.Equal(sig) {
+			delete(w.pending, p.name)
+			ready[p.name] = sig
+			continue
+		}
+		w.pending[p.name] = sig
 	}
-	for name := range pending {
-		if !stale[name] {
-			delete(pending, name)
+	for _, m := range []map[string]artifact.Sig{w.pending, w.failed} {
+		for name := range m {
+			if !stale[name] {
+				delete(m, name)
+			}
 		}
 	}
 	return ready
