@@ -37,7 +37,8 @@ type (
 	APIServer = api.Server
 
 	// ClusterConfig assembles a proxy over a replica fleet: member URLs,
-	// replication factor, ring vnodes, and health probing.
+	// replication factor, ring vnodes, and health probing. Every request
+	// the proxy sends a member gives up after 30 s.
 	ClusterConfig = cluster.Config
 	// ClusterProxy is the thin stateless routing tier of a duetserve fleet.
 	ClusterProxy = cluster.Proxy

@@ -404,7 +404,6 @@ func TestFleetTraceAggregationPartial(t *testing.T) {
 		Health:  duet.ClusterHealthConfig{Interval: time.Hour}, // no flips mid-test
 		Obs:     psuite.Metrics,
 		Tracer:  psuite.Tracer,
-		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +568,6 @@ func TestProxyErrorAttribution(t *testing.T) {
 		Health:  duet.ClusterHealthConfig{Interval: time.Hour}, // no flips mid-test
 		Obs:     suite.Metrics,
 		Tracer:  suite.Tracer,
-		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,36 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"duet"
+	"duet/internal/serve"
 )
 
-// sloStages is the closed set of span names per-stage SLO budgets can
-// target: the engine stages, the registry's routing stage, and the proxy's
-// downstream hop.
-var sloStages = map[string]bool{
-	"admission_wait": true,
-	"cache_lookup":   true,
-	"batch_wait":     true,
-	"plan_exec":      true,
-	"route":          true,
-	"forward":        true,
-}
-
-func sloStageList() string {
-	names := make([]string, 0, len(sloStages))
-	for s := range sloStages {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// stageBudgets is the manifest's "budgets" block: stage name to Go duration
-// string, validated and parsed once, as the manifest decodes.
+// stageBudgets is the manifest's "budgets" block: stage name (one of
+// serve.SLOStages) to Go duration string, validated and parsed once, as the
+// manifest decodes.
 type stageBudgets map[string]time.Duration
 
 func (b *stageBudgets) UnmarshalJSON(data []byte) error {
@@ -43,8 +24,8 @@ func (b *stageBudgets) UnmarshalJSON(data []byte) error {
 	}
 	*b = make(stageBudgets, len(raw))
 	for stage, val := range raw {
-		if !sloStages[stage] {
-			return fmt.Errorf("budgets: unknown stage %q (stages: %s)", stage, sloStageList())
+		if stages := serve.SLOStages(); !slices.Contains(stages, stage) {
+			return fmt.Errorf("budgets: unknown stage %q (stages: %s)", stage, strings.Join(stages, ", "))
 		}
 		d, err := time.ParseDuration(val)
 		if err != nil {

@@ -86,3 +86,21 @@ func TestApplySLOBudgetsPrecedence(t *testing.T) {
 		t.Fatalf("proxy budgets = %v", b)
 	}
 }
+
+// TestManifestUnknownStageNamesEvery: the error for a stage the budgets
+// cannot target lists every one they can.
+func TestManifestUnknownStageNamesEvery(t *testing.T) {
+	manPath := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(manPath, []byte(`{"models": [{"name": "a", "syn": "census"}], "budgets": {"nope": "1ms"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadManifest(manPath)
+	if err == nil {
+		t.Fatal("a manifest budgeting an unknown stage loaded")
+	}
+	for _, stage := range []string{"admission_wait", "batch_wait", "cache_lookup", "forward", "plan_exec", "route"} {
+		if !strings.Contains(err.Error(), stage) {
+			t.Errorf("the error %q does not name the stage %s", err, stage)
+		}
+	}
+}

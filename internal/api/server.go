@@ -61,15 +61,20 @@ func (s *Server) Handler() http.Handler {
 			mux.Handle("GET /v1/debug/traces/{id}", s.suite.Tracer.HandlerByID())
 		}
 		if s.suite.Pprof {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			MountPprof(mux)
 		}
 		handler = WithTracing(s.suite.Tracer, "replica", WithHTTPMetrics(s.suite.Metrics, handler))
 	}
 	return WithRequestID(handler)
+}
+
+// MountPprof registers net/http/pprof's handlers under /debug/pprof/ on mux.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // estimateRequest carries either one query or a batch, as WHERE-style

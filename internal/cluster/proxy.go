@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,8 +27,6 @@ type Config struct {
 	VNodes int
 	// Health tunes member probing.
 	Health HealthConfig
-	// Timeout bounds each forwarded request; default 30s.
-	Timeout time.Duration
 	// OnHealthChange, when non-nil, observes member mark-down/mark-up flips.
 	OnHealthChange func(addr string, healthy bool)
 	// Obs, when non-nil, registers the proxy's counters (fan-out, failover,
@@ -43,6 +40,10 @@ type Config struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the proxy.
 	Pprof bool
 }
+
+// memberTimeout bounds each request the proxy sends a member: a forwarded
+// estimate, ingest or feedback, a rollout's pull, a fleet view's GET.
+const memberTimeout = 30 * time.Second
 
 // Proxy is the thin stateless routing tier: it owns no models, keeps no
 // per-request state beyond counters, and can be restarted freely. Placement
@@ -69,9 +70,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	if cfg.Replication > len(cfg.Members) {
 		cfg.Replication = len(cfg.Members)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
 	ring, err := NewRing(cfg.Members, cfg.VNodes)
 	if err != nil {
 		return nil, err
@@ -79,7 +77,7 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:    cfg,
 		ring:   ring,
-		client: &http.Client{Timeout: cfg.Timeout},
+		client: &http.Client{Timeout: memberTimeout},
 		start:  time.Now(),
 		met:    newProxyMetrics(cfg.Obs),
 		log:    cfg.Log,
@@ -146,11 +144,7 @@ func (p *Proxy) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/debug/traces/{id}", p.traceByID)
 	}
 	if p.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		api.MountPprof(mux)
 	}
 	return api.WithRequestID(api.WithTracing(p.cfg.Tracer, "proxy", api.WithHTTPMetrics(p.cfg.Obs, mux)))
 }
@@ -181,19 +175,28 @@ func (b routeBody) routingKey() string {
 	}
 }
 
+// readRouteBody reads a forwarded request's body and the routeBody in it.
+// When either fails it answers 400 itself and reports false.
+func readRouteBody(w http.ResponseWriter, r *http.Request) (body []byte, rb routeBody, ok bool) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err), nil)
+		return nil, rb, false
+	}
+	if err := json.Unmarshal(body, &rb); err != nil {
+		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err), nil)
+		return nil, rb, false
+	}
+	return body, rb, true
+}
+
 // estimate forwards to the key's owners in preference order, skipping
 // marked-down members and failing over on transport errors or 502/503 —
 // estimates are idempotent, so a retry on the next replica is safe. Other
 // statuses (including 429 sheds and 4xx client errors) relay as-is.
 func (p *Proxy) estimate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err), nil)
-		return
-	}
-	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err != nil {
-		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err), nil)
+	body, rb, ok := readRouteBody(w, r)
+	if !ok {
 		return
 	}
 	key := rb.routingKey()
@@ -229,14 +232,8 @@ func (p *Proxy) estimate(w http.ResponseWriter, r *http.Request) {
 // owner, without failover: ingest and feedback append state, so blind
 // retries could double-apply them.
 func (p *Proxy) primaryOnly(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err), nil)
-		return
-	}
-	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err != nil {
-		api.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err), nil)
+	body, rb, ok := readRouteBody(w, r)
+	if !ok {
 		return
 	}
 	if rb.Model == "" {
@@ -421,21 +418,23 @@ func (p *Proxy) pullOn(r *http.Request, addr, name, source string, version int) 
 	return nil
 }
 
+// listing is what the proxy reads of a member's list answer: /v1/models
+// names the member's models, /v1/debug/traces?slow=1 carries its slow traces.
+type listing struct {
+	Models []struct {
+		Name string `json:"name"`
+	} `json:"models"`
+	Traces []obs.TraceSnapshot `json:"traces"`
+}
+
 // models merges the fleet's model listings into a placement view: each model
 // name with its owner preference list, so a client can see where everything
 // lives without querying replicas one by one.
 func (p *Proxy) models(w http.ResponseWriter, r *http.Request) {
+	answers, _ := askMembers[listing](p, r, "/v1/models")
 	names := map[string]bool{}
-	for _, addr := range p.healthyMembers() {
-		var out struct {
-			Models []struct {
-				Name string `json:"name"`
-			} `json:"models"`
-		}
-		if err := p.getJSON(r, addr+"/v1/models", &out); err != nil {
-			continue
-		}
-		for _, m := range out.Models {
+	for _, l := range answers {
+		for _, m := range l.Models {
 			names[m.Name] = true
 		}
 	}
@@ -471,26 +470,10 @@ func (p *Proxy) healthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// stats reports the proxy's routing counters and each healthy member's own
+// stats reports the proxy's routing counters and each member's own
 // /v1/stats payload, keyed by address.
 func (p *Proxy) stats(w http.ResponseWriter, r *http.Request) {
-	members := map[string]json.RawMessage{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, addr := range p.healthyMembers() {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			var raw json.RawMessage
-			if err := p.getJSON(r, addr+"/v1/stats", &raw); err != nil {
-				return
-			}
-			mu.Lock()
-			members[addr] = raw
-			mu.Unlock()
-		}(addr)
-	}
-	wg.Wait()
+	members, _ := askMembers[json.RawMessage](p, r, "/v1/stats")
 	api.WriteJSON(w, map[string]any{
 		"proxy": map[string]any{
 			"forwarded": p.met.forwarded.Value(),
@@ -510,29 +493,55 @@ func (p *Proxy) cluster(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (p *Proxy) healthyMembers() []string {
-	out := make([]string, 0, len(p.cfg.Members))
-	for _, m := range p.cfg.Members {
-		if p.check.Healthy(m) {
-			out = append(out, m)
+// askMembers GETs path from every member in rotation at once and decodes
+// each 200 answer into a T, keyed by member address. The answer is partial
+// when a member is out of rotation or unreachable, answers anything but 200
+// or 404, or sends a body that does not decode. A 404 is a member with
+// nothing to add.
+func askMembers[T any](p *Proxy, r *http.Request, path string) (answers map[string]T, partial bool) {
+	answers = map[string]T{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, addr := range p.cfg.Members {
+		if !p.check.Healthy(addr) {
+			partial = true
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var v T
+			found, err := p.getJSON(r, addr+path, &v)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				partial = true
+			} else if found {
+				answers[addr] = v
+			}
+		}()
 	}
-	return out
+	wg.Wait()
+	return answers, partial
 }
 
-// getJSON fetches one member endpoint into v.
-func (p *Proxy) getJSON(r *http.Request, url string, v any) error {
+// getJSON GETs one member URL and decodes a 200 answer into v. A 404 is no
+// error but reports found false; any other status is an error.
+func (p *Proxy) getJSON(r *http.Request, url string, v any) (found bool, err error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return false, err
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, resp.Status)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return true, json.NewDecoder(resp.Body).Decode(v)
+	case http.StatusNotFound:
+		return false, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return false, fmt.Errorf("%s: %s", url, resp.Status)
 }

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"duet/internal/api"
@@ -54,63 +54,18 @@ type sourcedSnapshot struct {
 }
 
 // collectTrace gathers every fragment of one trace id: the proxy's own ring
-// plus a concurrent fan-out to each member's /v1/debug/traces/{id}. A member
-// that is marked down is skipped (partial); a member whose fetch fails is
-// partial too; a clean 404 is an authoritative "not here" and is not.
+// plus each member's /v1/debug/traces/{id}, asked at once. A member that is
+// marked down or whose fetch fails makes the view partial; a clean 404 is an
+// authoritative "not here" and does not.
 func (p *Proxy) collectTrace(r *http.Request, id string) (frags []sourcedSnapshot, partial bool) {
 	if snap, ok := p.cfg.Tracer.Get(id); ok {
 		frags = append(frags, sourcedSnapshot{source: traceSourceProxy, snap: snap})
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, addr := range p.cfg.Members {
-		if !p.check.Healthy(addr) {
-			partial = true
-			continue
-		}
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			snap, ok, err := p.fetchMemberTrace(r, addr, id)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				partial = true
-				return
-			}
-			if ok {
-				frags = append(frags, sourcedSnapshot{source: addr, snap: snap})
-			}
-		}(addr)
+	answers, partial := askMembers[obs.TraceSnapshot](p, r, "/v1/debug/traces/"+id)
+	for _, addr := range slices.Sorted(maps.Keys(answers)) {
+		frags = append(frags, sourcedSnapshot{source: addr, snap: answers[addr]})
 	}
-	wg.Wait()
 	return frags, partial
-}
-
-// fetchMemberTrace fetches one member's ring entry for a trace id. The bool
-// reports presence; a 404 is (false, nil) — the member answered, the trace
-// just never finished there.
-func (p *Proxy) fetchMemberTrace(r *http.Request, addr, id string) (obs.TraceSnapshot, bool, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, addr+"/v1/debug/traces/"+id, nil)
-	if err != nil {
-		return obs.TraceSnapshot{}, false, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return obs.TraceSnapshot{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return obs.TraceSnapshot{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return obs.TraceSnapshot{}, false, fmt.Errorf("%s: %s", addr, resp.Status)
-	}
-	var snap obs.TraceSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return obs.TraceSnapshot{}, false, err
-	}
-	return snap, true, nil
 }
 
 // stitch merges trace fragments into one ordered view. Every span is rebased
@@ -169,45 +124,22 @@ func (p *Proxy) traceByID(w http.ResponseWriter, r *http.Request) {
 // stays the proxy's own ring (the single-process contract every replica also
 // serves). With ?slow=1 it becomes the fleet view: each healthy member's
 // slow-marked traces are collected, fragments sharing a trace id are
-// stitched, and the result is ordered worst first.
+// stitched, and the result is ordered worst first. A member that answers 404
+// (one run without a trace ring) has nothing to add and leaves the view whole.
 func (p *Proxy) traces(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("slow") != "1" {
 		p.cfg.Tracer.Handler().ServeHTTP(w, r)
 		return
 	}
-	type listing struct {
-		Traces []obs.TraceSnapshot `json:"traces"`
+	answers, partial := askMembers[listing](p, r, "/v1/debug/traces?slow=1")
+	bySource := map[string][]obs.TraceSnapshot{traceSourceProxy: p.cfg.Tracer.Slow()}
+	for addr, l := range answers {
+		bySource[addr] = l.Traces
 	}
-	bySource := map[string][]obs.TraceSnapshot{
-		traceSourceProxy: p.cfg.Tracer.Slow(),
-	}
-	partial := false
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, addr := range p.cfg.Members {
-		if !p.check.Healthy(addr) {
-			partial = true
-			continue
-		}
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			var out listing
-			err := p.getJSON(r, addr+"/v1/debug/traces?slow=1", &out)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				partial = true
-				return
-			}
-			bySource[addr] = out.Traces
-		}(addr)
-	}
-	wg.Wait()
 
 	byID := map[string][]sourcedSnapshot{}
 	var order []string
-	for _, source := range sortedKeys(bySource) {
+	for _, source := range slices.Sorted(maps.Keys(bySource)) {
 		for _, snap := range bySource[source] {
 			if _, seen := byID[snap.TraceID]; !seen {
 				order = append(order, snap.TraceID)
@@ -221,13 +153,4 @@ func (p *Proxy) traces(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.SliceStable(stitched, func(i, j int) bool { return stitched[i].DurationUS > stitched[j].DurationUS })
 	api.WriteJSON(w, map[string]any{"traces": stitched, "partial": partial})
-}
-
-func sortedKeys(m map[string][]obs.TraceSnapshot) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

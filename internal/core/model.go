@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -541,14 +540,25 @@ func (m *Model) Save(w io.Writer) error {
 // an error, never a panic or a model that breaks the MADE degree rule, and
 // Load allocates O(the file) before it finds out: the weights are decoded
 // first, and a header whose widths imply more of them than the file carries
-// is refused before NewModel builds anything.
+// is refused before NewModel builds anything. The one exception is a slice,
+// which gob sizes by the count it claims, up to 10 MB, before reading its
+// elements.
 func Load(r io.Reader, t *relation.Table) (*Model, error) {
-	// The stream holds two consecutive gob messages (header, then params)
-	// read by separate decoders. gob wraps a reader that is not an
-	// io.ByteReader in its own bufio and reads ahead, which would misalign
-	// the second decoder on plain files; one shared buffered reader keeps
-	// both decoders on the same position.
-	br := bufio.NewReader(r)
+	// The file is two gob streams back to back (header, then params), each a
+	// run of messages framed as a gob uint length and then that many bytes.
+	// gob allocates a message's claimed length, up to a 10 MB chunk, before
+	// the bytes arrive, so the framing is walked first and a length beyond
+	// the bytes left is refused. Both decoders then read one bytes.Reader, an
+	// io.ByteReader, which gob reads without buffering ahead, so the second
+	// decoder starts where the first one stopped.
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
+	if err := checkFraming(data); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
+	br := bytes.NewReader(data)
 	var blob modelBlob
 	if err := gob.NewDecoder(br).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("core: load model header: %w", err)
@@ -580,6 +590,39 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 		}
 	}
 	return m, nil
+}
+
+// checkFraming walks the gob message framing of data and reports the first
+// message that claims more bytes than data has left.
+func checkFraming(data []byte) error {
+	for off := 0; off < len(data); {
+		n, size := gobUint(data[off:])
+		if size == 0 {
+			return fmt.Errorf("the message at byte %d has a malformed length", off)
+		}
+		if n > uint64(len(data)-off-size) {
+			return fmt.Errorf("the message at byte %d claims %d bytes, %d are left", off, n, len(data)-off-size)
+		}
+		off += size + int(n)
+	}
+	return nil
+}
+
+// gobUint decodes the gob unsigned integer b starts with: one byte below
+// 0x80, else a byte holding minus the count (at most 8) of the big-endian
+// bytes that follow. size is the bytes it spans, 0 when b holds none.
+func gobUint(b []byte) (x uint64, size int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || n >= len(b) {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
 }
 
 // buildable reports why NewModel would panic on cfg, or build a model with a

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"duet/internal/exec"
@@ -431,6 +432,8 @@ func malformedModels(tb testing.TB, tbl *relation.Table) []struct {
 		{"widths beyond the weights", header(func(c *Config) { c.Hidden = []int{2048, 2048} })},
 		{"short weights", modelFile(tb, tbl, tinyConfig(), short)},
 		{"weight the degrees disallow", modelFile(tb, tbl, tinyConfig(), broken.params)},
+		{"message longer than the file", []byte("\xfc0000")},
+		{"message longer than the file, 9 MB", []byte("\xfc\x00\x90\x00\x00")},
 	}
 }
 
@@ -438,9 +441,10 @@ func malformedModels(tb testing.TB, tbl *relation.Table) []struct {
 // Load returns an error, never a panic, on a header NewModel cannot build (or
 // would build into a model with a zero-width layer, or one that encodes no
 // predicate), on a header whose widths imply more weights than the file
-// carries, on parameters shorter than their shapes, and on a nonzero weight
-// that the MADE degrees disallow; and it finds out having allocated O(the
-// file), not what the header's widths imply.
+// carries, on parameters shorter than their shapes, on a nonzero weight
+// that the MADE degrees disallow, and on a message longer than the file; and
+// it finds out having allocated O(the file), not what the header's widths or
+// the message's length claim.
 func TestLoadRejectsMalformed(t *testing.T) {
 	tbl := tinyTable(100)
 	for _, tc := range malformedModels(t, tbl) {
@@ -469,8 +473,9 @@ func TestLoadRejectsMalformed(t *testing.T) {
 }
 
 // FuzzLoad: any bytes give a model or an error, never a panic, and Load
-// allocates O(the input) on the way. The seeds are a saved tiny model and
-// every malformed file TestLoadRejectsMalformed refuses.
+// allocates O(the input), plus slicePresize, on the way. The seeds are a
+// saved tiny model, every malformed file TestLoadRejectsMalformed refuses,
+// and one whose slice counts claim more than the file holds.
 func FuzzLoad(f *testing.F) {
 	tbl := tinyTable(100)
 	var buf bytes.Buffer
@@ -481,10 +486,22 @@ func FuzzLoad(f *testing.F) {
 	for _, tc := range malformedModels(f, tbl) {
 		f.Add(tc.file)
 	}
+	// A file of one weight ends with the gob message of its blob list: the
+	// list's count, 1, then the blob (name, rows, cols, weights), whose
+	// weight count is 1 as well. Spelling both counts in five bytes as
+	// 16,777,216 (the message 8 bytes longer) takes all of slicePresize.
+	one := []*nn.Param{{Name: "w", W: &tensor.Matrix{Rows: 1, Cols: 1, Data: []float32{0}}}}
+	overclaim := modelFile(f, tbl, tinyConfig(), one)
+	tail := []byte{15, 0xff, 0x8a, 0, 1, 1, 1, 'w', 1, 2, 1, 2, 1, 1, 0, 0}
+	if !bytes.HasSuffix(overclaim, tail) {
+		f.Fatalf("the one-weight file ends % x, not % x", overclaim[len(overclaim)-len(tail):], tail)
+	}
+	f.Add(slices.Concat(overclaim[:len(overclaim)-len(tail)],
+		[]byte{23, 0xff, 0x8a, 0, 0xfc, 1, 0, 0, 0, 1, 1, 'w', 1, 2, 1, 2, 1, 0xfc, 1, 0, 0, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var err error
 		alloc := allocated(func() { _, err = Load(bytes.NewReader(data), tbl) })
-		if limit := loadAllocLimit(len(data)); alloc > limit {
+		if limit := loadAllocLimit(len(data)) + slicePresize; alloc > limit {
 			t.Fatalf("Load of %d bytes allocated %d bytes, over %d (err %v)", len(data), alloc, limit, err)
 		}
 	})
@@ -499,12 +516,20 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// loadAllocLimit bounds what Load may allocate for an n-byte file: gob
-// decodes a float32 from as little as one byte and a model holds a gradient
-// beside every weight (the 64 per byte), and gob reads each of the two
-// messages in chunks of up to 10 MB, allocated before the bytes arrive (the
-// constant). A header's widths weigh in nowhere.
-func loadAllocLimit(n int) uint64 { return 64*uint64(n) + 24<<20 }
+// loadAllocLimit bounds what Load may allocate for an n-byte file whose
+// slice counts hold: gob decodes a float32 from as little as one byte and a
+// model holds a gradient beside every weight (the 64 per byte), and the
+// decoders keep some state of their own (the constant). No message length
+// the file claims weighs in: Load refuses one beyond the bytes left before
+// gob reads it.
+func loadAllocLimit(n int) uint64 { return 64*uint64(n) + 1<<20 }
+
+// slicePresize is what any file may make Load allocate beyond
+// loadAllocLimit: gob sizes a slice by the count it claims, up to a 10 MB
+// chunk, before its elements arrive, and the decode fails at the first count
+// beyond the bytes, which can sit in the second of two nested slices (the
+// blob list and a blob's weights).
+const slicePresize = 2 * 10 << 20
 
 // TestParamCount: the arithmetic Load checks a file against counts exactly
 // the weights NewModel builds, for every encoding, MPSN kind and layout.

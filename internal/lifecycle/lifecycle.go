@@ -36,9 +36,16 @@ import (
 	"duet/internal/relation"
 )
 
-// Policy configures when and how the supervisor retrains. The zero value of
-// each threshold disables its signal; a Policy with both signals disabled
-// never retrains on its own.
+// keepVersions is how many versioned model files a retrain leaves per model:
+// after each save, generations older than the newest keepVersions are
+// pruned, so a long-running server under sustained drift does not grow the
+// model directory without bound.
+const keepVersions = 5
+
+// Policy configures when and how the supervisor retrains; how many model
+// files each retrain keeps is fixed (keepVersions). The zero value of each
+// threshold disables its signal; a Policy with both signals disabled never
+// retrains on its own.
 type Policy struct {
 	// MaxMedianQErr trips the feedback signal when the rolling median q-error
 	// of observed cardinalities exceeds it. <= 0 disables the signal.
@@ -66,12 +73,6 @@ type Policy struct {
 	// FineTune tunes the fine-tune path; the zero value selects
 	// core.DefaultFineTuneConfig().
 	FineTune core.FineTuneConfig
-	// KeepVersions bounds how many versioned model files are retained per
-	// model: after each save, generations older than the newest
-	// KeepVersions are pruned, so a long-running server under sustained
-	// drift does not grow the model directory without bound. Default 5;
-	// negative keeps everything.
-	KeepVersions int
 	// CheckInterval is the worker's poll interval (default 200ms). Ingest and
 	// Feedback additionally nudge the worker the moment a policy trips, so
 	// the interval only bounds staleness after a failed or skipped attempt.
@@ -97,9 +98,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.FineTune.Steps <= 0 {
 		p.FineTune = core.DefaultFineTuneConfig()
-	}
-	if p.KeepVersions == 0 {
-		p.KeepVersions = 5
 	}
 	return p
 }

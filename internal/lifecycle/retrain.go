@@ -91,7 +91,7 @@ func (s *Supervisor) retrain(mg *managed) {
 	st.Kind = kind
 	if dir := artifact.Dir(s.opt.Dir); err == nil && dir != "" {
 		if st.Path, err = dir.Put(mg.name, version, m.Save, nil); err == nil {
-			dir.Prune(mg.name, s.pol.KeepVersions)
+			dir.Prune(mg.name, keepVersions)
 		}
 	}
 	if err == nil && mg.pack != "" {

@@ -28,10 +28,10 @@ func TestBudgetViolationFires(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerConfig{
 		RingSize: 4,
-		Budgets:  map[string]time.Duration{"plan_exec": time.Nanosecond},
 		Metrics:  reg,
 		Log:      slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
+	tr.SetBudgets(map[string]time.Duration{"plan_exec": time.Nanosecond})
 	_, trace := tr.Start(context.Background(), "viol-1")
 	trace.AddSpan("plan_exec", time.Now().Add(-time.Millisecond), time.Millisecond)
 	tr.Finish(trace)
@@ -60,10 +60,10 @@ func TestBudgetUnderDoesNotFire(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerConfig{
 		RingSize: 4,
-		Budgets:  map[string]time.Duration{"plan_exec": time.Hour},
 		Metrics:  reg,
 		Log:      slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
+	tr.SetBudgets(map[string]time.Duration{"plan_exec": time.Hour})
 	_, trace := tr.Start(context.Background(), "ok-1")
 	trace.AddSpan("plan_exec", time.Now().Add(-time.Millisecond), time.Millisecond)
 	tr.Finish(trace)
@@ -175,7 +175,8 @@ func TestTracerGetMarksRead(t *testing.T) {
 }
 
 func TestSlowListingAndHandlers(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: 8, Budgets: map[string]time.Duration{"plan_exec": time.Nanosecond}})
+	tr := NewTracer(TracerConfig{RingSize: 8})
+	tr.SetBudgets(map[string]time.Duration{"plan_exec": time.Nanosecond})
 	_, fast := tr.Start(context.Background(), "fast-1")
 	tr.Finish(fast)
 	_, slow := tr.Start(context.Background(), "slow-1")

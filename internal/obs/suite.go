@@ -7,16 +7,14 @@ import (
 	"time"
 )
 
-// SuiteConfig configures NewSuite.
+// SuiteConfig configures NewSuite. Per-stage SLO budgets are not part of
+// it: they are installed with Tracer.SetBudgets once model plans are known.
 type SuiteConfig struct {
 	// TraceRing bounds the recent-trace ring (default 256). Negative
 	// disables tracing entirely.
 	TraceRing int
 	// SlowQuery, when positive, logs traces at least this long.
 	SlowQuery time.Duration
-	// Budgets sets the tracer's per-stage SLO budgets (see
-	// TracerConfig.Budgets); replaceable later via Tracer.SetBudgets.
-	Budgets map[string]time.Duration
 	// Log is the structured logger shared by the stack; slog.Default()
 	// when nil.
 	Log *slog.Logger
@@ -42,7 +40,6 @@ func NewSuite(cfg SuiteConfig) *Suite {
 		s.Tracer = NewTracer(TracerConfig{
 			RingSize:      cfg.TraceRing,
 			SlowThreshold: cfg.SlowQuery,
-			Budgets:       cfg.Budgets,
 			Metrics:       s.Metrics,
 			Log:           cfg.Log,
 		})

@@ -146,13 +146,6 @@ type TracerConfig struct {
 	// SlowThreshold, when positive, logs any trace at least this long
 	// through Log at Warn level with a compact span summary.
 	SlowThreshold time.Duration
-	// Budgets maps span names (admission_wait, cache_lookup, batch_wait,
-	// plan_exec, route, forward, ...) to per-stage SLO budgets. A span whose
-	// duration exceeds its budget increments duet_slo_violations_total{stage},
-	// marks the trace slow regardless of total duration, and logs one
-	// structured line. Zero or absent budget = check disabled for that stage.
-	// Replaceable at runtime via SetBudgets.
-	Budgets map[string]time.Duration
 	// Metrics, when set, exports the tracer's own instruments:
 	// duet_slo_violations_total{stage} and duet_trace_dropped_total. A nil
 	// registry keeps them as detached (still counting) instruments.
@@ -194,13 +187,17 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		dropped: cfg.Metrics.Counter("duet_trace_dropped_total",
 			"Traces evicted from the bounded ring before any reader saw them."),
 	}
-	tr.SetBudgets(cfg.Budgets)
 	return tr
 }
 
 // SetBudgets replaces the per-stage SLO budget table (copying the map), so
-// roofline-derived defaults can be installed after model plans are known.
-// Safe on a nil tracer and with a nil map (disables all checks).
+// roofline-derived defaults can be installed after model plans are known. It
+// maps span names (admission_wait, cache_lookup, batch_wait, plan_exec,
+// route, forward) to budgets. A span whose duration exceeds its budget
+// increments duet_slo_violations_total{stage}, marks the trace slow
+// regardless of total duration, and logs one structured line; a zero or
+// absent budget disables its stage's check. Safe on a nil tracer and with a
+// nil map (disables all checks).
 func (tr *Tracer) SetBudgets(b map[string]time.Duration) {
 	if tr == nil {
 		return

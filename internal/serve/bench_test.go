@@ -80,8 +80,8 @@ func BenchmarkEstimateLoneMiss(b *testing.B) {
 			}
 			if mode == "traced" {
 				tracer = obs.NewTracer(obs.TracerConfig{Metrics: cfg.Obs,
-					Budgets: DeriveBudgets(m.WarmPlan(), CalibrateBudgets()),
-					Log:     slog.New(slog.DiscardHandler)}) // a preempted pass blows its budget; keep that off stderr
+					Log: slog.New(slog.DiscardHandler)}) // a preempted pass blows its budget; keep that off stderr
+				tracer.SetBudgets(DeriveBudgets(m.WarmPlan(), CalibrateBudgets()))
 			}
 			e := New(m, cfg)
 			defer e.Close()

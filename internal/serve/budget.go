@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"duet/internal/tensor"
@@ -63,6 +65,12 @@ func CalibrateBudgets() BudgetCalib {
 // expected latency is a lower bound, and a violation should mean "the stage
 // ran far off the hardware model", not "the scheduler preempted us once".
 const budgetHeadroom = 8
+
+// SLOStages lists, sorted, the stages per-stage SLO budgets can target:
+// those DeriveBudgets's table has a default for.
+func SLOStages() []string {
+	return slices.Sorted(maps.Keys(DeriveBudgets(0, BudgetCalib{BytesPerSec: 1})))
+}
 
 // DeriveBudgets returns the default per-stage SLO budget table for an engine
 // whose packed plan keeps planBytes of weights resident. Stages:

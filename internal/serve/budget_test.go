@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -47,5 +48,14 @@ func TestCalibrateBudgets(t *testing.T) {
 	b := DeriveBudgets(1<<20, BudgetCalib{})
 	if b["plan_exec"] <= 0 {
 		t.Fatalf("self-calibrated plan_exec = %v", b["plan_exec"])
+	}
+}
+
+// TestSLOStages: the stages budgets can target are DeriveBudgets's table,
+// sorted.
+func TestSLOStages(t *testing.T) {
+	want := []string{"admission_wait", "batch_wait", "cache_lookup", "forward", "plan_exec", "route"}
+	if got := SLOStages(); !slices.Equal(got, want) {
+		t.Fatalf("SLOStages() = %v, want %v", got, want)
 	}
 }
