@@ -14,6 +14,7 @@ import (
 
 	"duet"
 	"duet/internal/artifact"
+	"duet/internal/relation"
 )
 
 // Manifest describes a multi-model deployment: base-table models plus join
@@ -233,17 +234,14 @@ func validQuant(owner, quant string) error {
 // (seed 1), so restarts rebuild the same table.
 type JoinViewSpec struct {
 	Name string `json:"name"`
-	// Legacy two-table form.
-	Left     string `json:"left,omitempty"`
-	LeftCol  string `json:"left_col,omitempty"`
-	Right    string `json:"right,omitempty"`
-	RightCol string `json:"right_col,omitempty"`
+	// Legacy two-table form: left/left_col/right/right_col.
+	duet.JoinEdge
 	// Join-graph form: tables[0] roots the tree; edges must connect every
 	// table (len(tables)-1 of them). Sample > 0 selects sampled
 	// materialization with that budget.
-	Tables []string            `json:"tables,omitempty"`
-	Edges  []duet.JoinEdgeSpec `json:"edges,omitempty"`
-	Sample int                 `json:"sample,omitempty"`
+	Tables []string        `json:"tables,omitempty"`
+	Edges  []duet.JoinEdge `json:"edges,omitempty"`
+	Sample int             `json:"sample,omitempty"`
 
 	Model string `json:"model,omitempty"`
 	// TrainEpochs trains the join model in-process when no weights file
@@ -329,12 +327,11 @@ func loadManifest(path string) (*Manifest, error) {
 			return nil, fmt.Errorf("manifest %s: join %q sample budget must be >= 0, got %d", path, js.Name, js.Sample)
 		}
 		if js.graph() {
-			if js.Left != "" || js.Right != "" || js.LeftCol != "" || js.RightCol != "" {
+			if js.JoinEdge != (duet.JoinEdge{}) {
 				return nil, fmt.Errorf("manifest %s: join %q mixes the two-table form with tables/edges", path, js.Name)
 			}
-			if len(js.Tables) < 2 || len(js.Edges) != len(js.Tables)-1 {
-				return nil, fmt.Errorf("manifest %s: join %q needs >=2 tables and len(tables)-1 edges, got %d/%d",
-					path, js.Name, len(js.Tables), len(js.Edges))
+			if _, err := relation.SpanningTree(js.Tables, js.Edges); err != nil {
+				return nil, fmt.Errorf("manifest %s: join %q: %w", path, js.Name, err)
 			}
 			for _, t := range js.Tables {
 				if !names[t] {
@@ -346,8 +343,8 @@ func loadManifest(path string) (*Manifest, error) {
 		if js.Sample > 0 {
 			return nil, fmt.Errorf("manifest %s: join %q: \"sample\" applies only to the join-graph form (tables/edges); the two-table form materializes an inner equi-join and cannot be sampled", path, js.Name)
 		}
-		if !names[js.Left] || !names[js.Right] {
-			return nil, fmt.Errorf("manifest %s: join %q references unknown tables %q/%q", path, js.Name, js.Left, js.Right)
+		if !names[js.LeftTable] || !names[js.RightTable] {
+			return nil, fmt.Errorf("manifest %s: join %q references unknown tables %q/%q", path, js.Name, js.LeftTable, js.RightTable)
 		}
 	}
 	return &m, nil
@@ -560,15 +557,13 @@ func startLifecycle(reg *duet.Registry, man *Manifest, manifestDir, modelDir str
 // FOJ sample plus the sampler that streams its training tuples.
 func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, duet.AddOpts, *duet.JoinSampler, error) {
 	if !js.graph() {
-		joined, err := duet.BuildJoinView(js.Name, tables[js.Left], js.LeftCol, tables[js.Right], js.RightCol)
+		joined, err := duet.BuildJoinView(js.Name, tables[js.LeftTable], js.LeftCol, tables[js.RightTable], js.RightCol)
 		if err != nil {
 			return nil, duet.AddOpts{}, nil, err
 		}
-		return joined, duet.AddOpts{Join: &duet.JoinSpec{
-			Left: js.Left, LeftCol: js.LeftCol, Right: js.Right, RightCol: js.RightCol,
-		}}, nil, nil
+		return joined, duet.AddOpts{Join: &js.JoinEdge}, nil, nil
 	}
-	spec := &duet.JoinGraphSpec{Tables: append([]string(nil), js.Tables...), Edges: append([]duet.JoinEdgeSpec(nil), js.Edges...), Sample: js.Sample}
+	spec := &duet.JoinGraphSpec{Tables: js.Tables, Edges: js.Edges, Sample: js.Sample}
 	joined, sampler, err := spec.Build(js.Name, func(t string) (*duet.Table, error) {
 		if tbl, ok := tables[t]; ok {
 			return tbl, nil

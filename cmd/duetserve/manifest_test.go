@@ -232,9 +232,11 @@ func TestManifestGraphValidation(t *testing.T) {
 		join, wantSub string
 	}{
 		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}], "left": "a"}`, "mixes"},
-		{`{"name": "j", "tables": ["a", "b", "c"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}]}`, "len(tables)-1 edges"},
+		{`{"name": "j", "tables": ["a", "b", "c"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}]}`, "needs 2 edges (a spanning tree)"},
+		{`{"name": "j", "tables": ["a", "b", "c"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}, {"left": "b", "left_col": "x", "right": "a", "right_col": "y"}]}`, "not connected"},
+		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "c", "right_col": "y"}]}`, "outside the graph"},
 		{`{"name": "j", "tables": ["a", "nope"], "edges": [{"left": "a", "left_col": "x", "right": "nope", "right_col": "y"}]}`, "unknown table"},
-		{`{"name": "j", "tables": ["a"], "edges": []}`, ">=2 tables"},
+		{`{"name": "j", "tables": ["a"], "edges": []}`, "at least 2 tables"},
 		{`{"name": "j", "left": "a", "left_col": "x", "right": "b", "right_col": "y", "sample": 100}`, "cannot be sampled"},
 		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}], "sample": -5}`, "sample budget"},
 	} {

@@ -61,7 +61,7 @@ func testServer(t *testing.T) (*duet.Registry, string) {
 		t.Fatal(err)
 	}
 	if err := reg.Add("orders_customers", joined, duet.New(joined, cfg), duet.AddOpts{
-		Join: &duet.JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
+		Join: &duet.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
 	}); err != nil {
 		t.Fatal(err)
 	}

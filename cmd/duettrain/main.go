@@ -34,11 +34,11 @@
 //
 // -join-sample N switches join-graph mode to sampled materialization: the
 // model trains on a stream of N-per-epoch unbiased full-outer-join samples
-// drawn directly from the base tables (duet.NewJoinSampler), so memory stays
-// bounded by the sample budget however large the join is. The saved model
-// loads against any sample of the same graph (the layout depends only on
-// the graph). Register it with a manifest "sample" field or
-// JoinGraphSpec.Sample so duetserve anchors estimates on base-table
+// drawn directly from the base tables (the sampler JoinGraphSpec.Build
+// returns), so memory stays bounded by the sample budget however large the
+// join is. The saved model loads against any sample of the same graph (the
+// layout depends only on the graph). Register it with a manifest "sample"
+// field or JoinGraphSpec.Sample so duetserve anchors estimates on base-table
 // cardinalities:
 //
 //	duettrain -join -join-tables ... -join-edges ... -join-sample 100000 \
@@ -220,9 +220,7 @@ func buildJoinGraphTable(tablesArg, edgesArg, name string, rows int, seed int64,
 	if len(rq.Preds) > 0 {
 		return nil, nil, fmt.Errorf("-join-edges %q contains a non-join predicate", edgesArg)
 	}
-	for _, c := range rq.Joins {
-		spec.Edges = append(spec.Edges, duet.JoinEdgeSpec{Left: c.LeftTable, LeftCol: c.LeftCol, Right: c.RightTable, RightCol: c.RightCol})
-	}
+	spec.Edges = rq.Joins
 	joined, sampler, err := spec.Build(name, func(t string) (*duet.Table, error) { return tables[t], nil }, seed)
 	if err != nil {
 		return nil, nil, err

@@ -43,7 +43,7 @@
 //	defer reg.Close()
 //	reg.Add("orders", ordersTbl, ordersModel, duet.AddOpts{})
 //	reg.Add("oc", joinedTbl, joinModel, duet.AddOpts{
-//	    Join: &duet.JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"}})
+//	    Join: &duet.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}})
 //	res, err := reg.Query(ctx, duet.QueryRequest{Model: "orders", Queries: []duet.Query{q}})
 //	res, err = reg.Query(ctx, duet.QueryRequest{Expr: "orders.cust_id = customers.id AND orders.amount<=10"})
 //	// res.Models[0] answered, res.Cards[0] is its estimate
@@ -55,34 +55,33 @@
 // orientation- and order-insensitively, including connected subsets of a
 // larger view — and anchors every estimate on the exact inner-join
 // cardinality of the queried subtree (fanout correction), so a join-size
-// query with no predicates is answered exactly:
+// query with no predicates is answered exactly. The edges are declared once
+// and feed both the materialization and the registered spec:
 //
-//	view, _ := duet.BuildJoinGraphView("ocr",
-//	    []*duet.Table{orders, customers, regions},
-//	    []duet.JoinEdge{
-//	        {LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
-//	        {LeftTable: "customers", LeftCol: "region_id", RightTable: "regions", RightCol: "id"}})
+//	edges := []duet.JoinEdge{
+//	    {LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
+//	    {LeftTable: "customers", LeftCol: "region_id", RightTable: "regions", RightCol: "id"}}
+//	view, _ := duet.BuildJoinGraphView("ocr", []*duet.Table{orders, customers, regions}, edges)
 //	reg.Add("ocr", view, viewModel, duet.AddOpts{Graph: &duet.JoinGraphSpec{
-//	    Tables: []string{"orders", "customers", "regions"},
-//	    Edges: []duet.JoinEdgeSpec{
-//	        {Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
-//	        {Left: "customers", LeftCol: "region_id", Right: "regions", RightCol: "id"}}}})
+//	    Tables: []string{"orders", "customers", "regions"}, Edges: edges}})
 //	res, err := reg.Query(ctx, duet.QueryRequest{Expr:
 //	    "orders.cust_id = customers.id AND customers.region_id = regions.id AND orders.amount<=10"})
 //
 // Sampled materialization: when the full outer join is too large to build,
-// BuildSampledJoinGraphView draws an unbiased budget-row sample of it in the
-// identical column layout (NewJoinSampler is the underlying constant-memory
-// tuple stream; TrainConfig.Source trains from fresh draws). Register the
-// sample with JoinGraphSpec.Sample = budget — after its base tables — and
-// the router serves it through the same Resolution path, anchoring every
+// a JoinGraphSpec with Sample = budget builds an unbiased budget-row sample
+// of it in the identical column layout, together with the constant-memory
+// JoinSampler it was drawn by (TrainConfig.Source trains from fresh draws).
+// Register the sample with the same spec — after its base tables — and the
+// router serves it through the same Resolution path, anchoring every
 // estimate on exact base-table join cardinalities:
 //
-//	view, sampler, _ := duet.BuildSampledJoinGraphView("ocr", tables, edges, 100_000, 1)
+//	spec := &duet.JoinGraphSpec{Tables: names, Edges: edges, Sample: 100_000}
+//	view, sampler, _ := spec.Build("ocr", reg.Table, 1)
 //	model := duet.New(view, duet.DefaultConfig())
 //	tc := duet.DefaultTrainConfig()
 //	tc.Source, tc.SourceRows = sampler, 100_000
 //	duet.Train(model, tc)
+//	reg.Add("ocr", view, model, duet.AddOpts{Graph: spec})
 //
 // cmd/duetserve exposes the registry over HTTP (POST /v1/estimate with an
 // optional model name, GET /v1/models, POST /v1/models/{name}/reload,
@@ -339,12 +338,8 @@ type (
 	// AddOpts refines Registry.Add (model file path, join-view spec,
 	// per-model serve config).
 	AddOpts = registry.AddOpts
-	// JoinSpec names the two-table equi-join a legacy view was built from.
-	JoinSpec = registry.JoinSpec
 	// JoinGraphSpec names the N-way join tree a graph view was built from.
 	JoinGraphSpec = registry.JoinGraphSpec
-	// JoinEdgeSpec is one equi-join edge of a JoinGraphSpec.
-	JoinEdgeSpec = registry.JoinEdgeSpec
 	// Resolution is a routed expression: model, rewritten query, and — for
 	// join-graph routes — the fanout calibration anchoring the estimate.
 	Resolution = registry.Resolution
@@ -405,7 +400,7 @@ type JoinEdge = relation.JoinEdge
 // anchors estimates on exact subtree cardinalities, automatically.
 //
 // Materialization is O(join size); for join trees whose full outer join
-// outgrows memory, use BuildSampledJoinGraphView instead.
+// outgrows memory, build a sampled view with JoinGraphSpec.Build instead.
 func BuildJoinGraphView(name string, tables []*Table, edges []JoinEdge) (*Table, error) {
 	return relation.MultiJoin(name, &relation.JoinGraph{Tables: tables, Edges: edges})
 }
@@ -426,26 +421,6 @@ type TupleSource = core.TupleSource
 // constant-memory alternative to BuildJoinGraphView for JOB-scale joins.
 func NewJoinSampler(tables []*Table, edges []JoinEdge, seed int64) (*JoinSampler, error) {
 	return relation.NewJoinSampler(&relation.JoinGraph{Tables: tables, Edges: edges}, seed)
-}
-
-// BuildSampledJoinGraphView draws budget tuples from the join tree's full
-// outer join and materializes them in the exact BuildJoinGraphView column
-// layout (identical dictionaries — the layout depends only on the graph, so
-// models trained against any sample of it are interchangeable). Register the
-// result with AddOpts.Graph carrying JoinGraphSpec.Sample = budget, after
-// its base tables; train with TrainConfig.Source = the returned sampler to
-// stream fresh draws instead of reusing the budget rows. Peak memory is
-// O(base tables + budget), never O(join size).
-func BuildSampledJoinGraphView(name string, tables []*Table, edges []JoinEdge, budget int, seed int64) (*Table, *JoinSampler, error) {
-	s, err := NewJoinSampler(tables, edges, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	view, err := s.SampleTable(name, budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	return view, s, nil
 }
 
 // JoinGraphCardinality computes the exact N-way inner-join size of a join

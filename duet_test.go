@@ -106,9 +106,10 @@ func TestSyntheticFacades(t *testing.T) {
 }
 
 // TestSampledJoinGraphFacade walks the public sampled-materialization flow:
-// sampler + budget view in the BuildJoinGraphView layout, stream training
-// through TrainConfig.Source, and a registry Sampled view answering join
-// sizes exactly from the base tables.
+// the one JoinGraphSpec builds the budget view in the BuildJoinGraphView
+// layout and its sampler, training streams through TrainConfig.Source, and
+// the registry serves the same spec's Sampled view, answering join sizes
+// exactly from the base tables.
 func TestSampledJoinGraphFacade(t *testing.T) {
 	left := duet.SynCensus(300, 5)
 	left.Name = "l"
@@ -122,7 +123,10 @@ func TestSampledJoinGraphFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, sampler, err := duet.BuildSampledJoinGraphView("lr", tables, edges, 256, 9)
+	spec := &duet.JoinGraphSpec{Tables: []string{"l", "r"}, Edges: edges, Sample: 256}
+	view, sampler, err := spec.Build("lr", func(name string) (*duet.Table, error) {
+		return map[string]*duet.Table{"l": left, "r": right}[name], nil
+	}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +156,6 @@ func TestSampledJoinGraphFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spec := &duet.JoinGraphSpec{Tables: []string{"l", "r"},
-		Edges:  []duet.JoinEdgeSpec{{Left: "l", LeftCol: lk, Right: "r", RightCol: rk}},
-		Sample: 256}
 	if err := reg.Add("lr", view, m, duet.AddOpts{Graph: spec}); err != nil {
 		t.Fatal(err)
 	}

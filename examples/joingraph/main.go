@@ -39,6 +39,8 @@ func main() {
 		},
 	})
 
+	// The join is declared once: these edges feed the exact oracle, the
+	// materialization and the registered view's spec alike.
 	edges := []duet.JoinEdge{
 		{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
 		{LeftTable: "customers", LeftCol: "region_id", RightTable: "regions", RightCol: "id"},
@@ -68,10 +70,7 @@ func main() {
 	}
 	check(reg.Add("ocr", view, model, duet.AddOpts{Graph: &duet.JoinGraphSpec{
 		Tables: []string{"orders", "customers", "regions"},
-		Edges: []duet.JoinEdgeSpec{
-			{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
-			{Left: "customers", LeftCol: "region_id", Right: "regions", RightCol: "id"},
-		},
+		Edges:  edges,
 	}}))
 
 	ctx := context.Background()

@@ -47,8 +47,10 @@ func main() {
 	// The join view: materialize orders ⋈ customers and train over it, so
 	// join queries become single-table queries (the substrate the paper
 	// inherits from NeuroCard). Offline this is duettrain -join or
-	// duetserve -build-join.
-	joined, err := duet.BuildJoinView("orders_customers", orders, "cust_id", customers, "id")
+	// duetserve -build-join. The join is declared once: the same edge
+	// builds the view and registers it below.
+	join := duet.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}
+	joined, err := duet.BuildJoinView("orders_customers", orders, join.LeftCol, customers, join.RightCol)
 	check(err)
 	fmt.Println("join view:", joined.Stats())
 
@@ -63,12 +65,11 @@ func main() {
 	for _, m := range []struct {
 		name string
 		tbl  *duet.Table
-		join *duet.JoinSpec
+		join *duet.JoinEdge
 	}{
 		{"customers", customers, nil},
 		{"orders", orders, nil},
-		{"orders_customers", joined, &duet.JoinSpec{
-			Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"}},
+		{"orders_customers", joined, &join},
 	} {
 		fmt.Printf("training %s (3 epochs)...\n", m.name)
 		model := duet.New(m.tbl, duet.DefaultConfig())

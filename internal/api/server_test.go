@@ -2,10 +2,12 @@ package api
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -312,5 +314,82 @@ func TestVersionEndpointsAndPull(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(peerDir); len(entries) != 1 {
 		t.Fatalf("the failed pulls left files behind: %v", entries)
+	}
+}
+
+// TestJoinWireForm pins the join wire form /v1/models lists: a legacy
+// two-table view's "join" and a graph view's "graph" carry exactly these keys,
+// and an edge marshals to the same four names the manifests declare joins by.
+func TestJoinWireForm(t *testing.T) {
+	l, r := testTable("l", 1), testTable("r", 2)
+	edge := relation.JoinEdge{LeftTable: "l", LeftCol: "k", RightTable: "r", RightCol: "k"}
+	b, err := json.Marshal(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"left":"l","left_col":"k","right":"r","right_col":"k"}`; string(b) != want {
+		t.Fatalf("edge marshals to %s, want %s", b, want)
+	}
+
+	reg := registry.New(registry.Config{Dir: t.TempDir()})
+	t.Cleanup(func() { reg.Close() })
+	for _, tbl := range []*relation.Table{l, r} {
+		if err := reg.Add(tbl.Name, tbl, smallModel(tbl, 1), registry.AddOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The legacy view joins on a; the graph view's one edge is edge.
+	inner, err := relation.EquiJoin("lr", l, "a", r, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := relation.JoinEdge{LeftTable: "l", LeftCol: "a", RightTable: "r", RightCol: "a"}
+	if err := reg.Add("lr", inner, smallModel(inner, 1), registry.AddOpts{Join: &legacy}); err != nil {
+		t.Fatal(err)
+	}
+	spec := &registry.JoinGraphSpec{Tables: []string{"l", "r"}, Edges: []relation.JoinEdge{edge}, Sample: 40}
+	view, _, err := spec.Build("lrg", reg.Table, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add("lrg", view, smallModel(view, 1), registry.AddOpts{Graph: spec}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := do(t, New(reg, nil, "", nil).Handler(), "GET", "/v1/models", "", nil)
+	var body struct {
+		Models []map[string]json.RawMessage `json:"models"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("/v1/models: %v: %s", err, rec.Body.String())
+	}
+	field := func(model, key string) []byte {
+		for _, m := range body.Models {
+			if string(m["name"]) == `"`+model+`"` {
+				return m[key]
+			}
+		}
+		t.Fatalf("/v1/models lists no %q: %s", model, rec.Body.String())
+		return nil
+	}
+	var join map[string]string
+	wantJoin := map[string]string{"left": "l", "left_col": "a", "right": "r", "right_col": "a"}
+	if err := json.Unmarshal(field("lr", "join"), &join); err != nil || !maps.Equal(join, wantJoin) {
+		t.Fatalf("legacy view's join = %v (%v), want %v", join, err, wantJoin)
+	}
+	var graph map[string]json.RawMessage
+	if err := json.Unmarshal(field("lrg", "graph"), &graph); err != nil {
+		t.Fatal(err)
+	}
+	if keys := slices.Sorted(maps.Keys(graph)); !slices.Equal(keys, []string{"edges", "sample", "tables"}) {
+		t.Fatalf("graph view's graph keys = %v, want edges, sample, tables", keys)
+	}
+	var edges []map[string]string
+	wantEdge := map[string]string{"left": "l", "left_col": "k", "right": "r", "right_col": "k"}
+	if err := json.Unmarshal(graph["edges"], &edges); err != nil || len(edges) != 1 || !maps.Equal(edges[0], wantEdge) {
+		t.Fatalf("graph view's edges = %v (%v), want [%v]", edges, err, wantEdge)
+	}
+	if string(graph["tables"]) != `["l","r"]` || string(graph["sample"]) != "40" {
+		t.Fatalf("graph view's tables/sample = %s/%s", graph["tables"], graph["sample"])
 	}
 }

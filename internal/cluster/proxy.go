@@ -429,9 +429,10 @@ type listing struct {
 
 // models merges the fleet's model listings into a placement view: each model
 // name with its owner preference list, so a client can see where everything
-// lives without querying replicas one by one.
+// lives without querying replicas one by one. "partial" is set when a
+// member's listing is missing from the merge.
 func (p *Proxy) models(w http.ResponseWriter, r *http.Request) {
-	answers, _ := askMembers[listing](p, r, "/v1/models")
+	answers, partial := askMembers[listing](p, r, "/v1/models")
 	names := map[string]bool{}
 	for _, l := range answers {
 		for _, m := range l.Models {
@@ -447,7 +448,7 @@ func (p *Proxy) models(w http.ResponseWriter, r *http.Request) {
 		list = append(list, placement{Name: n, Owners: p.Owners(n)})
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
-	api.WriteJSON(w, map[string]any{"models": list})
+	api.WriteJSON(w, map[string]any{"models": list, "partial": partial})
 }
 
 // healthz reports the proxy's own liveness plus every member's probe state.
@@ -471,9 +472,10 @@ func (p *Proxy) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // stats reports the proxy's routing counters and each member's own
-// /v1/stats payload, keyed by address.
+// /v1/stats payload, keyed by address; "partial" is set when a member's
+// payload is missing.
 func (p *Proxy) stats(w http.ResponseWriter, r *http.Request) {
-	members, _ := askMembers[json.RawMessage](p, r, "/v1/stats")
+	members, partial := askMembers[json.RawMessage](p, r, "/v1/stats")
 	api.WriteJSON(w, map[string]any{
 		"proxy": map[string]any{
 			"forwarded": p.met.forwarded.Value(),
@@ -481,6 +483,7 @@ func (p *Proxy) stats(w http.ResponseWriter, r *http.Request) {
 			"rejected":  p.met.rejected.Value(),
 		},
 		"members": members,
+		"partial": partial,
 	})
 }
 

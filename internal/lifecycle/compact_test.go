@@ -205,7 +205,7 @@ func TestManageRejectsPackOnGraphView(t *testing.T) {
 	core.Train(vm, tc)
 	spec := registry.JoinGraphSpec{
 		Tables: []string{"t1", "t2"},
-		Edges:  []registry.JoinEdgeSpec{{Left: "t1", LeftCol: "k", Right: "t2", RightCol: "k"}},
+		Edges:  []relation.JoinEdge{{LeftTable: "t1", LeftCol: "k", RightTable: "t2", RightCol: "k"}},
 	}
 	if err := reg.Add("view", view, vm, registry.AddOpts{Graph: &spec}); err != nil {
 		t.Fatal(err)

@@ -12,27 +12,6 @@ import (
 	"duet/internal/workload"
 )
 
-// JoinEdgeSpec names one equi-join edge of a join-graph view:
-// Left.LeftCol = Right.RightCol over two base-table names.
-type JoinEdgeSpec struct {
-	Left     string `json:"left"`
-	LeftCol  string `json:"left_col"`
-	Right    string `json:"right"`
-	RightCol string `json:"right_col"`
-}
-
-// Clause returns the edge as a parsed join clause.
-func (e JoinEdgeSpec) Clause() workload.JoinClause {
-	return workload.JoinClause{LeftTable: e.Left, LeftCol: e.LeftCol, RightTable: e.Right, RightCol: e.RightCol}
-}
-
-func (e JoinEdgeSpec) String() string { return e.Clause().String() }
-
-// Edge returns the relation-layer form of the edge.
-func (e JoinEdgeSpec) Edge() relation.JoinEdge {
-	return relation.JoinEdge{LeftTable: e.Left, LeftCol: e.LeftCol, RightTable: e.Right, RightCol: e.RightCol}
-}
-
 // JoinGraphSpec names the N-way join a graph view was materialized from: the
 // base tables and the spanning tree of equi-join edges over them (the
 // relation.MultiJoin shape). The router matches a query's join-clause set
@@ -48,19 +27,13 @@ func (e JoinEdgeSpec) Edge() relation.JoinEdge {
 // the sample size). Sampled views therefore require all their base tables
 // registered before Add.
 type JoinGraphSpec struct {
-	Tables []string       `json:"tables"`
-	Edges  []JoinEdgeSpec `json:"edges"`
-	Sample int            `json:"sample,omitempty"`
+	Tables []string            `json:"tables"`
+	Edges  []relation.JoinEdge `json:"edges"`
+	Sample int                 `json:"sample,omitempty"`
 }
 
 // Key returns the canonical edge-set key the registry indexes graph views by.
-func (s JoinGraphSpec) Key() string {
-	clauses := make([]workload.JoinClause, len(s.Edges))
-	for i, e := range s.Edges {
-		clauses[i] = e.Clause()
-	}
-	return workload.JoinSetKey(clauses)
-}
+func (s JoinGraphSpec) Key() string { return workload.JoinSetKey(s.Edges) }
 
 func (s JoinGraphSpec) String() string { return s.Key() }
 
@@ -71,16 +44,13 @@ func (s JoinGraphSpec) String() string { return s.Key() }
 // training a sampled view streams further draws from it
 // (core.TrainConfig.Source) rather than re-reading the sample.
 func (s JoinGraphSpec) Build(name string, table func(string) (*relation.Table, error), seed int64) (*relation.Table, *relation.JoinSampler, error) {
-	g := &relation.JoinGraph{Tables: make([]*relation.Table, len(s.Tables)), Edges: make([]relation.JoinEdge, len(s.Edges))}
+	g := &relation.JoinGraph{Tables: make([]*relation.Table, len(s.Tables)), Edges: s.Edges}
 	for i, bn := range s.Tables {
 		t, err := table(bn)
 		if err != nil {
 			return nil, nil, fmt.Errorf("base table %q: %w", bn, err)
 		}
 		g.Tables[i] = t
-	}
-	for i, e := range s.Edges {
-		g.Edges[i] = e.Edge()
 	}
 	if s.Sample == 0 {
 		view, err := relation.MultiJoin(name, g)
@@ -106,7 +76,7 @@ type graphView struct {
 	view    *relation.Table
 	sampled bool // view rows are a FOJ sample; never count them as exact
 	tables  map[string]bool
-	edges   map[workload.JoinClause]JoinEdgeSpec // canonical clause -> edge
+	edges   map[relation.JoinEdge]bool // the spec's edges, canonical
 
 	// ix caches the per-edge hash indexes every exact subtree anchor runs
 	// on, so repeated Resolve calls (and different subtrees sharing edges)
@@ -134,11 +104,11 @@ type anchor struct {
 // and "<table>_<col>"-named value columns (relation.JoinViewColumn) — the
 // layout relation.MultiJoin produces.
 func newGraphView(spec JoinGraphSpec, view *relation.Table) (*graphView, error) {
-	if len(spec.Tables) < 2 {
-		return nil, fmt.Errorf("registry: join graph needs at least 2 tables, got %d", len(spec.Tables))
-	}
 	if spec.Sample < 0 {
 		return nil, fmt.Errorf("registry: join graph sample budget must be >= 0, got %d", spec.Sample)
+	}
+	if _, err := relation.SpanningTree(spec.Tables, spec.Edges); err != nil {
+		return nil, err
 	}
 	v := &graphView{
 		spec:     spec,
@@ -146,7 +116,7 @@ func newGraphView(spec JoinGraphSpec, view *relation.Table) (*graphView, error) 
 		view:     view,
 		sampled:  spec.Sample > 0,
 		tables:   make(map[string]bool, len(spec.Tables)),
-		edges:    make(map[workload.JoinClause]JoinEdgeSpec, len(spec.Edges)),
+		edges:    make(map[relation.JoinEdge]bool, len(spec.Edges)),
 		ix:       relation.NewJoinIndexes(),
 		colIdx:   make(map[string]int, view.NumCols()),
 		presence: make(map[string]workload.Predicate, len(spec.Tables)),
@@ -154,33 +124,10 @@ func newGraphView(spec JoinGraphSpec, view *relation.Table) (*graphView, error) 
 		corr:     make(map[string]anchor),
 	}
 	for _, t := range spec.Tables {
-		if t == "" {
-			return nil, fmt.Errorf("registry: join graph with empty table name")
-		}
-		if v.tables[t] {
-			return nil, fmt.Errorf("registry: duplicate table %q in join graph", t)
-		}
 		v.tables[t] = true
 	}
-	if len(spec.Edges) != len(spec.Tables)-1 {
-		return nil, fmt.Errorf("registry: join graph over %d tables needs %d edges (a spanning tree), got %d",
-			len(spec.Tables), len(spec.Tables)-1, len(spec.Edges))
-	}
 	for _, e := range spec.Edges {
-		if !v.tables[e.Left] || !v.tables[e.Right] {
-			return nil, fmt.Errorf("registry: join edge %s references a table outside the graph", e)
-		}
-		if e.Left == e.Right {
-			return nil, fmt.Errorf("registry: join edge %s relates a table to itself", e)
-		}
-		key := e.Clause().Canonical()
-		if _, dup := v.edges[key]; dup {
-			return nil, fmt.Errorf("registry: duplicate join edge %s", e)
-		}
-		v.edges[key] = e
-	}
-	if !connectedSpec(spec) {
-		return nil, fmt.Errorf("registry: join graph %s is not connected", spec)
+		v.edges[e.Canonical()] = true
 	}
 	for i, c := range view.Cols {
 		v.colIdx[c.Name] = i
@@ -237,30 +184,6 @@ func ownerTable(tables []string, viewCol string) string {
 	return best
 }
 
-// connectedSpec reports whether the spec's edges connect all its tables.
-func connectedSpec(spec JoinGraphSpec) bool {
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == x {
-			return x
-		}
-		parent[x] = find(parent[x])
-		return parent[x]
-	}
-	for _, t := range spec.Tables {
-		parent[t] = t
-	}
-	for _, e := range spec.Edges {
-		parent[find(e.Left)] = find(e.Right)
-	}
-	roots := map[string]bool{}
-	for _, t := range spec.Tables {
-		roots[find(t)] = true
-	}
-	return len(roots) == 1
-}
-
 // mapColumn rewrites a base-table-qualified column onto the view's
 // materialized "<table>_<col>" column.
 func (v *graphView) mapColumn(table, column string) (string, error) {
@@ -308,7 +231,7 @@ func (v *graphView) clampNull(preds []workload.Predicate, p workload.Predicate) 
 // computed with the relation.MultiJoinCardinality tree DP over the view's
 // cached per-edge indexes, from the base tables the route looked up. Each
 // count is cached per subtree until base changes.
-func (v *graphView) exactJoin(clauses []workload.JoinClause, tables []string, base map[string]*relation.Table) (float64, error) {
+func (v *graphView) exactJoin(clauses []relation.JoinEdge, tables []string, base map[string]*relation.Table) (float64, error) {
 	key := workload.JoinSetKey(clauses)
 	if key == v.key && !v.sampled {
 		base = nil // counted on the view; no base table enters
@@ -338,16 +261,13 @@ func (v *graphView) exactJoin(clauses []workload.JoinClause, tables []string, ba
 			return 0, fmt.Errorf("registry: fanout correction for the join %q needs base tables %s registered alongside view %q",
 				key, strings.Join(missing, ", "), v.view.Name)
 		}
-		edges := make([]relation.JoinEdge, 0, len(clauses))
 		for _, c := range clauses {
-			e, ok := v.edges[c.Canonical()]
-			if !ok {
+			if !v.edges[c.Canonical()] {
 				return 0, fmt.Errorf("registry: clause %s is not an edge of view %q", c, v.view.Name)
 			}
-			edges = append(edges, e.Edge())
 		}
 		var err error
-		if exact, err = relation.MultiJoinCardinalityIndexed(&relation.JoinGraph{Tables: baseTables, Edges: edges}, v.ix); err != nil {
+		if exact, err = relation.MultiJoinCardinalityIndexed(&relation.JoinGraph{Tables: baseTables, Edges: clauses}, v.ix); err != nil {
 			return 0, err
 		}
 	}

@@ -64,10 +64,10 @@ func chain4Graph(a, b, c, d *relation.Table) *relation.JoinGraph {
 func chain4Spec(sample int) *JoinGraphSpec {
 	return &JoinGraphSpec{
 		Tables: []string{"a", "b", "c", "d"},
-		Edges: []JoinEdgeSpec{
-			{Left: "a", LeftCol: "ak", Right: "b", RightCol: "ak"},
-			{Left: "b", LeftCol: "bk", Right: "c", RightCol: "bk"},
-			{Left: "c", LeftCol: "ck", Right: "d", RightCol: "ck"},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "a", LeftCol: "ak", RightTable: "b", RightCol: "ak"},
+			{LeftTable: "b", LeftCol: "bk", RightTable: "c", RightCol: "bk"},
+			{LeftTable: "c", LeftCol: "ck", RightTable: "d", RightCol: "ck"},
 		},
 		Sample: sample,
 	}

@@ -46,9 +46,9 @@ func chainBase() (orders, customers, regions *relation.Table) {
 func chainSpec() *JoinGraphSpec {
 	return &JoinGraphSpec{
 		Tables: []string{"orders", "customers", "regions"},
-		Edges: []JoinEdgeSpec{
-			{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
-			{Left: "customers", LeftCol: "region_id", Right: "regions", RightCol: "id"},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
+			{LeftTable: "customers", LeftCol: "region_id", RightTable: "regions", RightCol: "id"},
 		},
 	}
 }
@@ -383,9 +383,9 @@ func TestRouteGraphStar(t *testing.T) {
 	}
 	spec := &JoinGraphSpec{
 		Tables: []string{"fact", "da", "db"},
-		Edges: []JoinEdgeSpec{
-			{Left: "fact", LeftCol: "a_k", Right: "da", RightCol: "k"},
-			{Left: "fact", LeftCol: "b_k", Right: "db", RightCol: "k"},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "fact", LeftCol: "a_k", RightTable: "da", RightCol: "k"},
+			{LeftTable: "fact", LeftCol: "b_k", RightTable: "db", RightCol: "k"},
 		},
 	}
 	if err := reg.Add("star", view, core.NewModel(view, smallConfig(54)), AddOpts{Graph: spec}); err != nil {
@@ -482,9 +482,9 @@ func TestGraphAddValidation(t *testing.T) {
 	// Same edge set in flipped orientation and different order collides.
 	flipped := &JoinGraphSpec{
 		Tables: []string{"regions", "customers", "orders"},
-		Edges: []JoinEdgeSpec{
-			{Left: "regions", LeftCol: "id", Right: "customers", RightCol: "region_id"},
-			{Left: "customers", LeftCol: "id", Right: "orders", RightCol: "cust_id"},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "regions", LeftCol: "id", RightTable: "customers", RightCol: "region_id"},
+			{LeftTable: "customers", LeftCol: "id", RightTable: "orders", RightCol: "cust_id"},
 		},
 	}
 	err := reg.Add("dup", view, core.NewModel(view, smallConfig(2)), AddOpts{Graph: flipped})
@@ -493,7 +493,7 @@ func TestGraphAddValidation(t *testing.T) {
 	}
 	// Join and Graph are mutually exclusive.
 	err = reg.Add("both", view, core.NewModel(view, smallConfig(2)), AddOpts{
-		Join:  &JoinSpec{Left: "a", LeftCol: "x", Right: "b", RightCol: "y"},
+		Join:  &relation.JoinEdge{LeftTable: "a", LeftCol: "x", RightTable: "b", RightCol: "y"},
 		Graph: spec,
 	})
 	if err == nil || !strings.Contains(err.Error(), "not both") {
@@ -503,7 +503,7 @@ func TestGraphAddValidation(t *testing.T) {
 	orders, customers, _ := chainBase()
 	bad := &JoinGraphSpec{
 		Tables: []string{"orders", "customers"},
-		Edges:  []JoinEdgeSpec{{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"}},
+		Edges:  []relation.JoinEdge{{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}},
 	}
 	inner, err := relation.EquiJoin("oc", orders, "cust_id", customers, "id")
 	if err != nil {
@@ -516,9 +516,9 @@ func TestGraphAddValidation(t *testing.T) {
 	// Disconnected and non-tree specs fail fast.
 	discon := &JoinGraphSpec{
 		Tables: []string{"orders", "customers", "regions"},
-		Edges: []JoinEdgeSpec{
-			{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
-			{Left: "customers", LeftCol: "id", Right: "orders", RightCol: "amount"},
+		Edges: []relation.JoinEdge{
+			{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
+			{LeftTable: "customers", LeftCol: "id", RightTable: "orders", RightCol: "amount"},
 		},
 	}
 	err = reg.Add("x", view, core.NewModel(view, smallConfig(2)), AddOpts{Graph: discon})
@@ -540,7 +540,7 @@ func TestLegacyJoinStillRoutesFirst(t *testing.T) {
 	m := core.NewModel(inner, smallConfig(77))
 	want := m.EstimateCardBatch([]workload.Query{mustParse(t, inner, "l_amount<=7")})[0]
 	err = reg.Add("oc_legacy", inner, m, AddOpts{
-		Join: &JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
+		Join: &relation.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +573,7 @@ func TestExplicitGraphTargetOverlapsLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = reg.Add("oc_legacy", inner, core.NewModel(inner, smallConfig(78)), AddOpts{
-		Join: &JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
+		Join: &relation.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,7 +610,7 @@ func TestSoleViewRoutesQualifiedPredicates(t *testing.T) {
 	reg := New(Config{Dir: t.TempDir(), Serve: serveNoCache()})
 	t.Cleanup(func() { reg.Close() })
 	err = reg.Add("oc", inner, core.NewModel(inner, smallConfig(5)), AddOpts{
-		Join: &JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"},
+		Join: &relation.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"},
 	})
 	if err != nil {
 		t.Fatal(err)

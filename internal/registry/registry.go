@@ -63,22 +63,6 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// JoinSpec names the equi-join a view was materialized from:
-// Left.LeftCol = Right.RightCol over two base-table names.
-type JoinSpec struct {
-	Left     string `json:"left"`
-	LeftCol  string `json:"left_col"`
-	Right    string `json:"right"`
-	RightCol string `json:"right_col"`
-}
-
-// Clause returns the spec as a parsed join clause.
-func (s JoinSpec) Clause() workload.JoinClause {
-	return workload.JoinClause{LeftTable: s.Left, LeftCol: s.LeftCol, RightTable: s.Right, RightCol: s.RightCol}
-}
-
-func (s JoinSpec) String() string { return s.Clause().String() }
-
 // generation is one immutable serving state of a registered model, plus the
 // count of requests pinned to it. It holds no training state: the engine
 // serves a core.Snapshot compiled under the entry's quant mode, which shares
@@ -106,7 +90,7 @@ func (g *generation) release() { g.pins.Done() }
 // entry is one registered model: what outlives every generation of it.
 type entry struct {
 	name     string
-	join     *JoinSpec // non-nil for legacy two-table join views
+	join     *relation.JoinEdge // non-nil for legacy two-table join views
 	serveCfg serve.Config
 	quant    string // plan weight representation ("" f32, "int8"); every generation is compiled under it
 
@@ -131,20 +115,20 @@ type entry struct {
 
 // ModelInfo is a snapshot of one registered model for listings and stats.
 type ModelInfo struct {
-	Name       string         `json:"name"`
-	Table      string         `json:"table"`
-	Rows       int            `json:"rows"`
-	Columns    int            `json:"columns"`
-	Join       *JoinSpec      `json:"join,omitempty"`
-	Graph      *JoinGraphSpec `json:"graph,omitempty"`
-	Path       string         `json:"path,omitempty"`
-	ModelBytes int64          `json:"model_bytes"`
-	Quant      string         `json:"quant,omitempty"`
-	PlanBytes  int            `json:"plan_bytes,omitempty"`
-	Reloads    uint64         `json:"reloads"`
-	Swaps      uint64         `json:"swaps"`
-	Version    int            `json:"version"`
-	Serve      serve.Stats    `json:"serve"`
+	Name       string             `json:"name"`
+	Table      string             `json:"table"`
+	Rows       int                `json:"rows"`
+	Columns    int                `json:"columns"`
+	Join       *relation.JoinEdge `json:"join,omitempty"`
+	Graph      *JoinGraphSpec     `json:"graph,omitempty"`
+	Path       string             `json:"path,omitempty"`
+	ModelBytes int64              `json:"model_bytes"`
+	Quant      string             `json:"quant,omitempty"`
+	PlanBytes  int                `json:"plan_bytes,omitempty"`
+	Reloads    uint64             `json:"reloads"`
+	Swaps      uint64             `json:"swaps"`
+	Version    int                `json:"version"`
+	Serve      serve.Stats        `json:"serve"`
 }
 
 // Registry owns named estimators. Create with New, release with Close. All
@@ -154,8 +138,8 @@ type Registry struct {
 
 	mu      sync.RWMutex // guards entries, joins, graphs, closed, and generation swaps
 	entries map[string]*entry
-	joins   map[workload.JoinClause]string // canonical clause -> legacy view name
-	graphs  map[string]string              // canonical edge-set key -> graph view name
+	joins   map[relation.JoinEdge]string // canonical clause -> legacy view name
+	graphs  map[string]string            // canonical edge-set key -> graph view name
 	closed  bool
 
 	met registryMetrics // router counters + per-model metric families
@@ -173,7 +157,7 @@ func New(cfg Config) *Registry {
 	r := &Registry{
 		cfg:     cfg,
 		entries: make(map[string]*entry),
-		joins:   make(map[workload.JoinClause]string),
+		joins:   make(map[relation.JoinEdge]string),
 		graphs:  make(map[string]string),
 		met:     newRegistryMetrics(cfg.Obs),
 	}
@@ -196,7 +180,7 @@ type AddOpts struct {
 	// Join marks the model as a legacy two-table join view over the given
 	// inner equi-join; the router resolves matching single-clause join
 	// queries to it. Mutually exclusive with Graph.
-	Join *JoinSpec
+	Join *relation.JoinEdge
 	// Graph marks the model as a join-graph view over the given N-way join
 	// tree, materialized with relation.MultiJoin (full outer join with
 	// per-table fanout columns). The router resolves queries whose join-
@@ -304,11 +288,11 @@ func (r *Registry) registerLocked(e *entry) error {
 		return fmt.Errorf("registry: model %q already registered", e.name)
 	}
 	if e.join != nil {
-		key := e.join.Clause().Canonical()
+		key := e.join.Canonical()
 		if prev, dup := r.joins[key]; dup {
 			return fmt.Errorf("registry: join %s already served by view %q", e.join, prev)
 		}
-		if prev, dup := r.graphs[workload.JoinSetKey([]workload.JoinClause{key})]; dup {
+		if prev, dup := r.graphs[workload.JoinSetKey([]relation.JoinEdge{key})]; dup {
 			return fmt.Errorf("registry: join %s already served by graph view %q", e.join, prev)
 		}
 		r.joins[key] = e.name
@@ -318,7 +302,7 @@ func (r *Registry) registerLocked(e *entry) error {
 			return fmt.Errorf("registry: join graph %s already served by view %q", graph.spec, prev)
 		}
 		if edges := graph.spec.Edges; len(edges) == 1 {
-			if prev, dup := r.joins[edges[0].Clause().Canonical()]; dup {
+			if prev, dup := r.joins[edges[0].Canonical()]; dup {
 				return fmt.Errorf("registry: join %s already served by view %q", edges[0], prev)
 			}
 		}

@@ -127,7 +127,7 @@ func TestRoutedEstimatesBitwiseEqualDirect(t *testing.T) {
 	if err := reg.Add("beta", tb, mb, AddOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	spec := &JoinSpec{Left: "alpha", LeftCol: "k", Right: "beta", RightCol: "k"}
+	spec := &relation.JoinEdge{LeftTable: "alpha", LeftCol: "k", RightTable: "beta", RightCol: "k"}
 	if err := reg.Add("alpha_beta", tj, mj, AddOpts{Join: spec}); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (r *Registry) routeSingle(target string, rq workload.RawQuery) (res Resolut
 		case rp.Table == "" || rp.Table == table.Name || rp.Table == name:
 			// Unqualified, or qualified with the served table/model name.
 		case e.join != nil:
-			mapped, err := e.join.mapColumn(rp.Table, rp.Column)
+			mapped, err := legacyColumn(*e.join, rp.Table, rp.Column)
 			if err != nil {
 				return Resolution{}, err
 			}
@@ -194,9 +194,9 @@ func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (res Res
 	var q workload.Query
 	for _, rp := range rq.Preds {
 		if rp.Table == "" {
-			return Resolution{}, true, fmt.Errorf("registry: predicate on %q in a join query must be qualified with %q or %q", rp.Column, e.join.Left, e.join.Right)
+			return Resolution{}, true, fmt.Errorf("registry: predicate on %q in a join query must be qualified with %q or %q", rp.Column, e.join.LeftTable, e.join.RightTable)
 		}
-		col, err := e.join.mapColumn(rp.Table, rp.Column)
+		col, err := legacyColumn(*e.join, rp.Table, rp.Column)
 		if err != nil {
 			return Resolution{}, true, err
 		}
@@ -214,7 +214,7 @@ func (r *Registry) routeLegacyJoin(target string, rq workload.RawQuery) (res Res
 // legacyViewLocked names the legacy two-table view serving clause; ok=false
 // with no error when none does or target names a join-graph view (the graph
 // router then checks the target serves the clause set). Callers hold r.mu.
-func (r *Registry) legacyViewLocked(target string, clause workload.JoinClause) (name string, ok bool, err error) {
+func (r *Registry) legacyViewLocked(target string, clause relation.JoinEdge) (name string, ok bool, err error) {
 	if r.closed {
 		return "", false, ErrClosed
 	}
@@ -313,7 +313,7 @@ func (r *Registry) routeGraph(target string, rq workload.RawQuery) (res Resoluti
 // smallest view whose edge set contains every clause (fewest tables, then
 // fewest view rows, then name, so the choice is deterministic). An explicit
 // target restricts the subset candidates to that view. Callers hold r.mu.
-func (r *Registry) graphViewLocked(clauses []workload.JoinClause, key, target string, connected bool) *entry {
+func (r *Registry) graphViewLocked(clauses []relation.JoinEdge, key, target string, connected bool) *entry {
 	if name, ok := r.graphs[key]; ok {
 		return r.entries[name]
 	}
@@ -328,7 +328,7 @@ func (r *Registry) graphViewLocked(clauses []workload.JoinClause, key, target st
 		}
 		all := true
 		for _, c := range clauses {
-			if _, ok := g.edges[c.Canonical()]; !ok {
+			if !g.edges[c.Canonical()] {
 				all = false
 				break
 			}
@@ -406,7 +406,7 @@ func (r *Registry) viewsCoveringLocked(tables []string) []string {
 		covers := func(t string) bool {
 			switch {
 			case e.join != nil:
-				return e.join.Left == t || e.join.Right == t
+				return e.join.LeftTable == t || e.join.RightTable == t
 			case e.gen.graph != nil:
 				return e.gen.graph.tables[t]
 			default:
@@ -451,20 +451,20 @@ func (r *Registry) soleModelLocked() (string, error) {
 	return "", fmt.Errorf("registry: %d models registered (%s); specify one", len(r.entries), strings.Join(names, ", "))
 }
 
-// mapColumn rewrites a base-table-qualified column onto the legacy join
-// view's materialized columns: left columns get the l_ prefix, right columns
-// the r_ prefix, and the right join key — which EquiJoin deduplicates away —
-// maps to the surviving l_<LeftCol>.
-func (s *JoinSpec) mapColumn(table, column string) (string, error) {
+// legacyColumn rewrites a base-table-qualified column onto the materialized
+// columns of the legacy view over join j: left columns get the l_ prefix,
+// right columns the r_ prefix, and the right join key — which EquiJoin
+// deduplicates away — maps to the surviving l_<LeftCol>.
+func legacyColumn(j relation.JoinEdge, table, column string) (string, error) {
 	switch table {
-	case s.Left:
+	case j.LeftTable:
 		return "l_" + column, nil
-	case s.Right:
-		if column == s.RightCol {
-			return "l_" + s.LeftCol, nil
+	case j.RightTable:
+		if column == j.RightCol {
+			return "l_" + j.LeftCol, nil
 		}
 		return "r_" + column, nil
 	default:
-		return "", fmt.Errorf("registry: table %q is not part of the join %s", table, s)
+		return "", fmt.Errorf("registry: table %q is not part of the join %s", table, j)
 	}
 }

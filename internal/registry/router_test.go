@@ -41,11 +41,11 @@ func joinFixture(t *testing.T) (*Registry, *relation.Table) {
 	for _, m := range []struct {
 		name string
 		tb   *relation.Table
-		join *JoinSpec
+		join *relation.JoinEdge
 	}{
 		{"orders", orders, nil},
 		{"customers", customers, nil},
-		{"orders_customers", joined, &JoinSpec{Left: "orders", LeftCol: "cust_id", Right: "customers", RightCol: "id"}},
+		{"orders_customers", joined, &relation.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}},
 	} {
 		if err := reg.Add(m.name, m.tb, core.NewModel(m.tb, smallConfig(7)), AddOpts{Join: m.join}); err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestJoinKindMismatch(t *testing.T) {
 
 func TestDuplicateJoinViewRejected(t *testing.T) {
 	reg, joined := joinFixture(t)
-	spec := &JoinSpec{Left: "customers", LeftCol: "id", Right: "orders", RightCol: "cust_id"}
+	spec := &relation.JoinEdge{LeftTable: "customers", LeftCol: "id", RightTable: "orders", RightCol: "cust_id"}
 	// Same join in the flipped orientation must collide with the registered view.
 	err := reg.Add("dup", joined, core.NewModel(joined, smallConfig(3)), AddOpts{Join: spec})
 	if err == nil || !strings.Contains(err.Error(), "already served") {

@@ -6,15 +6,30 @@ import (
 )
 
 // JoinEdge is one equi-join condition between two named tables:
-// LeftTable.LeftCol = RightTable.RightCol. Edges are symmetric; the
-// materialization orients them away from the first table of the graph.
+// LeftTable.LeftCol = RightTable.RightCol. It is the one edge type of every
+// join layer — a parsed query's join clause, a join-graph view's edge, a
+// legacy two-table view's join — and its JSON names are the manifests' and
+// /v1/models' wire form. Edges are symmetric; a join tree orients them away
+// from its first table (SpanningTree).
 type JoinEdge struct {
-	LeftTable, LeftCol   string
-	RightTable, RightCol string
+	LeftTable  string `json:"left"`
+	LeftCol    string `json:"left_col"`
+	RightTable string `json:"right"`
+	RightCol   string `json:"right_col"`
 }
 
 func (e JoinEdge) String() string {
 	return fmt.Sprintf("%s.%s = %s.%s", e.LeftTable, e.LeftCol, e.RightTable, e.RightCol)
+}
+
+// Canonical returns the edge with its sides in lexicographic order, so
+// "a.x = b.y" and "b.y = a.x" compare equal; the registry keys join views by
+// it to make routing orientation-insensitive.
+func (e JoinEdge) Canonical() JoinEdge {
+	if e.LeftTable > e.RightTable || (e.LeftTable == e.RightTable && e.LeftCol > e.RightCol) {
+		return JoinEdge{e.RightTable, e.RightCol, e.LeftTable, e.LeftCol}
+	}
+	return e
 }
 
 // JoinGraph describes an N-way join as a tree of equi-join edges over named
@@ -46,30 +61,32 @@ func JoinViewColumn(table, col string) string { return table + "_" + col }
 // "fanout >= 1", which is how the router restricts to inner-join rows.
 func FanoutColumn(table string) string { return "__fanout_" + table }
 
-// validate checks the graph is a spanning tree over typed, existing columns
-// and returns its edges oriented away from Tables[0] in BFS order.
-func (g *JoinGraph) validate() ([]treeEdge, error) {
-	if len(g.Tables) < 2 {
-		return nil, fmt.Errorf("relation: join graph needs at least 2 tables, got %d", len(g.Tables))
+// SpanningTree checks the shape every join tree takes: at least 2 distinct,
+// non-empty table names, len(tables)-1 edges, each between two different
+// tables of the list, connecting all of them. It returns the edges in BFS
+// order from tables[0], each oriented parent (Left) -> child (Right): the
+// orientation materialized and sampled view layouts follow.
+func SpanningTree(tables []string, edges []JoinEdge) ([]JoinEdge, error) {
+	if len(tables) < 2 {
+		return nil, fmt.Errorf("relation: join graph needs at least 2 tables, got %d", len(tables))
 	}
-	idx := make(map[string]int, len(g.Tables))
-	for i, t := range g.Tables {
-		if t.Name == "" {
+	idx := make(map[string]int, len(tables))
+	for i, t := range tables {
+		if t == "" {
 			return nil, fmt.Errorf("relation: join graph table %d has no name", i)
 		}
-		if _, dup := idx[t.Name]; dup {
-			return nil, fmt.Errorf("relation: duplicate table %q in join graph", t.Name)
+		if _, dup := idx[t]; dup {
+			return nil, fmt.Errorf("relation: duplicate table %q in join graph", t)
 		}
-		idx[t.Name] = i
+		idx[t] = i
 	}
-	if len(g.Edges) != len(g.Tables)-1 {
+	if len(edges) != len(tables)-1 {
 		return nil, fmt.Errorf("relation: join graph over %d tables needs %d edges (a spanning tree), got %d",
-			len(g.Tables), len(g.Tables)-1, len(g.Edges))
+			len(tables), len(tables)-1, len(edges))
 	}
-	// Adjacency with column indices, validating each edge.
-	type half struct{ other, ownCol, otherCol int }
-	adj := make([][]half, len(g.Tables))
-	for _, e := range g.Edges {
+	// adj[t] lists t's edges, each oriented away from t.
+	adj := make([][]JoinEdge, len(tables))
+	for _, e := range edges {
 		li, lok := idx[e.LeftTable]
 		ri, rok := idx[e.RightTable]
 		if !lok || !rok {
@@ -78,44 +95,66 @@ func (g *JoinGraph) validate() ([]treeEdge, error) {
 		if li == ri {
 			return nil, fmt.Errorf("relation: join edge %s relates a table to itself", e)
 		}
-		lc := g.Tables[li].ColumnIndex(e.LeftCol)
-		rc := g.Tables[ri].ColumnIndex(e.RightCol)
-		if lc < 0 || rc < 0 {
-			return nil, fmt.Errorf("relation: join columns %q/%q not found for edge %s", e.LeftCol, e.RightCol, e)
-		}
-		if g.Tables[li].Cols[lc].Kind != g.Tables[ri].Cols[rc].Kind {
-			return nil, fmt.Errorf("relation: join column kinds differ for edge %s: %v vs %v",
-				e, g.Tables[li].Cols[lc].Kind, g.Tables[ri].Cols[rc].Kind)
-		}
-		adj[li] = append(adj[li], half{ri, lc, rc})
-		adj[ri] = append(adj[ri], half{li, rc, lc})
+		adj[li] = append(adj[li], e)
+		adj[ri] = append(adj[ri], JoinEdge{e.RightTable, e.RightCol, e.LeftTable, e.LeftCol})
 	}
 	// BFS from the root; with exactly n-1 edges, reaching every table proves
 	// the edge set is a spanning tree.
-	seen := make([]bool, len(g.Tables))
+	seen := make([]bool, len(tables))
 	seen[0] = true
 	queue := []int{0}
-	var tree []treeEdge
+	var tree []JoinEdge
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
-		for _, h := range adj[p] {
-			if seen[h.other] {
+		for _, e := range adj[p] {
+			c := idx[e.RightTable]
+			if seen[c] {
 				continue
 			}
-			seen[h.other] = true
-			tree = append(tree, treeEdge{parent: p, child: h.other, parentCol: h.ownCol, childCol: h.otherCol})
-			queue = append(queue, h.other)
+			seen[c] = true
+			tree = append(tree, e)
+			queue = append(queue, c)
 		}
 	}
-	if len(tree) != len(g.Tables)-1 {
+	if len(tree) != len(tables)-1 {
 		var missing []string
 		for i, s := range seen {
 			if !s {
-				missing = append(missing, g.Tables[i].Name)
+				missing = append(missing, tables[i])
 			}
 		}
 		return nil, fmt.Errorf("relation: join graph is not connected (unreachable: %v)", missing)
+	}
+	return tree, nil
+}
+
+// validate checks the graph is a spanning tree (SpanningTree) over typed,
+// existing columns and returns its edges oriented away from Tables[0] in BFS
+// order.
+func (g *JoinGraph) validate() ([]treeEdge, error) {
+	names := make([]string, len(g.Tables))
+	idx := make(map[string]int, len(g.Tables))
+	for i, t := range g.Tables {
+		names[i] = t.Name
+		idx[t.Name] = i
+	}
+	oriented, err := SpanningTree(names, g.Edges)
+	if err != nil {
+		return nil, err
+	}
+	tree := make([]treeEdge, len(oriented))
+	for i, e := range oriented {
+		p, c := idx[e.LeftTable], idx[e.RightTable]
+		pc := g.Tables[p].ColumnIndex(e.LeftCol)
+		cc := g.Tables[c].ColumnIndex(e.RightCol)
+		if pc < 0 || cc < 0 {
+			return nil, fmt.Errorf("relation: join columns %q/%q not found for edge %s", e.LeftCol, e.RightCol, e)
+		}
+		if pk, ck := g.Tables[p].Cols[pc].Kind, g.Tables[c].Cols[cc].Kind; pk != ck {
+			return nil, fmt.Errorf("relation: join column kinds differ for edge %s: %v vs %v", e, pk, ck)
+		}
+		tree[i] = treeEdge{parent: p, child: c, parentCol: pc, childCol: cc}
 	}
 	return tree, nil
 }

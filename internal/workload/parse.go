@@ -29,33 +29,12 @@ type RawPredicate struct {
 	Lit    string
 }
 
-// JoinClause is one equi-join condition between two qualified columns
-// ("a.x = b.y"). Both sides must be qualified; the clause is symmetric.
-type JoinClause struct {
-	LeftTable, LeftCol   string
-	RightTable, RightCol string
-}
-
-// Canonical returns the clause with its sides in lexicographic order, so
-// "a.x = b.y" and "b.y = a.x" compare equal; the registry keys join views by
-// it to make routing orientation-insensitive.
-func (j JoinClause) Canonical() JoinClause {
-	if j.LeftTable > j.RightTable || (j.LeftTable == j.RightTable && j.LeftCol > j.RightCol) {
-		return JoinClause{j.RightTable, j.RightCol, j.LeftTable, j.LeftCol}
-	}
-	return j
-}
-
-func (j JoinClause) String() string {
-	return fmt.Sprintf("%s.%s = %s.%s", j.LeftTable, j.LeftCol, j.RightTable, j.RightCol)
-}
-
 // JoinSetKey renders a set of join clauses as one canonical string:
 // each clause canonicalized, the set sorted. Two clause sets describing the
 // same multi-way join — any orientation, any order — produce the same key,
 // which is how the registry matches a query's join set against a registered
 // join-graph view's edge set.
-func JoinSetKey(clauses []JoinClause) string {
+func JoinSetKey(clauses []relation.JoinEdge) string {
 	parts := make([]string, len(clauses))
 	for i, c := range clauses {
 		parts[i] = c.Canonical().String()
@@ -117,7 +96,7 @@ func (rq RawQuery) JoinsConnected() bool {
 // against a table yet. The serving router resolves it against either a
 // single table or a registered join view.
 type RawQuery struct {
-	Joins []JoinClause
+	Joins []relation.JoinEdge
 	Preds []RawPredicate
 }
 
@@ -147,7 +126,7 @@ func ParseRaw(s string) (RawQuery, error) {
 			if op != OpEq {
 				return RawQuery{}, fmt.Errorf("workload: join predicate %q: only equality joins are supported", strings.TrimSpace(part))
 			}
-			j := JoinClause{LeftTable: m[1], LeftCol: m[2], RightTable: rhs[1], RightCol: rhs[2]}
+			j := relation.JoinEdge{LeftTable: m[1], LeftCol: m[2], RightTable: rhs[1], RightCol: rhs[2]}
 			if j.LeftTable == j.RightTable {
 				return RawQuery{}, fmt.Errorf("workload: join predicate %q relates a table to itself", strings.TrimSpace(part))
 			}

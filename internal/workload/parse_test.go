@@ -237,7 +237,7 @@ func TestParseRawJoinSyntax(t *testing.T) {
 		t.Fatalf("spaced join: %+v %v", rq2, err)
 	}
 	// Canonical ordering makes the clause orientation-insensitive.
-	flip := JoinClause{LeftTable: "b", LeftCol: "y", RightTable: "a", RightCol: "x"}
+	flip := relation.JoinEdge{LeftTable: "b", LeftCol: "y", RightTable: "a", RightCol: "x"}
 	if rq2.Joins[0].Canonical() != flip.Canonical() {
 		t.Fatal("canonical clauses differ")
 	}
