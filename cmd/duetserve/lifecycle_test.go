@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"duet"
+	"duet/cmd/internal/manifest"
 	"duet/internal/artifact"
 	"duet/internal/relation"
 )
@@ -121,21 +122,21 @@ func TestManifestLifecycleBlock(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(good), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifest(manPath)
+	man, err := manifest.Load(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if man.Lifecycle == nil || man.Lifecycle.MaxMedianQErr != 4 {
 		t.Fatalf("lifecycle block not parsed: %+v", man.Lifecycle)
 	}
-	pol := man.Lifecycle.policy()
+	pol := man.Lifecycle.Policy()
 	if pol.MaxMedianQErr != 4 || pol.MinFeedback != 8 || pol.MaxColumnDrift != 0.3 || pol.TrainEpochs != 1 {
 		t.Fatalf("policy rendering: %+v", pol)
 	}
 
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
+	if err := assembleRegistry(reg, man, dir, dir); err != nil {
 		t.Fatal(err)
 	}
 	lc, err := startLifecycle(reg, man, dir, dir, nil)
@@ -155,7 +156,7 @@ func TestManifestLifecycleBlock(t *testing.T) {
 		if err := os.WriteFile(manPath, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadManifest(manPath); err == nil {
+		if _, err := manifest.Load(manPath); err == nil {
 			t.Fatalf("manifest accepted: %s", bad)
 		}
 	}
@@ -190,12 +191,12 @@ func TestRestartLoadsNewestGeneration(t *testing.T) {
 	// start assembles the deployment the way main does; stop tears it down.
 	start := func() (http.Handler, *duet.Lifecycle, func()) {
 		t.Helper()
-		man, err := loadManifest(manPath)
+		man, err := manifest.Load(manPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
-		if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
+		if err := assembleRegistry(reg, man, dir, dir); err != nil {
 			t.Fatalf("assemble: %v", err)
 		}
 		lc, err := startLifecycle(reg, man, dir, dir, nil)
@@ -278,7 +279,7 @@ func TestRestartSkipsGenerationsThatDoNotFit(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(`{"models": [{"name": "demo", "syn": "census", "rows": 300, "train_epochs": 0}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifest(manPath)
+	man, err := manifest.Load(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestRestartSkipsGenerationsThatDoNotFit(t *testing.T) {
 		t.Helper()
 		reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 		defer reg.Close()
-		if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
+		if err := assembleRegistry(reg, man, dir, dir); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Info()[0]
@@ -296,7 +297,7 @@ func TestRestartSkipsGenerationsThatDoNotFit(t *testing.T) {
 		t.Fatalf("first start: version %d from %q, want the seed weights it just saved", mi.Version, mi.Path)
 	}
 
-	tbl, err := man.Models[0].buildTable(dir)
+	tbl, err := man.Models[0].BuildTable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,11 @@
 //
 //	duetserve -manifest examples/serving/census.json          # one synthetic table, trains in-process
 //	duetserve -manifest deploy.json -modeldir models -watch 2s
-//	duetserve -manifest deploy.json -modeldir models -build-join   # train+save join models, exit
+//
+// A model whose weights file is missing at startup is trained data-only for
+// its "train_epochs" and saved there. duettrain -manifest deploy.json -join
+// NAME trains a join view offline from the same manifest, with a query
+// workload if asked (see its package docs).
 //
 // A one-model manifest answers requests that name no model.
 //
@@ -75,12 +79,12 @@ import (
 	"time"
 
 	"duet"
+	"duet/cmd/internal/manifest"
 )
 
 func main() {
 	manifestPath := flag.String("manifest", "", "deployment manifest JSON: the models a replica serves, or the fleet -proxy fronts (see package docs)")
 	modelDir := flag.String("modeldir", ".", "model directory for loading, saving, and watching weights")
-	buildJoin := flag.Bool("build-join", false, "materialize join views, train and save their models, then exit")
 	watch := flag.Duration("watch", 0, "hot-reload poll interval for file-backed models (0 disables)")
 	addr := flag.String("addr", ":8080", "listen address")
 	proxyMode := flag.Bool("proxy", false, "run as a cluster proxy over the manifest's \"cluster\" block instead of serving models")
@@ -94,7 +98,7 @@ func main() {
 	if *manifestPath == "" {
 		fatal(errors.New("pass -manifest FILE (examples/serving/census.json serves one synthetic table)"))
 	}
-	man, err := loadManifest(*manifestPath)
+	man, err := manifest.Load(*manifestPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,12 +143,8 @@ func main() {
 		}
 	}()
 
-	if err := assembleRegistry(reg, man, filepath.Dir(*manifestPath), *modelDir, *buildJoin); err != nil {
+	if err := assembleRegistry(reg, man, filepath.Dir(*manifestPath), *modelDir); err != nil {
 		fatal(err)
-	}
-	if *buildJoin {
-		slog.Info("join views built and saved; exiting (-build-join)", "dir", *modelDir)
-		return
 	}
 	if man.Lifecycle != nil {
 		if lc, err = startLifecycle(reg, man, filepath.Dir(*manifestPath), *modelDir, suite); err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"duet"
+	"duet/cmd/internal/manifest"
 )
 
 // TestLegacyManifestGolden loads the committed PR2-era manifest (two-table
@@ -29,13 +29,13 @@ func estimateExpr(ctx context.Context, reg *duet.Registry, target, expr string) 
 }
 
 func TestLegacyManifestGolden(t *testing.T) {
-	man, err := loadManifest(filepath.Join("testdata", "legacy_manifest.json"))
+	man, err := manifest.Load(filepath.Join("testdata", "legacy_manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir()})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false); err != nil {
+	if err := assembleRegistry(reg, man, "testdata", t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 3 {
@@ -82,13 +82,13 @@ func TestLegacyManifestGolden(t *testing.T) {
 // per-model serve overrides) and checks routing, the exact join-size answer,
 // and that the view's cache-disabling override sticks.
 func TestGraphManifest(t *testing.T) {
-	man, err := loadManifest(filepath.Join("testdata", "graph_manifest.json"))
+	man, err := manifest.Load(filepath.Join("testdata", "graph_manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir(), Serve: duet.ServeConfig{CacheSize: 64}})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, "testdata", t.TempDir(), false); err != nil {
+	if err := assembleRegistry(reg, man, "testdata", t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 4 {
@@ -175,13 +175,13 @@ func TestSampledGraphManifest(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(man), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := loadManifest(manPath)
+	parsed, err := manifest.Load(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: t.TempDir()})
 	defer reg.Close()
-	if err := assembleRegistry(reg, parsed, "testdata", t.TempDir(), false); err != nil {
+	if err := assembleRegistry(reg, parsed, "testdata", t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	view, err := reg.Table("ocr")
@@ -224,32 +224,6 @@ func TestSampledGraphManifest(t *testing.T) {
 	}
 }
 
-func TestManifestGraphValidation(t *testing.T) {
-	dir := t.TempDir()
-	manPath := filepath.Join(dir, "m.json")
-	base := `{"models": [{"name": "a", "syn": "census"}, {"name": "b", "syn": "census"}, {"name": "c", "syn": "census"}], "joins": [%s]}`
-	for _, tc := range []struct {
-		join, wantSub string
-	}{
-		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}], "left": "a"}`, "mixes"},
-		{`{"name": "j", "tables": ["a", "b", "c"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}]}`, "needs 2 edges (a spanning tree)"},
-		{`{"name": "j", "tables": ["a", "b", "c"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}, {"left": "b", "left_col": "x", "right": "a", "right_col": "y"}]}`, "not connected"},
-		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "c", "right_col": "y"}]}`, "outside the graph"},
-		{`{"name": "j", "tables": ["a", "nope"], "edges": [{"left": "a", "left_col": "x", "right": "nope", "right_col": "y"}]}`, "unknown table"},
-		{`{"name": "j", "tables": ["a"], "edges": []}`, "at least 2 tables"},
-		{`{"name": "j", "left": "a", "left_col": "x", "right": "b", "right_col": "y", "sample": 100}`, "cannot be sampled"},
-		{`{"name": "j", "tables": ["a", "b"], "edges": [{"left": "a", "left_col": "x", "right": "b", "right_col": "y"}], "sample": -5}`, "sample budget"},
-	} {
-		if err := os.WriteFile(manPath, []byte(fmt.Sprintf(base, tc.join)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := loadManifest(manPath)
-		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-			t.Fatalf("join %s: err %v, want substring %q", tc.join, err, tc.wantSub)
-		}
-	}
-}
-
 // TestColumnarManifest packs a table into a .duetcol file, declares it as a
 // manifest model through the "csv" field, and checks the mapped table
 // assembles, serves, and resolves as the lifecycle Pack target.
@@ -268,16 +242,16 @@ func TestColumnarManifest(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(man), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadManifest(manPath)
+	m, err := manifest.Load(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Models[0].colPath(dir); got != colPath {
+	if got := m.Models[0].ColPath(dir); got != colPath {
 		t.Fatalf("colPath = %q, want %q", got, colPath)
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, m, dir, dir, false); err != nil {
+	if err := assembleRegistry(reg, m, dir, dir); err != nil {
 		t.Fatal(err)
 	}
 	served, err := reg.Table("census")
@@ -316,7 +290,7 @@ func TestExampleManifests(t *testing.T) {
 		t.Fatalf("found %d example manifests, want the cluster and serving ones", len(paths))
 	}
 	for _, p := range paths {
-		if _, err := loadManifest(p); err != nil {
+		if _, err := manifest.Load(p); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 	}
@@ -327,14 +301,14 @@ func TestExampleManifests(t *testing.T) {
 // single-table deployment is queried.
 func TestOneModelManifestServes(t *testing.T) {
 	path := filepath.Join("..", "..", "examples", "serving", "census.json")
-	man, err := loadManifest(path)
+	man, err := manifest.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, filepath.Dir(path), dir, false); err != nil {
+	if err := assembleRegistry(reg, man, filepath.Dir(path), dir); err != nil {
 		t.Fatal(err)
 	}
 	rec, out := doJSON(t, testHandler(reg), "POST", "/v1/estimate", map[string]any{"query": "age<=40 AND hours>30"})
@@ -350,7 +324,7 @@ func TestOneModelManifestServes(t *testing.T) {
 // "cluster" block alone, so a manifest without one is refused before the
 // proxy listens.
 func TestProxyNeedsClusterBlock(t *testing.T) {
-	man, err := loadManifest(filepath.Join("..", "..", "examples", "serving", "census.json"))
+	man, err := manifest.Load(filepath.Join("..", "..", "examples", "serving", "census.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

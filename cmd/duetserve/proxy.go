@@ -6,13 +6,14 @@ import (
 	"strings"
 
 	"duet"
+	"duet/cmd/internal/manifest"
 )
 
 // runProxy is the -proxy entry point: a thin stateless router over the
 // replica fleet the manifest's "cluster" block lists. The proxy owns no
 // models and keeps no state beyond counters, so any number of proxies can
 // front the same fleet without coordination.
-func runProxy(addr string, man *Manifest, suite *duet.ObsSuite) error {
+func runProxy(addr string, man *manifest.Manifest, suite *duet.ObsSuite) error {
 	cs := man.Cluster
 	if cs == nil {
 		return errors.New("-proxy needs a manifest with a \"cluster\" block")
@@ -23,7 +24,7 @@ func runProxy(addr string, man *Manifest, suite *duet.ObsSuite) error {
 		Members:     cs.Members,
 		Replication: cs.Replication,
 		VNodes:      cs.VNodes,
-		Health:      cs.health(),
+		Health:      cs.HealthConfig(),
 		Obs:         suite.Metrics,
 		Tracer:      suite.Tracer,
 		Log:         suite.Logger(),

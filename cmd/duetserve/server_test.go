@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"duet"
+	"duet/cmd/internal/manifest"
 	"duet/internal/relation"
 )
 
@@ -177,7 +178,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 func TestManifestAssembly(t *testing.T) {
 	dir := t.TempDir()
-	manifest := fmt.Sprintf(`{
+	body := fmt.Sprintf(`{
 	  "models": [
 	    {"name": "dmvdemo", "syn": "census", "rows": 800, "seed": 3, "train_epochs": 0},
 	    {"name": "dmvdemo2", "syn": "census", "rows": 600, "seed": 4, "train_epochs": 0}
@@ -185,16 +186,16 @@ func TestManifestAssembly(t *testing.T) {
 	  "joins": []
 	}`)
 	manPath := filepath.Join(dir, "deploy.json")
-	if err := os.WriteFile(manPath, []byte(manifest), 0o644); err != nil {
+	if err := os.WriteFile(manPath, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := loadManifest(manPath)
+	man, err := manifest.Load(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := duet.NewRegistry(duet.RegistryConfig{Dir: dir})
 	defer reg.Close()
-	if err := assembleRegistry(reg, man, dir, dir, false); err != nil {
+	if err := assembleRegistry(reg, man, dir, dir); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 2 {
@@ -213,7 +214,7 @@ func TestManifestAssembly(t *testing.T) {
 		if err := os.WriteFile(manPath, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadManifest(manPath); err == nil {
+		if _, err := manifest.Load(manPath); err == nil {
 			t.Fatalf("manifest accepted: %s", bad)
 		}
 	}

@@ -1,43 +1,12 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
 	"log/slog"
-	"slices"
-	"strings"
 	"time"
 
 	"duet"
-	"duet/internal/serve"
+	"duet/cmd/internal/manifest"
 )
-
-// stageBudgets is the manifest's "budgets" block: stage name (one of
-// serve.SLOStages) to Go duration string, validated and parsed once, as the
-// manifest decodes.
-type stageBudgets map[string]time.Duration
-
-func (b *stageBudgets) UnmarshalJSON(data []byte) error {
-	var raw map[string]string
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	*b = make(stageBudgets, len(raw))
-	for stage, val := range raw {
-		if stages := serve.SLOStages(); !slices.Contains(stages, stage) {
-			return fmt.Errorf("budgets: unknown stage %q (stages: %s)", stage, strings.Join(stages, ", "))
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("budgets.%s: %w", stage, err)
-		}
-		if d < 0 {
-			return fmt.Errorf("budgets.%s must be >= 0 (0 disables the stage), got %s", stage, val)
-		}
-		(*b)[stage] = d
-	}
-	return nil
-}
 
 // applySLOBudgets installs the per-stage budget table on the suite's tracer:
 // roofline-derived defaults for the largest resident plan, overlaid by the
@@ -45,7 +14,7 @@ func (b *stageBudgets) UnmarshalJSON(data []byte) error {
 // proxy passes a nil registry: it owns no plan, so there is no roofline to
 // derive from and only the manifest's budgets (typically "forward" and
 // "route") apply.
-func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *Manifest) {
+func applySLOBudgets(suite *duet.ObsSuite, reg *duet.Registry, man *manifest.Manifest) {
 	if suite == nil || suite.Tracer == nil {
 		return
 	}

@@ -1,20 +1,25 @@
-package main
+// Package manifest is the deployment manifest's schema: the base tables and
+// join views a deployment serves, with their weights files, training epochs,
+// plan quantization and engine settings, plus the lifecycle, fleet and SLO
+// blocks. duetserve serves a manifest; duettrain trains its join views offline,
+// building their tables and views with the same code.
+package manifest
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"duet"
-	"duet/internal/artifact"
 	"duet/internal/relation"
+	"duet/internal/serve"
 )
 
 // Manifest describes a multi-model deployment: base-table models plus join
@@ -23,7 +28,7 @@ import (
 type Manifest struct {
 	// Models are base-table estimators.
 	Models []ModelSpec `json:"models"`
-	// Joins are join views over two named base tables.
+	// Joins are join views over base tables Models declares.
 	Joins []JoinViewSpec `json:"joins"`
 	// Lifecycle, when present, enables the drift-aware background retraining
 	// subsystem over every manifest model: POST /ingest appends rows, POST
@@ -41,7 +46,7 @@ type Manifest struct {
 	// plan_exec, route, forward) to per-stage SLO budgets as Go duration
 	// strings ("2ms", "500us"). Stages listed here override the roofline-
 	// derived defaults; "0s" disables a stage's check.
-	Budgets stageBudgets `json:"budgets,omitempty"`
+	Budgets StageBudgets `json:"budgets,omitempty"`
 }
 
 // ClusterSpec is the manifest's fleet block, read by -proxy.
@@ -69,8 +74,8 @@ type HealthSpec struct {
 	RiseAfter int `json:"rise_after,omitempty"`
 }
 
-// health renders the block as a checker configuration.
-func (cs *ClusterSpec) health() duet.ClusterHealthConfig {
+// HealthConfig renders the block's health probing as a checker configuration.
+func (cs *ClusterSpec) HealthConfig() duet.ClusterHealthConfig {
 	if cs.Health == nil {
 		return duet.ClusterHealthConfig{}
 	}
@@ -111,8 +116,8 @@ type LifecycleSpec struct {
 	CheckIntervalMS int `json:"check_interval_ms,omitempty"`
 }
 
-// policy renders the block as a supervisor policy.
-func (ls *LifecycleSpec) policy() duet.LifecyclePolicy {
+// Policy renders the block as a supervisor policy.
+func (ls *LifecycleSpec) Policy() duet.LifecyclePolicy {
 	pol := duet.LifecyclePolicy{
 		MaxMedianQErr:  ls.MaxMedianQErr,
 		MinFeedback:    ls.MinFeedback,
@@ -163,9 +168,9 @@ func (s *ServeSpec) validate(owner string) error {
 	return nil
 }
 
-// config renders the block as an engine configuration; the engine fills in
+// Config renders the block as an engine configuration; the engine fills in
 // its defaults for unset fields.
-func (s *ServeSpec) config() *duet.ServeConfig {
+func (s *ServeSpec) Config() *duet.ServeConfig {
 	if s == nil {
 		return nil
 	}
@@ -245,22 +250,28 @@ type JoinViewSpec struct {
 
 	Model string `json:"model,omitempty"`
 	// TrainEpochs trains the join model in-process when no weights file
-	// exists (or when -build-join rebuilds it). Default 3.
-	TrainEpochs *int       `json:"train_epochs,omitempty"`
-	Large       bool       `json:"large,omitempty"`
-	Serve       *ServeSpec `json:"serve,omitempty"`
-	Quant       string     `json:"quant,omitempty"`
+	// exists. Default 3. duettrain -join trains it with its own flags.
+	TrainEpochs *int `json:"train_epochs,omitempty"`
+	// Large selects the DMV-sized architecture, in duetserve and duettrain.
+	Large bool       `json:"large,omitempty"`
+	Serve *ServeSpec `json:"serve,omitempty"`
+	Quant string     `json:"quant,omitempty"`
 }
 
-// graph reports whether the spec uses the join-graph form.
-func (js JoinViewSpec) graph() bool { return len(js.Tables) > 0 || len(js.Edges) > 0 }
+// Graph reports whether the spec uses the join-graph form.
+func (js JoinViewSpec) Graph() bool { return len(js.Tables) > 0 || len(js.Edges) > 0 }
 
-// loadManifest reads and validates a manifest file.
-func loadManifest(path string) (*Manifest, error) {
+// Load reads and validates a manifest file.
+func Load(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parse(path, data)
+}
+
+// parse decodes and validates a manifest's bytes; path names it in errors.
+func parse(path string, data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -326,7 +337,7 @@ func loadManifest(path string) (*Manifest, error) {
 		if js.Sample < 0 {
 			return nil, fmt.Errorf("manifest %s: join %q sample budget must be >= 0, got %d", path, js.Name, js.Sample)
 		}
-		if js.graph() {
+		if js.Graph() {
 			if js.JoinEdge != (duet.JoinEdge{}) {
 				return nil, fmt.Errorf("manifest %s: join %q mixes the two-table form with tables/edges", path, js.Name)
 			}
@@ -350,10 +361,10 @@ func loadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// colPath resolves the spec's table source to a .duetcol path, or "" when the
+// ColPath resolves the spec's table source to a .duetcol path, or "" when the
 // source is CSV or synthetic. It doubles as the lifecycle Pack target, so
 // retrains of a mapped table compact back into the same file.
-func (ms ModelSpec) colPath(baseDir string) string {
+func (ms ModelSpec) ColPath(baseDir string) string {
 	if !strings.HasSuffix(ms.CSV, ".duetcol") {
 		return ""
 	}
@@ -363,9 +374,9 @@ func (ms ModelSpec) colPath(baseDir string) string {
 	return filepath.Join(baseDir, ms.CSV)
 }
 
-// buildTable materializes the table of one model spec. Relative CSV paths
+// BuildTable materializes the table of one model spec. Relative CSV paths
 // resolve against the manifest's directory.
-func (ms ModelSpec) buildTable(baseDir string) (*duet.Table, error) {
+func (ms ModelSpec) BuildTable(baseDir string) (*duet.Table, error) {
 	if ms.CSV == "" && ms.Syn == "" {
 		return nil, fmt.Errorf("model %q: one of csv or syn is required", ms.Name)
 	}
@@ -389,174 +400,28 @@ func (ms ModelSpec) buildTable(baseDir string) (*duet.Table, error) {
 	return t, nil
 }
 
-func epochsOrDefault(p *int) int {
-	if p != nil {
-		return *p
-	}
-	return 3
-}
-
-func modelConfig(large bool) duet.Config {
-	if large {
-		return duet.DMVConfig()
-	}
-	return duet.DefaultConfig()
-}
-
-// ensureModel returns weights for a table and the file backing them: the
-// first of generations — a retrained deployment's versioned artifacts,
-// newest first — that loads against tbl (a CSV-backed table lost its
-// ingested rows at restart, so a generation whose dictionaries grew no
-// longer fits it; a compacted .duetcol-backed one fits only its newest),
-// else the seed file at path, else a model trained data-only for epochs and
-// saved to path so later runs and hot reload have a file to watch. A non-nil
-// src streams the training tuples (the sampled join path) instead of
-// reading table rows.
-func ensureModel(tbl *duet.Table, generations []string, path string, epochs int, large bool, src *duet.JoinSampler) (*duet.Model, string, error) {
-	for _, p := range append(generations, path) {
-		m, _, err := artifact.Load(p, tbl)
-		if err == nil {
-			slog.Info("model loaded", "model", tbl.Name, "path", p, "mb", float64(m.SizeBytes())/1e6)
-			return m, p, nil
-		}
-		if p != path {
-			slog.Warn("generation does not load against the rebuilt table; trying the next older", "model", tbl.Name, "path", p, "error", err)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, "", err
-		}
-	}
-	m := duet.New(tbl, modelConfig(large))
-	if epochs > 0 {
-		slog.Info("no weights on disk; training data-only", "model", tbl.Name, "path", path, "epochs", epochs)
-		tc := duet.DefaultTrainConfig()
-		tc.Epochs = epochs
-		tc.Lambda = 0
-		if src != nil {
-			tc.Source = src
-			tc.SourceRows = tbl.NumRows()
-		}
-		duet.Train(m, tc)
-	} else {
-		slog.Warn("serving an untrained model", "model", tbl.Name)
-	}
-	if err := artifact.Save(path, m); err != nil {
-		return nil, "", err
-	}
-	slog.Info("model saved", "model", tbl.Name, "path", path)
-	return m, path, nil
-}
-
-// assembleRegistry builds every table and model a manifest names and
-// registers them. buildJoins forces retraining and saving of the join-view
-// models (the -build-join offline path) even when weights already exist.
-func assembleRegistry(reg *duet.Registry, man *Manifest, manifestDir, modelDir string, buildJoins bool) error {
-	dir := artifact.Dir(modelDir)
-	// add resolves one entry's weights and registers it; file is its "model"
-	// field, the seed weights.
-	add := func(name, file string, tbl *duet.Table, epochs int, large, rebuild bool, src *duet.JoinSampler, opts duet.AddOpts) error {
-		path := dir.Path(name)
-		if filepath.IsAbs(file) {
-			path = file
-		} else if file != "" {
-			path = filepath.Join(modelDir, file)
-		}
-		var generations []string
-		if rebuild {
-			// Offline build: always retrain from the freshly materialized
-			// join and persist, replacing stale weights.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		} else {
-			versions, err := dir.Versions(name)
-			if err != nil {
-				return err
-			}
-			for i := len(versions) - 1; i >= 0; i-- {
-				generations = append(generations, dir.VersionPath(name, versions[i]))
-			}
-		}
-		m, path, err := ensureModel(tbl, generations, path, epochs, large, src)
+// Tables builds the table of every model the manifest declares, keyed by
+// name: the base tables its join views materialize over.
+func (m *Manifest) Tables(baseDir string) (map[string]*duet.Table, error) {
+	tables := make(map[string]*duet.Table, len(m.Models))
+	for _, ms := range m.Models {
+		tbl, err := ms.BuildTable(baseDir)
 		if err != nil {
-			return fmt.Errorf("model %q: %w", name, err)
-		}
-		opts.Path = path
-		return reg.Add(name, tbl, m, opts)
-	}
-	tables := make(map[string]*duet.Table, len(man.Models))
-	for _, ms := range man.Models {
-		tbl, err := ms.buildTable(manifestDir)
-		if err != nil {
-			return fmt.Errorf("model %q: %w", ms.Name, err)
+			return nil, fmt.Errorf("model %q: %w", ms.Name, err)
 		}
 		slog.Info("table built", "model", ms.Name, "stats", tbl.Stats())
 		tables[ms.Name] = tbl
-		opts := duet.AddOpts{Serve: ms.Serve.config(), Quant: ms.Quant}
-		if err := add(ms.Name, ms.Model, tbl, epochsOrDefault(ms.TrainEpochs), ms.Large, false, nil, opts); err != nil {
-			return err
-		}
 	}
-	for _, js := range man.Joins {
-		joined, opts, src, err := js.materialize(tables)
-		if err != nil {
-			return fmt.Errorf("join %q: %w", js.Name, err)
-		}
-		slog.Info("join view built", "model", js.Name, "stats", joined.Stats())
-		opts.Serve = js.Serve.config()
-		opts.Quant = js.Quant
-		if err := add(js.Name, js.Model, joined, epochsOrDefault(js.TrainEpochs), js.Large, buildJoins, src, opts); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tables, nil
 }
 
-// startLifecycle creates the supervisor declared by the manifest's lifecycle
-// block and places every manifest model under management, so ingest and
-// feedback drive drift-aware background retraining with versioned saves into
-// the model directory. Legacy two-table join views are skipped — they have no
-// registered rebuild substrate; join-graph views (sampled or not) retrain
-// from their base tables.
-func startLifecycle(reg *duet.Registry, man *Manifest, manifestDir, modelDir string, suite *duet.ObsSuite) (*duet.Lifecycle, error) {
-	opts := duet.LifecycleOptions{Dir: modelDir, Log: suite.Logger()}
-	if suite != nil {
-		opts.Obs = suite.Metrics
-	}
-	lc := duet.NewLifecycle(reg, man.Lifecycle.policy(), opts)
-	manage := func(name, pack string, large bool, epochs int) error {
-		tc := duet.DefaultTrainConfig()
-		tc.Lambda = 0
-		if epochs > 0 {
-			tc.Epochs = epochs
-		}
-		return lc.Manage(name, duet.LifecycleManageOpts{Config: modelConfig(large), Train: tc, Pack: pack})
-	}
-	for _, ms := range man.Models {
-		// A .duetcol-backed table compacts into its own file on retrain.
-		if err := manage(ms.Name, ms.colPath(manifestDir), ms.Large, epochsOrDefault(ms.TrainEpochs)); err != nil {
-			lc.Close()
-			return nil, err
-		}
-	}
-	for _, js := range man.Joins {
-		if !js.graph() {
-			slog.Warn("legacy two-table join views are not lifecycle-managed; skipping", "model", js.Name)
-			continue
-		}
-		if err := manage(js.Name, "", js.Large, epochsOrDefault(js.TrainEpochs)); err != nil {
-			lc.Close()
-			return nil, err
-		}
-	}
-	return lc, nil
-}
-
-// materialize builds the join view's table and registration options: a
-// legacy inner equi-join for the two-table form, a full-outer join-graph
-// view for the tables/edges form, or — with a sample budget — a budget-row
-// FOJ sample plus the sampler that streams its training tuples.
-func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, duet.AddOpts, *duet.JoinSampler, error) {
-	if !js.graph() {
+// Materialize builds the join view's table and registration options over
+// the base tables Tables built: a legacy inner equi-join for the two-table
+// form, a full-outer join-graph view for the tables/edges form, or — with a
+// sample budget — a budget-row FOJ sample plus the sampler that streams its
+// training tuples.
+func (js JoinViewSpec) Materialize(tables map[string]*duet.Table) (*duet.Table, duet.AddOpts, *duet.JoinSampler, error) {
+	if !js.Graph() {
 		joined, err := duet.BuildJoinView(js.Name, tables[js.LeftTable], js.LeftCol, tables[js.RightTable], js.RightCol)
 		if err != nil {
 			return nil, duet.AddOpts{}, nil, err
@@ -577,4 +442,31 @@ func (js JoinViewSpec) materialize(tables map[string]*duet.Table) (*duet.Table, 
 		slog.Info("sampled FOJ rows (constant-memory materialization)", "model", js.Name, "sampled", js.Sample, "total", sampler.Total())
 	}
 	return joined, duet.AddOpts{Graph: spec}, sampler, nil
+}
+
+// StageBudgets is the manifest's "budgets" block: stage name (one of
+// serve.SLOStages) to Go duration string, validated and parsed once, as the
+// manifest decodes.
+type StageBudgets map[string]time.Duration
+
+func (b *StageBudgets) UnmarshalJSON(data []byte) error {
+	var raw map[string]string
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*b = make(StageBudgets, len(raw))
+	for stage, val := range raw {
+		if stages := serve.SLOStages(); !slices.Contains(stages, stage) {
+			return fmt.Errorf("budgets: unknown stage %q (stages: %s)", stage, strings.Join(stages, ", "))
+		}
+		d, err := time.ParseDuration(val)
+		if err != nil {
+			return fmt.Errorf("budgets.%s: %w", stage, err)
+		}
+		if d < 0 {
+			return fmt.Errorf("budgets.%s must be >= 0 (0 disables the stage), got %s", stage, val)
+		}
+		(*b)[stage] = d
+	}
+	return nil
 }

@@ -46,9 +46,9 @@ func main() {
 	})
 	// The join view: materialize orders ⋈ customers and train over it, so
 	// join queries become single-table queries (the substrate the paper
-	// inherits from NeuroCard). Offline this is duettrain -join or
-	// duetserve -build-join. The join is declared once: the same edge
-	// builds the view and registers it below.
+	// inherits from NeuroCard). Offline, a manifest declares the view and
+	// duettrain -manifest FILE -join NAME trains it. The join is declared
+	// once: the same edge builds the view and registers it below.
 	join := duet.JoinEdge{LeftTable: "orders", LeftCol: "cust_id", RightTable: "customers", RightCol: "id"}
 	joined, err := duet.BuildJoinView("orders_customers", orders, join.LeftCol, customers, join.RightCol)
 	check(err)

@@ -429,6 +429,22 @@ func TestRouteGraphStar(t *testing.T) {
 	}
 }
 
+// TestRouteCyclicClausesAdvice: a connected clause set with a cycle is not
+// a tree, and every join view is one, so the router says that rather than
+// advising a view that could never be built.
+func TestRouteCyclicClausesAdvice(t *testing.T) {
+	reg, _ := graphFixture(t, 0)
+	_, err := reg.Resolve("", "orders.cust_id = customers.id AND customers.region_id = regions.id AND regions.id = orders.amount")
+	if err == nil || !strings.Contains(err.Error(), "do not form a tree") {
+		t.Fatalf("3-table cycle: %v", err)
+	}
+	// A connected tree no view serves points at the offline trainer.
+	_, err = reg.Resolve("", "orders.amount = regions.pop AND customers.region_id = regions.id")
+	if err == nil || !strings.Contains(err.Error(), "duettrain -manifest") {
+		t.Fatalf("unserved tree: %v", err)
+	}
+}
+
 func TestInferTargetAmbiguityErrors(t *testing.T) {
 	reg, _ := graphFixture(t, 0)
 	// Mixed qualifiers without a join clause: the error names the candidate

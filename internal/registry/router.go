@@ -244,7 +244,8 @@ func (r *Registry) routeGraph(target string, rq workload.RawQuery) (res Resoluti
 	}
 	var g *generation
 	var base map[string]*relation.Table
-	e := r.graphViewLocked(clauses, key, target, rq.JoinsConnected())
+	connected := relation.Connected(clauses)
+	e := r.graphViewLocked(clauses, key, target, connected)
 	if e != nil {
 		g = e.gen
 		g.pins.Add(1)
@@ -255,13 +256,18 @@ func (r *Registry) routeGraph(target string, rq workload.RawQuery) (res Resoluti
 		if target != "" {
 			return Resolution{}, fmt.Errorf("registry: model %q does not serve the join %q", target, key)
 		}
-		if len(clauses) == 1 {
-			return Resolution{}, fmt.Errorf("registry: no join view registered for %q; build one with duetserve -build-join or duettrain -join", clauses[0])
-		}
-		if !rq.JoinsConnected() {
+		if !connected {
 			return Resolution{}, fmt.Errorf("registry: join clauses %q do not connect into one tree; a single view answers only connected joins", key)
 		}
-		return Resolution{}, fmt.Errorf("registry: no join-graph view serves the clause set %q; build one with duetserve -build-join or duettrain -join over tables %s",
+		distinct := map[relation.JoinEdge]bool{}
+		for _, c := range clauses {
+			distinct[c.Canonical()] = true
+		}
+		if len(distinct) != len(qTables)-1 {
+			return Resolution{}, fmt.Errorf("registry: join clauses %q do not form a tree (they join %d tables with %d distinct clauses); every join view is a tree, so none can serve them",
+				key, len(qTables), len(distinct))
+		}
+		return Resolution{}, fmt.Errorf("registry: no join view registered for %q; declare one over tables %s in a manifest and train it with duettrain -manifest FILE -join NAME",
 			key, strings.Join(qTables, ", "))
 	}
 	defer releaseOnError(g, &err)

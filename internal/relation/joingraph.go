@@ -70,63 +70,86 @@ func SpanningTree(tables []string, edges []JoinEdge) ([]JoinEdge, error) {
 	if len(tables) < 2 {
 		return nil, fmt.Errorf("relation: join graph needs at least 2 tables, got %d", len(tables))
 	}
-	idx := make(map[string]int, len(tables))
+	named := make(map[string]bool, len(tables))
 	for i, t := range tables {
 		if t == "" {
 			return nil, fmt.Errorf("relation: join graph table %d has no name", i)
 		}
-		if _, dup := idx[t]; dup {
+		if named[t] {
 			return nil, fmt.Errorf("relation: duplicate table %q in join graph", t)
 		}
-		idx[t] = i
+		named[t] = true
 	}
 	if len(edges) != len(tables)-1 {
 		return nil, fmt.Errorf("relation: join graph over %d tables needs %d edges (a spanning tree), got %d",
 			len(tables), len(tables)-1, len(edges))
 	}
-	// adj[t] lists t's edges, each oriented away from t.
-	adj := make([][]JoinEdge, len(tables))
 	for _, e := range edges {
-		li, lok := idx[e.LeftTable]
-		ri, rok := idx[e.RightTable]
-		if !lok || !rok {
+		if !named[e.LeftTable] || !named[e.RightTable] {
 			return nil, fmt.Errorf("relation: join edge %s references a table outside the graph", e)
 		}
-		if li == ri {
+		if e.LeftTable == e.RightTable {
 			return nil, fmt.Errorf("relation: join edge %s relates a table to itself", e)
 		}
-		adj[li] = append(adj[li], e)
-		adj[ri] = append(adj[ri], JoinEdge{e.RightTable, e.RightCol, e.LeftTable, e.LeftCol})
 	}
-	// BFS from the root; with exactly n-1 edges, reaching every table proves
-	// the edge set is a spanning tree.
-	seen := make([]bool, len(tables))
-	seen[0] = true
-	queue := []int{0}
-	var tree []JoinEdge
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[p] {
-			c := idx[e.RightTable]
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
-			tree = append(tree, e)
-			queue = append(queue, c)
-		}
-	}
+	// With exactly n-1 edges, reaching every table proves the edge set is a
+	// spanning tree.
+	tree, reached := walk(tables[0], edges)
 	if len(tree) != len(tables)-1 {
 		var missing []string
-		for i, s := range seen {
-			if !s {
-				missing = append(missing, tables[i])
+		for _, t := range tables {
+			if !reached[t] {
+				missing = append(missing, t)
 			}
 		}
 		return nil, fmt.Errorf("relation: join graph is not connected (unreachable: %v)", missing)
 	}
 	return tree, nil
+}
+
+// Connected reports whether the edges join their tables into one connected
+// graph. A disconnected set describes a cross product of independent joins,
+// which no tree-shaped join view serves; a repeated edge or a cycle does not
+// disconnect it.
+func Connected(edges []JoinEdge) bool {
+	if len(edges) == 0 {
+		return false
+	}
+	_, reached := walk(edges[0].LeftTable, edges)
+	for _, e := range edges {
+		if !reached[e.RightTable] {
+			return false
+		}
+	}
+	return true
+}
+
+// walk is the breadth-first walk of the undirected graph edges span, from
+// root: it returns each edge that first reaches a table, oriented parent
+// (Left) -> child (Right), in BFS order, and the tables reached. Each table's
+// edges are tried in the order edges lists them.
+func walk(root string, edges []JoinEdge) (tree []JoinEdge, reached map[string]bool) {
+	// adj[t] lists t's edges, each oriented away from t.
+	adj := make(map[string][]JoinEdge, len(edges)+1)
+	for _, e := range edges {
+		adj[e.LeftTable] = append(adj[e.LeftTable], e)
+		adj[e.RightTable] = append(adj[e.RightTable], JoinEdge{e.RightTable, e.RightCol, e.LeftTable, e.LeftCol})
+	}
+	reached = map[string]bool{root: true}
+	queue := []string{root}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, e := range adj[p] {
+			if reached[e.RightTable] {
+				continue
+			}
+			reached[e.RightTable] = true
+			tree = append(tree, e)
+			queue = append(queue, e.RightTable)
+		}
+	}
+	return tree, reached
 }
 
 // validate checks the graph is a spanning tree (SpanningTree) over typed,

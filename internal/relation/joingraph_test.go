@@ -233,6 +233,35 @@ func TestJoinGraphValidation(t *testing.T) {
 	}
 }
 
+// TestConnected: any clause set whose edges reach every table they name is
+// connected, a repeated clause and a cycle included; a cross product of two
+// joins and an empty set are not.
+func TestConnected(t *testing.T) {
+	ab := JoinEdge{"a", "x", "b", "y"}
+	bc := JoinEdge{"b", "z", "c", "w"}
+	ca := JoinEdge{"c", "k", "a", "k"}
+	for _, tc := range []struct {
+		name  string
+		edges []JoinEdge
+		want  bool
+	}{
+		{"one edge", []JoinEdge{ab}, true},
+		{"chain", []JoinEdge{ab, bc}, true},
+		{"chain, reversed order", []JoinEdge{bc, ab}, true},
+		{"star", []JoinEdge{ab, {"a", "u", "c", "v"}, {"d", "k", "a", "m"}}, true},
+		{"repeated edge", []JoinEdge{ab, ab}, true},
+		{"repeated edge, flipped", []JoinEdge{ab, {"b", "y", "a", "x"}}, true},
+		{"3-table cycle", []JoinEdge{ab, bc, ca}, true},
+		{"cross product", []JoinEdge{ab, {"c", "z", "d", "w"}}, false},
+		{"chain beside a pair", []JoinEdge{ab, bc, {"d", "z", "e", "w"}}, false},
+		{"none", nil, false},
+	} {
+		if got := Connected(tc.edges); got != tc.want {
+			t.Errorf("%s: Connected = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestMultiJoinMatchesEquiJoinInner: restricting the 2-table FOJ to rows with
 // both fanouts >= 1 yields exactly as many rows as the legacy inner EquiJoin.
 func TestMultiJoinMatchesEquiJoinInner(t *testing.T) {

@@ -60,37 +60,6 @@ func (rq RawQuery) JoinTables() []string {
 	return out
 }
 
-// JoinsConnected reports whether the query's join clauses form one connected
-// graph over their tables. A disconnected clause set describes a cross
-// product of independent joins, which no tree-shaped join view serves.
-func (rq RawQuery) JoinsConnected() bool {
-	if len(rq.Joins) == 0 {
-		return false
-	}
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == x {
-			return x
-		}
-		parent[x] = find(parent[x])
-		return parent[x]
-	}
-	for _, j := range rq.Joins {
-		for _, t := range []string{j.LeftTable, j.RightTable} {
-			if _, ok := parent[t]; !ok {
-				parent[t] = t
-			}
-		}
-		parent[find(j.LeftTable)] = find(j.RightTable)
-	}
-	roots := map[string]bool{}
-	for t := range parent {
-		roots[find(t)] = true
-	}
-	return len(roots) == 1
-}
-
 // RawQuery is the structural parse of a conjunctive expression: zero or more
 // join clauses plus the remaining comparison predicates, none resolved
 // against a table yet. The serving router resolves it against either a

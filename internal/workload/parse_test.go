@@ -260,7 +260,7 @@ func TestParseMultiJoinClauseSets(t *testing.T) {
 	if got := rq.JoinTables(); len(got) != 3 || got[0] != "customers" || got[1] != "orders" || got[2] != "regions" {
 		t.Fatalf("JoinTables = %v", got)
 	}
-	if !rq.JoinsConnected() {
+	if !relation.Connected(rq.Joins) {
 		t.Fatal("chain clauses reported disconnected")
 	}
 
@@ -280,7 +280,7 @@ func TestParseMultiJoinClauseSets(t *testing.T) {
 	if err != nil || len(star.Joins) != 3 || len(star.Preds) != 1 {
 		t.Fatalf("star parse: %+v %v", star, err)
 	}
-	if !star.JoinsConnected() {
+	if !relation.Connected(star.Joins) {
 		t.Fatal("star clauses reported disconnected")
 	}
 
@@ -289,10 +289,10 @@ func TestParseMultiJoinClauseSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.JoinsConnected() {
+	if relation.Connected(x.Joins) {
 		t.Fatal("disconnected clauses reported connected")
 	}
-	if none, _ := ParseRaw("m>1"); none.JoinsConnected() {
+	if none, _ := ParseRaw("m>1"); relation.Connected(none.Joins) {
 		t.Fatal("join-free query reported connected")
 	}
 }
