@@ -3,7 +3,7 @@
 # nothing here compares a measurement with a number taken on another machine.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-train bench-plan bench-estimate golden serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
+.PHONY: all build vet fmt test race bench bench-train bench-plan bench-estimate bench-serve golden serve test-generic cross pack scale benchmark benchmark-compare loc paper-accuracy
 
 all: build vet fmt test
 
@@ -57,6 +57,15 @@ bench-plan:
 bench-estimate:
 	$(GO) test -run='^$$' -bench='EstimateBurstDMV' -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Softmax' -benchmem ./internal/nn
+
+# The serve engine around the pass: queries/s of single Estimate calls that
+# all miss the cache, from one caller (bare, with metrics, traced) and from
+# 1, 2 and 4 callers sharing one engine. One pass runs at a time, so more
+# callers should answer about what one does; clearly fewer means waiting
+# callers take the processor from the pass in flight. benchmark/'s
+# embed_point is the two-caller case end to end.
+bench-serve:
+	$(GO) test -run='^$$' -bench='Estimate(LoneMiss|Contended)' -benchmem ./internal/serve
 
 # The bitwise contract: trained weights, losses and estimates hashed against
 # internal/core/testdata/golden.txt. A change that means to move numbers

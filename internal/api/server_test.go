@@ -121,13 +121,16 @@ func TestRequestIDPropagation(t *testing.T) {
 func TestContentTypeValidation(t *testing.T) {
 	h, _ := newTestServer(t, nil, "")
 	body := `{"model":"alpha","query":"a<=1"}`
-	// Wrong declared type is rejected with the envelope.
-	rec := do(t, h, "POST", "/v1/estimate", body, map[string]string{"Content-Type": "text/plain"})
-	if rec.Code != http.StatusUnsupportedMediaType {
-		t.Fatalf("text/plain accepted: %d", rec.Code)
-	}
-	if env := decodeEnvelope(t, rec); env.Code != CodeUnsupported {
-		t.Fatalf("envelope: %+v", env)
+	// A wrong declared type is rejected with the envelope, which names the
+	// type to send. curl -d declares application/x-www-form-urlencoded.
+	for _, ct := range []string{"text/plain", "application/x-www-form-urlencoded"} {
+		rec := do(t, h, "POST", "/v1/estimate", body, map[string]string{"Content-Type": ct})
+		if rec.Code != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s accepted: %d", ct, rec.Code)
+		}
+		if env := decodeEnvelope(t, rec); env.Code != CodeUnsupported || !strings.Contains(env.Message, "application/json") {
+			t.Fatalf("%s envelope: %+v", ct, env)
+		}
 	}
 	// Declared JSON (with charset) and absent Content-Type both pass.
 	for _, ct := range []string{"", "application/json", "application/json; charset=utf-8"} {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"sync"
 	"testing"
@@ -99,31 +100,39 @@ func BenchmarkEstimateLoneMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateContended is two callers whose every request misses: the
-// backend is always busy, so each op waits out the pass in flight and is
-// handed the backend for its own.
+// BenchmarkEstimateContended is 1, 2 and 4 callers whose every request
+// misses. With more than one the backend is always busy, so each op waits
+// out the pass in flight and is handed the backend for its own (or rides in
+// a batch); callers=1 is BenchmarkEstimateLoneMiss/bare. A waiting caller
+// that took the processor from the pass in flight would show here as
+// callers=2 answering well under callers=1.
 func BenchmarkEstimateContended(b *testing.B) {
 	m, qs := benchModel(b)
-	e := New(m, Config{MaxBatch: benchBatch, CacheSize: -1})
-	defer e.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < b.N; i += 2 {
-				if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
-					b.Error(err)
-					return
-				}
+	for _, callers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			e := New(m, Config{MaxBatch: benchBatch, CacheSize: -1})
+			defer e.Close()
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := w; i < b.N; i += callers {
+						if _, err := e.Estimate(ctx, qs[i%len(qs)]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
 			}
-		}(w)
+			wg.Wait()
+			reportQPS(b, b.N)
+			st := e.Stats()
+			b.ReportMetric(float64(st.BatchedQueries)/float64(st.Batches), "queries/pass")
+		})
 	}
-	wg.Wait()
-	reportQPS(b, b.N)
-	b.ReportMetric(float64(e.Stats().BatchedQueries)/float64(e.Stats().Batches), "queries/pass")
 }
 
 // BenchmarkEstimateServed drives the full engine — coalescing, dedup, cache —

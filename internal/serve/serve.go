@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -149,7 +148,7 @@ type Estimator struct {
 	pending  []*call        // calls parked behind it, oldest first
 	closed   atomic.Bool    // written under mu
 	idle     sync.WaitGroup // 1 while the backend is held; Close waits on it
-	lastExec atomic.Int64   // duration of the latest pass, ns
+	lastExec atomic.Int64   // duration of the latest pass, ns; admission's Retry-After
 
 	// Owned by whoever holds the backend.
 	batch []*call          // the calls the holder answers
@@ -315,28 +314,13 @@ func (e *Estimator) stage(h *obs.Histogram, tr *obs.Trace, name string, t0 time.
 	tr.AddSpan(name, t0, d, attrs...)
 }
 
-// shortPass bounds the passes a waiting caller polls for instead of sleeping
-// through. Parking a goroutine and having another thread wake it costs about
-// 15µs and two futex calls on the reference host — most of a small model's
-// forward pass — so behind such a pass the hand-off is cheaper polled.
-const shortPass = 50 * time.Microsecond
-
 // await parks the caller of c until the call is answered or failed (lead
 // false) or handed the backend with c at the head of e.batch (lead true). A
 // caller whose ctx ends first withdraws c — unless it was just handed the
 // backend: the calls batched behind it depend on this caller, so it leads.
+// It parks even behind a short pass: polling for the hand-off would take
+// the processor the pass in flight runs on.
 func (e *Estimator) await(ctx context.Context, c *call) (lead bool, err error) {
-	if last := time.Duration(e.lastExec.Load()); last < shortPass {
-		// The pass in flight should end within about one pass time; yield
-		// the processor between looks, and give up after two.
-		for t0 := time.Now(); time.Since(t0) < 2*last; runtime.Gosched() {
-			select {
-			case <-c.wake:
-				return c.lead, c.err
-			default:
-			}
-		}
-	}
 	select {
 	case <-c.wake:
 	case <-ctx.Done():
