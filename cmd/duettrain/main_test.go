@@ -2,31 +2,42 @@ package main
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"duet/internal/artifact"
+	"duet/internal/core"
 )
 
 // TestManifestViewArtifacts trains each join-view form a manifest declares
-// at -epochs 1 and pins the artifact's bytes: the two-table inner join, the
-// materialized 3-table graph, and that graph sampled at 6 rows. The hashes
-// are those the same views trained to when duettrain described them with
-// per-table and edge flags of its own, so they also hold the manifest path
-// to those bytes. Each artifact must load against the view the manifest
+// at -epochs 1 and pins what it wrote: the two-table inner join, the
+// materialized 3-table graph, and that graph sampled at 6 rows. The weights
+// pin is a hash of the loaded model that no file format enters (weightHash);
+// its values are those the same views trained to when duettrain described
+// them with per-table and edge flags of its own, so they hold the manifest
+// path to those weights. The file pin holds the artifact's bytes in the
+// DUETMOD1 format. Each artifact must load against the view the manifest
 // package builds.
 func TestManifestViewArtifacts(t *testing.T) {
 	testdata := filepath.Join("..", "duetserve", "testdata")
 	sampled := sampledManifest(t, filepath.Join(testdata, "graph_manifest.json"), 6)
 	for _, tc := range []struct {
-		name, manifest, view, sha256 string
+		name, manifest, view, weights, file string
 	}{
-		{"two-table", filepath.Join(testdata, "legacy_manifest.json"), "orders_customers", "a1aabd463336e435c8f4fd8d624ec2686012ff0ffe422f7fe5395cac92e85a5c"},
-		{"graph", filepath.Join(testdata, "graph_manifest.json"), "ocr", "32322681fc6d0163c6bd70fc68b5540ce5ee571cb6da7843dd1edb85b435ee9f"},
-		{"sampled graph", sampled, "ocr", "2a62d04e3e42471e70ed6268966851a0ba49004cb9707ad6d6eb573f945b7830"},
+		{"two-table", filepath.Join(testdata, "legacy_manifest.json"), "orders_customers",
+			"81722646ac105eb142c4e78f7d3b159800814bc4e55bbdb2698b8d23910f534b",
+			"510ddb4fe8dffbb9aa6a33c787cc548dd774c99e3a378cdf9d4f24abcf23f4e0"},
+		{"graph", filepath.Join(testdata, "graph_manifest.json"), "ocr",
+			"78180e0fe58eba9a936ccb71e39a78406aafa87857b9692e268958808bb9a051",
+			"37bf1f0b3699502fae19ac389453ae6d9fd6e331877b035eefa6e6df1ccd040b"},
+		{"sampled graph", sampled, "ocr",
+			"4aa86c62c534a41beb1f46795cbf3f65d0685161bbf2b76bd1d06c183f1f03e0",
+			"08ce0d20eac3f81bd0d669037494f39365c6a308288fc4fead8a01e4d586be1e"},
 	} {
 		out := filepath.Join(t.TempDir(), tc.view+".duet")
 		if err := run([]string{"-manifest", tc.manifest, "-join", tc.view, "-epochs", "1", "-model", out}); err != nil {
@@ -36,17 +47,44 @@ func TestManifestViewArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.sha256 {
-			t.Errorf("%s: artifact sha256 %x, want %s", tc.name, sum, tc.sha256)
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.file {
+			t.Errorf("%s: artifact sha256 %x, want %s", tc.name, sum, tc.file)
 		}
 		_, view, _, err := buildView(tc.manifest, tc.view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := artifact.Load(out, view); err != nil {
-			t.Errorf("%s: artifact does not load against the manifest's view: %v", tc.name, err)
+		m, _, err := artifact.Load(out, view)
+		if err != nil {
+			t.Fatalf("%s: artifact does not load against the manifest's view: %v", tc.name, err)
+		}
+		if got := weightHash(t, m); got != tc.weights {
+			t.Errorf("%s: weights hash %s, want %s", tc.name, got, tc.weights)
 		}
 	}
+}
+
+// weightHash is the sha256 of what a model file carries, in no file's
+// format: the Config as JSON, the NDV profile as JSON, and every parameter's
+// float32 bits, little-endian, in Params order.
+func weightHash(t *testing.T, m *core.Model) string {
+	cfg, err := json.Marshal(m.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndvs, err := json.Marshal(m.Table().NDVs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(cfg)
+	h.Write(ndvs)
+	for _, p := range m.Params() {
+		for _, w := range p.W.Data {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(w)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // sampledManifest writes a copy of the manifest at path whose join views

@@ -183,9 +183,6 @@ func FineTune(m *Model, bad []LabeledQuery, cfg FineTuneConfig) []float64 {
 	return core.FineTune(m, bad, cfg)
 }
 
-// LoadModel restores a model saved with Model.Save, validated against t.
-func LoadModel(r io.Reader, t *Table) (*Model, error) { return core.Load(r, t) }
-
 // LoadCSV reads a CSV stream into a dictionary-encoded table with inferred
 // column kinds.
 func LoadCSV(r io.Reader, name string, header bool) (*Table, error) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"duet"
+	"duet/internal/artifact"
 )
 
 func facadeTable() *duet.Table {
@@ -76,14 +77,16 @@ func TestPredUnknownColumnPanics(t *testing.T) {
 	duet.Pred(tbl, "no-such-column", duet.OpEq, 1)
 }
 
+// TestSaveLoadThroughFacade: a facade model saved into a model directory
+// loads back through internal/artifact, as duetserve and duetquery load it.
 func TestSaveLoadThroughFacade(t *testing.T) {
 	tbl := facadeTable()
 	m := duet.New(tbl, smallCfg())
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	path := artifact.Dir(t.TempDir()).Path("facade")
+	if err := artifact.Save(path, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := duet.LoadModel(&buf, tbl)
+	m2, _, err := artifact.Load(path, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}

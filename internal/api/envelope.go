@@ -154,12 +154,12 @@ func WithRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// requireJSON rejects POST bodies whose declared Content-Type is not JSON.
+// RequireJSON rejects POST bodies whose declared Content-Type is not JSON.
 // An absent Content-Type is tolerated; a present-but-wrong one is a client
 // bug worth failing loudly. curl -d declares a form
 // (application/x-www-form-urlencoded), so curl callers pass
 // -H 'Content-Type: application/json'.
-func requireJSON(next http.HandlerFunc) http.HandlerFunc {
+func RequireJSON(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if ct := r.Header.Get("Content-Type"); ct != "" {
 			mt, _, err := mime.ParseMediaType(ct)

@@ -39,14 +39,14 @@ func New(reg *registry.Registry, lc *lifecycle.Supervisor, dir string, suite *ob
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("POST /v1/estimate", requireJSON(s.estimate))
+	mux.HandleFunc("POST /v1/estimate", RequireJSON(s.estimate))
 	mux.HandleFunc("GET /v1/models", s.models)
 	mux.HandleFunc("POST /v1/models/{name}/reload", s.reload)
 	mux.HandleFunc("GET /v1/models/{name}/versions", s.versions)
 	mux.HandleFunc("GET /v1/models/{name}/versions/{version}", s.artifact)
-	mux.HandleFunc("POST /v1/models/{name}/pull", requireJSON(s.pull))
-	mux.HandleFunc("POST /v1/ingest", requireJSON(s.ingest))
-	mux.HandleFunc("POST /v1/feedback", requireJSON(s.feedback))
+	mux.HandleFunc("POST /v1/models/{name}/pull", RequireJSON(s.pull))
+	mux.HandleFunc("POST /v1/ingest", RequireJSON(s.ingest))
+	mux.HandleFunc("POST /v1/feedback", RequireJSON(s.feedback))
 	mux.HandleFunc("GET /v1/lifecycle", s.lifecycle)
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
 	mux.HandleFunc("GET /v1/stats", s.stats)

@@ -2,10 +2,12 @@
 // code that knows it. A model's seed weights live at <dir>/<name>.duet; every
 // generation a retrain or a cluster pull installs is <dir>/<name>.v<N>.duet,
 // N counting up from 1, and the current generation is simply the highest N
-// present. Every write goes through a temporary file in the target's
-// directory (<target>.tmp*) and a rename, so a reader — the registry's
-// watcher, a restart, a peer's pull — sees the previous bytes or the new
-// ones, never a short file.
+// present. Each file is the container core.Model.Save writes (magic
+// DUETMOD1, a checksum on every section). Every write goes through
+// container.WriteFile, a temporary file in the target's directory
+// (<target>.tmp*) and a rename, so a reader — the registry's watcher, a
+// restart, a peer's pull — sees the previous bytes or the new ones, never a
+// short file.
 package artifact
 
 import (
@@ -18,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"duet/internal/container"
 	"duet/internal/core"
 	"duet/internal/relation"
 )
@@ -96,41 +99,14 @@ func (d Dir) Prune(name string, keep int) {
 // from outside that do not load never destroy a copy being served.
 func (d Dir) Put(name string, v int, write func(io.Writer) error, check func(tmp string) error) (string, error) {
 	path := d.VersionPath(name, v)
-	return path, writeFile(path, write, check)
+	return path, container.WriteFile(path, write, check)
 }
 
 // WriteFile replaces path with what write produces, creating parent
 // directories as needed. If write, the close or the rename fails, path keeps
 // its previous content and no temporary is left behind.
 func WriteFile(path string, write func(io.Writer) error) error {
-	return writeFile(path, write, nil)
-}
-
-// writeFile is WriteFile with a check of the temporary file, when non-nil,
-// before the rename.
-func writeFile(path string, write func(io.Writer) error, check func(tmp string) error) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	err = write(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && check != nil {
-		err = check(tmp.Name())
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return container.WriteFile(path, write, nil)
 }
 
 // Save writes a model's weights to path atomically.
@@ -158,6 +134,8 @@ func Stat(path string) (Sig, error) {
 // Load reads the model at path, validated against t (core.Load checks the
 // table's NDV profile), with the signature of the file it read.
 func Load(path string, t *relation.Table) (*core.Model, Sig, error) {
+	// The signature is the opened file's, so it describes the bytes read
+	// even when a rename replaces path meanwhile.
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, Sig{}, err
@@ -167,7 +145,11 @@ func Load(path string, t *relation.Table) (*core.Model, Sig, error) {
 	if err != nil {
 		return nil, Sig{}, err
 	}
-	m, err := core.Load(f, t)
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, Sig{}, fmt.Errorf("load %s: %w", path, err)
+	}
+	m, err := core.Load(data, t)
 	if err != nil {
 		return nil, Sig{}, fmt.Errorf("load %s: %w", path, err)
 	}

@@ -162,9 +162,8 @@ func TestPruneKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestPutLoadRoundTrip goes through a real *os.File on the way back: it is
-// not an io.ByteReader, which is what exposes gob stream misalignment between
-// the header and the parameters (see core.Load).
+// TestPutLoadRoundTrip: a generation Put writes loads back, with the
+// signature of the file it read.
 func TestPutLoadRoundTrip(t *testing.T) {
 	dir := Dir(filepath.Join(t.TempDir(), "models")) // created on first write
 	tbl := testTable()

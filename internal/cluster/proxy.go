@@ -131,7 +131,7 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/estimate", p.estimate)
 	mux.HandleFunc("POST /v1/ingest", p.primaryOnly)
 	mux.HandleFunc("POST /v1/feedback", p.primaryOnly)
-	mux.HandleFunc("POST /v1/models/{name}/rollout", p.rollout)
+	mux.HandleFunc("POST /v1/models/{name}/rollout", api.RequireJSON(p.rollout))
 	mux.HandleFunc("GET /v1/models", p.models)
 	mux.HandleFunc("GET /v1/healthz", p.healthz)
 	mux.HandleFunc("GET /v1/stats", p.stats)

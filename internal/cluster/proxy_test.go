@@ -63,6 +63,42 @@ func TestProxyFailsOverOnlyWhenUnavailable(t *testing.T) {
 	}
 }
 
+// TestProxyRolloutRequiresJSON: the rollout route the proxy answers itself
+// refuses a body declared as anything but JSON, as every replica POST does,
+// before it asks any member.
+func TestProxyRolloutRequiresJSON(t *testing.T) {
+	var hits atomic.Int64
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/healthz" {
+			hits.Add(1)
+		}
+	}))
+	defer member.Close()
+	p, err := NewProxy(Config{Members: []string{member.URL}, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, c := range []struct {
+		contentType string
+		status      int
+	}{
+		{"application/x-www-form-urlencoded", http.StatusUnsupportedMediaType},
+		{"text/plain", http.StatusUnsupportedMediaType},
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/m/rollout", strings.NewReader(`{"version":2}`))
+		req.Header.Set("Content-Type", c.contentType)
+		p.Handler().ServeHTTP(rec, req)
+		if rec.Code != c.status {
+			t.Errorf("%s: rollout answered %d %s, want %d", c.contentType, rec.Code, rec.Body.String(), c.status)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Errorf("%s: the refused rollout reached the member %d times", c.contentType, n)
+		}
+	}
+}
+
 // fleetMember serves the fleet views as one kind of member does: "healthy"
 // (and "down", the same member once the proxy marks it out of rotation)
 // answers every view with itself as the only entry, "404" answers 404 on

@@ -1,75 +1,62 @@
 // Package colstore persists relation tables in a versioned on-disk columnar
-// format (".duetcol", one file per table) designed to be consumed in place:
+// format (".duetcol", one file per table) designed to be consumed in place.
+// A .duetcol file is an internal/container file with magic "DUETCOL2": a
+// checksummed 64-byte header, one checksummed 64-byte-aligned section per
+// column part, and JSON metadata (fileMeta) holding the table's name, row
+// count and each column's name, kind and NDV.
 //
-//	offset 0   magic "DUETCOL1" (the trailing digit is the format version)
-//	offset 8   uint64 metaOff   — start of the JSON metadata section
-//	offset 16  uint32 metaLen
-//	offset 20  uint32 metaCRC   — CRC-32C of the metadata bytes
-//	offset 24  uint64 fileSize  — expected total size; truncation detection
-//	offset 32  uint64 nrows
-//	offset 40  uint32 ncols
-//	offset 44  uint32 headerCRC — CRC-32C of bytes [0, 44)
-//	offset 48  zeros up to 64
-//	offset 64  data sections, each 64-byte aligned
-//	metaOff    JSON metadata (fileMeta) with per-column section offsets
+// Per column i the sections are:
 //
-// Per column the data sections are: the code array at the width the NDV
-// needs (uint8/uint16/uint32, chosen so the largest code fits), the sorted
-// dictionary (int64/float64 values raw little-endian; strings as a
-// uint32 offset table plus a byte blob), and the normalized code-frequency
-// histogram (float64 per distinct value) that drift detection consumes, so
-// Table.CodeHist never has to scan a mapped column.
+//	"<i>.codes"  the code array at the width the NDV needs (uint8/uint16/
+//	             uint32, the narrowest that fits every code)
+//	"<i>.dict"   the sorted dictionary: int64/float64 values raw, or for
+//	             strings a uint32 offset table of NDV+1 entries
+//	"<i>.strs"   strings only: the value bytes the offset table indexes
+//	"<i>.hist"   the normalized code-frequency histogram (float64 per
+//	             distinct value) that drift detection consumes, so
+//	             Table.CodeHist never has to scan a mapped column
 //
-// Because every numeric section is 64-byte aligned and little-endian,
-// Open can reinterpret code arrays, numeric dictionaries and histograms in
-// place over the raw file bytes — via mmap on unix (the OS page cache then
-// does the memory tiering for beyond-RAM tables) or over one os.ReadFile
-// buffer as the pure-Go fallback (non-unix builds, or DUET_NO_MMAP=1).
-// Only string dictionaries are materialized as Go values on open.
+// Every section is 64-byte aligned and little-endian, so Open reinterprets
+// code arrays, numeric dictionaries and histograms in place over the raw file
+// bytes — via mmap on unix (the OS page cache then does the memory tiering for
+// beyond-RAM tables) or over one os.ReadFile buffer as the pure-Go fallback
+// (non-unix builds, or DUET_NO_MMAP=1). Open reads every section once to
+// check its CRC. Only string dictionaries are materialized as Go values on
+// open.
 package colstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
-	"path/filepath"
 	"unsafe"
 
+	"duet/internal/container"
 	"duet/internal/relation"
 )
 
 // Magic identifies a .duetcol file; the trailing digit is the format version.
-const Magic = "DUETCOL1"
+const Magic = "DUETCOL2"
 
-const (
-	headerSize = 64
-	crcSize    = 44 // header bytes covered by headerCRC
-	align      = 64
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// fileMeta is the JSON metadata section.
+// fileMeta is the container's metadata.
 type fileMeta struct {
 	Table string    `json:"table"`
+	Rows  int       `json:"rows"`
 	Cols  []colMeta `json:"cols"`
 }
 
-// colMeta locates one column's sections inside the file.
+// colMeta describes one column; its bytes are the sections named for its
+// index (sectionName).
 type colMeta struct {
-	Name      string `json:"name"`
-	Kind      uint8  `json:"kind"`
-	NDV       int    `json:"ndv"`
-	CodeWidth int    `json:"code_width"` // bytes per code: 1, 2 or 4
-	CodesOff  int64  `json:"codes_off"`
-	DictOff   int64  `json:"dict_off"`
-	DictBlob  int64  `json:"dict_blob"` // string kind: byte length of the value blob after the offset table
-	HistOff   int64  `json:"hist_off"`
+	Name string `json:"name"`
+	Kind uint8  `json:"kind"`
+	NDV  int    `json:"ndv"`
 }
+
+// sectionName names part of column i's bytes.
+func sectionName(i int, part string) string { return fmt.Sprintf("%d.%s", i, part) }
 
 // codeWidth returns the narrowest per-code byte width that fits every code of
 // a dictionary with the given NDV (codes range over [0, ndv)).
@@ -84,106 +71,44 @@ func codeWidth(ndv int) int {
 	}
 }
 
-func alignUp(off int64) int64 { return (off + align - 1) &^ (align - 1) }
-
-// Write persists t at path in .duetcol format, atomically: the bytes are
-// staged in a same-directory temp file and renamed into place, so a reader
-// never observes a torn file and an existing mapped copy stays valid until
-// its own Close.
+// Write persists t at path in .duetcol format, atomically (container.WriteFile):
+// a reader never observes a torn file, and an existing mapped copy stays valid
+// until its own Close.
 func Write(path string, t *relation.Table) error {
-	meta := fileMeta{Table: t.Name, Cols: make([]colMeta, len(t.Cols))}
 	nrows := t.NumRows()
-	// Lay out the data sections first (they start right after the header and
-	// do not depend on the metadata length), then append the metadata.
-	off := int64(headerSize)
+	meta := fileMeta{Table: t.Name, Rows: nrows, Cols: make([]colMeta, len(t.Cols))}
+	var secs []container.Section
+	add := func(i int, part string, data []byte) {
+		secs = append(secs, container.Section{Name: sectionName(i, part), Data: data})
+	}
 	for i, c := range t.Cols {
 		ndv := c.NumDistinct()
-		cm := colMeta{Name: c.Name, Kind: uint8(c.Kind), NDV: ndv, CodeWidth: codeWidth(ndv)}
-		cm.CodesOff = alignUp(off)
-		off = cm.CodesOff + int64(nrows*cm.CodeWidth)
-		cm.DictOff = alignUp(off)
-		switch c.Kind {
-		case relation.KindInt, relation.KindFloat:
-			off = cm.DictOff + int64(8*ndv)
-		case relation.KindString:
-			for _, s := range c.Strs {
-				cm.DictBlob += int64(len(s))
-			}
-			off = cm.DictOff + int64(4*(ndv+1)) + cm.DictBlob
-		}
-		cm.HistOff = alignUp(off)
-		off = cm.HistOff + int64(8*ndv)
-		meta.Cols[i] = cm
-	}
-	metaOff := alignUp(off)
-	metaBytes, err := json.Marshal(&meta)
-	if err != nil {
-		return err
-	}
-	fileSize := metaOff + int64(len(metaBytes))
-
-	buf := make([]byte, fileSize)
-	copy(buf, Magic)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(metaOff))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(metaBytes)))
-	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(metaBytes, castagnoli))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(fileSize))
-	binary.LittleEndian.PutUint64(buf[32:], uint64(nrows))
-	binary.LittleEndian.PutUint32(buf[40:], uint32(len(t.Cols)))
-	binary.LittleEndian.PutUint32(buf[44:], crc32.Checksum(buf[:crcSize], castagnoli))
-	copy(buf[metaOff:], metaBytes)
-
-	for i, c := range t.Cols {
-		cm := &meta.Cols[i]
-		writeCodes(buf[cm.CodesOff:], c.Codes, cm.CodeWidth)
+		meta.Cols[i] = colMeta{Name: c.Name, Kind: uint8(c.Kind), NDV: ndv}
+		width := codeWidth(ndv)
+		codes := make([]byte, nrows*width)
+		writeCodes(codes, c.Codes, width)
+		add(i, "codes", codes)
 		switch c.Kind {
 		case relation.KindInt:
-			dst := buf[cm.DictOff:]
-			for j, v := range c.Ints {
-				binary.LittleEndian.PutUint64(dst[8*j:], uint64(v))
-			}
+			add(i, "dict", raw(c.Ints))
 		case relation.KindFloat:
-			dst := buf[cm.DictOff:]
-			for j, v := range c.Floats {
-				binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
-			}
+			add(i, "dict", raw(c.Floats))
 		case relation.KindString:
-			offTab := buf[cm.DictOff:]
-			blob := buf[cm.DictOff+int64(4*(cm.NDV+1)):]
-			var bo uint32
-			for j, s := range c.Strs {
-				binary.LittleEndian.PutUint32(offTab[4*j:], bo)
-				copy(blob[bo:], s)
-				bo += uint32(len(s))
+			offs := make([]uint32, 0, ndv+1)
+			var blob []byte
+			for _, s := range c.Strs {
+				offs = append(offs, uint32(len(blob)))
+				blob = append(blob, s...)
 			}
-			binary.LittleEndian.PutUint32(offTab[4*cm.NDV:], bo)
+			add(i, "dict", raw(append(offs, uint32(len(blob)))))
+			add(i, "strs", blob)
 		}
-		hist := buf[cm.HistOff:]
-		for j, h := range tableHist(t, i) {
-			binary.LittleEndian.PutUint64(hist[8*j:], math.Float64bits(h))
-		}
+		add(i, "hist", raw(t.CodeHist(i)))
 	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, path)
+	return container.WriteFile(path, func(w io.Writer) error {
+		return container.Encode(w, Magic, &meta, secs)
+	}, nil)
 }
-
-// tableHist computes column ci's histogram for packing.
-func tableHist(t *relation.Table, ci int) []float64 { return t.CodeHist(ci) }
 
 // writeCodes encodes a CodeArray at the given width into dst.
 func writeCodes(dst []byte, codes relation.CodeArray, width int) {
@@ -258,7 +183,7 @@ func Open(path string) (*Store, error) {
 	if os.Getenv(NoMmapEnv) != "1" {
 		if data, unmap, err := mapFile(path); err == nil {
 			s.data, s.unmap, s.mapped = data, unmap, true
-		} else if !isNoMmap(err) {
+		} else if !errors.Is(err, errors.ErrUnsupported) {
 			return nil, fmt.Errorf("colstore: map %s: %w", path, err)
 		}
 	}
@@ -278,14 +203,6 @@ func Open(path string) (*Store, error) {
 	s.Table = t
 	return s, nil
 }
-
-// errNoMmap marks platforms without a mapping implementation; Open falls
-// back to readAligned silently.
-type errNoMmapT struct{}
-
-func (errNoMmapT) Error() string { return "mmap unsupported" }
-
-func isNoMmap(err error) bool { _, ok := err.(errNoMmapT); return ok }
 
 // readAligned loads the whole file into an 8-byte-aligned buffer (backed by
 // a []uint64 allocation) so the same in-place reinterpretation the mapped
@@ -312,41 +229,19 @@ func readAligned(path string) ([]byte, error) {
 	return buf, nil
 }
 
-// decode validates the header and metadata and builds the table over data.
+// decode checks the container and builds the table over data's sections.
 func decode(data []byte) (*relation.Table, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("file too short (%d bytes) for a %s header", len(data), Magic)
-	}
-	if string(data[:8]) != Magic {
-		return nil, fmt.Errorf("bad magic %q (want %q)", data[:8], Magic)
-	}
-	if got, want := crc32.Checksum(data[:crcSize], castagnoli), binary.LittleEndian.Uint32(data[44:]); got != want {
-		return nil, fmt.Errorf("header checksum mismatch (got %08x, want %08x): torn or corrupted write", got, want)
-	}
-	fileSize := binary.LittleEndian.Uint64(data[24:])
-	if fileSize != uint64(len(data)) {
-		return nil, fmt.Errorf("truncated: header records %d bytes, file has %d", fileSize, len(data))
-	}
-	metaOff := binary.LittleEndian.Uint64(data[8:])
-	metaLen := binary.LittleEndian.Uint32(data[16:])
-	if metaOff+uint64(metaLen) > uint64(len(data)) {
-		return nil, fmt.Errorf("metadata section [%d, %d) out of bounds", metaOff, metaOff+uint64(metaLen))
-	}
-	metaBytes := data[metaOff : metaOff+uint64(metaLen)]
-	if got, want := crc32.Checksum(metaBytes, castagnoli), binary.LittleEndian.Uint32(data[20:]); got != want {
-		return nil, fmt.Errorf("metadata checksum mismatch (got %08x, want %08x)", got, want)
-	}
 	var meta fileMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("metadata: %w", err)
+	secs, err := container.Decode(data, Magic, &meta)
+	if err != nil {
+		return nil, err
 	}
-	nrows := int(binary.LittleEndian.Uint64(data[32:]))
-	if ncols := int(binary.LittleEndian.Uint32(data[40:])); ncols != len(meta.Cols) {
-		return nil, fmt.Errorf("header says %d columns, metadata has %d", ncols, len(meta.Cols))
+	if len(meta.Cols) == 0 {
+		return nil, errors.New("the table has no columns")
 	}
 	cols := make([]*relation.Column, len(meta.Cols))
 	for i := range meta.Cols {
-		c, err := decodeColumn(data, &meta.Cols[i], nrows)
+		c, err := decodeColumn(secs, i, &meta.Cols[i], meta.Rows)
 		if err != nil {
 			return nil, fmt.Errorf("column %q: %w", meta.Cols[i].Name, err)
 		}
@@ -355,96 +250,67 @@ func decode(data []byte) (*relation.Table, error) {
 	return relation.NewTable(meta.Table, cols), nil
 }
 
-// section bounds-checks [off, off+size) and returns it.
-func section(data []byte, off, size int64) ([]byte, error) {
-	if off < headerSize || size < 0 || off+size > int64(len(data)) {
-		return nil, fmt.Errorf("section [%d, %d) out of bounds (file %d bytes)", off, off+size, len(data))
-	}
-	return data[off : off+size], nil
-}
-
-// view reinterprets a byte section as a []T in place. The write path aligns
-// every section to 64 bytes and both open paths keep the base at least
-// 8-byte aligned, so the cast is within Go's alignment rules for all used T.
-func view[T any](data []byte, off int64, n int) ([]T, error) {
+// raw is the bytes of s in place: view's inverse. The format is
+// little-endian, as is every host view runs on (amd64, arm64).
+func raw[T any](s []T) []byte {
 	var zero T
-	esz := int64(unsafe.Sizeof(zero))
-	sec, err := section(data, off, esz*int64(n))
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&sec[0])), n), nil
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// decodeColumn builds one column over the file bytes.
-func decodeColumn(data []byte, cm *colMeta, nrows int) (*relation.Column, error) {
-	if cm.NDV > 0 && codeWidth(cm.NDV) != cm.CodeWidth {
-		return nil, fmt.Errorf("code width %d does not fit NDV %d", cm.CodeWidth, cm.NDV)
+// view reinterprets the named section, which must hold exactly n values, as
+// a []T in place. The container aligns every section to 64 bytes and both
+// open paths keep the base at least 8-byte aligned, so the cast is within
+// Go's alignment rules for all used T; a section that is not is an error.
+// The first failure is kept in *err, and view returns nil once there is one.
+func view[T any](secs map[string][]byte, name string, n int, err *error) []T {
+	var zero T
+	esz := int(unsafe.Sizeof(zero))
+	sec := secs[name]
+	switch {
+	case *err != nil:
+	case n < 0 || len(sec)%esz != 0 || len(sec)/esz != n:
+		*err = fmt.Errorf("section %q of %d bytes does not hold %d values of %d bytes", name, len(sec), n, esz)
+	case n > 0 && uintptr(unsafe.Pointer(&sec[0]))%unsafe.Alignof(zero) != 0:
+		*err = fmt.Errorf("section %q is not %d-byte aligned in memory", name, unsafe.Alignof(zero))
+	case n > 0:
+		return unsafe.Slice((*T)(unsafe.Pointer(&sec[0])), n)
 	}
+	return nil
+}
+
+// decodeColumn builds column i over the file's sections.
+func decodeColumn(secs map[string][]byte, i int, cm *colMeta, nrows int) (*relation.Column, error) {
 	c := &relation.Column{Name: cm.Name, Kind: relation.Kind(cm.Kind)}
-	switch cm.CodeWidth {
+	var err error
+	switch name := sectionName(i, "codes"); codeWidth(cm.NDV) {
 	case 1:
-		s, err := view[uint8](data, cm.CodesOff, nrows)
-		if err != nil {
-			return nil, err
-		}
-		c.Codes = relation.U8Codes(s)
+		c.Codes = relation.U8Codes(view[uint8](secs, name, nrows, &err))
 	case 2:
-		s, err := view[uint16](data, cm.CodesOff, nrows)
-		if err != nil {
-			return nil, err
-		}
-		c.Codes = relation.U16Codes(s)
-	case 4:
-		s, err := view[uint32](data, cm.CodesOff, nrows)
-		if err != nil {
-			return nil, err
-		}
-		c.Codes = relation.U32Codes(s)
+		c.Codes = relation.U16Codes(view[uint16](secs, name, nrows, &err))
 	default:
-		return nil, fmt.Errorf("unsupported code width %d", cm.CodeWidth)
+		c.Codes = relation.U32Codes(view[uint32](secs, name, nrows, &err))
 	}
-	switch c.Kind {
+	switch name := sectionName(i, "dict"); c.Kind {
 	case relation.KindInt:
-		d, err := view[int64](data, cm.DictOff, cm.NDV)
-		if err != nil {
-			return nil, err
-		}
-		c.Ints = d
+		c.Ints = view[int64](secs, name, cm.NDV, &err)
 	case relation.KindFloat:
-		d, err := view[float64](data, cm.DictOff, cm.NDV)
-		if err != nil {
-			return nil, err
-		}
-		c.Floats = d
+		c.Floats = view[float64](secs, name, cm.NDV, &err)
 	case relation.KindString:
-		offs, err := view[uint32](data, cm.DictOff, cm.NDV+1)
+		offs, blob := view[uint32](secs, name, cm.NDV+1, &err), secs[sectionName(i, "strs")]
 		if err != nil {
 			return nil, err
 		}
-		blob, err := section(data, cm.DictOff+int64(4*(cm.NDV+1)), cm.DictBlob)
-		if err != nil {
-			return nil, err
-		}
-		strs := make([]string, cm.NDV)
-		for j := range strs {
+		c.Strs = make([]string, cm.NDV)
+		for j := range c.Strs {
 			lo, hi := offs[j], offs[j+1]
-			if lo > hi || int64(hi) > cm.DictBlob {
+			if lo > hi || int64(hi) > int64(len(blob)) {
 				return nil, fmt.Errorf("string dictionary entry %d has bad bounds [%d, %d)", j, lo, hi)
 			}
-			strs[j] = string(blob[lo:hi])
+			c.Strs[j] = string(blob[lo:hi])
 		}
-		c.Strs = strs
 	default:
 		return nil, fmt.Errorf("unknown kind %d", cm.Kind)
 	}
-	hist, err := view[float64](data, cm.HistOff, cm.NDV)
-	if err != nil {
-		return nil, err
-	}
-	c.SetHist(hist)
-	return c, nil
+	c.SetHist(view[float64](secs, sectionName(i, "hist"), cm.NDV, &err))
+	return c, err
 }

@@ -1,14 +1,18 @@
 package colstore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"duet/internal/container"
 	"duet/internal/relation"
 )
 
@@ -155,7 +159,7 @@ func TestTruncatedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{len(data) - 1, len(data) / 2, headerSize + 3, 10} {
+	for _, cut := range truncations(data) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +184,7 @@ func TestCorruptHeaderRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside the checksummed header region (row count).
-	data[33] ^= 0xff
+	data[headerFlip] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestCorruptMetadataRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-2] ^= 0xff // inside the trailing JSON metadata
+	data[len(data)-metaFlip] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -217,4 +220,111 @@ func TestCorruptMetadataRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corruption error %q does not mention the checksum", err)
 	}
+}
+
+// truncations are the lengths TestTruncatedRejected cuts a file of data to:
+// into the metadata, mid-file, just past the 64-byte header, and into it.
+func truncations(data []byte) []int { return []int{len(data) - 1, len(data) / 2, 64 + 3, 10} }
+
+const (
+	headerFlip = 33 // a byte of the header's record of the metadata's CRC
+	metaFlip   = 2  // from the end: inside the trailing JSON metadata
+)
+
+// TestOpenRefusesAnyFlippedByte: every byte of a .duetcol file is covered
+// by a checksum or must be zero, so flipping any one of them (in the
+// header, the padding, a code, dictionary, string or histogram section, or
+// the metadata) is an error when the file is opened.
+func TestOpenRefusesAnyFlippedByte(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.duetcol")
+	if err := Write(path, testTable(t, 40)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0x20
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(path); err == nil {
+			s.Close()
+			t.Fatalf("opened the file with byte %d of %d flipped", i, len(data))
+		}
+		data[i] ^= 0x20
+	}
+}
+
+// noColumns is a well-formed .duetcol file of a table with no columns,
+// which no relation.Table can be.
+func noColumns(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := container.Encode(&buf, Magic, fileMeta{Table: "t"}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenRefusesNoColumns: a file whose checksums hold but whose table has
+// no columns is an error, not a panic in relation.NewTable.
+func TestOpenRefusesNoColumns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.duetcol")
+	if err := os.WriteFile(path, noColumns(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(path); err == nil {
+		s.Close()
+		t.Fatal("opened a table with no columns")
+	}
+}
+
+// TestWriteFailureLeavesNoTemporary: a Write whose rename fails (the target
+// is a directory) returns the error and leaves no temporary file behind.
+func TestWriteFailureLeavesNoTemporary(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.duetcol")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(path, testTable(t, 100)); err == nil {
+		t.Fatal("wrote over a directory")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) > 0 {
+		t.Fatalf("a failed Write left %v behind", tmps)
+	}
+}
+
+// FuzzOpen: any bytes give a table or an error, never a panic, and decoding
+// allocates O(the input). The seeds are a written table, each corrupt case
+// the tests above refuse and the table with no columns.
+func FuzzOpen(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "t.duetcol")
+	if err := Write(path, testTable(f, 300)); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, cut := range truncations(data) {
+		f.Add(data[:cut])
+	}
+	for _, i := range []int{headerFlip, len(data) - metaFlip} {
+		flipped := slices.Clone(data)
+		flipped[i] ^= 0xff
+		f.Add(flipped)
+	}
+	f.Add(noColumns(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode(data)
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+1<<20; alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over %d (err %v)", len(data), alloc, limit, err)
+		}
+	})
 }

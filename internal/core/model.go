@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"duet/internal/container"
 	"duet/internal/made"
 	"duet/internal/nn"
 	"duet/internal/relation"
@@ -521,64 +524,68 @@ func (s *Snapshot) maskedProduct(scratch []float32, logitRow []float32, ivs []wo
 	return sel
 }
 
-// modelBlob is the gob wire format of a saved model.
-type modelBlob struct {
-	Cfg  Config
-	NDVs []int
+// modelMagic begins every model file; its last byte is the format version.
+const modelMagic = "DUETMOD1"
+
+// modelMeta is a model file's metadata: what NewModel needs to rebuild the
+// network its weights fill.
+type modelMeta struct {
+	Config Config `json:"config"`
+	NDVs   []int  `json:"ndvs"`
 }
 
-// Save writes the model configuration and parameters.
+// paramSection names the file section that holds parameter i.
+func paramSection(i int, name string) string { return fmt.Sprintf("%d.%s", i, name) }
+
+// Save writes the model as an internal/container file with magic DUETMOD1:
+// the Config and the table's NDV profile as metadata, then one section of
+// raw little-endian float32s per parameter, named "<i>.<parameter name>", in
+// Params order. Gradients are not saved.
 func (m *Model) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(modelBlob{Cfg: m.cfg, NDVs: m.table.NDVs()}); err != nil {
-		return fmt.Errorf("core: save model header: %w", err)
+	secs := make([]container.Section, len(m.params))
+	for i, p := range m.params {
+		b := make([]byte, 4*len(p.W.Data))
+		for j, v := range p.W.Data {
+			binary.LittleEndian.PutUint32(b[4*j:], math.Float32bits(v))
+		}
+		secs[i] = container.Section{Name: paramSection(i, p.Name), Data: b}
 	}
-	return nn.SaveParams(w, m.params)
+	return container.Encode(w, modelMagic, modelMeta{Config: m.cfg, NDVs: m.table.NDVs()}, secs)
 }
 
-// Load reads a model saved by Save, rebuilding it against t, whose NDV
+// Load rebuilds a model from the bytes Save wrote, against t, whose NDV
 // profile must match the saved one (EncodingCompatible). A malformed file is
 // an error, never a panic or a model that breaks the MADE degree rule, and
-// Load allocates O(the file) before it finds out: the weights are decoded
-// first, and a header whose widths imply more of them than the file carries
-// is refused before NewModel builds anything. The one exception is a slice,
-// which gob sizes by the count it claims, up to 10 MB, before reading its
-// elements.
-func Load(r io.Reader, t *relation.Table) (*Model, error) {
-	// The file is two gob streams back to back (header, then params), each a
-	// run of messages framed as a gob uint length and then that many bytes.
-	// gob allocates a message's claimed length, up to a 10 MB chunk, before
-	// the bytes arrive, so the framing is walked first and a length beyond
-	// the bytes left is refused. Both decoders then read one bytes.Reader, an
-	// io.ByteReader, which gob reads without buffering ahead, so the second
-	// decoder starts where the first one stopped.
-	data, err := io.ReadAll(r)
+// Load allocates O(the file) before it finds out. It checks, in order: the
+// container (every checksum and bound); the NDV profile and that the Config
+// builds a network; that each section's name and length fit the parameter
+// NewModel will fill from it; and, after copying the weights in, that no
+// weight sits where the MADE degrees allow none. A file from before the
+// DUETMOD1 format is refused; such a model must be retrained.
+func Load(data []byte, t *relation.Table) (*Model, error) {
+	var meta modelMeta
+	secs, err := container.Decode(data, modelMagic, &meta)
+	if errors.Is(err, container.ErrMagic) {
+		return nil, fmt.Errorf("core: load model: %w: not a model file, or one saved before this format, which must be retrained (duettrain -manifest)", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	if err := checkFraming(data); err != nil {
+	if err := EncodingCompatible(meta.NDVs, t); err != nil {
+		return nil, err
+	}
+	if err := buildable(meta.Config, meta.NDVs); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	br := bytes.NewReader(data)
-	var blob modelBlob
-	if err := gob.NewDecoder(br).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("core: load model header: %w", err)
-	}
-	if err := EncodingCompatible(blob.NDVs, t); err != nil {
-		return nil, err
-	}
-	if err := buildable(blob.Cfg, blob.NDVs); err != nil {
+	if err := fits(secs, meta); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	saved, err := nn.ReadParams(br)
-	if err != nil {
-		return nil, err
-	}
-	if want := paramCount(blob.NDVs, blob.Cfg); want != float64(saved.Len()) {
-		return nil, fmt.Errorf("core: load model: the header's widths imply %.0f weights, the file carries %d", want, saved.Len())
-	}
-	m := NewModel(t, blob.Cfg)
-	if err := saved.Into(m.params); err != nil {
-		return nil, err
+	m := NewModel(t, meta.Config)
+	for i, p := range m.params {
+		b := secs[paramSection(i, p.Name)]
+		for j := range p.W.Data {
+			p.W.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*j:]))
+		}
 	}
 	for _, l := range m.net.Masked {
 		for i := 0; i < l.In; i++ {
@@ -592,37 +599,22 @@ func Load(r io.Reader, t *relation.Table) (*Model, error) {
 	return m, nil
 }
 
-// checkFraming walks the gob message framing of data and reports the first
-// message that claims more bytes than data has left.
-func checkFraming(data []byte) error {
-	for off := 0; off < len(data); {
-		n, size := gobUint(data[off:])
-		if size == 0 {
-			return fmt.Errorf("the message at byte %d has a malformed length", off)
+// fits reports the first parameter NewModel would build for meta whose
+// section is of another length (a missing one has none), and sections that
+// no parameter fills. It builds nothing.
+func fits(secs map[string][]byte, meta modelMeta) error {
+	var err error
+	n := 0
+	paramShapes(meta.NDVs, meta.Config, func(name string, rows, cols float64) {
+		if sec := paramSection(n, name); err == nil && float64(len(secs[sec])) != 4*rows*cols {
+			err = fmt.Errorf("the config builds parameter %s as %.0fx%.0f float32s, the file's section has %d bytes", sec, rows, cols, len(secs[sec]))
 		}
-		if n > uint64(len(data)-off-size) {
-			return fmt.Errorf("the message at byte %d claims %d bytes, %d are left", off, n, len(data)-off-size)
-		}
-		off += size + int(n)
+		n++
+	})
+	if err == nil && n != len(secs) {
+		err = fmt.Errorf("the file has %d weight sections, the config builds %d parameters", len(secs), n)
 	}
-	return nil
-}
-
-// gobUint decodes the gob unsigned integer b starts with: one byte below
-// 0x80, else a byte holding minus the count (at most 8) of the big-endian
-// bytes that follow. size is the bytes it spans, 0 when b holds none.
-func gobUint(b []byte) (x uint64, size int) {
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	n := -int(int8(b[0]))
-	if n > 8 || n >= len(b) {
-		return 0, 0
-	}
-	for _, c := range b[1 : 1+n] {
-		x = x<<8 | uint64(c)
-	}
-	return x, 1 + n
+	return err
 }
 
 // buildable reports why NewModel would panic on cfg, or build a model with a
@@ -647,46 +639,64 @@ func buildable(cfg Config, ndvs []int) error {
 	return nil
 }
 
-// paramCount is how many weights NewModel builds for cfg over columns with
-// NDV profile ndvs, worked out without building anything, for a cfg that
-// passes buildable. It is a float64 so that no header's widths overflow it:
-// every count a file can carry is below 2^53, where float64 is exact.
-func paramCount(ndvs []int, cfg Config) float64 {
-	linear := func(in, out float64) float64 { return in*out + out }
+// paramShapes calls visit with the name and shape of every parameter
+// NewModel builds for cfg over columns with NDV profile ndvs, in Params
+// order, for a cfg that passes buildable, without building anything. Shapes
+// are float64 so that no config's widths overflow them: every size a file
+// can carry is below 2^53, where float64 is exact.
+func paramShapes(ndvs []int, cfg Config, visit func(name string, rows, cols float64)) {
+	linear := func(name string, in, out float64) {
+		visit(name+".w", in, out)
+		visit(name+".b", 1, out)
+	}
 	h, o := float64(cfg.MPSNHidden), float64(cfg.MPSNOut)
-	var n, in, out float64
+	var in, out float64
 	for _, ndv := range ndvs {
-		mode, width := codecShape(ndv, cfg.Encoding, cfg.EmbedDim, cfg.EmbedThreshold)
-		if mode == EncEmbed {
-			n += float64(ndv) * float64(width)
+		if mode, width := codecShape(ndv, cfg.Encoding, cfg.EmbedDim, cfg.EmbedThreshold); mode == EncEmbed {
+			visit("embedding", float64(ndv), float64(width))
 		}
 		out += float64(ndv)
+	}
+	for _, ndv := range ndvs {
+		_, width := codecShape(ndv, cfg.Encoding, cfg.EmbedDim, cfg.EmbedThreshold)
 		enc := float64(width) + float64(workload.NumOps) // predEncWidth
 		switch cfg.MPSN {
 		case MPSNNone:
 			in += enc + 1 // the wildcard bit
 			continue
 		case MPSNMLP:
-			n += linear(enc, h) + linear(h, h) + linear(h, o)
+			linear("linear", enc, h)
+			linear("linear", h, h)
+			linear("linear", h, o)
 		case MPSNRNN:
-			n += linear(enc, 4*h) + h*4*h + linear(h, o)
+			visit("lstm.wx", enc, 4*h)
+			visit("lstm.wh", h, 4*h)
+			visit("lstm.b", 1, 4*h)
+			linear("mpsn.fc", h, o)
 		case MPSNRec:
-			n += linear(enc+o, h) + linear(h, o)
+			visit("mpsn.rec.w1", enc+o, h)
+			visit("mpsn.rec.b1", 1, h)
+			visit("mpsn.rec.w2", h, o)
+			visit("mpsn.rec.b2", 1, o)
 		}
 		in += o
 	}
 	prev := in
 	if cfg.Residual {
 		w := float64(cfg.Hidden[0])
-		n += linear(in, w) + float64(len(cfg.Hidden))*2*linear(w, w)
+		linear("masked", in, w)
+		for range cfg.Hidden {
+			linear("masked", w, w)
+			linear("masked", w, w)
+		}
 		prev = w
 	} else {
 		for _, w := range cfg.Hidden {
-			n += linear(prev, float64(w))
+			linear("masked", prev, float64(w))
 			prev = float64(w)
 		}
 	}
-	return n + linear(prev, out)
+	linear("masked", prev, out)
 }
 
 // EncodingCompatible reports whether weights trained on a table with the
@@ -726,5 +736,5 @@ func (m *Model) CloneFor(t *relation.Table) (*Model, error) {
 	if err := m.Save(&buf); err != nil {
 		return nil, err
 	}
-	return Load(&buf, t)
+	return Load(buf.Bytes(), t)
 }

@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"duet/internal/container"
 	"duet/internal/exec"
 	"duet/internal/nn"
 	"duet/internal/relation"
@@ -322,7 +327,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf, tbl)
+	m2, err := Load(buf.Bytes(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,39 +337,39 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 			t.Fatal("loaded model disagrees with saved model")
 		}
 	}
-	// Loading against a mismatched table must fail.
-	other := tinyTable(50)
-	var buf2 bytes.Buffer
-	if err := m.Save(&buf2); err != nil {
-		t.Fatal(err)
+	for i, p := range m.params {
+		if !slices.Equal(p.W.Data, m2.params[i].W.Data) || p.Name != m2.params[i].Name {
+			t.Fatalf("parameter %d (%s) did not round-trip", i, p.Name)
+		}
 	}
-	if _, err := Load(&buf2, other); err == nil {
+	// Loading against a mismatched table must fail.
+	if _, err := Load(buf.Bytes(), tinyTable(50)); err == nil {
 		t.Fatal("expected NDV mismatch error")
 	}
 }
 
-// TestSaveLoadThroughFile round-trips through a real file. Unlike
-// bytes.Buffer, *os.File is not an io.ByteReader, so gob wraps it in its own
-// buffered reader; this catches stream-misalignment regressions between the
-// header and parameter decoders that a buffer round-trip cannot.
+// TestSaveLoadThroughFile round-trips through a real file, as a model
+// directory does: Save writes to an *os.File, and Load reads its bytes back.
 func TestSaveLoadThroughFile(t *testing.T) {
 	tbl := tinyTable(200)
 	m := NewModel(tbl, tinyConfig())
-	f, err := os.CreateTemp(t.TempDir(), "model-*.duet")
+	path := filepath.Join(t.TempDir(), "model.duet")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Save(f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(f, tbl)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	m2, err := Load(data, tbl)
+	if err != nil {
 		t.Fatal(err)
 	}
 	q := workload.Query{Preds: []workload.Predicate{{Col: 0, Op: workload.OpLe, Code: 1}}}
@@ -373,16 +378,38 @@ func TestSaveLoadThroughFile(t *testing.T) {
 	}
 }
 
-// modelFile writes a header cfg over tbl followed by params, as Save does.
+// modelFile writes a file of config cfg over tbl with params as its weight
+// sections, as Save does.
 func modelFile(tb testing.TB, tbl *relation.Table, cfg Config, params []*nn.Param) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(modelBlob{Cfg: cfg, NDVs: tbl.NDVs()}); err != nil {
-		tb.Fatal(err)
+	secs := make([]container.Section, len(params))
+	for i, p := range params {
+		b := make([]byte, 4*len(p.W.Data))
+		for j, v := range p.W.Data {
+			binary.LittleEndian.PutUint32(b[4*j:], math.Float32bits(v))
+		}
+		secs[i] = container.Section{Name: paramSection(i, p.Name), Data: b}
 	}
-	if err := nn.SaveParams(&buf, params); err != nil {
+	var buf bytes.Buffer
+	if err := container.Encode(&buf, modelMagic, modelMeta{Config: cfg, NDVs: tbl.NDVs()}, secs); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// framedModel is a model file of one header and the metadata meta, whose
+// two checksums hold whatever the metadata claims. The header says the
+// metadata spans extra bytes more than it does.
+func framedModel(meta string, extra uint64) []byte {
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	data := make([]byte, 64+len(meta))
+	copy(data, modelMagic)
+	binary.LittleEndian.PutUint64(data[8:], 64)
+	binary.LittleEndian.PutUint64(data[16:], uint64(len(meta))+extra)
+	binary.LittleEndian.PutUint64(data[24:], uint64(len(data)))
+	binary.LittleEndian.PutUint32(data[32:], crc([]byte(meta)))
+	binary.LittleEndian.PutUint32(data[60:], crc(data[:60]))
+	copy(data[64:], meta)
+	return data
 }
 
 // malformedModels are files over tbl that Load must refuse, by what is wrong
@@ -404,15 +431,25 @@ func malformedModels(tb testing.TB, tbl *relation.Table) []struct {
 		edit(&cfg)
 		return modelFile(tb, tbl, cfg, NewModel(tbl, cfg).params)
 	}
-	// One zero per parameter, under each parameter's true shape.
+	// One zero per parameter, under each parameter's true name.
 	short := make([]*nn.Param, len(good.params))
 	for i, p := range good.params {
 		short[i] = &nn.Param{Name: p.Name, W: &tensor.Matrix{Rows: p.W.Rows, Cols: p.W.Cols, Data: []float32{0}}}
 	}
+	// Every weight, with one moved from the last parameter's section to the
+	// first's: the count is right, two lengths are not.
+	shifted := slices.Clone(good.params)
+	first, last := shifted[0], shifted[len(shifted)-1]
+	shifted[0] = &nn.Param{Name: first.Name, W: &tensor.Matrix{Data: append(slices.Clone(first.W.Data), 0)}}
+	shifted[len(shifted)-1] = &nn.Param{Name: last.Name, W: &tensor.Matrix{Data: last.W.Data[1:]}}
 	// A model with one nonzero weight where the degrees allow none.
 	broken := NewModel(tbl, tinyConfig())
 	out := broken.net.Masked[len(broken.net.Masked)-1]
 	out.Weight.W.Set(0, 0, 0.5) // output unit 0 is column 0's block: no input may reach it
+	meta, err := json.Marshal(modelMeta{Config: tinyConfig(), NDVs: tbl.NDVs()})
+	if err != nil {
+		tb.Fatal(err)
+	}
 
 	return []struct {
 		name string
@@ -431,27 +468,28 @@ func malformedModels(tb testing.TB, tbl *relation.Table) []struct {
 		{"zero MPSN output width", built(func(c *Config) { c.MPSN, c.MPSNOut = MPSNRec, 0 })},
 		{"widths beyond the weights", header(func(c *Config) { c.Hidden = []int{2048, 2048} })},
 		{"short weights", modelFile(tb, tbl, tinyConfig(), short)},
+		{"section length that does not fit its parameter", modelFile(tb, tbl, tinyConfig(), shifted)},
 		{"weight the degrees disallow", modelFile(tb, tbl, tinyConfig(), broken.params)},
-		{"message longer than the file", []byte("\xfc0000")},
-		{"message longer than the file, 9 MB", []byte("\xfc\x00\x90\x00\x00")},
+		{"section longer than the file", framedModel(fmt.Sprintf(`{"meta":%s,"sections":[{"name":"0.masked.w","off":64,"len":9000000,"crc":0}]}`, meta), 0)},
+		{"metadata longer than the file", framedModel(`{}`, 9<<20)},
 	}
 }
 
 // TestLoadRejectsMalformed: a model file comes from outside the program, so
-// Load returns an error, never a panic, on a header NewModel cannot build (or
+// Load returns an error, never a panic, on a config NewModel cannot build (or
 // would build into a model with a zero-width layer, or one that encodes no
-// predicate), on a header whose widths imply more weights than the file
-// carries, on parameters shorter than their shapes, on a nonzero weight
-// that the MADE degrees disallow, and on a message longer than the file; and
-// it finds out having allocated O(the file), not what the header's widths or
-// the message's length claim.
+// predicate), on a config whose widths imply other weights than the file
+// carries, on weight sections shorter or longer than their parameters, on
+// a nonzero weight that the MADE degrees disallow, and on a section or
+// metadata longer than the file; and it finds out having allocated O(the
+// file), not what the config's widths or a section's length claim.
 func TestLoadRejectsMalformed(t *testing.T) {
 	tbl := tinyTable(100)
 	for _, tc := range malformedModels(t, tbl) {
 		t.Run(tc.name, func(t *testing.T) {
 			var m *Model
 			var err error
-			alloc := allocated(func() { m, err = Load(bytes.NewReader(tc.file), tbl) })
+			alloc := allocated(func() { m, err = Load(tc.file, tbl) })
 			if err == nil {
 				t.Fatalf("loaded a malformed model: %+v", m.Config())
 			}
@@ -461,21 +499,46 @@ func TestLoadRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Load(bytes.NewReader(modelFile(t, tbl, tinyConfig(), NewModel(tbl, tinyConfig()).params)), tbl); err != nil {
+	if _, err := Load(modelFile(t, tbl, tinyConfig(), NewModel(tbl, tinyConfig()).params), tbl); err != nil {
 		t.Fatalf("the well-formed control file does not load: %v", err)
 	}
 	// A zero embedding width is fine where no column embeds.
 	noEmbed := tinyConfig()
 	noEmbed.EmbedDim = 0
-	if _, err := Load(bytes.NewReader(modelFile(t, tbl, noEmbed, NewModel(tbl, noEmbed).params)), tbl); err != nil {
+	if _, err := Load(modelFile(t, tbl, noEmbed, NewModel(tbl, noEmbed).params), tbl); err != nil {
 		t.Fatalf("a model with no embedded column and EmbedDim 0 does not load: %v", err)
 	}
 }
 
+// TestLoadRefusesAnyFlippedByte: every byte of a model file is covered by a
+// checksum or must be zero, so flipping any one of them (in the header, the
+// padding, a weight section or the metadata) is an error at load time; and
+// a file in an older format is told to be retrained.
+func TestLoadRefusesAnyFlippedByte(t *testing.T) {
+	tbl := tinyTable(100)
+	var buf bytes.Buffer
+	if err := NewModel(tbl, tinyConfig()).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	for i := range file {
+		file[i] ^= 0x20
+		if _, err := Load(file, tbl); err == nil {
+			t.Fatalf("loaded the file with byte %d of %d flipped", i, len(file))
+		}
+		file[i] ^= 0x20
+	}
+	if _, err := Load(file, tbl); err != nil {
+		t.Fatalf("the unflipped file does not load: %v", err)
+	}
+	if _, err := Load(append([]byte("\x0e\xff\x81\x03\x01\x01"), make([]byte, 100)...), tbl); err == nil || !strings.Contains(err.Error(), "retrained") {
+		t.Fatalf("a file in an older format: error %v does not ask for retraining", err)
+	}
+}
+
 // FuzzLoad: any bytes give a model or an error, never a panic, and Load
-// allocates O(the input), plus slicePresize, on the way. The seeds are a
-// saved tiny model, every malformed file TestLoadRejectsMalformed refuses,
-// and one whose slice counts claim more than the file holds.
+// allocates O(the input) on the way. The seeds are a saved tiny model and
+// every malformed file TestLoadRejectsMalformed refuses.
 func FuzzLoad(f *testing.F) {
 	tbl := tinyTable(100)
 	var buf bytes.Buffer
@@ -486,22 +549,10 @@ func FuzzLoad(f *testing.F) {
 	for _, tc := range malformedModels(f, tbl) {
 		f.Add(tc.file)
 	}
-	// A file of one weight ends with the gob message of its blob list: the
-	// list's count, 1, then the blob (name, rows, cols, weights), whose
-	// weight count is 1 as well. Spelling both counts in five bytes as
-	// 16,777,216 (the message 8 bytes longer) takes all of slicePresize.
-	one := []*nn.Param{{Name: "w", W: &tensor.Matrix{Rows: 1, Cols: 1, Data: []float32{0}}}}
-	overclaim := modelFile(f, tbl, tinyConfig(), one)
-	tail := []byte{15, 0xff, 0x8a, 0, 1, 1, 1, 'w', 1, 2, 1, 2, 1, 1, 0, 0}
-	if !bytes.HasSuffix(overclaim, tail) {
-		f.Fatalf("the one-weight file ends % x, not % x", overclaim[len(overclaim)-len(tail):], tail)
-	}
-	f.Add(slices.Concat(overclaim[:len(overclaim)-len(tail)],
-		[]byte{23, 0xff, 0x8a, 0, 0xfc, 1, 0, 0, 0, 1, 1, 'w', 1, 2, 1, 2, 1, 0xfc, 1, 0, 0, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var err error
-		alloc := allocated(func() { _, err = Load(bytes.NewReader(data), tbl) })
-		if limit := loadAllocLimit(len(data)) + slicePresize; alloc > limit {
+		alloc := allocated(func() { _, err = Load(data, tbl) })
+		if limit := loadAllocLimit(len(data)); alloc > limit {
 			t.Fatalf("Load of %d bytes allocated %d bytes, over %d (err %v)", len(data), alloc, limit, err)
 		}
 	})
@@ -516,23 +567,17 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// loadAllocLimit bounds what Load may allocate for an n-byte file whose
-// slice counts hold: gob decodes a float32 from as little as one byte and a
-// model holds a gradient beside every weight (the 64 per byte), and the
-// decoders keep some state of their own (the constant). No message length
-// the file claims weighs in: Load refuses one beyond the bytes left before
-// gob reads it.
+// loadAllocLimit bounds what Load may allocate for an n-byte file: a weight
+// takes 4 bytes of the file and the model holds it and its gradient, the
+// JSON metadata decodes to a few times its size, and the decoder keeps some
+// state of its own (the constant). No length the file claims weighs in:
+// every section and the metadata are checked against the bytes there are
+// before anything is sized by them.
 func loadAllocLimit(n int) uint64 { return 64*uint64(n) + 1<<20 }
 
-// slicePresize is what any file may make Load allocate beyond
-// loadAllocLimit: gob sizes a slice by the count it claims, up to a 10 MB
-// chunk, before its elements arrive, and the decode fails at the first count
-// beyond the bytes, which can sit in the second of two nested slices (the
-// blob list and a blob's weights).
-const slicePresize = 2 * 10 << 20
-
-// TestParamCount: the arithmetic Load checks a file against counts exactly
-// the weights NewModel builds, for every encoding, MPSN kind and layout.
+// TestParamCount: the shapes Load checks a file's sections against are, by
+// name and size and in order, the parameters NewModel builds, for every
+// encoding, MPSN kind and layout.
 func TestParamCount(t *testing.T) {
 	tbl := tinyTable(100)
 	for _, enc := range []ValueEncoding{EncAuto, EncOneHot, EncBinary, EncEmbed} {
@@ -544,12 +589,15 @@ func TestParamCount(t *testing.T) {
 				if !residual {
 					cfg.Hidden = []int{24, 16, 40}
 				}
-				want := 0
+				var want, got []string
 				for _, p := range NewModel(tbl, cfg).params {
-					want += len(p.W.Data)
+					want = append(want, fmt.Sprintf("%s %dx%d", p.Name, p.W.Rows, p.W.Cols))
 				}
-				if got := paramCount(tbl.NDVs(), cfg); got != float64(want) {
-					t.Errorf("encoding %v, MPSN %v, residual %v: paramCount %v, NewModel holds %d", enc, kind, residual, got, want)
+				paramShapes(tbl.NDVs(), cfg, func(name string, rows, cols float64) {
+					got = append(got, fmt.Sprintf("%s %.0fx%.0f", name, rows, cols))
+				})
+				if !slices.Equal(got, want) {
+					t.Errorf("encoding %v, MPSN %v, residual %v: paramShapes\n%v\nNewModel builds\n%v", enc, kind, residual, got, want)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -306,44 +305,5 @@ func TestClipGradNorm(t *testing.T) {
 	ClipGradNorm([]*Param{p}, 1)
 	if p.G.Data[0] != 0.1 {
 		t.Fatal("grad below max norm must not change")
-	}
-}
-
-func TestSaveLoadParamsRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	l1 := NewLinear(3, 4, rng)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, l1.Params()); err != nil {
-		t.Fatal(err)
-	}
-	l2 := NewLinear(3, 4, rand.New(rand.NewSource(99)))
-	if l2.Weight.W.Equal(l1.Weight.W) {
-		t.Fatal("test setup: weights should differ before load")
-	}
-	saved, err := ReadParams(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saved.Len() != 3*4+4 {
-		t.Fatalf("stream carries %d values, want 16", saved.Len())
-	}
-	if err := saved.Into(l2.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if !l2.Weight.W.Equal(l1.Weight.W) || !l2.Bias.W.Equal(l1.Bias.W) {
-		t.Fatal("roundtrip mismatch")
-	}
-	// Shape mismatch must error.
-	var buf2 bytes.Buffer
-	if err := SaveParams(&buf2, l1.Params()); err != nil {
-		t.Fatal(err)
-	}
-	l3 := NewLinear(4, 3, rng)
-	saved, err = ReadParams(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := saved.Into(l3.Params()); err == nil {
-		t.Fatal("expected shape mismatch error")
 	}
 }

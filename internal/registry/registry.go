@@ -684,7 +684,7 @@ func (r *Registry) CloneModelFor(name string, t *relation.Table) (*core.Model, e
 		return nil, err
 	}
 	defer g.release()
-	return core.Load(bytes.NewReader(g.artifact), t)
+	return core.Load(g.artifact, t)
 }
 
 // Close stops the watcher and drains and closes every estimator. Subsequent

@@ -2,13 +2,14 @@ package registry
 
 import (
 	"context"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"duet/internal/artifact"
+	"duet/internal/container"
 	"duet/internal/core"
 	"duet/internal/relation"
 	"duet/internal/workload"
@@ -230,12 +231,7 @@ func TestSaveLoadReload(t *testing.T) {
 	if _, err := reg.SaveModel("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := core.Load(f, ta); err != nil {
+	if _, _, err := artifact.Load(path, ta); err != nil {
 		t.Fatalf("saved model does not load: %v", err)
 	}
 }
@@ -325,7 +321,7 @@ func TestWatcherSurvivesMalformedFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// writeBad writes the header core.Save writes, with hidden widths no
+	// writeBad writes a model file whose metadata holds hidden widths no
 	// network can have.
 	writeBad := func(write int) {
 		t.Helper()
@@ -335,10 +331,10 @@ func TestWatcherSurvivesMalformedFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gob.NewEncoder(f).Encode(struct {
-			Cfg  core.Config
-			NDVs []int
-		}{bad, ta.NDVs()}); err != nil {
+		if err := container.Encode(f, "DUETMOD1", struct {
+			Config core.Config `json:"config"`
+			NDVs   []int       `json:"ndvs"`
+		}{bad, ta.NDVs()}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
