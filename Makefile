@@ -35,8 +35,11 @@ bench:
 # and a whole step on the paper's two configurations on the active tier
 # (tuples/s). benchmark/ reports the same two quantities end to end, on the
 # active tier, as tensor.gemm_gflop_s and core.train_tuples_per_s.
+# ParallelForPhase prices one fork and join on a two-wide worker set (µs per
+# phase): empty with the worker awake, empty after it has parked (the wake),
+# and a 128K-element ReLU.
 bench-train:
-	$(GO) test -run='^$$' -bench='TrainGEMMTier' -benchmem ./internal/tensor
+	$(GO) test -run='^$$' -bench='TrainGEMMTier|ParallelForPhase' -benchmem ./internal/tensor
 	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)$$' -benchmem ./internal/core
 
 # The serving-side kernel figure: Plan.Forward in µs per row on untrained

@@ -332,9 +332,16 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, addr string, bod
 	}
 	w.Header().Set(ReplicaHeader, addr)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := copyBufs.Get().(*[2 << 10]byte)
+	io.CopyBuffer(w, resp.Body, buf[:])
+	copyBufs.Put(buf)
 	return true
 }
+
+// copyBufs hold the buffers forward relays answers through. An estimate's
+// answer is a few hundred bytes, and neither end of the copy offers ReadFrom
+// or WriteTo, so io.Copy would allocate and clear 32 KB for every one.
+var copyBufs = sync.Pool{New: func() any { return new([2 << 10]byte) }}
 
 // rolloutRequest drives a rolling version install across a model's owners.
 // Source (optional) names the node serving the artifact; it defaults to the

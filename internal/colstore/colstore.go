@@ -278,17 +278,27 @@ func view[T any](secs map[string][]byte, name string, n int, err *error) []T {
 	return nil
 }
 
-// decodeColumn builds column i over the file's sections.
+// decodeColumn builds column i over the file's sections. Every code must
+// index the dictionary: a code at or above NDV would pass the checksums and
+// index out of range in whatever reads the column later, so its check runs
+// here, over pages container.Decode's checksum pass has just read.
 func decodeColumn(secs map[string][]byte, i int, cm *colMeta, nrows int) (*relation.Column, error) {
 	c := &relation.Column{Name: cm.Name, Kind: relation.Kind(cm.Kind)}
 	var err error
+	var top int64 // the largest code
 	switch name := sectionName(i, "codes"); codeWidth(cm.NDV) {
 	case 1:
-		c.Codes = relation.U8Codes(view[uint8](secs, name, nrows, &err))
+		codes := view[uint8](secs, name, nrows, &err)
+		c.Codes, top = relation.U8Codes(codes), maxCode(codes)
 	case 2:
-		c.Codes = relation.U16Codes(view[uint16](secs, name, nrows, &err))
+		codes := view[uint16](secs, name, nrows, &err)
+		c.Codes, top = relation.U16Codes(codes), maxCode(codes)
 	default:
-		c.Codes = relation.U32Codes(view[uint32](secs, name, nrows, &err))
+		codes := view[uint32](secs, name, nrows, &err)
+		c.Codes, top = relation.U32Codes(codes), maxCode(codes)
+	}
+	if err == nil && top >= int64(cm.NDV) {
+		return nil, fmt.Errorf("code %d is not below the column's %d distinct values", top, cm.NDV)
 	}
 	switch name := sectionName(i, "dict"); c.Kind {
 	case relation.KindInt:
@@ -313,4 +323,16 @@ func decodeColumn(secs map[string][]byte, i int, cm *colMeta, nrows int) (*relat
 	}
 	c.SetHist(view[float64](secs, sectionName(i, "hist"), cm.NDV, &err))
 	return c, err
+}
+
+// maxCode returns the largest of codes, or -1 when there are none.
+func maxCode[T uint8 | uint16 | uint32](codes []T) int64 {
+	if len(codes) == 0 {
+		return -1
+	}
+	top := codes[0]
+	for _, c := range codes[1:] {
+		top = max(top, c)
+	}
+	return int64(top)
 }

@@ -280,6 +280,46 @@ func TestOpenRefusesNoColumns(t *testing.T) {
 	}
 }
 
+// oneColumn is a file with valid checksums holding one int column of three
+// distinct values whose codes are codes.
+func oneColumn(tb testing.TB, codes []uint8) []byte {
+	meta := fileMeta{Table: "t", Rows: len(codes), Cols: []colMeta{{Name: "a", Kind: uint8(relation.KindInt), NDV: 3}}}
+	var buf bytes.Buffer
+	err := container.Encode(&buf, Magic, meta, []container.Section{
+		{Name: sectionName(0, "codes"), Data: codes},
+		{Name: sectionName(0, "dict"), Data: raw([]int64{10, 20, 30})},
+		{Name: sectionName(0, "hist"), Data: raw([]float64{1, 1, 2})},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenRefusesCodeAtNDV: a file whose checksums hold but one of whose
+// codes equals its column's NDV is an error at Open, not an index out of
+// range in the first reader of that row; the same file with every code in
+// range opens.
+func TestOpenRefusesCodeAtNDV(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		codes []uint8
+		ok    bool
+	}{{[]uint8{0, 1, 2, 2}, true}, {[]uint8{0, 1, 3, 2}, false}} {
+		path := filepath.Join(dir, "t.duetcol")
+		if err := os.WriteFile(path, oneColumn(t, c.codes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+		}
+		if (err == nil) != c.ok {
+			t.Fatalf("codes %v over 3 distinct values: Open returned %v", c.codes, err)
+		}
+	}
+}
+
 // TestWriteFailureLeavesNoTemporary: a Write whose rename fails (the target
 // is a directory) returns the error and leaves no temporary file behind.
 func TestWriteFailureLeavesNoTemporary(t *testing.T) {
@@ -318,6 +358,7 @@ func FuzzOpen(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add(noColumns(f))
+	f.Add(oneColumn(f, []uint8{0, 1, 3, 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

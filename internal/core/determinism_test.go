@@ -12,16 +12,16 @@ import (
 	"duet/internal/workload"
 )
 
-// trainedHash trains a fresh hybrid model on tbl and hashes every parameter
-// and every epoch's losses, bit for bit.
-func trainedHash(tbl *relation.Table, labeled []workload.LabeledQuery) [sha256.Size]byte {
+// trainedHash trains a fresh hybrid model on tbl with every step on w and
+// hashes every parameter and every epoch's losses, bit for bit.
+func trainedHash(w *tensor.Workers, tbl *relation.Table, labeled []workload.LabeledQuery) [sha256.Size]byte {
 	cfg := DefaultConfig()
 	cfg.Hidden = []int{64, 64}
 	m := NewModel(tbl, cfg)
 	tc := DefaultTrainConfig()
 	tc.Epochs = 1
 	tc.Workload = labeled
-	hist := Train(m, tc)
+	hist := train(w, m, tc)
 	h := sha256.New()
 	var buf [8]byte
 	for _, p := range m.Params() {
@@ -59,19 +59,18 @@ func TestTrainingBitwiseAcrossWorkersAndTiers(t *testing.T) {
 		Seed: 3, NumQueries: 64, MinPreds: 1, MaxPreds: 3, BoundedCol: -1}))
 	origTier := tensor.KernelTier()
 	defer func() {
-		tensor.SetMaxWorkers(0)
 		if err := tensor.SetKernelTier(origTier); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	tensor.SetMaxWorkers(1)
-	want := trainedHash(tbl, labeled)
+	want := trainedHash(tensor.NewWorkers(1), tbl, labeled)
+	three := tensor.NewWorkers(3)
+	defer three.Close()
 	for _, tier := range tensor.KernelTiers() {
 		if err := tensor.SetKernelTier(tier); err != nil {
 			t.Fatal(err)
 		}
-		tensor.SetMaxWorkers(3)
-		if got := trainedHash(tbl, labeled); got != want {
+		if got := trainedHash(three, tbl, labeled); got != want {
 			t.Errorf("tier %s, 3 workers: parameters or losses differ from tier %s, 1 worker", tier, origTier)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"duet/internal/nn"
+	"duet/internal/tensor"
 	"duet/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func FineTune(m *Model, bad []workload.LabeledQuery, cfg FineTuneConfig) []float
 		cfg.QueryBatch = 32
 	}
 	defer m.net.Net.ReleaseBuffers()
-	ts := &trainState{opt: nn.NewAdam(cfg.LR)}
+	ts := &trainState{w: tensor.Default(), opt: nn.NewAdam(cfg.LR)}
 	rng := newDetRand(cfg.Seed)
 	losses := make([]float64, 0, cfg.Steps)
 	for step := 0; step < cfg.Steps; step++ {

@@ -99,7 +99,6 @@ func (s *goldenRowSource) DrawTuples(dst [][]int32) {
 // Estimates are also checked to be bitwise independent of how the queries
 // are cut into calls (one call, 64, 7, 1) and of the worker count.
 func TestGolden(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
 	var got []string
 	line := func(name, sum string) { got = append(got, name+" "+sum) }
 
@@ -191,27 +190,29 @@ func TestGolden(t *testing.T) {
 	randQ := func(m *Model) []workload.Query {
 		return workload.Generate(m.Table(), workload.RandQConfig(m.Table().NumCols(), 640))
 	}
-	f32 := func(m *Model) batchEstimator { return m }
+	f32 := func(m *Model) *Snapshot { return m.current() }
+	sets := []*tensor.Workers{tensor.NewWorkers(1), tensor.NewWorkers(2)}
+	defer sets[1].Close()
 	for _, k := range []struct {
 		name  string
 		model *Model
-		setup func(*Model) batchEstimator
+		setup func(*Model) *Snapshot
 		qs    []workload.Query
 	}{
 		{"estimate-f32", models["direct"], f32, qs},
-		{"estimate-int8", models["direct"], func(m *Model) batchEstimator { return m.Compile(made.PlanConfig{Quantize: true}) }, qs},
+		{"estimate-int8", models["direct"], func(m *Model) *Snapshot { return m.Compile(made.PlanConfig{Quantize: true}) }, qs},
 		{"estimate-mlp-unmerged", models["mlp"], f32, qs},
 		{"estimate-bench-dmv", benchModels["bench-dmv"], f32, randQ(benchModels["bench-dmv"])},
 		{"estimate-bench-census", benchModels["bench-census"], f32, randQ(benchModels["bench-census"])},
 	} {
 		est, qs := k.setup(k.model), k.qs
 		first := ""
-		for _, workers := range []int{1, 2} {
-			tensor.SetMaxWorkers(workers)
+		for i, w := range sets {
+			workers := i + 1
 			for _, per := range []int{len(qs), 64, 7, 1} {
 				h := newBitHash()
 				for lo := 0; lo < len(qs); lo += per {
-					h.floats(est.EstimateCardBatch(qs[lo:min(lo+per, len(qs))])...)
+					h.floats(est.estimateBatch(w, qs[lo:min(lo+per, len(qs))])...)
 				}
 				s := h.sum()
 				if first == "" {

@@ -197,7 +197,7 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 // serving hot path encodes micro-batches without allocating; Forward passes
 // a new matrix every call, because the first layer keeps its input for
 // backward.
-func (e *encoder) encodeBatch(specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *tensor.Matrix {
+func (e *encoder) encodeBatch(w *tensor.Workers, specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
 	x := buf.Resize(b, e.in.Tot)
 	if e.encs != nil {
@@ -225,7 +225,7 @@ func (e *encoder) encodeBatch(specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *t
 				sets[r] = append(sets[r], v)
 			}
 		}
-		out := mp.Forward(sets)
+		out := mp.Forward(w, sets)
 		for r := 0; r < b; r++ {
 			copy(e.in.Slice(x.Row(r), i), out.Row(r))
 		}
@@ -236,16 +236,19 @@ func (e *encoder) encodeBatch(specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *t
 // Forward encodes specs and runs the autoregressive network's layer stack,
 // returning per-column logits: the training forward, and the reference tests
 // compare the packed plan against. No estimate runs through it, and it
-// records nothing on the model beyond the layers' activations.
-func (m *Model) Forward(specs []Spec) *tensor.Matrix {
-	return m.net.Forward(m.encodeBatch(specs, m.mpsns, new(tensor.Matrix)))
+// records nothing on the model beyond the layers' activations. It runs on the
+// default worker set; a training step passes its own.
+func (m *Model) Forward(specs []Spec) *tensor.Matrix { return m.forward(tensor.Default(), specs) }
+
+func (m *Model) forward(w *tensor.Workers, specs []Spec) *tensor.Matrix {
+	return m.net.Net.Forward(w, m.encodeBatch(w, specs, m.mpsns, new(tensor.Matrix)))
 }
 
-// backward backpropagates the logit gradient of the last Forward, which ran
+// backward backpropagates the logit gradient of the last forward, which ran
 // on specs, through the network, the MPSNs and into any learned value
 // embeddings.
-func (m *Model) backward(specs []Spec, dLogits *tensor.Matrix) {
-	dX := m.net.Backward(dLogits)
+func (m *Model) backward(w *tensor.Workers, specs []Spec, dLogits *tensor.Matrix) {
+	dX := m.net.Net.Backward(w, dLogits)
 	if m.cfg.MPSN == MPSNNone {
 		for r, spec := range specs {
 			row := dX.Row(r)
@@ -264,7 +267,7 @@ func (m *Model) backward(specs []Spec, dLogits *tensor.Matrix) {
 		for r := range specs {
 			copy(dBlock.Row(r), m.net.In.Slice(dX.Row(r), i))
 		}
-		dEnc := mp.Backward(dBlock)
+		dEnc := mp.Backward(w, dBlock)
 		vc := m.codecs[i]
 		if vc.mode != EncEmbed {
 			continue
@@ -340,7 +343,7 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 	var out [1]float64
 	var encoded time.Time
 	t0 := time.Now()
-	m.current().estimate(out[:], []workload.Query{q}, &encoded)
+	m.current().estimate(tensor.Default(), out[:], []workload.Query{q}, &encoded)
 	return out[0], encoded.Sub(t0).Nanoseconds(), time.Since(encoded).Nanoseconds()
 }
 
@@ -435,33 +438,38 @@ func (s *Snapshot) WeightBytes() int { return s.plan.WeightBytes() }
 //
 // It is safe for concurrent use. Scratch comes from a pool, so steady-state
 // estimation does not allocate matrices; chunks of 256 queries bound it.
+// Passes run on the default worker set.
 func (s *Snapshot) EstimateCardBatch(qs []workload.Query) []float64 {
+	return s.estimateBatch(tensor.Default(), qs)
+}
+
+func (s *Snapshot) estimateBatch(w *tensor.Workers, qs []workload.Query) []float64 {
 	const chunk = 256
 	out := make([]float64, len(qs))
 	for off := 0; off < len(qs); off += chunk {
 		end := min(off+chunk, len(qs))
-		s.estimate(out[off:end], qs[off:end], nil)
+		s.estimate(w, out[off:end], qs[off:end], nil)
 	}
 	return out
 }
 
 // estimate is the inference path every estimate takes: encode, planned
-// forward, masked product, one cardinality per query into out. encoded, when
-// non-nil, receives the time encoding finished.
-func (s *Snapshot) estimate(out []float64, qs []workload.Query, encoded *time.Time) {
+// forward, masked product, one cardinality per query into out, with every
+// fork on w. encoded, when non-nil, receives the time encoding finished.
+func (s *Snapshot) estimate(w *tensor.Workers, out []float64, qs []workload.Query, encoded *time.Time) {
 	ps := s.passes.Get().(*pass)
 	defer s.passes.Put(ps)
 	specs := ps.buildSpecs(&s.encoder, qs)
-	x := s.encodeBatch(specs, ps.mpsns, &ps.x)
+	x := s.encodeBatch(w, specs, ps.mpsns, &ps.x)
 	if encoded != nil {
 		*encoded = time.Now()
 	}
 	// The masked product reads only constrained columns' logit blocks, so
 	// the plan computes exactly those per row.
-	logits := s.plan.Run(&ps.plan, x, ps.neededBlocks(qs))
+	logits := s.plan.Run(w, &ps.plan, x, ps.neededBlocks(qs))
 	rows := float64(s.table.NumRows())
 	n := s.table.NumCols()
-	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
+	w.ParallelFor(len(qs), 4, func(lo, hi int) {
 		probs := s.probs.Get().(*[]float32)
 		for r := lo; r < hi; r++ {
 			out[r] = s.maskedProduct(*probs, logits.Row(r), ps.ivs[r*n:(r+1)*n], ps.needed[r]) * rows

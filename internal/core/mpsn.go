@@ -60,8 +60,8 @@ type PredSet [][]float32
 // model can route gradients into learned value embeddings. Forward caches
 // activations on the net, so one net runs one Forward at a time.
 type MPSN interface {
-	Forward(preds []PredSet) *tensor.Matrix
-	Backward(dOut *tensor.Matrix) []PredSet
+	Forward(w *tensor.Workers, preds []PredSet) *tensor.Matrix
+	Backward(w *tensor.Workers, dOut *tensor.Matrix) []PredSet
 	Params() []*nn.Param
 	OutDim() int
 
@@ -133,7 +133,7 @@ func (m *mlpMPSN) clone(param func(*nn.Param) *nn.Param) MPSN {
 	return &mlpMPSN{net: nn.NewSequential(layers...), encW: m.encW, outDim: m.outDim}
 }
 
-func (m *mlpMPSN) Forward(preds []PredSet) *tensor.Matrix {
+func (m *mlpMPSN) Forward(w *tensor.Workers, preds []PredSet) *tensor.Matrix {
 	m.batch = len(preds)
 	m.rows = m.rows[:0]
 	total := 0
@@ -155,7 +155,7 @@ func (m *mlpMPSN) Forward(preds []PredSet) *tensor.Matrix {
 		}
 	}
 	m.flat = flat
-	h := m.net.Forward(flat)
+	h := m.net.Forward(w, flat)
 	for i, r := range m.rows {
 		dst := out.Row(int(r))
 		src := h.Row(i)
@@ -166,7 +166,7 @@ func (m *mlpMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	return out
 }
 
-func (m *mlpMPSN) Backward(dOut *tensor.Matrix) []PredSet {
+func (m *mlpMPSN) Backward(w *tensor.Workers, dOut *tensor.Matrix) []PredSet {
 	dEnc := make([]PredSet, m.batch)
 	if m.flat == nil {
 		return dEnc
@@ -175,7 +175,7 @@ func (m *mlpMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 	for i, r := range m.rows {
 		copy(dH.Row(i), dOut.Row(int(r)))
 	}
-	dFlat := m.net.Backward(dH)
+	dFlat := m.net.Backward(w, dH)
 	k := 0
 	for i := range m.rows {
 		r := int(m.rows[i])
@@ -251,19 +251,19 @@ func (m *rnnMPSN) buildSeq(rows []int, length int) []*tensor.Matrix {
 	return seq
 }
 
-func (m *rnnMPSN) Forward(preds []PredSet) *tensor.Matrix {
+func (m *rnnMPSN) Forward(w *tensor.Workers, preds []PredSet) *tensor.Matrix {
 	m.preds = preds
 	out := tensor.New(len(preds), m.outDim)
 	groups := groupByLen(preds)
 	proj := func(h *tensor.Matrix) *tensor.Matrix {
 		p := tensor.New(h.Rows, m.outDim)
-		tensor.Mul(p, h, m.fcW.W)
-		p.AddRowVector(m.fcB.W.Data)
+		w.Mul(p, h, m.fcW.W)
+		p.AddRowVector(w, m.fcB.W.Data)
 		return p
 	}
 	for _, length := range slices.Sorted(maps.Keys(groups)) {
 		rows := groups[length]
-		hs := m.lstm.Forward(m.buildSeq(rows, length))
+		hs := m.lstm.Forward(w, m.buildSeq(rows, length))
 		for _, h := range hs {
 			p := proj(h)
 			for i, r := range rows {
@@ -277,13 +277,13 @@ func (m *rnnMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	return out
 }
 
-func (m *rnnMPSN) Backward(dOut *tensor.Matrix) []PredSet {
+func (m *rnnMPSN) Backward(w *tensor.Workers, dOut *tensor.Matrix) []PredSet {
 	dEnc := make([]PredSet, len(m.preds))
 	groups := groupByLen(m.preds)
 	for _, length := range slices.Sorted(maps.Keys(groups)) {
 		rows := groups[length]
 		seq := m.buildSeq(rows, length)
-		hs := m.lstm.Forward(seq) // rebuild caches for this group
+		hs := m.lstm.Forward(w, seq) // rebuild caches for this group
 		// dOut flows to every step's FC output.
 		dOutG := tensor.New(len(rows), m.outDim)
 		for i, r := range rows {
@@ -291,7 +291,7 @@ func (m *rnnMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 		}
 		dHs := make([]*tensor.Matrix, length)
 		for t, h := range hs {
-			tensor.MulATAdd(m.fcW.G, h, dOutG)
+			w.MulATAdd(m.fcW.G, h, dOutG)
 			bg := m.fcB.G.Data
 			for b := 0; b < dOutG.Rows; b++ {
 				for c, v := range dOutG.Row(b) {
@@ -299,10 +299,10 @@ func (m *rnnMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 				}
 			}
 			dh := tensor.New(len(rows), m.hidden)
-			tensor.MulBT(dh, dOutG, m.fcW.W)
+			w.MulBT(dh, dOutG, m.fcW.W)
 			dHs[t] = dh
 		}
-		dXs := m.lstm.Backward(dHs)
+		dXs := m.lstm.Backward(w, dHs)
 		for i, r := range rows {
 			for t := 0; t < length; t++ {
 				g := make([]float32, m.encW)
@@ -360,7 +360,7 @@ func (m *recMPSN) clone(param func(*nn.Param) *nn.Param) MPSN {
 	}
 }
 
-func (m *recMPSN) Forward(preds []PredSet) *tensor.Matrix {
+func (m *recMPSN) Forward(w *tensor.Workers, preds []PredSet) *tensor.Matrix {
 	m.preds = preds
 	m.caches = map[int]*recCache{}
 	out := tensor.New(len(preds), m.outDim)
@@ -376,16 +376,16 @@ func (m *recMPSN) Forward(preds []PredSet) *tensor.Matrix {
 				copy(in.Row(i)[m.encW:], prev.Row(i))
 			}
 			h := tensor.New(len(rows), m.hidden)
-			tensor.Mul(h, in, m.w1.W)
-			h.AddRowVector(m.b1.W.Data)
+			w.Mul(h, in, m.w1.W)
+			h.AddRowVector(w, m.b1.W.Data)
 			for j, v := range h.Data {
 				if v < 0 {
 					h.Data[j] = 0
 				}
 			}
 			o := tensor.New(len(rows), m.outDim)
-			tensor.Mul(o, h, m.w2.W)
-			o.AddRowVector(m.b2.W.Data)
+			w.Mul(o, h, m.w2.W)
+			o.AddRowVector(w, m.b2.W.Data)
 			cache.ins = append(cache.ins, in)
 			cache.hs = append(cache.hs, h)
 			cache.outs = append(cache.outs, o)
@@ -399,7 +399,7 @@ func (m *recMPSN) Forward(preds []PredSet) *tensor.Matrix {
 	return out
 }
 
-func (m *recMPSN) Backward(dOut *tensor.Matrix) []PredSet {
+func (m *recMPSN) Backward(w *tensor.Workers, dOut *tensor.Matrix) []PredSet {
 	dEnc := make([]PredSet, len(m.preds))
 	for r := range m.preds {
 		if n := len(m.preds[r]); n > 0 {
@@ -417,27 +417,27 @@ func (m *recMPSN) Backward(dOut *tensor.Matrix) []PredSet {
 			h := cache.hs[t]
 			in := cache.ins[t]
 			// Through the output projection.
-			tensor.MulATAdd(m.w2.G, h, dO)
+			w.MulATAdd(m.w2.G, h, dO)
 			for b := 0; b < dO.Rows; b++ {
 				for c, v := range dO.Row(b) {
 					m.b2.G.Data[c] += v
 				}
 			}
 			dH := tensor.New(len(rows), m.hidden)
-			tensor.MulBT(dH, dO, m.w2.W)
+			w.MulBT(dH, dO, m.w2.W)
 			for j := range dH.Data {
 				if h.Data[j] <= 0 {
 					dH.Data[j] = 0
 				}
 			}
-			tensor.MulATAdd(m.w1.G, in, dH)
+			w.MulATAdd(m.w1.G, in, dH)
 			for b := 0; b < dH.Rows; b++ {
 				for c, v := range dH.Row(b) {
 					m.b1.G.Data[c] += v
 				}
 			}
 			dIn := tensor.New(len(rows), m.encW+m.outDim)
-			tensor.MulBT(dIn, dH, m.w1.W)
+			w.MulBT(dIn, dH, m.w1.W)
 			for i, r := range rows {
 				g := make([]float32, m.encW)
 				copy(g, dIn.Row(i)[:m.encW])

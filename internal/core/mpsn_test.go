@@ -38,7 +38,7 @@ func TestMPSNShapesAndEmptySets(t *testing.T) {
 	for _, kind := range []MPSNKind{MPSNMLP, MPSNRNN, MPSNRec} {
 		mp := NewMPSN(kind, 6, 8, 4, rng)
 		sets := randPredSets(rand.New(rand.NewSource(2)), 5, 6, 3)
-		out := mp.Forward(sets)
+		out := mp.Forward(tensor.Default(), sets)
 		if out.Rows != 5 || out.Cols != 4 {
 			t.Fatalf("%v: out %dx%d", kind, out.Rows, out.Cols)
 		}
@@ -69,8 +69,8 @@ func TestMLPMPSNOrderIrrelevant(t *testing.T) {
 		a[i] = float32(rng.NormFloat64())
 		b[i] = float32(rng.NormFloat64())
 	}
-	o1 := mp.Forward([]PredSet{{a, b}}).Clone()
-	o2 := mp.Forward([]PredSet{{b, a}})
+	o1 := mp.Forward(tensor.Default(), []PredSet{{a, b}}).Clone()
+	o2 := mp.Forward(tensor.Default(), []PredSet{{b, a}})
 	for i := range o1.Data {
 		if math.Abs(float64(o1.Data[i]-o2.Data[i])) > 1e-5 {
 			t.Fatalf("MLP MPSN depends on predicate order: %v vs %v", o1.Data, o2.Data)
@@ -89,8 +89,8 @@ func TestRecMPSNOrderRelevant(t *testing.T) {
 		a[i] = float32(rng.NormFloat64() * 2)
 		b[i] = float32(rng.NormFloat64() * 2)
 	}
-	o1 := mp.Forward([]PredSet{{a, b}}).Clone()
-	o2 := mp.Forward([]PredSet{{b, a}})
+	o1 := mp.Forward(tensor.Default(), []PredSet{{a, b}}).Clone()
+	o2 := mp.Forward(tensor.Default(), []PredSet{{b, a}})
 	diff := 0.0
 	for i := range o1.Data {
 		diff += math.Abs(float64(o1.Data[i] - o2.Data[i]))
@@ -102,7 +102,7 @@ func TestRecMPSNOrderRelevant(t *testing.T) {
 
 // mpsnLoss runs forward and returns 0.5*sum(out^2); its gradient is out.
 func mpsnLoss(mp MPSN, sets []PredSet) float64 {
-	out := mp.Forward(sets)
+	out := mp.Forward(tensor.Default(), sets)
 	var s float64
 	for _, v := range out.Data {
 		s += 0.5 * float64(v) * float64(v)
@@ -117,8 +117,8 @@ func TestMPSNGradcheck(t *testing.T) {
 		sets := randPredSets(rand.New(rand.NewSource(6)), 4, 4, 3)
 		params := mp.Params()
 		nn.ZeroGrads(params)
-		out := mp.Forward(sets)
-		mp.Backward(out.Clone())
+		out := mp.Forward(tensor.Default(), sets)
+		mp.Backward(tensor.Default(), out.Clone())
 		const eps = 1e-3
 		for _, p := range params {
 			for i := 0; i < len(p.W.Data); i += 5 {
@@ -145,8 +145,8 @@ func TestMPSNInputGradcheck(t *testing.T) {
 		enc1 := []float32{0.3, -0.2, 0.8}
 		enc2 := []float32{-0.5, 0.1, 0.4}
 		sets := []PredSet{{enc1, enc2}}
-		out := mp.Forward(sets)
-		dEnc := mp.Backward(out.Clone())
+		out := mp.Forward(tensor.Default(), sets)
+		dEnc := mp.Backward(tensor.Default(), out.Clone())
 		if len(dEnc[0]) != 2 {
 			t.Fatalf("%v: got %d encoding grads", kind, len(dEnc[0]))
 		}
@@ -176,8 +176,8 @@ func TestMPSNGroupingDeterminism(t *testing.T) {
 	for _, kind := range []MPSNKind{MPSNMLP, MPSNRNN, MPSNRec} {
 		mp := NewMPSN(kind, 4, 6, 3, rng)
 		sets := randPredSets(rand.New(rand.NewSource(9)), 8, 4, 3)
-		a := mp.Forward(sets).Clone()
-		b := mp.Forward(sets)
+		a := mp.Forward(tensor.Default(), sets).Clone()
+		b := mp.Forward(tensor.Default(), sets)
 		if !a.Equal(b) {
 			t.Fatalf("%v: nondeterministic forward", kind)
 		}

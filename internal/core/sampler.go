@@ -77,17 +77,18 @@ func (st *ImportanceStats) draw(rng *rand.Rand, col int, x int32) (ColPred, bool
 // label tuple satisfies every sampled predicate — i.e. the virtual tuple x'
 // is drawn from the virtual table T' with the original tuple x as its label.
 //
-// Columns are sampled in parallel (one goroutine per column chunk), each
+// Columns are sampled in parallel (one worker per column chunk), each
 // with an independent deterministic RNG, mirroring the paper's
 // thread-per-column C++ extension. Training reuses specs across steps, so
 // each specs[k] must already hold one (possibly truncated) predicate list
-// per column — the lists are overwritten, not appended to.
-func SampleSpecsForLabels(t *relation.Table, specs []Spec, labels [][]int32, cfg SamplerConfig, epoch int) {
+// per column — the lists are overwritten, not appended to. The column chunks
+// run on w.
+func SampleSpecsForLabels(w *tensor.Workers, t *relation.Table, specs []Spec, labels [][]int32, cfg SamplerConfig, epoch int) {
 	maxP := cfg.MaxPredsPerCol
 	if maxP < 1 {
 		maxP = 1
 	}
-	tensor.ParallelFor(t.NumCols(), 1, func(lo, hi int) {
+	w.ParallelFor(t.NumCols(), 1, func(lo, hi int) {
 		for col := lo; col < hi; col++ {
 			sampleColumn(t, specs, labels, col, cfg, maxP, epoch)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"duet/internal/relation"
+	"duet/internal/tensor"
 	"duet/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func sampleVirtualTuples(tbl *relation.Table, rows []int, cfg SamplerConfig, epo
 		specs[k] = make(Spec, tbl.NumCols())
 		labels[k] = tbl.RowCodes(rows[k/cfg.Mu], nil)
 	}
-	SampleSpecsForLabels(tbl, specs, labels, cfg, epoch)
+	SampleSpecsForLabels(tensor.Default(), tbl, specs, labels, cfg, epoch)
 	return specs, labels
 }
 
@@ -171,7 +172,7 @@ func TestSampleVirtualTuplesMuDefault(t *testing.T) {
 	tbl := samplerTable(10)
 	m := NewModel(tbl, tinyConfig())
 	src := &tableRows{t: tbl, perm: []int{0, 1}}
-	specs, _ := (&streamBatch{ncols: tbl.NumCols()}).next(m, src, 2, 0, SamplerConfig{Seed: 1}, 0)
+	specs, _ := (&streamBatch{ncols: tbl.NumCols()}).next(tensor.Default(), m, src, 2, 0, SamplerConfig{Seed: 1}, 0)
 	if len(specs) != 2 {
 		t.Fatalf("Mu<1 should default to 1, got %d tuples", len(specs))
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "duet/internal/relation"
+import (
+	"duet/internal/relation"
+	"duet/internal/tensor"
+)
 
 // TupleSource supplies training tuples as dictionary codes laid out like the
 // model table's columns: by default the table's rows, while
@@ -45,7 +48,7 @@ type streamBatch struct {
 // next implements Algorithm 1 for one step: it draws `batch` tuples from src,
 // replicates each mu times (Line 21 replicates the data batch), and samples
 // the per-column predicate lists, returning views valid until the next call.
-func (sb *streamBatch) next(m *Model, src TupleSource, batch, mu int, cfg SamplerConfig, epoch int) ([]Spec, [][]int32) {
+func (sb *streamBatch) next(w *tensor.Workers, m *Model, src TupleSource, batch, mu int, cfg SamplerConfig, epoch int) ([]Spec, [][]int32) {
 	if mu < 1 {
 		mu = 1
 	}
@@ -75,6 +78,6 @@ func (sb *streamBatch) next(m *Model, src TupleSource, batch, mu int, cfg Sample
 		sb.specs = append(sb.specs, make(Spec, sb.ncols))
 	}
 	specs := sb.specs[:need]
-	SampleSpecsForLabels(m.table, specs, sb.labels, cfg, epoch)
+	SampleSpecsForLabels(w, m.table, specs, sb.labels, cfg, epoch)
 	return specs, sb.labels
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"duet/internal/relation"
+	"duet/internal/tensor"
 	"duet/internal/workload"
 )
 
@@ -94,12 +95,12 @@ func TestStreamBatchReusesBuffers(t *testing.T) {
 	sb := &streamBatch{ncols: tbl.NumCols()}
 	src := &cyclingSource{t: tbl}
 	cfg := SamplerConfig{Mu: 2, WildcardProb: 0.25, Seed: 9}
-	specs1, labels1 := sb.next(m, src, 64, 2, cfg, 0)
+	specs1, labels1 := sb.next(tensor.Default(), m, src, 64, 2, cfg, 0)
 	if len(specs1) != 128 || len(labels1) != 128 {
 		t.Fatalf("batch 64 x mu 2: got %d specs, %d labels", len(specs1), len(labels1))
 	}
 	slab := &sb.slab[0]
-	specs2, _ := sb.next(m, src, 64, 2, cfg, 0)
+	specs2, _ := sb.next(tensor.Default(), m, src, 64, 2, cfg, 0)
 	if &sb.slab[0] != slab {
 		t.Fatal("label slab reallocated on an equal-size step")
 	}

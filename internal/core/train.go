@@ -91,8 +91,12 @@ type StepStats struct {
 // queries, estimates them directly (no sampling) and computes the supervised
 // L_query = log2(QErr+1), then (3) descends on L = L_data + λ·L_query. It
 // returns per-epoch statistics. Each epoch ends by publishing a plan of its
-// weights, before OnEpoch, so OnEpoch's estimates see them.
-func Train(m *Model, cfg TrainConfig) []EpochStats {
+// weights, before OnEpoch, so OnEpoch's estimates see them. Every step runs on
+// the default worker set.
+func Train(m *Model, cfg TrainConfig) []EpochStats { return train(tensor.Default(), m, cfg) }
+
+// train is Train with every step's forks on w.
+func train(w *tensor.Workers, m *Model, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		panic("core: Train needs positive Epochs and BatchSize")
 	}
@@ -102,7 +106,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 	}
 	defer m.net.Net.ReleaseBuffers()
 	hybrid := cfg.Lambda > 0 && len(cfg.Workload) > 0
-	ts := &trainState{opt: nn.NewAdam(cfg.LR)}
+	ts := &trainState{w: w, opt: nn.NewAdam(cfg.LR)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sampler := SamplerConfig{
 		Mu: cfg.Mu, WildcardProb: cfg.WildcardProb,
@@ -137,7 +141,7 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 		var steps int
 		for off := 0; off < nRows; off += cfg.BatchSize {
 			end := min(off+cfg.BatchSize, nRows)
-			specs, labels := batch.next(m, src, end-off, cfg.Mu, sampler, epoch)
+			specs, labels := batch.next(w, m, src, end-off, cfg.Mu, sampler, epoch)
 			var queries []workload.LabeledQuery
 			if hybrid {
 				queries = make([]workload.LabeledQuery, qb)
@@ -179,9 +183,10 @@ func Train(m *Model, cfg TrainConfig) []EpochStats {
 }
 
 // trainState is what one Train or FineTune call carries from step to step:
-// the optimizer and the step's reused buffers. Nothing of it outlives the
-// call.
+// the worker set every stage of a step forks on, the optimizer and the step's
+// reused buffers. Nothing of it outlives the call.
 type trainState struct {
+	w         *tensor.Workers
 	opt       *nn.Adam
 	dLogits   tensor.Matrix // logit gradient of the data pass, then of the query pass
 	lossTerms []float64     // nn.SoftmaxCE's per-(row, block) loss terms
@@ -193,10 +198,10 @@ type trainState struct {
 func (m *Model) step(ts *trainState, specs []Spec, labels [][]int32, queries []workload.LabeledQuery, lambda, clipNorm float64) (dataLoss, qLoss, rawQ float64) {
 	nn.ZeroGrads(m.params)
 	if len(specs) > 0 {
-		logits := m.Forward(specs)
+		logits := m.forward(ts.w, specs)
 		dLogits := ts.zeroedGrad(logits)
-		dataLoss = nn.SoftmaxCE(logits, m.net.Out, labels, dLogits, &ts.lossTerms)
-		m.backward(specs, dLogits)
+		dataLoss = nn.SoftmaxCE(ts.w, logits, m.net.Out, labels, dLogits, &ts.lossTerms)
+		m.backward(ts.w, specs, dLogits)
 	}
 	if len(queries) > 0 {
 		qLoss, rawQ = m.queryLossBackward(ts, queries, lambda)
@@ -204,7 +209,7 @@ func (m *Model) step(ts *trainState, specs []Spec, labels [][]int32, queries []w
 	if clipNorm > 0 {
 		nn.ClipGradNorm(m.params, clipNorm)
 	}
-	ts.opt.Step(m.params)
+	ts.opt.Step(ts.w, m.params)
 	return dataLoss, qLoss, rawQ
 }
 
@@ -234,7 +239,7 @@ func (m *Model) queryLossBackward(ts *trainState, batch []workload.LabeledQuery,
 	for i, lq := range batch {
 		specs[i] = m.SpecFromQuery(lq.Query)
 	}
-	logits := m.Forward(specs)
+	logits := m.forward(ts.w, specs)
 	dLogits := ts.zeroedGrad(logits)
 	total := float64(m.table.NumRows())
 	scale := lambda / float64(len(batch))
@@ -296,7 +301,7 @@ func (m *Model) queryLossBackward(ts *trainState, batch []workload.LabeledQuery,
 			}
 		}
 	}
-	m.backward(specs, dLogits)
+	m.backward(ts.w, specs, dLogits)
 	n := float64(len(batch))
 	return qLoss / n, rawQ / n
 }

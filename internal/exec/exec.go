@@ -37,10 +37,10 @@ rows:
 	return count
 }
 
-// Cardinalities labels all queries, scanning in parallel across queries.
-func Cardinalities(t *relation.Table, qs []workload.Query) []int64 {
+// Cardinalities labels all queries, scanning in parallel across queries on w.
+func Cardinalities(w *tensor.Workers, t *relation.Table, qs []workload.Query) []int64 {
 	out := make([]int64, len(qs))
-	tensor.ParallelFor(len(qs), 1, func(lo, hi int) {
+	w.ParallelFor(len(qs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = Cardinality(t, qs[i])
 		}
@@ -48,9 +48,10 @@ func Cardinalities(t *relation.Table, qs []workload.Query) []int64 {
 	return out
 }
 
-// Label pairs each query with its exact cardinality.
+// Label pairs each query with its exact cardinality, scanning on the default
+// worker set.
 func Label(t *relation.Table, qs []workload.Query) []workload.LabeledQuery {
-	cards := Cardinalities(t, qs)
+	cards := Cardinalities(tensor.Default(), t, qs)
 	out := make([]workload.LabeledQuery, len(qs))
 	for i, q := range qs {
 		out[i] = workload.LabeledQuery{Query: q, Card: cards[i]}

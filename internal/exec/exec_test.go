@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"duet/internal/relation"
+	"duet/internal/tensor"
 	"duet/internal/workload"
 )
 
@@ -86,7 +87,9 @@ func TestCardinalitiesParallelMatchesSerial(t *testing.T) {
 	tbl := testTable(300, 5)
 	qs := workload.Generate(tbl, workload.GenConfig{
 		Seed: 6, NumQueries: 64, MinPreds: 1, MaxPreds: 3, BoundedCol: -1})
-	par := Cardinalities(tbl, qs)
+	w := tensor.NewWorkers(3)
+	defer w.Close()
+	par := Cardinalities(w, tbl, qs)
 	for i, q := range qs {
 		if par[i] != Cardinality(tbl, q) {
 			t.Fatalf("parallel mismatch at %d", i)

@@ -47,7 +47,6 @@ func BenchmarkPlanForward(b *testing.B) {
 		{"dmv-i8", dmv, true},
 		{"census", benchNet(relation.SynCensus(20000, 1), []int{128, 128}, true), false},
 	}
-	defer tensor.SetMaxWorkers(0)
 	for _, n := range nets {
 		p := NewPlan(n.net, PlanConfig{Quantize: n.quant})
 		x, needed := planBatch(n.net, 64, 1)
@@ -58,10 +57,12 @@ func BenchmarkPlanForward(b *testing.B) {
 			}
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/b%d/w%d", n.name, batch, workers), func(b *testing.B) {
-					tensor.SetMaxWorkers(workers)
+					w := tensor.NewWorkers(workers)
+					defer w.Close()
+					var s Scratch
 					for i := 0; i < b.N; i++ {
 						c := i % len(calls)
-						p.Forward(&calls[c], needed[c*batch:(c+1)*batch])
+						p.Run(w, &s, &calls[c], needed[c*batch:(c+1)*batch])
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*batch), "us/row")
 				})

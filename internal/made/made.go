@@ -124,11 +124,15 @@ func hiddenDegrees(width, n int) []int {
 	return deg
 }
 
-// Forward runs the network on a batch of encoded inputs.
-func (m *MADE) Forward(x *tensor.Matrix) *tensor.Matrix { return m.Net.Forward(x) }
+// Forward runs the network on a batch of encoded inputs on the default
+// worker set; a caller with a set of its own runs m.Net.Forward.
+func (m *MADE) Forward(x *tensor.Matrix) *tensor.Matrix { return m.Net.Forward(tensor.Default(), x) }
 
-// Backward backpropagates the logit gradient and returns the input gradient.
-func (m *MADE) Backward(dOut *tensor.Matrix) *tensor.Matrix { return m.Net.Backward(dOut) }
+// Backward backpropagates the logit gradient and returns the input gradient,
+// on the default worker set like Forward.
+func (m *MADE) Backward(dOut *tensor.Matrix) *tensor.Matrix {
+	return m.Net.Backward(tensor.Default(), dOut)
+}
 
 // Params returns all trainable parameters.
 func (m *MADE) Params() []*nn.Param { return m.Net.Params() }

@@ -111,12 +111,12 @@ func TestGradcheckThroughCE(t *testing.T) {
 	tensor.RandUniform(x, 1, rng)
 	labels := [][]int32{{0, 2}, {1, 1}}
 	loss := func() float64 {
-		return nn.SoftmaxCE(m.Forward(x), m.Out, labels, nil, nil)
+		return nn.SoftmaxCE(tensor.Default(), m.Forward(x), m.Out, labels, nil, nil)
 	}
 	nn.ZeroGrads(m.Params())
 	logits := m.Forward(x)
 	d := tensor.New(2, m.Out.Tot)
-	nn.SoftmaxCE(logits, m.Out, labels, d, nil)
+	nn.SoftmaxCE(tensor.Default(), logits, m.Out, labels, d, nil)
 	m.Backward(d)
 	// Disallowed weight entries are held at zero by init + gradient masking,
 	// so forward passes do not apply the rule; finite differences on those
@@ -168,9 +168,9 @@ func TestTrainingLearnsDependentColumns(t *testing.T) {
 		nn.ZeroGrads(m.Params())
 		logits := m.Forward(x)
 		d.Zero()
-		nn.SoftmaxCE(logits, m.Out, labels, d, nil)
+		nn.SoftmaxCE(tensor.Default(), logits, m.Out, labels, d, nil)
 		m.Backward(d)
-		opt.Step(m.Params())
+		opt.Step(tensor.Default(), m.Params())
 	}
 	// Check P(C1=v | C0=v) is dominant.
 	probe := tensor.New(1, m.In.Tot)

@@ -41,9 +41,10 @@
 // follow per block. The projection phase has one work item per (output
 // block, panel), over the groups of every row of the batch that needs the
 // block, so each slab panel is loaded once per pass; its groups are built
-// serially between the phases. Each phase is one tensor.ParallelFor whose
-// workers take work items, largest first, from an atomic counter; a batch
-// smaller than one row block runs inline, with no fork and no allocation.
+// serially between the phases. Each phase is one ParallelFor on the pass's
+// worker set, whose workers take work items, largest first, from an atomic
+// counter; a batch smaller than one row block runs inline, with no fork and
+// no allocation.
 //
 // Every output element starts at +0, adds its terms in ascending input order
 // (skipping zero activations), then adds its bias: exactly the additions, in
@@ -577,10 +578,11 @@ type projItem struct {
 	macs   int // the item's size, for largest-first scheduling
 }
 
-// Forward is Run on the scratch the plan keeps: the result is valid until
-// the next Forward, and Forward's callers serialize.
+// Forward is Run on the scratch the plan keeps and the default worker set:
+// the result is valid until the next Forward, and Forward's callers
+// serialize.
 func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
-	return p.Run(&p.held, x, needed)
+	return p.Run(tensor.Default(), &p.held, x, needed)
 }
 
 // Run runs the plan on a batch, writing every buffer of the pass in s.
@@ -595,8 +597,9 @@ func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 // pass. Each phase is at most one fork; a batch smaller than one row block
 // runs inline and, once s has grown to the batch, without allocating. Every
 // logit keeps the arithmetic of its row computed alone, so results are
-// bitwise independent of batch composition.
-func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+// bitwise independent of batch composition. A phase that forks splits across
+// w.
+func (p *Plan) Run(w *tensor.Workers, s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
 	for len(s.outs) < p.nout {
 		s.outs = append(s.outs, tensor.Matrix{})
 	}
@@ -629,9 +632,9 @@ func (p *Plan) Run(s *Scratch, x *tensor.Matrix, needed [][]int32) *tensor.Matri
 		s.groups = make([]group, x.Rows)
 	}
 	fork := x.Rows >= rowBlock
-	p.runPhase(s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
+	p.runPhase(w, s, trunkPhase, (x.Rows+rowBlock-1)/rowBlock, fork)
 	p.gather(s, needed[:x.Rows], fork)
-	p.runPhase(s, projPhase, len(s.items), fork)
+	p.runPhase(w, s, projPhase, len(s.items), fork)
 	s.x, s.h = nil, nil
 	return &s.logits
 }
@@ -760,11 +763,11 @@ const (
 
 // runPhase executes a phase's n work items. Without fork (a batch smaller
 // than one row block), or for a phase of one item, they run inline;
-// otherwise one tensor.ParallelFor sizes the worker set, and each worker
+// otherwise one w.ParallelFor sizes the worker set, and each worker
 // takes the next item from s.next until none are left (the ranges
 // ParallelFor hands out are not used), so a worker that drew a cheap item
 // moves on while another finishes a costly one.
-func (p *Plan) runPhase(s *Scratch, ph phase, n int, fork bool) {
+func (p *Plan) runPhase(w *tensor.Workers, s *Scratch, ph phase, n int, fork bool) {
 	if !fork || n < 2 {
 		for i := 0; i < n; i++ {
 			p.item(s, ph, i)
@@ -772,7 +775,7 @@ func (p *Plan) runPhase(s *Scratch, ph phase, n int, fork bool) {
 		return
 	}
 	s.next.Store(0)
-	tensor.ParallelFor(n, 1, func(int, int) {
+	w.ParallelFor(n, 1, func(int, int) {
 		for i := int(s.next.Add(1) - 1); i < n; i = int(s.next.Add(1) - 1) {
 			p.item(s, ph, i)
 		}

@@ -452,8 +452,9 @@ func sameBlocks(t *testing.T, what string, out nn.Blocks, got, want *tensor.Matr
 // including negative ones on a +0 destination, that the span loop never
 // adds.
 func TestPlanPanelsMatchSpanReference(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
-	tensor.SetMaxWorkers(2)
+	w := tensor.NewWorkers(2)
+	defer w.Close()
+	var s Scratch
 	nets := map[string]*MADE{
 		"dmv":    benchNet(relation.SynDMV(20000, 1), []int{512, 256, 512, 128, 1024}, false),
 		"census": benchNet(relation.SynCensus(20000, 1), []int{128, 128}, true),
@@ -479,7 +480,7 @@ func TestPlanPanelsMatchSpanReference(t *testing.T) {
 				setGroupRows(t, gsize)
 				for _, rows := range []int{1, 7, 8, 64} {
 					x, needed := planBatch(m, rows, int64(rows))
-					sameBlocks(t, fmt.Sprintf("%s quant=%v g=%d rows=%d", name, quant, groupRows(), rows), m.Out, p.Forward(x, needed), ref.forward(x, needed), needed)
+					sameBlocks(t, fmt.Sprintf("%s quant=%v g=%d rows=%d", name, quant, groupRows(), rows), m.Out, p.Run(w, &s, x, needed), ref.forward(x, needed), needed)
 				}
 			}
 		}
@@ -492,7 +493,11 @@ func TestPlanPanelsMatchSpanReference(t *testing.T) {
 // the worker count or the kernel tier. One plan serves every case, so its
 // reused buffers also start each pass holding the previous pass's values.
 func TestPlanRowBlocksBitwise(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
+	sets := map[int]*tensor.Workers{1: tensor.NewWorkers(1), 2: tensor.NewWorkers(2), 4: tensor.NewWorkers(4)}
+	for _, w := range sets {
+		defer w.Close()
+	}
+	var s Scratch
 	tier := tensor.KernelTier()
 	defer tensor.SetKernelTier(tier)
 	for name, m := range rowBlockNets() {
@@ -509,8 +514,7 @@ func TestPlanRowBlocksBitwise(t *testing.T) {
 					for _, gsize := range groupSizes {
 						setGroupRows(t, gsize)
 						for _, workers := range []int{1, 2, 4} {
-							tensor.SetMaxWorkers(workers)
-							got := p.Forward(x, needed)
+							got := p.Run(sets[workers], &s, x, needed)
 							for r, blocks := range needed {
 								for _, b := range blocks {
 									g, w := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want.Row(r), int(b))
@@ -566,7 +570,7 @@ func TestPlanGroupsByPosition(t *testing.T) {
 					what := fmt.Sprintf("%s quant=%v g=%d rows=%d", name, quant, g, rows)
 					x, needed := rowBlockBatch(m, rows, int64(rows))
 					var s Scratch
-					p.Run(&s, x, needed)
+					p.Run(tensor.Default(), &s, x, needed)
 					if s.g != g {
 						t.Fatalf("%s: the pass grouped %d rows", what, s.g)
 					}
@@ -639,16 +643,16 @@ func checkGroups(t *testing.T, what string, groups []group, rows []int32, g int,
 }
 
 // TestPlanForwardAllocs: on a warmed plan, a batch smaller than one row
-// block allocates nothing, which also proves it never forks (a go statement
-// and ParallelFor's join object both allocate), and a 64-row batch
+// block allocates nothing, which also proves it never forks (a fork's
+// closure escapes to the worker set, so it allocates), and a 64-row batch
 // allocates no more than two bare ParallelFor forks do: one per phase,
 // whatever the layer count.
 func TestPlanForwardAllocs(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
-	tensor.SetMaxWorkers(2)
+	w := tensor.NewWorkers(2)
+	defer w.Close()
 	var sink atomic.Int64
 	fork := testing.AllocsPerRun(50, func() {
-		tensor.ParallelFor(64, 1, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+		w.ParallelFor(64, 1, func(lo, hi int) { sink.Add(int64(hi - lo)) })
 	})
 	if fork == 0 {
 		t.Fatal("a ParallelFor fork allocated nothing; the bound below would prove nothing")
@@ -657,14 +661,15 @@ func TestPlanForwardAllocs(t *testing.T) {
 		for _, quant := range []bool{false, true} {
 			p := NewPlan(m, PlanConfig{Quantize: quant})
 			x, needed := rowBlockBatch(m, 64, 7)
-			p.Forward(x, needed)
+			var s Scratch
+			p.Run(w, &s, x, needed)
 			for _, rows := range []int{1, rowBlock - 1} {
 				small := &tensor.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-				if a := testing.AllocsPerRun(50, func() { p.Forward(small, needed[:rows]) }); a != 0 {
+				if a := testing.AllocsPerRun(50, func() { p.Run(w, &s, small, needed[:rows]) }); a != 0 {
 					t.Errorf("%s quant=%v: a %d-row Forward allocates %v times, want 0", name, quant, rows, a)
 				}
 			}
-			if a := testing.AllocsPerRun(50, func() { p.Forward(x, needed) }); a > 2*fork {
+			if a := testing.AllocsPerRun(50, func() { p.Run(w, &s, x, needed) }); a > 2*fork {
 				t.Errorf("%s quant=%v: a 64-row Forward allocates %v times, more than two forks (%v each)", name, quant, a, fork)
 			}
 		}
@@ -677,8 +682,8 @@ func TestPlanForwardAllocs(t *testing.T) {
 // same batch. Under -race this is also the check that a pass writes nothing
 // outside its scratch.
 func TestPlanConcurrentScratches(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
-	tensor.SetMaxWorkers(2)
+	w := tensor.NewWorkers(2)
+	defer w.Close()
 	sizes := []int{1, 7, 8, 33, 64}
 	for name, m := range rowBlockNets() {
 		for _, quant := range []bool{false, true} {
@@ -700,7 +705,7 @@ func TestPlanConcurrentScratches(t *testing.T) {
 						var s Scratch
 						for iter := 0; iter < 20; iter++ {
 							i := (g + iter) % len(sizes)
-							got := p.Run(&s, xs[i], needed[i])
+							got := p.Run(w, &s, xs[i], needed[i])
 							for r, blocks := range needed[i] {
 								for _, b := range blocks {
 									gs, ws := m.Out.Slice(got.Row(r), int(b)), m.Out.Slice(want[i].Row(r), int(b))

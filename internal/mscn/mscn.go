@@ -86,7 +86,7 @@ func (m *Model) featurize(dst []float32, p workload.Predicate) {
 // pool runs the predicate net over a flattened batch and mean-pools per
 // query. rows[i] gives the query of flattened predicate i.
 func (m *Model) pool(flat *tensor.Matrix, rows []int32, nQueries int, counts []int) *tensor.Matrix {
-	emb := m.predNet.Forward(flat)
+	emb := m.predNet.Forward(tensor.Default(), flat)
 	pooled := tensor.New(nQueries, emb.Cols)
 	for i, r := range rows {
 		dst := pooled.Row(int(r))
@@ -125,7 +125,7 @@ func (m *Model) forwardBatch(queries []workload.Query) (*tensor.Matrix, *tensor.
 		}
 	}
 	pooled := m.pool(flat, rows, len(queries), counts)
-	out := m.headNet.Forward(pooled)
+	out := m.headNet.Forward(tensor.Default(), pooled)
 	return out, pooled, rows, counts
 }
 
@@ -195,7 +195,7 @@ func Train(m *Model, queries []workload.LabeledQuery, cfg TrainConfig) []float64
 			tgt := tensor.FromSlice(len(batch), 1, targets)
 			dOut := tensor.New(len(batch), 1)
 			loss := nn.MSE(out, tgt, dOut)
-			dPooled := m.headNet.Backward(dOut)
+			dPooled := m.headNet.Backward(tensor.Default(), dOut)
 			// Un-pool: distribute each query's gradient to its predicates.
 			dEmb := tensor.New(len(rows), dPooled.Cols)
 			for i, r := range rows {
@@ -206,9 +206,9 @@ func Train(m *Model, queries []workload.LabeledQuery, cfg TrainConfig) []float64
 					dst[j] = v * inv
 				}
 			}
-			m.predNet.Backward(dEmb)
+			m.predNet.Backward(tensor.Default(), dEmb)
 			nn.ClipGradNorm(m.params, 16)
-			opt.Step(m.params)
+			opt.Step(tensor.Default(), m.params)
 			lossSum += loss
 			steps++
 		}

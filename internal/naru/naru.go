@@ -215,7 +215,7 @@ func (m *Model) TrainEpochs(cfg TrainConfig, perm *rand.Rand, step func(rows []i
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
 			}
-			opt.Step(m.Params())
+			opt.Step(tensor.Default(), m.Params())
 			lossSum += loss
 			steps++
 		}
@@ -250,7 +250,7 @@ func (m *Model) DataStep(rows []int, wildcardProb float64, rng *rand.Rand) float
 	}
 	logits := m.net.Forward(m.buildInput(codes))
 	d := tensor.New(logits.Rows, logits.Cols)
-	loss := nn.SoftmaxCE(logits, m.net.Out, labels, d, nil)
+	loss := nn.SoftmaxCE(tensor.Default(), logits, m.net.Out, labels, d, nil)
 	m.net.Backward(d)
 	return loss
 }

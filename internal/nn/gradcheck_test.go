@@ -49,10 +49,10 @@ func TestLinearGradcheck(t *testing.T) {
 	l := NewLinear(4, 3, rng)
 	x := tensor.New(5, 4)
 	tensor.RandUniform(x, 1, rng)
-	loss := func() float64 { return halfSquare(l.Forward(x)) }
+	loss := func() float64 { return halfSquare(l.Forward(tensor.Default(), x)) }
 	checkParamGrads(t, l.Params(), loss, func() {
-		y := l.Forward(x)
-		l.Backward(gradOf(y))
+		y := l.Forward(tensor.Default(), x)
+		l.Backward(tensor.Default(), gradOf(y))
 	}, 2e-2)
 }
 
@@ -61,15 +61,15 @@ func TestLinearInputGradcheck(t *testing.T) {
 	l := NewLinear(4, 3, rng)
 	x := tensor.New(2, 4)
 	tensor.RandUniform(x, 1, rng)
-	y := l.Forward(x)
-	dIn := l.Backward(gradOf(y))
+	y := l.Forward(tensor.Default(), x)
+	dIn := l.Backward(tensor.Default(), gradOf(y))
 	const eps = 1e-3
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp := halfSquare(l.Forward(x))
+		lp := halfSquare(l.Forward(tensor.Default(), x))
 		x.Data[i] = orig - eps
-		lm := halfSquare(l.Forward(x))
+		lm := halfSquare(l.Forward(tensor.Default(), x))
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(dIn.Data[i])) > 2e-2*(1+math.Abs(num)) {
@@ -108,9 +108,9 @@ func TestMaskedLinearRespectsMask(t *testing.T) {
 	tensor.RandUniform(x, 1, rng)
 	for step := 0; step < 5; step++ {
 		ZeroGrads(l.Params())
-		y := l.Forward(x)
-		l.Backward(gradOf(y))
-		opt.Step(l.Params())
+		y := l.Forward(tensor.Default(), x)
+		l.Backward(tensor.Default(), gradOf(y))
+		opt.Step(tensor.Default(), l.Params())
 	}
 	for i, w := range l.Weight.W.Data {
 		if !l.Allowed(i/3, i%3) && w != 0 {
@@ -136,15 +136,15 @@ func TestActivationsGradcheck(t *testing.T) {
 				x.Data[i] = 0.2
 			}
 		}
-		y := tc.layer.Forward(x)
-		dIn := tc.layer.Backward(gradOf(y))
+		y := tc.layer.Forward(tensor.Default(), x)
+		dIn := tc.layer.Backward(tensor.Default(), gradOf(y))
 		const eps = 1e-3
 		for i := range x.Data {
 			orig := x.Data[i]
 			x.Data[i] = orig + eps
-			lp := halfSquare(tc.layer.Forward(x))
+			lp := halfSquare(tc.layer.Forward(tensor.Default(), x))
 			x.Data[i] = orig - eps
-			lm := halfSquare(tc.layer.Forward(x))
+			lm := halfSquare(tc.layer.Forward(tensor.Default(), x))
 			x.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(num-float64(dIn.Data[i])) > 3e-2*(1+math.Abs(num)) {
@@ -160,10 +160,10 @@ func TestSequentialAndResidualGradcheck(t *testing.T) {
 	net := NewSequential(NewLinear(4, 6, rng), NewReLU(), NewResidual(inner), NewLinear(6, 2, rng))
 	x := tensor.New(3, 4)
 	tensor.RandUniform(x, 1, rng)
-	loss := func() float64 { return halfSquare(net.Forward(x)) }
+	loss := func() float64 { return halfSquare(net.Forward(tensor.Default(), x)) }
 	checkParamGrads(t, net.Params(), loss, func() {
-		y := net.Forward(x)
-		net.Backward(gradOf(y))
+		y := net.Forward(tensor.Default(), x)
+		net.Backward(tensor.Default(), gradOf(y))
 	}, 3e-2)
 }
 
@@ -179,8 +179,8 @@ func TestReleaseBuffers(t *testing.T) {
 	net := NewSequential(lin, res, sig, NewLinear(6, 6, rng))
 	x := tensor.New(64, 4)
 	tensor.RandUniform(x, 1, rng)
-	want := net.Forward(x).Clone()
-	net.Backward(gradOf(want))
+	want := net.Forward(tensor.Default(), x).Clone()
+	net.Backward(tensor.Default(), gradOf(want))
 
 	net.ReleaseBuffers()
 	for name, b := range map[string]*buffers{
@@ -197,13 +197,13 @@ func TestReleaseBuffers(t *testing.T) {
 
 	row := tensor.New(1, 4)
 	copy(row.Row(0), x.Row(7))
-	got := net.Forward(row)
+	got := net.Forward(tensor.Default(), row)
 	for c, v := range got.Row(0) {
 		if v != want.Row(7)[c] {
 			t.Fatalf("column %d after release: %v, want %v", c, v, want.Row(7)[c])
 		}
 	}
-	net.Backward(gradOf(got)) // Forward then Backward works as before
+	net.Backward(tensor.Default(), gradOf(got)) // Forward then Backward works as before
 }
 
 func TestLSTMGradcheck(t *testing.T) {
@@ -215,7 +215,7 @@ func TestLSTMGradcheck(t *testing.T) {
 		tensor.RandUniform(seq[i], 1, rng)
 	}
 	loss := func() float64 {
-		hs := l.Forward(seq)
+		hs := l.Forward(tensor.Default(), seq)
 		var s float64
 		for _, h := range hs {
 			s += halfSquare(h)
@@ -223,12 +223,12 @@ func TestLSTMGradcheck(t *testing.T) {
 		return s
 	}
 	checkParamGrads(t, l.Params(), loss, func() {
-		hs := l.Forward(seq)
+		hs := l.Forward(tensor.Default(), seq)
 		dHs := make([]*tensor.Matrix, len(hs))
 		for i, h := range hs {
 			dHs[i] = gradOf(h)
 		}
-		l.Backward(dHs)
+		l.Backward(tensor.Default(), dHs)
 	}, 5e-2)
 }
 
@@ -240,19 +240,19 @@ func TestLSTMInputGradcheck(t *testing.T) {
 		tensor.RandUniform(s, 1, rng)
 	}
 	loss := func() float64 {
-		hs := l.Forward(seq)
+		hs := l.Forward(tensor.Default(), seq)
 		var s float64
 		for _, h := range hs {
 			s += halfSquare(h)
 		}
 		return s
 	}
-	hs := l.Forward(seq)
+	hs := l.Forward(tensor.Default(), seq)
 	dHs := make([]*tensor.Matrix, len(hs))
 	for i, h := range hs {
 		dHs[i] = gradOf(h)
 	}
-	dXs := l.Backward(dHs)
+	dXs := l.Backward(tensor.Default(), dHs)
 	const eps = 1e-3
 	for si, x := range seq {
 		for i := range x.Data {
@@ -276,9 +276,9 @@ func TestSoftmaxCEGradcheck(t *testing.T) {
 	logits := tensor.New(4, blocks.Tot)
 	tensor.RandUniform(logits, 1, rng)
 	labels := [][]int32{{0, 1, 1}, {2, 3, 0}, {1, -1, 1}, {0, 0, -1}}
-	loss := func() float64 { return SoftmaxCE(logits, blocks, labels, nil, nil) }
+	loss := func() float64 { return SoftmaxCE(tensor.Default(), logits, blocks, labels, nil, nil) }
 	d := tensor.New(4, blocks.Tot)
-	SoftmaxCE(logits, blocks, labels, d, nil)
+	SoftmaxCE(tensor.Default(), logits, blocks, labels, d, nil)
 	const eps = 1e-3
 	for i := range logits.Data {
 		orig := logits.Data[i]
@@ -306,5 +306,38 @@ func TestEmbeddingGradAccum(t *testing.T) {
 	}
 	if e.Table.G.Row(0)[0] != 0 {
 		t.Fatal("unrelated row touched")
+	}
+}
+
+// TestReLUSpecialValues: the mask form of ReLU gives the bits the sign
+// test gave — x where x > 0, +0 for -0, NaN and everything else — and its
+// backward passes the gradient's own bits, NaN and -0 included, wherever the
+// output was positive. A batch wider than ElemGrain also runs it split.
+func TestReLUSpecialValues(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	special := []float32{nan, -nan, 0, negZero, inf, -inf, 1.5, -2, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	n := 3 * tensor.ElemGrain
+	x, dOut := tensor.New(1, n), tensor.New(1, n)
+	for i := range x.Data {
+		x.Data[i] = special[i%len(special)]
+		dOut.Data[i] = special[(i/len(special))%len(special)]
+	}
+	w := tensor.NewWorkers(3)
+	defer w.Close()
+	l := NewReLU()
+	y := l.Forward(w, x)
+	dIn := l.Backward(w, dOut)
+	for i, v := range x.Data {
+		want, wantD := float32(0), float32(0)
+		if v > 0 {
+			want, wantD = v, dOut.Data[i]
+		}
+		if math.Float32bits(y.Data[i]) != math.Float32bits(want) {
+			t.Fatalf("ReLU(%v) = %v (%#x), want %v", v, y.Data[i], math.Float32bits(y.Data[i]), want)
+		}
+		if math.Float32bits(dIn.Data[i]) != math.Float32bits(wantD) {
+			t.Fatalf("ReLU'(%v) passed %v (%#x) for gradient %v, want %v", v, dIn.Data[i], math.Float32bits(dIn.Data[i]), dOut.Data[i], wantD)
+		}
 	}
 }

@@ -27,21 +27,21 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 }
 
 // Forward computes X·W + b.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix {
 	mustCols(x, l.In, "Linear")
 	l.x = x
 	out := outBuf(&l.out, x.Rows, l.Out)
-	tensor.Mul(out, x, l.Weight.W)
-	out.AddRowVector(l.Bias.W.Data)
+	w.Mul(out, x, l.Weight.W)
+	out.AddRowVector(w, l.Bias.W.Data)
 	return out
 }
 
 // Backward accumulates dW = Xᵀ·dOut, db = Σ dOut and returns dX = dOut·Wᵀ.
-func (l *Linear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	tensor.MulATAdd(l.Weight.G, l.x, dOut)
+func (l *Linear) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix {
+	w.MulATAdd(l.Weight.G, l.x, dOut)
 	// Column ranges, rows still ascending: each bias cell sums its column in
 	// the order the serial loop did.
-	tensor.ParallelFor(l.Out, tensor.RowGrain(dOut.Rows), func(lo, hi int) {
+	w.ParallelFor(l.Out, tensor.RowGrain(dOut.Rows), func(lo, hi int) {
 		bg := l.Bias.G.Data[lo:hi]
 		for r := 0; r < dOut.Rows; r++ {
 			for c, v := range dOut.Row(r)[lo:hi] {
@@ -50,7 +50,7 @@ func (l *Linear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 		}
 	})
 	dIn := outBuf(&l.dIn, dOut.Rows, l.In)
-	tensor.MulBT(dIn, dOut, l.Weight.W)
+	w.MulBT(dIn, dOut, l.Weight.W)
 	return dIn
 }
 
@@ -79,7 +79,7 @@ func NewMaskedLinear(inDeg, outDeg []int, rng *rand.Rand) *MaskedLinear {
 	l := &MaskedLinear{Linear: *NewLinear(len(inDeg), len(outDeg), rng), InDeg: inDeg, OutDeg: outDeg}
 	l.Weight.Name = "masked.w"
 	l.Bias.Name = "masked.b"
-	l.zeroDisallowed(l.Weight.W)
+	l.zeroDisallowed(tensor.Default(), l.Weight.W)
 	return l
 }
 
@@ -89,8 +89,8 @@ func (l *MaskedLinear) Allowed(i, o int) bool { return l.OutDeg[o] >= l.InDeg[i]
 // zeroDisallowed multiplies every disallowed cell of the In×Out matrix m by
 // zero. Multiplying rather than assigning keeps a negative initial draw as
 // -0: those bits are part of every model's weights, which golden tests pin.
-func (l *MaskedLinear) zeroDisallowed(m *tensor.Matrix) {
-	tensor.ParallelFor(l.In, tensor.RowGrain(l.Out), func(lo, hi int) {
+func (l *MaskedLinear) zeroDisallowed(w *tensor.Workers, m *tensor.Matrix) {
+	w.ParallelFor(l.In, tensor.RowGrain(l.Out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row, di := m.Row(i)[:len(l.OutDeg)], l.InDeg[i] // one bounds check per row
 			for o, do := range l.OutDeg {
@@ -104,8 +104,8 @@ func (l *MaskedLinear) zeroDisallowed(m *tensor.Matrix) {
 
 // Backward zeroes the gradient of disallowed weights after the usual
 // accumulation so the connectivity pattern is invariant under training.
-func (l *MaskedLinear) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	dIn := l.Linear.Backward(dOut)
-	l.zeroDisallowed(l.Weight.G)
+func (l *MaskedLinear) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix {
+	dIn := l.Linear.Backward(w, dOut)
+	l.zeroDisallowed(w, l.Weight.G)
 	return dIn
 }

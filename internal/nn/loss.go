@@ -111,7 +111,7 @@ func LogSumExp(logits []float32) float64 {
 // so the loss has the same bits for every worker count. terms, when non-nil,
 // is that buffer, grown as needed and kept by the caller so a training loop
 // does not allocate it every step.
-func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix, terms *[]float64) float64 {
+func SoftmaxCE(w *tensor.Workers, logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix, terms *[]float64) float64 {
 	if logits.Cols != blocks.Tot {
 		panic("nn: SoftmaxCE logits width does not match blocks")
 	}
@@ -124,7 +124,7 @@ func SoftmaxCE(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *
 	}
 	term := (*terms)[:batch*nb]
 	invB := 1.0 / float64(batch)
-	tensor.ParallelFor(batch, tensor.RowGrain(logits.Cols), func(lo, hi int) {
+	w.ParallelFor(batch, tensor.RowGrain(logits.Cols), func(lo, hi int) {
 		var buf [expChunk]float64
 		for r := lo; r < hi; r++ {
 			row := logits.Row(r)

@@ -105,7 +105,7 @@ func TestLogSumExp(t *testing.T) {
 func TestSoftmaxCEKnownValue(t *testing.T) {
 	blocks := NewBlocks([]int{2})
 	logits := tensor.FromSlice(1, 2, []float32{0, 0})
-	loss := SoftmaxCE(logits, blocks, [][]int32{{0}}, nil, nil)
+	loss := SoftmaxCE(tensor.Default(), logits, blocks, [][]int32{{0}}, nil, nil)
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("uniform 2-way CE should be ln2, got %v", loss)
 	}
@@ -114,13 +114,13 @@ func TestSoftmaxCEKnownValue(t *testing.T) {
 func TestSoftmaxCESkipsWildcardLabels(t *testing.T) {
 	blocks := NewBlocks([]int{2, 3})
 	logits := tensor.New(1, 5)
-	full := SoftmaxCE(logits, blocks, [][]int32{{0, 0}}, nil, nil)
-	skip := SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, nil, nil)
+	full := SoftmaxCE(tensor.Default(), logits, blocks, [][]int32{{0, 0}}, nil, nil)
+	skip := SoftmaxCE(tensor.Default(), logits, blocks, [][]int32{{0, -1}}, nil, nil)
 	if skip >= full {
 		t.Fatalf("wildcard block should reduce loss: full=%v skip=%v", full, skip)
 	}
 	d := tensor.New(1, 5)
-	SoftmaxCE(logits, blocks, [][]int32{{0, -1}}, d, nil)
+	SoftmaxCE(tensor.Default(), logits, blocks, [][]int32{{0, -1}}, d, nil)
 	for i := 2; i < 5; i++ {
 		if d.Data[i] != 0 {
 			t.Fatalf("gradient leaked into wildcard block: %v", d.Data)
@@ -157,7 +157,6 @@ func softmaxCESerial(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLo
 // gradient bit, with wildcard labels, ragged block widths, a gradient buffer
 // that already holds something, and a batch tall enough to fork.
 func TestSoftmaxCEParallelMatchesSerial(t *testing.T) {
-	defer tensor.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(11))
 	blocks := NewBlocks([]int{3, 70, 1, 130, 9})
 	const batch = 400
@@ -176,9 +175,9 @@ func TestSoftmaxCEParallelMatchesSerial(t *testing.T) {
 	want := softmaxCESerial(logits, blocks, labels, wantD)
 	var terms []float64
 	for _, workers := range []int{1, 3} {
-		tensor.SetMaxWorkers(workers)
+		w := tensor.NewWorkers(workers)
 		gotD := prior.Clone()
-		got := SoftmaxCE(logits, blocks, labels, gotD, &terms) // terms reused: stale entries must not leak in
+		got := SoftmaxCE(w, logits, blocks, labels, gotD, &terms) // terms reused: stale entries must not leak in
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%d workers: loss %v (%#x), serial %v (%#x)", workers, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
@@ -187,6 +186,7 @@ func TestSoftmaxCEParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%d workers: dLogits[%d] = %v, serial %v", workers, i, gotD.Data[i], v)
 			}
 		}
+		w.Close()
 	}
 }
 
@@ -249,7 +249,7 @@ func TestOptimizersReduceQuadratic(t *testing.T) {
 		for j := range p.W.Data {
 			p.G.Data[j] = p.W.Data[j] - target[j]
 		}
-		opt.Step([]*Param{p})
+		opt.Step(tensor.Default(), []*Param{p})
 	}
 	for j := range target {
 		if math.Abs(float64(p.W.Data[j]-target[j])) > 0.05 {

@@ -55,7 +55,7 @@ func sigmoid64(v float32) float32 { return float32(1.0 / (1.0 + math.Exp(-float6
 
 // Forward runs the LSTM over seq (each element batch×In, same batch size)
 // starting from zero state and returns the hidden state after every step.
-func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
+func (l *LSTM) Forward(w *tensor.Workers, seq []*tensor.Matrix) []*tensor.Matrix {
 	if len(seq) == 0 {
 		return nil
 	}
@@ -68,12 +68,12 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	z := tensor.New(batch, 4*H)
 	hs := make([]*tensor.Matrix, len(seq))
 	for t, x := range seq {
-		tensor.Mul(z, x, l.Wx.W)
+		w.Mul(z, x, l.Wx.W)
 		hm := tensor.FromSlice(batch, H, hPrev)
 		zh := tensor.New(batch, 4*H)
-		tensor.Mul(zh, hm, l.Wh.W)
+		w.Mul(zh, hm, l.Wh.W)
 		z.Add(zh)
-		z.AddRowVector(l.B.W.Data)
+		z.AddRowVector(w, l.B.W.Data)
 
 		st := lstmStep{x: x,
 			i: make([]float32, batch*H), f: make([]float32, batch*H),
@@ -108,7 +108,7 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 // Backward consumes the gradient of every step's hidden state (entries may
 // be nil for steps whose output is unused) and returns the gradient of every
 // input, accumulating parameter gradients.
-func (l *LSTM) Backward(dHs []*tensor.Matrix) []*tensor.Matrix {
+func (l *LSTM) Backward(w *tensor.Workers, dHs []*tensor.Matrix) []*tensor.Matrix {
 	batch, H := l.batch, l.Hidden
 	dh := make([]float32, batch*H)
 	dc := make([]float32, batch*H)
@@ -142,9 +142,9 @@ func (l *LSTM) Backward(dHs []*tensor.Matrix) []*tensor.Matrix {
 			}
 		}
 		// Parameter gradients.
-		tensor.MulATAdd(l.Wx.G, st.x, dz)
+		w.MulATAdd(l.Wx.G, st.x, dz)
 		hPrevM := tensor.FromSlice(batch, H, st.hPrev)
-		tensor.MulATAdd(l.Wh.G, hPrevM, dz)
+		w.MulATAdd(l.Wh.G, hPrevM, dz)
 		bg := l.B.G.Data
 		for b := 0; b < batch; b++ {
 			for c, v := range dz.Row(b) {
@@ -153,10 +153,10 @@ func (l *LSTM) Backward(dHs []*tensor.Matrix) []*tensor.Matrix {
 		}
 		// Input and recurrent gradients.
 		dx := tensor.New(batch, l.In)
-		tensor.MulBT(dx, dz, l.Wx.W)
+		w.MulBT(dx, dz, l.Wx.W)
 		dXs[t] = dx
 		dhPrev := tensor.New(batch, H)
-		tensor.MulBT(dhPrev, dz, l.Wh.W)
+		w.MulBT(dhPrev, dz, l.Wh.W)
 		copy(dh, dhPrev.Data)
 	}
 	return dXs

@@ -37,9 +37,12 @@ func (p *Param) ZeroGrad() { p.G.Zero() }
 // they are a whole training batch wide, and a model that goes on to serve
 // through a compiled plan never touches them again. The next Forward
 // allocates afresh; Backward needs a Forward first, as always.
+//
+// Both passes split their work across the worker set the caller passes, so a
+// model's caller decides how many cores its passes take.
 type Layer interface {
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	Backward(dOut *tensor.Matrix) *tensor.Matrix
+	Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix
+	Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	ReleaseBuffers()
 }
@@ -63,17 +66,17 @@ type Sequential struct {
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (s *Sequential) Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range s.Layers {
-		x = l.Forward(x)
+		x = l.Forward(w, x)
 	}
 	return x
 }
 
 // Backward runs all layers in reverse order.
-func (s *Sequential) Backward(dOut *tensor.Matrix) *tensor.Matrix {
+func (s *Sequential) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dOut = s.Layers[i].Backward(dOut)
+		dOut = s.Layers[i].Backward(w, dOut)
 	}
 	return dOut
 }

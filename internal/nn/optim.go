@@ -22,8 +22,8 @@ func NewAdam(lr float64) *Adam {
 		m: make(map[*Param]*tensor.Matrix), v: make(map[*Param]*tensor.Matrix)}
 }
 
-// Step applies one Adam update.
-func (o *Adam) Step(params []*Param) {
+// Step applies one Adam update, splitting each parameter across w.
+func (o *Adam) Step(w *tensor.Workers, params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
@@ -38,7 +38,7 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = tensor.New(p.W.Rows, p.W.Cols)
 		}
 		v := o.v[p]
-		tensor.ParallelFor(len(p.G.Data), tensor.ElemGrain, func(lo, hi int) {
+		w.ParallelFor(len(p.G.Data), tensor.ElemGrain, func(lo, hi int) {
 			ms, vs, ws := m.Data[lo:hi], v.Data[lo:hi], p.W.Data[lo:hi]
 			for i, g := range p.G.Data[lo:hi] {
 				ms[i] = b1*ms[i] + (1-b1)*g

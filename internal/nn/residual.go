@@ -16,23 +16,26 @@ type Residual struct {
 func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
 // Forward computes x + Inner(x).
-func (l *Residual) Forward(x *tensor.Matrix) *tensor.Matrix {
-	fx := l.Inner.Forward(x)
+func (l *Residual) Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix {
+	fx := l.Inner.Forward(w, x)
 	out := outBuf(&l.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = v + fx.Data[i]
-	}
+	w.ParallelFor(len(x.Data), tensor.ElemGrain, func(lo, hi int) { addTo(out.Data[lo:hi], x.Data[lo:hi], fx.Data[lo:hi]) })
 	return out
 }
 
 // Backward returns dOut + Innerᵀ(dOut).
-func (l *Residual) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	dInner := l.Inner.Backward(dOut)
+func (l *Residual) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix {
+	dInner := l.Inner.Backward(w, dOut)
 	dIn := outBuf(&l.dIn, dOut.Rows, dOut.Cols)
-	for i, v := range dOut.Data {
-		dIn.Data[i] = v + dInner.Data[i]
-	}
+	w.ParallelFor(len(dOut.Data), tensor.ElemGrain, func(lo, hi int) { addTo(dIn.Data[lo:hi], dOut.Data[lo:hi], dInner.Data[lo:hi]) })
 	return dIn
+}
+
+// addTo sets dst[i] = a[i] + b[i]; the three have the same length.
+func addTo(dst, a, b []float32) {
+	for i, v := range a {
+		dst[i] = v + b[i]
+	}
 }
 
 // ReleaseBuffers releases the inner stack's buffers too.

@@ -324,17 +324,17 @@ func TestBackendPanicContained(t *testing.T) {
 	within(t, closed, "Close")
 }
 
-// forkingBackend answers like gateBackend, from inside a tensor.ParallelFor the
-// way a model's batch pass forks per layer; a poisoned pass panics on one of
-// the worker goroutines.
-type forkingBackend struct{}
+// forkingBackend answers like gateBackend, from inside a ParallelFor on its
+// worker set the way a model's batch pass forks per layer; a poisoned pass
+// panics in every chunk, the worker goroutines' among them.
+type forkingBackend struct{ w *tensor.Workers }
 
-func (forkingBackend) EstimateCardBatch(qs []workload.Query) []float64 {
+func (b forkingBackend) EstimateCardBatch(qs []workload.Query) []float64 {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		out[i] = float64(q.Preds[0].Code)
 	}
-	tensor.ParallelFor(64, 1, func(lo, hi int) {
+	b.w.ParallelFor(64, 1, func(lo, hi int) {
 		if slices.Contains(out, poisonCode) {
 			panic("poisoned query")
 		}
@@ -347,9 +347,9 @@ func (forkingBackend) EstimateCardBatch(qs []workload.Query) []float64 {
 // ErrBackendPanic for that batch and leaves the engine serving. Unrecovered on
 // the worker, it ends the process — this test binary included.
 func TestWorkerPanicContained(t *testing.T) {
-	tensor.SetMaxWorkers(4) // fork even on a one-processor host
-	defer tensor.SetMaxWorkers(0)
-	e := New(forkingBackend{}, Config{CacheSize: -1})
+	w := tensor.NewWorkers(4) // fork even on a one-processor host
+	defer w.Close()
+	e := New(forkingBackend{w}, Config{CacheSize: -1})
 	defer e.Close()
 	ctx := context.Background()
 	if _, err := e.EstimateBatch(ctx, []workload.Query{q(0, 1), q(0, poisonCode)}); !errors.Is(err, ErrBackendPanic) ||

@@ -28,7 +28,7 @@ func BenchmarkMulBT128(bn *testing.B) {
 	bn.ReportAllocs()
 	bn.ResetTimer()
 	for i := 0; i < bn.N; i++ {
-		MulBT(dst, a, b)
+		Default().MulBT(dst, a, b)
 	}
 }
 
@@ -37,6 +37,6 @@ func BenchmarkMulATAdd128(bn *testing.B) {
 	bn.ReportAllocs()
 	bn.ResetTimer()
 	for i := 0; i < bn.N; i++ {
-		MulATAdd(dst, a, b)
+		Default().MulATAdd(dst, a, b)
 	}
 }

@@ -163,12 +163,12 @@ func TestGEMMTiersBitwiseMatchGeneric(t *testing.T) {
 		g := golden{mul: New(sh.m, sh.n), mulbt: New(sh.m, sh.n), mulat: New(sh.k, sh.n)}
 		Mul(g.mul, a, b)
 		abt, bbt := randMats(sh.m, sh.k, sh.n, true, int64(si*203+11))
-		MulBT(g.mulbt, abt, bbt)
+		Default().MulBT(g.mulbt, abt, bbt)
 		ga, _ := randMats(sh.m, sh.k, sh.n, false, int64(si*307+13))
 		_, gb := randMats(sh.n, sh.m, sh.n, false, int64(si*401+17)) // m×n gradient
 		RandUniform(g.mulat, 1, rand.New(rand.NewSource(int64(si))))
 		gm := g.mulat.Clone()
-		MulATAdd(gm, ga, gb)
+		Default().MulATAdd(gm, ga, gb)
 		goldens[si].mul, goldens[si].mulbt, goldens[si].mulat = g.mul, g.mulbt, gm
 	}
 	withTier(t, func(t *testing.T, tier string) {
@@ -180,14 +180,14 @@ func TestGEMMTiersBitwiseMatchGeneric(t *testing.T) {
 
 			abt, bbt := randMats(sh.m, sh.k, sh.n, true, int64(si*203+11))
 			got = New(sh.m, sh.n)
-			MulBT(got, abt, bbt)
+			Default().MulBT(got, abt, bbt)
 			bitsEqual(t, fmt.Sprintf("MulBT %dx%dx%d", sh.m, sh.k, sh.n), got, goldens[si].mulbt)
 
 			ga, _ := randMats(sh.m, sh.k, sh.n, false, int64(si*307+13))
 			_, gb := randMats(sh.n, sh.m, sh.n, false, int64(si*401+17))
 			got = New(sh.k, sh.n)
 			RandUniform(got, 1, rand.New(rand.NewSource(int64(si))))
-			MulATAdd(got, ga, gb)
+			Default().MulATAdd(got, ga, gb)
 			bitsEqual(t, fmt.Sprintf("MulATAdd %dx%dx%d", sh.m, sh.k, sh.n), got, goldens[si].mulat)
 		}
 	})
@@ -385,7 +385,7 @@ func BenchmarkTrainGEMMTier(b *testing.B) {
 		name string
 		pick func(layerMats) (dst, a, b *Matrix)
 		gemm func(dst, a, b *Matrix)
-	}{{"Mul", forward, Mul}, {"MulBT", backward, MulBT}, {"MulATAdd", grad, MulATAdd}}
+	}{{"Mul", forward, Mul}, {"MulBT", backward, Default().MulBT}, {"MulATAdd", grad, Default().MulATAdd}}
 	for _, tier := range KernelTiers() {
 		for _, g := range gemms {
 			for _, sh := range []struct {

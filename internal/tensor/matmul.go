@@ -34,6 +34,9 @@ var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 //
 //	c[i*ldc+j] += Σ_{k<kn} a[i*ras + k*kas] * b[k*kbs + j*jbs]   (i<m, j<n)
 //
+// or, with zero, c[i*ldc+j] = Σ...: each worker clears its own rows of c to +0
+// before it accumulates into them, so the clear is split like the product.
+//
 // The generalized strides let one driver compute A·B (ras=lda, kas=1; kbs=ldb,
 // jbs=1), Aᵀ·B (ras=1, kas=lda) and A·Bᵀ (kbs=1, jbs=ldb) without a
 // transposed copy of either operand. Rows are split across workers in whole
@@ -62,14 +65,22 @@ var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 // int8 path) possible. The one exception lives in Mul: its m == 1 inference
 // shape skips zero activations (mulRowSkipZero), which is provably
 // bit-identical there because the accumulator starts at +0.
-func gemmAccum(m, n, kn int, a []float32, ras, kas int, b []float32, kbs, jbs int, c []float32, ldc int) {
+func (w *Workers) gemmAccum(zero bool, m, n, kn int, a []float32, ras, kas int, b []float32, kbs, jbs int, c []float32, ldc int) {
 	if m <= 0 || n <= 0 || kn <= 0 {
+		if zero && m > 0 && n > 0 {
+			clear(c[:(m-1)*ldc+n]) // an empty sum is +0
+		}
 		return
 	}
 	tm, tn, tile := gemmTileM, gemmTileN, gemmTileImpl
 	kc := min(gemmKC, kn)
-	ParallelFor((m+tm-1)/tm, max(1, matmulGrain/tm), func(tlo, thi int) {
+	w.ParallelFor((m+tm-1)/tm, max(1, matmulGrain/tm), func(tlo, thi int) {
 		lo, hi := tlo*tm, min(thi*tm, m)
+		if zero {
+			for i := lo; i < hi; i++ {
+				clear(c[i*ldc : i*ldc+n])
+			}
+		}
 		// Rows from p0 on are read from the packed copy ap: the ragged last
 		// tile, or every row when a is strided along k.
 		p0 := hi - (hi-lo)%tm
@@ -160,18 +171,21 @@ func packPanel(bp []float32, tn int, b []float32, kbs, jbs, w int) {
 // +0 + ±0 = +0), so adding a skipped term's ±0 product would have been the
 // identity anyway. Only a non-finite weight (0·Inf = NaN) could tell the
 // difference, and a model with those is already broken.
-func Mul(dst, a, b *Matrix) {
+func (w *Workers) Mul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: Mul shape mismatch %dx%d · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
 	if a.Rows == 1 {
+		dst.Zero()
 		mulRowSkipZero(dst.Data, a.Data, b.Data, b.Cols)
 		return
 	}
-	gemmAccum(a.Rows, b.Cols, a.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, 1, dst.Data, b.Cols)
+	w.gemmAccum(true, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, 1, dst.Data, b.Cols)
 }
+
+// Mul is Default().Mul, for callers that are handed no set.
+func Mul(dst, a, b *Matrix) { Default().Mul(dst, a, b) }
 
 // mulRowSkipZero computes the batch-1 row product dst += a·b, skipping
 // exact-zero activations (see Mul for why the skip cannot change any output
@@ -194,13 +208,12 @@ func mulRowSkipZero(dst, a []float32, b []float32, n int) {
 // microkernel wants and no transposed copy of b is ever materialised. Each
 // output element still accumulates its k terms in ascending order, so results
 // are bitwise identical to the reduction form.
-func MulBT(dst, a, b *Matrix) {
+func (w *Workers) MulBT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MulBT shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	gemmAccum(a.Rows, b.Rows, a.Cols, a.Data, a.Cols, 1, b.Data, 1, b.Cols, dst.Data, b.Rows)
+	w.gemmAccum(true, a.Rows, b.Rows, a.Cols, a.Data, a.Cols, 1, b.Data, 1, b.Cols, dst.Data, b.Rows)
 }
 
 // MulATAdd computes dst += aᵀ·b where a is m×k and b is m×n. dst must be k×n.
@@ -208,10 +221,10 @@ func MulBT(dst, a, b *Matrix) {
 // (ras=1, kas=lda) make a's columns its rows, each worker packs the columns
 // of its own chunk one k block at a time, and concurrent row chunks never
 // write the same cell.
-func MulATAdd(dst, a, b *Matrix) {
+func (w *Workers) MulATAdd(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MulATAdd shape mismatch (%dx%d)ᵀ · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	gemmAccum(a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, 1, dst.Data, b.Cols)
+	w.gemmAccum(false, a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, 1, dst.Data, b.Cols)
 }

@@ -104,12 +104,12 @@ var gemmShapes = []struct{ m, k, n int }{
 	{136, 1030, 2079},
 }
 
-// gemmCase is one entry point on one shape: run computes into dst, which
-// starts as a copy of init (nonzero only for the accumulating MulATAdd), and
-// want is the scalar reference's result.
+// gemmCase is one entry point on one shape: run computes into dst on w, which
+// starts as a copy of init (nonzero: what MulATAdd accumulates onto, and what
+// Mul and MulBT must overwrite), and want is the scalar reference's result.
 type gemmCase struct {
 	name       string
-	run        func(dst *Matrix)
+	run        func(w *Workers, dst *Matrix)
 	init, want *Matrix
 	flop       int
 }
@@ -125,9 +125,9 @@ func gemmCases(m, k, n int) []gemmCase {
 	acc := New(m, n)
 	RandUniform(acc, 1, rand.New(rand.NewSource(seed+3)))
 	cases := []gemmCase{
-		{name: fmt.Sprintf("Mul %dx%dx%d", m, k, n), run: func(dst *Matrix) { Mul(dst, a, b) }, init: New(m, n), want: New(m, n)},
-		{name: fmt.Sprintf("MulBT %dx%dx%d", m, k, n), run: func(dst *Matrix) { MulBT(dst, abt, bbt) }, init: New(m, n), want: New(m, n)},
-		{name: fmt.Sprintf("MulATAdd %dx%dx%d", m, k, n), run: func(dst *Matrix) { MulATAdd(dst, at, b) }, init: acc, want: acc.Clone()},
+		{name: fmt.Sprintf("Mul %dx%dx%d", m, k, n), run: func(w *Workers, dst *Matrix) { w.Mul(dst, a, b) }, init: acc, want: New(m, n)},
+		{name: fmt.Sprintf("MulBT %dx%dx%d", m, k, n), run: func(w *Workers, dst *Matrix) { w.MulBT(dst, abt, bbt) }, init: acc, want: New(m, n)},
+		{name: fmt.Sprintf("MulATAdd %dx%dx%d", m, k, n), run: func(w *Workers, dst *Matrix) { w.MulATAdd(dst, at, b) }, init: acc, want: acc.Clone()},
 	}
 	mulScalar(cases[0].want, a, b)
 	mulBTScalar(cases[1].want, abt, bbt)
@@ -145,20 +145,20 @@ func gemmCases(m, k, n int) []gemmCase {
 // element's k order is fixed, so neither the split nor the tier nor the
 // blocking may show in any output bit.
 func TestGEMMsBitwiseMatchScalar(t *testing.T) {
-	defer SetMaxWorkers(0)
 	var cases []gemmCase
 	for _, sh := range gemmShapes {
 		cases = append(cases, gemmCases(sh.m, sh.k, sh.n)...)
 	}
 	withTier(t, func(t *testing.T, tier string) {
 		for _, workers := range []int{1, 2, 3, 7} {
-			SetMaxWorkers(workers)
+			w := NewWorkers(workers)
+			defer w.Close()
 			for _, c := range cases {
 				if tier == "generic" && c.flop > 1e8 && workers != 3 {
 					continue // the pure-Go tile takes seconds here under -race; one split is enough
 				}
 				got := c.init.Clone()
-				c.run(got)
+				c.run(w, got)
 				bitsEqual(t, fmt.Sprintf("%s, %d workers", c.name, workers), got, c.want)
 			}
 		}
@@ -213,17 +213,19 @@ func benchGEMM(bn *testing.B, sh gemmShape, pick func(layerMats) (dst, a, b *Mat
 
 func BenchmarkTrainGEMMMul(bn *testing.B)       { benchGEMM(bn, resmadeShape, forward, Mul) }
 func BenchmarkTrainGEMMMulScalar(bn *testing.B) { benchGEMM(bn, resmadeShape, forward, mulScalar) }
-func BenchmarkTrainGEMMMulBT(bn *testing.B)     { benchGEMM(bn, resmadeShape, backward, MulBT) }
+func BenchmarkTrainGEMMMulBT(bn *testing.B)     { benchGEMM(bn, resmadeShape, backward, Default().MulBT) }
 func BenchmarkTrainGEMMMulBTScalar(bn *testing.B) {
 	benchGEMM(bn, resmadeShape, backward, mulBTScalar)
 }
-func BenchmarkTrainGEMMMulATAdd(bn *testing.B) { benchGEMM(bn, resmadeShape, grad, MulATAdd) }
+func BenchmarkTrainGEMMMulATAdd(bn *testing.B) { benchGEMM(bn, resmadeShape, grad, Default().MulATAdd) }
 func BenchmarkTrainGEMMMulATAddScalar(bn *testing.B) {
 	benchGEMM(bn, resmadeShape, grad, mulATAddScalar)
 }
-func BenchmarkTrainGEMMMulDMV(bn *testing.B)      { benchGEMM(bn, dmvOutShape, forward, Mul) }
-func BenchmarkTrainGEMMMulBTDMV(bn *testing.B)    { benchGEMM(bn, dmvOutShape, backward, MulBT) }
-func BenchmarkTrainGEMMMulATAddDMV(bn *testing.B) { benchGEMM(bn, dmvOutShape, grad, MulATAdd) }
+func BenchmarkTrainGEMMMulDMV(bn *testing.B)   { benchGEMM(bn, dmvOutShape, forward, Mul) }
+func BenchmarkTrainGEMMMulBTDMV(bn *testing.B) { benchGEMM(bn, dmvOutShape, backward, Default().MulBT) }
+func BenchmarkTrainGEMMMulATAddDMV(bn *testing.B) {
+	benchGEMM(bn, dmvOutShape, grad, Default().MulATAdd)
+}
 
 // TestMulBatch1SkipZeroBitwise pins the batch-1 zero-activation skip: a
 // 1×k row that is mostly exact zeros (the MPSN predicate-embedding shape)
@@ -254,7 +256,7 @@ func TestMulBatch1SkipZeroBitwise(t *testing.T) {
 			Mul(got, a, b)
 			mulScalar(want, a, b)
 			bitsEqual(t, "Mul(1×k)", got, want)
-			gemmAccum(1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, 1, dense.Data, sh.n)
+			Default().gemmAccum(false, 1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, 1, dense.Data, sh.n)
 			bitsEqual(t, "Mul(1×k) vs dense driver", got, dense)
 		}
 	})

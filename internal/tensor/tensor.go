@@ -5,8 +5,12 @@
 // repository are feedforward networks whose training loop only needs GEMM,
 // elementwise maps and reductions.
 //
-// Reductions accumulate in float64 so that results are stable and independent
-// of the parallel split.
+// Parallel work runs on a Workers set the caller passes: the GEMMs are its
+// methods (Mul, MulBT, MulATAdd), and ParallelFor forks any other stage onto
+// it. Default is the set for callers that are handed none. No result depends
+// on a set's width: chunks are disjoint, and reductions accumulate in
+// float64 in a fixed order, so results are stable and independent of the
+// parallel split.
 package tensor
 
 import (
@@ -102,12 +106,13 @@ func (m *Matrix) Scale(alpha float32) {
 	}
 }
 
-// AddRowVector adds the 1×Cols vector v to every row of m.
-func (m *Matrix) AddRowVector(v []float32) {
+// AddRowVector adds the 1×Cols vector v to every row of m, splitting the rows
+// across w.
+func (m *Matrix) AddRowVector(w *Workers, v []float32) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector got %d elements for %d columns", len(v), m.Cols))
 	}
-	ParallelFor(m.Rows, RowGrain(m.Cols), func(lo, hi int) {
+	w.ParallelFor(m.Rows, RowGrain(m.Cols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := m.Row(r)
 			for c, b := range v {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -64,7 +65,7 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestAddRowVector(t *testing.T) {
 	m := New(3, 2)
-	m.AddRowVector([]float32{1, 2})
+	m.AddRowVector(Default(), []float32{1, 2})
 	for r := 0; r < 3; r++ {
 		if m.At(r, 0) != 1 || m.At(r, 1) != 2 {
 			t.Fatalf("row %d wrong: %v", r, m.Row(r))
@@ -127,7 +128,7 @@ func TestMulBTMatchesNaive(t *testing.T) {
 	a := randMat(7, 5, rng)
 	b := randMat(9, 5, rng) // b^T is 5x9
 	got := New(7, 9)
-	MulBT(got, a, b)
+	Default().MulBT(got, a, b)
 	bt := New(5, 9)
 	for i := 0; i < 9; i++ {
 		for j := 0; j < 5; j++ {
@@ -148,7 +149,7 @@ func TestMulATAddAccumulates(t *testing.T) {
 	b := randMat(6, 3, rng)
 	got := New(4, 3)
 	got.Fill(1)
-	MulATAdd(got, a, b)
+	Default().MulATAdd(got, a, b)
 	at := New(4, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
@@ -164,28 +165,32 @@ func TestMulATAddAccumulates(t *testing.T) {
 }
 
 func TestParallelForCoversRangeOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1023} {
-		seen := make([]int32, n)
-		ParallelFor(n, 3, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, c)
+	for _, width := range []int{1, 2, 3, 8} {
+		w := NewWorkers(width)
+		for _, n := range []int{0, 1, 7, 100, 1023} {
+			seen := make([]int32, n)
+			w.ParallelFor(n, 3, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					seen[i]++
+				}
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("width %d, n=%d: index %d visited %d times", width, n, i, c)
+				}
 			}
 		}
+		w.Close()
 	}
 }
 
-// TestParallelForRepanicsOnCaller: a panic on a worker goroutine is raised
-// again on the goroutine that called ParallelFor, with the worker's value, and
-// only once every other worker has returned — the caller's deferred cleanup
-// must not run beside a worker still writing into its buffers.
+// TestParallelForRepanicsOnCaller: a panic in a chunk is raised again on the
+// goroutine that called ParallelFor, with the chunk's value, and only once
+// every other chunk has returned — the caller's deferred cleanup must not
+// run beside a worker still writing into its buffers.
 func TestParallelForRepanicsOnCaller(t *testing.T) {
-	defer SetMaxWorkers(0)
-	SetMaxWorkers(4)
+	w := NewWorkers(4)
+	defer w.Close()
 	boom := errors.New("boom")
 	panicking := make(chan struct{})
 	var finished atomic.Int32
@@ -194,10 +199,10 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 		defer func() {
 			atRecover = finished.Load()
 			if r := recover(); r != boom {
-				t.Errorf("recovered %v, want the worker's panic value", r)
+				t.Errorf("recovered %v, want the chunk's panic value", r)
 			}
 		}()
-		ParallelFor(4, 1, func(lo, hi int) {
+		w.ParallelFor(4, 1, func(lo, hi int) {
 			if lo == 0 {
 				close(panicking)
 				panic(boom)
@@ -206,49 +211,187 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 			time.Sleep(10 * time.Millisecond) // widen the window a premature re-panic would land in
 			finished.Add(1)
 		})
-		t.Error("ParallelFor returned normally after a worker panicked")
+		t.Error("ParallelFor returned normally after a chunk panicked")
 	}()
 	if atRecover != 3 {
-		t.Fatalf("%d of the 3 other workers had returned when the panic reached the caller", atRecover)
+		t.Fatalf("%d of the 3 other chunks had returned when the panic reached the caller", atRecover)
+	}
+	// The set is free again: a fork after the panic runs every chunk.
+	var ran atomic.Int32
+	w.ParallelFor(4, 1, func(lo, hi int) { ran.Add(int32(hi - lo)) })
+	if ran.Load() != 4 {
+		t.Fatalf("a fork after the panic covered %d of 4 items", ran.Load())
 	}
 	// The inline path is a plain call: the panic unwinds through it as before.
-	SetMaxWorkers(1)
 	defer func() {
 		if r := recover(); r != boom {
 			t.Errorf("inline path recovered %v", r)
 		}
 	}()
-	ParallelFor(4, 1, func(lo, hi int) { panic(boom) })
+	NewWorkers(1).ParallelFor(4, 1, func(lo, hi int) { panic(boom) })
 }
 
-// TestParallelForInlineUnderGOMAXPROCS1: the default worker count is
-// GOMAXPROCS, not the host's CPU count, so under GOMAXPROCS=1 ParallelFor
-// runs its whole range in one inline call however many CPUs the host has.
+// TestParallelForInlineUnderGOMAXPROCS1: the default set is GOMAXPROCS wide,
+// not as wide as the host's CPU count, so under GOMAXPROCS=1 it runs its
+// whole range in one inline call however many CPUs the host has.
 func TestParallelForInlineUnderGOMAXPROCS1(t *testing.T) {
-	defer SetMaxWorkers(0)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	SetMaxWorkers(0)
+	w := newDefault()
 	var calls [][2]int
-	ParallelFor(1<<10, 1, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	w.ParallelFor(1<<10, 1, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
 	if len(calls) != 1 || calls[0] != [2]int{0, 1 << 10} {
 		t.Fatalf("ParallelFor under GOMAXPROCS=1 ran %v, want one inline call over [0, 1024)", calls)
 	}
 }
 
-func TestSetMaxWorkers(t *testing.T) {
-	defer SetMaxWorkers(0)
-	SetMaxWorkers(1)
+// TestWorkersWidthKeepsBits: a product has the same bits on a set of one
+// and a set of eight.
+func TestWorkersWidthKeepsBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMat(32, 32, rng)
 	b := randMat(32, 32, rng)
 	serial := New(32, 32)
-	Mul(serial, a, b)
-	SetMaxWorkers(8)
+	NewWorkers(1).Mul(serial, a, b)
+	w := NewWorkers(8)
+	defer w.Close()
 	parallel := New(32, 32)
-	Mul(parallel, a, b)
+	w.Mul(parallel, a, b)
 	if !serial.Equal(parallel) {
 		t.Fatal("matmul result depends on worker count")
 	}
+}
+
+// TestWorkersOneWideStartsNoGoroutine: a set of width 1 forks onto nothing,
+// so building and using it leaves the goroutine count where it was.
+func TestWorkersOneWideStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := NewWorkers(1)
+	var calls int
+	w.ParallelFor(1<<16, 1, func(lo, hi int) { calls++ })
+	if calls != 1 {
+		t.Fatalf("a one-wide set ran %d calls, want one inline call", calls)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines went from %d to %d around a one-wide set", before, after)
+	}
+}
+
+// TestWorkersConcurrentForks: two goroutines forking on one set at once — a
+// serving pass beside a retrain — each cover their own range exactly once;
+// whichever finds the set busy runs inline. Under -race this is also the
+// check that a job's fields are handed over through the claim counter.
+func TestWorkersConcurrentForks(t *testing.T) {
+	w := NewWorkers(3)
+	defer w.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := make([]int32, 999)
+			for round := 0; round < 200; round++ {
+				w.ParallelFor(len(seen), 1, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						seen[i]++
+					}
+				})
+			}
+			for i, c := range seen {
+				if c != 200 {
+					t.Errorf("index %d visited %d times in 200 forks", i, c)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestParallelForNestedInChunk: a chunk that forks on the set it runs on
+// finds it busy and runs its range inline instead of waiting for workers
+// that are waiting for it.
+func TestParallelForNestedInChunk(t *testing.T) {
+	w := NewWorkers(2)
+	defer w.Close()
+	var inner atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.ParallelFor(8, 1, func(lo, hi int) {
+			w.ParallelFor(100, 1, func(lo, hi int) { inner.Add(int64(hi - lo)) })
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a ParallelFor inside a chunk did not return")
+	}
+	if got := inner.Load(); got != 2*100 {
+		t.Fatalf("nested forks covered %d items, want 200", got)
+	}
+}
+
+// TestWorkersClose: Close returns once the set's goroutines have exited,
+// awake or parked, and a closed set still runs every chunk, on its caller.
+func TestWorkersClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	awake := NewWorkers(4)
+	awake.ParallelFor(4, 1, func(lo, hi int) {})
+	awake.Close()
+	NewWorkers(3).Close() // never forked: its goroutines are parked
+	w := NewWorkers(2)
+	w.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the set, %d after Close", before, after)
+	}
+	var ran atomic.Int32
+	w.ParallelFor(4, 1, func(lo, hi int) { ran.Add(int32(hi - lo)) })
+	if ran.Load() != 4 {
+		t.Fatalf("a closed set covered %d of 4 items", ran.Load())
+	}
+}
+
+// BenchmarkParallelForPhase prices one fork and join on a two-wide set, in
+// µs per phase: of an empty phase with the worker still awake from the last
+// one (a training step's next stage), of the same after the worker has
+// parked (the wake a stage pays after a long serial gap), and of a
+// 128K-element ReLU, the size of a census training step's widest activation.
+// `make bench-train` prints it.
+func BenchmarkParallelForPhase(b *testing.B) {
+	w := NewWorkers(2)
+	defer w.Close()
+	empty := func(lo, hi int) {}
+	b.Run("empty", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w.ParallelFor(2, 1, empty)
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/phase")
+	})
+	b.Run("empty-after-park", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			time.Sleep(2 * spinWindow)
+			b.StartTimer()
+			w.ParallelFor(2, 1, empty)
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/phase")
+	})
+	x, y := make([]float32, 1<<17), make([]float32, 1<<17)
+	RandUniform(FromSlice(1, len(x), x), 1, rand.New(rand.NewSource(1)))
+	b.Run("relu-128k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w.ParallelFor(len(x), ElemGrain, func(lo, hi int) {
+				for j, v := range x[lo:hi] {
+					var m uint32
+					if v > 0 {
+						m = ^uint32(0)
+					}
+					y[lo+j] = math.Float32frombits(math.Float32bits(v) & m)
+				}
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/phase")
+	})
 }
 
 // Property: Mul distributes over scaled addition (within fp tolerance).
