@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"unsafe"
 
 	"duet/internal/container"
@@ -281,21 +282,20 @@ func view[T any](secs map[string][]byte, name string, n int, err *error) []T {
 // decodeColumn builds column i over the file's sections. Every code must
 // index the dictionary: a code at or above NDV would pass the checksums and
 // index out of range in whatever reads the column later, so its check runs
-// here, over pages container.Decode's checksum pass has just read.
+// here, over pages container.Decode's checksum pass has just read. The
+// dictionary must be strictly ascending: every lookup, join-key merge and
+// append over one that is not would be silently wrong.
 func decodeColumn(secs map[string][]byte, i int, cm *colMeta, nrows int) (*relation.Column, error) {
 	c := &relation.Column{Name: cm.Name, Kind: relation.Kind(cm.Kind)}
 	var err error
 	var top int64 // the largest code
 	switch name := sectionName(i, "codes"); codeWidth(cm.NDV) {
 	case 1:
-		codes := view[uint8](secs, name, nrows, &err)
-		c.Codes, top = relation.U8Codes(codes), maxCode(codes)
+		c.Codes, top = viewCodes[uint8](secs, name, nrows, &err)
 	case 2:
-		codes := view[uint16](secs, name, nrows, &err)
-		c.Codes, top = relation.U16Codes(codes), maxCode(codes)
+		c.Codes, top = viewCodes[uint16](secs, name, nrows, &err)
 	default:
-		codes := view[uint32](secs, name, nrows, &err)
-		c.Codes, top = relation.U32Codes(codes), maxCode(codes)
+		c.Codes, top = viewCodes[uint32](secs, name, nrows, &err)
 	}
 	if err == nil && top >= int64(cm.NDV) {
 		return nil, fmt.Errorf("code %d is not below the column's %d distinct values", top, cm.NDV)
@@ -321,18 +321,19 @@ func decodeColumn(secs map[string][]byte, i int, cm *colMeta, nrows int) (*relat
 	default:
 		return nil, fmt.Errorf("unknown kind %d", cm.Kind)
 	}
+	if err == nil {
+		err = c.CheckAscending()
+	}
 	c.SetHist(view[float64](secs, sectionName(i, "hist"), cm.NDV, &err))
 	return c, err
 }
 
-// maxCode returns the largest of codes, or -1 when there are none.
-func maxCode[T uint8 | uint16 | uint32](codes []T) int64 {
+// viewCodes views the named section as n codes (view) and returns them with
+// the largest, -1 when there are none.
+func viewCodes[T uint8 | uint16 | uint32](secs map[string][]byte, name string, n int, err *error) (relation.Codes[T], int64) {
+	codes := view[T](secs, name, n, err)
 	if len(codes) == 0 {
-		return -1
+		return codes, -1
 	}
-	top := codes[0]
-	for _, c := range codes[1:] {
-		top = max(top, c)
-	}
-	return int64(top)
+	return codes, int64(slices.Max(codes))
 }

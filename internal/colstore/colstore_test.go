@@ -283,17 +283,68 @@ func TestOpenRefusesNoColumns(t *testing.T) {
 // oneColumn is a file with valid checksums holding one int column of three
 // distinct values whose codes are codes.
 func oneColumn(tb testing.TB, codes []uint8) []byte {
-	meta := fileMeta{Table: "t", Rows: len(codes), Cols: []colMeta{{Name: "a", Kind: uint8(relation.KindInt), NDV: 3}}}
-	var buf bytes.Buffer
-	err := container.Encode(&buf, Magic, meta, []container.Section{
+	return columnFile(tb, relation.KindInt, codes, raw([]int64{10, 20, 30}), nil)
+}
+
+// columnFile is a file with valid checksums holding one column of the given
+// kind and three dictionary entries, its sections' bytes as given (strs only
+// for a string column).
+func columnFile(tb testing.TB, kind relation.Kind, codes, dict, strs []byte) []byte {
+	meta := fileMeta{Table: "t", Rows: len(codes), Cols: []colMeta{{Name: "a", Kind: uint8(kind), NDV: 3}}}
+	secs := []container.Section{
 		{Name: sectionName(0, "codes"), Data: codes},
-		{Name: sectionName(0, "dict"), Data: raw([]int64{10, 20, 30})},
+		{Name: sectionName(0, "dict"), Data: dict},
 		{Name: sectionName(0, "hist"), Data: raw([]float64{1, 1, 2})},
-	})
-	if err != nil {
+	}
+	if strs != nil {
+		secs = append(secs, container.Section{Name: sectionName(0, "strs"), Data: strs})
+	}
+	var buf bytes.Buffer
+	if err := container.Encode(&buf, Magic, meta, secs); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// unsortedInts and repeatedStrings are files with valid checksums whose
+// dictionaries are not strictly ascending: ints [3 1 2], strings [a b b].
+func unsortedInts(tb testing.TB) []byte {
+	return columnFile(tb, relation.KindInt, []uint8{0, 1, 2}, raw([]int64{3, 1, 2}), nil)
+}
+
+func repeatedStrings(tb testing.TB) []byte {
+	return columnFile(tb, relation.KindString, []uint8{0, 1, 2}, raw([]uint32{0, 1, 2, 3}), []byte("abb"))
+}
+
+// TestOpenRefusesUnsortedDictionary: a file whose checksums hold but whose
+// dictionary is not strictly ascending is an error at Open, since every
+// lookup, join-key merge and append over it would be silently wrong; the
+// same columns with ascending dictionaries open.
+func TestOpenRefusesUnsortedDictionary(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"ints [3 1 2]", unsortedInts(t), false},
+		{"strings [a b b]", repeatedStrings(t), false},
+		{"floats [NaN 1 2]", columnFile(t, relation.KindFloat, []uint8{0, 1, 2}, raw([]float64{math.NaN(), 1, 2}), nil), true},
+		{"floats [1 NaN 2]", columnFile(t, relation.KindFloat, []uint8{0, 1, 2}, raw([]float64{1, math.NaN(), 2}), nil), false},
+		{"strings [a b c]", columnFile(t, relation.KindString, []uint8{0, 1, 2}, raw([]uint32{0, 1, 2, 3}), []byte("abc")), true},
+	} {
+		path := filepath.Join(dir, "t.duetcol")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+		}
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: Open returned %v", c.name, err)
+		}
+	}
 }
 
 // TestOpenRefusesCodeAtNDV: a file whose checksums hold but one of whose
@@ -359,6 +410,8 @@ func FuzzOpen(f *testing.F) {
 	}
 	f.Add(noColumns(f))
 	f.Add(oneColumn(f, []uint8{0, 1, 3, 2}))
+	f.Add(unsortedInts(f))
+	f.Add(repeatedStrings(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -157,7 +157,8 @@ func newGraphView(spec JoinGraphSpec, view *relation.Table) (*graphView, error) 
 		if fc.Kind != relation.KindInt {
 			return nil, fmt.Errorf("registry: fanout column %q is %v, want int", fc.Name, fc.Kind)
 		}
-		v.presence[t] = workload.Predicate{Col: fi, Op: workload.OpGe, Code: fc.LowerBoundInt(1)}
+		present, _ := fc.CodeOfInt(1)
+		v.presence[t] = workload.Predicate{Col: fi, Op: workload.OpGe, Code: present}
 		if fc.NumDistinct() > 0 && fc.Ints[0] == 0 {
 			// Some rows miss this table: every value column of t is nullable.
 			prefix := relation.JoinViewColumn(t, "")

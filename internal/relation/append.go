@@ -3,8 +3,6 @@ package relation
 import (
 	"cmp"
 	"fmt"
-	"slices"
-	"strconv"
 )
 
 // AppendRows returns a new table extending t with the given rows. Each row
@@ -32,7 +30,7 @@ func AppendRows(t *Table, rows [][]string) (*Table, error) {
 	}
 	cols := make([]*Column, t.NumCols())
 	for ci, c := range t.Cols {
-		nc, err := appendColumn(c, rows, ci)
+		nc, err := c.dict().grow(c, rows, ci)
 		if err != nil {
 			return nil, err
 		}
@@ -41,70 +39,17 @@ func AppendRows(t *Table, rows [][]string) (*Table, error) {
 	return NewTable(t.Name, cols), nil
 }
 
-// appendColumn parses column ci of every row by c's kind and returns a new
-// column holding old rows + appended rows. In-memory columns (I32Codes) get
-// a fully materialized code array; any other backing — a mapped .duetcol
-// column or an existing tail — gets a TailCodes overlay instead, so the
-// (possibly beyond-RAM) base is never copied or rewritten by ingest.
-func appendColumn(c *Column, rows [][]string, ci int) (*Column, error) {
-	n := len(rows)
-	_, inMem := c.Codes.(I32Codes)
-	switch c.Kind {
-	case KindInt:
-		vals := make([]int64, n)
-		for i, row := range rows {
-			v, err := strconv.ParseInt(row[ci], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("relation: append: column %q is int, got %q", c.Name, row[ci])
-			}
-			vals[i] = v
-		}
-		if !inMem {
-			dict, codes := appendTail(c, c.Ints, vals)
-			return &Column{Name: c.Name, Kind: KindInt, Ints: dict, Codes: codes}, nil
-		}
-		dict, codes := extendDict(c.Ints, c.Codes, vals)
-		return &Column{Name: c.Name, Kind: KindInt, Ints: dict, Codes: I32Codes(codes)}, nil
-	case KindFloat:
-		vals := make([]float64, n)
-		for i, row := range rows {
-			v, err := strconv.ParseFloat(row[ci], 64)
-			if err != nil {
-				return nil, fmt.Errorf("relation: append: column %q is float, got %q", c.Name, row[ci])
-			}
-			vals[i] = v
-		}
-		if !inMem {
-			dict, codes := appendTail(c, c.Floats, vals)
-			return &Column{Name: c.Name, Kind: KindFloat, Floats: dict, Codes: codes}, nil
-		}
-		dict, codes := extendDict(c.Floats, c.Codes, vals)
-		return &Column{Name: c.Name, Kind: KindFloat, Floats: dict, Codes: I32Codes(codes)}, nil
-	default:
-		vals := make([]string, n)
-		for i, row := range rows {
-			vals[i] = row[ci]
-		}
-		if !inMem {
-			dict, codes := appendTail(c, c.Strs, vals)
-			return &Column{Name: c.Name, Kind: KindString, Strs: dict, Codes: codes}, nil
-		}
-		dict, codes := extendDict(c.Strs, c.Codes, vals)
-		return &Column{Name: c.Name, Kind: KindString, Strs: dict, Codes: I32Codes(codes)}, nil
-	}
-}
-
 // appendTail extends a non-materializable column (mapped base, or base +
 // existing tail) with vals. Dictionary growth becomes a remap indirection
 // over the immutable base codes instead of a rewrite, and successive appends
 // flatten into one TailCodes (base + composed remap + merged tail) so read
 // cost never grows with ingest-batch count. The input column is never
 // mutated — readers holding the old table keep a consistent view.
-func appendTail[V cmp.Ordered](c *Column, dict []V, vals []V) ([]V, CodeArray) {
+func appendTail[V cmp.Ordered](codes CodeArray, dict values[V], vals []V) (values[V], CodeArray) {
 	merged, remap := mergeFresh(dict, vals)
-	base := c.Codes
+	base := codes
 	var baseRemap, oldTail []int32
-	if tc, ok := c.Codes.(*TailCodes); ok {
+	if tc, ok := codes.(*TailCodes); ok {
 		base, baseRemap, oldTail = tc.Base, tc.Remap, tc.Tail
 	}
 	newRemap := baseRemap
@@ -126,8 +71,8 @@ func appendTail[V cmp.Ordered](c *Column, dict []V, vals []V) ([]V, CodeArray) {
 		tail = append(tail, code)
 	}
 	for _, v := range vals {
-		j, _ := slices.BinarySearch(merged, v)
-		tail = append(tail, int32(j))
+		j, _ := merged.search(v)
+		tail = append(tail, j)
 	}
 	return merged, &TailCodes{Base: base, Remap: newRemap, Tail: tail}
 }
@@ -135,7 +80,7 @@ func appendTail[V cmp.Ordered](c *Column, dict []V, vals []V) ([]V, CodeArray) {
 // extendDict merges appended values into a sorted dictionary and produces the
 // full code column (old rows remapped + appended rows encoded). When no value
 // is fresh the input dictionary is returned as-is, so the caller can share it.
-func extendDict[V cmp.Ordered](dict []V, oldCodes CodeArray, vals []V) ([]V, []int32) {
+func extendDict[V cmp.Ordered](dict values[V], oldCodes CodeArray, vals []V) (values[V], []int32) {
 	merged, remap := mergeFresh(dict, vals)
 	old := oldCodes.Len()
 	codes := make([]int32, 0, old+len(vals))
@@ -146,8 +91,8 @@ func extendDict[V cmp.Ordered](dict []V, oldCodes CodeArray, vals []V) ([]V, []i
 		}
 	}
 	for _, v := range vals {
-		j, _ := slices.BinarySearch(merged, v)
-		codes = append(codes, int32(j))
+		j, _ := merged.search(v)
+		codes = append(codes, j)
 	}
 	return merged, codes
 }
@@ -158,24 +103,23 @@ func extendDict[V cmp.Ordered](dict []V, oldCodes CodeArray, vals []V) ([]V, []i
 // caller can share it). It is the dictionary-growth primitive behind both the
 // materializing extendDict and the mapped-base append tail, which keeps the
 // remap as an indirection instead of rewriting base codes.
-func mergeFresh[V cmp.Ordered](dict []V, vals []V) ([]V, []int32) {
+func mergeFresh[V cmp.Ordered](dict values[V], vals []V) (values[V], []int32) {
 	var fresh []V
 	for _, v := range vals {
-		if _, ok := slices.BinarySearch(dict, v); !ok {
+		if _, ok := dict.search(v); !ok {
 			fresh = append(fresh, v)
 		}
 	}
 	if len(fresh) == 0 {
 		return dict, nil
 	}
-	slices.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	merged := make([]V, 0, len(dict)+len(fresh))
+	fresh = distinct(fresh)
+	merged := make(values[V], 0, len(dict)+len(fresh))
 	remap := make([]int32, len(dict))
 	i, j := 0, 0
 	for i < len(dict) || j < len(fresh) {
 		// Fresh values are absent from dict, so the two runs never tie.
-		if j >= len(fresh) || (i < len(dict) && dict[i] < fresh[j]) {
+		if j >= len(fresh) || (i < len(dict) && cmp.Less(dict[i], fresh[j])) {
 			remap[i] = int32(len(merged))
 			merged = append(merged, dict[i])
 			i++
@@ -212,34 +156,14 @@ func (t *Table) CodeHist(ci int) []float64 {
 	return h
 }
 
-// ProjectValue maps a raw value onto the column's dictionary with lower-bound
-// semantics, clamped to the last code, and reports whether the value is
-// present exactly. Values outside the trained domain land in the nearest bin,
-// which is exactly what projecting appended rows onto a trained snapshot's
-// histogram needs; exact=false marks a value that would grow the dictionary.
+// ProjectValue is Lookup clamped to the last code. Values outside the trained
+// domain land in the nearest bin, which is exactly what projecting appended
+// rows onto a trained snapshot's histogram needs; exact=false marks a value
+// that would grow the dictionary.
 func (c *Column) ProjectValue(raw string) (code int32, exact bool, err error) {
-	var lb int32
-	switch c.Kind {
-	case KindInt:
-		v, perr := strconv.ParseInt(raw, 10, 64)
-		if perr != nil {
-			return 0, false, fmt.Errorf("relation: column %q is int, got %q", c.Name, raw)
-		}
-		lb = c.LowerBoundInt(v)
-		exact = int(lb) < len(c.Ints) && c.Ints[lb] == v
-	case KindFloat:
-		v, perr := strconv.ParseFloat(raw, 64)
-		if perr != nil {
-			return 0, false, fmt.Errorf("relation: column %q is float, got %q", c.Name, raw)
-		}
-		lb = c.LowerBoundFloat(v)
-		exact = int(lb) < len(c.Floats) && c.Floats[lb] == v
-	default:
-		lb = c.LowerBoundString(raw)
-		exact = int(lb) < len(c.Strs) && c.Strs[lb] == raw
+	code, exact, err = c.Lookup(raw)
+	if err != nil {
+		return 0, false, err
 	}
-	if int(lb) >= c.NumDistinct() {
-		lb = int32(c.NumDistinct()) - 1
-	}
-	return lb, exact, nil
+	return min(code, int32(c.NumDistinct())-1), exact, nil
 }

@@ -2,6 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -136,4 +139,114 @@ func TestCodeHistAndProjectValue(t *testing.T) {
 	if _, _, err := c.ProjectValue("nope"); err == nil {
 		t.Fatal("unparseable value accepted")
 	}
+}
+
+// TestNaNIsOneValue: NaN is one dictionary value that sorts below every other
+// float, whether it arrives through LoadCSV or AppendRows, and a lookup finds
+// it.
+func TestNaNIsOneValue(t *testing.T) {
+	tbl, err := LoadCSV(strings.NewReader("a\n1.5\nNaN\n2.5\nNaN"), "t", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tbl.Cols[0]
+	if d := c.Floats; len(d) != 3 || !math.IsNaN(d[0]) || d[1] != 1.5 || d[2] != 2.5 {
+		t.Fatalf("dictionary %v, want [NaN 1.5 2.5]", d)
+	}
+	if got := DecodeCodes(c.Codes); !slices.Equal(got, []int32{1, 0, 2, 0}) {
+		t.Fatalf("codes %v, want [1 0 2 0]", got)
+	}
+	var sum float64
+	for _, h := range tbl.CodeHist(0) {
+		sum += h
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("CodeHist sums to %g", sum)
+	}
+
+	base := NewTable("t", []*Column{NewFloatColumn("a", []float64{1.5, 2.5})})
+	grown, err := AppendRows(base, [][]string{{"NaN"}, {"NaN"}, {"0.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown, err = AppendRows(grown, [][]string{{"0.1"}}); err != nil {
+		t.Fatal(err)
+	}
+	d := grown.Cols[0].Floats
+	if err := grown.Cols[0].CheckAscending(); err != nil || len(d) != 5 || !math.IsNaN(d[0]) {
+		t.Fatalf("grown dictionary %v (%v), want [NaN 0.1 0.5 1.5 2.5]", d, err)
+	}
+	if code, exact, err := c.ProjectValue("NaN"); err != nil || !exact || code != 0 {
+		t.Fatalf("ProjectValue(NaN) = %d,%v,%v, want 0,true", code, exact, err)
+	}
+}
+
+// fuzzBases returns one single-column table per kind, each in memory and
+// over a Codes[uint8] base standing in for a mapped column (so AppendRows
+// builds a TailCodes).
+func fuzzBases() []*Table {
+	cols := []*Column{
+		NewIntColumn("i", []int64{30, -7, 10, 30}),
+		NewFloatColumn("f", []float64{2.5, math.NaN(), 0, 2.5}),
+		NewStringColumn("s", []string{"y", "", "x", "y"}),
+	}
+	var out []*Table
+	for _, c := range cols {
+		narrow := *c
+		codes := Codes[uint8]{}
+		for _, code := range DecodeCodes(c.Codes) {
+			codes = append(codes, uint8(code))
+		}
+		narrow.Codes = codes
+		out = append(out, NewTable(c.Name, []*Column{c}), NewTable(c.Name+"8", []*Column{&narrow}))
+	}
+	return out
+}
+
+// FuzzAppendRows: appending any text cells to an int, float or string
+// column, in memory or over a narrow base, either errors or leaves a strictly
+// ascending dictionary, every code below NDV, every old row's value as it was
+// and every appended cell looking up exactly to its row's code. Each base
+// takes two appends: rows x and y, then x again onto the result.
+func FuzzAppendRows(f *testing.F) {
+	for _, s := range []string{"NaN", "-0", "+Inf", "1e309", "9223372036854775808", "'x'", ""} {
+		f.Add(s, "0.5")
+	}
+	f.Fuzz(func(t *testing.T, x, y string) {
+		for _, tbl := range fuzzBases() {
+			for _, cells := range [][]string{{x, y}, {x}} {
+				rows := make([][]string, len(cells))
+				for i, cell := range cells {
+					rows[i] = []string{cell}
+				}
+				grown, err := AppendRows(tbl, rows)
+				if err != nil {
+					break
+				}
+				old, c := tbl.Cols[0], grown.Cols[0]
+				if err := c.CheckAscending(); err != nil {
+					t.Fatalf("%s after %q: %v", tbl.Name, cells, err)
+				}
+				ndv := int32(c.NumDistinct())
+				for r := 0; r < grown.NumRows(); r++ {
+					if code := c.Codes.At(r); code < 0 || code >= ndv {
+						t.Fatalf("%s after %q: row %d has code %d of %d", tbl.Name, cells, r, code, ndv)
+					}
+				}
+				for r := 0; r < tbl.NumRows(); r++ {
+					if got, want := c.ValueString(c.Codes.At(r)), old.ValueString(old.Codes.At(r)); got != want {
+						t.Fatalf("%s after %q: old row %d reads %q, was %q", tbl.Name, cells, r, got, want)
+					}
+				}
+				for i, cell := range cells {
+					r := tbl.NumRows() + i
+					code, exact, err := c.Lookup(cell)
+					if err != nil || !exact || code != c.Codes.At(r) {
+						t.Fatalf("%s: Lookup(%q) = %d,%v,%v, row %d has code %d", tbl.Name, cell, code, exact, err, r, c.Codes.At(r))
+					}
+				}
+				tbl = grown
+			}
+		}
+	})
 }

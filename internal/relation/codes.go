@@ -1,13 +1,15 @@
 package relation
 
+import "slices"
+
 // CodeArray is the read-only row storage behind Column.Codes: one dictionary
 // code per row. Abstracting the storage (instead of a concrete []int32) is
 // what lets a column be backed either by an ordinary in-memory slice
 // (I32Codes) or by a width-minimal array reinterpreted in place over an
-// mmap'd .duetcol file (U8Codes/U16Codes/U32Codes) — or by a mapped base
-// plus an in-memory append tail (TailCodes) — without any consumer of the
-// relation package changing. Implementations are immutable once published on
-// a Column; concurrent readers need no locking.
+// mmap'd .duetcol file (Codes[uint8], [uint16] or [uint32]) — or by a mapped
+// base plus an in-memory append tail (TailCodes) — without any consumer of
+// the relation package changing. Implementations are immutable once
+// published on a Column; concurrent readers need no locking.
 type CodeArray interface {
 	// Len returns the number of rows.
 	Len() int
@@ -19,69 +21,32 @@ type CodeArray interface {
 	AppendTo(dst []int32, lo, hi int) []int32
 }
 
-// I32Codes is the in-memory CodeArray: a plain []int32, the representation
-// every encoder in this package produces.
-type I32Codes []int32
+// Codes is a CodeArray over a plain slice of one code width: uint8 for
+// columns with NDV <= 256, uint16 up to 65536, uint32 beyond (typically
+// reinterpreted in place over a mapped .duetcol section), and int32 for the
+// in-memory columns every encoder in this package produces.
+type Codes[T uint8 | uint16 | uint32 | int32] []T
+
+// I32Codes is the in-memory CodeArray.
+type I32Codes = Codes[int32]
 
 // Len returns the number of rows.
-func (s I32Codes) Len() int { return len(s) }
+func (s Codes[T]) Len() int { return len(s) }
 
 // At returns the code of row i.
-func (s I32Codes) At(i int) int32 { return s[i] }
+func (s Codes[T]) At(i int) int32 { return int32(s[i]) }
 
-// AppendTo appends rows [lo, hi) to dst.
-func (s I32Codes) AppendTo(dst []int32, lo, hi int) []int32 {
-	return append(dst, s[lo:hi]...)
-}
-
-// U8Codes is a width-1 CodeArray for columns with NDV <= 256, typically
-// reinterpreted in place over a mapped .duetcol section.
-type U8Codes []uint8
-
-// Len returns the number of rows.
-func (s U8Codes) Len() int { return len(s) }
-
-// At returns the code of row i.
-func (s U8Codes) At(i int) int32 { return int32(s[i]) }
-
-// AppendTo appends rows [lo, hi) to dst.
-func (s U8Codes) AppendTo(dst []int32, lo, hi int) []int32 {
-	for _, v := range s[lo:hi] {
-		dst = append(dst, int32(v))
+// AppendTo appends rows [lo, hi) to dst: one copy for int32 codes, a
+// widening loop for the narrow ones.
+func (s Codes[T]) AppendTo(dst []int32, lo, hi int) []int32 {
+	if s32, ok := any(s).(I32Codes); ok {
+		return append(dst, s32[lo:hi]...)
 	}
-	return dst
-}
-
-// U16Codes is a width-2 CodeArray for columns with NDV <= 65536.
-type U16Codes []uint16
-
-// Len returns the number of rows.
-func (s U16Codes) Len() int { return len(s) }
-
-// At returns the code of row i.
-func (s U16Codes) At(i int) int32 { return int32(s[i]) }
-
-// AppendTo appends rows [lo, hi) to dst.
-func (s U16Codes) AppendTo(dst []int32, lo, hi int) []int32 {
-	for _, v := range s[lo:hi] {
-		dst = append(dst, int32(v))
-	}
-	return dst
-}
-
-// U32Codes is the width-4 CodeArray for columns whose NDV exceeds 65536.
-type U32Codes []uint32
-
-// Len returns the number of rows.
-func (s U32Codes) Len() int { return len(s) }
-
-// At returns the code of row i.
-func (s U32Codes) At(i int) int32 { return int32(s[i]) }
-
-// AppendTo appends rows [lo, hi) to dst.
-func (s U32Codes) AppendTo(dst []int32, lo, hi int) []int32 {
-	for _, v := range s[lo:hi] {
-		dst = append(dst, int32(v))
+	src, n := s[lo:hi], len(dst)
+	dst = slices.Grow(dst, len(src))[:n+len(src)]
+	out := dst[n:]
+	for i, v := range src {
+		out[i] = int32(v)
 	}
 	return dst
 }

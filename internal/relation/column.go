@@ -8,11 +8,16 @@
 // sorted, ordering comparisons on raw values become ordering comparisons on
 // codes, and every range predicate compiles to a closed code interval — the
 // representation all estimators in this repository consume.
+//
+// The dictionary is one generic type (values, in dict.go) for every value
+// kind: encoding, lookup, growth under ingest, gathering and merging two
+// dictionaries are each one function, and the only per-kind code is each
+// kind's parse, format and NULL sentinel. Values are ordered by cmp.Compare,
+// so NaN is one value that sorts below every other float.
 package relation
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -65,105 +70,42 @@ type Column struct {
 func (c *Column) SetHist(h []float64) { c.hist = h }
 
 // NumDistinct returns the dictionary size (NDV).
-func (c *Column) NumDistinct() int {
-	switch c.Kind {
-	case KindInt:
-		return len(c.Ints)
-	case KindFloat:
-		return len(c.Floats)
-	default:
-		return len(c.Strs)
-	}
-}
+func (c *Column) NumDistinct() int { return c.dict().ndv(c) }
 
 // NumRows returns the number of rows.
 func (c *Column) NumRows() int { return c.Codes.Len() }
 
 // ValueString renders the distinct value at code as text.
-func (c *Column) ValueString(code int32) string {
-	switch c.Kind {
-	case KindInt:
-		return strconv.FormatInt(c.Ints[code], 10)
-	case KindFloat:
-		return strconv.FormatFloat(c.Floats[code], 'g', -1, 64)
-	default:
-		return c.Strs[code]
-	}
+func (c *Column) ValueString(code int32) string { return c.dict().valueString(c, code) }
+
+// Lookup parses raw as the column's kind and returns the smallest code whose
+// value is not below it (NDV when every value is below it) and whether that
+// value equals it.
+func (c *Column) Lookup(raw string) (code int32, exact bool, err error) {
+	return c.dict().lookup(c, raw)
 }
 
-// LowerBoundInt returns the smallest code whose value is >= v, or NDV when
-// all values are smaller. For KindFloat columns v is compared as float64.
-func (c *Column) LowerBoundInt(v int64) int32 {
-	switch c.Kind {
-	case KindInt:
-		return int32(sort.Search(len(c.Ints), func(i int) bool { return c.Ints[i] >= v }))
-	case KindFloat:
-		return c.LowerBoundFloat(float64(v))
-	default:
-		panic("relation: LowerBoundInt on string column")
-	}
-}
-
-// LowerBoundFloat returns the smallest code whose value is >= v.
-func (c *Column) LowerBoundFloat(v float64) int32 {
-	if c.Kind != KindFloat {
-		panic("relation: LowerBoundFloat on non-float column")
-	}
-	return int32(sort.Search(len(c.Floats), func(i int) bool { return c.Floats[i] >= v }))
-}
-
-// LowerBoundString returns the smallest code whose value is >= v.
-func (c *Column) LowerBoundString(v string) int32 {
-	if c.Kind != KindString {
-		panic("relation: LowerBoundString on non-string column")
-	}
-	return int32(sort.Search(len(c.Strs), func(i int) bool { return c.Strs[i] >= v }))
-}
-
-// CodeOfInt returns the code of value v and whether it is present exactly.
+// CodeOfInt is Lookup of the integer v: its lower-bound code and whether it
+// is present exactly.
 func (c *Column) CodeOfInt(v int64) (int32, bool) {
-	lb := c.LowerBoundInt(v)
-	if c.Kind == KindInt {
-		return lb, int(lb) < len(c.Ints) && c.Ints[lb] == v
-	}
-	return lb, int(lb) < len(c.Floats) && c.Floats[lb] == float64(v)
+	code, exact, _ := c.Lookup(strconv.FormatInt(v, 10)) // an integer's text parses as every kind
+	return code, exact
 }
+
+// CheckAscending reports an error unless the dictionary is strictly
+// ascending by cmp.Compare, the order every lookup and merge relies on.
+func (c *Column) CheckAscending() error { return c.dict().ascending(c) }
 
 // NewIntColumn dictionary-encodes raw int64 values.
-func NewIntColumn(name string, values []int64) *Column {
-	distinct := append([]int64(nil), values...)
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-	distinct = dedupInt64(distinct)
-	codes := make([]int32, len(values))
-	for i, v := range values {
-		codes[i] = int32(sort.Search(len(distinct), func(k int) bool { return distinct[k] >= v }))
-	}
-	return &Column{Name: name, Kind: KindInt, Ints: distinct, Codes: I32Codes(codes)}
-}
+func NewIntColumn(name string, values []int64) *Column { return newColumn(intKind, name, values) }
 
 // NewFloatColumn dictionary-encodes raw float64 values.
-func NewFloatColumn(name string, values []float64) *Column {
-	distinct := append([]float64(nil), values...)
-	sort.Float64s(distinct)
-	distinct = dedupFloat64(distinct)
-	codes := make([]int32, len(values))
-	for i, v := range values {
-		codes[i] = int32(sort.SearchFloat64s(distinct, v))
-	}
-	return &Column{Name: name, Kind: KindFloat, Floats: distinct, Codes: I32Codes(codes)}
-}
+func NewFloatColumn(name string, values []float64) *Column { return newColumn(floatKind, name, values) }
 
 // NewStringColumn dictionary-encodes raw string values, ordered
 // lexicographically.
 func NewStringColumn(name string, values []string) *Column {
-	distinct := append([]string(nil), values...)
-	sort.Strings(distinct)
-	distinct = dedupString(distinct)
-	codes := make([]int32, len(values))
-	for i, v := range values {
-		codes[i] = int32(sort.SearchStrings(distinct, v))
-	}
-	return &Column{Name: name, Kind: KindString, Strs: distinct, Codes: I32Codes(codes)}
+	return newColumn(stringKind, name, values)
 }
 
 // NewCodedColumn builds an int column directly from pre-computed codes over
@@ -189,43 +131,4 @@ func NewCodedColumn(name string, codes []int32, ndv int) *Column {
 		out[i] = remap[c]
 	}
 	return &Column{Name: name, Kind: KindInt, Ints: distinct, Codes: I32Codes(out)}
-}
-
-func dedupInt64(s []int64) []int64 {
-	if len(s) == 0 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupFloat64(s []float64) []float64 {
-	if len(s) == 0 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupString(s []string) []string {
-	if len(s) == 0 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // LoadCSV reads a CSV stream into a dictionary-encoded table. When header is
@@ -54,32 +53,12 @@ func LoadCSV(r io.Reader, name string, header bool) (*Table, error) {
 	return NewTable(name, cols), nil
 }
 
+// inferColumn encodes vals as the first kind every value parses as.
 func inferColumn(name string, vals []string) *Column {
-	ints := make([]int64, len(vals))
-	allInt := true
-	for i, v := range vals {
-		x, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			allInt = false
-			break
+	for _, k := range []dictionary{intKind, floatKind} {
+		if c, err := k.encodeCells(name, vals); err == nil {
+			return c
 		}
-		ints[i] = x
-	}
-	if allInt {
-		return NewIntColumn(name, ints)
-	}
-	floats := make([]float64, len(vals))
-	allFloat := true
-	for i, v := range vals {
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			allFloat = false
-			break
-		}
-		floats[i] = x
-	}
-	if allFloat {
-		return NewFloatColumn(name, floats)
 	}
 	return NewStringColumn(name, vals)
 }

@@ -67,29 +67,7 @@ func gatherColumn(name string, src *Column, rows []int32) *Column {
 	}
 	codes := make([]int32, len(rows))
 	out := &Column{Name: name, Kind: src.Kind, Codes: I32Codes(codes)}
-	switch src.Kind {
-	case KindInt:
-		out.Ints = make([]int64, 0, kept)
-		for v, u := range used {
-			if u {
-				out.Ints = append(out.Ints, src.Ints[v])
-			}
-		}
-	case KindFloat:
-		out.Floats = make([]float64, 0, kept)
-		for v, u := range used {
-			if u {
-				out.Floats = append(out.Floats, src.Floats[v])
-			}
-		}
-	case KindString:
-		out.Strs = make([]string, 0, kept)
-		for v, u := range used {
-			if u {
-				out.Strs = append(out.Strs, src.Strs[v])
-			}
-		}
-	}
+	src.dict().gather(out, src, used, kept)
 	for i, r := range rows {
 		codes[i] = remap[src.Codes.At(int(r))]
 	}

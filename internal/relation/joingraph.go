@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // JoinEdge is one equi-join condition between two named tables:
 // LeftTable.LeftCol = RightTable.RightCol. It is the one edge type of every
@@ -303,48 +300,9 @@ func (l *joinLayout) walk(emit func(row, asg []int32)) {
 // otherwise empty column (no codes): the value-column prototype of the one
 // join layout materialized and sampled views share.
 func dictWithNull(name string, src *Column, withNull bool) (*Column, error) {
-	ndv := src.NumDistinct()
 	out := &Column{Name: name, Kind: src.Kind}
-	switch src.Kind {
-	case KindInt:
-		out.Ints = append(make([]int64, 0, ndv+1), src.Ints...)
-	case KindFloat:
-		out.Floats = append(make([]float64, 0, ndv+1), src.Floats...)
-	case KindString:
-		out.Strs = append(make([]string, 0, ndv+1), src.Strs...)
-	}
-	if !withNull {
-		return out, nil
-	}
-	switch src.Kind {
-	case KindInt:
-		s := int64(0)
-		if ndv > 0 {
-			s = src.Ints[ndv-1] + 1
-			if s <= src.Ints[ndv-1] {
-				return nil, fmt.Errorf("relation: cannot place a NULL sentinel above %d in column %q", src.Ints[ndv-1], name)
-			}
-		}
-		out.Ints = append(out.Ints, s)
-	case KindFloat:
-		s := 0.0
-		if ndv > 0 {
-			mx := src.Floats[ndv-1]
-			s = mx + 1
-			if !(s > mx) {
-				s = math.Nextafter(mx, math.MaxFloat64)
-			}
-			if !(s > mx) {
-				return nil, fmt.Errorf("relation: cannot place a NULL sentinel above %g in column %q", mx, name)
-			}
-		}
-		out.Floats = append(out.Floats, s)
-	case KindString:
-		s := ""
-		if ndv > 0 {
-			s = src.Strs[ndv-1] + "\x01"
-		}
-		out.Strs = append(out.Strs, s)
+	if err := src.dict().withNull(out, src, withNull); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"cmp"
 	"fmt"
 	"sync"
 )
@@ -40,7 +39,7 @@ func newEdgeIndex(aTbl string, a *Column, bTbl string, b *Column) *EdgeIndex {
 	ix := &EdgeIndex{}
 	ix.side[0].tbl, ix.side[1].tbl = aTbl, bTbl
 	ix.side[0].col, ix.side[1].col = a, b
-	ix.side[0].toOther, ix.side[1].toOther = mergeDicts(a, b)
+	ix.side[0].toOther, ix.side[1].toOther = a.dict().translate(a, b)
 	for s := range ix.side {
 		ix.side[s].start, ix.side[s].rows = groupByCode(ix.side[s].col)
 	}
@@ -78,47 +77,6 @@ func (o oriented) groupSize(childCode int32) int32 {
 // dangling reports whether a child row with the given code has no parent
 // anywhere in the parent base table.
 func (o oriented) dangling(childCode int32) bool { return o.child.toOther[childCode] < 0 }
-
-// mergeDicts walks both sorted dictionaries once and returns the two
-// translation arrays (a code -> b code and b code -> a code, -1 when the
-// value is absent on the other side).
-func mergeDicts(a, b *Column) (aToB, bToA []int32) {
-	na, nb := a.NumDistinct(), b.NumDistinct()
-	aToB = make([]int32, na)
-	bToA = make([]int32, nb)
-	for i := range aToB {
-		aToB[i] = -1
-	}
-	for j := range bToA {
-		bToA[j] = -1
-	}
-	i, j := 0, 0
-	for i < na && j < nb {
-		switch dictCompare(a, i, b, j) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
-			aToB[i], bToA[j] = int32(j), int32(i)
-			i++
-			j++
-		}
-	}
-	return aToB, bToA
-}
-
-// dictCompare orders dictionary entry i of a against entry j of b (-1/0/1).
-func dictCompare(a *Column, i int, b *Column, j int) int {
-	switch a.Kind {
-	case KindInt:
-		return cmp.Compare(a.Ints[i], b.Ints[j])
-	case KindFloat:
-		return cmp.Compare(a.Floats[i], b.Floats[j])
-	default:
-		return cmp.Compare(a.Strs[i], b.Strs[j])
-	}
-}
 
 // groupByCode builds the CSR grouping of a column's rows by code with one
 // counting pass.

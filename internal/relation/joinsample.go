@@ -2,8 +2,10 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -323,20 +325,16 @@ func (l *joinLayout) buildLayout() error {
 				}
 			}
 		}
-		dict := make([]int64, 0, len(vals))
-		for v := range vals {
-			dict = append(dict, v)
-		}
-		sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
+		dict := values[int64](slices.Sorted(maps.Keys(vals)))
 		fanCol := &Column{Name: fn, Kind: KindInt, Ints: dict}
 		l.fanIdx[ti] = len(l.cols)
 		l.cols = append(l.cols, fanCol)
-		l.fanOne[ti] = fanDictCode(dict, 1)
+		l.fanOne[ti] = dict.index(1)
 		if ti > 0 {
 			o := l.ors[ti]
 			byCC := make([]int32, len(o.child.start)-1)
 			for cc := range byCC {
-				byCC[cc] = fanDictCode(dict, int64(o.groupSize(int32(cc))))
+				byCC[cc] = dict.index(int64(o.groupSize(int32(cc))))
 			}
 			l.fanByCC[ti] = byCC
 		}
@@ -349,21 +347,12 @@ func (l *joinLayout) buildLayout() error {
 				l.template[l.colBase[ti]+si] = int32(src.NumDistinct())
 			}
 		}
-		l.template[l.fanIdx[ti]] = fanDictCode(l.cols[l.fanIdx[ti]].Ints, 0)
+		l.template[l.fanIdx[ti]] = values[int64](l.cols[l.fanIdx[ti]].Ints).index(0)
 		if l.template[l.fanIdx[ti]] < 0 {
 			l.template[l.fanIdx[ti]] = 0 // table can never be absent: overwritten on every draw
 		}
 	}
 	return nil
-}
-
-// fanDictCode locates v in a sorted fanout dictionary, -1 when absent.
-func fanDictCode(dict []int64, v int64) int32 {
-	i := sort.Search(len(dict), func(k int) bool { return dict[k] >= v })
-	if i < len(dict) && dict[i] == v {
-		return int32(i)
-	}
-	return -1
 }
 
 // buildAnchors lays out the weighted anchor choice: every root row, then

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,8 +73,11 @@ func TestLowerBound(t *testing.T) {
 		want int32
 	}{{5, 0}, {10, 0}, {15, 1}, {30, 2}, {31, 3}}
 	for _, tc := range cases {
-		if got := c.LowerBoundInt(tc.v); got != tc.want {
-			t.Fatalf("LowerBoundInt(%d)=%d want %d", tc.v, got, tc.want)
+		if got, _ := c.CodeOfInt(tc.v); got != tc.want {
+			t.Fatalf("CodeOfInt(%d)=%d want %d", tc.v, got, tc.want)
+		}
+		if got, _, err := c.Lookup(strconv.FormatInt(tc.v, 10)); err != nil || got != tc.want {
+			t.Fatalf("Lookup(%d)=%d,%v want %d", tc.v, got, err, tc.want)
 		}
 	}
 	if code, ok := c.CodeOfInt(20); !ok || code != 1 {

@@ -10,9 +10,9 @@ import (
 func widthTable() *Table {
 	// a: ints 10,20,30 with u8 codes; s: strings with u8 codes.
 	a := &Column{Name: "a", Kind: KindInt, Ints: []int64{10, 20, 30},
-		Codes: U8Codes{0, 1, 2, 1, 0}}
+		Codes: Codes[uint8]{0, 1, 2, 1, 0}}
 	s := &Column{Name: "s", Kind: KindString, Strs: []string{"x", "y"},
-		Codes: U16Codes{0, 1, 1, 0, 1}}
+		Codes: Codes[uint16]{0, 1, 1, 0, 1}}
 	return NewTable("base", []*Column{a, s})
 }
 
@@ -26,7 +26,7 @@ func TestAppendRowsBuildsTailOverMappedBase(t *testing.T) {
 		t.Fatalf("rows = %d, want 7", grown.NumRows())
 	}
 	// The base table must be untouched (copy-on-write) and still width-coded.
-	if _, ok := base.Cols[0].Codes.(U8Codes); !ok || base.NumRows() != 5 {
+	if _, ok := base.Cols[0].Codes.(Codes[uint8]); !ok || base.NumRows() != 5 {
 		t.Fatalf("base mutated: %T, %d rows", base.Cols[0].Codes, base.NumRows())
 	}
 	// The grown columns must be tails over the same base array, not copies.
@@ -34,8 +34,8 @@ func TestAppendRowsBuildsTailOverMappedBase(t *testing.T) {
 	if !ok {
 		t.Fatalf("grown int column is %T, want *TailCodes", grown.Cols[0].Codes)
 	}
-	if _, ok := tc.Base.(U8Codes); !ok {
-		t.Fatalf("tail base is %T, want the original U8Codes", tc.Base)
+	if _, ok := tc.Base.(Codes[uint8]); !ok {
+		t.Fatalf("tail base is %T, want the original Codes[uint8]", tc.Base)
 	}
 	// "25" grew the int dictionary: 10,20,25,30. Base codes must read through
 	// the remap; appended rows land in the merged space.

@@ -214,42 +214,31 @@ func DegeneratePredicate(col int, op Op, ndv int) Predicate {
 
 // lowerBound resolves the raw literal to (first code >= value, exact match).
 func lowerBound(col *relation.Column, lit string) (int32, bool, error) {
-	if strings.HasPrefix(lit, "'") {
-		if col.Kind != relation.KindString {
-			return 0, false, fmt.Errorf("workload: string literal %s on %v column %q", lit, col.Kind, col.Name)
-		}
-		v := strings.Trim(lit, "'")
-		lb := col.LowerBoundString(v)
-		exact := int(lb) < col.NumDistinct() && col.Strs[lb] == v
-		return lb, exact, nil
-	}
-	switch col.Kind {
-	case relation.KindInt:
-		v, err := strconv.ParseInt(lit, 10, 64)
-		if err != nil {
-			// Integer column queried with a float literal: compare on floats
-			// via the ceiling code.
-			f, ferr := strconv.ParseFloat(lit, 64)
-			if ferr != nil {
-				return 0, false, err
-			}
-			lb := col.LowerBoundInt(int64(f) + boolToInt(f > float64(int64(f))))
-			return lb, false, nil
-		}
-		lb := col.LowerBoundInt(v)
-		exact := int(lb) < col.NumDistinct() && col.Ints[lb] == v
-		return lb, exact, nil
-	case relation.KindFloat:
-		f, err := strconv.ParseFloat(lit, 64)
-		if err != nil {
-			return 0, false, err
-		}
-		lb := col.LowerBoundFloat(f)
-		exact := int(lb) < col.NumDistinct() && col.Floats[lb] == f
-		return lb, exact, nil
-	default:
+	quoted := strings.HasPrefix(lit, "'")
+	switch {
+	case quoted && col.Kind != relation.KindString:
+		return 0, false, fmt.Errorf("workload: string literal %s on %v column %q", lit, col.Kind, col.Name)
+	case !quoted && col.Kind == relation.KindString:
 		return 0, false, fmt.Errorf("workload: unquoted literal %q on string column %q", lit, col.Name)
+	case col.Kind == relation.KindInt && strings.Contains(lit, "."):
+		return ceilCode(col, lit) // a fraction
 	}
+	lb, exact, err := col.Lookup(strings.Trim(lit, "'"))
+	if err != nil && col.Kind == relation.KindInt {
+		return ceilCode(col, lit) // beyond int64
+	}
+	return lb, exact, err
+}
+
+// ceilCode compares an integer column with a literal that is not an int64
+// on floats: the lower-bound code of the literal's ceiling, never exact.
+func ceilCode(col *relation.Column, lit string) (int32, bool, error) {
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return 0, false, err
+	}
+	lb, _ := col.CodeOfInt(int64(f) + boolToInt(f > float64(int64(f))))
+	return lb, false, nil
 }
 
 func boolToInt(b bool) int64 {

@@ -418,3 +418,21 @@ func FuzzParseQuery(f *testing.F) {
 		q.CanonicalKey()
 	})
 }
+
+// TestParseQueryAllocs: two predicates over a census table parse in ten
+// allocations, whether their literals are integers or fractions compared on
+// an integer column.
+func TestParseQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tbl := relation.SynCensus(2000, 1)
+	for _, expr := range []string{"age<=40 AND hours>30", "age<=40.5 AND hours>30.25"} {
+		if a := testing.AllocsPerRun(100, func() { ParseQuery(tbl, expr) }); a > 10 {
+			t.Fatalf("ParseQuery(%q) allocates %v times, want at most 10", expr, a)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
