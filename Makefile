@@ -29,11 +29,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The training-side kernel figures: the three GEMMs of a layer at the
-# cache-resident ResMADE shape and at the DMV output layer (GFLOP/s), on
-# every kernel tier the host has, best first (avx512's 8x32 tile above
-# avx2's 8x8 where the CPU has AVX-512; the generic rows take a few seconds),
-# and a whole step on the paper's two configurations on the active tier
-# (tuples/s). benchmark/ reports the same two quantities end to end, on the
+# cache-resident ResMADE shape and at the DMV output layer (GFLOP/s, dense:
+# no live region), on every kernel tier the host has, best first (avx512's
+# 8x32 tile above avx2's 8x8 where the CPU has AVX-512; the generic rows
+# take a few seconds), and a whole step on the paper's two configurations on
+# the active tier (tuples/s), whose masked layers skip the dead weights'
+# tiles and terms (0.72 of the dense MACs on census, 0.86 on DMV at the
+# 8x32 tile; core.TestTrainStepMACs pins them). benchmark/ reports the same two quantities end to end, on the
 # active tier, as tensor.gemm_gflop_s and core.train_tuples_per_s.
 # ParallelForPhase prices one fork and join on a two-wide worker set (µs per
 # phase): empty with the worker awake, empty after it has parked (the wake),

@@ -163,6 +163,19 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 		Hidden: cfg.Hidden, Residual: cfg.Residual, Seed: cfg.Seed + 1,
 	})
 	m.in = m.net.In
+	if m.encs != nil {
+		// backward reads the first layer's input gradient only where a
+		// learned value embedding takes it; an MPSN takes all of its block.
+		read := make([]bool, m.in.Tot)
+		for i, enc := range m.encs {
+			if enc.codec.mode == EncEmbed {
+				for u := range m.in.Len[i] {
+					read[m.in.Off[i]+u] = true
+				}
+			}
+		}
+		m.net.Masked[0].ReadInputs(func(u int) bool { return read[u] })
+	}
 	for _, vc := range m.codecs {
 		m.params = append(m.params, vc.params()...)
 	}

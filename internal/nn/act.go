@@ -17,7 +17,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (l *ReLU) Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix {
 	out := outBuf(&l.out, x.Rows, x.Cols)
 	w.ParallelFor(len(x.Data), tensor.ElemGrain, func(lo, hi int) {
-		passIfPositive(out.Data[lo:hi], x.Data[lo:hi], x.Data[lo:hi])
+		tensor.PassIfPositive(out.Data[lo:hi], x.Data[lo:hi], x.Data[lo:hi])
 	})
 	return out
 }
@@ -26,25 +26,9 @@ func (l *ReLU) Forward(w *tensor.Workers, x *tensor.Matrix) *tensor.Matrix {
 func (l *ReLU) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matrix {
 	dIn := outBuf(&l.dIn, dOut.Rows, dOut.Cols)
 	w.ParallelFor(len(dOut.Data), tensor.ElemGrain, func(lo, hi int) {
-		passIfPositive(dIn.Data[lo:hi], dOut.Data[lo:hi], l.out.Data[lo:hi])
+		tensor.PassIfPositive(dIn.Data[lo:hi], dOut.Data[lo:hi], l.out.Data[lo:hi])
 	})
 	return dIn
-}
-
-// passIfPositive sets dst[i] to src[i] where gate[i] > 0 and to +0 elsewhere,
-// without a branch per element: the comparison becomes an all-ones or
-// all-zeros mask over src[i]'s bits. A sign test is a coin flip on a
-// training batch's activations, which costs this loop a mispredicted branch
-// on every other element. dst, src and gate have the same length.
-func passIfPositive(dst, src, gate []float32) {
-	dst, src = dst[:len(gate)], src[:len(gate)]
-	for i, g := range gate {
-		var m uint32
-		if g > 0 {
-			m = ^uint32(0)
-		}
-		dst[i] = math.Float32frombits(math.Float32bits(src[i]) & m)
-	}
 }
 
 // Params returns nil; ReLU has no parameters.

@@ -31,11 +31,12 @@ func (l *Residual) Backward(w *tensor.Workers, dOut *tensor.Matrix) *tensor.Matr
 	return dIn
 }
 
-// addTo sets dst[i] = a[i] + b[i]; the three have the same length.
+// addTo sets dst[i] = a[i] + b[i]; the three have the same length. It is a
+// copy and a Saxpy with alpha 1, whose product is exact, so every tier
+// rounds each sum once, as a scalar loop does.
 func addTo(dst, a, b []float32) {
-	for i, v := range a {
-		dst[i] = v + b[i]
-	}
+	copy(dst, a)
+	tensor.Saxpy(1, b, dst)
 }
 
 // ReleaseBuffers releases the inner stack's buffers too.

@@ -7,6 +7,12 @@ import "fmt"
 // names in the result are prefixed "l_" / "r_", and the join column appears
 // once as "l_<name>".
 //
+// Values match as the dictionaries order them, the rule MultiJoin and
+// MultiJoinCardinality use: one merge of the two sorted dictionaries
+// translates each left code to the right code of the same value, so a float
+// -0 meets a 0. A left row meets the right rows of its translated code in
+// ascending order.
+//
 // This is the substrate for join cardinality estimation in the style the
 // paper inherits from NeuroCard: train the estimator over the (sampled) join
 // result and answer join queries as single-table queries on it. NeuroCard's
@@ -22,18 +28,16 @@ func EquiJoin(name string, left *Table, leftCol string, right *Table, rightCol s
 	if lc.Kind != rc.Kind {
 		return nil, fmt.Errorf("relation: join column kinds differ: %v vs %v", lc.Kind, rc.Kind)
 	}
-	// Hash the right side by raw value key.
-	rIndex := make(map[string][]int32, rc.NumDistinct())
-	for r := 0; r < right.NumRows(); r++ {
-		k := rc.ValueString(rc.Codes.At(r))
-		rIndex[k] = append(rIndex[k], int32(r))
-	}
+	toRight, _ := lc.dict().translate(lc, rc)
+	start, group := groupByCode(rc)
 	// Probe with the left side, collecting matched row pairs.
 	var lRows, rRows []int32
 	for l := 0; l < left.NumRows(); l++ {
-		for _, r := range rIndex[lc.ValueString(lc.Codes.At(l))] {
-			lRows = append(lRows, int32(l))
-			rRows = append(rRows, r)
+		if c := toRight[lc.Codes.At(l)]; c >= 0 {
+			for _, r := range group[start[c]:start[c+1]] {
+				lRows = append(lRows, int32(l))
+				rRows = append(rRows, r)
+			}
 		}
 	}
 	// Materialize: gather columns from both sides.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -113,5 +114,33 @@ func TestJoinedTableUsableForEstimation(t *testing.T) {
 				t.Fatalf("column %s code %d out of range", c.Name, code)
 			}
 		}
+	}
+}
+
+// TestEquiJoinFloatNegativeZero: a float -0 joins a 0, as it does in
+// MultiJoinCardinality: both count the two rows of k = k over -0, 1.5 and
+// 0, 1.5.
+func TestEquiJoinFloatNegativeZero(t *testing.T) {
+	load := func(name, csv string) *Table {
+		tbl, err := LoadCSV(strings.NewReader(csv), name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Cols[0].Kind != KindFloat {
+			t.Fatalf("%s: column kind %v, want float", name, tbl.Cols[0].Kind)
+		}
+		return tbl
+	}
+	left, right := load("l", "k\n-0\n1.5\n"), load("r", "k\n0\n1.5\n")
+	j, err := EquiJoin("j", left, "k", right, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	card, err := MultiJoinCardinality(&JoinGraph{Tables: []*Table{left, right}, Edges: []JoinEdge{{"l", "k", "r", "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.NumRows() != 2 || card != 2 {
+		t.Fatalf("EquiJoin gives %d rows and MultiJoinCardinality %d, want 2 and 2", j.NumRows(), card)
 	}
 }

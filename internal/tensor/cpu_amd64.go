@@ -68,5 +68,6 @@ func amd64Tiers(ecx1, ebx7, xcr0 uint32) []kernel {
 	avx512.gemmTile, avx512.tileN = gemmTile8x32AVX512Asm, 32
 	avx512.axpyPanelG, avx512.panelRows = axpyPanel4AVX512Asm, 4
 	avx512.nonzeros = nonzerosAVX512Asm
+	avx512.passPos, avx512.gather = passIfPositiveAVX512, gatherRowsAVX512Asm
 	return append([]kernel{avx512}, tiers...)
 }

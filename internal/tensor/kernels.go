@@ -9,8 +9,9 @@ import (
 // Kernel tier dispatch.
 //
 // Every hot-path primitive in this package (Saxpy, SaxpyI8, AxpyPanel,
-// AxpyPanelI8, AxpyPanelRows, Nonzeros and the blocked GEMM microkernel
-// behind Mul/MulBT/MulATAdd) is reached through an impl pointer selected
+// AxpyPanelI8, AxpyPanelRows, Nonzeros, PassIfPositive, the gather behind
+// the GEMMs' live regions and the blocked GEMM microkernel behind
+// Mul/MulBT/MulATAdd) is reached through an impl pointer selected
 // once at init from CPU feature detection: "avx512" (avx2 with a 512-bit
 // training-GEMM tile, a 4-row panel kernel and a compress-store Nonzeros,
 // amd64 with AVX512F), "avx2" (256-bit, amd64 with AVX2), "sse" (128-bit,
@@ -91,6 +92,10 @@ type (
 	axpyPanelI8Func   func(y, x []float32, k []int32, scale []float32, panel []int8, stride int)
 	axpyPanelRowsFunc func(y []float32, ldy int, a []float32, lda int, rows []int32, width int, k []int32, panel []float32, stride int)
 	nonzerosFunc      func(idx []int32, mask []uint64, x []float32) int
+	// gatherRowsFunc sets dst[r*ldd+q] = src[r*lds+idx[q]] for r < rows and
+	// q < len(idx), every index in range: the reordering behind the GEMMs'
+	// live regions (gatherRows).
+	gatherRowsFunc func(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int)
 )
 
 // kernel bundles one tier's primitives. saxpy and saxpyI8 process exactly
@@ -104,6 +109,8 @@ type kernel struct {
 	panelRows    int               // AxpyPanelRows' group size; 0 (one row) when axpyPanelG is nil
 	axpyPanelG   axpyPanelRowsFunc // the group kernel, or nil
 	nonzeros     nonzerosFunc
+	passPos      func(dst, src, gate []float32) // PassIfPositive after its checks
+	gather       gatherRowsFunc
 	gemmTile     gemmTileFunc
 	tileM, tileN int
 	expVector    bool // ExpShift runs expShiftVector
@@ -116,6 +123,8 @@ var genericKernel = kernel{
 	axpyPanel:   axpyPanelGeneric,
 	axpyPanelI8: axpyPanelI8Generic,
 	nonzeros:    nonzerosGeneric,
+	passPos:     passIfPositiveGeneric,
+	gather:      gatherRowsGeneric,
 	gemmTile:    gemmTileGeneric,
 	tileM:       4,
 	tileN:       4,
@@ -135,6 +144,8 @@ var (
 	axpyPanelGImpl       axpyPanelRowsFunc
 	panelRows            int
 	nonzerosImpl         nonzerosFunc
+	passPosImpl          func(dst, src, gate []float32)
+	gatherImpl           gatherRowsFunc
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
 	expVector            bool
@@ -166,6 +177,8 @@ func setKernel(k kernel) {
 	axpyPanelGImpl = k.axpyPanelG
 	panelRows = max(1, k.panelRows)
 	nonzerosImpl = k.nonzeros
+	passPosImpl = k.passPos
+	gatherImpl = k.gather
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN
@@ -318,6 +331,19 @@ func Nonzeros(idx []int32, mask []uint64, x []float32) []int32 {
 	return idx[:nonzerosImpl(idx, mask, x)]
 }
 
+// PassIfPositive sets dst[i] to src[i] where gate[i] > 0 and to +0
+// elsewhere (for -0, negatives and NaN alike), for i < len(gate); dst and
+// src must be at least that long. It is ReLU's forward (src = gate = x) and
+// backward (src = dY, gate = the forward's output). The result moves bits
+// and computes nothing, so every tier gives the same ones: the asm tiers
+// compare each lane ordered greater-than zero and AND src with the
+// all-ones or all-zeros mask, without a branch per element (a sign test is
+// a coin flip on a training batch's activations).
+func PassIfPositive(dst, src, gate []float32) {
+	n := len(gate)
+	passPosImpl(dst[:n], src[:n], gate)
+}
+
 // ExpShift computes dst[i] = math.Exp(float64(x[i]) - c) for i < len(x),
 // bit for bit on every tier; len(dst) must be at least len(x). It is the
 // exponential under every softmax: the caller passes the row's maximum as
@@ -383,6 +409,26 @@ func axpyPanelI8Generic(y, x []float32, k []int32, scale []float32, panel []int8
 
 // nonzerosGeneric writes every index and keeps the nonzero ones: about half
 // of a plan row is zero, in no pattern a branch predictor could learn.
+func passIfPositiveGeneric(dst, src, gate []float32) {
+	dst, src = dst[:len(gate)], src[:len(gate)]
+	for i, g := range gate {
+		var m uint32
+		if g > 0 {
+			m = ^uint32(0)
+		}
+		dst[i] = math.Float32frombits(math.Float32bits(src[i]) & m)
+	}
+}
+
+func gatherRowsGeneric(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int) {
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*ldd:r*ldd+len(idx)], src[r*lds:]
+		for q, i := range idx {
+			d[q] = s[i]
+		}
+	}
+}
+
 func nonzerosGeneric(idx []int32, mask []uint64, x []float32) int {
 	n := 0
 	for k, v := range x {

@@ -168,6 +168,46 @@ func expShiftVector(dst []float64, x []float32, c float64) int {
 	return n
 }
 
+// passIfPositiveSSEAsm, passIfPositiveAVX2Asm and passIfPositiveAVX512Asm
+// are PassIfPositive over a length that is a multiple of 4, 8 and 16; the
+// Go wrappers finish the tail with the generic loop.
+//
+//go:noescape
+func passIfPositiveSSEAsm(dst, src, gate []float32)
+
+//go:noescape
+func passIfPositiveAVX2Asm(dst, src, gate []float32)
+
+//go:noescape
+func passIfPositiveAVX512Asm(dst, src, gate []float32)
+
+// gatherRowsAVX2Asm and gatherRowsAVX512Asm are gatherRows with
+// VGATHERDPS; they index src unchecked.
+//
+//go:noescape
+func gatherRowsAVX2Asm(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int)
+
+//go:noescape
+func gatherRowsAVX512Asm(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int)
+
+func passIfPositiveSSE(dst, src, gate []float32) {
+	n := len(gate) &^ 3
+	passIfPositiveSSEAsm(dst[:n], src[:n], gate[:n])
+	passIfPositiveGeneric(dst[n:], src[n:], gate[n:])
+}
+
+func passIfPositiveAVX2(dst, src, gate []float32) {
+	n := len(gate) &^ 7
+	passIfPositiveAVX2Asm(dst[:n], src[:n], gate[:n])
+	passIfPositiveGeneric(dst[n:], src[n:], gate[n:])
+}
+
+func passIfPositiveAVX512(dst, src, gate []float32) {
+	n := len(gate) &^ 15
+	passIfPositiveAVX512Asm(dst[:n], src[:n], gate[:n])
+	passIfPositiveGeneric(dst[n:], src[n:], gate[n:])
+}
+
 func saxpyI8SSE(alpha float32, q []int8, y []float32) {
 	n := len(q) &^ 3
 	if n > 0 {
@@ -186,7 +226,8 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 
 // sseKernel and avx2Kernel are the tiers amd64Tiers (cpu_amd64.go) builds
 // the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm,
-// axpyPanel4AVX512Asm and nonzerosAVX512Asm.
+// axpyPanel4AVX512Asm, nonzerosAVX512Asm and the 512-bit PassIfPositive and
+// gather.
 var (
 	sseKernel = kernel{
 		name:        "sse",
@@ -195,6 +236,8 @@ var (
 		axpyPanel:   axpyPanelSSE,
 		axpyPanelI8: axpyPanelI8SSE,
 		nonzeros:    nonzerosGeneric,
+		passPos:     passIfPositiveSSE,
+		gather:      gatherRowsGeneric,
 		gemmTile:    gemmTile8x4SSEAsm,
 		tileM:       8,
 		tileN:       4,
@@ -206,6 +249,8 @@ var (
 		axpyPanel:   axpyPanelAVX2,
 		axpyPanelI8: axpyPanelI8AVX2,
 		nonzeros:    nonzerosGeneric,
+		passPos:     passIfPositiveAVX2,
+		gather:      gatherRowsAVX2Asm,
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,
 		tileN:       8,

@@ -49,6 +49,8 @@ func archKernels() []kernel {
 		axpyPanel:   axpyPanelGeneric,
 		axpyPanelI8: axpyPanelI8Generic,
 		nonzeros:    nonzerosGeneric,
+		passPos:     passIfPositiveGeneric,
+		gather:      gatherRowsGeneric,
 		gemmTile:    gemmTile8x8NEONAsm,
 		tileM:       8,
 		tileN:       8,

@@ -590,3 +590,81 @@ expdone:
 	SETNE      wide+56(FP)
 	VZEROUPPER
 	RET
+
+// func passIfPositiveAVX2Asm(dst, src, gate []float32)
+// dst[i] = src[i] where gate[i] > 0, else +0, for i < len(gate), a multiple
+// of 8: VCMPPS's GT_OQ is false for -0, negatives and NaN, and its
+// all-ones or all-zeros lanes are ANDed with src's bits.
+TEXT ·passIfPositiveAVX2Asm(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   src_base+24(FP), SI
+	MOVQ   gate_base+48(FP), DX
+	MOVQ   gate_len+56(FP), BX
+	SHRQ   $3, BX
+	JZ     pipdone
+	XORQ   AX, AX
+	VXORPS Y7, Y7, Y7
+
+piploop:
+	VMOVUPS (DX)(AX*4), Y1
+	VCMPPS  $0x1e, Y7, Y1, Y0
+	VANDPS  (SI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	DECQ    BX
+	JNZ     piploop
+	VZEROUPPER
+
+pipdone:
+	RET
+
+// func gatherRowsAVX2Asm(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int)
+// dst[r*ldd+q] = src[r*lds+idx[q]] for r < rows, q < len(idx): eight lanes
+// a VGATHERDPS, the last len(idx)%8 one at a time. The Go wrapper has
+// checked every index against src's length.
+TEXT ·gatherRowsAVX2Asm(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ ldd+24(FP), R10
+	SHLQ $2, R10
+	MOVQ src_base+32(FP), SI
+	MOVQ lds+56(FP), R11
+	SHLQ $2, R11
+	MOVQ idx_base+64(FP), DX
+	MOVQ idx_len+72(FP), CX
+	MOVQ rows+88(FP), R9
+	TESTQ R9, R9
+	JZ   gdone
+
+grow:
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   gtail
+
+gloop:
+	VMOVDQU    (DX)(AX*4), Y1
+	VPCMPEQD   Y2, Y2, Y2
+	VGATHERDPS Y2, (SI)(Y1*4), Y0
+	VMOVUPS    Y0, (DI)(AX*4)
+	ADDQ       $8, AX
+	DECQ       BX
+	JNZ        gloop
+
+gtail:
+	CMPQ AX, CX
+	JGE  gnext
+	MOVLQSX (DX)(AX*4), R8
+	MOVL    (SI)(R8*4), R8
+	MOVL    R8, (DI)(AX*4)
+	INCQ    AX
+	JMP     gtail
+
+gnext:
+	ADDQ R10, DI
+	ADDQ R11, SI
+	DECQ R9
+	JNZ  grow
+	VZEROUPPER
+
+gdone:
+	RET

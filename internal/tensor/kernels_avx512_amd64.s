@@ -531,3 +531,89 @@ nzdone:
 	MOVQ      DI, ret+72(FP)
 	VZEROUPPER
 	RET
+
+// func passIfPositiveAVX512Asm(dst, src, gate []float32)
+// dst[i] = src[i] where gate[i] > 0, else +0, for i < len(gate), a multiple
+// of 16: VCMPPS's GT_OQ mask is clear for -0, negatives and NaN, and the
+// zeroing-masked load keeps src's bits where it is set, all-zero bits
+// elsewhere, which is src ANDed with the mask.
+TEXT ·passIfPositiveAVX512Asm(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   src_base+24(FP), SI
+	MOVQ   gate_base+48(FP), DX
+	MOVQ   gate_len+56(FP), BX
+	SHRQ   $4, BX
+	JZ     pipdone
+	XORQ   AX, AX
+	VXORPS Y7, Y7, Y7
+
+piploop:
+	VMOVUPS   (DX)(AX*4), Z1
+	VCMPPS    $0x1e, Z7, Z1, K1
+	VMOVUPS.Z (SI)(AX*4), K1, Z0
+	VMOVUPS   Z0, (DI)(AX*4)
+	ADDQ      $16, AX
+	DECQ      BX
+	JNZ       piploop
+	VZEROUPPER
+
+pipdone:
+	RET
+
+// func gatherRowsAVX512Asm(dst []float32, ldd int, src []float32, lds int, idx []int32, rows int)
+// dst[r*ldd+q] = src[r*lds+idx[q]] for r < rows, q < len(idx): sixteen
+// lanes a VGATHERDPS, the last len(idx)%16 under a mask. The Go wrapper has
+// checked every index against src's length.
+TEXT ·gatherRowsAVX512Asm(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ ldd+24(FP), R10
+	SHLQ $2, R10
+	MOVQ src_base+32(FP), SI
+	MOVQ lds+56(FP), R11
+	SHLQ $2, R11
+	MOVQ idx_base+64(FP), DX
+	MOVQ idx_len+72(FP), CX
+	MOVQ rows+88(FP), R9
+	TESTQ R9, R9
+	JZ   gdone
+	// K2 masks the ragged last 16: (1 << len%16) - 1.
+	ANDQ  $15, CX
+	MOVQ  $1, BX
+	SHLQ  CX, BX
+	DECQ  BX
+	KMOVW BX, K2
+	MOVQ  idx_len+72(FP), CX
+
+grow:
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   gtail
+
+gloop:
+	VMOVDQU32  (DX)(AX*4), Z1
+	KXNORW     K1, K1, K1
+	VGATHERDPS (SI)(Z1*4), K1, Z0
+	VMOVUPS    Z0, (DI)(AX*4)
+	ADDQ       $16, AX
+	DECQ       BX
+	JNZ        gloop
+
+gtail:
+	CMPQ AX, CX
+	JGE  gnext
+	KMOVW       K2, K1
+	VMOVDQU32.Z (DX)(AX*4), K1, Z1
+	VGATHERDPS  (SI)(Z1*4), K1, Z0
+	KMOVW       K2, K1
+	VMOVUPS     Z0, K1, (DI)(AX*4)
+
+gnext:
+	ADDQ R10, DI
+	ADDQ R11, SI
+	DECQ R9
+	JNZ  grow
+	VZEROUPPER
+
+gdone:
+	RET

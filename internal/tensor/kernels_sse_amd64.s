@@ -433,3 +433,31 @@ store8:
 	MOVUPS X0, 0(DI)
 	MOVUPS X1, 16(DI)
 	RET
+
+// func passIfPositiveSSEAsm(dst, src, gate []float32)
+// dst[i] = src[i] where gate[i] > 0, else +0, for i < len(gate), a multiple
+// of 4: CMPPS's LT_OS on (0, gate) is false for -0, negatives and NaN, and
+// its all-ones or all-zeros lanes are ANDed with src's bits.
+TEXT ·passIfPositiveSSEAsm(SB), NOSPLIT, $0-72
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  gate_base+48(FP), DX
+	MOVQ  gate_len+56(FP), BX
+	SHRQ  $2, BX
+	JZ    pipdone
+	XORQ  AX, AX
+	XORPS X7, X7
+
+piploop:
+	MOVAPS X7, X0
+	MOVUPS (DX)(AX*4), X1
+	CMPPS  X1, X0, $1
+	MOVUPS (SI)(AX*4), X2
+	ANDPS  X2, X0
+	MOVUPS X0, (DI)(AX*4)
+	ADDQ   $4, AX
+	DECQ   BX
+	JNZ    piploop
+
+pipdone:
+	RET

@@ -256,7 +256,7 @@ func TestMulBatch1SkipZeroBitwise(t *testing.T) {
 			Mul(got, a, b)
 			mulScalar(want, a, b)
 			bitsEqual(t, "Mul(1×k)", got, want)
-			Default().gemmAccum(false, 1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, 1, dense.Data, sh.n)
+			Default().gemmAccum(false, 1, sh.n, sh.k, a.Data, sh.k, 1, b.Data, sh.n, 1, dense.Data, sh.n, nil)
 			bitsEqual(t, "Mul(1×k) vs dense driver", got, dense)
 		}
 	})

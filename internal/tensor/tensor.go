@@ -107,17 +107,15 @@ func (m *Matrix) Scale(alpha float32) {
 }
 
 // AddRowVector adds the 1×Cols vector v to every row of m, splitting the rows
-// across w.
+// across w. Each row is a Saxpy with alpha 1, whose product is exact, so
+// every tier rounds each sum once, as the scalar loop did.
 func (m *Matrix) AddRowVector(w *Workers, v []float32) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector got %d elements for %d columns", len(v), m.Cols))
 	}
 	w.ParallelFor(m.Rows, RowGrain(m.Cols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			row := m.Row(r)
-			for c, b := range v {
-				row[c] += b
-			}
+			Saxpy(1, v, m.Row(r))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -231,11 +232,21 @@ func lowerBound(col *relation.Column, lit string) (int32, bool, error) {
 }
 
 // ceilCode compares an integer column with a literal that is not an int64
-// on floats: the lower-bound code of the literal's ceiling, never exact.
+// on floats: the lower-bound code of the literal's ceiling, never exact. A
+// literal past either end of int64 is clamped before it is converted (Go
+// leaves the conversion of an out-of-range float implementation-defined):
+// at or above 2^63 it is above every value, below -2^63 below every one.
 func ceilCode(col *relation.Column, lit string) (int32, bool, error) {
 	f, err := strconv.ParseFloat(lit, 64)
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, false, err
+	case math.IsNaN(f):
+		return 0, false, fmt.Errorf("workload: %q is not a number", lit)
+	case f >= 1<<63:
+		return int32(col.NumDistinct()), false, nil
+	case f < -1<<63:
+		return 0, false, nil
 	}
 	lb, _ := col.CodeOfInt(int64(f) + boolToInt(f > float64(int64(f))))
 	return lb, false, nil

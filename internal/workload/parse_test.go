@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -367,6 +368,46 @@ func TestParseBeyondDictionaryClamps(t *testing.T) {
 		if !tc.empty && (lo != 0 || hi != ndv-1) {
 			t.Fatalf("%s: want the full domain, got [%d,%d]", tc.expr, lo, hi)
 		}
+	}
+}
+
+// TestParseIntegerBeyondInt64: a literal past either end of int64 compares
+// with an integer column as the number it is, even on a column that holds
+// MinInt64, where the float conversion used to land.
+func TestParseIntegerBeyondInt64(t *testing.T) {
+	tbl := relation.NewTable("t", []*relation.Column{
+		relation.NewIntColumn("i", []int64{math.MinInt64, 5, 7}),
+	})
+	for _, tc := range []struct {
+		lit  string
+		rows map[Op]int // rows each op selects
+	}{
+		{"99999999999999999999", map[Op]int{OpLt: 3, OpLe: 3, OpEq: 0, OpGt: 0, OpGe: 0}},
+		{"9223372036854775808", map[Op]int{OpLt: 3, OpLe: 3, OpEq: 0, OpGt: 0, OpGe: 0}},
+		{"-99999999999999999999", map[Op]int{OpLt: 0, OpLe: 0, OpEq: 0, OpGt: 3, OpGe: 3}},
+		{"-9223372036854775809", map[Op]int{OpLt: 0, OpLe: 0, OpEq: 0, OpGt: 3, OpGe: 3}},
+		{"99999999999999999999.5", map[Op]int{OpLt: 3, OpLe: 3, OpEq: 0, OpGt: 0, OpGe: 0}},
+		{"-99999999999999999999.5", map[Op]int{OpLt: 0, OpLe: 0, OpEq: 0, OpGt: 3, OpGe: 3}},
+	} {
+		for op, want := range tc.rows {
+			expr := "i" + opText(op) + tc.lit
+			q, err := ParseQuery(tbl, expr)
+			if err != nil {
+				t.Fatalf("%s: %v", expr, err)
+			}
+			p, got := q.Preds[0], 0
+			for row := 0; row < tbl.NumRows(); row++ {
+				if p.Matches(tbl.Cols[0].Codes.At(row)) {
+					got++
+				}
+			}
+			if got != want {
+				t.Errorf("%s parses to %v, which selects %d rows, want %d", expr, p, got, want)
+			}
+		}
+	}
+	if _, err := ParseQuery(tbl, "i<NaN"); err == nil {
+		t.Error("i<NaN parsed")
 	}
 }
 
