@@ -39,10 +39,14 @@ bench:
 # active tier, as tensor.gemm_gflop_s and core.train_tuples_per_s.
 # ParallelForPhase prices one fork and join on a two-wide worker set (µs per
 # phase): empty with the worker awake, empty after it has parked (the wake),
-# and a 128K-element ReLU.
+# and a 128K-element ReLU. SoftmaxCE is a step's L_data (loss and logit
+# gradient, 1,024 rows) at the census and DMV block shapes on 1 and 2
+# workers, AdamStep one update of a census-sized net, and the Hybrid steps
+# add the query pass (λ 0.1, 1,500 labelled In-Q queries).
 bench-train:
 	$(GO) test -run='^$$' -bench='TrainGEMMTier|ParallelForPhase' -benchmem ./internal/tensor
-	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)$$' -benchmem ./internal/core
+	$(GO) test -run='^$$' -bench='SoftmaxCE|AdamStep' -benchmem ./internal/nn
+	$(GO) test -run='^$$' -bench='TrainStep(DMV|Census)(Hybrid)?$$' -benchmem ./internal/core
 
 # The serving-side kernel figure: Plan.Forward in µs per row on untrained
 # DMV- and census-shaped nets, one row per call (b1) and 64 rows per call

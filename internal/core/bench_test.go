@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"duet/internal/exec"
 	"duet/internal/relation"
 	"duet/internal/workload"
 )
@@ -73,11 +74,19 @@ func BenchmarkTrainStep(b *testing.B) {
 // way a training run reuses them, and reports source tuples per second — the
 // figure benchmark/ publishes as core.train_tuples_per_s.
 func benchTrainStep(b *testing.B, tbl *relation.Table, cfg Config) {
+	benchTrainSteps(b, tbl, cfg, 0, nil)
+}
+
+// benchTrainSteps is benchTrainStep with λ lambda and the labelled queries
+// wl, which the caller labels before the timer starts: each step adds a
+// query pass over QueryBatch (64) of them, the hybrid half of Algorithm 2.
+func benchTrainSteps(b *testing.B, tbl *relation.Table, cfg Config, lambda float64, wl []workload.LabeledQuery) {
 	const steps = 2
 	m := NewModel(tbl, cfg)
 	tc := DefaultTrainConfig()
 	tc.Epochs = 1
-	tc.Lambda = 0
+	tc.Lambda = lambda
+	tc.Workload = wl
 	tc.Source = &cyclingSource{t: tbl}
 	tc.SourceRows = steps * tc.BatchSize
 	b.ReportAllocs()
@@ -98,6 +107,24 @@ func BenchmarkTrainStepDMV(b *testing.B) {
 // 128-128 over 14 columns, where the GEMMs are under half of a step.
 func BenchmarkTrainStepCensus(b *testing.B) {
 	benchTrainStep(b, relation.SynCensus(20000, 1), DefaultConfig())
+}
+
+// benchTrainStepHybrid is benchTrainStep at the paper's λ 0.1 with 1,500
+// In-Q training queries, labelled outside the timer.
+func benchTrainStepHybrid(b *testing.B, tbl *relation.Table, cfg Config) {
+	wl := exec.Label(tbl, workload.Generate(tbl, workload.InQConfig(tbl.NumCols(), 1500, workload.LargestColumn(tbl))))
+	benchTrainSteps(b, tbl, cfg, 0.1, wl)
+}
+
+// BenchmarkTrainStepCensusHybrid is BenchmarkTrainStepCensus with the query
+// loss: Duet rather than DuetD.
+func BenchmarkTrainStepCensusHybrid(b *testing.B) {
+	benchTrainStepHybrid(b, relation.SynCensus(20000, 1), DefaultConfig())
+}
+
+// BenchmarkTrainStepDMVHybrid is BenchmarkTrainStepDMV with the query loss.
+func BenchmarkTrainStepDMVHybrid(b *testing.B) {
+	benchTrainStepHybrid(b, relation.SynDMV(20000, 1), DMVConfig())
 }
 
 // BenchmarkEstimateBurstDMV is one embed_burst call without the harness: 64

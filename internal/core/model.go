@@ -207,24 +207,17 @@ func (m *Model) SizeBytes() int64 { return nn.SizeBytes(m.params) }
 // mpsns, one per column, run first and their outputs fill the column blocks;
 // they cache their activations, so no two calls may run the same ones at
 // once. buf is resized (keeping capacity) and fully overwritten, so the
-// serving hot path encodes micro-batches without allocating; Forward passes
-// a new matrix every call, because the first layer keeps its input for
-// backward.
-func (e *encoder) encodeBatch(w *tensor.Workers, specs []Spec, mpsns []MPSN, buf *tensor.Matrix) *tensor.Matrix {
+// serving hot path encodes micro-batches without allocating. rows, when
+// true, splits a direct encoding's rows across w: training's batches are
+// large enough to pay for the fork, and a serving pass's are not.
+func (e *encoder) encodeBatch(w *tensor.Workers, specs []Spec, mpsns []MPSN, buf *tensor.Matrix, rows bool) *tensor.Matrix {
 	b := len(specs)
 	x := buf.Resize(b, e.in.Tot)
 	if e.encs != nil {
-		for r, spec := range specs {
-			row := x.Row(r)
-			for i, enc := range e.encs {
-				dst := e.in.Slice(row, i)
-				if len(spec[i]) == 0 {
-					enc.encodeWildcard(dst)
-				} else {
-					p := spec[i][0]
-					encodePred(dst, enc.codec, p.Op, p.Code)
-				}
-			}
+		if rows {
+			w.ParallelFor(b, tensor.RowGrain(e.in.Tot), func(lo, hi int) { e.encodeRows(x, specs, lo, hi) })
+		} else {
+			e.encodeRows(x, specs, 0, b)
 		}
 		return x
 	}
@@ -246,15 +239,37 @@ func (e *encoder) encodeBatch(w *tensor.Workers, specs []Spec, mpsns []MPSN, buf
 	return x
 }
 
+// encodeRows writes the direct encoding of specs[lo:hi] into x's rows lo..hi-1.
+func (e *encoder) encodeRows(x *tensor.Matrix, specs []Spec, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		row, spec := x.Row(r), specs[r]
+		for i, enc := range e.encs {
+			dst := e.in.Slice(row, i)
+			if len(spec[i]) == 0 {
+				enc.encodeWildcard(dst)
+			} else {
+				p := spec[i][0]
+				encodePred(dst, enc.codec, p.Op, p.Code)
+			}
+		}
+	}
+}
+
 // Forward encodes specs and runs the autoregressive network's layer stack,
 // returning per-column logits: the training forward, and the reference tests
 // compare the packed plan against. No estimate runs through it, and it
 // records nothing on the model beyond the layers' activations. It runs on the
-// default worker set; a training step passes its own.
-func (m *Model) Forward(specs []Spec) *tensor.Matrix { return m.forward(tensor.Default(), specs) }
+// default worker set and encodes into a new matrix, which the first layer
+// keeps for backward.
+func (m *Model) Forward(specs []Spec) *tensor.Matrix {
+	return m.forward(tensor.Default(), specs, new(tensor.Matrix))
+}
 
-func (m *Model) forward(w *tensor.Workers, specs []Spec) *tensor.Matrix {
-	return m.net.Net.Forward(w, m.encodeBatch(w, specs, m.mpsns, new(tensor.Matrix)))
+// forward is Forward on w, encoding into in: a training step passes one
+// buffer for all of its forwards, since each backward is done with the
+// first layer's input before the next forward overwrites it.
+func (m *Model) forward(w *tensor.Workers, specs []Spec, in *tensor.Matrix) *tensor.Matrix {
+	return m.net.Net.Forward(w, m.encodeBatch(w, specs, m.mpsns, in, true))
 }
 
 // backward backpropagates the logit gradient of the last forward, which ran
@@ -473,7 +488,7 @@ func (s *Snapshot) estimate(w *tensor.Workers, out []float64, qs []workload.Quer
 	ps := s.passes.Get().(*pass)
 	defer s.passes.Put(ps)
 	specs := ps.buildSpecs(&s.encoder, qs)
-	x := s.encodeBatch(w, specs, ps.mpsns, &ps.x)
+	x := s.encodeBatch(w, specs, ps.mpsns, &ps.x, false)
 	if encoded != nil {
 		*encoded = time.Now()
 	}

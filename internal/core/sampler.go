@@ -70,7 +70,7 @@ func (st *ImportanceStats) draw(rng *rand.Rand, col int, x int32) (ColPred, bool
 	return ColPred{}, false
 }
 
-// SampleSpecsForLabels implements the paper's parallel vectorized sampling
+// sampleSpecs implements the paper's parallel vectorized sampling
 // (Algorithm 1) over pre-filled label tuples: for every tuple and every
 // column it draws a predicate operator uniformly via the slice trick and a
 // predicate value uniformly from the operator's satisfying range, so the
@@ -82,15 +82,21 @@ func (st *ImportanceStats) draw(rng *rand.Rand, col int, x int32) (ColPred, bool
 // thread-per-column C++ extension. Training reuses specs across steps, so
 // each specs[k] must already hold one (possibly truncated) predicate list
 // per column — the lists are overwritten, not appended to. The column chunks
-// run on w.
-func SampleSpecsForLabels(w *tensor.Workers, t *relation.Table, specs []Spec, labels [][]int32, cfg SamplerConfig, epoch int) {
-	maxP := cfg.MaxPredsPerCol
-	if maxP < 1 {
-		maxP = 1
-	}
+// run on w. rngs holds one RNG slot per column: a nil slot gets a new
+// generator, a filled one is reseeded, which restarts it exactly where a
+// new one would start, so a training loop keeps its
+// generators from step to step.
+func sampleSpecs(w *tensor.Workers, t *relation.Table, specs []Spec, labels [][]int32, cfg SamplerConfig, epoch int, rngs []*rand.Rand) {
+	maxP := max(cfg.MaxPredsPerCol, 1)
 	w.ParallelFor(t.NumCols(), 1, func(lo, hi int) {
 		for col := lo; col < hi; col++ {
-			sampleColumn(t, specs, labels, col, cfg, maxP, epoch)
+			seed := cfg.Seed ^ int64(epoch)*1000003 ^ int64(col)*7919
+			if rngs[col] == nil {
+				rngs[col] = rand.New(rand.NewSource(seed))
+			} else {
+				rngs[col].Seed(seed)
+			}
+			sampleColumn(rngs[col], t, specs, labels, col, cfg, maxP)
 		}
 	})
 }
@@ -99,11 +105,16 @@ func SampleSpecsForLabels(w *tensor.Workers, t *relation.Table, specs []Spec, la
 // assigned with the slice trick: the batch is divided into NumOps contiguous
 // slices, each slice getting one operator from a per-column shuffled order —
 // the vectorized equivalent of uniform operator assignment.
-func sampleColumn(t *relation.Table, specs []Spec, labels [][]int32, col int, cfg SamplerConfig, maxP, epoch int) {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(epoch)*1000003 ^ int64(col)*7919))
+func sampleColumn(rng *rand.Rand, t *relation.Table, specs []Spec, labels [][]int32, col int, cfg SamplerConfig, maxP int) {
 	ndv := int32(t.Cols[col].NumDistinct())
 	b := len(specs)
-	opOrder := rng.Perm(int(workload.NumOps))
+	// rng.Perm's draws, into an array instead of a new slice.
+	var opOrder [workload.NumOps]int
+	for i := range opOrder {
+		j := rng.Intn(i + 1)
+		opOrder[i] = opOrder[j]
+		opOrder[j] = i
+	}
 	for k := 0; k < b; k++ {
 		specs[k][col] = specs[k][col][:0] // reused spec buffers carry stale lists
 		if rng.Float64() < cfg.WildcardProb {

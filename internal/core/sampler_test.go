@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"duet/internal/relation"
@@ -29,7 +30,7 @@ func sampleVirtualTuples(tbl *relation.Table, rows []int, cfg SamplerConfig, epo
 		specs[k] = make(Spec, tbl.NumCols())
 		labels[k] = tbl.RowCodes(rows[k/cfg.Mu], nil)
 	}
-	SampleSpecsForLabels(tensor.Default(), tbl, specs, labels, cfg, epoch)
+	sampleSpecs(tensor.Default(), tbl, specs, labels, cfg, epoch, make([]*rand.Rand, tbl.NumCols()))
 	return specs, labels
 }
 

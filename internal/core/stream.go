@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"duet/internal/relation"
 	"duet/internal/tensor"
 )
@@ -33,8 +35,11 @@ func (s *tableRows) DrawTuples(dst [][]int32) {
 
 // streamBatch owns the reusable buffers every training step builds its
 // virtual tuples in: one flat label slab (re-sliced per step), the per-tuple
-// views into it, the draw destinations handed to the source, and the spec
-// lists. After the first step at full batch size, steps stop allocating
+// views into it, the draw destinations handed to the source, the spec lists
+// and the sampler's per-column generators. Every spec's column lists are
+// carved from one predicate slab, each with room for the sampler's most
+// predicates per column, so appending to one never allocates or reaches the
+// next. After the first step at full batch size, steps stop allocating
 // label or spec storage — the pooled-buffer analogue of what the serving
 // engine does for inference scratch.
 type streamBatch struct {
@@ -43,6 +48,8 @@ type streamBatch struct {
 	labels [][]int32
 	draw   [][]int32
 	specs  []Spec
+	maxP   int // room in each spec list
+	rngs   []*rand.Rand
 }
 
 // next implements Algorithm 1 for one step: it draws `batch` tuples from src,
@@ -74,10 +81,28 @@ func (sb *streamBatch) next(w *tensor.Workers, m *Model, src TupleSource, batch,
 			copy(sb.labels[k*mu+j], sb.labels[k*mu])
 		}
 	}
-	for len(sb.specs) < need {
-		sb.specs = append(sb.specs, make(Spec, sb.ncols))
+	if maxP := max(cfg.MaxPredsPerCol, 1); len(sb.specs) < need || sb.maxP != maxP {
+		sb.carve(need, maxP)
+	}
+	if sb.rngs == nil {
+		sb.rngs = make([]*rand.Rand, sb.ncols)
 	}
 	specs := sb.specs[:need]
-	SampleSpecsForLabels(w, m.table, specs, sb.labels, cfg, epoch)
+	sampleSpecs(w, m.table, specs, sb.labels, cfg, epoch, sb.rngs)
 	return specs, sb.labels
+}
+
+// carve lays out n specs, their column lists and maxP predicates per list
+// in three allocations.
+func (sb *streamBatch) carve(n, maxP int) {
+	sb.maxP = maxP
+	sb.specs = make([]Spec, n)
+	lists := make([][]ColPred, n*sb.ncols)
+	preds := make([]ColPred, n*sb.ncols*maxP)
+	for i := range lists {
+		lists[i] = preds[i*maxP : i*maxP : (i+1)*maxP]
+	}
+	for k := range sb.specs {
+		sb.specs[k] = lists[k*sb.ncols : (k+1)*sb.ncols : (k+1)*sb.ncols]
+	}
 }

@@ -188,6 +188,7 @@ func train(w *tensor.Workers, m *Model, cfg TrainConfig) []EpochStats {
 type trainState struct {
 	w         *tensor.Workers
 	opt       *nn.Adam
+	in        tensor.Matrix // network input of the data pass, then of the query pass
 	dLogits   tensor.Matrix // logit gradient of the data pass, then of the query pass
 	lossTerms []float64     // nn.SoftmaxCE's per-(row, block) loss terms
 }
@@ -198,7 +199,7 @@ type trainState struct {
 func (m *Model) step(ts *trainState, specs []Spec, labels [][]int32, queries []workload.LabeledQuery, lambda, clipNorm float64) (dataLoss, qLoss, rawQ float64) {
 	nn.ZeroGrads(m.params)
 	if len(specs) > 0 {
-		logits := m.forward(ts.w, specs)
+		logits := m.forward(ts.w, specs, &ts.in)
 		dLogits := ts.zeroedGrad(logits)
 		dataLoss = nn.SoftmaxCE(ts.w, logits, m.net.Out, labels, dLogits, &ts.lossTerms)
 		m.backward(ts.w, specs, dLogits)
@@ -217,10 +218,11 @@ func (m *Model) step(ts *trainState, specs []Spec, labels [][]int32, queries []w
 // cleared: both loss passes accumulate into it with +=. One buffer serves the
 // data pass and then the query pass of a step (backward is done with it when
 // it returns), so the step's largest matrix — 8.5 MB on the DMV model — is
-// allocated once per training call, not twice per step.
+// allocated once per training call, not twice per step. The clear is split
+// by rows across the step's workers.
 func (ts *trainState) zeroedGrad(logits *tensor.Matrix) *tensor.Matrix {
 	d := ts.dLogits.Resize(logits.Rows, logits.Cols)
-	d.Zero()
+	ts.w.ParallelFor(d.Rows, tensor.RowGrain(d.Cols), func(lo, hi int) { clear(d.Data[lo*d.Cols : hi*d.Cols]) })
 	return d
 }
 
@@ -239,7 +241,7 @@ func (m *Model) queryLossBackward(ts *trainState, batch []workload.LabeledQuery,
 	for i, lq := range batch {
 		specs[i] = m.SpecFromQuery(lq.Query)
 	}
-	logits := m.forward(ts.w, specs)
+	logits := m.forward(ts.w, specs, &ts.in)
 	dLogits := ts.zeroedGrad(logits)
 	total := float64(m.table.NumRows())
 	scale := lambda / float64(len(batch))

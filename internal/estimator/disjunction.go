@@ -1,6 +1,10 @@
 package estimator
 
-import "duet/internal/workload"
+import (
+	"fmt"
+
+	"duet/internal/workload"
+)
 
 // DNFQuery is a disjunction of conjunctive queries (OR of ANDs). The paper
 // supports disjunctions by converting them into conjunctions; this helper
@@ -16,14 +20,15 @@ type DNFQuery struct {
 //
 // Each intersection is itself a conjunction (predicate lists concatenated),
 // estimable by the underlying model. The number of estimator calls is
-// 2^k − 1, so k is capped at MaxDNFTerms.
-func EstimateDNF(est Estimator, q DNFQuery, tableRows int64) float64 {
+// 2^k − 1, so a disjunction of more than MaxDNFTerms terms is an error:
+// estimating only the first MaxDNFTerms would undercount.
+func EstimateDNF(est Estimator, q DNFQuery, tableRows int64) (float64, error) {
 	k := len(q.Terms)
 	if k == 0 {
-		return 0
+		return 0, nil
 	}
 	if k > MaxDNFTerms {
-		k = MaxDNFTerms
+		return 0, fmt.Errorf("estimator: a disjunction of %d terms exceeds MaxDNFTerms (%d)", k, MaxDNFTerms)
 	}
 	var total float64
 	for mask := 1; mask < 1<<k; mask++ {
@@ -42,13 +47,7 @@ func EstimateDNF(est Estimator, q DNFQuery, tableRows int64) float64 {
 			total -= card
 		}
 	}
-	if total < 0 {
-		total = 0
-	}
-	if max := float64(tableRows); total > max {
-		total = max
-	}
-	return total
+	return min(max(total, 0), float64(tableRows)), nil
 }
 
 // MaxDNFTerms bounds inclusion-exclusion blow-up (2^k − 1 estimator calls).

@@ -70,10 +70,10 @@ func TestEstimateDNFExactWithExactOracle(t *testing.T) {
 		}},
 	}
 	for i, q := range cases {
-		got := EstimateDNF(est, q, int64(tbl.NumRows()))
+		got, err := EstimateDNF(est, q, int64(tbl.NumRows()))
 		want := bruteDNF(tbl, q)
-		if got != want {
-			t.Fatalf("case %d: got %v want %v", i, got, want)
+		if err != nil || got != want {
+			t.Fatalf("case %d: got %v (%v) want %v", i, got, err, want)
 		}
 	}
 }
@@ -81,19 +81,37 @@ func TestEstimateDNFExactWithExactOracle(t *testing.T) {
 func TestEstimateDNFEdgeCases(t *testing.T) {
 	tbl := disjTable()
 	est := exactEstimator{t: tbl}
-	if got := EstimateDNF(est, DNFQuery{}, 500); got != 0 {
-		t.Fatalf("empty DNF: %v", got)
+	if got, err := EstimateDNF(est, DNFQuery{}, 500); got != 0 || err != nil {
+		t.Fatalf("empty DNF: %v, %v", got, err)
 	}
 	// A single term is just the conjunction.
 	q := DNFQuery{Terms: []workload.Query{
 		{Preds: []workload.Predicate{{Col: 1, Op: workload.OpGe, Code: 3}}},
 	}}
-	if got, want := EstimateDNF(est, q, 500), est.EstimateCard(q.Terms[0]); got != want {
-		t.Fatalf("single term: %v vs %v", got, want)
+	if got, err := EstimateDNF(est, q, 500); got != est.EstimateCard(q.Terms[0]) || err != nil {
+		t.Fatalf("single term: %v (%v) vs %v", got, err, est.EstimateCard(q.Terms[0]))
 	}
 	// Result is clamped to [0, |T|] even with an inconsistent estimator.
 	bad := constEstimator{card: 1e9}
-	if got := EstimateDNF(bad, q, 500); got != 500 {
-		t.Fatalf("clamp: %v", got)
+	if got, err := EstimateDNF(bad, q, 500); got != 500 || err != nil {
+		t.Fatalf("clamp: %v, %v", got, err)
+	}
+}
+
+// TestEstimateDNFRejectsTooManyTerms: a ninth term is an error, not dropped
+// (which would undercount), and MaxDNFTerms terms still estimate exactly.
+func TestEstimateDNFRejectsTooManyTerms(t *testing.T) {
+	tbl := disjTable()
+	est := exactEstimator{t: tbl}
+	var q DNFQuery
+	for c := int32(0); c <= MaxDNFTerms; c++ {
+		q.Terms = append(q.Terms, workload.Query{Preds: []workload.Predicate{{Col: 0, Op: workload.OpEq, Code: c}}})
+	}
+	if got, err := EstimateDNF(est, q, 500); err == nil {
+		t.Fatalf("%d terms: got %v and no error", len(q.Terms), got)
+	}
+	q.Terms = q.Terms[:MaxDNFTerms]
+	if got, err := EstimateDNF(est, q, 500); err != nil || got != bruteDNF(tbl, q) {
+		t.Fatalf("%d terms: got %v (%v), want %v", MaxDNFTerms, got, err, bruteDNF(tbl, q))
 	}
 }

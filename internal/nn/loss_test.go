@@ -52,10 +52,10 @@ func TestSoftmaxExtremeLogits(t *testing.T) {
 	}
 }
 
-// TestSoftmaxChunksMatchScalarLoop holds Softmax (in place too) and
-// LogSumExp, which take their exponentials a stack chunk at a time, to the
-// one-element-at-a-time math.Exp loops they replaced, bit for bit, at widths
-// on both sides of a chunk boundary.
+// TestSoftmaxChunksMatchScalarLoop holds Softmax (in place too), which takes
+// its exponentials a stack chunk at a time, to the one-element-at-a-time
+// math.Exp loop it replaced, bit for bit, at widths on both sides of a chunk
+// boundary.
 func TestSoftmaxChunksMatchScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 3, 4, expChunk - 1, expChunk, expChunk + 1, 600, 1243} {
@@ -86,19 +86,6 @@ func TestSoftmaxChunksMatchScalarLoop(t *testing.T) {
 				t.Fatalf("n=%d: Softmax[%d] = %v (in place %v), scalar loop %v", n, i, got[i], inPlace[i], want[i])
 			}
 		}
-		if got, want := LogSumExp(logits), mx+math.Log(sum); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: LogSumExp %v, scalar loop %v", n, got, want)
-		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float32{0, 0})
-	if math.Abs(got-math.Log(2)) > 1e-6 {
-		t.Fatalf("LogSumExp([0,0])=%v", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("empty LogSumExp should be -inf")
 	}
 }
 
@@ -128,8 +115,9 @@ func TestSoftmaxCESkipsWildcardLabels(t *testing.T) {
 	}
 }
 
-// softmaxCESerial is the one-goroutine reference SoftmaxCE must match bit for
-// bit: one pass over rows and blocks, the loss summed as it goes.
+// softmaxCESerial is the reference SoftmaxCE must match bit for bit: the
+// per-block loop it replaced, on one goroutine, with every exponential a
+// scalar math.Exp and the loss summed as it goes.
 func softmaxCESerial(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLogits *tensor.Matrix) float64 {
 	invB := 1.0 / float64(logits.Rows)
 	var total float64
@@ -140,8 +128,11 @@ func softmaxCESerial(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLo
 				continue
 			}
 			seg := blocks.Slice(logits.Row(r), bi)
-			lse := LogSumExp(seg)
+			lse := logSumExp(seg)
 			total += lse - float64(seg[y])
+			if dLogits == nil {
+				continue
+			}
 			dSeg := blocks.Slice(dLogits.Row(r), bi)
 			for j, v := range seg {
 				dSeg[j] += float32(math.Exp(float64(v)-lse) * invB)
@@ -150,6 +141,26 @@ func softmaxCESerial(logits *tensor.Matrix, blocks Blocks, labels [][]int32, dLo
 		}
 	}
 	return total * invB
+}
+
+// logSumExp is log Σ exp(seg[i]) as the per-block loop took it: a float64
+// max by >, −Inf without a sum when the max is −Inf, else the max plus the
+// log of an ascending sum.
+func logSumExp(seg []float32) float64 {
+	mx := math.Inf(-1)
+	for _, v := range seg {
+		if fv := float64(v); fv > mx {
+			mx = fv
+		}
+	}
+	if math.IsInf(mx, -1) {
+		return mx
+	}
+	var sum float64
+	for _, v := range seg {
+		sum += math.Exp(float64(v) - mx)
+	}
+	return mx + math.Log(sum)
 }
 
 // TestSoftmaxCEParallelMatchesSerial: splitting the batch across workers
@@ -188,6 +199,72 @@ func TestSoftmaxCEParallelMatchesSerial(t *testing.T) {
 		}
 		w.Close()
 	}
+}
+
+// FuzzSoftmaxCE holds SoftmaxCE on the active tier to softmaxCESerial,
+// loss bits and every gradient bit, at 1 and 2 workers, on random block
+// layouts of 1 to 1,300 logits per block, labels of −1, and logits that
+// hold NaN, ±Inf and ±0 or lie 708 and more apart. A NaN matches any NaN:
+// which of two NaN operands an add returns depends on the operand order
+// the compiler picks for a Go +=, in the reference as much as anywhere.
+func FuzzSoftmaxCE(f *testing.F) {
+	f.Add(int64(1), uint8(14), uint16(100), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(11), uint16(1300), uint8(1), uint8(2))
+	f.Add(int64(3), uint8(5), uint16(9), uint8(2), uint8(40))
+	f.Add(int64(4), uint8(1), uint16(1), uint8(3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nb uint8, maxLen uint16, mode, rows uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		lens := make([]int, 1+int(nb)%16)
+		for i := range lens {
+			lens[i] = 1 + rng.Intn(1+int(maxLen)%1300)
+		}
+		blocks := NewBlocks(lens)
+		batch := 1 + int(rows)%48
+		logits := tensor.New(batch, blocks.Tot)
+		special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+		for i := range logits.Data {
+			switch v := float32(rng.NormFloat64() * 4); {
+			case mode%4 == 1 && rng.Intn(8) == 0:
+				logits.Data[i] = special[rng.Intn(len(special))]
+			case mode%4 == 2 && rng.Intn(4) == 0: // 708 and more from the rest
+				logits.Data[i] = v + float32(708+rng.Intn(400))*float32(1-2*rng.Intn(2))
+			case mode%4 == 3 && rng.Intn(3) == 0: // a zero max, or all -Inf
+				logits.Data[i] = special[1+rng.Intn(4)]
+			default:
+				logits.Data[i] = v
+			}
+		}
+		labels := make([][]int32, batch)
+		for r := range labels {
+			labels[r] = make([]int32, len(lens))
+			for bi, n := range lens {
+				labels[r][bi] = int32(rng.Intn(n+1)) - 1
+			}
+		}
+		prior := tensor.New(batch, blocks.Tot)
+		tensor.RandUniform(prior, 1, rng)
+		wantD := prior.Clone()
+		want := softmaxCESerial(logits, blocks, labels, wantD)
+		for _, workers := range []int{1, 2} {
+			w := tensor.NewWorkers(workers)
+			gotD := prior.Clone()
+			got := SoftmaxCE(w, logits, blocks, labels, gotD, nil)
+			w.Close()
+			if !sameBits(got, want) {
+				t.Fatalf("%d workers, blocks %v: loss %v (%#x), per-block loop %v (%#x)", workers, lens, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			for i, v := range wantD.Data {
+				if !sameBits(float64(gotD.Data[i]), float64(v)) {
+					t.Fatalf("%d workers, blocks %v: dLogits[%d] = %v (%#x), per-block loop %v (%#x)", workers, lens, i, gotD.Data[i], math.Float32bits(gotD.Data[i]), v, math.Float32bits(v))
+				}
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b have the same bits or are both NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
 func TestMSE(t *testing.T) {
@@ -256,6 +333,51 @@ func TestOptimizersReduceQuadratic(t *testing.T) {
 			t.Fatalf("Adam failed to converge: %v", p.W.Data)
 		}
 	}
+}
+
+// FuzzAdamStep holds Adam.Step on the active tier to the generic loop it
+// runs, every weight and moment bit (a NaN matches any NaN), over several
+// steps of a parameter whose length covers the kernels' groups and tails,
+// with gradients that hold NaN, ±Inf, ±0 and values far apart.
+func FuzzAdamStep(f *testing.F) {
+	f.Add(int64(1), uint16(127), uint8(3), false)
+	f.Add(int64(2), uint16(8), uint8(1), true)
+	f.Add(int64(3), uint16(1), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, steps uint8, special bool) {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewParam("w", 1, 1+int(n)%4096)
+		tensor.RandUniform(p.W, 1, rng)
+		want := p.W.Clone()
+		m, v := tensor.New(1, len(want.Data)), tensor.New(1, len(want.Data))
+		opt := NewAdam(1e-3)
+		specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)), 1e30, 1e-30}
+		for s := 1; s <= 1+int(steps)%5; s++ {
+			for i := range p.G.Data {
+				p.G.Data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+				if special && rng.Intn(6) == 0 {
+					p.G.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			opt.Step(tensor.Default(), []*Param{p})
+			// Adam.Step's update on one thread, as the loop wrote it: each
+			// float32 product and sum rounded on its own, the step in float64.
+			lr := opt.LR * math.Sqrt(1-math.Pow(opt.Beta2, float64(s))) / (1 - math.Pow(opt.Beta1, float64(s)))
+			b1, b2 := float32(opt.Beta1), float32(opt.Beta2)
+			for i, g := range p.G.Data {
+				m.Data[i] = float32(b1*m.Data[i]) + float32((1-b1)*g)
+				v.Data[i] = float32(b2*v.Data[i]) + float32(float32((1-b2)*g)*g)
+				want.Data[i] -= float32(lr * float64(m.Data[i]) / (math.Sqrt(float64(v.Data[i])) + opt.Eps))
+			}
+			for i := range want.Data {
+				for _, pair := range [][2]float32{{p.W.Data[i], want.Data[i]}, {opt.m[p].Data[i], m.Data[i]}, {opt.v[p].Data[i], v.Data[i]}} {
+					if !sameBits(float64(pair[0]), float64(pair[1])) {
+						t.Fatalf("step %d, %d parameters, [%d]: weight/moments %v, %v, %v; loop %v, %v, %v", s, len(want.Data), i,
+							p.W.Data[i], opt.m[p].Data[i], opt.v[p].Data[i], want.Data[i], m.Data[i], v.Data[i])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestIntervalMass: the mass is an explicit Softmax plus a float64 sum over

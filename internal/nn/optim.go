@@ -39,12 +39,7 @@ func (o *Adam) Step(w *tensor.Workers, params []*Param) {
 		}
 		v := o.v[p]
 		w.ParallelFor(len(p.G.Data), tensor.ElemGrain, func(lo, hi int) {
-			ms, vs, ws := m.Data[lo:hi], v.Data[lo:hi], p.W.Data[lo:hi]
-			for i, g := range p.G.Data[lo:hi] {
-				ms[i] = b1*ms[i] + (1-b1)*g
-				vs[i] = b2*vs[i] + (1-b2)*g*g
-				ws[i] -= float32(lr * float64(ms[i]) / (math.Sqrt(float64(vs[i])) + o.Eps))
-			}
+			tensor.AdamUpdate(p.W.Data[lo:hi], p.G.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi], b1, b2, lr, o.Eps)
 		})
 	}
 }

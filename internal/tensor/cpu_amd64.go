@@ -69,5 +69,7 @@ func amd64Tiers(ecx1, ebx7, xcr0 uint32) []kernel {
 	avx512.axpyPanelG, avx512.panelRows = axpyPanel4AVX512Asm, 4
 	avx512.nonzeros = nonzerosAVX512Asm
 	avx512.passPos, avx512.gather = passIfPositiveAVX512, gatherRowsAVX512Asm
+	avx512.max, avx512.addScaled = maxAVX512Asm, addScaledAVX512Asm
+	avx512.exp8 = avx512.expVector
 	return append([]kernel{avx512}, tiers...)
 }

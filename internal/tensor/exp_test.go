@@ -84,9 +84,56 @@ func TestExpShiftMatchesMathExp(t *testing.T) {
 	})
 }
 
-// FuzzExpShift holds every tier's ExpShift to math.Exp on fuzzed inputs.
-// Each 4 bytes is one element: raw float32 bits when the low bit is clear,
-// else a value in ±1024 so most lanes land inside the kernel's range.
+// checkExpShiftLanes is checkExpShift for ExpShiftLanes: c holds a shift
+// per element.
+func checkExpShiftLanes(t *testing.T, x []float32, c []float64) {
+	t.Helper()
+	buf := make([]float64, len(x)+2)
+	dst := buf[1 : len(x)+1]
+	buf[len(x)+1] = 42
+	ExpShiftLanes(dst, x, c)
+	if buf[len(x)+1] != 42 {
+		t.Fatalf("ExpShiftLanes(len %d) wrote past len(x)", len(x))
+	}
+	for i, v := range x {
+		want := math.Exp(float64(v) - c[i])
+		if math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Fatalf("ExpShiftLanes(len %d)[%d]: x=%v c=%v got %v (%#x), math.Exp %v (%#x)",
+				len(x), i, v, c[i], dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestExpShiftLanesMatchesMathExp: ExpShiftLanes on every tier is math.Exp
+// of each element less its own shift, bit for bit, for every length 0..67
+// with runs of equal shifts (a row of softmax blocks) and with a shift that
+// changes at every lane, ±Inf and NaN among them.
+func TestExpShiftLanesMatchesMathExp(t *testing.T) {
+	shifts := []float64{0, 1.5, -3.25, 700, -700, math.Inf(1), math.Inf(-1), math.NaN()}
+	withTier(t, func(t *testing.T, _ string) {
+		rng := rand.New(rand.NewSource(9))
+		for n := 0; n <= 67; n++ {
+			for run := 1; run <= 9; run += 4 {
+				c := make([]float64, n)
+				x := make([]float32, 0, n)
+				for i := 0; i < n; i += run {
+					s := shifts[rng.Intn(len(shifts))]
+					k := min(run, n-i)
+					for j := range k {
+						c[i+j] = s
+					}
+					x = append(x, expArgs(rng, k, s)...)
+				}
+				checkExpShiftLanes(t, x, c)
+			}
+		}
+	})
+}
+
+// FuzzExpShift holds every tier's ExpShift to math.Exp on fuzzed inputs,
+// and its ExpShiftLanes with shifts c, c+1, c+2, ... Each 4 bytes is one
+// element: raw float32 bits when the low bit is clear, else a value in
+// ±1024 so most lanes land inside the kernel's range.
 func FuzzExpShift(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0x44, 0x31, 0, 0, 0xc4, 0x31, 0, 1, 0x7f, 0xc0, 0, 0}, 0.0)
 	f.Add([]byte{0x12, 0x34, 0x56, 0x79, 0x80, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x80, 0, 0, 0xff, 0x80, 0, 0}, 12.5)
@@ -109,6 +156,11 @@ func FuzzExpShift(f *testing.F) {
 				t.Fatal(err)
 			}
 			checkExpShift(t, x, c)
+			lanes := make([]float64, len(x))
+			for i := range lanes {
+				lanes[i] = c + float64(i)
+			}
+			checkExpShiftLanes(t, x, lanes)
 		}
 	})
 }

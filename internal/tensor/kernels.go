@@ -111,9 +111,13 @@ type kernel struct {
 	nonzeros     nonzerosFunc
 	passPos      func(dst, src, gate []float32) // PassIfPositive after its checks
 	gather       gatherRowsFunc
+	max          func(x []float32) float32                                   // Max, any length
+	addScaled    func(dst []float32, src []float64, s float64)               // AddScaled after its checks
+	adam         func(w, g, m, v []float32, b1, b2 float32, lr, eps float64) // AdamUpdate after its checks
 	gemmTile     gemmTileFunc
 	tileM, tileN int
 	expVector    bool // ExpShift runs expShiftVector
+	exp8         bool // ... on the 8-lane kernel
 }
 
 var genericKernel = kernel{
@@ -125,6 +129,9 @@ var genericKernel = kernel{
 	nonzeros:    nonzerosGeneric,
 	passPos:     passIfPositiveGeneric,
 	gather:      gatherRowsGeneric,
+	max:         maxGeneric,
+	addScaled:   addScaledGeneric,
+	adam:        adamGeneric,
 	gemmTile:    gemmTileGeneric,
 	tileM:       4,
 	tileN:       4,
@@ -146,9 +153,12 @@ var (
 	nonzerosImpl         nonzerosFunc
 	passPosImpl          func(dst, src, gate []float32)
 	gatherImpl           gatherRowsFunc
+	maxImpl              func(x []float32) float32
+	addScaledImpl        func(dst []float32, src []float64, s float64)
+	adamImpl             func(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
-	expVector            bool
+	expVector, exp8      bool
 )
 
 func init() {
@@ -179,10 +189,13 @@ func setKernel(k kernel) {
 	nonzerosImpl = k.nonzeros
 	passPosImpl = k.passPos
 	gatherImpl = k.gather
+	maxImpl = k.max
+	addScaledImpl = k.addScaled
+	adamImpl = k.adam
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN
-	expVector = k.expVector
+	expVector, exp8 = k.expVector, k.exp8
 }
 
 // KernelTier reports the name of the tier currently dispatching the SIMD
@@ -346,17 +359,71 @@ func PassIfPositive(dst, src, gate []float32) {
 
 // ExpShift computes dst[i] = math.Exp(float64(x[i]) - c) for i < len(x),
 // bit for bit on every tier; len(dst) must be at least len(x). It is the
-// exponential under every softmax: the caller passes the row's maximum as
-// c and sums dst itself.
+// exponential under Softmax: the caller passes the row's maximum as c and
+// sums dst itself.
 func ExpShift(dst []float64, x []float32, c float64) {
-	dst = dst[:len(x)]
+	cs := [8]float64{c, c, c, c, c, c, c, c}
+	expShift(dst[:len(x)], x, cs[:], 0)
+}
+
+// ExpShiftLanes is ExpShift with a shift per element: dst[i] =
+// math.Exp(float64(x[i]) - c[i]) for i < len(x), bit for bit on every tier;
+// dst and c must be at least len(x) long. It runs a row of softmax blocks
+// in one call, each lane shifted by its own block's max or log-sum-exp.
+func ExpShiftLanes(dst []float64, x []float32, c []float64) {
+	expShift(dst[:len(x)], x, c[:len(x)], 1)
+}
+
+// expShift subtracts c[i*cstep]: cstep 1 is a shift per lane, and cstep 0
+// one shift, held in each of c's eight elements (the vector kernels load a
+// register's worth of them).
+func expShift(dst []float64, x []float32, c []float64, cstep int) {
 	n := 0
 	if expVector {
-		n = expShiftVector(dst, x, c)
+		n = expShiftVector(dst, x, c, cstep)
 	}
 	for i := n; i < len(x); i++ {
-		dst[i] = math.Exp(float64(x[i]) - c)
+		dst[i] = math.Exp(float64(x[i]) - c[i*cstep])
 	}
+}
+
+// Max returns the largest entry of x as the loop
+//
+//	m := float32(math.Inf(-1))
+//	for _, v := range x {
+//		if v > m {
+//			m = v
+//		}
+//	}
+//
+// finds it: a NaN never wins, and an empty x, or one of only NaN and −Inf,
+// gives −Inf. The vector tiers run that loop on each lane and then compare
+// the lanes' maxima, which are never NaN, so the result is the loop's value
+// on every tier, bit for bit except that a largest value of zero may come
+// back as either +0 or −0.
+func Max(x []float32) float32 { return maxImpl(x) }
+
+// AddScaled computes dst[i] += float32(src[i]*s) for i < len(dst), bit for
+// bit on every tier: a float64 product rounded to float32, then a float32
+// add. len(src) must be at least len(dst). It is the softmax gradient's
+// accumulate, s the loss's 1/batch.
+func AddScaled(dst []float32, src []float64, s float64) {
+	addScaledImpl(dst, src[:len(dst)], s)
+}
+
+// AdamUpdate applies one Adam step to len(w) parameters, bit for bit on
+// every tier: with g the gradient and m, v the moments (each at least
+// len(w) long),
+//
+//	m[i] = b1*m[i] + (1-b1)*g[i]
+//	v[i] = b2*v[i] + (1-b2)*g[i]*g[i]
+//	w[i] -= float32(lr*float64(m[i]) / (math.Sqrt(float64(v[i])) + eps))
+//
+// where each float32 multiply and add rounds separately, left to right, and
+// the last line runs in float64. lr carries the step's bias corrections.
+func AdamUpdate(w, g, m, v []float32, b1, b2 float32, lr, eps float64) {
+	n := len(w)
+	adamImpl(w, g[:n], m[:n], v[:n], b1, b2, lr, eps)
 }
 
 func checkPanel(width int, k []int32, panelLen, stride int) {
@@ -404,6 +471,36 @@ func axpyPanelI8Generic(y, x []float32, k []int32, scale []float32, panel []int8
 		for j, v := range row {
 			y[j] += float32(a * float32(v))
 		}
+	}
+}
+
+func maxGeneric(x []float32) float32 { return maxFrom(float32(math.Inf(-1)), x) }
+
+// maxFrom is Max's loop from m: a vector tier's maximum of a prefix of x,
+// or −Inf.
+func maxFrom(m float32, x []float32) float32 {
+	for _, v := range x {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+func addScaledGeneric(dst []float32, src []float64, s float64) {
+	src = src[:len(dst)]
+	for i, p := range src {
+		dst[i] += float32(p * s)
+	}
+}
+
+func adamGeneric(w, g, m, v []float32, b1, b2 float32, lr, eps float64) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	ob1, ob2 := 1-b1, 1-b2
+	for i, gi := range g {
+		m[i] = float32(b1*m[i]) + float32(ob1*gi)
+		v[i] = float32(b2*v[i]) + float32(float32(ob2*gi)*gi)
+		w[i] -= float32(lr * float64(m[i]) / (math.Sqrt(float64(v[i])) + eps))
 	}
 }
 

@@ -146,26 +146,77 @@ func axpyPanelI8SSE(y, x []float32, k []int32, scale []float32, panel []int8, st
 	}
 }
 
-// expShiftAVX2Asm requires len(x) to be a multiple of 4 (see
-// kernels_avx2_amd64.s). It reports whether any lane's argument lay outside
-// (-708, 708) or was NaN; those lanes hold garbage.
+// expShiftAVX2Asm requires len(x) to be a multiple of 4, and
+// expShiftAVX512Asm takes any length (see kernels_avx2_amd64.s and
+// kernels_avx512_amd64.s). Both subtract c[i*cstep], cstep 1 or 0, and
+// report whether any lane's argument lay outside (-708, 708) or was NaN;
+// those lanes hold garbage.
 //
 //go:noescape
-func expShiftAVX2Asm(dst []float64, x []float32, c float64) (wide bool)
+func expShiftAVX2Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
 
-// expShiftVector runs ExpShift's avx2 kernel over the longest multiple of 4
-// in x, recomputes its out-of-range lanes with math.Exp, and returns how
-// many elements it wrote.
-func expShiftVector(dst []float64, x []float32, c float64) int {
-	n := len(x) &^ 3
-	if n > 0 && expShiftAVX2Asm(dst[:n], x[:n], c) {
+//go:noescape
+func expShiftAVX512Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
+
+// expShiftVector runs the tier's exp kernel over x (avx2: the longest
+// multiple of 4 in it), recomputes its out-of-range lanes with math.Exp,
+// and returns how many elements it wrote.
+func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int {
+	n, wide := len(x), false
+	if exp8 {
+		wide = n > 0 && expShiftAVX512Asm(dst, x, c, cstep)
+	} else {
+		n &^= 3
+		wide = n > 0 && expShiftAVX2Asm(dst[:n], x[:n], c, cstep)
+	}
+	if wide {
 		for i, v := range x[:n] {
-			if d := float64(v) - c; !(d > -708 && d < 708) {
+			if d := float64(v) - c[i*cstep]; !(d > -708 && d < 708) {
 				dst[i] = math.Exp(d)
 			}
 		}
 	}
 	return n
+}
+
+// maxAVX2Asm, addScaledAVX2Asm and adamAVX2Asm take lengths that are
+// multiples of 8, and their Go wrappers finish the tail with the generic
+// loop; the avx512 Max and AddScaled kernels take any length.
+//
+//go:noescape
+func maxAVX2Asm(x []float32) float32
+
+//go:noescape
+func maxAVX512Asm(x []float32) float32
+
+//go:noescape
+func addScaledAVX2Asm(dst []float32, src []float64, s float64)
+
+//go:noescape
+func addScaledAVX512Asm(dst []float32, src []float64, s float64)
+
+//go:noescape
+func adamAVX2Asm(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
+
+func maxAVX2(x []float32) float32 {
+	n := len(x) &^ 7
+	m := float32(math.Inf(-1))
+	if n > 0 {
+		m = maxAVX2Asm(x[:n])
+	}
+	return maxFrom(m, x[n:])
+}
+
+func addScaledAVX2(dst []float32, src []float64, s float64) {
+	n := len(dst) &^ 7
+	addScaledAVX2Asm(dst[:n], src[:n], s)
+	addScaledGeneric(dst[n:], src[n:], s)
+}
+
+func adamAVX2(w, g, m, v []float32, b1, b2 float32, lr, eps float64) {
+	n := len(w) &^ 7
+	adamAVX2Asm(w[:n], g[:n], m[:n], v[:n], b1, b2, lr, eps)
+	adamGeneric(w[n:], g[n:], m[n:], v[n:], b1, b2, lr, eps)
 }
 
 // passIfPositiveSSEAsm, passIfPositiveAVX2Asm and passIfPositiveAVX512Asm
@@ -226,8 +277,10 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 
 // sseKernel and avx2Kernel are the tiers amd64Tiers (cpu_amd64.go) builds
 // the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm,
-// axpyPanel4AVX512Asm, nonzerosAVX512Asm and the 512-bit PassIfPositive and
-// gather.
+// axpyPanel4AVX512Asm, nonzerosAVX512Asm, the 512-bit PassIfPositive,
+// gather, Max and AddScaled, and the 8-lane exp. Adam's update is avx2's on
+// both: its float64 square roots and divides take as long per lane at
+// either width.
 var (
 	sseKernel = kernel{
 		name:        "sse",
@@ -238,6 +291,9 @@ var (
 		nonzeros:    nonzerosGeneric,
 		passPos:     passIfPositiveSSE,
 		gather:      gatherRowsGeneric,
+		max:         maxGeneric,
+		addScaled:   addScaledGeneric,
+		adam:        adamGeneric,
 		gemmTile:    gemmTile8x4SSEAsm,
 		tileM:       8,
 		tileN:       4,
@@ -251,6 +307,9 @@ var (
 		nonzeros:    nonzerosGeneric,
 		passPos:     passIfPositiveAVX2,
 		gather:      gatherRowsAVX2Asm,
+		max:         maxAVX2,
+		addScaled:   addScaledAVX2,
+		adam:        adamAVX2,
 		gemmTile:    gemmTile8x8AVX2Asm,
 		tileM:       8,
 		tileN:       8,

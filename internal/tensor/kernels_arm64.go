@@ -51,6 +51,9 @@ func archKernels() []kernel {
 		nonzeros:    nonzerosGeneric,
 		passPos:     passIfPositiveGeneric,
 		gather:      gatherRowsGeneric,
+		max:         maxGeneric,
+		addScaled:   addScaledGeneric,
+		adam:        adamGeneric,
 		gemmTile:    gemmTile8x8NEONAsm,
 		tileM:       8,
 		tileN:       8,
@@ -58,4 +61,4 @@ func archKernels() []kernel {
 }
 
 // expShiftVector is never called: no arm64 tier sets expVector.
-func expShiftVector(dst []float64, x []float32, c float64) int { return 0 }
+func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int { return 0 }

@@ -543,16 +543,20 @@ GLOBL expc<>(SB), RODATA|NOPTR, $496
 	VPSLLQ       $52, N, N; \
 	VMULPD       N, X, X
 
-// func expShiftAVX2Asm(dst []float64, x []float32, c float64) (wide bool)
-// dst[i] = exp(float64(x[i]) - c) for i < len(x), a multiple of 4; the Go
-// wrapper guarantees len(dst) >= len(x). Lanes whose argument lies outside
-// (-708, 708) hold garbage, and wide reports whether there were any. Eight
-// lanes per iteration, then a group of four.
-TEXT ·expShiftAVX2Asm(SB), NOSPLIT, $0-57
+// func expShiftAVX2Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
+// dst[i] = exp(float64(x[i]) - c[i*cstep]) for i < len(x), a multiple of 4;
+// cstep is 1 (a shift per lane) or 0 (one shift, which c holds in each of
+// its first four elements). The Go wrapper guarantees len(dst) >= len(x)
+// and that c is long enough. Lanes whose argument lies outside (-708, 708)
+// hold garbage, and wide reports whether there were any. Eight lanes per
+// iteration, then a group of four.
+TEXT ·expShiftAVX2Asm(SB), NOSPLIT, $0-81
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         x_base+24(FP), SI
 	MOVQ         x_len+32(FP), BX
-	VBROADCASTSD c+48(FP), Y14
+	MOVQ         c_base+48(FP), CX
+	MOVQ         cstep+72(FP), R9
+	SHLQ         $5, R9 // bytes of c per group of four lanes
 	VMOVUPD      expc<>+0(SB), Y13
 	VMOVUPD      expc<>+32(SB), Y12
 	VMOVUPD      expc<>+64(SB), Y11
@@ -567,8 +571,10 @@ TEXT ·expShiftAVX2Asm(SB), NOSPLIT, $0-57
 exp8:
 	VCVTPS2PD (SI)(AX*4), Y0
 	VCVTPS2PD 16(SI)(AX*4), Y3
-	VSUBPD    Y14, Y0, Y0
-	VSUBPD    Y14, Y3, Y3
+	VSUBPD    (CX), Y0, Y0
+	ADDQ      R9, CX
+	VSUBPD    (CX), Y3, Y3
+	ADDQ      R9, CX
 	EXP4(Y0, Y1, Y2, X2)
 	EXP4(Y3, Y4, Y5, X5)
 	VMOVUPD   Y0, (DI)(AX*8)
@@ -581,14 +587,164 @@ exp4:
 	TESTQ     $4, DX
 	JZ        expdone
 	VCVTPS2PD (SI)(AX*4), Y0
-	VSUBPD    Y14, Y0, Y0
+	VSUBPD    (CX), Y0, Y0
 	EXP4(Y0, Y1, Y2, X2)
 	VMOVUPD   Y0, (DI)(AX*8)
 
 expdone:
 	VPTEST     Y8, Y8
-	SETNE      wide+56(FP)
+	SETNE      wide+80(FP)
 	VZEROUPPER
+	RET
+
+// func maxAVX2Asm(x []float32) float32
+// The largest of x's entries, len(x) a multiple of 8, as lanes that each
+// start at -Inf and take x when x > lane (VMAXPS with x first returns its
+// second source, the lane, on NaN and on equal values), so every lane holds
+// the scalar loop's maximum of its elements; four lanes of eight, then the
+// lanes of one another. No lane is ever NaN, so the order the lanes are
+// combined in changes at most the sign of a zero result.
+TEXT ·maxAVX2Asm(SB), NOSPLIT, $0-28
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), BX
+	MOVL         $0xff800000, AX
+	VMOVD        AX, X0
+	VBROADCASTSS X0, Y0
+	VMOVAPS      Y0, Y1
+	VMOVAPS      Y0, Y2
+	VMOVAPS      Y0, Y3
+	XORQ         AX, AX
+	MOVQ         BX, DX
+	SHRQ         $5, DX
+	JZ           max8
+
+max32:
+	VMOVUPS (SI)(AX*4), Y4
+	VMOVUPS 32(SI)(AX*4), Y5
+	VMOVUPS 64(SI)(AX*4), Y6
+	VMOVUPS 96(SI)(AX*4), Y7
+	VMAXPS  Y0, Y4, Y0
+	VMAXPS  Y1, Y5, Y1
+	VMAXPS  Y2, Y6, Y2
+	VMAXPS  Y3, Y7, Y3
+	ADDQ    $32, AX
+	DECQ    DX
+	JNZ     max32
+
+max8:
+	CMPQ    AX, BX
+	JGE     maxfold
+	VMOVUPS (SI)(AX*4), Y4
+	VMAXPS  Y0, Y4, Y0
+	ADDQ    $8, AX
+	JMP     max8
+
+maxfold:
+	VMAXPS       Y1, Y0, Y0
+	VMAXPS       Y3, Y2, Y2
+	VMAXPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0x4e, X0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0xb1, X0, X1
+	VMAXPS       X1, X0, X0
+	VMOVSS       X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func addScaledAVX2Asm(dst []float32, src []float64, s float64)
+// dst[i] += float32(src[i]*s) for i < len(dst), a multiple of 8, as the
+// generic loop rounds it: the float64 product, its conversion to float32
+// (VCVTPD2PS, round to nearest), then a float32 add with dst first.
+TEXT ·addScaledAVX2Asm(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), BX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Y3
+	SHRQ         $3, BX
+	JZ           asdone
+	XORQ         AX, AX
+
+asloop:
+	VMULPD      (SI)(AX*8), Y3, Y0
+	VMULPD      32(SI)(AX*8), Y3, Y1
+	VCVTPD2PSY  Y0, X0
+	VCVTPD2PSY  Y1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMOVUPS     (DI)(AX*4), Y2
+	VADDPS      Y0, Y2, Y2
+	VMOVUPS     Y2, (DI)(AX*4)
+	ADDQ        $8, AX
+	DECQ        BX
+	JNZ         asloop
+	VZEROUPPER
+
+asdone:
+	RET
+
+// func adamAVX2Asm(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
+// One Adam update of len(w) elements, a multiple of 8, rounded as the
+// generic loop rounds it: m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+// in float32, one rounding per multiply and per add; then, in float64,
+// w -= float32(lr*m / (sqrt(v) + eps)) with an exact VSQRTPD and VDIVPD,
+// four lanes at a time.
+TEXT ·adamAVX2Asm(SB), NOSPLIT, $0-120
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), BX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	VBROADCASTSS b1+96(FP), Y8
+	VBROADCASTSS b2+100(FP), Y10
+	MOVL         $0x3f800000, AX // 1.0
+	VMOVD        AX, X0
+	VBROADCASTSS X0, Y0
+	VSUBPS       Y8, Y0, Y9  // 1 - b1
+	VSUBPS       Y10, Y0, Y11 // 1 - b2
+	VBROADCASTSD lr+104(FP), Y12
+	VBROADCASTSD eps+112(FP), Y13
+	SHRQ         $3, BX
+	JZ           adamdone
+	XORQ         AX, AX
+
+adamloop:
+	VMOVUPS      (SI)(AX*4), Y0
+	VMULPS       (R8)(AX*4), Y8, Y1
+	VMULPS       Y0, Y9, Y2
+	VADDPS       Y2, Y1, Y1
+	VMOVUPS      Y1, (R8)(AX*4)
+	VMULPS       (R9)(AX*4), Y10, Y3
+	VMULPS       Y0, Y11, Y4
+	VMULPS       Y0, Y4, Y4
+	VADDPS       Y4, Y3, Y3
+	VMOVUPS      Y3, (R9)(AX*4)
+	VCVTPS2PD    X1, Y4
+	VCVTPS2PD    X3, Y5
+	VEXTRACTF128 $1, Y1, X1
+	VEXTRACTF128 $1, Y3, X3
+	VCVTPS2PD    X1, Y6
+	VCVTPS2PD    X3, Y7
+	VMULPD       Y4, Y12, Y4
+	VMULPD       Y6, Y12, Y6
+	VSQRTPD      Y5, Y5
+	VSQRTPD      Y7, Y7
+	VADDPD       Y13, Y5, Y5
+	VADDPD       Y13, Y7, Y7
+	VDIVPD       Y5, Y4, Y4
+	VDIVPD       Y7, Y6, Y6
+	VCVTPD2PSY   Y4, X4
+	VCVTPD2PSY   Y6, X6
+	VINSERTF128  $1, X6, Y4, Y4
+	VMOVUPS      (DI)(AX*4), Y2
+	VSUBPS       Y4, Y2, Y2
+	VMOVUPS      Y2, (DI)(AX*4)
+	ADDQ         $8, AX
+	DECQ         BX
+	JNZ          adamloop
+	VZEROUPPER
+
+adamdone:
 	RET
 
 // func passIfPositiveAVX2Asm(dst, src, gate []float32)

@@ -617,3 +617,258 @@ gnext:
 
 gdone:
 	RET
+
+// math/exp_amd64.s's constants, one float64 each, read as broadcast
+// operands by the 8-lane exp below (expc in kernels_avx2_amd64.s holds the
+// same values four times each).
+DATA expz<>+0(SB)/8, $1.4426950408889634073599246810018920          // log2(e)
+DATA expz<>+8(SB)/8, $0.69314718055966295651160180568695068359375    // upper half of ln 2
+DATA expz<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // lower half of ln 2
+DATA expz<>+24(SB)/8, $0.0625
+DATA expz<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expz<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expz<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expz<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expz<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expz<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expz<>+80(SB)/8, $0.5
+DATA expz<>+88(SB)/8, $1.0
+DATA expz<>+96(SB)/8, $2.0
+DATA expz<>+104(SB)/8, $708.0
+DATA expz<>+112(SB)/8, $0x7FFFFFFFFFFFFFFF // clears the sign bit
+DATA expz<>+120(SB)/8, $0x3FF              // exponent bias
+GLOBL expz<>(SB), RODATA|NOPTR, $128
+
+// EXP8 is kernels_avx2_amd64.s's EXP4 on eight lanes: the same operations
+// in the same order on each lane. It overwrites X with exp(X), using T and
+// N (N's low half is YN) as temporaries, and ORs into K3 a lane mask of
+// those outside (-708, 708), NaN included. Z9..Z13 hold |.| mask, 708, ln 2
+// halves and log2(e). The exponent n is sign-extended before the bias is
+// added, where EXP4 adds it to the int32 and zero-extends: inside the range
+// n + 1023 lies in [2, 2044], so the two build the same 2^n.
+#define EXP8(X, T, N, YN) \
+	VANDPD           Z9, X, T; \
+	VCMPPD           $0x15, Z10, T, K2; \
+	KORW             K2, K3, K3; \
+	VMULPD           Z13, X, T; \
+	VCVTPD2DQ        T, YN; \
+	VCVTDQ2PD        YN, T; \
+	VFNMADD231PD     Z12, T, X; \
+	VFNMADD231PD     Z11, T, X; \
+	VMULPD.BCST      expz<>+24(SB), X, X; \
+	VBROADCASTSD     expz<>+32(SB), T; \
+	VFMADD213PD.BCST expz<>+40(SB), X, T; \
+	VFMADD213PD.BCST expz<>+48(SB), X, T; \
+	VFMADD213PD.BCST expz<>+56(SB), X, T; \
+	VFMADD213PD.BCST expz<>+64(SB), X, T; \
+	VFMADD213PD.BCST expz<>+72(SB), X, T; \
+	VFMADD213PD.BCST expz<>+80(SB), X, T; \
+	VFMADD213PD.BCST expz<>+88(SB), X, T; \
+	VMULPD           T, X, X; \
+	VADDPD.BCST      expz<>+96(SB), X, T; \
+	VMULPD           T, X, X; \
+	VADDPD.BCST      expz<>+96(SB), X, T; \
+	VMULPD           T, X, X; \
+	VADDPD.BCST      expz<>+96(SB), X, T; \
+	VMULPD           T, X, X; \
+	VADDPD.BCST      expz<>+96(SB), X, T; \
+	VFMADD213PD.BCST expz<>+88(SB), T, X; \
+	VPMOVSXDQ        YN, N; \
+	VPADDQ.BCST      expz<>+120(SB), N, N; \
+	VPSLLQ           $52, N, N; \
+	VMULPD           N, X, X
+
+// func expShiftAVX512Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
+// expShiftAVX2Asm on eight lanes for any len(x): thirty-two lanes per
+// iteration (four independent EXP8 chains), then groups of eight, the last under a mask K1 whose lanes
+// past len(x) load and store nothing. cstep is 1 or 0 (one shift, in each
+// of c's first eight elements).
+TEXT ·expShiftAVX512Asm(SB), NOSPLIT, $0-81
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), BX
+	MOVQ         c_base+48(FP), R10
+	MOVQ         cstep+72(FP), R9
+	SHLQ         $6, R9 // bytes of c per group of eight lanes
+	VBROADCASTSD expz<>+0(SB), Z13
+	VBROADCASTSD expz<>+8(SB), Z12
+	VBROADCASTSD expz<>+16(SB), Z11
+	VBROADCASTSD expz<>+104(SB), Z10
+	VBROADCASTSD expz<>+112(SB), Z9
+	KXORW        K3, K3, K3
+	XORQ         AX, AX
+	MOVQ         BX, DX
+	SHRQ         $5, DX
+	JZ           ez8
+
+ez32:
+	VCVTPS2PD (SI)(AX*4), Z0
+	VCVTPS2PD 32(SI)(AX*4), Z3
+	VCVTPS2PD 64(SI)(AX*4), Z6
+	VCVTPS2PD 96(SI)(AX*4), Z14
+	VSUBPD    (R10), Z0, Z0
+	ADDQ      R9, R10
+	VSUBPD    (R10), Z3, Z3
+	ADDQ      R9, R10
+	VSUBPD    (R10), Z6, Z6
+	ADDQ      R9, R10
+	VSUBPD    (R10), Z14, Z14
+	ADDQ      R9, R10
+	EXP8(Z0, Z1, Z2, Y2)
+	EXP8(Z3, Z4, Z5, Y5)
+	EXP8(Z6, Z7, Z8, Y8)
+	EXP8(Z14, Z15, Z16, Y16)
+	VMOVUPD   Z0, (DI)(AX*8)
+	VMOVUPD   Z3, 64(DI)(AX*8)
+	VMOVUPD   Z6, 128(DI)(AX*8)
+	VMOVUPD   Z14, 192(DI)(AX*8)
+	ADDQ      $32, AX
+	DECQ      DX
+	JNZ       ez32
+
+ez8:
+	MOVQ  BX, CX
+	SUBQ  AX, CX
+	JLE   ezdone
+	CMPQ  CX, $8
+	JLE   ezmask
+	MOVQ  $8, CX
+
+ezmask:
+	MOVQ        $1, DX
+	SHLQ        CX, DX
+	DECQ        DX
+	KMOVW       DX, K1
+	VCVTPS2PD.Z (SI)(AX*4), K1, Z0
+	VMOVUPD.Z   (R10), K1, Z6
+	VSUBPD      Z6, Z0, Z0
+	EXP8(Z0, Z1, Z2, Y2)
+	VMOVUPD     Z0, K1, (DI)(AX*8)
+	ADDQ        $8, AX
+	ADDQ        R9, R10
+	JMP         ez8
+
+ezdone:
+	KORTESTW K3, K3
+	SETNE    wide+80(FP)
+	VZEROUPPER
+	RET
+
+// func maxAVX512Asm(x []float32) float32
+// maxAVX2Asm on sixteen lanes for any len(x): four lanes of sixteen, then
+// groups of sixteen, the last merged under a mask into a register of -Inf.
+TEXT ·maxAVX512Asm(SB), NOSPLIT, $0-28
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), BX
+	MOVL         $0xff800000, AX
+	VPBROADCASTD AX, Z0
+	VMOVAPS      Z0, Z1
+	VMOVAPS      Z0, Z2
+	VMOVAPS      Z0, Z3
+	VMOVAPS      Z0, Z7
+	XORQ         AX, AX
+	MOVQ         BX, DX
+	SHRQ         $6, DX
+	JZ           mz16
+
+mz64:
+	VMOVUPS (SI)(AX*4), Z4
+	VMOVUPS 64(SI)(AX*4), Z5
+	VMOVUPS 128(SI)(AX*4), Z6
+	VMOVUPS 192(SI)(AX*4), Z8
+	VMAXPS  Z0, Z4, Z0
+	VMAXPS  Z1, Z5, Z1
+	VMAXPS  Z2, Z6, Z2
+	VMAXPS  Z3, Z8, Z3
+	ADDQ    $64, AX
+	DECQ    DX
+	JNZ     mz64
+
+mz16:
+	MOVQ    BX, CX
+	SUBQ    AX, CX
+	JLE     mzfold
+	CMPQ    CX, $16
+	JLT     mztail
+	VMOVUPS (SI)(AX*4), Z4
+	VMAXPS  Z0, Z4, Z0
+	ADDQ    $16, AX
+	JMP     mz16
+
+mztail:
+	MOVQ    $1, DX
+	SHLQ    CX, DX
+	DECQ    DX
+	KMOVW   DX, K1
+	VMOVAPS Z7, Z4
+	VMOVUPS (SI)(AX*4), K1, Z4
+	VMAXPS  Z0, Z4, Z0
+
+mzfold:
+	VMAXPS        Z1, Z0, Z0
+	VMAXPS        Z3, Z2, Z2
+	VMAXPS        Z2, Z0, Z0
+	VEXTRACTF64X4 $1, Z0, Y1
+	VMAXPS        Y1, Y0, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VMAXPS        X1, X0, X0
+	VPERMILPS     $0x4e, X0, X1
+	VMAXPS        X1, X0, X0
+	VPERMILPS     $0xb1, X0, X1
+	VMAXPS        X1, X0, X0
+	VMOVSS        X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func addScaledAVX512Asm(dst []float32, src []float64, s float64)
+// addScaledAVX2Asm on eight lanes for any len(dst): sixteen lanes per
+// iteration, then groups of eight, the last under a mask. Masked operations
+// run on Z registers: on Y registers they would need AVX512VL.
+TEXT ·addScaledAVX512Asm(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), BX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Z3
+	XORQ         AX, AX
+	MOVQ         BX, DX
+	SHRQ         $4, DX
+	JZ           az8
+
+az16:
+	VMULPD        (SI)(AX*8), Z3, Z0
+	VMULPD        64(SI)(AX*8), Z3, Z1
+	VCVTPD2PS     Z0, Y0
+	VCVTPD2PS     Z1, Y1
+	VINSERTF64X4  $1, Y1, Z0, Z0
+	VMOVUPS       (DI)(AX*4), Z2
+	VADDPS        Z0, Z2, Z2
+	VMOVUPS       Z2, (DI)(AX*4)
+	ADDQ          $16, AX
+	DECQ          DX
+	JNZ           az16
+
+az8:
+	MOVQ  BX, CX
+	SUBQ  AX, CX
+	JLE   azdone
+	CMPQ  CX, $8
+	JLE   azmask
+	MOVQ  $8, CX
+
+azmask:
+	MOVQ        $1, DX
+	SHLQ        CX, DX
+	DECQ        DX
+	KMOVW       DX, K1
+	VMOVUPD.Z   (SI)(AX*8), K1, Z0
+	VMULPD      Z0, Z3, Z0
+	VCVTPD2PS   Z0, Y0
+	VMOVUPS.Z   (DI)(AX*4), K1, Z2
+	VADDPS      Z0, Z2, Z2
+	VMOVUPS     Z2, K1, (DI)(AX*4)
+	ADDQ        $8, AX
+	JMP         az8
+
+azdone:
+	VZEROUPPER
+	RET

@@ -7,4 +7,4 @@ package tensor
 func archKernels() []kernel { return nil }
 
 // expShiftVector is never called: no tier here sets expVector.
-func expShiftVector(dst []float64, x []float32, c float64) int { return 0 }
+func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int { return 0 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,70 @@ func bitsEqualSlices(t *testing.T, name string, got, want []float32) {
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
+}
+
+// TestMaxMatchesLoop: Max on every tier returns the scalar loop's maximum,
+// bit for bit except that a zero maximum may carry either sign, for every
+// length 0..140 of tricky values (NaN among them) and all-NaN or all -Inf
+// inputs.
+func TestMaxMatchesLoop(t *testing.T) {
+	withTier(t, func(t *testing.T, _ string) {
+		rng := rand.New(rand.NewSource(12))
+		for n := 0; n <= 140; n++ {
+			for _, x := range [][]float32{trickyFloats(rng, n), slices.Repeat([]float32{float32(math.NaN())}, n), slices.Repeat([]float32{float32(math.Inf(-1))}, n)} {
+				got, want := Max(x), maxGeneric(x)
+				if math.Float32bits(got) != math.Float32bits(want) && !(got == 0 && want == 0) {
+					t.Fatalf("n=%d: Max %v (%#x), loop %v (%#x)", n, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
+	})
+}
+
+// TestAddScaledMatchesLoop: AddScaled on every tier is the generic loop bit
+// for bit, leaving dst's elements past len(dst) alone.
+func TestAddScaledMatchesLoop(t *testing.T) {
+	withTier(t, func(t *testing.T, _ string) {
+		rng := rand.New(rand.NewSource(13))
+		for _, n := range fuzzLengths {
+			src := make([]float64, n)
+			for i, v := range trickyFloats(rng, n) {
+				src[i] = float64(v) * math.Exp(rng.Float64()*20-10)
+			}
+			s := 1.0 / float64(1+rng.Intn(2048))
+			base := trickyFloats(rng, n+1)
+			got, want := slices.Clone(base), slices.Clone(base)
+			AddScaled(got[:n], src, s)
+			addScaledGeneric(want[:n], src, s)
+			bitsEqualSlices(t, fmt.Sprintf("AddScaled n=%d", n), got, want)
+		}
+	})
+}
+
+// TestAdamUpdateMatchesLoop: AdamUpdate on every tier is the generic loop
+// bit for bit on weights, both moments and nothing past len(w).
+func TestAdamUpdateMatchesLoop(t *testing.T) {
+	withTier(t, func(t *testing.T, _ string) {
+		rng := rand.New(rand.NewSource(14))
+		for _, n := range fuzzLengths {
+			g := trickyFloats(rng, n)
+			var got, want [3][]float32
+			for k := range got {
+				got[k] = trickyFloats(rng, n+1)
+				if k == 2 { // the second moment is a mean of squares
+					for i, v := range got[k] {
+						got[k][i] = float32(math.Abs(float64(v)))
+					}
+				}
+				want[k] = slices.Clone(got[k])
+			}
+			AdamUpdate(got[0][:n], g, got[1], got[2], 0.9, 0.999, 3e-4, 1e-8)
+			adamGeneric(want[0][:n], g, want[1][:n], want[2][:n], 0.9, 0.999, 3e-4, 1e-8)
+			for k, name := range []string{"w", "m", "v"} {
+				bitsEqualSlices(t, fmt.Sprintf("AdamUpdate n=%d %s", n, name), got[k], want[k])
+			}
+		}
+	})
 }
 
 var fuzzLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17, 23, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 255, 511, 513}

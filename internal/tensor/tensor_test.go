@@ -331,8 +331,10 @@ func TestParallelForNestedInChunk(t *testing.T) {
 	}
 }
 
-// TestWorkersClose: Close returns once the set's goroutines have exited,
-// awake or parked, and a closed set still runs every chunk, on its caller.
+// TestWorkersClose: Close returns once the set's goroutines have run their
+// last statement, awake or parked, and a closed set still runs every chunk,
+// on its caller. A goroutine is still counted for a moment after its
+// deferred exited.Done has run, so the count gets a second to come back.
 func TestWorkersClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	awake := NewWorkers(4)
@@ -341,8 +343,12 @@ func TestWorkersClose(t *testing.T) {
 	NewWorkers(3).Close() // never forked: its goroutines are parked
 	w := NewWorkers(2)
 	w.Close()
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the set, %d after Close", before, after)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before the set, %d a second after Close", before, after)
 	}
 	var ran atomic.Int32
 	w.ParallelFor(4, 1, func(lo, hi int) { ran.Add(int32(hi - lo)) })
