@@ -58,7 +58,10 @@ func amd64Tiers(ecx1, ebx7, xcr0 uint32) []kernel {
 	}
 	avx2 := avx2Kernel
 	// math.Exp takes its FMA path exactly when the CPU has AVX and FMA.
-	avx2.expVector = ecx1&fmaBit != 0
+	fma := ecx1&fmaBit != 0
+	if fma {
+		avx2.expWidth = 4
+	}
 	tiers = append([]kernel{avx2}, tiers...)
 	if ebx7&avx512FBit == 0 || xcr0&xcr0ZMM != xcr0ZMM {
 		return tiers
@@ -69,7 +72,8 @@ func amd64Tiers(ecx1, ebx7, xcr0 uint32) []kernel {
 	avx512.axpyPanelG, avx512.panelRows = axpyPanel4AVX512Asm, 4
 	avx512.nonzeros = nonzerosAVX512Asm
 	avx512.passPos, avx512.gather = passIfPositiveAVX512, gatherRowsAVX512Asm
-	avx512.max, avx512.addScaled = maxAVX512Asm, addScaledAVX512Asm
-	avx512.exp8 = avx512.expVector
+	if fma {
+		avx512.expWidth = 8
+	}
 	return append([]kernel{avx512}, tiers...)
 }

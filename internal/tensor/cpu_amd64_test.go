@@ -23,18 +23,18 @@ func TestAMD64Tiers(t *testing.T) {
 		name             string
 		ecx1, ebx7, xcr0 uint32
 		want             []string
-		expVector        bool
+		expWidth         int // the best tier's
 	}{
-		{"all bits set", ecxAll, ebxAll, xcr0All, []string{"avx512", "avx2", "sse"}, true},
-		{"AVX512F advertised, ZMM state off in XCR0", ecxAll, ebxAll, xcr0NoZ, []string{"avx2", "sse"}, true},
-		{"AVX512F advertised, ZMM16-31 off in XCR0", ecxAll, ebxAll, xcr0NoHi, []string{"avx2", "sse"}, true},
-		{"ZMM state on, no AVX512F", ecxAll, avx2Bit, xcr0All, []string{"avx2", "sse"}, true},
-		{"AVX2 without FMA", ecxAVX, ebxAll, xcr0All, []string{"avx512", "avx2", "sse"}, false},
-		{"AVX2 without OSXSAVE", ecxAll &^ osxsaveBit, ebxAll, xcr0All, []string{"sse"}, false},
-		{"AVX2 without AVX", ecxAll &^ avxBit, ebxAll, xcr0All, []string{"sse"}, false},
-		{"YMM state off in XCR0", ecxAll, ebxAll, xcr0All &^ 0x4, []string{"sse"}, false},
-		{"AVX512F without AVX2", ecxAll, avx512FBit, xcr0All, []string{"sse"}, false},
-		{"nothing", 0, 0, 0, []string{"sse"}, false},
+		{"all bits set", ecxAll, ebxAll, xcr0All, []string{"avx512", "avx2", "sse"}, 8},
+		{"AVX512F advertised, ZMM state off in XCR0", ecxAll, ebxAll, xcr0NoZ, []string{"avx2", "sse"}, 4},
+		{"AVX512F advertised, ZMM16-31 off in XCR0", ecxAll, ebxAll, xcr0NoHi, []string{"avx2", "sse"}, 4},
+		{"ZMM state on, no AVX512F", ecxAll, avx2Bit, xcr0All, []string{"avx2", "sse"}, 4},
+		{"AVX2 without FMA", ecxAVX, ebxAll, xcr0All, []string{"avx512", "avx2", "sse"}, 0},
+		{"AVX2 without OSXSAVE", ecxAll &^ osxsaveBit, ebxAll, xcr0All, []string{"sse"}, 0},
+		{"AVX2 without AVX", ecxAll &^ avxBit, ebxAll, xcr0All, []string{"sse"}, 0},
+		{"YMM state off in XCR0", ecxAll, ebxAll, xcr0All &^ 0x4, []string{"sse"}, 0},
+		{"AVX512F without AVX2", ecxAll, avx512FBit, xcr0All, []string{"sse"}, 0},
+		{"nothing", 0, 0, 0, []string{"sse"}, 0},
 	} {
 		tiers := amd64Tiers(c.ecx1, c.ebx7, c.xcr0)
 		var names []string
@@ -45,8 +45,8 @@ func TestAMD64Tiers(t *testing.T) {
 			t.Errorf("%s: tiers %v, want %v", c.name, names, c.want)
 			continue
 		}
-		if got := tiers[0].expVector; got != c.expVector {
-			t.Errorf("%s: %s tier's expVector %v, want %v", c.name, names[0], got, c.expVector)
+		if got := tiers[0].expWidth; got != c.expWidth {
+			t.Errorf("%s: %s tier's expWidth %d, want %d", c.name, names[0], got, c.expWidth)
 		}
 		if names[0] == "avx512" && (tiers[0].tileN != 32 || tiers[1].tileN != 8) {
 			t.Errorf("%s: tile widths %d and %d, want 32 and 8", c.name, tiers[0].tileN, tiers[1].tileN)

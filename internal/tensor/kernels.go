@@ -116,8 +116,7 @@ type kernel struct {
 	adam         func(w, g, m, v []float32, b1, b2 float32, lr, eps float64) // AdamUpdate after its checks
 	gemmTile     gemmTileFunc
 	tileM, tileN int
-	expVector    bool // ExpShift runs expShiftVector
-	exp8         bool // ... on the 8-lane kernel
+	expWidth     int // lanes of ExpShift's vector kernel: 0 (none), 4 or 8
 }
 
 var genericKernel = kernel{
@@ -158,7 +157,7 @@ var (
 	adamImpl             func(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
-	expVector, exp8      bool
+	expWidth             int
 )
 
 func init() {
@@ -195,7 +194,7 @@ func setKernel(k kernel) {
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN
-	expVector, exp8 = k.expVector, k.exp8
+	expWidth = k.expWidth
 }
 
 // KernelTier reports the name of the tier currently dispatching the SIMD
@@ -379,7 +378,7 @@ func ExpShiftLanes(dst []float64, x []float32, c []float64) {
 // register's worth of them).
 func expShift(dst []float64, x []float32, c []float64, cstep int) {
 	n := 0
-	if expVector {
+	if expWidth > 0 {
 		n = expShiftVector(dst, x, c, cstep)
 	}
 	for i := n; i < len(x); i++ {

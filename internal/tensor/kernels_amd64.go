@@ -158,12 +158,14 @@ func expShiftAVX2Asm(dst []float64, x []float32, c []float64, cstep int) (wide b
 //go:noescape
 func expShiftAVX512Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
 
-// expShiftVector runs the tier's exp kernel over x (avx2: the longest
-// multiple of 4 in it), recomputes its out-of-range lanes with math.Exp,
-// and returns how many elements it wrote.
+// expShiftVector runs the tier's exp kernel over x (the 4-lane one over
+// the longest multiple of 4 in it), recomputes its out-of-range lanes with
+// math.Exp, and returns how many elements it wrote. The choice is a switch,
+// not a function value in the tier: a call through a function value would
+// move every caller's stack buffer, and ExpShift's own shifts, to the heap.
 func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int {
 	n, wide := len(x), false
-	if exp8 {
+	if expWidth == 8 {
 		wide = n > 0 && expShiftAVX512Asm(dst, x, c, cstep)
 	} else {
 		n &^= 3
@@ -181,19 +183,13 @@ func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int {
 
 // maxAVX2Asm, addScaledAVX2Asm and adamAVX2Asm take lengths that are
 // multiples of 8, and their Go wrappers finish the tail with the generic
-// loop; the avx512 Max and AddScaled kernels take any length.
+// loop.
 //
 //go:noescape
 func maxAVX2Asm(x []float32) float32
 
 //go:noescape
-func maxAVX512Asm(x []float32) float32
-
-//go:noescape
 func addScaledAVX2Asm(dst []float32, src []float64, s float64)
-
-//go:noescape
-func addScaledAVX512Asm(dst []float32, src []float64, s float64)
 
 //go:noescape
 func adamAVX2Asm(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
@@ -209,13 +205,17 @@ func maxAVX2(x []float32) float32 {
 
 func addScaledAVX2(dst []float32, src []float64, s float64) {
 	n := len(dst) &^ 7
-	addScaledAVX2Asm(dst[:n], src[:n], s)
+	if n > 0 {
+		addScaledAVX2Asm(dst[:n], src[:n], s)
+	}
 	addScaledGeneric(dst[n:], src[n:], s)
 }
 
 func adamAVX2(w, g, m, v []float32, b1, b2 float32, lr, eps float64) {
 	n := len(w) &^ 7
-	adamAVX2Asm(w[:n], g[:n], m[:n], v[:n], b1, b2, lr, eps)
+	if n > 0 {
+		adamAVX2Asm(w[:n], g[:n], m[:n], v[:n], b1, b2, lr, eps)
+	}
 	adamGeneric(w[n:], g[n:], m[n:], v[n:], b1, b2, lr, eps)
 }
 
@@ -277,10 +277,9 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 
 // sseKernel and avx2Kernel are the tiers amd64Tiers (cpu_amd64.go) builds
 // the host's list from; avx512 is avx2 with gemmTile8x32AVX512Asm,
-// axpyPanel4AVX512Asm, nonzerosAVX512Asm, the 512-bit PassIfPositive,
-// gather, Max and AddScaled, and the 8-lane exp. Adam's update is avx2's on
-// both: its float64 square roots and divides take as long per lane at
-// either width.
+// axpyPanel4AVX512Asm, nonzerosAVX512Asm, the 512-bit PassIfPositive and
+// gather, and the 8-lane exp. Max, AddScaled and Adam's update are avx2's
+// on both: no 512-bit version of them has been measured to pay.
 var (
 	sseKernel = kernel{
 		name:        "sse",

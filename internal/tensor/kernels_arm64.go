@@ -60,5 +60,5 @@ func archKernels() []kernel {
 	}}
 }
 
-// expShiftVector is never called: no arm64 tier sets expVector.
+// expShiftVector is never called: no arm64 tier sets expWidth.
 func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int { return 0 }

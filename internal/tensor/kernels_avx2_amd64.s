@@ -678,9 +678,9 @@ asloop:
 	ADDQ        $8, AX
 	DECQ        BX
 	JNZ         asloop
-	VZEROUPPER
 
 asdone:
+	VZEROUPPER
 	RET
 
 // func adamAVX2Asm(w, g, m, v []float32, b1, b2 float32, lr, eps float64)
@@ -742,9 +742,9 @@ adamloop:
 	ADDQ         $8, AX
 	DECQ         BX
 	JNZ          adamloop
-	VZEROUPPER
 
 adamdone:
+	VZEROUPPER
 	RET
 
 // func passIfPositiveAVX2Asm(dst, src, gate []float32)

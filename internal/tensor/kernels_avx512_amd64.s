@@ -3,8 +3,9 @@
 #include "textflag.h"
 
 // The avx512 tier's kernels of its own: the training GEMM's register tile,
-// the 4-row panel kernel and Nonzeros. Everything else the tier runs is
-// avx2's (kernels_avx2_amd64.s). A 512-bit VMULPS/VADDPS pair rounds each
+// the 4-row panel kernel, Nonzeros, PassIfPositive, the row gather and the
+// 8-lane exp. Everything else the tier runs is avx2's
+// (kernels_avx2_amd64.s). A 512-bit VMULPS/VADDPS pair rounds each
 // lane exactly like the 256-bit pair and the generic loop's float32(a*b)
 // then +=, so the tile and the panel kernel keep the tier contract
 // (kernels.go): unfused, k ascending per element.
@@ -680,8 +681,8 @@ GLOBL expz<>(SB), RODATA|NOPTR, $128
 
 // func expShiftAVX512Asm(dst []float64, x []float32, c []float64, cstep int) (wide bool)
 // expShiftAVX2Asm on eight lanes for any len(x): thirty-two lanes per
-// iteration (four independent EXP8 chains), then groups of eight, the last under a mask K1 whose lanes
-// past len(x) load and store nothing. cstep is 1 or 0 (one shift, in each
+// iteration (four independent EXP8 chains), then groups of eight, the last
+// under a mask K1 whose lanes past len(x) load and store nothing. cstep is 1 or 0 (one shift, in each
 // of c's first eight elements).
 TEXT ·expShiftAVX512Asm(SB), NOSPLIT, $0-81
 	MOVQ         dst_base+0(FP), DI
@@ -751,124 +752,5 @@ ezmask:
 ezdone:
 	KORTESTW K3, K3
 	SETNE    wide+80(FP)
-	VZEROUPPER
-	RET
-
-// func maxAVX512Asm(x []float32) float32
-// maxAVX2Asm on sixteen lanes for any len(x): four lanes of sixteen, then
-// groups of sixteen, the last merged under a mask into a register of -Inf.
-TEXT ·maxAVX512Asm(SB), NOSPLIT, $0-28
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), BX
-	MOVL         $0xff800000, AX
-	VPBROADCASTD AX, Z0
-	VMOVAPS      Z0, Z1
-	VMOVAPS      Z0, Z2
-	VMOVAPS      Z0, Z3
-	VMOVAPS      Z0, Z7
-	XORQ         AX, AX
-	MOVQ         BX, DX
-	SHRQ         $6, DX
-	JZ           mz16
-
-mz64:
-	VMOVUPS (SI)(AX*4), Z4
-	VMOVUPS 64(SI)(AX*4), Z5
-	VMOVUPS 128(SI)(AX*4), Z6
-	VMOVUPS 192(SI)(AX*4), Z8
-	VMAXPS  Z0, Z4, Z0
-	VMAXPS  Z1, Z5, Z1
-	VMAXPS  Z2, Z6, Z2
-	VMAXPS  Z3, Z8, Z3
-	ADDQ    $64, AX
-	DECQ    DX
-	JNZ     mz64
-
-mz16:
-	MOVQ    BX, CX
-	SUBQ    AX, CX
-	JLE     mzfold
-	CMPQ    CX, $16
-	JLT     mztail
-	VMOVUPS (SI)(AX*4), Z4
-	VMAXPS  Z0, Z4, Z0
-	ADDQ    $16, AX
-	JMP     mz16
-
-mztail:
-	MOVQ    $1, DX
-	SHLQ    CX, DX
-	DECQ    DX
-	KMOVW   DX, K1
-	VMOVAPS Z7, Z4
-	VMOVUPS (SI)(AX*4), K1, Z4
-	VMAXPS  Z0, Z4, Z0
-
-mzfold:
-	VMAXPS        Z1, Z0, Z0
-	VMAXPS        Z3, Z2, Z2
-	VMAXPS        Z2, Z0, Z0
-	VEXTRACTF64X4 $1, Z0, Y1
-	VMAXPS        Y1, Y0, Y0
-	VEXTRACTF128  $1, Y0, X1
-	VMAXPS        X1, X0, X0
-	VPERMILPS     $0x4e, X0, X1
-	VMAXPS        X1, X0, X0
-	VPERMILPS     $0xb1, X0, X1
-	VMAXPS        X1, X0, X0
-	VMOVSS        X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func addScaledAVX512Asm(dst []float32, src []float64, s float64)
-// addScaledAVX2Asm on eight lanes for any len(dst): sixteen lanes per
-// iteration, then groups of eight, the last under a mask. Masked operations
-// run on Z registers: on Y registers they would need AVX512VL.
-TEXT ·addScaledAVX512Asm(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), BX
-	MOVQ         src_base+24(FP), SI
-	VBROADCASTSD s+48(FP), Z3
-	XORQ         AX, AX
-	MOVQ         BX, DX
-	SHRQ         $4, DX
-	JZ           az8
-
-az16:
-	VMULPD        (SI)(AX*8), Z3, Z0
-	VMULPD        64(SI)(AX*8), Z3, Z1
-	VCVTPD2PS     Z0, Y0
-	VCVTPD2PS     Z1, Y1
-	VINSERTF64X4  $1, Y1, Z0, Z0
-	VMOVUPS       (DI)(AX*4), Z2
-	VADDPS        Z0, Z2, Z2
-	VMOVUPS       Z2, (DI)(AX*4)
-	ADDQ          $16, AX
-	DECQ          DX
-	JNZ           az16
-
-az8:
-	MOVQ  BX, CX
-	SUBQ  AX, CX
-	JLE   azdone
-	CMPQ  CX, $8
-	JLE   azmask
-	MOVQ  $8, CX
-
-azmask:
-	MOVQ        $1, DX
-	SHLQ        CX, DX
-	DECQ        DX
-	KMOVW       DX, K1
-	VMOVUPD.Z   (SI)(AX*8), K1, Z0
-	VMULPD      Z0, Z3, Z0
-	VCVTPD2PS   Z0, Y0
-	VMOVUPS.Z   (DI)(AX*4), K1, Z2
-	VADDPS      Z0, Z2, Z2
-	VMOVUPS     Z2, K1, (DI)(AX*4)
-	ADDQ        $8, AX
-	JMP         az8
-
-azdone:
 	VZEROUPPER
 	RET

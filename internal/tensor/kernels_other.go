@@ -6,5 +6,5 @@ package tensor
 // the portable init in kernels.go) is the only — and always-correct — tier.
 func archKernels() []kernel { return nil }
 
-// expShiftVector is never called: no tier here sets expVector.
+// expShiftVector is never called: no tier here sets expWidth.
 func expShiftVector(dst []float64, x []float32, c []float64, cstep int) int { return 0 }
